@@ -92,9 +92,6 @@ class SparseSymOp:
     blocks: list[sp.csr_matrix] | None = None
     block_offsets: np.ndarray | None = None
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
 
 def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray | None = None):
     """Volumes and constant barycentric gradients, batched over tets."""

@@ -17,7 +17,7 @@ from .assemble import Coefficients
 from .errors import ConfigurationError
 from .krylov import SolveReport, pcg
 from .mesh import build_box_mesh, export_vtk
-from .oracle import verify_dense_lemmas, verify_identities
+from .oracle import IdentityReport, verify_dense_lemmas, verify_identities
 from .precond import setup_maxwell, setup_scalar
 
 __all__ = ["ExperimentConfig", "run_experiment", "run_table", "run_verify", "main"]
@@ -232,8 +232,6 @@ def run_verify(config: ExperimentConfig, corrupt_gradient_sign: bool = False) ->
             corrupt_gradient_sign=corrupt_gradient_sign,
         )
         checks.extend(rep.checks)
-
-    from .oracle import IdentityReport
 
     combined = IdentityReport(checks)
     for line in combined.lines():

@@ -14,37 +14,12 @@ and the verification suite rely on that exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import BoxMesh, SkeletonIndex
 
-__all__ = ["GradientMap", "NodalInterpMap", "build_gradient", "build_nodal_interp"]
-
-
-@dataclass(frozen=True)
-class GradientMap:
-    """Signed incidence map from nodal dofs to edge dofs."""
-
-    variant: str  # "volume" | "skeleton"
-    matrix: sp.csr_matrix
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
-
-@dataclass(frozen=True)
-class NodalInterpMap:
-    """Edge interpolation of a nodal field times a fixed Cartesian direction."""
-
-    variant: str
-    direction: int
-    matrix: sp.csr_matrix
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
+__all__ = ["build_gradient", "build_nodal_interp"]
 
 
 def _edge_endpoints(mesh: BoxMesh, skeleton: SkeletonIndex | None, variant: str):
@@ -69,7 +44,8 @@ def _edge_endpoints(mesh: BoxMesh, skeleton: SkeletonIndex | None, variant: str)
 
 def build_gradient(
     mesh: BoxMesh, variant: str = "volume", skeleton: SkeletonIndex | None = None
-) -> GradientMap:
+) -> sp.csr_matrix:
+    """Signed incidence map from nodal dofs to edge dofs."""
     edges, col_of_vertex = _edge_endpoints(mesh, skeleton, variant)
     n_e = edges.shape[0]
     rows = np.repeat(np.arange(n_e, dtype=np.int64), 2)
@@ -78,7 +54,7 @@ def build_gradient(
     n_cols = mesh.n_vertices if variant == "volume" else skeleton.n_skeleton_vertices
     m = sp.csr_matrix((data, (rows, cols)), shape=(n_e, n_cols))
     m.sort_indices()
-    return GradientMap(variant, m)
+    return m
 
 
 def build_nodal_interp(
@@ -86,7 +62,8 @@ def build_nodal_interp(
     direction: int,
     variant: str = "volume",
     skeleton: SkeletonIndex | None = None,
-) -> NodalInterpMap:
+) -> sp.csr_matrix:
+    """Edge interpolation of a nodal field times the Cartesian unit vector."""
     if direction not in (0, 1, 2):
         raise ValueError(f"direction must be 0, 1 or 2, got {direction}")
     edges, col_of_vertex = _edge_endpoints(mesh, skeleton, variant)
@@ -102,4 +79,4 @@ def build_nodal_interp(
     n_cols = mesh.n_vertices if variant == "volume" else skeleton.n_skeleton_vertices
     m = sp.csr_matrix((data, (rows, cols)), shape=(n_e, n_cols))
     m.sort_indices()
-    return NodalInterpMap(variant, direction, m)
+    return m

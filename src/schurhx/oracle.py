@@ -247,8 +247,8 @@ def verify_identities(
     scalar = setup_scalar(mesh, coeffs, skeleton, spaces)
     maxwell = setup_maxwell(mesh, coeffs, skeleton, spaces)
 
-    grad_vol = build_gradient(mesh, "volume").matrix
-    grad_skel = build_gradient(mesh, "skeleton", skeleton).matrix
+    grad_vol = build_gradient(mesh, "volume")
+    grad_skel = build_gradient(mesh, "skeleton", skeleton)
     if corrupt_gradient_sign:
         grad_skel = grad_skel.copy()
         grad_skel.data[0] = -grad_skel.data[0]
@@ -272,8 +272,8 @@ def verify_identities(
         0.0,
     )
     for d in range(3):
-        pv = build_nodal_interp(mesh, d, "volume").matrix
-        ps = build_nodal_interp(mesh, d, "skeleton", skeleton).matrix
+        pv = build_nodal_interp(mesh, d, "volume")
+        ps = build_nodal_interp(mesh, d, "skeleton", skeleton)
         report.add_residual(
             f"interp-trace-commutation-dir{d}",
             ctx,
@@ -395,11 +395,11 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, skele
         lambda u: se_mat @ u, lambda u: qhx_mat @ u, se_mat.shape[0]
     ).cond
 
-    grad_vol = build_gradient(mesh, "volume").matrix.toarray()
+    grad_vol = build_gradient(mesh, "volume").toarray()
     jac_edge_inv = np.diag(1.0 / np.diag(m_dense))
     aux = jac_edge_inv + grad_vol @ sla.solve(l_dense, grad_vol.T, assume_a="pos")
     for d in range(3):
-        pv = build_nodal_interp(mesh, d, "volume").matrix.toarray()
+        pv = build_nodal_interp(mesh, d, "volume").toarray()
         aux = aux + pv @ sla.solve(l_dense, pv.T, assume_a="pos")
     cond_aux = estimate_condition(
         lambda u: m_dense @ u, lambda u: aux @ u, m_dense.shape[0]

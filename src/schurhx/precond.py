@@ -5,6 +5,12 @@ which composes five factors around the blockwise inverse DtN,
 
     M f = degree^{-1} . glue . weights . DtN^{-1} . weights . split . degree^{-1} f,
 
+where each subdomain's inverse DtN map needs no Schur elimination at all:
+embedding the boundary functional by zero and solving the whole Neumann
+block A_j returns the inverse trace,
+
+    S_j^{-1} g = trace_b( A_j^{-1} extend_by_zero(g) ),
+
 with a coarse space of one basis function per subdomain (Mandel's balancing
 domain decomposition):
 
@@ -33,13 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assemble import (
-    Coefficients,
-    SparseSymOp,
-    assemble_edge,
-    assemble_scalar,
-    jacobi_diagonal,
-)
+from .assemble import Coefficients, SparseSymOp, assemble_edge, assemble_scalar
 from .dofspaces import (
     Multiplicity,
     Spaces,
@@ -48,8 +48,8 @@ from .dofspaces import (
     build_spaces,
     build_transfer,
 )
-from .discrete_ops import GradientMap, NodalInterpMap, build_gradient, build_nodal_interp
-from .errors import SingularOperatorError
+from .discrete_ops import build_gradient, build_nodal_interp
+from .errors import AssemblyError, SingularOperatorError
 from .krylov import pcg
 from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
 from .schur import SchurSystem, SpdFactor, build_schur_system
@@ -71,9 +71,11 @@ class NeumannNeumann:
     """Balancing Neumann-Neumann: a degree-weighted average of subdomain
     Neumann solves, balanced by a coarse space of one function per subdomain.
 
-    Set-up computes S Z in one blockwise pass (each subdomain applies its
-    Schur complement to the few coarse columns it touches) and factorizes the
-    coarse matrix S0 = Z^T S Z.  One application makes one call to the
+    It is the only user of the inverse DtN map, so set-up factorizes each
+    subdomain's whole Neumann block A_j here.  Set-up also computes S Z in
+    one blockwise pass (each subdomain applies its Schur complement to the
+    few coarse columns it touches) and factorizes the coarse matrix
+    S0 = Z^T S Z.  One application makes one call to the
     average M (one blockwise Neumann solve, counted by ``n_applies``) and two
     coarse solves, using
 
@@ -89,8 +91,13 @@ class NeumannNeumann:
         self.weights = multiplicity.tuple_weights
         self.dim = schur.dim
         self.n_applies = 0
+        self.neumann_factors = [
+            SpdFactor(solver.matrix, f"{schur.kind} subdomain {j} (Neumann)")
+            for j, solver in enumerate(schur.solvers)
+        ]
 
         offsets = schur.transfer.skeleton_split.target.block_offsets
+        self._tuple_offsets = offsets
         n_sub = len(schur.solvers)
         block_of = np.repeat(np.arange(n_sub), np.diff(offsets))
         on_block = sp.csr_matrix(
@@ -116,9 +123,21 @@ class NeumannNeumann:
             sp.csr_matrix((s0 + s0.T) / 2.0), "balancing coarse problem"
         )
 
+    def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
+        """Blockwise inverse DtN (full Neumann solves) on a boundary tuple."""
+        self.schur.check_tuple(g)
+        out = np.empty_like(g)
+        solvers = zip(self.schur.solvers, self.neumann_factors)
+        for j, (solver, factor) in enumerate(solvers):
+            lo, hi = int(self._tuple_offsets[j]), int(self._tuple_offsets[j + 1])
+            full = np.zeros(solver.matrix.shape[0])
+            full[solver.boundary] = g[lo:hi]
+            out[lo:hi] = factor.solve(full)[solver.boundary]
+        return out
+
     def _average(self, f: np.ndarray) -> np.ndarray:
         v = self.split @ (f / self.degree)
-        w = self.weights * self.schur.apply_dtn_inv(self.weights * v)
+        w = self.weights * self.apply_dtn_inv(self.weights * v)
         return (self.split.T @ w) / self.degree
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
@@ -137,19 +156,23 @@ class HiptmairXu:
     def __init__(
         self,
         jacobi_skeleton: np.ndarray,
-        skeleton_gradient: GradientMap,
-        skeleton_interps: list[NodalInterpMap],
+        skeleton_gradient: sp.csr_matrix,
+        skeleton_interps: list[sp.csr_matrix],
         nn: NeumannNeumann,
     ):
-        if skeleton_gradient.variant != "skeleton":
-            raise ValueError("gradient map must be the skeleton variant")
         if len(skeleton_interps) != 3:
             raise ValueError("need one interpolation map per Cartesian direction")
+        shape = (len(jacobi_skeleton), nn.dim)
+        for m in (skeleton_gradient, *skeleton_interps):
+            if m.shape != shape:
+                raise ValueError(f"maps must be skeleton edges x vertices {shape}")
+        if not np.all(np.isfinite(jacobi_skeleton) & (jacobi_skeleton > 0)):
+            raise AssemblyError("skeleton Jacobi diagonal: non-positive or non-finite")
         self.jacobi_inv = 1.0 / jacobi_skeleton
-        self.gradient = skeleton_gradient.matrix
-        self.interps = [m.matrix for m in skeleton_interps]
+        self.gradient = skeleton_gradient
+        self.interps = list(skeleton_interps)
         self.nn = nn
-        self.dim = self.gradient.shape[0]
+        self.dim = shape[0]
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         if f.shape != (self.dim,):
@@ -197,8 +220,8 @@ class MaxwellProblem:
     schur: SchurSystem
     scalar: ScalarProblem
     jacobi_skeleton: np.ndarray
-    gradient: GradientMap
-    interps: list[NodalInterpMap]
+    gradient: sp.csr_matrix
+    interps: list[sp.csr_matrix]
     qhx: HiptmairXu
 
     @property
@@ -250,8 +273,12 @@ def setup_maxwell(
         blocks, transfer, skeleton.boundary_edges, spaces.subdomain_edges
     )
 
-    volume_op = assemble_edge(mesh, spaces, coeffs, scope="global")
-    jac = jacobi_diagonal(volume_op)[skeleton.skeleton_edges]
+    # The skeleton Jacobi diagonal glues the subdomain boundary diagonals.
+    # Copies add in ascending subdomain order, as in global assembly, so it
+    # equals the global edge diagonal on the skeleton bit for bit.
+    jac = transfer.skeleton_split.matrix.T @ np.concatenate(
+        [solver.A_bb.diagonal() for solver in schur.solvers]
+    )
     gradient = build_gradient(mesh, "skeleton", skeleton)
     interps = [build_nodal_interp(mesh, d, "skeleton", skeleton) for d in range(3)]
     qhx = HiptmairXu(jac, gradient, interps, scalar.qnn)

@@ -2,16 +2,15 @@
 
 For each subdomain block A_j (nodal or edge), the local dofs split into
 boundary dofs b (on the subdomain skeleton) and interior dofs i.  The local
-Dirichlet-to-Neumann map and its inverse are
+Dirichlet-to-Neumann map is the Schur complement
 
-    S_j p      = A_bb p - A_bi A_ii^{-1} A_ib p        (Schur complement)
-    S_j^{-1} g = trace_b( A_j^{-1} extend_by_zero(g) )  (full Neumann solve)
+    S_j p = A_bb p - A_bi A_ii^{-1} A_ib p
 
 and the global interface operator on the skeleton space is
-split^T . blockdiag(S_j) . split.  Note S_j^{-1} needs no Schur elimination at
-all: embedding the boundary functional by zero and solving the whole Neumann
-block already returns the inverse trace.  Blocks are factorized once at
-construction: dense Cholesky up to DENSE_CUTOFF dofs, sparse LU above.
+split^T . blockdiag(S_j) . split.  Each subdomain is factorized once, at
+construction: its interior block A_ii, which serves both S_j and the
+discrete-harmonic lift.  Factors are dense Cholesky up to DENSE_CUTOFF dofs
+and sparse LU above.
 """
 
 from __future__ import annotations
@@ -68,13 +67,12 @@ class SpdFactor:
 
 @dataclass
 class SubdomainSolver:
-    """One subdomain block with its boundary/interior split and factors."""
+    """One subdomain block with its boundary/interior split and interior factor."""
 
     index: int
     matrix: sp.csr_matrix
     boundary: np.ndarray  # local dof positions on the subdomain boundary
     interior: np.ndarray  # the complement, ascending
-    full_factor: SpdFactor
     interior_factor: SpdFactor
     A_ib: sp.csr_matrix  # interior x boundary coupling
     A_bb: sp.csr_matrix
@@ -88,11 +86,6 @@ class SubdomainSolver:
             return self.matrix @ p
         w = self.interior_factor.solve(self.A_ib @ p)
         return self.A_bb @ p - self.A_ib.T @ w
-
-    def apply_schur_inv(self, g: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.matrix.shape[0])
-        full[self.boundary] = g
-        return self.full_factor.solve(full)[self.boundary]
 
     def lift(self, p: np.ndarray) -> np.ndarray:
         """Discrete-harmonic extension: boundary values p, interior solved."""
@@ -114,30 +107,25 @@ class SchurSystem:
         self.tuple_dim = transfer.skeleton_split.target.dim
         self._tuple_offsets = transfer.skeleton_split.target.block_offsets
 
-    def _blockwise(self, vec: np.ndarray, method: str) -> np.ndarray:
+    def check_tuple(self, vec: np.ndarray) -> None:
         if vec.shape != (self.tuple_dim,):
             raise ValueError(
                 f"expected boundary-tuple vector of length {self.tuple_dim}, "
                 f"got shape {vec.shape}"
             )
-        out = np.empty_like(vec)
-        for j, solver in enumerate(self.solvers):
-            lo, hi = int(self._tuple_offsets[j]), int(self._tuple_offsets[j + 1])
-            out[lo:hi] = getattr(solver, method)(vec[lo:hi])
-        return out
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:
         """Blockwise Schur complement on a boundary-tuple vector."""
-        return self._blockwise(p, "apply_schur")
-
-    def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
-        """Blockwise inverse DtN (full Neumann solves) on a boundary tuple."""
-        return self._blockwise(g, "apply_schur_inv")
+        self.check_tuple(p)
+        out = np.empty_like(p)
+        for j, solver in enumerate(self.solvers):
+            lo, hi = int(self._tuple_offsets[j]), int(self._tuple_offsets[j + 1])
+            out[lo:hi] = solver.apply_schur(p[lo:hi])
+        return out
 
     def harmonic_lift(self, p: np.ndarray) -> np.ndarray:
         """Extend boundary-tuple data into the broken space, block by block."""
-        if p.shape != (self.tuple_dim,):
-            raise ValueError(f"expected boundary-tuple vector, got shape {p.shape}")
+        self.check_tuple(p)
         broken = self.transfer.volume_split.target
         out = np.empty(broken.dim)
         for j, solver in enumerate(self.solvers):
@@ -160,7 +148,7 @@ def build_schur_system(
     boundary_dofs: list[np.ndarray],
     subdomain_dofs: list[np.ndarray],
 ) -> SchurSystem:
-    """Factorize every subdomain block and wire up the interface operator.
+    """Factorize each subdomain's interior block and wire up the interface operator.
 
     ``boundary_dofs[j]`` / ``subdomain_dofs[j]`` are global dof ids (sorted);
     the boundary positions inside the block use the same ascending order as
@@ -183,7 +171,6 @@ def build_schur_system(
                 matrix=block,
                 boundary=boundary,
                 interior=interior,
-                full_factor=SpdFactor(block, f"{label} (full)"),
                 interior_factor=SpdFactor(a_ii, f"{label} (interior)"),
                 A_ib=block[interior][:, boundary].tocsr(),
                 A_bb=block[boundary][:, boundary].tocsr(),

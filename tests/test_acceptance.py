@@ -150,12 +150,12 @@ def test_criterion_05_commutation_lattice_exact():
             worst = max(worst, _max_abs(diff))
         tr_v = scalar_ops.skeleton_trace.matrix
         tr_e = edge_ops.skeleton_trace.matrix
-        g_vol = build_gradient(mesh).matrix
-        g_skel = build_gradient(mesh, "skeleton", skel).matrix
+        g_vol = build_gradient(mesh)
+        g_skel = build_gradient(mesh, "skeleton", skel)
         worst = max(worst, _max_abs(tr_e @ g_vol - g_skel @ tr_v))
         for d in range(3):
-            pv = build_nodal_interp(mesh, d).matrix
-            ps = build_nodal_interp(mesh, d, "skeleton", skel).matrix
+            pv = build_nodal_interp(mesh, d)
+            ps = build_nodal_interp(mesh, d, "skeleton", skel)
             worst = max(worst, _max_abs(tr_e @ pv - ps @ tr_v))
     ok = worst == 0.0
     _report(5, ok, f"max residual {worst!r} over {len(TEST_MESHES)} meshes (must be exactly 0)")
@@ -207,10 +207,10 @@ def test_criterion_08_spectral_inequalities():
     cond_nn = estimate_condition(lambda u: s_l @ u, lambda u: q_nn @ u, s_l.shape[0]).cond
 
     aux = np.diag(1.0 / np.diag(m_dense))
-    grad = build_gradient(mesh).matrix.toarray()
+    grad = build_gradient(mesh).toarray()
     aux = aux + grad @ sla.solve(l_dense, grad.T, assume_a="pos")
     for d in range(3):
-        interp = build_nodal_interp(mesh, d).matrix.toarray()
+        interp = build_nodal_interp(mesh, d).toarray()
         aux = aux + interp @ sla.solve(l_dense, interp.T, assume_a="pos")
     cond_aux = estimate_condition(
         lambda u: m_dense @ u, lambda u: aux @ u, m_dense.shape[0]

@@ -162,7 +162,7 @@ def test_constant_vector_field_energy(mesh222_j1):
     op = assemble_edge(mesh222_j1, spaces, Coefficients(gamma=gamma))
     # Edge dofs of the constant field e_0; its curl vanishes, so the energy
     # is gamma^2 * integral of |e_0|^2 = gamma^2.
-    u = build_nodal_interp(mesh222_j1, 0).matrix @ np.ones(mesh222_j1.n_vertices)
+    u = build_nodal_interp(mesh222_j1, 0) @ np.ones(mesh222_j1.n_vertices)
     assert abs(u @ (op.matrix @ u) - gamma * gamma) <= 1e-12
 
 
@@ -171,7 +171,7 @@ def test_gradient_field_energy_matches_scalar_stiffness(mesh222_j8, rng):
     spaces = build_spaces(mesh222_j8, skel)
     gamma = 2.5
     edge_op = assemble_edge(mesh222_j8, spaces, Coefficients(gamma=gamma))
-    grad = build_gradient(mesh222_j8).matrix
+    grad = build_gradient(mesh222_j8)
 
     stiff, _ = scalar_element_matrices(
         mesh222_j8,
@@ -200,7 +200,7 @@ def test_curl_part_annihilates_gradients(mesh222_j8, rng):
     for t in range(mesh222_j8.n_tets):
         idx = mesh222_j8.tet_edges[t]
         curl_dense[np.ix_(idx, idx)] += curl[t]
-    gv = build_gradient(mesh222_j8).matrix @ rng.uniform(
+    gv = build_gradient(mesh222_j8) @ rng.uniform(
         -1, 1, mesh222_j8.n_vertices
     )
     assert abs(gv @ (curl_dense @ gv)) <= 1e-12

@@ -10,13 +10,13 @@ from schurhx.mesh import build_box_mesh, extract_skeleton
 
 
 def test_gradient_kills_constants(mesh422_j211):
-    g = build_gradient(mesh422_j211).matrix
+    g = build_gradient(mesh422_j211)
     out = g @ np.ones(mesh422_j211.n_vertices)
     assert np.all(out == 0.0)
 
 
 def test_gradient_of_coordinate_is_tangent(mesh222_j8):
-    g = build_gradient(mesh222_j8).matrix
+    g = build_gradient(mesh222_j8)
     for d in range(3):
         u = mesh222_j8.vertex_coords[:, d]
         expected = (
@@ -27,7 +27,7 @@ def test_gradient_of_coordinate_is_tangent(mesh222_j8):
 
 
 def test_gradient_rows_are_incidence(mesh111):
-    g = build_gradient(mesh111).matrix
+    g = build_gradient(mesh111)
     for e, (a, b) in enumerate(mesh111.edges):
         row = g.getrow(e).toarray().ravel()
         assert row[a] == -1.0 and row[b] == 1.0
@@ -38,7 +38,7 @@ def test_interp_of_ones_is_tangent_component(mesh222_j8):
     # Interpolating u = 1 against direction d gives the edge dofs of the
     # constant field e_d itself.
     for d in range(3):
-        p = build_nodal_interp(mesh222_j8, d).matrix
+        p = build_nodal_interp(mesh222_j8, d)
         expected = (
             mesh222_j8.vertex_coords[mesh222_j8.edges[:, 1], d]
             - mesh222_j8.vertex_coords[mesh222_j8.edges[:, 0], d]
@@ -47,7 +47,7 @@ def test_interp_of_ones_is_tangent_component(mesh222_j8):
 
 
 def test_interp_orthogonal_edges_have_zero_rows(mesh222_j8):
-    p = build_nodal_interp(mesh222_j8, 0).matrix
+    p = build_nodal_interp(mesh222_j8, 0)
     coords = mesh222_j8.vertex_coords
     along_y = (
         coords[mesh222_j8.edges[:, 1], 0] == coords[mesh222_j8.edges[:, 0], 0]
@@ -68,9 +68,9 @@ def test_regular_decomposition_exactness(mesh422_j211, rng):
     v = rng.uniform(-1, 1, mesh.n_vertices)
     us = [rng.uniform(-1, 1, mesh.n_vertices) for _ in range(3)]
 
-    via_maps = build_gradient(mesh).matrix @ v
+    via_maps = build_gradient(mesh) @ v
     for d in range(3):
-        via_maps = via_maps + build_nodal_interp(mesh, d).matrix @ us[d]
+        via_maps = via_maps + build_nodal_interp(mesh, d) @ us[d]
 
     a, b = mesh.edges[:, 0], mesh.edges[:, 1]
     direct = v[b] - v[a]
@@ -87,8 +87,8 @@ def test_gradient_trace_commutation_exact(cells, grid):
     spaces = build_spaces(mesh, skel)
     tr_v = build_transfer(mesh, skel, spaces, "scalar").skeleton_trace.matrix
     tr_e = build_transfer(mesh, skel, spaces, "edge").skeleton_trace.matrix
-    g_vol = build_gradient(mesh).matrix
-    g_skel = build_gradient(mesh, "skeleton", skel).matrix
+    g_vol = build_gradient(mesh)
+    g_skel = build_gradient(mesh, "skeleton", skel)
     diff = tr_e @ g_vol - g_skel @ tr_v
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -99,14 +99,14 @@ def test_interp_trace_commutation_exact(mesh222_j8, skel222_j8, d):
     spaces = build_spaces(mesh, skel)
     tr_v = build_transfer(mesh, skel, spaces, "scalar").skeleton_trace.matrix
     tr_e = build_transfer(mesh, skel, spaces, "edge").skeleton_trace.matrix
-    p_vol = build_nodal_interp(mesh, d).matrix
-    p_skel = build_nodal_interp(mesh, d, "skeleton", skel).matrix
+    p_vol = build_nodal_interp(mesh, d)
+    p_skel = build_nodal_interp(mesh, d, "skeleton", skel)
     diff = tr_e @ p_vol - p_skel @ tr_v
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 def test_skeleton_maps_index_skeleton_vertices(mesh222_j8, skel222_j8):
-    g = build_gradient(mesh222_j8, "skeleton", skel222_j8).matrix
+    g = build_gradient(mesh222_j8, "skeleton", skel222_j8)
     assert g.shape == (90, 27)
     endpoints = mesh222_j8.edges[skel222_j8.skeleton_edges]
     expected_cols = np.searchsorted(skel222_j8.skeleton_vertices, endpoints)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
+import schurhx.precond as precond_mod
+from schurhx.assemble import (
+    Coefficients,
+    assemble_edge,
+    assemble_scalar,
+    jacobi_diagonal,
+)
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
 from schurhx.dofspaces import Multiplicity
-from schurhx.errors import SingularOperatorError
+from schurhx.errors import AssemblyError, SingularOperatorError
 from schurhx.krylov import pcg
 from schurhx.oracle import pseudoinverse_injective
 from schurhx.precond import (
@@ -17,6 +23,7 @@ from schurhx.precond import (
     materialize,
     setup_maxwell,
 )
+from schurhx.schur import SpdFactor
 
 
 def test_nn_symmetric(scalar444_j8, rng):
@@ -128,6 +135,11 @@ def test_hx_validates_inputs(maxwell222_j8, scalar222_j8):
         HiptmairXu(jac, vol_grad, interps, scalar222_j8.qnn)
     with pytest.raises(ValueError, match="direction"):
         HiptmairXu(jac, skel_grad, interps[:2], scalar222_j8.qnn)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        broken = jac.copy()
+        broken[3] = bad
+        with pytest.raises(AssemblyError, match="Jacobi"):
+            HiptmairXu(broken, skel_grad, interps, scalar222_j8.qnn)
     q = HiptmairXu(jac, skel_grad, interps, scalar222_j8.qnn)
     with pytest.raises(ValueError):
         q(np.zeros(q.dim + 1))
@@ -148,6 +160,8 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(maxwell222_j8):
     exact_inv = sla.inv(s_scalar)
 
     class ExactScalar:
+        dim = s_scalar.shape[0]
+
         def __call__(self, f):
             return exact_inv @ f
 
@@ -159,10 +173,10 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(maxwell222_j8):
     l_dense = assemble_scalar(mesh, spaces, coeffs).matrix.toarray()
     m_dense = assemble_edge(mesh, spaces, coeffs).matrix.toarray()
     aux = np.diag(1.0 / np.diag(m_dense))
-    g = build_gradient(mesh).matrix.toarray()
+    g = build_gradient(mesh).toarray()
     aux = aux + g @ sla.solve(l_dense, g.T, assume_a="pos")
     for d in range(3):
-        p = build_nodal_interp(mesh, d).matrix.toarray()
+        p = build_nodal_interp(mesh, d).toarray()
         aux = aux + p @ sla.solve(l_dense, p.T, assume_a="pos")
     tr = mw.transfer.skeleton_trace.matrix.toarray()
     rhs = tr @ aux @ tr.T
@@ -176,12 +190,9 @@ def test_hx_summands_positive_semidefinite(maxwell222_j8):
     assert np.all(mw.qhx.jacobi_inv > 0)
 
     q_nn = materialize(mw.scalar.qnn, mw.scalar.qnn.dim)
-    g = mw.gradient.matrix.toarray()
+    g = mw.gradient.toarray()
     sandwiches = [g @ q_nn @ g.T]
-    sandwiches += [
-        p.toarray() @ q_nn @ p.toarray().T
-        for p in (m.matrix for m in mw.interps)
-    ]
+    sandwiches += [p.toarray() @ q_nn @ p.toarray().T for p in mw.interps]
     for s in sandwiches:
         evs = sla.eigvalsh((s + s.T) / 2.0)
         assert evs[0] >= -1e-10
@@ -216,6 +227,34 @@ def test_estimate_condition_validation(scalar222_j8):
         estimate_condition(lambda u: u, lambda u: u, 4, method="power")
     with pytest.raises(SingularOperatorError):
         estimate_condition(lambda u: -u, lambda u: u, 4, method="dense")
+
+
+@pytest.mark.parametrize(
+    "mesh_name, gamma", [("mesh444_j8", 1.0), ("mesh422_j211", 1.7)]
+)
+def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, gamma):
+    """Set-up assembles only the edge blocks, and the skeleton Jacobi diagonal
+    glued from them is the global edge matrix's diagonal on the skeleton, bit
+    for bit."""
+    mesh = request.getfixturevalue(mesh_name)
+    scopes = []
+
+    def recording(*args, **kwargs):
+        scopes.append(kwargs.get("scope", "global"))
+        return assemble_edge(*args, **kwargs)
+
+    monkeypatch.setattr(precond_mod, "assemble_edge", recording)
+    mw = setup_maxwell(mesh, Coefficients(gamma=gamma))
+    assert scopes == ["blocks"]
+    glob = assemble_edge(mesh, mw.spaces, mw.coeffs, scope="global")
+    expected = jacobi_diagonal(glob)[mw.skeleton.skeleton_edges]
+    assert np.array_equal(mw.jacobi_skeleton, expected)
+
+
+def test_edge_subdomains_factorized_once(maxwell444_j8):
+    for solver in maxwell444_j8.schur.solvers:
+        factors = [v for v in vars(solver).values() if isinstance(v, SpdFactor)]
+        assert len(factors) == 1
 
 
 def test_setup_dimensions(maxwell444_j8, mesh444_j8):

@@ -38,26 +38,35 @@ def test_schur_matches_dense_elimination(scalar444_j8, rng):
 
 def test_schur_inverse_is_resolvent_boundary_block(scalar444_j8):
     """T_j^{-1} equals the boundary block of the full Neumann inverse."""
-    solver = scalar444_j8.schur.solvers[5]
+    sys, qnn = scalar444_j8.schur, scalar444_j8.qnn
+    j = 5
+    solver = sys.solvers[j]
     a_inv = sla.inv(solver.matrix.toarray())
     bb = solver.boundary
-    t_inv = materialize(solver.apply_schur_inv, solver.n_boundary)
+    lo = int(sys._tuple_offsets[j])
+
+    def block_inv(g):
+        tup = np.zeros(sys.tuple_dim)
+        tup[lo : lo + g.size] = g
+        return qnn.apply_dtn_inv(tup)[lo : lo + g.size]
+
+    t_inv = materialize(block_inv, solver.n_boundary)
     assert np.abs(t_inv - a_inv[np.ix_(bb, bb)]).max() <= 1e-10
 
 
 def test_dtn_roundtrip(scalar444_j8, rng):
-    sys = scalar444_j8.schur
+    sys, qnn = scalar444_j8.schur, scalar444_j8.qnn
     g = rng.uniform(-1, 1, sys.tuple_dim)
-    back = sys.apply_dtn(sys.apply_dtn_inv(g))
+    back = sys.apply_dtn(qnn.apply_dtn_inv(g))
     assert np.abs(back - g).max() <= 1e-10 * np.abs(g).max()
 
 
 def test_dtn_inverse_symmetric(scalar444_j8, rng):
-    sys = scalar444_j8.schur
+    sys, qnn = scalar444_j8.schur, scalar444_j8.qnn
     g = rng.uniform(-1, 1, sys.tuple_dim)
     h = rng.uniform(-1, 1, sys.tuple_dim)
-    left = h @ sys.apply_dtn_inv(g)
-    right = g @ sys.apply_dtn_inv(h)
+    left = h @ qnn.apply_dtn_inv(g)
+    right = g @ qnn.apply_dtn_inv(h)
     assert abs(left - right) <= 1e-12 * max(abs(left), 1.0)
 
 
@@ -99,7 +108,7 @@ def test_dtn_block_locality(scalar444_j8, rng):
     vec = np.zeros(sys.tuple_dim)
     lo, hi = int(offsets[j]), int(offsets[j + 1])
     vec[lo:hi] = rng.uniform(-1, 1, hi - lo)
-    for method in (sys.apply_dtn, sys.apply_dtn_inv):
+    for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
         out = method(vec)
         touched = np.flatnonzero(out != 0.0)
         assert touched.min() >= lo and touched.max() < hi
@@ -154,8 +163,9 @@ def test_blockwise_projector_algebra(scalar222_j8):
 
 def test_tuple_dimension_checked(scalar444_j8):
     sys = scalar444_j8.schur
-    with pytest.raises(ValueError, match="boundary-tuple"):
-        sys.apply_dtn(np.zeros(sys.tuple_dim + 1))
+    for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
+        with pytest.raises(ValueError, match="boundary-tuple"):
+            method(np.zeros(sys.tuple_dim + 1))
     with pytest.raises(ValueError):
         sys.harmonic_lift(np.zeros(3))
 
