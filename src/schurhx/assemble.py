@@ -84,13 +84,12 @@ class Coefficients:
 
 @dataclass
 class SparseSymOp:
-    """An assembled symmetric operator, global or block-diagonal over subdomains."""
+    """An assembled symmetric operator: one global matrix, or its subdomain blocks."""
 
     kind: str  # "scalar-global" | "scalar-blocks" | "edge-global" | "edge-blocks"
     dim: int
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | None = None
     blocks: list[sp.csr_matrix] | None = None
-    block_offsets: np.ndarray | None = None
 
 
 def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray | None = None):
@@ -207,17 +206,8 @@ def _assemble(
         blocks.append(_coalesce_csr(rows, cols, local.ravel(), sub_dofs[j].size))
 
     if scope == "blocks":
-        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-        np.cumsum([b.shape[0] for b in blocks], out=offsets[1:])
-        matrix = sp.block_diag(blocks, format="csr")
-        matrix.sort_indices()
-        return SparseSymOp(
-            kind=f"{field}-blocks",
-            dim=int(offsets[-1]),
-            matrix=matrix,
-            blocks=blocks,
-            block_offsets=offsets,
-        )
+        dim = sum(block.shape[0] for block in blocks)
+        return SparseSymOp(kind=f"{field}-blocks", dim=dim, blocks=blocks)
 
     # Ascending-subdomain accumulation; see the module docstring for why the
     # order matters.

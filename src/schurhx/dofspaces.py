@@ -2,10 +2,12 @@
 
 Four flavours exist per element family: the volume space on the whole mesh,
 the broken product space over subdomains, the skeleton space, and the
-boundary-tuple product space over subdomain boundaries.  The transfer
-operators between them are pure index maps with signs in {+1}: because every
-edge is globally oriented from its low vertex to its high vertex, subdomain
-and skeleton copies of a dof agree with the volume dof without sign flips.
+boundary-tuple product space over subdomain boundaries.  Every transfer map
+between them is a selection: because every edge is globally oriented from its
+low vertex to its high vertex, subdomain and skeleton copies of a dof agree
+with the volume dof without sign flips.  So each map is stored as an index
+array ``idx`` with ``target = source[idx]``; it cannot carry a sign, and two
+maps compose by indexing, ``source[a][b] == source[a[b]]``.
 
 The square of maps (volume -> broken -> boundary tuple) and (volume ->
 skeleton -> boundary tuple) commutes entry for entry in exact arithmetic;
@@ -14,22 +16,18 @@ tests assert a literally zero residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import BoxMesh, SkeletonIndex
 
 __all__ = [
     "DofSpace",
-    "IndexMap",
     "TransferOps",
-    "Multiplicity",
     "Spaces",
     "build_spaces",
     "build_transfer",
-    "build_multiplicity",
 ]
 
 
@@ -47,44 +45,12 @@ class DofSpace:
         return slice(int(self.block_offsets[j]), int(self.block_offsets[j + 1]))
 
 
-@dataclass
-class IndexMap:
-    """Sparse 0/+1 map between dof spaces, stored as explicit index triples."""
-
-    source: DofSpace
-    target: DofSpace
-    rows: np.ndarray
-    cols: np.ndarray
-    signs: np.ndarray
-    _matrix: sp.csr_matrix | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not (self.rows.shape == self.cols.shape == self.signs.shape):
-            raise ValueError("index triple arrays must share a shape")
-        if np.any(self.signs != 1.0):
-            raise ValueError("transfer maps must carry +1 signs only")
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            m = sp.csr_matrix(
-                (self.signs, (self.rows, self.cols)),
-                shape=(self.target.dim, self.source.dim),
-            )
-            m.sort_indices()
-            self._matrix = m
-        return self._matrix
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
-
-    def transpose_apply(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ w
-
-
 @dataclass(frozen=True)
 class TransferOps:
     """The four transfer maps of one element family (scalar or edge).
+
+    Each map is a read-only index array ``idx`` with ``target = source[idx]``;
+    its transpose is ``np.bincount(idx, w, minlength=source.dim)``.
 
     skeleton_trace : volume -> skeleton (select skeleton dofs)
     volume_split   : volume -> broken   (copy into every subdomain)
@@ -93,23 +59,14 @@ class TransferOps:
     """
 
     field: str
-    skeleton_trace: IndexMap
-    volume_split: IndexMap
-    boundary_trace: IndexMap
-    skeleton_split: IndexMap
-
-
-@dataclass(frozen=True)
-class Multiplicity:
-    """Counting weights for the Neumann-Neumann average.
-
-    ``tuple_weights`` is the (identity) weight on the boundary-tuple space;
-    ``skeleton_degree`` is its push-down onto the skeleton: the number of
-    subdomain boundaries through each skeleton vertex.
-    """
-
-    tuple_weights: np.ndarray
-    skeleton_degree: np.ndarray
+    volume: DofSpace
+    broken: DofSpace
+    skeleton: DofSpace
+    boundary: DofSpace
+    skeleton_trace: np.ndarray
+    volume_split: np.ndarray
+    boundary_trace: np.ndarray
+    skeleton_split: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -169,17 +126,11 @@ def build_spaces(mesh: BoxMesh, skeleton: SkeletonIndex) -> Spaces:
     return Spaces(sv, sb, ss, st, ev, eb, es, et, subdomain_vertices, subdomain_edges)
 
 
-def _selection(source: DofSpace, target: DofSpace, cols: np.ndarray) -> IndexMap:
-    rows = np.arange(cols.size, dtype=np.int64)
-    return IndexMap(source, target, rows, cols.astype(np.int64), np.ones(cols.size))
-
-
-def _stacked_selection(
-    source: DofSpace, target: DofSpace, cols_per_block: list[np.ndarray]
-) -> IndexMap:
-    rows = np.arange(int(target.dim), dtype=np.int64)
-    cols = np.concatenate(cols_per_block) if cols_per_block else np.empty(0, np.int64)
-    return IndexMap(source, target, rows, cols.astype(np.int64), np.ones(cols.size))
+def _index_map(idx: np.ndarray) -> np.ndarray:
+    """A read-only int64 copy of ``idx``."""
+    out = np.array(idx, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def build_transfer(
@@ -209,8 +160,8 @@ def build_transfer(
     else:
         raise ValueError(f"unknown field {field!r}")
 
-    skeleton_trace = _selection(volume, skel, skel_dofs)
-    volume_split = _stacked_selection(volume, broken, list(sub_dofs))
+    skeleton_trace = _index_map(skel_dofs)
+    volume_split = _index_map(np.concatenate(sub_dofs))
 
     # Boundary dofs expressed in each subdomain's local numbering: both lists
     # are sorted by global id, so searchsorted gives the local positions.
@@ -226,22 +177,25 @@ def build_transfer(
             raise AssertionError(f"boundary dof of subdomain {j} not on skeleton")
         skeleton_position.append(pos)
 
-    boundary_trace = _stacked_selection(broken, tup, local_boundary)
-    skeleton_split = _stacked_selection(skel, tup, skeleton_position)
+    boundary_trace = _index_map(np.concatenate(local_boundary))
+    skeleton_split = _index_map(np.concatenate(skeleton_position))
 
     # Every skeleton dof must appear on at least one subdomain boundary,
     # otherwise the split map would have a kernel.
     covered = np.zeros(skel.dim, dtype=bool)
-    covered[skeleton_split.cols] = True
+    covered[skeleton_split] = True
     if not covered.all():
         raise AssertionError("skeleton dof missing from every subdomain boundary")
 
-    return TransferOps(field, skeleton_trace, volume_split, boundary_trace, skeleton_split)
-
-
-def build_multiplicity(skeleton: SkeletonIndex, spaces: Spaces) -> Multiplicity:
-    degree = skeleton.vertex_degree[skeleton.skeleton_vertices].astype(float)
-    return Multiplicity(
-        tuple_weights=np.ones(spaces.scalar_boundary.dim),
-        skeleton_degree=degree,
+    return TransferOps(
+        field,
+        volume,
+        broken,
+        skel,
+        tup,
+        skeleton_trace,
+        volume_split,
+        boundary_trace,
+        skeleton_split,
     )
+

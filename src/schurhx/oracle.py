@@ -216,9 +216,13 @@ def verify_dense_lemmas(seed: int = 0, draws: int = 20) -> IdentityReport:
     return report
 
 
-def _max_abs(matrix) -> float:
-    data = matrix.data if hasattr(matrix, "data") else np.asarray(matrix)
-    return float(np.abs(data).max()) if data.size else 0.0
+def _max_abs(matrix: np.ndarray) -> float:
+    return float(np.abs(matrix).max()) if matrix.size else 0.0
+
+
+def _selection(idx: np.ndarray, n_source: int) -> np.ndarray:
+    """Dense 0/1 matrix of the index map ``target = source[idx]``."""
+    return np.eye(n_source)[idx]
 
 
 def verify_identities(
@@ -254,17 +258,21 @@ def verify_identities(
         grad_skel.data[0] = -grad_skel.data[0]
 
     # Commutation lattice: trace/split squares and the differential maps,
-    # all exact in floating point (index maps and identical coordinate
-    # arithmetic on both paths).
+    # all exact in floating point (0/1 selection matrices and identical
+    # coordinate arithmetic on both paths).
     for field_name, ops in (("scalar", scalar.transfer), ("edge", maxwell.transfer)):
-        lhs = ops.boundary_trace.matrix @ ops.volume_split.matrix
-        rhs = ops.skeleton_split.matrix @ ops.skeleton_trace.matrix
+        lhs = _selection(ops.boundary_trace, ops.broken.dim) @ _selection(
+            ops.volume_split, ops.volume.dim
+        )
+        rhs = _selection(ops.skeleton_split, ops.skeleton.dim) @ _selection(
+            ops.skeleton_trace, ops.volume.dim
+        )
         report.add_residual(
             f"trace-split-commutation-{field_name}", ctx, _max_abs(lhs - rhs), 0.0
         )
 
-    trace_v = scalar.transfer.skeleton_trace.matrix
-    trace_e = maxwell.transfer.skeleton_trace.matrix
+    trace_v = _selection(scalar.transfer.skeleton_trace, scalar.transfer.volume.dim)
+    trace_e = _selection(maxwell.transfer.skeleton_trace, maxwell.transfer.volume.dim)
     report.add_residual(
         "gradient-trace-commutation",
         ctx,
@@ -289,7 +297,7 @@ def verify_identities(
         ("scalar", scalar, l_dense),
         ("edge", maxwell, m_dense),
     ):
-        tr = problem.transfer.skeleton_trace.matrix.toarray()
+        tr = _selection(problem.transfer.skeleton_trace, problem.transfer.volume.dim)
         pushed = tr @ sla.solve(vol, tr.T, assume_a="pos")
         s_mat = materialize(problem.schur.apply, problem.schur.dim)
         report.add_residual(
@@ -301,18 +309,20 @@ def verify_identities(
 
     # Pseudo-inverse commutation: splitting the volume lift of skeleton data
     # equals lifting blockwise.
-    l_blocks = scalar.blocks.matrix.toarray()
-    lift_vol = pseudoinverse_surjective(trace_v.toarray(), l_dense)
+    ops = scalar.transfer
+    l_blocks = sla.block_diag(*(block.toarray() for block in scalar.blocks.blocks))
+    split = _selection(ops.skeleton_split, ops.skeleton.dim)
+    lift_vol = pseudoinverse_surjective(trace_v, l_dense)
     lift_blk = pseudoinverse_surjective(
-        scalar.transfer.boundary_trace.matrix.toarray(), l_blocks
+        _selection(ops.boundary_trace, ops.broken.dim), l_blocks
     )
     report.add_residual(
         "pseudoinverse-commutation",
         ctx,
         float(
             np.abs(
-                scalar.transfer.volume_split.matrix.toarray() @ lift_vol
-                - lift_blk @ scalar.transfer.skeleton_split.matrix.toarray()
+                _selection(ops.volume_split, ops.volume.dim) @ lift_vol
+                - lift_blk @ split
             ).max()
         ),
         1e-9,
@@ -320,13 +330,16 @@ def verify_identities(
 
     # Weighted average as a pseudo-inverse: the degree-scaled transpose of the
     # skeleton split is its pseudo-inverse for identity weights.
-    split = scalar.transfer.skeleton_split.matrix.toarray()
-    weights = np.diag(scalar.multiplicity.tuple_weights)
-    closed = (split.T * scalar.multiplicity.tuple_weights) / scalar.multiplicity.skeleton_degree[:, None]
+    degree = skeleton.vertex_degree[skeleton.skeleton_vertices]
     report.add_residual(
         "degree-average-pseudoinverse",
         ctx,
-        float(np.abs(pseudoinverse_injective(split, weights) - closed).max()),
+        float(
+            np.abs(
+                pseudoinverse_injective(split, np.eye(ops.boundary.dim))
+                - split.T / degree[:, None]
+            ).max()
+        ),
         1e-12,
     )
 
@@ -348,7 +361,7 @@ def verify_identities(
 def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, skeleton):
     """Dense spectral inequalities tying the preconditioners to volume bounds."""
     slack = 1.0 + 1e-9
-    tr = scalar.transfer.skeleton_trace.matrix.toarray()
+    tr = _selection(scalar.transfer.skeleton_trace, scalar.transfer.volume.dim)
 
     # Jacobi pushed through the skeleton: cond of the preconditioned interface
     # operator is bounded by the volume Jacobi condition number.

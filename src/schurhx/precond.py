@@ -1,9 +1,11 @@
 """Skeleton preconditioners: balancing Neumann-Neumann and the substructured Hiptmair-Xu.
 
 The scalar preconditioner balances a one-level Neumann-Neumann average M,
-which composes five factors around the blockwise inverse DtN,
+which composes the skeleton split, the blockwise inverse DtN and the glue
+(the split's transpose), scaled on both sides by the subdomain-boundary
+degree of each skeleton vertex,
 
-    M f = degree^{-1} . glue . weights . DtN^{-1} . weights . split . degree^{-1} f,
+    M f = degree^{-1} . glue . DtN^{-1} . split . degree^{-1} f,
 
 where each subdomain's inverse DtN map needs no Schur elimination at all:
 embedding the boundary functional by zero and solving the whole Neumann
@@ -16,9 +18,9 @@ domain decomposition):
 
     Q f = Q0 f + (I - Q0 S) M (I - S Q0) f,    Q0 = Z (Z^T S Z)^{-1} Z^T,
 
-where column j of Z is degree^{-1} . glue . (weights on boundary j), so the
-columns sum to one on the skeleton.  Unit counting weights on the boundary
-tuple and the subdomain-boundary degree as the skeleton diagonal are used.
+where column j of Z is degree^{-1} . glue . (ones on boundary j), so the
+columns sum to one on the skeleton.  Every copy of a skeleton dof counts
+once, whatever the coefficients on either side of the interface.
 With one subdomain M is already the exact inverse of the interface operator,
 and so is Q.
 
@@ -40,14 +42,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assemble import Coefficients, SparseSymOp, assemble_edge, assemble_scalar
-from .dofspaces import (
-    Multiplicity,
-    Spaces,
-    TransferOps,
-    build_multiplicity,
-    build_spaces,
-    build_transfer,
-)
+from .dofspaces import Spaces, TransferOps, build_spaces, build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import AssemblyError, SingularOperatorError
 from .krylov import pcg
@@ -82,40 +77,42 @@ class NeumannNeumann:
         Q f = m + Z S0^{-1} (Z^T f - (S Z)^T m),   m = M (f - S Z S0^{-1} Z^T f).
     """
 
-    def __init__(self, schur: SchurSystem, multiplicity: Multiplicity):
+    def __init__(self, schur: SchurSystem):
         if schur.kind != "scalar-blocks":
             raise ValueError(f"expected a scalar interface system, got {schur.kind}")
         self.schur = schur
-        self.split = schur.transfer.skeleton_split.matrix
-        self.degree = multiplicity.skeleton_degree
-        self.weights = multiplicity.tuple_weights
+        self.split = schur.transfer.skeleton_split
         self.dim = schur.dim
+        self.degree = np.bincount(self.split, minlength=self.dim).astype(float)
         self.n_applies = 0
         self.neumann_factors = [
             SpdFactor(solver.matrix, f"{schur.kind} subdomain {j} (Neumann)")
             for j, solver in enumerate(schur.solvers)
         ]
 
-        offsets = schur.transfer.skeleton_split.target.block_offsets
+        offsets = schur.transfer.boundary.block_offsets
         self._tuple_offsets = offsets
         n_sub = len(schur.solvers)
-        block_of = np.repeat(np.arange(n_sub), np.diff(offsets))
-        on_block = sp.csr_matrix(
-            (self.weights, (np.arange(schur.tuple_dim), block_of)),
-            shape=(schur.tuple_dim, n_sub),
+        rows = np.arange(schur.tuple_dim)
+        ones = np.ones(schur.tuple_dim)
+        split_matrix = sp.csr_matrix(
+            (ones, (rows, self.split)), shape=(schur.tuple_dim, self.dim)
         )
-        self.coarse_basis = sp.diags(1.0 / self.degree) @ (self.split.T @ on_block)
+        block_of = np.repeat(np.arange(n_sub), np.diff(offsets))
+        on_block = sp.csr_matrix((ones, (rows, block_of)), shape=(schur.tuple_dim, n_sub))
+        # The sparse product fixes the order of each row's entries in Z, and
+        # with it the summation order of every Z @ c.
+        self.coarse_basis = sp.diags(1.0 / self.degree) @ (split_matrix.T @ on_block)
 
         # S Z blockwise: each subdomain applies its Schur complement to the
         # few coarse columns that touch its boundary, all at once.
-        split_basis = self.split @ self.coarse_basis
-        skeleton_pos = schur.transfer.skeleton_split.cols
+        split_basis = split_matrix @ self.coarse_basis
         self.s_coarse = np.zeros((self.dim, n_sub))
         for j, solver in enumerate(schur.solvers):
             lo, hi = int(offsets[j]), int(offsets[j + 1])
             local = split_basis[lo:hi]
             cols = np.unique(local.indices)
-            self.s_coarse[np.ix_(skeleton_pos[lo:hi], cols)] += solver.apply_schur(
+            self.s_coarse[np.ix_(self.split[lo:hi], cols)] += solver.apply_schur(
                 local[:, cols].toarray()
             )
         s0 = self.coarse_basis.T @ self.s_coarse
@@ -136,9 +133,8 @@ class NeumannNeumann:
         return out
 
     def _average(self, f: np.ndarray) -> np.ndarray:
-        v = self.split @ (f / self.degree)
-        w = self.weights * self.apply_dtn_inv(self.weights * v)
-        return (self.split.T @ w) / self.degree
+        w = self.apply_dtn_inv((f / self.degree)[self.split])
+        return np.bincount(self.split, w, minlength=self.dim) / self.degree
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         if f.shape != (self.dim,):
@@ -193,7 +189,6 @@ class ScalarProblem:
     spaces: Spaces
     coeffs: Coefficients
     transfer: TransferOps
-    multiplicity: Multiplicity
     blocks: SparseSymOp
     schur: SchurSystem
     qnn: NeumannNeumann
@@ -244,15 +239,12 @@ def setup_scalar(
     if spaces is None:
         spaces = build_spaces(mesh, skeleton)
     transfer = build_transfer(mesh, skeleton, spaces, "scalar")
-    multiplicity = build_multiplicity(skeleton, spaces)
     blocks = assemble_scalar(mesh, spaces, coeffs, scope="blocks")
     schur = build_schur_system(
         blocks, transfer, skeleton.boundary_vertices, spaces.subdomain_vertices
     )
-    qnn = NeumannNeumann(schur, multiplicity)
-    return ScalarProblem(
-        mesh, skeleton, spaces, coeffs, transfer, multiplicity, blocks, schur, qnn
-    )
+    qnn = NeumannNeumann(schur)
+    return ScalarProblem(mesh, skeleton, spaces, coeffs, transfer, blocks, schur, qnn)
 
 
 def setup_maxwell(
@@ -276,8 +268,10 @@ def setup_maxwell(
     # The skeleton Jacobi diagonal glues the subdomain boundary diagonals.
     # Copies add in ascending subdomain order, as in global assembly, so it
     # equals the global edge diagonal on the skeleton bit for bit.
-    jac = transfer.skeleton_split.matrix.T @ np.concatenate(
-        [solver.A_bb.diagonal() for solver in schur.solvers]
+    jac = np.bincount(
+        transfer.skeleton_split,
+        np.concatenate([solver.A_bb.diagonal() for solver in schur.solvers]),
+        minlength=schur.dim,
     )
     gradient = build_gradient(mesh, "skeleton", skeleton)
     interps = [build_nodal_interp(mesh, d, "skeleton", skeleton) for d in range(3)]

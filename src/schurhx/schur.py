@@ -103,9 +103,9 @@ class SchurSystem:
         self.kind = kind
         self.transfer = transfer
         self.solvers = solvers
-        self.dim = transfer.skeleton_trace.target.dim
-        self.tuple_dim = transfer.skeleton_split.target.dim
-        self._tuple_offsets = transfer.skeleton_split.target.block_offsets
+        self.dim = transfer.skeleton.dim
+        self.tuple_dim = transfer.boundary.dim
+        self._tuple_offsets = transfer.boundary.block_offsets
 
     def check_tuple(self, vec: np.ndarray) -> None:
         if vec.shape != (self.tuple_dim,):
@@ -126,7 +126,7 @@ class SchurSystem:
     def harmonic_lift(self, p: np.ndarray) -> np.ndarray:
         """Extend boundary-tuple data into the broken space, block by block."""
         self.check_tuple(p)
-        broken = self.transfer.volume_split.target
+        broken = self.transfer.broken
         out = np.empty(broken.dim)
         for j, solver in enumerate(self.solvers):
             lo, hi = int(self._tuple_offsets[j]), int(self._tuple_offsets[j + 1])
@@ -135,11 +135,8 @@ class SchurSystem:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The assembled skeleton operator: split, block DtN, glue back."""
-        split = self.transfer.skeleton_split.matrix
-        return split.T @ self.apply_dtn(split @ u)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.apply(u)
+        split = self.transfer.skeleton_split
+        return np.bincount(split, self.apply_dtn(u[split]), minlength=self.dim)
 
 
 def build_schur_system(

@@ -7,6 +7,7 @@ keeps the suite fast.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from schurhx.assemble import Coefficients
 from schurhx.mesh import build_box_mesh, extract_skeleton
@@ -16,6 +17,30 @@ from schurhx.precond import setup_maxwell, setup_scalar
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+# Source space of each transfer map, as a TransferOps attribute.
+MAP_SOURCE = {
+    "skeleton_trace": "volume",
+    "volume_split": "volume",
+    "boundary_trace": "broken",
+    "skeleton_split": "skeleton",
+}
+
+
+@pytest.fixture(scope="session")
+def selection():
+    """Make the sorted CSR 0/1 matrix of a transfer map: row i holds a
+    single 1 in column ``idx[i]``, so ``matrix @ u == u[idx]``."""
+
+    def build(ops, name: str) -> sp.csr_matrix:
+        idx = getattr(ops, name)
+        shape = (idx.size, getattr(ops, MAP_SOURCE[name]).dim)
+        m = sp.csr_matrix((np.ones(idx.size), (np.arange(idx.size), idx)), shape=shape)
+        m.sort_indices()
+        return m
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.cli import ExperimentConfig, run_experiment, run_table
@@ -66,14 +67,14 @@ def maxwell_table():
     return reports, perf_counter() - t0
 
 
-def test_criterion_01_scalar_interface_inverse_formula():
+def test_criterion_01_scalar_interface_inverse_formula(selection):
     t0 = perf_counter()
     worst = 0.0
     for grid in SUBDOMAIN_GRIDS:
         mesh = build_box_mesh((2, 2, 2), grid)
         prob = setup_scalar(mesh, Coefficients())
         schur = materialize(prob.schur.apply, prob.schur.dim)
-        tr = prob.transfer.skeleton_trace.matrix.toarray()
+        tr = selection(prob.transfer, "skeleton_trace").toarray()
         vol = assemble_scalar(mesh, prob.spaces, prob.coeffs, scope="global")
         pushed = tr @ sla.solve(vol.matrix.toarray(), tr.T, assume_a="pos")
         resid = np.abs(schur @ pushed - np.eye(schur.shape[0])).max()
@@ -85,14 +86,14 @@ def test_criterion_01_scalar_interface_inverse_formula():
     assert elapsed < 5.0
 
 
-def test_criterion_02_edge_interface_inverse_formula():
+def test_criterion_02_edge_interface_inverse_formula(selection):
     t0 = perf_counter()
     worst = 0.0
     for grid in SUBDOMAIN_GRIDS:
         mesh = build_box_mesh((2, 2, 2), grid)
         prob = setup_maxwell(mesh, Coefficients())
         schur = materialize(prob.schur.apply, prob.schur.dim)
-        tr = prob.transfer.skeleton_trace.matrix.toarray()
+        tr = selection(prob.transfer, "skeleton_trace").toarray()
         vol = assemble_edge(mesh, prob.spaces, prob.coeffs, scope="global")
         pushed = tr @ sla.solve(vol.matrix.toarray(), tr.T, assume_a="pos")
         resid = np.abs(schur @ pushed - np.eye(schur.shape[0])).max()
@@ -112,21 +113,22 @@ def test_criterion_03_weighted_pseudoinverse_lemmas():
     assert ok, "\n".join(report.lines())
 
 
-def test_criterion_04_pseudoinverse_commutation():
+def test_criterion_04_pseudoinverse_commutation(selection):
     worst = 0.0
     for grid in ((2, 1, 1), (2, 2, 2)):
         mesh = build_box_mesh((2, 2, 2), grid)
         prob = setup_scalar(mesh, Coefficients())
         vol = assemble_scalar(mesh, prob.spaces, prob.coeffs, scope="global")
+        ops = prob.transfer
         lift_vol = pseudoinverse_surjective(
-            prob.transfer.skeleton_trace.matrix.toarray(), vol.matrix.toarray()
+            selection(ops, "skeleton_trace").toarray(), vol.matrix.toarray()
         )
         lift_blk = pseudoinverse_surjective(
-            prob.transfer.boundary_trace.matrix.toarray(),
-            prob.blocks.matrix.toarray(),
+            selection(ops, "boundary_trace").toarray(),
+            sp.block_diag(prob.blocks.blocks, format="csr").toarray(),
         )
-        split_vol = prob.transfer.volume_split.matrix.toarray()
-        split_skel = prob.transfer.skeleton_split.matrix.toarray()
+        split_vol = selection(ops, "volume_split").toarray()
+        split_skel = selection(ops, "skeleton_split").toarray()
         resid = np.abs(split_vol @ lift_vol - lift_blk @ split_skel).max()
         worst = max(worst, resid)
     ok = worst <= 1e-9
@@ -134,7 +136,7 @@ def test_criterion_04_pseudoinverse_commutation():
     assert ok
 
 
-def test_criterion_05_commutation_lattice_exact():
+def test_criterion_05_commutation_lattice_exact(selection):
     worst = 0.0
     for cells, grid in TEST_MESHES:
         mesh = build_box_mesh(cells, grid)
@@ -143,13 +145,11 @@ def test_criterion_05_commutation_lattice_exact():
         scalar_ops = build_transfer(mesh, skel, spaces, "scalar")
         edge_ops = build_transfer(mesh, skel, spaces, "edge")
         for ops in (scalar_ops, edge_ops):
-            diff = (
-                ops.boundary_trace.matrix @ ops.volume_split.matrix
-                - ops.skeleton_split.matrix @ ops.skeleton_trace.matrix
-            )
-            worst = max(worst, _max_abs(diff))
-        tr_v = scalar_ops.skeleton_trace.matrix
-        tr_e = edge_ops.skeleton_trace.matrix
+            lhs = selection(ops, "boundary_trace") @ selection(ops, "volume_split")
+            rhs = selection(ops, "skeleton_split") @ selection(ops, "skeleton_trace")
+            worst = max(worst, _max_abs(lhs - rhs))
+        tr_v = selection(scalar_ops, "skeleton_trace")
+        tr_e = selection(edge_ops, "skeleton_trace")
         g_vol = build_gradient(mesh)
         g_skel = build_gradient(mesh, "skeleton", skel)
         worst = max(worst, _max_abs(tr_e @ g_vol - g_skel @ tr_v))
@@ -162,16 +162,15 @@ def test_criterion_05_commutation_lattice_exact():
     assert ok
 
 
-def test_criterion_06_degree_average_closed_form():
+def test_criterion_06_degree_average_closed_form(selection):
     worst = 0.0
     for grid in ((2, 1, 1), (2, 2, 2)):
         mesh = build_box_mesh((2, 2, 2), grid)
         prob = setup_scalar(mesh, Coefficients())
-        split = prob.transfer.skeleton_split.matrix.toarray()
-        weights = prob.multiplicity.tuple_weights
-        degree = prob.multiplicity.skeleton_degree
-        closed = (split.T * weights) / degree[:, None]
-        pinj = pseudoinverse_injective(split, np.diag(weights))
+        ops = prob.transfer
+        split = selection(ops, "skeleton_split").toarray()
+        closed = split.T / prob.qnn.degree[:, None]
+        pinj = pseudoinverse_injective(split, np.eye(ops.boundary.dim))
         worst = max(worst, np.abs(pinj - closed).max())
     ok = worst <= 1e-12
     _report(6, ok, f"worst entrywise deviation {worst:.2e} (tol 1e-12)")
@@ -188,7 +187,7 @@ def test_criterion_07_single_subdomain_exactness():
     assert ok
 
 
-def test_criterion_08_spectral_inequalities():
+def test_criterion_08_spectral_inequalities(selection):
     t0 = perf_counter()
     mesh = build_box_mesh((2, 2, 2), (2, 2, 2))
     coeffs = Coefficients()
@@ -217,7 +216,7 @@ def test_criterion_08_spectral_inequalities():
     ).cond
 
     # The push-down corollary instantiated with the scalar Jacobi choice.
-    tr = sc.transfer.skeleton_trace.matrix.toarray()
+    tr = selection(sc.transfer, "skeleton_trace").toarray()
     jac_inv = 1.0 / np.diag(l_dense)
     pushed = (tr * jac_inv) @ tr.T
     cond_push = estimate_condition(lambda u: s_l @ u, lambda u: pushed @ u, s_l.shape[0]).cond

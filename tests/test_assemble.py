@@ -128,7 +128,7 @@ def test_assembled_operators_bitwise_symmetric(mesh444_j8, spaces444, field):
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
 @pytest.mark.parametrize("grid", [(2, 1, 1), (2, 2, 2)])
-def test_global_equals_split_blockdiag_split(field, grid):
+def test_global_equals_split_blockdiag_split(field, grid, selection):
     """The defining identity of the assembly: exact, not approximate."""
     mesh = build_box_mesh((2, 2, 2), grid)
     skel = extract_skeleton(mesh)
@@ -139,8 +139,8 @@ def test_global_equals_split_blockdiag_split(field, grid):
     blocks = assemble(mesh, spaces, coeffs, scope="blocks")
     from schurhx.dofspaces import build_transfer
 
-    split = build_transfer(mesh, skel, spaces, field).volume_split.matrix
-    triple = (split.T @ blocks.matrix @ split).tocsr()
+    split = selection(build_transfer(mesh, skel, spaces, field), "volume_split")
+    triple = (split.T @ sp.block_diag(blocks.blocks, format="csr") @ split).tocsr()
     triple.sort_indices()
     diff = full.matrix - triple
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
@@ -269,6 +269,16 @@ def test_negative_diagonal_rejected(mesh111):
     op.matrix = -op.matrix
     with pytest.raises(AssemblyError):
         jacobi_diagonal(op)
+
+
+def test_blocks_scope_keeps_only_blocks(mesh222_j8):
+    # The solve path reads the subdomain blocks one by one, so the blocks
+    # scope builds no block-diagonal copy of them.
+    skel = extract_skeleton(mesh222_j8)
+    spaces = build_spaces(mesh222_j8, skel)
+    op = assemble_scalar(mesh222_j8, spaces, Coefficients(), scope="blocks")
+    assert op.matrix is None and len(op.blocks) == 8
+    assert op.dim == spaces.scalar_broken.dim
 
 
 @pytest.mark.parametrize(

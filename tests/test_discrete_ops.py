@@ -81,12 +81,12 @@ def test_regular_decomposition_exactness(mesh422_j211, rng):
 
 
 @pytest.mark.parametrize("cells,grid", [((2, 2, 2), (2, 2, 2)), ((4, 2, 2), (2, 1, 1))])
-def test_gradient_trace_commutation_exact(cells, grid):
+def test_gradient_trace_commutation_exact(cells, grid, selection):
     mesh = build_box_mesh(cells, grid)
     skel = extract_skeleton(mesh)
     spaces = build_spaces(mesh, skel)
-    tr_v = build_transfer(mesh, skel, spaces, "scalar").skeleton_trace.matrix
-    tr_e = build_transfer(mesh, skel, spaces, "edge").skeleton_trace.matrix
+    tr_v = selection(build_transfer(mesh, skel, spaces, "scalar"), "skeleton_trace")
+    tr_e = selection(build_transfer(mesh, skel, spaces, "edge"), "skeleton_trace")
     g_vol = build_gradient(mesh)
     g_skel = build_gradient(mesh, "skeleton", skel)
     diff = tr_e @ g_vol - g_skel @ tr_v
@@ -94,11 +94,11 @@ def test_gradient_trace_commutation_exact(cells, grid):
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
-def test_interp_trace_commutation_exact(mesh222_j8, skel222_j8, d):
+def test_interp_trace_commutation_exact(mesh222_j8, skel222_j8, d, selection):
     mesh, skel = mesh222_j8, skel222_j8
     spaces = build_spaces(mesh, skel)
-    tr_v = build_transfer(mesh, skel, spaces, "scalar").skeleton_trace.matrix
-    tr_e = build_transfer(mesh, skel, spaces, "edge").skeleton_trace.matrix
+    tr_v = selection(build_transfer(mesh, skel, spaces, "scalar"), "skeleton_trace")
+    tr_e = selection(build_transfer(mesh, skel, spaces, "edge"), "skeleton_trace")
     p_vol = build_nodal_interp(mesh, d)
     p_skel = build_nodal_interp(mesh, d, "skeleton", skel)
     diff = tr_e @ p_vol - p_skel @ tr_v

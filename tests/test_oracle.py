@@ -107,10 +107,10 @@ def test_dense_lemmas_pass(rng):
     assert verify_dense_lemmas(seed=int(rng.integers(1, 1000)), draws=5).passed
 
 
-def test_trace_range_orthogonal_to_kernel(scalar222_j8, rng):
+def test_trace_range_orthogonal_to_kernel(scalar222_j8, rng, selection):
     """The coordinate-selection trace annihilates exactly the interior dofs,
     so Range(trace^T) is orthogonal to Ker(trace) in the plain dot product."""
-    bt = scalar222_j8.transfer.boundary_trace.matrix.toarray()
+    bt = selection(scalar222_j8.transfer, "boundary_trace").toarray()
     interior = np.flatnonzero(np.abs(bt).sum(axis=0) == 0)
     assert interior.size == bt.shape[1] - bt.shape[0]
     y = rng.uniform(-1, 1, bt.shape[0])
