@@ -93,10 +93,22 @@ class SparseSymOp:
 
 
 def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray | None = None):
-    """Volumes and constant barycentric gradients, batched over tets."""
+    """Volumes and constant barycentric gradients, batched over tets.
+
+    Edge vectors are integer lattice offsets times the cell size h of each
+    axis, not differences of vertex coordinates, so tets of equal shape get
+    bitwise-equal volumes and gradients wherever they sit, and equal
+    subdomain blocks are bitwise equal (which lets ``schur`` share their
+    Schur complements).  A vertex's lattice position is its coordinate over
+    h, rounded; a vertex off the lattice raises :class:`AssemblyError`.
+    """
     tets = mesh.tets if tet_ids is None else mesh.tets[tet_ids]
+    cells = np.asarray(mesh.cells, dtype=float)
     p = mesh.vertex_coords[tets]  # (T, 4, 3)
-    e = p[:, 1:] - p[:, :1]  # rows p1-p0, p2-p0, p3-p0
+    lattice = np.rint(p * cells)
+    if not np.array_equal(lattice / cells, p):
+        raise AssemblyError("vertex off the box lattice")
+    e = (lattice[:, 1:] - lattice[:, :1]) * (1.0 / cells)  # rows p1-p0, p2-p0, p3-p0
     vols = np.linalg.det(e) / 6.0
     if np.any(vols <= 0) or not np.all(np.isfinite(vols)):
         raise AssemblyError("degenerate tetrahedron (non-positive volume)")
@@ -266,9 +278,15 @@ def assemble_edge(
     )
 
 
+def _global_matrix(op: SparseSymOp) -> sp.csr_matrix:
+    if op.matrix is None:
+        raise ValueError("need a global-scope operator")
+    return op.matrix
+
+
 def jacobi_diagonal(op: SparseSymOp) -> np.ndarray:
     """Diagonal of an assembled operator (the Jacobi smoother weights)."""
-    diag = np.asarray(op.matrix.diagonal())
+    diag = np.asarray(_global_matrix(op).diagonal())
     if np.any(diag <= 0):
         raise AssemblyError(f"{op.kind}: non-positive diagonal entry")
     return diag
@@ -276,4 +294,4 @@ def jacobi_diagonal(op: SparseSymOp) -> np.ndarray:
 
 def export_matrix_market(op: SparseSymOp, path) -> None:
     """Dump the operator in Matrix Market coordinate format for cross-checks."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(op.matrix), symmetry="symmetric")
+    scipy.io.mmwrite(str(path), sp.coo_matrix(_global_matrix(op)), symmetry="symmetric")

@@ -164,9 +164,11 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
     if config.problem == "scalar":
         problem = setup_scalar(mesh, coeffs)
         apply_op, apply_prec = problem.schur.apply, problem.qnn
+        schurs = {"scalar": problem.schur}
     elif config.problem == "maxwell":
         problem = setup_maxwell(mesh, coeffs)
         apply_op, apply_prec = problem.schur.apply, problem.qhx
+        schurs = {"edge": problem.schur, "scalar": problem.scalar.schur}
     else:
         raise ConfigurationError(f"run_experiment cannot run {config.problem!r}")
 
@@ -177,6 +179,9 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
     rel_error = float(
         np.linalg.norm(report.solution - exact) / np.linalg.norm(exact)
     )
+    true_relres = float(
+        np.linalg.norm(rhs - apply_op(report.solution)) / np.linalg.norm(rhs)
+    )
     report.metadata.update(
         problem=config.problem,
         cells=config.cells,
@@ -186,12 +191,17 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
         iterations=report.history.iterations,
         converged=report.history.converged,
         relative_error=rel_error,
+        true_relres=true_relres,
+        distinct_blocks={
+            field: (len(s.groups), len(s.solvers)) for field, s in schurs.items()
+        },
     )
     print(
         f"{config.problem}: cells={config.cells} subdomains={config.subdomains} "
         f"dim_skeleton={problem.dim_skeleton} dim_volume={problem.dim_volume} "
         f"iters={report.history.iterations} converged={report.history.converged} "
-        f"relres={report.history.relres[-1]:.3e} relerr={rel_error:.3e} "
+        f"relres={report.history.relres[-1]:.3e} true_relres={true_relres:.3e} "
+        f"relerr={rel_error:.3e} "
         f"time={report.history.wall_time:.2f}s"
     )
     if config.export_vtk:

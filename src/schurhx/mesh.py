@@ -34,6 +34,10 @@ LOCAL_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 #: Local faces, face f is opposite local vertex f.
 LOCAL_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
+#: Sorted vertex triples (a, b, c) are keyed as (a * n_v + b) * n_v + c, which
+#: fits in int64 (keys < n_v**3 <= 2**63) up to this many vertices.
+FACE_KEY_LIMIT = 2**21
+
 
 @dataclass(frozen=True)
 class BoxMesh:
@@ -183,12 +187,14 @@ def build_box_mesh(
     sub = (ci // (nx // jx)) + jx * ((cj // (ny // jy)) + jy * (ck // (nz // jz)))
     tet_subdomain = np.repeat(sub, 6)
 
+    # Sorted pairs (a, b) order lexicographically exactly as their int64
+    # keys a * n_v + b do, so a 1-D unique of the keys lists the edges.
     pairs = np.sort(tets[:, LOCAL_EDGES].reshape(-1, 2), axis=1)
-    edges = np.unique(pairs, axis=0)
     n_v = coords.shape[0]
-    edge_keys = edges[:, 0].astype(np.int64) * n_v + edges[:, 1]
     pair_keys = pairs[:, 0].astype(np.int64) * n_v + pairs[:, 1]
-    tet_edges = np.searchsorted(edge_keys, pair_keys).reshape(-1, 6)
+    edge_keys, tet_edges = np.unique(pair_keys, return_inverse=True)
+    edges = np.column_stack(np.divmod(edge_keys, n_v))
+    tet_edges = tet_edges.reshape(-1, 6)
 
     return BoxMesh(
         cells=cells,
@@ -219,6 +225,10 @@ def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
     rejected loudly rather than silently misclassified.
     """
     n_v = mesh.n_vertices
+    if n_v > FACE_KEY_LIMIT:
+        raise ConfigurationError(
+            f"{n_v} vertices: face keys overflow int64 above {FACE_KEY_LIMIT} vertices"
+        )
     degree = np.zeros(n_v, dtype=np.int64)
     boundary_vertices: list[np.ndarray] = []
     boundary_edges: list[np.ndarray] = []
@@ -228,13 +238,17 @@ def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
         tets_j = mesh.tets[mesh.tet_subdomain == j]
         if tets_j.size == 0:
             raise ConfigurationError(f"subdomain {j} contains no tets")
+        # Sorted triples order lexicographically as their keys do.
         faces = np.sort(tets_j[:, LOCAL_FACES].reshape(-1, 3), axis=1)
-        uniq, counts = np.unique(faces, axis=0, return_counts=True)
+        a, b, c = faces.astype(np.int64, copy=False).T
+        keys, counts = np.unique((a * n_v + b) * n_v + c, return_counts=True)
         if counts.max() > 2:
             raise AssemblyError(
                 f"subdomain {j}: a face is shared by {counts.max()} tets"
             )
-        bfaces = uniq[counts == 1]
+        ab, c = np.divmod(keys[counts == 1], n_v)
+        a, b = np.divmod(ab, n_v)
+        bfaces = np.column_stack((a, b, c))
         bverts = np.unique(bfaces)
         # Faces store sorted vertex triples, so the three edges of each face
         # are already sorted pairs.

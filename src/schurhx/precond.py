@@ -5,16 +5,17 @@ which composes the skeleton split, the blockwise inverse DtN and the glue
 (the split's transpose), scaled on both sides by the subdomain-boundary
 degree of each skeleton vertex,
 
-    M f = degree^{-1} . glue . DtN^{-1} . split . degree^{-1} f,
+    M f = degree^{-1} . glue . DtN^{-1} . split . degree^{-1} f.
 
-where each subdomain's inverse DtN map needs no Schur elimination at all:
-embedding the boundary functional by zero and solving the whole Neumann
-block A_j returns the inverse trace,
+Each subdomain's inverse DtN map is the inverse trace of a Neumann solve,
 
     S_j^{-1} g = trace_b( A_j^{-1} extend_by_zero(g) ),
 
-with a coarse space of one basis function per subdomain (Mandel's balancing
-domain decomposition):
+which ``test_schur_inverse_is_resolvent_boundary_block`` checks; it is
+applied as the explicit inverse of the dense S_u of each distinct block
+(``schur``), taken once from its Cholesky factor, so no whole-block Neumann
+factorization is needed.  M is balanced with a coarse space of one basis
+function per subdomain (Mandel's balancing domain decomposition):
 
     Q f = Q0 f + (I - Q0 S) M (I - S Q0) f,    Q0 = Z (Z^T S Z)^{-1} Z^T,
 
@@ -30,7 +31,8 @@ and three nodal-interpolation pullbacks of the scalar preconditioner:
     Q_hx f = f / jac + grad . Q(grad^T f) + sum_d interp_d . Q(interp_d^T f)
 
 so one application costs exactly four scalar applies (one per auxiliary-space
-channel); an ``n_applies`` counter on Q makes that checkable.
+channel); an ``n_applies`` counter on Q, which counts columns when Q is
+applied to a block of vectors, makes that checkable.
 """
 
 from __future__ import annotations
@@ -62,17 +64,30 @@ __all__ = [
 ]
 
 
+def _spd_inverse(s: np.ndarray, label: str) -> np.ndarray:
+    """Explicit inverse of a dense SPD matrix from its Cholesky factor,
+    mirrored so it is bitwise symmetric."""
+    chol, info = sla.lapack.dpotrf(s, lower=True)
+    if info != 0:
+        raise SingularOperatorError(f"{label}: not positive definite")
+    inv, info = sla.lapack.dpotri(chol, lower=True)
+    if info != 0 or not np.all(np.isfinite(inv)):
+        raise SingularOperatorError(f"{label}: inverse failed")
+    return np.tril(inv) + np.tril(inv, -1).T
+
+
 class NeumannNeumann:
     """Balancing Neumann-Neumann: a degree-weighted average of subdomain
     Neumann solves, balanced by a coarse space of one function per subdomain.
 
-    It is the only user of the inverse DtN map, so set-up factorizes each
-    subdomain's whole Neumann block A_j here.  Set-up also computes S Z in
-    one blockwise pass (each subdomain applies its Schur complement to the
-    few coarse columns it touches) and factorizes the coarse matrix
-    S0 = Z^T S Z.  One application makes one call to the
-    average M (one blockwise Neumann solve, counted by ``n_applies``) and two
-    coarse solves, using
+    It is the only user of the inverse DtN map, so set-up inverts the dense
+    Schur complement S_u of each distinct subdomain block here.  Set-up also
+    computes S Z in one blockwise pass (each subdomain applies its Schur
+    complement to the few coarse columns it touches) and factorizes the
+    coarse matrix S0 = Z^T S Z.  One application, to a skeleton vector or a
+    ``(dim, k)`` block of them, makes one call to the average M (one grouped
+    inverse-DtN apply; ``n_applies`` counts its columns) and two coarse
+    solves, using
 
         Q f = m + Z S0^{-1} (Z^T f - (S Z)^T m),   m = M (f - S Z S0^{-1} Z^T f).
     """
@@ -85,13 +100,12 @@ class NeumannNeumann:
         self.dim = schur.dim
         self.degree = np.bincount(self.split, minlength=self.dim).astype(float)
         self.n_applies = 0
-        self.neumann_factors = [
-            SpdFactor(solver.matrix, f"{schur.kind} subdomain {j} (Neumann)")
-            for j, solver in enumerate(schur.solvers)
+        self.inverse_dtn = [
+            _spd_inverse(solver.schur, f"{schur.kind} subdomain {members[0]} (Schur)")
+            for solver, members in schur.groups
         ]
 
         offsets = schur.transfer.boundary.block_offsets
-        self._tuple_offsets = offsets
         n_sub = len(schur.solvers)
         rows = np.arange(schur.tuple_dim)
         ones = np.ones(schur.tuple_dim)
@@ -121,25 +135,27 @@ class NeumannNeumann:
         )
 
     def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
-        """Blockwise inverse DtN (full Neumann solves) on a boundary tuple."""
-        self.schur.check_tuple(g)
-        out = np.empty_like(g)
-        solvers = zip(self.schur.solvers, self.neumann_factors)
-        for j, (solver, factor) in enumerate(solvers):
-            lo, hi = int(self._tuple_offsets[j]), int(self._tuple_offsets[j + 1])
-            full = np.zeros(solver.matrix.shape[0])
-            full[solver.boundary] = g[lo:hi]
-            out[lo:hi] = factor.solve(full)[solver.boundary]
-        return out
+        """Blockwise inverse DtN on a boundary tuple (vector or block)."""
+        return self.schur.grouped_apply(self.inverse_dtn, g)
+
+    def _glue(self, w: np.ndarray) -> np.ndarray:
+        """split^T w for a tuple vector or block, as one 1-D bincount."""
+        k = 1 if w.ndim == 1 else w.shape[1]
+        idx = (self.split[:, None] * k + np.arange(k)).ravel()
+        glued = np.bincount(idx, w.ravel(), minlength=self.dim * k)
+        return glued.reshape((self.dim, *w.shape[1:]))
 
     def _average(self, f: np.ndarray) -> np.ndarray:
-        w = self.apply_dtn_inv((f / self.degree)[self.split])
-        return np.bincount(self.split, w, minlength=self.dim) / self.degree
+        degree = self.degree if f.ndim == 1 else self.degree[:, None]
+        return self._glue(self.apply_dtn_inv((f / degree)[self.split])) / degree
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        if f.shape != (self.dim,):
-            raise ValueError(f"expected skeleton vector of length {self.dim}")
-        self.n_applies += 1
+        if f.ndim not in (1, 2) or f.shape[0] != self.dim:
+            raise ValueError(
+                f"expected skeleton vector of length {self.dim} or a block of them, "
+                f"got shape {f.shape}"
+            )
+        self.n_applies += 1 if f.ndim == 1 else f.shape[1]
         zf = self.coarse_basis.T @ f
         m = self._average(f - self.s_coarse @ self.coarse_factor.solve(zf))
         correction = self.coarse_factor.solve(zf - self.s_coarse.T @ m)

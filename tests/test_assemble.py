@@ -1,6 +1,8 @@
 """Assembly: element closed forms vs an independent quadrature oracle, the
 exact block-sum identity, symmetry, kernels, and coefficient handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.io
@@ -337,6 +339,49 @@ def test_degenerate_tet_raises(mesh111):
     )
     with pytest.raises(AssemblyError):
         tet_geometry(bad)
+
+
+def test_off_lattice_vertex_raises(mesh111):
+    coords = mesh111.vertex_coords.copy()
+    coords[7] = (0.9, 1.0, 1.0)
+    with pytest.raises(AssemblyError, match="lattice"):
+        tet_geometry(replace(mesh111, vertex_coords=coords))
+
+
+def test_lattice_geometry_matches_coordinates(mesh422_j211):
+    """Lattice offsets times h agree with coordinate differences."""
+    mesh = mesh422_j211
+    vols, grads = tet_geometry(mesh)
+    p = mesh.vertex_coords[mesh.tets]
+    e = p[:, 1:] - p[:, :1]
+    ref_vols = np.linalg.det(e) / 6.0
+    ref_grads = np.empty_like(p)
+    ref_grads[:, 1:] = np.linalg.inv(e).transpose(0, 2, 1)
+    ref_grads[:, 0] = -ref_grads[:, 1:].sum(axis=1)
+    assert np.abs(vols - ref_vols).max() <= 1e-12 * np.abs(ref_vols).max()
+    assert np.abs(grads - ref_grads).max() <= 1e-12 * np.abs(ref_grads).max()
+
+
+def test_equal_shapes_get_bitwise_equal_geometry():
+    # Every cell is cut the same way, so tet v of each cell has one shape;
+    # cell sizes 1/3, 1/6 and 1/5 are not binary fractions, so coordinate
+    # differences would round differently from cell to cell.
+    mesh = build_box_mesh((3, 6, 5))
+    vols, grads = tet_geometry(mesh)
+    assert np.array_equal(vols.reshape(-1, 6), np.tile(vols[:6], (mesh.n_tets // 6, 1)))
+    assert np.array_equal(
+        grads.reshape(-1, 6, 4, 3), np.tile(grads[:6], (mesh.n_tets // 6, 1, 1, 1))
+    )
+
+
+@pytest.mark.parametrize("check", [jacobi_diagonal, export_matrix_market])
+def test_blocks_scope_rejected_where_a_matrix_is_needed(tmp_path, mesh222_j8, check):
+    skel = extract_skeleton(mesh222_j8)
+    spaces = build_spaces(mesh222_j8, skel)
+    op = assemble_scalar(mesh222_j8, spaces, Coefficients(), scope="blocks")
+    args = (op,) if check is jacobi_diagonal else (op, tmp_path / "op.mtx")
+    with pytest.raises(ValueError, match="global-scope"):
+        check(*args)
 
 
 def test_spd_smallest_eigenvalue(mesh222_j2):

@@ -167,3 +167,14 @@ def test_maxwell_solve_through_driver(capsys):
     assert report.metadata["converged"]
     assert report.metadata["dim_skeleton"] == 90
     assert report.metadata["relative_error"] <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "problem, fields", [("scalar", ["scalar"]), ("maxwell", ["edge", "scalar"])]
+)
+def test_report_carries_true_residual_and_block_counts(capsys, problem, fields):
+    cfg = ExperimentConfig(problem=problem, cells=(2, 2, 2), subdomains=(2, 2, 2))
+    report = run_experiment(cfg, write=False)
+    assert 0.0 <= report.metadata["true_relres"] <= 100 * cfg.tol
+    # One-cell subdomains of a uniform grid all have the same block.
+    assert report.metadata["distinct_blocks"] == {field: (1, 8) for field in fields}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from schurhx.errors import AssemblyError, ConfigurationError
 from schurhx.mesh import (
+    FACE_KEY_LIMIT,
     LOCAL_EDGES,
     LOCAL_FACES,
     BoxMesh,
@@ -90,6 +91,53 @@ def test_tet_edges_match_local_pairs(mesh422_j211):
             a, b = pairs[t, e]
             eid = mesh.tet_edges[t, e]
             assert tuple(mesh.edges[eid]) == (a, b)
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh422_j211", "mesh222_j8", "mesh234_j132"])
+def test_key_unique_matches_row_unique(request, mesh_name):
+    """Edges and boundary faces found through int64 keys are exactly what
+    np.unique(axis=0) on the vertex rows gives."""
+    if mesh_name == "mesh234_j132":
+        mesh = build_box_mesh((2, 3, 4), (1, 3, 2))
+    else:
+        mesh = request.getfixturevalue(mesh_name)
+    skel = extract_skeleton(mesh)
+    pairs = np.sort(mesh.tets[:, LOCAL_EDGES].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.tet_edges, inverse.reshape(-1, 6))
+
+    edge_id = {tuple(e): i for i, e in enumerate(edges.tolist())}
+    degree = np.zeros(mesh.n_vertices, dtype=np.int64)
+    for j in range(mesh.n_subdomains):
+        tets_j = mesh.tets[mesh.tet_subdomain == j]
+        faces = np.sort(tets_j[:, LOCAL_FACES].reshape(-1, 3), axis=1)
+        uniq, counts = np.unique(faces, axis=0, return_counts=True)
+        bfaces = uniq[counts == 1]
+        bverts = np.unique(bfaces)
+        face_pairs = np.unique(bfaces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=0)
+        bedges = np.array(sorted(edge_id[tuple(p)] for p in face_pairs.tolist()))
+        degree[bverts] += 1
+        assert np.array_equal(skel.boundary_faces[j], bfaces)
+        assert np.array_equal(skel.boundary_vertices[j], bverts)
+        assert np.array_equal(skel.boundary_edges[j], bedges)
+    assert np.array_equal(skel.vertex_degree, degree)
+
+
+def test_face_key_overflow_rejected(mesh111):
+    # Only the vertex count matters: a zero-strided coordinate array stands in
+    # for a mesh too large to build here.
+    huge = BoxMesh(
+        cells=mesh111.cells,
+        subdomains=mesh111.subdomains,
+        vertex_coords=np.broadcast_to(np.zeros(3), (FACE_KEY_LIMIT + 1, 3)),
+        tets=mesh111.tets,
+        tet_subdomain=mesh111.tet_subdomain,
+        edges=mesh111.edges,
+        tet_edges=mesh111.tet_edges,
+    )
+    with pytest.raises(ConfigurationError, match="face keys"):
+        extract_skeleton(huge)
 
 
 def test_edge_ids_of_pairs_rejects_non_edges(mesh111):

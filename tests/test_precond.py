@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import schurhx.precond as precond_mod
+import schurhx.schur as schur_mod
 from schurhx.assemble import (
     Coefficients,
     assemble_edge,
@@ -21,6 +22,7 @@ from schurhx.precond import (
     estimate_condition,
     materialize,
     setup_maxwell,
+    setup_scalar,
 )
 from schurhx.schur import SpdFactor, SubdomainSolver
 
@@ -62,14 +64,36 @@ def test_nn_singular_coarse_problem_raises(scalar222_j8, monkeypatch):
         NeumannNeumann(scalar222_j8.schur)
 
 
+def test_nn_rejects_indefinite_schur_complement(mesh222_j8):
+    prob = setup_scalar(mesh222_j8, Coefficients())
+    solver = prob.schur.groups[0][0]
+    solver.schur = -solver.schur
+    with pytest.raises(SingularOperatorError, match="not positive definite"):
+        NeumannNeumann(prob.schur)
+
+
+def test_nn_block_apply_equals_column_applies(scalar444_j8, rng):
+    q = scalar444_j8.qnn
+    block = rng.uniform(-1, 1, (q.dim, 4))
+    before = q.n_applies
+    got = q(block)
+    assert q.n_applies - before == 4
+    want = np.column_stack([q(col) for col in block.T])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_nn_rejects_edge_system(maxwell222_j8):
     with pytest.raises(ValueError, match="scalar"):
         NeumannNeumann(maxwell222_j8.schur)
 
 
 def test_nn_dimension_checked(scalar222_j8):
+    q = scalar222_j8.qnn
     with pytest.raises(ValueError):
-        scalar222_j8.qnn(np.zeros(scalar222_j8.qnn.dim + 1))
+        q(np.zeros(q.dim + 1))
+    for shape in [(q.dim + 1, 4), (4, q.dim), (q.dim, 4, 1)]:
+        with pytest.raises(ValueError, match="skeleton"):
+            q(np.zeros(shape))
 
 
 def test_ideal_weighted_average_is_exact_inverse(scalar222_j8, selection):
@@ -256,6 +280,61 @@ def test_edge_subdomains_factorized_once(maxwell444_j8):
     for solver in maxwell444_j8.schur.solvers:
         factors = [v for v in vars(solver).values() if isinstance(v, SpdFactor)]
         assert len(factors) == 1
+
+
+def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
+    """Under constant coefficients all eight subdomains of each field share
+    one block: one interior factorization per field, and no whole-block
+    Neumann factorization at all."""
+    labels = []
+
+    class Recording(SpdFactor):
+        def __init__(self, matrix, label):
+            labels.append(label)
+            super().__init__(matrix, label)
+
+    monkeypatch.setattr(schur_mod, "SpdFactor", Recording)
+    monkeypatch.setattr(precond_mod, "SpdFactor", Recording)
+    mw = setup_maxwell(mesh444_j8, Coefficients())
+    for schur in (mw.schur, mw.scalar.schur):
+        assert len(schur.groups) == 1 and len(schur.solvers) == 8
+        assert all(solver is schur.solvers[0] for solver in schur.solvers)
+    assert labels == [
+        "scalar-blocks subdomain 0 (interior)",
+        "balancing coarse problem",
+        "edge-blocks subdomain 0 (interior)",
+    ]
+
+
+def _dense_interface_solve(prob, rhs):
+    full = assemble_scalar(prob.mesh, prob.spaces, prob.coeffs).matrix.toarray()
+    skel = prob.skeleton.skeleton_vertices
+    inner = np.setdiff1d(np.arange(prob.mesh.n_vertices), skel)
+    s_dense = full[np.ix_(skel, skel)] - full[np.ix_(skel, inner)] @ sla.solve(
+        full[np.ix_(inner, inner)], full[np.ix_(inner, skel)], assume_a="pos"
+    )
+    return sla.solve(s_dense, rhs, assume_a="pos")
+
+
+def test_blocks_grouped_by_content(mesh444_j8, rng):
+    """Per-subdomain jumps make every scalar block distinct; one perturbed tet
+    splits off only its own subdomain.  Either way the solve matches the
+    dense interface solve."""
+    alpha_j = 1.0 + np.arange(8.0)
+    jump = setup_scalar(mesh444_j8, Coefficients(alpha=alpha_j[mesh444_j8.tet_subdomain]))
+    alpha = np.ones(mesh444_j8.n_tets)
+    alpha[mesh444_j8.tets_of_subdomain(5)[3]] = 1.5
+    one_tet = setup_scalar(mesh444_j8, Coefficients(alpha=alpha))
+    assert len(jump.schur.groups) == 8
+    groups = sorted(members.tolist() for _, members in one_tet.schur.groups)
+    assert groups == [[0, 1, 2, 3, 4, 6, 7], [5]]
+    for prob in (jump, one_tet):
+        rhs = rng.uniform(-1, 1, prob.dim_skeleton)
+        want = _dense_interface_solve(prob, rhs)
+        report = pcg(prob.schur.apply, prob.qnn, rhs, tol=1e-11)
+        assert report.history.converged
+        err = np.linalg.norm(report.solution - want) / np.linalg.norm(want)
+        assert err <= 1e-9
 
 
 def test_setup_dimensions(maxwell444_j8, mesh444_j8):

@@ -13,13 +13,12 @@ from schurhx.precond import materialize, setup_scalar
 from schurhx.schur import SpdFactor, build_schur_system
 
 
-def test_single_cell_subdomain_schur_is_whole_block(scalar222_j8, rng):
+def test_single_cell_subdomain_schur_is_whole_block(scalar222_j8):
     # Every vertex of a one-cell subdomain is a boundary vertex, so the
     # elimination is empty and the local DtN map is the block itself.
     solver = scalar222_j8.schur.solvers[0]
     assert solver.interior.size == 0
-    p = rng.uniform(-1, 1, solver.n_boundary)
-    assert np.array_equal(solver.apply_schur(p), solver.matrix @ p)
+    assert np.array_equal(solver.schur, solver.matrix.toarray())
 
 
 def test_schur_matches_dense_elimination(scalar444_j8, rng):
@@ -166,8 +165,22 @@ def test_tuple_dimension_checked(scalar444_j8):
     for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
         with pytest.raises(ValueError, match="boundary-tuple"):
             method(np.zeros(sys.tuple_dim + 1))
+        for shape in [(sys.tuple_dim + 1, 2), (2, sys.tuple_dim), (sys.tuple_dim, 2, 1)]:
+            with pytest.raises(ValueError, match="boundary-tuple"):
+                method(np.zeros(shape))
     with pytest.raises(ValueError):
         sys.harmonic_lift(np.zeros(3))
+    with pytest.raises(ValueError):
+        sys.harmonic_lift(np.zeros((sys.tuple_dim, 2)))
+
+
+def test_dtn_block_apply_equals_column_applies(scalar444_j8, rng):
+    sys = scalar444_j8.schur
+    block = rng.uniform(-1, 1, (sys.tuple_dim, 3))
+    for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
+        got = method(block)
+        want = np.column_stack([method(col) for col in block.T])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_build_requires_block_scope(mesh222_j8, scalar222_j8):
