@@ -31,8 +31,7 @@ and three nodal-interpolation pullbacks of the scalar preconditioner:
     Q_hx f = f / jac + grad . Q(grad^T f) + sum_d interp_d . Q(interp_d^T f)
 
 so one application costs exactly four scalar applies (one per auxiliary-space
-channel); an ``n_applies`` counter on Q, which counts columns when Q is
-applied to a block of vectors, makes that checkable.
+channel); an ``n_applies`` counter on Q makes that checkable.
 """
 
 from __future__ import annotations
@@ -84,10 +83,9 @@ class NeumannNeumann:
     Schur complement S_u of each distinct subdomain block here.  Set-up also
     computes S Z in one blockwise pass (each subdomain applies its Schur
     complement to the few coarse columns it touches) and factorizes the
-    coarse matrix S0 = Z^T S Z.  One application, to a skeleton vector or a
-    ``(dim, k)`` block of them, makes one call to the average M (one grouped
-    inverse-DtN apply; ``n_applies`` counts its columns) and two coarse
-    solves, using
+    coarse matrix S0 = Z^T S Z.  One application makes one call to the
+    average M (one grouped inverse-DtN apply, counted by ``n_applies``) and
+    two coarse solves, using
 
         Q f = m + Z S0^{-1} (Z^T f - (S Z)^T m),   m = M (f - S Z S0^{-1} Z^T f).
     """
@@ -135,27 +133,17 @@ class NeumannNeumann:
         )
 
     def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
-        """Blockwise inverse DtN on a boundary tuple (vector or block)."""
+        """Blockwise inverse DtN on a boundary-tuple vector."""
         return self.schur.grouped_apply(self.inverse_dtn, g)
 
-    def _glue(self, w: np.ndarray) -> np.ndarray:
-        """split^T w for a tuple vector or block, as one 1-D bincount."""
-        k = 1 if w.ndim == 1 else w.shape[1]
-        idx = (self.split[:, None] * k + np.arange(k)).ravel()
-        glued = np.bincount(idx, w.ravel(), minlength=self.dim * k)
-        return glued.reshape((self.dim, *w.shape[1:]))
-
     def _average(self, f: np.ndarray) -> np.ndarray:
-        degree = self.degree if f.ndim == 1 else self.degree[:, None]
-        return self._glue(self.apply_dtn_inv((f / degree)[self.split])) / degree
+        w = self.apply_dtn_inv((f / self.degree)[self.split])
+        return np.bincount(self.split, w, minlength=self.dim) / self.degree
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        if f.ndim not in (1, 2) or f.shape[0] != self.dim:
-            raise ValueError(
-                f"expected skeleton vector of length {self.dim} or a block of them, "
-                f"got shape {f.shape}"
-            )
-        self.n_applies += 1 if f.ndim == 1 else f.shape[1]
+        if f.shape != (self.dim,):
+            raise ValueError(f"expected skeleton vector of length {self.dim}")
+        self.n_applies += 1
         zf = self.coarse_basis.T @ f
         m = self._average(f - self.s_coarse @ self.coarse_factor.solve(zf))
         correction = self.coarse_factor.solve(zf - self.s_coarse.T @ m)

@@ -141,36 +141,30 @@ class SchurSystem:
             self._tuple_offsets[js][None, :] + np.arange(solver.n_boundary)[:, None]
             for solver, js in self.groups
         ]
-        self._dtn = [solver.schur for solver, _ in self.groups]
 
-    def check_tuple(self, vec: np.ndarray, block: bool = True) -> None:
-        ndims = (1, 2) if block else (1,)
-        if vec.ndim not in ndims or vec.shape[0] != self.tuple_dim:
+    def check_tuple(self, vec: np.ndarray) -> None:
+        if vec.shape != (self.tuple_dim,):
             raise ValueError(
-                f"expected boundary-tuple data of length {self.tuple_dim} with "
-                f"ndim in {ndims}, got shape {vec.shape}"
+                f"expected boundary-tuple vector of length {self.tuple_dim}, "
+                f"got shape {vec.shape}"
             )
 
     def grouped_apply(self, matrices: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """Apply ``matrices[u]`` to the tuple slice of every member of group u.
-
-        One GEMM per group, for a boundary-tuple vector or a
-        ``(tuple_dim, k)`` block of them.
-        """
+        """Apply ``matrices[u]`` to the tuple slice of every member of group u,
+        one GEMM per group."""
         self.check_tuple(x)
         out = np.empty(x.shape)
         for matrix, rows in zip(matrices, self._group_rows):
-            local = x[rows]
-            out[rows] = (matrix @ local.reshape(rows.shape[0], -1)).reshape(local.shape)
+            out[rows] = matrix @ x[rows]
         return out
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:
-        """Blockwise Schur complement on a boundary tuple (vector or block)."""
-        return self.grouped_apply(self._dtn, p)
+        """Blockwise Schur complement on a boundary-tuple vector."""
+        return self.grouped_apply([solver.schur for solver, _ in self.groups], p)
 
     def harmonic_lift(self, p: np.ndarray) -> np.ndarray:
         """Extend boundary-tuple data into the broken space, block by block."""
-        self.check_tuple(p, block=False)
+        self.check_tuple(p)
         broken = self.transfer.broken
         out = np.empty(broken.dim)
         for j, solver in enumerate(self.solvers):

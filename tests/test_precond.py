@@ -72,28 +72,14 @@ def test_nn_rejects_indefinite_schur_complement(mesh222_j8):
         NeumannNeumann(prob.schur)
 
 
-def test_nn_block_apply_equals_column_applies(scalar444_j8, rng):
-    q = scalar444_j8.qnn
-    block = rng.uniform(-1, 1, (q.dim, 4))
-    before = q.n_applies
-    got = q(block)
-    assert q.n_applies - before == 4
-    want = np.column_stack([q(col) for col in block.T])
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
 def test_nn_rejects_edge_system(maxwell222_j8):
     with pytest.raises(ValueError, match="scalar"):
         NeumannNeumann(maxwell222_j8.schur)
 
 
 def test_nn_dimension_checked(scalar222_j8):
-    q = scalar222_j8.qnn
     with pytest.raises(ValueError):
-        q(np.zeros(q.dim + 1))
-    for shape in [(q.dim + 1, 4), (4, q.dim), (q.dim, 4, 1)]:
-        with pytest.raises(ValueError, match="skeleton"):
-            q(np.zeros(shape))
+        scalar222_j8.qnn(np.zeros(scalar222_j8.qnn.dim + 1))
 
 
 def test_ideal_weighted_average_is_exact_inverse(scalar222_j8, selection):

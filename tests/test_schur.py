@@ -165,22 +165,8 @@ def test_tuple_dimension_checked(scalar444_j8):
     for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
         with pytest.raises(ValueError, match="boundary-tuple"):
             method(np.zeros(sys.tuple_dim + 1))
-        for shape in [(sys.tuple_dim + 1, 2), (2, sys.tuple_dim), (sys.tuple_dim, 2, 1)]:
-            with pytest.raises(ValueError, match="boundary-tuple"):
-                method(np.zeros(shape))
     with pytest.raises(ValueError):
         sys.harmonic_lift(np.zeros(3))
-    with pytest.raises(ValueError):
-        sys.harmonic_lift(np.zeros((sys.tuple_dim, 2)))
-
-
-def test_dtn_block_apply_equals_column_applies(scalar444_j8, rng):
-    sys = scalar444_j8.schur
-    block = rng.uniform(-1, 1, (sys.tuple_dim, 3))
-    for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
-        got = method(block)
-        want = np.column_stack([method(col) for col in block.T])
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_build_requires_block_scope(mesh222_j8, scalar222_j8):
