@@ -1,6 +1,6 @@
 """Substructured skeleton preconditioners for nodal and edge finite elements."""
 
-from .assemble import Coefficients, assemble_edge, assemble_scalar, jacobi_diagonal
+from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .dofspaces import build_spaces, build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
 from .krylov import pcg
@@ -30,7 +30,6 @@ __all__ = [
     "build_transfer",
     "estimate_condition",
     "extract_skeleton",
-    "jacobi_diagonal",
     "pcg",
     "setup_maxwell",
     "setup_scalar",

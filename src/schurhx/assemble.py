@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .dofspaces import Spaces
@@ -48,8 +47,6 @@ __all__ = [
     "SparseSymOp",
     "assemble_scalar",
     "assemble_edge",
-    "jacobi_diagonal",
-    "export_matrix_market",
 ]
 
 
@@ -70,6 +67,8 @@ class Coefficients:
             value = np.asarray(getattr(self, name), dtype=float)
             if value.size == 0 or np.any(value <= 0) or not np.all(np.isfinite(value)):
                 raise ConfigurationError(f"coefficient {name} must be strictly positive")
+        if np.ndim(self.gamma) != 0:
+            raise ConfigurationError("coefficient gamma must be a scalar")
 
     def per_tet(self, name: str, n_tets: int) -> np.ndarray:
         value = np.asarray(getattr(self, name), dtype=float)
@@ -196,7 +195,6 @@ def _scatter_block(block: sp.csr_matrix, dofs: np.ndarray, dim: int) -> sp.csr_m
 
 def _assemble(
     mesh: BoxMesh,
-    spaces: Spaces,
     scope: str,
     field: str,
     element_matrices,  # callable: tet_ids -> (T, k, k) local matrices
@@ -245,7 +243,6 @@ def assemble_scalar(
 
     return _assemble(
         mesh,
-        spaces,
         scope,
         "scalar",
         element,
@@ -268,7 +265,6 @@ def assemble_edge(
 
     return _assemble(
         mesh,
-        spaces,
         scope,
         "edge",
         element,
@@ -276,22 +272,3 @@ def assemble_edge(
         spaces.subdomain_edges,
         mesh.n_edges,
     )
-
-
-def _global_matrix(op: SparseSymOp) -> sp.csr_matrix:
-    if op.matrix is None:
-        raise ValueError("need a global-scope operator")
-    return op.matrix
-
-
-def jacobi_diagonal(op: SparseSymOp) -> np.ndarray:
-    """Diagonal of an assembled operator (the Jacobi smoother weights)."""
-    diag = np.asarray(_global_matrix(op).diagonal())
-    if np.any(diag <= 0):
-        raise AssemblyError(f"{op.kind}: non-positive diagonal entry")
-    return diag
-
-
-def export_matrix_market(op: SparseSymOp, path) -> None:
-    """Dump the operator in Matrix Market coordinate format for cross-checks."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(_global_matrix(op)), symmetry="symmetric")

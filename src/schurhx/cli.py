@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"tol must lie in (0, 1), got {self.tol}")
         if self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be strictly positive")
@@ -94,10 +96,14 @@ def _coerce(key: str, value):
     if isinstance(value, str):
         if key in ("cells", "subdomains"):
             return _parse_triple(value, key)
-        if key in ("alpha", "beta", "gamma", "tol"):
-            return float(value)
-        if key in ("max_iter", "seed"):
-            return int(value)
+        if key in ("alpha", "beta", "gamma", "tol", "max_iter", "seed"):
+            number = int if key in ("max_iter", "seed") else float
+            try:
+                return number(value)
+            except ValueError as err:
+                raise ConfigurationError(
+                    f"{key} expects {number.__name__}, got {value!r}"
+                ) from err
         if key == "table":
             if value.lower() in ("1", "true", "yes"):
                 return True

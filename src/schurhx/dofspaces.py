@@ -35,14 +35,8 @@ __all__ = [
 class DofSpace:
     """A finite-dimensional dof set; product spaces carry block offsets."""
 
-    kind: str  # e.g. "scalar-volume", "edge-boundary"
     dim: int
     block_offsets: np.ndarray | None = None  # len n_blocks+1 for product spaces
-
-    def block_slice(self, j: int) -> slice:
-        if self.block_offsets is None:
-            raise ValueError(f"{self.kind} space has no blocks")
-        return slice(int(self.block_offsets[j]), int(self.block_offsets[j + 1]))
 
 
 @dataclass(frozen=True)
@@ -85,10 +79,11 @@ class Spaces:
     subdomain_edges: list[np.ndarray]
 
 
-def _offsets(sizes: list[int]) -> np.ndarray:
-    out = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=out[1:])
-    return out
+def _product_space(dof_lists: list[np.ndarray]) -> DofSpace:
+    """The product of one dof set per subdomain, with its block offsets."""
+    offsets = np.zeros(len(dof_lists) + 1, dtype=np.int64)
+    np.cumsum([dofs.size for dofs in dof_lists], out=offsets[1:])
+    return DofSpace(int(offsets[-1]), offsets)
 
 
 def build_spaces(mesh: BoxMesh, skeleton: SkeletonIndex) -> Spaces:
@@ -99,30 +94,14 @@ def build_spaces(mesh: BoxMesh, skeleton: SkeletonIndex) -> Spaces:
         subdomain_vertices.append(np.unique(mesh.tets[mask]))
         subdomain_edges.append(np.unique(mesh.tet_edges[mask]))
 
-    sv = DofSpace("scalar-volume", mesh.n_vertices)
-    sb = DofSpace(
-        "scalar-broken",
-        int(sum(v.size for v in subdomain_vertices)),
-        _offsets([v.size for v in subdomain_vertices]),
-    )
-    ss = DofSpace("scalar-skeleton", skeleton.n_skeleton_vertices)
-    st = DofSpace(
-        "scalar-boundary",
-        int(sum(v.size for v in skeleton.boundary_vertices)),
-        _offsets([v.size for v in skeleton.boundary_vertices]),
-    )
-    ev = DofSpace("edge-volume", mesh.n_edges)
-    eb = DofSpace(
-        "edge-broken",
-        int(sum(e.size for e in subdomain_edges)),
-        _offsets([e.size for e in subdomain_edges]),
-    )
-    es = DofSpace("edge-skeleton", skeleton.n_skeleton_edges)
-    et = DofSpace(
-        "edge-boundary",
-        int(sum(e.size for e in skeleton.boundary_edges)),
-        _offsets([e.size for e in skeleton.boundary_edges]),
-    )
+    sv = DofSpace(mesh.n_vertices)
+    sb = _product_space(subdomain_vertices)
+    ss = DofSpace(skeleton.n_skeleton_vertices)
+    st = _product_space(skeleton.boundary_vertices)
+    ev = DofSpace(mesh.n_edges)
+    eb = _product_space(subdomain_edges)
+    es = DofSpace(skeleton.n_skeleton_edges)
+    et = _product_space(skeleton.boundary_edges)
     return Spaces(sv, sb, ss, st, ev, eb, es, et, subdomain_vertices, subdomain_edges)
 
 

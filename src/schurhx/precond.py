@@ -244,9 +244,7 @@ def setup_scalar(
         spaces = build_spaces(mesh, skeleton)
     transfer = build_transfer(mesh, skeleton, spaces, "scalar")
     blocks = assemble_scalar(mesh, spaces, coeffs, scope="blocks")
-    schur = build_schur_system(
-        blocks, transfer, skeleton.boundary_vertices, spaces.subdomain_vertices
-    )
+    schur = build_schur_system(blocks, transfer)
     qnn = NeumannNeumann(schur)
     return ScalarProblem(mesh, skeleton, spaces, coeffs, transfer, blocks, schur, qnn)
 
@@ -265,16 +263,15 @@ def setup_maxwell(
 
     transfer = build_transfer(mesh, skeleton, spaces, "edge")
     blocks = assemble_edge(mesh, spaces, coeffs, scope="blocks")
-    schur = build_schur_system(
-        blocks, transfer, skeleton.boundary_edges, spaces.subdomain_edges
-    )
+    schur = build_schur_system(blocks, transfer)
 
     # The skeleton Jacobi diagonal glues the subdomain boundary diagonals.
     # Copies add in ascending subdomain order, as in global assembly, so it
     # equals the global edge diagonal on the skeleton bit for bit.
+    broken_diagonal = np.concatenate([block.diagonal() for block in blocks.blocks])
     jac = np.bincount(
         transfer.skeleton_split,
-        np.concatenate([solver.A_bb.diagonal() for solver in schur.solvers]),
+        broken_diagonal[transfer.boundary_trace],
         minlength=schur.dim,
     )
     gradient = build_gradient(mesh, "skeleton", skeleton)

@@ -10,9 +10,9 @@ and the global interface operator on the skeleton space is
 split^T . blockdiag(S_j) . split.
 
 Subdomains whose blocks are bitwise equal (same CSR data, indices and
-indptr, and the same boundary positions) share one ``SubdomainSolver``: one
-factorization of the interior block A_ii, which also serves the
-discrete-harmonic lift, and one dense S_u formed from it at construction.
+indptr, and the same boundary positions) share one ``SubdomainSolver``, which
+keeps only the boundary positions and one dense S_u.  The interior block A_ii
+is factorized once to form S_u; the factor, A_ib and A_bb are then dropped.
 Since ``assemble.tet_geometry`` works on the integer lattice, equal blocks
 are the rule: under constant coefficients every subdomain of a uniform
 partition has the same block.  A blockwise apply is one GEMM per distinct
@@ -44,12 +44,8 @@ class SpdFactor:
     """Factorize once, solve many; dense Cholesky or sparse LU by size."""
 
     def __init__(self, matrix: sp.csr_matrix, label: str):
-        self.n = matrix.shape[0]
         self.label = label
-        if self.n == 0:
-            self.mode = "empty"
-            self._solve = None
-        elif self.n <= DENSE_CUTOFF:
+        if matrix.shape[0] <= DENSE_CUTOFF:
             self.mode = "dense-cholesky"
             try:
                 self._factor = sla.cho_factor(matrix.toarray(), lower=True)
@@ -65,8 +61,6 @@ class SpdFactor:
             self._solve = lu.solve
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros_like(b)
         x = self._solve(b)
         if not np.all(np.isfinite(x)):
             raise SingularOperatorError(f"{self.label}: non-finite solve result")
@@ -75,47 +69,28 @@ class SpdFactor:
 
 @dataclass(eq=False)
 class SubdomainSolver:
-    """One distinct subdomain block: boundary/interior split, interior factor
-    and the dense Schur complement."""
+    """One distinct subdomain block: boundary positions and dense Schur complement."""
 
-    matrix: sp.csr_matrix
     boundary: np.ndarray  # local dof positions on the subdomain boundary
-    interior: np.ndarray  # the complement, ascending
-    interior_factor: SpdFactor
-    A_ib: sp.csr_matrix  # interior x boundary coupling
-    A_bb: sp.csr_matrix
     schur: np.ndarray  # dense S = A_bb - A_ib^T A_ii^{-1} A_ib, symmetric
-
-    @property
-    def n_boundary(self) -> int:
-        return self.boundary.size
 
     def apply_schur(self, p: np.ndarray) -> np.ndarray:
         """S p for a boundary vector or a block of boundary columns."""
-        return (self.schur @ p.reshape(self.n_boundary, -1)).reshape(p.shape)
-
-    def lift(self, p: np.ndarray) -> np.ndarray:
-        """Discrete-harmonic extension: boundary values p, interior solved."""
-        out = np.empty(self.matrix.shape[0])
-        out[self.boundary] = p
-        if self.interior.size:
-            out[self.interior] = -self.interior_factor.solve(self.A_ib @ p)
-        return out
+        return (self.schur @ p.reshape(self.boundary.size, -1)).reshape(p.shape)
 
 
 def _subdomain_solver(block: sp.csr_matrix, boundary: np.ndarray, label: str):
     mask = np.ones(block.shape[0], dtype=bool)
     mask[boundary] = False
     interior = np.flatnonzero(mask)
-    a_ib = block[interior][:, boundary].tocsr()
-    a_bb = block[boundary][:, boundary].tocsr()
-    factor = SpdFactor(block[interior][:, interior].tocsr(), f"{label} (interior)")
-    schur = a_bb.toarray()
+    schur = block[boundary][:, boundary].toarray()
     if interior.size:
+        a_ib = block[interior][:, boundary].tocsr()
+        factor = SpdFactor(block[interior][:, interior].tocsr(), f"{label} (interior)")
         schur -= a_ib.T @ factor.solve(a_ib.toarray())
     # Averaging with the transpose leaves a bitwise-symmetric matrix unchanged.
     schur = (schur + schur.T) / 2.0
-    return SubdomainSolver(block, boundary, interior, factor, a_ib, a_bb, schur)
+    return SubdomainSolver(boundary, schur)
 
 
 class SchurSystem:
@@ -136,23 +111,20 @@ class SchurSystem:
         for j, solver in enumerate(solvers):
             members.setdefault(id(solver), []).append(j)
         self.groups = [(solvers[js[0]], np.array(js)) for js in members.values()]
-        # Tuple positions of each group as an (n_boundary, members) array.
+        # Tuple positions of each group as a (boundary size, members) array.
         self._group_rows = [
-            self._tuple_offsets[js][None, :] + np.arange(solver.n_boundary)[:, None]
+            self._tuple_offsets[js][None, :] + np.arange(solver.boundary.size)[:, None]
             for solver, js in self.groups
         ]
-
-    def check_tuple(self, vec: np.ndarray) -> None:
-        if vec.shape != (self.tuple_dim,):
-            raise ValueError(
-                f"expected boundary-tuple vector of length {self.tuple_dim}, "
-                f"got shape {vec.shape}"
-            )
 
     def grouped_apply(self, matrices: list[np.ndarray], x: np.ndarray) -> np.ndarray:
         """Apply ``matrices[u]`` to the tuple slice of every member of group u,
         one GEMM per group."""
-        self.check_tuple(x)
+        if x.shape != (self.tuple_dim,):
+            raise ValueError(
+                f"expected boundary-tuple vector of length {self.tuple_dim}, "
+                f"got shape {x.shape}"
+            )
         out = np.empty(x.shape)
         for matrix, rows in zip(matrices, self._group_rows):
             out[rows] = matrix @ x[rows]
@@ -162,42 +134,30 @@ class SchurSystem:
         """Blockwise Schur complement on a boundary-tuple vector."""
         return self.grouped_apply([solver.schur for solver, _ in self.groups], p)
 
-    def harmonic_lift(self, p: np.ndarray) -> np.ndarray:
-        """Extend boundary-tuple data into the broken space, block by block."""
-        self.check_tuple(p)
-        broken = self.transfer.broken
-        out = np.empty(broken.dim)
-        for j, solver in enumerate(self.solvers):
-            lo, hi = int(self._tuple_offsets[j]), int(self._tuple_offsets[j + 1])
-            out[broken.block_slice(j)] = solver.lift(p[lo:hi])
-        return out
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The assembled skeleton operator: split, block DtN, glue back."""
         split = self.transfer.skeleton_split
         return np.bincount(split, self.apply_dtn(u[split]), minlength=self.dim)
 
 
-def build_schur_system(
-    blocks_op: SparseSymOp,
-    transfer: TransferOps,
-    boundary_dofs: list[np.ndarray],
-    subdomain_dofs: list[np.ndarray],
-) -> SchurSystem:
+def build_schur_system(blocks_op: SparseSymOp, transfer: TransferOps) -> SchurSystem:
     """Build one solver per distinct subdomain block and wire up the interface operator.
 
-    ``boundary_dofs[j]`` / ``subdomain_dofs[j]`` are global dof ids (sorted);
-    the boundary positions inside the block use the same ascending order as
-    the boundary-tuple space, so tuple slices line up without permutations.
-    Blocks are grouped by content, so per-tet coefficients can only split a
-    group, never merge different blocks.
+    Block j's boundary positions are its slice of the boundary trace, shifted
+    to local numbering; they ascend in the same order as the boundary-tuple
+    space, so tuple slices line up without permutations.  Blocks are grouped
+    by content, so per-tet coefficients can only split a group, never merge
+    different blocks.
     """
     if blocks_op.blocks is None:
         raise ValueError("need a block-scope operator")
+    broken_offsets = transfer.broken.block_offsets
+    tuple_offsets = transfer.boundary.block_offsets
     distinct: dict[tuple[bytes, ...], SubdomainSolver] = {}
     solvers = []
     for j, block in enumerate(blocks_op.blocks):
-        boundary = np.searchsorted(subdomain_dofs[j], boundary_dofs[j])
+        lo, hi = tuple_offsets[j], tuple_offsets[j + 1]
+        boundary = transfer.boundary_trace[lo:hi] - broken_offsets[j]
         content = (block.data, block.indices, block.indptr, boundary)
         key = tuple(a.tobytes() for a in content)
         if key not in distinct:

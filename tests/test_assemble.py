@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 
@@ -14,8 +13,6 @@ from schurhx.assemble import (
     assemble_edge,
     assemble_scalar,
     edge_element_matrices,
-    export_matrix_market,
-    jacobi_diagonal,
     scalar_element_matrices,
     tet_geometry,
 )
@@ -239,22 +236,13 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
     assert sla.eigvalsh(edge)[0] >= gamma**2 * lmin_mass_e * (1 - 1e-12)
 
 
-def test_jacobi_diagonal_matches_matrix(mesh444_j8, spaces444):
-    op = assemble_edge(mesh444_j8, spaces444, Coefficients(gamma=1.7))
-    diag = jacobi_diagonal(op)
-    assert np.array_equal(diag, op.matrix.diagonal())
-    assert diag.min() > 0
-
-
 def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
     """Doubling gamma shifts each diagonal entry by 3 gamma^2 * mass diag."""
     skel = extract_skeleton(mesh222_j8)
     spaces = build_spaces(mesh222_j8, skel)
     gamma = 1.3
-    d1 = jacobi_diagonal(assemble_edge(mesh222_j8, spaces, Coefficients(gamma=gamma)))
-    d2 = jacobi_diagonal(
-        assemble_edge(mesh222_j8, spaces, Coefficients(gamma=2 * gamma))
-    )
+    d1 = assemble_edge(mesh222_j8, spaces, Coefficients(gamma=gamma)).matrix.diagonal()
+    d2 = assemble_edge(mesh222_j8, spaces, Coefficients(gamma=2 * gamma)).matrix.diagonal()
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
     mass_diag = np.zeros(mesh222_j8.n_edges)
     for t in range(mesh222_j8.n_tets):
@@ -262,15 +250,6 @@ def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
         mass_diag[idx] += np.diag(em[t])
     expected = 3.0 * gamma * gamma * mass_diag
     assert np.abs((d2 - d1) - expected).max() <= 1e-13 * np.abs(expected).max()
-
-
-def test_negative_diagonal_rejected(mesh111):
-    skel = extract_skeleton(mesh111)
-    spaces = build_spaces(mesh111, skel)
-    op = assemble_scalar(mesh111, spaces, Coefficients())
-    op.matrix = -op.matrix
-    with pytest.raises(AssemblyError):
-        jacobi_diagonal(op)
 
 
 def test_blocks_scope_keeps_only_blocks(mesh222_j8):
@@ -291,6 +270,7 @@ def test_blocks_scope_keeps_only_blocks(mesh222_j8):
         dict(gamma=0.0),
         dict(alpha=np.inf),
         dict(beta=np.array([])),
+        dict(gamma=np.ones(6)),
     ],
 )
 def test_coefficient_validation(kwargs):
@@ -313,16 +293,6 @@ def test_per_tet_coefficients(mesh222_j8):
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
     with pytest.raises(ConfigurationError, match="shape"):
         Coefficients(np.ones(5)).per_tet("alpha", mesh222_j8.n_tets)
-
-
-def test_matrix_market_roundtrip(tmp_path, mesh222_j8):
-    skel = extract_skeleton(mesh222_j8)
-    spaces = build_spaces(mesh222_j8, skel)
-    op = assemble_scalar(mesh222_j8, spaces, Coefficients())
-    path = tmp_path / "op.mtx"
-    export_matrix_market(op, path)
-    back = scipy.io.mmread(path).tocsr()
-    assert np.abs((back - op.matrix).toarray()).max() <= 1e-15
 
 
 def test_degenerate_tet_raises(mesh111):
@@ -372,16 +342,6 @@ def test_equal_shapes_get_bitwise_equal_geometry():
     assert np.array_equal(
         grads.reshape(-1, 6, 4, 3), np.tile(grads[:6], (mesh.n_tets // 6, 1, 1, 1))
     )
-
-
-@pytest.mark.parametrize("check", [jacobi_diagonal, export_matrix_market])
-def test_blocks_scope_rejected_where_a_matrix_is_needed(tmp_path, mesh222_j8, check):
-    skel = extract_skeleton(mesh222_j8)
-    spaces = build_spaces(mesh222_j8, skel)
-    op = assemble_scalar(mesh222_j8, spaces, Coefficients(), scope="blocks")
-    args = (op,) if check is jacobi_diagonal else (op, tmp_path / "op.mtx")
-    with pytest.raises(ValueError, match="global-scope"):
-        check(*args)
 
 
 def test_spd_smallest_eigenvalue(mesh222_j2):

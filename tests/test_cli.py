@@ -31,6 +31,8 @@ def test_config_validation():
         ExperimentConfig(max_iter=0)
     with pytest.raises(ConfigurationError, match="gamma"):
         ExperimentConfig(gamma=-1.0)
+    with pytest.raises(ConfigurationError, match="seed"):
+        ExperimentConfig(seed=-1)
 
 
 def test_build_config_precedence():
@@ -121,6 +123,12 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["--config", str(unknown)]) == 2
     assert "unknown config key" in capsys.readouterr().err
 
+    for line in ("seed = abc", "alpha = x"):
+        not_a_number = tmp_path / "not_a_number.cfg"
+        not_a_number.write_text(line + "\n")
+        assert main(["--config", str(not_a_number)]) == 2
+        assert f"error: {line.split()[0]} expects" in capsys.readouterr().err
+
 
 def test_bad_arguments_exit_2(capsys):
     assert main(["--cells", "3,3,3", "--subdomains", "2,1,1"]) == 2
@@ -128,6 +136,9 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["--tol", "2.0", *SMALL]) == 2
     assert main(["--cells", "4"]) == 2
     assert main(["--cells", "a,b,c"]) == 2
+    capsys.readouterr()
+    assert main(["--seed", "-1", *SMALL]) == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_passes(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from schurhx.dofspaces import DofSpace, build_spaces, build_transfer
+from schurhx.dofspaces import build_spaces, build_transfer
 from schurhx.mesh import extract_skeleton
 
 
@@ -31,18 +31,13 @@ def test_space_dims_single_subdomain(mesh222_j1, skel222_j1):
 
 def test_block_slices_partition(mesh444_j8, scalar444_j8):
     spaces = scalar444_j8.spaces
+    offsets = spaces.scalar_broken.block_offsets
+    assert offsets.size == mesh444_j8.n_subdomains + 1
     total = 0
     for j in range(mesh444_j8.n_subdomains):
-        s = spaces.scalar_broken.block_slice(j)
-        assert s.start == total
-        total = s.stop
+        assert offsets[j] == total
+        total = offsets[j + 1]
     assert total == spaces.scalar_broken.dim
-
-
-def test_block_slice_requires_blocks():
-    space = DofSpace("scalar-volume", 5)
-    with pytest.raises(ValueError):
-        space.block_slice(0)
 
 
 def test_index_map_apply_matches_matrix(mesh422_j211, selection, rng):
@@ -74,7 +69,8 @@ def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, rng):
     u = rng.uniform(-1, 1, mesh444_j8.n_vertices)
     broken = u[scalar444_j8.transfer.volume_split]
     for j in (0, 3, 7):
-        block = broken[spaces.scalar_broken.block_slice(j)]
+        lo, hi = spaces.scalar_broken.block_offsets[j : j + 2]
+        block = broken[lo:hi]
         assert np.array_equal(block, u[spaces.subdomain_vertices[j]])
 
 

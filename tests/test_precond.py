@@ -6,12 +6,7 @@ import scipy.linalg as sla
 
 import schurhx.precond as precond_mod
 import schurhx.schur as schur_mod
-from schurhx.assemble import (
-    Coefficients,
-    assemble_edge,
-    assemble_scalar,
-    jacobi_diagonal,
-)
+from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
 from schurhx.errors import AssemblyError, SingularOperatorError
 from schurhx.krylov import pcg
@@ -258,14 +253,15 @@ def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, ga
     mw = setup_maxwell(mesh, Coefficients(gamma=gamma))
     assert scopes == ["blocks"]
     glob = assemble_edge(mesh, mw.spaces, mw.coeffs, scope="global")
-    expected = jacobi_diagonal(glob)[mw.skeleton.skeleton_edges]
+    expected = glob.matrix.diagonal()[mw.skeleton.skeleton_edges]
     assert np.array_equal(mw.jacobi_skeleton, expected)
 
 
-def test_edge_subdomains_factorized_once(maxwell444_j8):
-    for solver in maxwell444_j8.schur.solvers:
-        factors = [v for v in vars(solver).values() if isinstance(v, SpdFactor)]
-        assert len(factors) == 1
+def test_solvers_keep_only_what_applies_read(maxwell444_j8):
+    # The interior factor and the A_ib/A_bb blocks serve only to form S_u.
+    for schur in (maxwell444_j8.schur, maxwell444_j8.scalar.schur):
+        for solver in schur.solvers:
+            assert set(vars(solver)) == {"boundary", "schur"}
 
 
 def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):

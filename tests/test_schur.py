@@ -6,10 +6,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import schurhx.schur as schur_mod
-from schurhx.assemble import Coefficients, assemble_scalar
+from schurhx.assemble import assemble_scalar
 from schurhx.errors import SingularOperatorError
 from schurhx.oracle import pseudoinverse_surjective
-from schurhx.precond import materialize, setup_scalar
+from schurhx.precond import materialize
 from schurhx.schur import SpdFactor, build_schur_system
 
 
@@ -17,19 +17,21 @@ def test_single_cell_subdomain_schur_is_whole_block(scalar222_j8):
     # Every vertex of a one-cell subdomain is a boundary vertex, so the
     # elimination is empty and the local DtN map is the block itself.
     solver = scalar222_j8.schur.solvers[0]
-    assert solver.interior.size == 0
-    assert np.array_equal(solver.schur, solver.matrix.toarray())
+    block = scalar222_j8.blocks.blocks[0]
+    assert solver.boundary.size == block.shape[0]
+    assert np.array_equal(solver.schur, block.toarray())
 
 
 def test_schur_matches_dense_elimination(scalar444_j8, rng):
     solver = scalar444_j8.schur.solvers[2]
-    assert solver.interior.size > 0
-    a = solver.matrix.toarray()
-    bb, ii = solver.boundary, solver.interior
+    a = scalar444_j8.blocks.blocks[2].toarray()
+    bb = solver.boundary
+    ii = np.setdiff1d(np.arange(a.shape[0]), bb)
+    assert ii.size > 0
     dense_schur = a[np.ix_(bb, bb)] - a[np.ix_(bb, ii)] @ sla.solve(
         a[np.ix_(ii, ii)], a[np.ix_(ii, bb)], assume_a="pos"
     )
-    p = rng.uniform(-1, 1, solver.n_boundary)
+    p = rng.uniform(-1, 1, bb.size)
     got = solver.apply_schur(p)
     want = dense_schur @ p
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -40,7 +42,7 @@ def test_schur_inverse_is_resolvent_boundary_block(scalar444_j8):
     sys, qnn = scalar444_j8.schur, scalar444_j8.qnn
     j = 5
     solver = sys.solvers[j]
-    a_inv = sla.inv(solver.matrix.toarray())
+    a_inv = sla.inv(scalar444_j8.blocks.blocks[j].toarray())
     bb = solver.boundary
     lo = int(sys._tuple_offsets[j])
 
@@ -49,7 +51,7 @@ def test_schur_inverse_is_resolvent_boundary_block(scalar444_j8):
         tup[lo : lo + g.size] = g
         return qnn.apply_dtn_inv(tup)[lo : lo + g.size]
 
-    t_inv = materialize(block_inv, solver.n_boundary)
+    t_inv = materialize(block_inv, bb.size)
     assert np.abs(t_inv - a_inv[np.ix_(bb, bb)]).max() <= 1e-10
 
 
@@ -113,42 +115,6 @@ def test_dtn_block_locality(scalar444_j8, rng):
         assert touched.min() >= lo and touched.max() < hi
 
 
-def test_harmonic_lift_preserves_trace(scalar444_j8, rng):
-    sys = scalar444_j8.schur
-    p = rng.uniform(-1, 1, sys.tuple_dim)
-    lifted = sys.harmonic_lift(p)
-    back = lifted[sys.transfer.boundary_trace]
-    assert np.array_equal(back, p)
-
-
-def test_harmonic_lift_minimizes_energy(scalar444_j8, rng, selection):
-    """The lift beats 20 random extensions with the same boundary values,
-    including the zero extension."""
-    sys = scalar444_j8.schur
-    blocks = sp.block_diag(scalar444_j8.blocks.blocks, format="csr")
-    p = rng.uniform(-1, 1, sys.tuple_dim)
-    lifted = sys.harmonic_lift(p)
-    e_lift = lifted @ (blocks @ lifted)
-
-    trace = selection(sys.transfer, "boundary_trace")
-    zero_ext = trace.T @ p
-    assert e_lift <= zero_ext @ (blocks @ zero_ext) + 1e-12
-
-    interior_mask = np.asarray(trace.sum(axis=0)).ravel() == 0.0
-    for _ in range(20):
-        other = zero_ext.copy()
-        other[interior_mask] = rng.uniform(-1, 1, int(interior_mask.sum()))
-        assert e_lift <= other @ (blocks @ other) + 1e-12
-
-
-def test_small_reaction_lift_of_constant_is_constant(mesh444_j8):
-    # With a vanishing reaction term the harmonic extension of constant
-    # boundary data approaches that constant in the interior.
-    prob = setup_scalar(mesh444_j8, Coefficients(1.0, 1e-6))
-    lifted = prob.schur.harmonic_lift(np.ones(prob.schur.tuple_dim))
-    assert np.abs(lifted - 1.0).max() <= 1e-3
-
-
 def test_blockwise_projector_algebra(scalar222_j8, selection):
     """P = (trace pseudo-inverse) . trace is an idempotent, self-adjoint
     (in the block energy) projector."""
@@ -165,8 +131,6 @@ def test_tuple_dimension_checked(scalar444_j8):
     for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
         with pytest.raises(ValueError, match="boundary-tuple"):
             method(np.zeros(sys.tuple_dim + 1))
-    with pytest.raises(ValueError):
-        sys.harmonic_lift(np.zeros(3))
 
 
 def test_build_requires_block_scope(mesh222_j8, scalar222_j8):
@@ -174,12 +138,7 @@ def test_build_requires_block_scope(mesh222_j8, scalar222_j8):
         scalar222_j8.mesh, scalar222_j8.spaces, scalar222_j8.coeffs
     )
     with pytest.raises(ValueError, match="block"):
-        build_schur_system(
-            full,
-            scalar222_j8.transfer,
-            scalar222_j8.skeleton.boundary_vertices,
-            scalar222_j8.spaces.subdomain_vertices,
-        )
+        build_schur_system(full, scalar222_j8.transfer)
 
 
 def test_spd_factor_modes_and_consistency(monkeypatch, rng):
@@ -193,10 +152,6 @@ def test_spd_factor_modes_and_consistency(monkeypatch, rng):
     sparse = SpdFactor(a, "test")
     assert sparse.mode == "sparse-lu"
     assert np.abs(dense.solve(b) - sparse.solve(b)).max() <= 1e-10
-
-    empty = SpdFactor(sp.csr_matrix((0, 0)), "empty")
-    assert empty.mode == "empty"
-    assert empty.solve(np.zeros(0)).shape == (0,)
 
 
 def test_spd_factor_rejects_indefinite():
