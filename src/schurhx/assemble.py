@@ -22,6 +22,15 @@ and the curl-curl entry is simply V (2 g_a x g_b).(2 g_c x g_d).  Local edges
 are oriented by ascending *global* vertex id, matching the mesh-wide edge
 orientation, so no sign bookkeeping is needed anywhere downstream.
 
+Blocks are assembled per subdomain from tet classes: a class is a tet's lattice
+edge offsets plus, for the edge field, its six edge orientations (a box mesh
+has six).  Each class's geometry or element matrix comes from one
+representative, cached for the ``assemble_*`` call; tets gather it and apply
+their own coefficients in the per-tet operation order, so the values are
+bitwise per-tet ones.  Subdomains with the same local dof pattern share one
+coalesce plan (stable sort order, group starts, CSR indices and indptr), so a
+block's data is one ``np.add.reduceat``.
+
 Global operators are assembled as the ascending-subdomain sum of the scattered
 per-subdomain blocks.  That makes the algebraic identity
 
@@ -91,6 +100,15 @@ class SparseSymOp:
     blocks: list[sp.csr_matrix] | None = None
 
 
+def _lattice(mesh: BoxMesh, tets: np.ndarray) -> np.ndarray:
+    """Lattice positions (T, 4, 3) of the tets' vertices; off-lattice raises."""
+    p, cells = mesh.vertex_coords[tets], np.asarray(mesh.cells, dtype=float)
+    lattice = np.rint(p * cells)
+    if not np.array_equal(lattice / cells, p):
+        raise AssemblyError("vertex off the box lattice")
+    return lattice
+
+
 def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray | None = None):
     """Volumes and constant barycentric gradients, batched over tets.
 
@@ -101,12 +119,8 @@ def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray | None = None):
     Schur complements).  A vertex's lattice position is its coordinate over
     h, rounded; a vertex off the lattice raises :class:`AssemblyError`.
     """
-    tets = mesh.tets if tet_ids is None else mesh.tets[tet_ids]
     cells = np.asarray(mesh.cells, dtype=float)
-    p = mesh.vertex_coords[tets]  # (T, 4, 3)
-    lattice = np.rint(p * cells)
-    if not np.array_equal(lattice / cells, p):
-        raise AssemblyError("vertex off the box lattice")
+    lattice = _lattice(mesh, mesh.tets if tet_ids is None else mesh.tets[tet_ids])
     e = (lattice[:, 1:] - lattice[:, :1]) * (1.0 / cells)  # rows p1-p0, p2-p0, p3-p0
     vols = np.linalg.det(e) / 6.0
     if np.any(vols <= 0) or not np.all(np.isfinite(vols)):
@@ -114,7 +128,7 @@ def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray | None = None):
     # x - p0 = e^T (l1, l2, l3), hence grad l_i (i>=1) is column i-1 of inv(e),
     # i.e. row i-1 of inv(e)^T, and grad l_0 closes the partition of unity.
     inv_e = np.linalg.inv(e)
-    grads = np.empty_like(p)
+    grads = np.empty_like(lattice)
     grads[:, 1:] = inv_e.transpose(0, 2, 1)
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
     return vols, grads
@@ -125,13 +139,21 @@ def _mirror_upper(batch: np.ndarray) -> np.ndarray:
     return np.triu(batch) + np.triu(batch, 1).transpose(0, 2, 1)
 
 
-def scalar_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray, alpha, beta):
-    """Per-tet (stiffness, mass) pairs, each (T, 4, 4) and bitwise symmetric."""
+def _p1_geometry(mesh: BoxMesh, tet_ids: np.ndarray):
+    """Volumes (T,) and gradient Gram matrices g_i.g_j (T, 4, 4)."""
     vols, grads = tet_geometry(mesh, tet_ids)
-    gg = np.einsum("tik,tjk->tij", grads, grads)
+    return vols, np.einsum("tik,tjk->tij", grads, grads)
+
+
+def _p1_matrices(vols, gg, alpha, beta):
     stiff = (alpha * vols)[:, None, None] * gg
     mass = (beta * vols / 20.0)[:, None, None] * (np.ones((4, 4)) + np.eye(4))
     return _mirror_upper(stiff), _mirror_upper(mass)
+
+
+def scalar_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray, alpha, beta):
+    """Per-tet (stiffness, mass) pairs, each (T, 4, 4) and bitwise symmetric."""
+    return _p1_matrices(*_p1_geometry(mesh, tet_ids), alpha, beta)
 
 
 def edge_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray):
@@ -170,20 +192,34 @@ def edge_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray):
     return _mirror_upper(curl_mat), _mirror_upper(mass_mat)
 
 
-def _coalesce_csr(rows, cols, vals, dim) -> sp.csr_matrix:
-    """Deterministic COO -> CSR: stable sort, then left-to-right group sums."""
+def _per_class(mesh: BoxMesh, tet_ids, cache: dict, oriented: bool, compute):
+    """Class of each tet and the stacked class data; ``compute(rep_ids)``
+    returns a tuple of arrays and runs only for classes not in ``cache``."""
+    tets = mesh.tets[tet_ids]
+    lattice = _lattice(mesh, tets)
+    key = (lattice[:, 1:] - lattice[:, :1]).astype(np.int64).reshape(len(tets), 9)
+    if oriented:
+        key = np.hstack([key, tets[:, LOCAL_EDGES[:, 0]] > tets[:, LOCAL_EDGES[:, 1]]])
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    keys = [rows[i].tobytes() for i in first]
+    missing = [c for c, k in enumerate(keys) if k not in cache]
+    if missing:
+        values = zip(*compute(tet_ids[first[missing]]))
+        cache.update(zip((keys[c] for c in missing), values))
+    return inverse, [np.stack(field) for field in zip(*(cache[k] for k in keys))]
+
+
+def _coalesce_plan(ldof: np.ndarray, dim: int):
+    """COO -> CSR plan of a local dof pattern: order, group starts, indices, indptr."""
+    k = ldof.shape[1]
+    rows = np.repeat(ldof, k, axis=1).ravel()
+    cols = np.tile(ldof, (1, k)).ravel()
     order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    if r.size == 0:
-        return sp.csr_matrix((dim, dim))
-    new_group = np.empty(r.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(new_group)
-    summed = np.add.reduceat(v, starts)
-    m = sp.csr_matrix((summed, (r[starts], c[starts])), shape=(dim, dim))
-    m.sort_indices()
-    return m
+    r, c = rows[order], cols[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+    indptr = np.searchsorted(r[starts], np.arange(dim + 1)).astype(np.int32)
+    return order, starts, c[starts].astype(np.int32), indptr
 
 
 def _scatter_block(block: sp.csr_matrix, dofs: np.ndarray, dim: int) -> sp.csr_matrix:
@@ -205,15 +241,17 @@ def _assemble(
     if scope not in ("global", "blocks"):
         raise ValueError(f"unknown scope {scope!r}")
     blocks = []
+    plans = {}  # by local dof pattern; each block copies the shared index arrays
     for j in range(mesh.n_subdomains):
         tet_ids = mesh.tets_of_subdomain(j)
         local = element_matrices(tet_ids)  # (T, k, k)
-        k = local.shape[1]
-        gdof = tet_dofs[tet_ids]
-        ldof = np.searchsorted(sub_dofs[j], gdof)
-        rows = np.repeat(ldof, k, axis=1).ravel()
-        cols = np.tile(ldof, (1, k)).ravel()
-        blocks.append(_coalesce_csr(rows, cols, local.ravel(), sub_dofs[j].size))
+        ldof = np.searchsorted(sub_dofs[j], tet_dofs[tet_ids])
+        n = sub_dofs[j].size
+        if (pattern := ldof.tobytes()) not in plans:
+            plans[pattern] = _coalesce_plan(ldof, n)
+        order, starts, indices, indptr = plans[pattern]
+        data = np.add.reduceat(local.ravel()[order], starts)
+        blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=True))
 
     if scope == "blocks":
         dim = sum(block.shape[0] for block in blocks)
@@ -234,11 +272,13 @@ def assemble_scalar(
     """Assemble  int alpha grad u.grad v + beta u v  on P1 dofs."""
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
     beta = coeffs.per_tet("beta", mesh.n_tets)
+    classes: dict = {}
 
     def element(tet_ids):
-        stiff, mass = scalar_element_matrices(
-            mesh, tet_ids, alpha[tet_ids], beta[tet_ids]
+        cls, (vols, gg) = _per_class(
+            mesh, tet_ids, classes, False, lambda reps: _p1_geometry(mesh, reps)
         )
+        stiff, mass = _p1_matrices(vols[cls], gg[cls], alpha[tet_ids], beta[tet_ids])
         return stiff + mass
 
     return _assemble(
@@ -258,10 +298,13 @@ def assemble_edge(
     """Assemble  int curl u.curl v + gamma^2 u.v  on lowest-order edge dofs."""
     gamma = float(np.asarray(coeffs.gamma))
     g2 = gamma * gamma
+    classes: dict = {}
 
     def element(tet_ids):
-        curl_mat, mass_mat = edge_element_matrices(mesh, tet_ids)
-        return curl_mat + g2 * mass_mat
+        cls, (curl_mat, mass_mat) = _per_class(
+            mesh, tet_ids, classes, True, lambda reps: edge_element_matrices(mesh, reps)
+        )
+        return (curl_mat + g2 * mass_mat)[cls]
 
     return _assemble(
         mesh,

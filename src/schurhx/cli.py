@@ -50,6 +50,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for name in ("out", "export_vtk"):
+            if getattr(self, name) == "":
+                raise ConfigurationError(f"{name} must be a non-empty path")
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be strictly positive")
@@ -80,8 +83,12 @@ def _parse_triple(text: str, flag: str) -> tuple[int, int, int]:
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigurationError(f"cannot read config file {path}: {err}") from err
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

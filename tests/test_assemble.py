@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from schurhx import assemble as assemble_module
 from schurhx.assemble import (
     Coefficients,
     assemble_edge,
@@ -295,6 +296,15 @@ def test_per_tet_coefficients(mesh222_j8):
         Coefficients(np.ones(5)).per_tet("alpha", mesh222_j8.n_tets)
 
 
+def _assembly_raises(mesh, spaces, match):
+    with pytest.raises(AssemblyError, match=match):
+        tet_geometry(mesh)
+    with pytest.raises(AssemblyError, match=match):
+        assemble_scalar(mesh, spaces, Coefficients())
+    with pytest.raises(AssemblyError, match=match):
+        assemble_edge(mesh, spaces, Coefficients(), scope="blocks")
+
+
 def test_degenerate_tet_raises(mesh111):
     coords = mesh111.vertex_coords.copy()
     coords[7] = coords[0]  # collapse the far corner onto the origin
@@ -307,15 +317,103 @@ def test_degenerate_tet_raises(mesh111):
         edges=mesh111.edges,
         tet_edges=mesh111.tet_edges,
     )
-    with pytest.raises(AssemblyError):
-        tet_geometry(bad)
+    spaces = build_spaces(mesh111, extract_skeleton(mesh111))
+    _assembly_raises(bad, spaces, "degenerate")
 
 
 def test_off_lattice_vertex_raises(mesh111):
     coords = mesh111.vertex_coords.copy()
     coords[7] = (0.9, 1.0, 1.0)
-    with pytest.raises(AssemblyError, match="lattice"):
-        tet_geometry(replace(mesh111, vertex_coords=coords))
+    spaces = build_spaces(mesh111, extract_skeleton(mesh111))
+    _assembly_raises(replace(mesh111, vertex_coords=coords), spaces, "lattice")
+
+
+def _reference_blocks(mesh, spaces, coeffs, field):
+    """Per-tet element matrices, a stable lexsort and left-to-right group sums."""
+    if field == "scalar":
+        alpha = coeffs.per_tet("alpha", mesh.n_tets)
+        beta = coeffs.per_tet("beta", mesh.n_tets)
+        tet_dofs, sub_dofs = mesh.tets, spaces.subdomain_vertices
+    else:
+        g2 = float(coeffs.gamma) * float(coeffs.gamma)
+        tet_dofs, sub_dofs = mesh.tet_edges, spaces.subdomain_edges
+    blocks = []
+    for j in range(mesh.n_subdomains):
+        tet_ids = mesh.tets_of_subdomain(j)
+        if field == "scalar":
+            stiff, mass = scalar_element_matrices(
+                mesh, tet_ids, alpha[tet_ids], beta[tet_ids]
+            )
+            local = stiff + mass
+        else:
+            curl, mass = edge_element_matrices(mesh, tet_ids)
+            local = curl + g2 * mass
+        k = local.shape[1]
+        ldof = np.searchsorted(sub_dofs[j], tet_dofs[tet_ids])
+        rows = np.repeat(ldof, k, axis=1).ravel()
+        cols = np.tile(ldof, (1, k)).ravel()
+        order = np.lexsort((cols, rows))
+        r, c, v = rows[order], cols[order], local.ravel()[order]
+        starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+        n = sub_dofs[j].size
+        block = sp.csr_matrix(
+            (np.add.reduceat(v, starts), (r[starts], c[starts])), shape=(n, n)
+        )
+        block.sort_indices()
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_blocks_match_per_tet_reference(field):
+    """Class-wise element matrices and the shared coalesce plan reproduce a
+    straightforward per-tet assembly bit for bit, on an anisotropic mesh with
+    per-tet coefficients."""
+    mesh = build_box_mesh((3, 6, 5), (1, 2, 5))
+    spaces = build_spaces(mesh, extract_skeleton(mesh))
+    rng = np.random.default_rng(7)
+    coeffs = Coefficients(
+        rng.uniform(0.1, 10.0, mesh.n_tets), rng.uniform(0.1, 10.0, mesh.n_tets), 1.3
+    )
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    blocks = assemble(mesh, spaces, coeffs, scope="blocks").blocks
+    reference = _reference_blocks(mesh, spaces, coeffs, field)
+    assert len(blocks) == len(reference) == mesh.n_subdomains
+    for block, ref in zip(blocks, reference):
+        assert block.shape == ref.shape
+        assert np.array_equal(block.data, ref.data)
+        assert np.array_equal(block.indices, ref.indices)
+        assert np.array_equal(block.indptr, ref.indptr)
+        assert block.indices.dtype == ref.indices.dtype
+        assert block.indptr.dtype == ref.indptr.dtype
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_element_matrices_once_per_class(field, monkeypatch):
+    """A box mesh has six tet classes, oriented or not; each is computed once
+    per assembly call, however many subdomains share it."""
+    mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
+    spaces = build_spaces(mesh, extract_skeleton(mesh))
+    received = {"tet_geometry": 0, "edge_element_matrices": 0}
+
+    def counting(name):
+        original = getattr(assemble_module, name)
+
+        def wrapper(mesh, tet_ids=None):
+            received[name] += mesh.n_tets if tet_ids is None else len(tet_ids)
+            return original(mesh, tet_ids)
+
+        return wrapper
+
+    for name in received:
+        monkeypatch.setattr(assemble_module, name, counting(name))
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    op = assemble(mesh, spaces, Coefficients(1.3, 0.7, 1.9), scope="blocks")
+    assert len(op.blocks) == 27
+    assert 0 < received["tet_geometry"] <= 6
+    assert received["edge_element_matrices"] <= 6
+    if field == "edge":
+        assert received["edge_element_matrices"] > 0
 
 
 def test_lattice_geometry_matches_coordinates(mesh422_j211):

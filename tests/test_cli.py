@@ -129,6 +129,19 @@ def test_config_file_errors(tmp_path, capsys):
         assert main(["--config", str(not_a_number)]) == 2
         assert f"error: {line.split()[0]} expects" in capsys.readouterr().err
 
+    for unreadable in (tmp_path / "missing.cfg", tmp_path):
+        assert main(["--config", str(unreadable)]) == 2
+        assert f"error: cannot read config file {unreadable}" in capsys.readouterr().err
+
+    # An empty path is rejected with the configuration, before any solve.
+    for key in ("out", "export_vtk"):
+        empty = tmp_path / "empty.cfg"
+        empty.write_text(f"{key} =\n")
+        assert main(["--config", str(empty), *SMALL]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {key} must be a non-empty path" in captured.err
+        assert "effective configuration" not in captured.out
+
 
 def test_bad_arguments_exit_2(capsys):
     assert main(["--cells", "3,3,3", "--subdomains", "2,1,1"]) == 2
