@@ -51,8 +51,11 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for name in ("out", "export_vtk"):
-            if getattr(self, name) == "":
+            path = getattr(self, name)
+            if path == "":
                 raise ConfigurationError(f"{name} must be a non-empty path")
+            if path is not None and Path(path).is_dir():
+                raise ConfigurationError(f"{name} {path} is a directory, expected a file path")
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be strictly positive")
@@ -178,10 +181,12 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
         problem = setup_scalar(mesh, coeffs)
         apply_op, apply_prec = problem.schur.apply, problem.qnn
         schurs = {"scalar": problem.schur}
+        qnn = problem.qnn
     elif config.problem == "maxwell":
         problem = setup_maxwell(mesh, coeffs)
         apply_op, apply_prec = problem.schur.apply, problem.qhx
         schurs = {"edge": problem.schur, "scalar": problem.scalar.schur}
+        qnn = problem.scalar.qnn
     else:
         raise ConfigurationError(f"run_experiment cannot run {config.problem!r}")
 
@@ -208,6 +213,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
         distinct_blocks={
             field: (len(s.groups), len(s.solvers)) for field, s in schurs.items()
         },
+        cond_coarse=qnn.cond_coarse,
     )
     print(
         f"{config.problem}: cells={config.cells} subdomains={config.subdomains} "

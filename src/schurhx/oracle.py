@@ -24,7 +24,7 @@ from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .dofspaces import build_spaces
 from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import ConfigurationError, SingularOperatorError
-from .mesh import BoxMesh, extract_skeleton
+from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
 from .precond import estimate_condition, materialize, setup_maxwell, setup_scalar
 
 __all__ = [
@@ -225,6 +225,23 @@ def _selection(idx: np.ndarray, n_source: int) -> np.ndarray:
     return np.eye(n_source)[idx]
 
 
+def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> np.ndarray:
+    """Per boundary-tuple copy, the largest alpha among the subdomain's tets
+    that touch the vertex, tet by tet."""
+    alpha = coeffs.per_tet("alpha", mesh.n_tets)
+    rho = []
+    for j, boundary in enumerate(skeleton.boundary_vertices):
+        peak = dict.fromkeys(boundary.tolist(), 0.0)
+        for t in range(mesh.n_tets):
+            if mesh.tet_subdomain[t] != j:
+                continue
+            for v in mesh.tets[t].tolist():
+                if v in peak:
+                    peak[v] = max(peak[v], float(alpha[t]))
+        rho += [peak[v] for v in boundary.tolist()]
+    return np.array(rho)
+
+
 def verify_identities(
     mesh: BoxMesh,
     coeffs: Coefficients | None = None,
@@ -328,16 +345,19 @@ def verify_identities(
         1e-9,
     )
 
-    # Weighted average as a pseudo-inverse: the degree-scaled transpose of the
-    # skeleton split is its pseudo-inverse for identity weights.
-    degree = skeleton.vertex_degree[skeleton.skeleton_vertices]
+    # Weighted average as a pseudo-inverse: the rho-weighted transpose of the
+    # skeleton split, scaled by the rho-weighted degree, is its pseudo-inverse
+    # for the weight diag(rho).  rho is scaled to a largest value of 1, as in
+    # Neumann-Neumann, so under constant alpha this is the degree average.
+    rho = _copy_rho(mesh, coeffs, skeleton)
+    rho = rho / rho.max()
     report.add_residual(
         "degree-average-pseudoinverse",
         ctx,
         float(
             np.abs(
-                pseudoinverse_injective(split, np.eye(ops.boundary.dim))
-                - split.T / degree[:, None]
+                pseudoinverse_injective(split, np.diag(rho))
+                - split.T * rho / (split.T @ rho)[:, None]
             ).max()
         ),
         1e-12,

@@ -2,12 +2,16 @@
 
 The scalar preconditioner balances a one-level Neumann-Neumann average M,
 which composes the skeleton split, the blockwise inverse DtN and the glue
-(the split's transpose), scaled on both sides by the subdomain-boundary
-degree of each skeleton vertex,
+(the split's transpose), scaled on both sides by per-copy weights D,
 
-    M f = degree^{-1} . glue . DtN^{-1} . split . degree^{-1} f.
+    M f = D^T . DtN^{-1} . D f,    (D f)_c = rho_c f_i / sum_{c' of i} rho_c',
 
-Each subdomain's inverse DtN map is the inverse trace of a Neumann solve,
+for each copy c of a skeleton vertex i on a subdomain boundary.  rho_c is
+the subdomain's coefficient at the vertex, the largest alpha among its tets
+that touch it (Mandel & Brezina's rho-scaling), so across a coefficient jump
+the stiffer side's Neumann solve dominates; under constant alpha every copy
+weighs 1/degree.  Each subdomain's inverse DtN map is the inverse trace of a
+Neumann solve,
 
     S_j^{-1} g = trace_b( A_j^{-1} extend_by_zero(g) ),
 
@@ -19,11 +23,9 @@ function per subdomain (Mandel's balancing domain decomposition):
 
     Q f = Q0 f + (I - Q0 S) M (I - S Q0) f,    Q0 = Z (Z^T S Z)^{-1} Z^T,
 
-where column j of Z is degree^{-1} . glue . (ones on boundary j), so the
-columns sum to one on the skeleton.  Every copy of a skeleton dof counts
-once, whatever the coefficients on either side of the interface.
-With one subdomain M is already the exact inverse of the interface operator,
-and so is Q.
+where column j of Z is D^T (ones on boundary j), so the columns sum to one
+on the skeleton.  With one subdomain M is already the exact inverse of the
+interface operator, and so is Q.
 
 The edge-space preconditioner sums a skeleton Jacobi term with one gradient
 and three nodal-interpolation pullbacks of the scalar preconditioner:
@@ -31,12 +33,15 @@ and three nodal-interpolation pullbacks of the scalar preconditioner:
     Q_hx f = f / jac + grad . Q(grad^T f) + sum_d interp_d . Q(interp_d^T f)
 
 so one application costs exactly four scalar applies (one per auxiliary-space
-channel); an ``n_applies`` counter on Q makes that checkable.
+channel); an ``n_applies`` counter on Q makes that checkable.  Its scalar Q
+keeps rho = 1 (the counting weights 1/degree): the gradient channel does not
+see alpha, and rho-scaling there costs iterations on jumps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -45,7 +50,7 @@ import scipy.sparse as sp
 from .assemble import Coefficients, SparseSymOp, assemble_edge, assemble_scalar
 from .dofspaces import Spaces, TransferOps, build_spaces, build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
-from .errors import AssemblyError, SingularOperatorError
+from .errors import AssemblyError, ConfigurationError, SingularOperatorError
 from .krylov import pcg
 from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
 from .schur import SchurSystem, SpdFactor, build_schur_system
@@ -76,27 +81,39 @@ def _spd_inverse(s: np.ndarray, label: str) -> np.ndarray:
 
 
 class NeumannNeumann:
-    """Balancing Neumann-Neumann: a degree-weighted average of subdomain
-    Neumann solves, balanced by a coarse space of one function per subdomain.
+    """Balancing Neumann-Neumann: a rho-weighted average of subdomain Neumann
+    solves, balanced by a coarse space of one function per subdomain.
+
+    ``rho`` holds one positive coefficient per boundary-tuple copy.  Each
+    copy weighs rho / (sum of rho over the copies of its skeleton vertex) in
+    both the average M and the coarse basis Z; ``degree`` is that weighted
+    degree.  Only ratios of rho matter, so it is scaled to a largest value of
+    1: constant rho gives exactly the counting weights 1/degree.
 
     It is the only user of the inverse DtN map, so set-up inverts the dense
     Schur complement S_u of each distinct subdomain block here.  Set-up also
     computes S Z in one blockwise pass (each subdomain applies its Schur
     complement to the few coarse columns it touches) and factorizes the
-    coarse matrix S0 = Z^T S Z.  One application makes one call to the
-    average M (one grouped inverse-DtN apply, counted by ``n_applies``) and
-    two coarse solves, using
+    coarse matrix S0 = Z^T S Z; ``cond_coarse`` reports its condition number.
+    One application makes one call to the average M (one grouped inverse-DtN
+    apply, counted by ``n_applies``) and two coarse solves, using
 
         Q f = m + Z S0^{-1} (Z^T f - (S Z)^T m),   m = M (f - S Z S0^{-1} Z^T f).
     """
 
-    def __init__(self, schur: SchurSystem):
+    def __init__(self, schur: SchurSystem, rho: np.ndarray):
         if schur.kind != "scalar-blocks":
             raise ValueError(f"expected a scalar interface system, got {schur.kind}")
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != (schur.tuple_dim,):
+            raise ValueError(f"expected rho of length {schur.tuple_dim}, got {rho.shape}")
+        if not np.all(np.isfinite(rho) & (rho > 0)):
+            raise ConfigurationError("Neumann-Neumann weights rho must be positive and finite")
         self.schur = schur
         self.split = schur.transfer.skeleton_split
         self.dim = schur.dim
-        self.degree = np.bincount(self.split, minlength=self.dim).astype(float)
+        self.rho = rho / rho.max()
+        self.degree = np.bincount(self.split, self.rho, minlength=self.dim)
         self.n_applies = 0
         self.inverse_dtn = [
             _spd_inverse(solver.schur, f"{schur.kind} subdomain {members[0]} (Schur)")
@@ -111,7 +128,9 @@ class NeumannNeumann:
             (ones, (rows, self.split)), shape=(schur.tuple_dim, self.dim)
         )
         block_of = np.repeat(np.arange(n_sub), np.diff(offsets))
-        on_block = sp.csr_matrix((ones, (rows, block_of)), shape=(schur.tuple_dim, n_sub))
+        on_block = sp.csr_matrix(
+            (self.rho, (rows, block_of)), shape=(schur.tuple_dim, n_sub)
+        )
         # The sparse product fixes the order of each row's entries in Z, and
         # with it the summation order of every Z @ c.
         self.coarse_basis = sp.diags(1.0 / self.degree) @ (split_matrix.T @ on_block)
@@ -128,17 +147,25 @@ class NeumannNeumann:
                 local[:, cols].toarray()
             )
         s0 = self.coarse_basis.T @ self.s_coarse
+        self.coarse_matrix = (s0 + s0.T) / 2.0
         self.coarse_factor = SpdFactor(
-            sp.csr_matrix((s0 + s0.T) / 2.0), "balancing coarse problem"
+            sp.csr_matrix(self.coarse_matrix), "balancing coarse problem"
         )
+
+    @cached_property
+    def cond_coarse(self) -> float:
+        """Condition number of S0, from its eigenvalues on first read: the
+        solve itself never needs it."""
+        evs = sla.eigvalsh(self.coarse_matrix)
+        return float(evs[-1] / evs[0])
 
     def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
         """Blockwise inverse DtN on a boundary-tuple vector."""
         return self.schur.grouped_apply(self.inverse_dtn, g)
 
     def _average(self, f: np.ndarray) -> np.ndarray:
-        w = self.apply_dtn_inv((f / self.degree)[self.split])
-        return np.bincount(self.split, w, minlength=self.dim) / self.degree
+        w = self.apply_dtn_inv((f[self.split] * self.rho) / self.degree[self.split])
+        return np.bincount(self.split, self.rho * w, minlength=self.dim) / self.degree
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         if f.shape != (self.dim,):
@@ -232,21 +259,49 @@ class MaxwellProblem:
         return self.mesh.n_edges
 
 
+def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> np.ndarray:
+    """rho of every boundary-tuple copy: the largest alpha among the
+    subdomain's tets that touch the vertex, one subdomain at a time."""
+    alpha = coeffs.per_tet("alpha", mesh.n_tets)
+    parts = []
+    for j, boundary in enumerate(skeleton.boundary_vertices):
+        tet_ids = mesh.tets_of_subdomain(j)
+        peak = np.zeros(mesh.n_vertices)
+        np.maximum.at(peak, mesh.tets[tet_ids].ravel(), np.repeat(alpha[tet_ids], 4))
+        parts.append(peak[boundary])
+    return np.concatenate(parts)
+
+
+def _scalar_problem(
+    mesh: BoxMesh,
+    coeffs: Coefficients,
+    skeleton: SkeletonIndex,
+    spaces: Spaces,
+    rho_weighted: bool,
+) -> ScalarProblem:
+    transfer = build_transfer(mesh, skeleton, spaces, "scalar")
+    blocks = assemble_scalar(mesh, spaces, coeffs, scope="blocks")
+    schur = build_schur_system(blocks, transfer)
+    if rho_weighted:
+        rho = _copy_rho(mesh, coeffs, skeleton)
+    else:
+        rho = np.ones(schur.tuple_dim)
+    qnn = NeumannNeumann(schur, rho)
+    return ScalarProblem(mesh, skeleton, spaces, coeffs, transfer, blocks, schur, qnn)
+
+
 def setup_scalar(
     mesh: BoxMesh,
     coeffs: Coefficients,
     skeleton: SkeletonIndex | None = None,
     spaces: Spaces | None = None,
 ) -> ScalarProblem:
+    """The scalar interface solve, its Neumann-Neumann weighted by alpha."""
     if skeleton is None:
         skeleton = extract_skeleton(mesh)
     if spaces is None:
         spaces = build_spaces(mesh, skeleton)
-    transfer = build_transfer(mesh, skeleton, spaces, "scalar")
-    blocks = assemble_scalar(mesh, spaces, coeffs, scope="blocks")
-    schur = build_schur_system(blocks, transfer)
-    qnn = NeumannNeumann(schur)
-    return ScalarProblem(mesh, skeleton, spaces, coeffs, transfer, blocks, schur, qnn)
+    return _scalar_problem(mesh, coeffs, skeleton, spaces, rho_weighted=True)
 
 
 def setup_maxwell(
@@ -259,7 +314,8 @@ def setup_maxwell(
         skeleton = extract_skeleton(mesh)
     if spaces is None:
         spaces = build_spaces(mesh, skeleton)
-    scalar = setup_scalar(mesh, coeffs, skeleton, spaces)
+    # HX's scalar plug-in keeps the counting weights (rho = 1).
+    scalar = _scalar_problem(mesh, coeffs, skeleton, spaces, rho_weighted=False)
 
     transfer = build_transfer(mesh, skeleton, spaces, "edge")
     blocks = assemble_edge(mesh, spaces, coeffs, scope="blocks")

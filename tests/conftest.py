@@ -44,6 +44,19 @@ def selection():
 
 
 @pytest.fixture(scope="session")
+def checkerboard():
+    """Make per-tet alpha that is ``jump`` on every other subdomain (odd sum
+    of subdomain grid coordinates) and 1 elsewhere."""
+
+    def build(mesh, jump: float) -> np.ndarray:
+        centroids = mesh.vertex_coords[mesh.tets].mean(axis=1)
+        grid = np.floor(centroids * np.array(mesh.subdomains)).astype(int)
+        return np.where(grid.sum(axis=1) % 2 == 1, jump, 1.0)
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def mesh111():
     return build_box_mesh((1, 1, 1))
 
@@ -115,6 +128,16 @@ def maxwell222_j8(mesh222_j8):
 @pytest.fixture(scope="session")
 def scalar444_j8(mesh444_j8):
     return setup_scalar(mesh444_j8, Coefficients())
+
+
+@pytest.fixture(scope="session")
+def mesh666_j27():
+    return build_box_mesh((6, 6, 6), (3, 3, 3))
+
+
+@pytest.fixture(scope="session")
+def scalar444_j8_jump(mesh444_j8, checkerboard):
+    return setup_scalar(mesh444_j8, Coefficients(alpha=checkerboard(mesh444_j8, 1e4)))
 
 
 @pytest.fixture(scope="session")

@@ -142,8 +142,19 @@ def test_config_file_errors(tmp_path, capsys):
         assert f"error: {key} must be a non-empty path" in captured.err
         assert "effective configuration" not in captured.out
 
+    # So is an existing directory, from the file or from a flag.
+    for key in ("out", "export_vtk"):
+        directory = tmp_path / "existing"
+        directory.mkdir(exist_ok=True)
+        in_file = tmp_path / "dir.cfg"
+        in_file.write_text(f"{key} = {directory}\n")
+        assert main(["--config", str(in_file), *SMALL]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {key} {directory} is a directory" in captured.err
+        assert "effective configuration" not in captured.out
 
-def test_bad_arguments_exit_2(capsys):
+
+def test_bad_arguments_exit_2(capsys, tmp_path):
     assert main(["--cells", "3,3,3", "--subdomains", "2,1,1"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["--tol", "2.0", *SMALL]) == 2
@@ -152,6 +163,14 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
     assert main(["--seed", "-1", *SMALL]) == 2
     assert "error: seed must be >= 0" in capsys.readouterr().err
+    for flag in ("--out", "--export-vtk"):
+        assert main([flag, str(tmp_path), *SMALL]) == 2
+        captured = capsys.readouterr()
+        assert "is a directory, expected a file path" in captured.err
+        assert "effective configuration" not in captured.out
+    for problem in ("verify", "maxwell"):
+        assert main(["--problem", problem, "--table", "--out", str(tmp_path)]) == 2
+        assert "error: out" in capsys.readouterr().err
 
 
 def test_verify_passes(capsys):
@@ -176,6 +195,14 @@ def test_export_vtk(tmp_path, capsys):
     path = tmp_path / "mesh.vtk"
     assert main(["--problem", "scalar", *SMALL, "--export-vtk", str(path)]) == 0
     assert path.read_text().startswith("# vtk DataFile")
+
+
+@pytest.mark.parametrize("problem", ["scalar", "maxwell"])
+def test_report_carries_coarse_condition(capsys, problem):
+    cfg = ExperimentConfig(problem=problem, cells=(4, 4, 4), subdomains=(2, 2, 2))
+    report = run_experiment(cfg, write=False)
+    cond = report.metadata["cond_coarse"]
+    assert isinstance(cond, float) and 1.0 <= cond < 1e3
 
 
 def test_single_subdomain_converges_immediately(capsys):

@@ -7,7 +7,10 @@ import pytest
 import scipy.linalg as sla
 
 import schurhx.oracle as oracle_mod
+import schurhx.precond as precond_mod
+from schurhx.assemble import Coefficients
 from schurhx.errors import ConfigurationError, SingularOperatorError
+from schurhx.mesh import build_box_mesh, extract_skeleton
 from schurhx.oracle import (
     DenseOp,
     IdentityReport,
@@ -16,6 +19,7 @@ from schurhx.oracle import (
     verify_dense_lemmas,
     verify_identities,
 )
+from schurhx.precond import NeumannNeumann, setup_scalar
 
 
 def _spd(rng, n):
@@ -136,6 +140,35 @@ def test_verify_identities_without_spectra(mesh222_j2):
     names = {c.name for c in report.checks}
     assert "jacobi-pushdown-cond-bound" not in names
     assert "interface-inverse-identity-edge" in names
+
+
+def test_oracle_rho_equals_setup_rho(monkeypatch):
+    """The oracle's tet-by-tet rho is bitwise the rho setup_scalar hands to
+    Neumann-Neumann, on an anisotropic mesh with per-tet alpha."""
+    mesh = build_box_mesh((3, 6, 5), (1, 2, 5))
+    alpha = np.exp(np.random.default_rng(3).uniform(-5.0, 5.0, mesh.n_tets))
+    coeffs = Coefficients(alpha=alpha, beta=0.3)
+    passed = []
+
+    class Recording(NeumannNeumann):
+        def __init__(self, schur, rho):
+            passed.append(rho)
+            super().__init__(schur, rho)
+
+    monkeypatch.setattr(precond_mod, "NeumannNeumann", Recording)
+    setup_scalar(mesh, coeffs)
+    expected = oracle_mod._copy_rho(mesh, coeffs, extract_skeleton(mesh))
+    assert len(passed) == 1
+    assert passed[0].dtype == expected.dtype and np.array_equal(passed[0], expected)
+    assert np.unique(expected).size > 10
+
+
+def test_weighted_average_pseudoinverse_under_jump(mesh222_j8, checkerboard):
+    coeffs = Coefficients(alpha=checkerboard(mesh222_j8, 1e4))
+    report = verify_identities(mesh222_j8, coeffs)
+    (check,) = [c for c in report.checks if c.name == "degree-average-pseudoinverse"]
+    assert check.passed and check.bound == 1e-12
+    assert report.passed, "\n".join(report.lines())
 
 
 def test_corrupted_gradient_is_caught(mesh222_j8):

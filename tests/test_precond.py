@@ -8,7 +8,7 @@ import schurhx.precond as precond_mod
 import schurhx.schur as schur_mod
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
-from schurhx.errors import AssemblyError, SingularOperatorError
+from schurhx.errors import AssemblyError, ConfigurationError, SingularOperatorError
 from schurhx.krylov import pcg
 from schurhx.oracle import pseudoinverse_injective
 from schurhx.precond import (
@@ -20,6 +20,8 @@ from schurhx.precond import (
     setup_scalar,
 )
 from schurhx.schur import SpdFactor, SubdomainSolver
+
+TOL = 1e-9
 
 
 def test_nn_symmetric(scalar444_j8, rng):
@@ -39,24 +41,27 @@ def test_nn_exact_for_single_subdomain(scalar222_j1, rng):
     assert report.history.converged and report.history.iterations <= 2
 
 
-def test_nn_balances_residual_on_coarse_space(scalar444_j8, rng):
+def test_nn_balances_residual_on_coarse_space(scalar444_j8, scalar444_j8_jump, rng):
     """Z^T (f - S Q f) = 0: the residual left by Q has no component on the
-    subdomain coarse space."""
-    q, s = scalar444_j8.qnn, scalar444_j8.schur
-    z = q.coarse_basis
-    assert z.shape == (q.dim, 8)
-    assert np.abs(z.sum(axis=1) - 1.0).max() <= 1e-14
-    for _ in range(5):
-        f = rng.uniform(-1, 1, q.dim)
-        residual = z.T @ (f - s.apply(q(f)))
-        assert np.abs(residual).max() <= 1e-10 * np.abs(z.T @ f).max()
+    subdomain coarse space, with counting weights and with rho weights
+    across a 1e4 jump."""
+    for prob in (scalar444_j8, scalar444_j8_jump):
+        q, s = prob.qnn, prob.schur
+        z = q.coarse_basis
+        assert z.shape == (q.dim, 8)
+        assert np.abs(z.sum(axis=1) - 1.0).max() <= 1e-14
+        for _ in range(5):
+            f = rng.uniform(-1, 1, q.dim)
+            residual = z.T @ (f - s.apply(q(f)))
+            assert np.abs(residual).max() <= 1e-10 * np.abs(z.T @ f).max()
+    assert np.unique(scalar444_j8_jump.qnn.rho).tolist() == [1e-4, 1.0]
 
 
 def test_nn_singular_coarse_problem_raises(scalar222_j8, monkeypatch):
     # Every Schur complement returns zero, so S Z = 0 and S0 = Z^T S Z = 0.
     monkeypatch.setattr(SubdomainSolver, "apply_schur", lambda self, p: np.zeros_like(p))
     with pytest.raises(SingularOperatorError, match="coarse"):
-        NeumannNeumann(scalar222_j8.schur)
+        NeumannNeumann(scalar222_j8.schur, scalar222_j8.qnn.rho)
 
 
 def test_nn_rejects_indefinite_schur_complement(mesh222_j8):
@@ -64,12 +69,91 @@ def test_nn_rejects_indefinite_schur_complement(mesh222_j8):
     solver = prob.schur.groups[0][0]
     solver.schur = -solver.schur
     with pytest.raises(SingularOperatorError, match="not positive definite"):
-        NeumannNeumann(prob.schur)
+        NeumannNeumann(prob.schur, prob.qnn.rho)
 
 
 def test_nn_rejects_edge_system(maxwell222_j8):
     with pytest.raises(ValueError, match="scalar"):
-        NeumannNeumann(maxwell222_j8.schur)
+        NeumannNeumann(maxwell222_j8.schur, np.ones(maxwell222_j8.schur.tuple_dim))
+
+
+def test_nn_validates_rho(scalar222_j8):
+    schur = scalar222_j8.schur
+    with pytest.raises(ValueError, match="length"):
+        NeumannNeumann(schur, np.ones(schur.tuple_dim + 1))
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        rho = np.ones(schur.tuple_dim)
+        rho[3] = bad
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            NeumannNeumann(schur, rho)
+
+
+def test_nn_constant_rho_is_counting_average(scalar222_j8):
+    """Only ratios of rho count: any constant rho gives bitwise the counting
+    weights, with ``degree`` the number of copies of each skeleton vertex."""
+    prob = scalar222_j8
+    counting = np.bincount(prob.qnn.split, minlength=prob.qnn.dim).astype(float)
+    assert np.array_equal(prob.qnn.degree, counting)
+    skel = prob.skeleton
+    assert np.array_equal(counting, skel.vertex_degree[skel.skeleton_vertices])
+    scaled = NeumannNeumann(prob.schur, np.full(prob.schur.tuple_dim, 2.7))
+    assert np.array_equal(scaled.rho, prob.qnn.rho)
+    assert np.array_equal(scaled.degree, counting)
+    assert (scaled.coarse_basis != prob.qnn.coarse_basis).nnz == 0
+
+
+def test_nn_records_coarse_condition(scalar444_j8_jump):
+    """cond_coarse is the condition number of S0 = Z^T S Z."""
+    q, s = scalar444_j8_jump.qnn, scalar444_j8_jump.schur
+    z = q.coarse_basis.toarray()
+    s0 = z.T @ materialize(s.apply, s.dim) @ z
+    evs = sla.eigvalsh((s0 + s0.T) / 2.0)
+    assert q.cond_coarse >= 1.0
+    assert abs(q.cond_coarse - evs[-1] / evs[0]) <= 1e-8 * q.cond_coarse
+
+
+def _solve(prob, prec, seed=0):
+    u = np.random.default_rng(seed).uniform(-1, 1, prob.dim_skeleton)
+    report = pcg(prob.schur.apply, prec, prob.schur.apply(u), tol=TOL)
+    error = np.linalg.norm(report.solution - u) / np.linalg.norm(u)
+    return report.history, error
+
+
+@pytest.mark.parametrize("jump", [1e2, 1e4])
+def test_nn_robust_to_checkerboard_jump(mesh666_j27, checkerboard, jump):
+    """rho-scaling keeps the count flat across jumps; with counting weights
+    these took 28 and 40 iterations."""
+    prob = setup_scalar(mesh666_j27, Coefficients(alpha=checkerboard(mesh666_j27, jump)))
+    history, error = _solve(prob, prob.qnn)
+    assert history.converged and history.iterations <= 12
+    assert error <= 10 * TOL
+
+
+def test_nn_robust_to_random_subdomain_coefficients(mesh666_j27):
+    """Per-subdomain alpha log-uniform on [1e-3, 1e3]: every draw converges
+    fast and accurately (counting weights took 300-800 iterations)."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        alpha_j = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), mesh666_j27.n_subdomains))
+        prob = setup_scalar(
+            mesh666_j27, Coefficients(alpha=alpha_j[mesh666_j27.tet_subdomain])
+        )
+        history, error = _solve(prob, prob.qnn)
+        assert history.converged and history.iterations <= 15, seed
+        assert error <= 100 * TOL, seed
+
+
+def test_hx_scalar_plugin_keeps_counting_weights(mesh666_j27, checkerboard):
+    """Under an alpha jump the scalar problem of setup_scalar is rho-weighted
+    but HX's plug-in is not, and the HX count stays at its counting-weight 82."""
+    coeffs = Coefficients(alpha=checkerboard(mesh666_j27, 1e2))
+    mw = setup_maxwell(mesh666_j27, coeffs)
+    assert np.all(mw.scalar.qnn.rho == 1.0)
+    counting = np.bincount(mw.scalar.qnn.split, minlength=mw.scalar.qnn.dim)
+    assert np.array_equal(mw.scalar.qnn.degree, counting.astype(float))
+    assert np.unique(setup_scalar(mesh666_j27, coeffs).qnn.rho).tolist() == [1e-2, 1.0]
+    history, _ = _solve(mw, mw.qhx)
+    assert history.converged and history.iterations == 82
 
 
 def test_nn_dimension_checked(scalar222_j8):
