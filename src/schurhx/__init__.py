@@ -1,7 +1,7 @@
 """Substructured skeleton preconditioners for nodal and edge finite elements."""
 
 from .assemble import Coefficients, assemble_edge, assemble_scalar
-from .dofspaces import build_spaces, build_transfer
+from .dofspaces import build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
 from .krylov import pcg
 from .mesh import build_box_mesh, extract_skeleton
@@ -26,7 +26,6 @@ __all__ = [
     "build_gradient",
     "build_nodal_interp",
     "build_schur_system",
-    "build_spaces",
     "build_transfer",
     "estimate_condition",
     "extract_skeleton",

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dofspaces import Spaces
+from .dofspaces import TransferOps
 from .errors import AssemblyError, ConfigurationError
 from .mesh import LOCAL_EDGES, BoxMesh
 
@@ -64,7 +64,9 @@ class Coefficients:
     """Strictly positive problem coefficients.
 
     ``alpha`` (diffusion) and ``beta`` (reaction) may be scalars or per-tet
-    arrays; ``gamma`` (the zeroth-order Maxwell weight) is a scalar.
+    arrays; ``gamma`` (the zeroth-order Maxwell weight) is a scalar whose
+    square must be finite.  Assembly multiplies alpha and beta by tet volumes
+    (at most 1/6), so gamma^2 is the only product that can overflow.
     """
 
     alpha: float | np.ndarray = 1.0
@@ -78,6 +80,9 @@ class Coefficients:
                 raise ConfigurationError(f"coefficient {name} must be strictly positive")
         if np.ndim(self.gamma) != 0:
             raise ConfigurationError("coefficient gamma must be a scalar")
+        gamma = float(self.gamma)
+        if not np.isfinite(gamma * gamma):
+            raise ConfigurationError(f"coefficient gamma={gamma!r}: gamma^2 overflows")
 
     def per_tet(self, name: str, n_tets: int) -> np.ndarray:
         value = np.asarray(getattr(self, name), dtype=float)
@@ -231,15 +236,15 @@ def _scatter_block(block: sp.csr_matrix, dofs: np.ndarray, dim: int) -> sp.csr_m
 
 def _assemble(
     mesh: BoxMesh,
+    transfer: TransferOps,
     scope: str,
-    field: str,
     element_matrices,  # callable: tet_ids -> (T, k, k) local matrices
     tet_dofs: np.ndarray,  # (n_tets, k) global dof of each local dof
-    sub_dofs: list[np.ndarray],
-    volume_dim: int,
 ) -> SparseSymOp:
     if scope not in ("global", "blocks"):
         raise ValueError(f"unknown scope {scope!r}")
+    field, offsets = transfer.field, transfer.broken.block_offsets
+    sub_dofs = [transfer.volume_split[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
     blocks = []
     plans = {}  # by local dof pattern; each block copies the shared index arrays
     for j in range(mesh.n_subdomains):
@@ -259,17 +264,20 @@ def _assemble(
 
     # Ascending-subdomain accumulation; see the module docstring for why the
     # order matters.
-    total = sp.csr_matrix((volume_dim, volume_dim))
+    dim = transfer.volume.dim
+    total = sp.csr_matrix((dim, dim))
     for j, block in enumerate(blocks):
-        total = total + _scatter_block(block, sub_dofs[j], volume_dim)
+        total = total + _scatter_block(block, sub_dofs[j], dim)
     total.sort_indices()
-    return SparseSymOp(kind=f"{field}-global", dim=volume_dim, matrix=total)
+    return SparseSymOp(kind=f"{field}-global", dim=dim, matrix=total)
 
 
 def assemble_scalar(
-    mesh: BoxMesh, spaces: Spaces, coeffs: Coefficients, scope: str = "global"
+    mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "global"
 ) -> SparseSymOp:
-    """Assemble  int alpha grad u.grad v + beta u v  on P1 dofs."""
+    """Assemble  int alpha grad u.grad v + beta u v  on the P1 dofs of ``transfer``."""
+    if transfer.field != "scalar":
+        raise ValueError(f"expected a scalar transfer, got {transfer.field}")
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
     beta = coeffs.per_tet("beta", mesh.n_tets)
     classes: dict = {}
@@ -281,21 +289,15 @@ def assemble_scalar(
         stiff, mass = _p1_matrices(vols[cls], gg[cls], alpha[tet_ids], beta[tet_ids])
         return stiff + mass
 
-    return _assemble(
-        mesh,
-        scope,
-        "scalar",
-        element,
-        mesh.tets,
-        spaces.subdomain_vertices,
-        mesh.n_vertices,
-    )
+    return _assemble(mesh, transfer, scope, element, mesh.tets)
 
 
 def assemble_edge(
-    mesh: BoxMesh, spaces: Spaces, coeffs: Coefficients, scope: str = "global"
+    mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "global"
 ) -> SparseSymOp:
-    """Assemble  int curl u.curl v + gamma^2 u.v  on lowest-order edge dofs."""
+    """Assemble  int curl u.curl v + gamma^2 u.v  on the edge dofs of ``transfer``."""
+    if transfer.field != "edge":
+        raise ValueError(f"expected an edge transfer, got {transfer.field}")
     gamma = float(np.asarray(coeffs.gamma))
     g2 = gamma * gamma
     classes: dict = {}
@@ -306,12 +308,4 @@ def assemble_edge(
         )
         return (curl_mat + g2 * mass_mat)[cls]
 
-    return _assemble(
-        mesh,
-        scope,
-        "edge",
-        element,
-        mesh.tet_edges,
-        spaces.subdomain_edges,
-        mesh.n_edges,
-    )
+    return _assemble(mesh, transfer, scope, element, mesh.tet_edges)

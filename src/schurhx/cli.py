@@ -12,9 +12,15 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 
 from .assemble import Coefficients
-from .errors import ConfigurationError
+from .errors import (
+    AssemblyError,
+    ConfigurationError,
+    PcgBreakdownError,
+    SingularOperatorError,
+)
 from .krylov import SolveReport, pcg
 from .mesh import build_box_mesh, export_vtk
 from .oracle import IdentityReport, verify_dense_lemmas, verify_identities
@@ -197,9 +203,8 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
     rel_error = float(
         np.linalg.norm(report.solution - exact) / np.linalg.norm(exact)
     )
-    true_relres = float(
-        np.linalg.norm(rhs - apply_op(report.solution)) / np.linalg.norm(rhs)
-    )
+    # BLAS nrm2 scales as it sums, so large coefficients cannot overflow it.
+    true_relres = float(sla.norm(rhs - apply_op(report.solution)) / sla.norm(rhs))
     report.metadata.update(
         problem=config.problem,
         cells=config.cells,
@@ -336,6 +341,9 @@ def main(argv=None) -> int:
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (AssemblyError, SingularOperatorError, PcgBreakdownError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ maps compose by indexing, ``source[a][b] == source[a[b]]``.
 The square of maps (volume -> broken -> boundary tuple) and (volume ->
 skeleton -> boundary tuple) commutes entry for entry in exact arithmetic;
 tests assert a literally zero residual.
+
+A field's four spaces and four maps come from one call,
+``build_transfer(mesh, skeleton, field)``; nothing else numbers its dofs.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .mesh import BoxMesh, SkeletonIndex
 __all__ = [
     "DofSpace",
     "TransferOps",
-    "Spaces",
-    "build_spaces",
     "build_transfer",
 ]
 
@@ -63,46 +64,11 @@ class TransferOps:
     skeleton_split: np.ndarray
 
 
-@dataclass(frozen=True)
-class Spaces:
-    """All eight dof spaces of a partitioned mesh plus the subdomain dof lists."""
-
-    scalar_volume: DofSpace
-    scalar_broken: DofSpace
-    scalar_skeleton: DofSpace
-    scalar_boundary: DofSpace
-    edge_volume: DofSpace
-    edge_broken: DofSpace
-    edge_skeleton: DofSpace
-    edge_boundary: DofSpace
-    subdomain_vertices: list[np.ndarray]
-    subdomain_edges: list[np.ndarray]
-
-
 def _product_space(dof_lists: list[np.ndarray]) -> DofSpace:
     """The product of one dof set per subdomain, with its block offsets."""
     offsets = np.zeros(len(dof_lists) + 1, dtype=np.int64)
     np.cumsum([dofs.size for dofs in dof_lists], out=offsets[1:])
     return DofSpace(int(offsets[-1]), offsets)
-
-
-def build_spaces(mesh: BoxMesh, skeleton: SkeletonIndex) -> Spaces:
-    subdomain_vertices = []
-    subdomain_edges = []
-    for j in range(mesh.n_subdomains):
-        mask = mesh.tet_subdomain == j
-        subdomain_vertices.append(np.unique(mesh.tets[mask]))
-        subdomain_edges.append(np.unique(mesh.tet_edges[mask]))
-
-    sv = DofSpace(mesh.n_vertices)
-    sb = _product_space(subdomain_vertices)
-    ss = DofSpace(skeleton.n_skeleton_vertices)
-    st = _product_space(skeleton.boundary_vertices)
-    ev = DofSpace(mesh.n_edges)
-    eb = _product_space(subdomain_edges)
-    es = DofSpace(skeleton.n_skeleton_edges)
-    et = _product_space(skeleton.boundary_edges)
-    return Spaces(sv, sb, ss, st, ev, eb, es, et, subdomain_vertices, subdomain_edges)
 
 
 def _index_map(idx: np.ndarray) -> np.ndarray:
@@ -112,32 +78,21 @@ def _index_map(idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_transfer(
-    mesh: BoxMesh, skeleton: SkeletonIndex, spaces: Spaces, field: str
-) -> TransferOps:
-    """Build the four transfer maps for ``field`` in {"scalar", "edge"}."""
+def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> TransferOps:
+    """Build the four dof spaces and transfer maps of ``field`` in {"scalar", "edge"}."""
     if field == "scalar":
-        volume, broken, skel, tup = (
-            spaces.scalar_volume,
-            spaces.scalar_broken,
-            spaces.scalar_skeleton,
-            spaces.scalar_boundary,
-        )
-        sub_dofs = spaces.subdomain_vertices
-        bnd_dofs = skeleton.boundary_vertices
-        skel_dofs = skeleton.skeleton_vertices
+        tet_dofs, volume_dim = mesh.tets, mesh.n_vertices
+        bnd_dofs, skel_dofs = skeleton.boundary_vertices, skeleton.skeleton_vertices
     elif field == "edge":
-        volume, broken, skel, tup = (
-            spaces.edge_volume,
-            spaces.edge_broken,
-            spaces.edge_skeleton,
-            spaces.edge_boundary,
-        )
-        sub_dofs = spaces.subdomain_edges
-        bnd_dofs = skeleton.boundary_edges
-        skel_dofs = skeleton.skeleton_edges
+        tet_dofs, volume_dim = mesh.tet_edges, mesh.n_edges
+        bnd_dofs, skel_dofs = skeleton.boundary_edges, skeleton.skeleton_edges
     else:
         raise ValueError(f"unknown field {field!r}")
+    sub_dofs = [
+        np.unique(tet_dofs[mesh.tet_subdomain == j]) for j in range(mesh.n_subdomains)
+    ]
+    broken = _product_space(sub_dofs)
+    skel = DofSpace(skel_dofs.shape[0])
 
     skeleton_trace = _index_map(skel_dofs)
     volume_split = _index_map(np.concatenate(sub_dofs))
@@ -168,10 +123,10 @@ def build_transfer(
 
     return TransferOps(
         field,
-        volume,
+        DofSpace(volume_dim),
         broken,
         skel,
-        tup,
+        _product_space(bnd_dofs),
         skeleton_trace,
         volume_split,
         boundary_trace,

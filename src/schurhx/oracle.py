@@ -21,10 +21,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .assemble import Coefficients, assemble_edge, assemble_scalar
-from .dofspaces import build_spaces
 from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import ConfigurationError, SingularOperatorError
-from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
+from .mesh import BoxMesh, SkeletonIndex
 from .precond import estimate_condition, materialize, setup_maxwell, setup_scalar
 
 __all__ = [
@@ -263,10 +262,9 @@ def verify_identities(
     ctx = f"cells={mesh.cells} subdomains={mesh.subdomains}"
     report = IdentityReport()
 
-    skeleton = extract_skeleton(mesh)
-    spaces = build_spaces(mesh, skeleton)
-    scalar = setup_scalar(mesh, coeffs, skeleton, spaces)
-    maxwell = setup_maxwell(mesh, coeffs, skeleton, spaces)
+    scalar = setup_scalar(mesh, coeffs)
+    maxwell = setup_maxwell(mesh, coeffs)
+    skeleton = scalar.skeleton
 
     grad_vol = build_gradient(mesh, "volume")
     grad_skel = build_gradient(mesh, "skeleton", skeleton)
@@ -308,8 +306,8 @@ def verify_identities(
 
     # Interface inverse identity: (assembled Schur) . (trace volinv trace^T) = Id,
     # for both fields.
-    l_dense = assemble_scalar(mesh, spaces, coeffs, scope="global").matrix.toarray()
-    m_dense = assemble_edge(mesh, spaces, coeffs, scope="global").matrix.toarray()
+    l_dense = assemble_scalar(mesh, scalar.transfer, coeffs, scope="global").matrix.toarray()
+    m_dense = assemble_edge(mesh, maxwell.transfer, coeffs, scope="global").matrix.toarray()
     for field_name, problem, vol in (
         ("scalar", scalar, l_dense),
         ("edge", maxwell, m_dense),

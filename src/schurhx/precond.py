@@ -48,7 +48,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assemble import Coefficients, SparseSymOp, assemble_edge, assemble_scalar
-from .dofspaces import Spaces, TransferOps, build_spaces, build_transfer
+from .dofspaces import TransferOps, build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import AssemblyError, ConfigurationError, SingularOperatorError
 from .krylov import pcg
@@ -217,7 +217,6 @@ class ScalarProblem:
 
     mesh: BoxMesh
     skeleton: SkeletonIndex
-    spaces: Spaces
     coeffs: Coefficients
     transfer: TransferOps
     blocks: SparseSymOp
@@ -239,7 +238,6 @@ class MaxwellProblem:
 
     mesh: BoxMesh
     skeleton: SkeletonIndex
-    spaces: Spaces
     coeffs: Coefficients
     transfer: TransferOps
     blocks: SparseSymOp
@@ -273,52 +271,31 @@ def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> n
 
 
 def _scalar_problem(
-    mesh: BoxMesh,
-    coeffs: Coefficients,
-    skeleton: SkeletonIndex,
-    spaces: Spaces,
-    rho_weighted: bool,
+    mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex, rho_weighted: bool
 ) -> ScalarProblem:
-    transfer = build_transfer(mesh, skeleton, spaces, "scalar")
-    blocks = assemble_scalar(mesh, spaces, coeffs, scope="blocks")
+    transfer = build_transfer(mesh, skeleton, "scalar")
+    blocks = assemble_scalar(mesh, transfer, coeffs, scope="blocks")
     schur = build_schur_system(blocks, transfer)
     if rho_weighted:
         rho = _copy_rho(mesh, coeffs, skeleton)
     else:
         rho = np.ones(schur.tuple_dim)
     qnn = NeumannNeumann(schur, rho)
-    return ScalarProblem(mesh, skeleton, spaces, coeffs, transfer, blocks, schur, qnn)
+    return ScalarProblem(mesh, skeleton, coeffs, transfer, blocks, schur, qnn)
 
 
-def setup_scalar(
-    mesh: BoxMesh,
-    coeffs: Coefficients,
-    skeleton: SkeletonIndex | None = None,
-    spaces: Spaces | None = None,
-) -> ScalarProblem:
+def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
     """The scalar interface solve, its Neumann-Neumann weighted by alpha."""
-    if skeleton is None:
-        skeleton = extract_skeleton(mesh)
-    if spaces is None:
-        spaces = build_spaces(mesh, skeleton)
-    return _scalar_problem(mesh, coeffs, skeleton, spaces, rho_weighted=True)
+    return _scalar_problem(mesh, coeffs, extract_skeleton(mesh), rho_weighted=True)
 
 
-def setup_maxwell(
-    mesh: BoxMesh,
-    coeffs: Coefficients,
-    skeleton: SkeletonIndex | None = None,
-    spaces: Spaces | None = None,
-) -> MaxwellProblem:
-    if skeleton is None:
-        skeleton = extract_skeleton(mesh)
-    if spaces is None:
-        spaces = build_spaces(mesh, skeleton)
+def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
+    skeleton = extract_skeleton(mesh)
     # HX's scalar plug-in keeps the counting weights (rho = 1).
-    scalar = _scalar_problem(mesh, coeffs, skeleton, spaces, rho_weighted=False)
+    scalar = _scalar_problem(mesh, coeffs, skeleton, rho_weighted=False)
 
-    transfer = build_transfer(mesh, skeleton, spaces, "edge")
-    blocks = assemble_edge(mesh, spaces, coeffs, scope="blocks")
+    transfer = build_transfer(mesh, skeleton, "edge")
+    blocks = assemble_edge(mesh, transfer, coeffs, scope="blocks")
     schur = build_schur_system(blocks, transfer)
 
     # The skeleton Jacobi diagonal glues the subdomain boundary diagonals.
@@ -336,7 +313,6 @@ def setup_maxwell(
     return MaxwellProblem(
         mesh,
         skeleton,
-        spaces,
         coeffs,
         transfer,
         blocks,

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.cli import ExperimentConfig, run_experiment, run_table
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
-from schurhx.dofspaces import build_spaces, build_transfer
+from schurhx.dofspaces import build_transfer
 from schurhx.krylov import pcg
 from schurhx.mesh import build_box_mesh, extract_skeleton
 from schurhx.oracle import (
@@ -75,7 +75,7 @@ def test_criterion_01_scalar_interface_inverse_formula(selection):
         prob = setup_scalar(mesh, Coefficients())
         schur = materialize(prob.schur.apply, prob.schur.dim)
         tr = selection(prob.transfer, "skeleton_trace").toarray()
-        vol = assemble_scalar(mesh, prob.spaces, prob.coeffs, scope="global")
+        vol = assemble_scalar(mesh, prob.transfer, prob.coeffs, scope="global")
         pushed = tr @ sla.solve(vol.matrix.toarray(), tr.T, assume_a="pos")
         resid = np.abs(schur @ pushed - np.eye(schur.shape[0])).max()
         worst = max(worst, resid)
@@ -94,7 +94,7 @@ def test_criterion_02_edge_interface_inverse_formula(selection):
         prob = setup_maxwell(mesh, Coefficients())
         schur = materialize(prob.schur.apply, prob.schur.dim)
         tr = selection(prob.transfer, "skeleton_trace").toarray()
-        vol = assemble_edge(mesh, prob.spaces, prob.coeffs, scope="global")
+        vol = assemble_edge(mesh, prob.transfer, prob.coeffs, scope="global")
         pushed = tr @ sla.solve(vol.matrix.toarray(), tr.T, assume_a="pos")
         resid = np.abs(schur @ pushed - np.eye(schur.shape[0])).max()
         worst = max(worst, resid)
@@ -118,7 +118,7 @@ def test_criterion_04_pseudoinverse_commutation(selection):
     for grid in ((2, 1, 1), (2, 2, 2)):
         mesh = build_box_mesh((2, 2, 2), grid)
         prob = setup_scalar(mesh, Coefficients())
-        vol = assemble_scalar(mesh, prob.spaces, prob.coeffs, scope="global")
+        vol = assemble_scalar(mesh, prob.transfer, prob.coeffs, scope="global")
         ops = prob.transfer
         lift_vol = pseudoinverse_surjective(
             selection(ops, "skeleton_trace").toarray(), vol.matrix.toarray()
@@ -141,9 +141,8 @@ def test_criterion_05_commutation_lattice_exact(selection):
     for cells, grid in TEST_MESHES:
         mesh = build_box_mesh(cells, grid)
         skel = extract_skeleton(mesh)
-        spaces = build_spaces(mesh, skel)
-        scalar_ops = build_transfer(mesh, skel, spaces, "scalar")
-        edge_ops = build_transfer(mesh, skel, spaces, "edge")
+        scalar_ops = build_transfer(mesh, skel, "scalar")
+        edge_ops = build_transfer(mesh, skel, "edge")
         for ops in (scalar_ops, edge_ops):
             lhs = selection(ops, "boundary_trace") @ selection(ops, "volume_split")
             rhs = selection(ops, "skeleton_split") @ selection(ops, "skeleton_trace")
@@ -195,8 +194,8 @@ def test_criterion_08_spectral_inequalities(selection):
     sc = mw.scalar
     slack = 1.0 + 1e-9
 
-    l_dense = assemble_scalar(mesh, mw.spaces, coeffs, scope="global").matrix.toarray()
-    m_dense = assemble_edge(mesh, mw.spaces, coeffs, scope="global").matrix.toarray()
+    l_dense = assemble_scalar(mesh, sc.transfer, coeffs, scope="global").matrix.toarray()
+    m_dense = assemble_edge(mesh, mw.transfer, coeffs, scope="global").matrix.toarray()
     s_l = materialize(sc.schur.apply, sc.schur.dim)
     s_m = materialize(mw.schur.apply, mw.schur.dim)
     q_nn = materialize(sc.qnn, sc.qnn.dim)

@@ -18,7 +18,7 @@ from schurhx.assemble import (
     tet_geometry,
 )
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
-from schurhx.dofspaces import build_spaces
+from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
 from schurhx.mesh import LOCAL_EDGES, BoxMesh, build_box_mesh, extract_skeleton
 
@@ -56,9 +56,15 @@ def _tet_edge_endpoints(mesh, t):
     return out
 
 
+def _transfers(mesh):
+    """Both fields' transfer operators, by field name."""
+    skel = extract_skeleton(mesh)
+    return {field: build_transfer(mesh, skel, field) for field in ("scalar", "edge")}
+
+
 @pytest.fixture(scope="module")
-def spaces444(mesh444_j8):
-    return build_spaces(mesh444_j8, extract_skeleton(mesh444_j8))
+def transfers444(mesh444_j8):
+    return _transfers(mesh444_j8)
 
 
 def test_p1_mass_matches_quadrature(mesh444_j8):
@@ -119,9 +125,9 @@ def test_edge_curl_matches_quadrature(mesh444_j8):
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_assembled_operators_bitwise_symmetric(mesh444_j8, spaces444, field):
+def test_assembled_operators_bitwise_symmetric(mesh444_j8, transfers444, field):
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    op = assemble(mesh444_j8, spaces444, Coefficients(1.3, 0.7, 1.9))
+    op = assemble(mesh444_j8, transfers444[field], Coefficients(1.3, 0.7, 1.9))
     diff = op.matrix - op.matrix.T
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -131,35 +137,31 @@ def test_assembled_operators_bitwise_symmetric(mesh444_j8, spaces444, field):
 def test_global_equals_split_blockdiag_split(field, grid, selection):
     """The defining identity of the assembly: exact, not approximate."""
     mesh = build_box_mesh((2, 2, 2), grid)
-    skel = extract_skeleton(mesh)
-    spaces = build_spaces(mesh, skel)
+    transfer = build_transfer(mesh, extract_skeleton(mesh), field)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     coeffs = Coefficients(2.0, 0.5, 3.0)
-    full = assemble(mesh, spaces, coeffs, scope="global")
-    blocks = assemble(mesh, spaces, coeffs, scope="blocks")
-    from schurhx.dofspaces import build_transfer
-
-    split = selection(build_transfer(mesh, skel, spaces, field), "volume_split")
+    full = assemble(mesh, transfer, coeffs, scope="global")
+    blocks = assemble(mesh, transfer, coeffs, scope="blocks")
+    split = selection(transfer, "volume_split")
     triple = (split.T @ sp.block_diag(blocks.blocks, format="csr") @ split).tocsr()
     triple.sort_indices()
     diff = full.matrix - triple
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-def test_constant_energy_is_reaction_volume(mesh444_j8, spaces444):
+def test_constant_energy_is_reaction_volume(mesh444_j8, transfers444):
     # The gradient term annihilates constants, so <L 1, 1> = beta * |box|
     # for any diffusion coefficient, including a tiny reaction limit.
     for beta in (3.25, 1e-8):
-        op = assemble_scalar(mesh444_j8, spaces444, Coefficients(7.7, beta))
+        op = assemble_scalar(mesh444_j8, transfers444["scalar"], Coefficients(7.7, beta))
         ones = np.ones(op.dim)
         assert abs(ones @ (op.matrix @ ones) - beta) <= 1e-12 * max(beta, 1.0)
 
 
 def test_constant_vector_field_energy(mesh222_j1):
-    skel = extract_skeleton(mesh222_j1)
-    spaces = build_spaces(mesh222_j1, skel)
+    transfer = build_transfer(mesh222_j1, extract_skeleton(mesh222_j1), "edge")
     gamma = 1.5
-    op = assemble_edge(mesh222_j1, spaces, Coefficients(gamma=gamma))
+    op = assemble_edge(mesh222_j1, transfer, Coefficients(gamma=gamma))
     # Edge dofs of the constant field e_0; its curl vanishes, so the energy
     # is gamma^2 * integral of |e_0|^2 = gamma^2.
     u = build_nodal_interp(mesh222_j1, 0) @ np.ones(mesh222_j1.n_vertices)
@@ -167,10 +169,9 @@ def test_constant_vector_field_energy(mesh222_j1):
 
 
 def test_gradient_field_energy_matches_scalar_stiffness(mesh222_j8, rng):
-    skel = extract_skeleton(mesh222_j8)
-    spaces = build_spaces(mesh222_j8, skel)
+    transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "edge")
     gamma = 2.5
-    edge_op = assemble_edge(mesh222_j8, spaces, Coefficients(gamma=gamma))
+    edge_op = assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma))
     grad = build_gradient(mesh222_j8)
 
     stiff, _ = scalar_element_matrices(
@@ -207,11 +208,12 @@ def test_curl_part_annihilates_gradients(mesh222_j8, rng):
 
 
 def test_coercivity_bounded_below_by_mass(mesh222_j8):
-    skel = extract_skeleton(mesh222_j8)
-    spaces = build_spaces(mesh222_j8, skel)
+    transfers = _transfers(mesh222_j8)
     beta, gamma = 0.3, 0.8
 
-    scal = assemble_scalar(mesh222_j8, spaces, Coefficients(1.0, beta)).matrix.toarray()
+    scal = assemble_scalar(
+        mesh222_j8, transfers["scalar"], Coefficients(1.0, beta)
+    ).matrix.toarray()
     _, sm = scalar_element_matrices(
         mesh222_j8,
         np.arange(mesh222_j8.n_tets),
@@ -226,7 +228,9 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
     assert lmin_mass > 0
     assert sla.eigvalsh(scal)[0] >= beta * lmin_mass * (1 - 1e-12)
 
-    edge = assemble_edge(mesh222_j8, spaces, Coefficients(gamma=gamma)).matrix.toarray()
+    edge = assemble_edge(
+        mesh222_j8, transfers["edge"], Coefficients(gamma=gamma)
+    ).matrix.toarray()
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
     mass_e = np.zeros_like(edge)
     for t in range(mesh222_j8.n_tets):
@@ -239,11 +243,10 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
 
 def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
     """Doubling gamma shifts each diagonal entry by 3 gamma^2 * mass diag."""
-    skel = extract_skeleton(mesh222_j8)
-    spaces = build_spaces(mesh222_j8, skel)
+    transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "edge")
     gamma = 1.3
-    d1 = assemble_edge(mesh222_j8, spaces, Coefficients(gamma=gamma)).matrix.diagonal()
-    d2 = assemble_edge(mesh222_j8, spaces, Coefficients(gamma=2 * gamma)).matrix.diagonal()
+    d1 = assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma)).matrix.diagonal()
+    d2 = assemble_edge(mesh222_j8, transfer, Coefficients(gamma=2 * gamma)).matrix.diagonal()
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
     mass_diag = np.zeros(mesh222_j8.n_edges)
     for t in range(mesh222_j8.n_tets):
@@ -256,11 +259,10 @@ def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
 def test_blocks_scope_keeps_only_blocks(mesh222_j8):
     # The solve path reads the subdomain blocks one by one, so the blocks
     # scope builds no block-diagonal copy of them.
-    skel = extract_skeleton(mesh222_j8)
-    spaces = build_spaces(mesh222_j8, skel)
-    op = assemble_scalar(mesh222_j8, spaces, Coefficients(), scope="blocks")
+    transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "scalar")
+    op = assemble_scalar(mesh222_j8, transfer, Coefficients(), scope="blocks")
     assert op.matrix is None and len(op.blocks) == 8
-    assert op.dim == spaces.scalar_broken.dim
+    assert op.dim == transfer.broken.dim
 
 
 @pytest.mark.parametrize(
@@ -272,6 +274,7 @@ def test_blocks_scope_keeps_only_blocks(mesh222_j8):
         dict(alpha=np.inf),
         dict(beta=np.array([])),
         dict(gamma=np.ones(6)),
+        dict(gamma=1e160),
     ],
 )
 def test_coefficient_validation(kwargs):
@@ -280,12 +283,11 @@ def test_coefficient_validation(kwargs):
 
 
 def test_per_tet_coefficients(mesh222_j8):
-    skel = extract_skeleton(mesh222_j8)
-    spaces = build_spaces(mesh222_j8, skel)
-    uniform = assemble_scalar(mesh222_j8, spaces, Coefficients(2.0, 0.5))
+    transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "scalar")
+    uniform = assemble_scalar(mesh222_j8, transfer, Coefficients(2.0, 0.5))
     arrays = assemble_scalar(
         mesh222_j8,
-        spaces,
+        transfer,
         Coefficients(
             np.full(mesh222_j8.n_tets, 2.0), np.full(mesh222_j8.n_tets, 0.5)
         ),
@@ -296,13 +298,13 @@ def test_per_tet_coefficients(mesh222_j8):
         Coefficients(np.ones(5)).per_tet("alpha", mesh222_j8.n_tets)
 
 
-def _assembly_raises(mesh, spaces, match):
+def _assembly_raises(mesh, transfers, match):
     with pytest.raises(AssemblyError, match=match):
         tet_geometry(mesh)
     with pytest.raises(AssemblyError, match=match):
-        assemble_scalar(mesh, spaces, Coefficients())
+        assemble_scalar(mesh, transfers["scalar"], Coefficients())
     with pytest.raises(AssemblyError, match=match):
-        assemble_edge(mesh, spaces, Coefficients(), scope="blocks")
+        assemble_edge(mesh, transfers["edge"], Coefficients(), scope="blocks")
 
 
 def test_degenerate_tet_raises(mesh111):
@@ -317,26 +319,28 @@ def test_degenerate_tet_raises(mesh111):
         edges=mesh111.edges,
         tet_edges=mesh111.tet_edges,
     )
-    spaces = build_spaces(mesh111, extract_skeleton(mesh111))
-    _assembly_raises(bad, spaces, "degenerate")
+    _assembly_raises(bad, _transfers(mesh111), "degenerate")
 
 
 def test_off_lattice_vertex_raises(mesh111):
     coords = mesh111.vertex_coords.copy()
     coords[7] = (0.9, 1.0, 1.0)
-    spaces = build_spaces(mesh111, extract_skeleton(mesh111))
-    _assembly_raises(replace(mesh111, vertex_coords=coords), spaces, "lattice")
+    _assembly_raises(replace(mesh111, vertex_coords=coords), _transfers(mesh111), "lattice")
 
 
-def _reference_blocks(mesh, spaces, coeffs, field):
-    """Per-tet element matrices, a stable lexsort and left-to-right group sums."""
+def _reference_blocks(mesh, coeffs, field):
+    """Per-tet element matrices, a stable lexsort and left-to-right group sums,
+    on subdomain dof lists built here rather than read from a transfer."""
     if field == "scalar":
         alpha = coeffs.per_tet("alpha", mesh.n_tets)
         beta = coeffs.per_tet("beta", mesh.n_tets)
-        tet_dofs, sub_dofs = mesh.tets, spaces.subdomain_vertices
+        tet_dofs = mesh.tets
     else:
         g2 = float(coeffs.gamma) * float(coeffs.gamma)
-        tet_dofs, sub_dofs = mesh.tet_edges, spaces.subdomain_edges
+        tet_dofs = mesh.tet_edges
+    sub_dofs = [
+        np.unique(tet_dofs[mesh.tet_subdomain == j]) for j in range(mesh.n_subdomains)
+    ]
     blocks = []
     for j in range(mesh.n_subdomains):
         tet_ids = mesh.tets_of_subdomain(j)
@@ -370,14 +374,14 @@ def test_blocks_match_per_tet_reference(field):
     straightforward per-tet assembly bit for bit, on an anisotropic mesh with
     per-tet coefficients."""
     mesh = build_box_mesh((3, 6, 5), (1, 2, 5))
-    spaces = build_spaces(mesh, extract_skeleton(mesh))
+    transfer = build_transfer(mesh, extract_skeleton(mesh), field)
     rng = np.random.default_rng(7)
     coeffs = Coefficients(
         rng.uniform(0.1, 10.0, mesh.n_tets), rng.uniform(0.1, 10.0, mesh.n_tets), 1.3
     )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh, spaces, coeffs, scope="blocks").blocks
-    reference = _reference_blocks(mesh, spaces, coeffs, field)
+    blocks = assemble(mesh, transfer, coeffs, scope="blocks").blocks
+    reference = _reference_blocks(mesh, coeffs, field)
     assert len(blocks) == len(reference) == mesh.n_subdomains
     for block, ref in zip(blocks, reference):
         assert block.shape == ref.shape
@@ -393,7 +397,7 @@ def test_element_matrices_once_per_class(field, monkeypatch):
     """A box mesh has six tet classes, oriented or not; each is computed once
     per assembly call, however many subdomains share it."""
     mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
-    spaces = build_spaces(mesh, extract_skeleton(mesh))
+    transfer = build_transfer(mesh, extract_skeleton(mesh), field)
     received = {"tet_geometry": 0, "edge_element_matrices": 0}
 
     def counting(name):
@@ -408,7 +412,7 @@ def test_element_matrices_once_per_class(field, monkeypatch):
     for name in received:
         monkeypatch.setattr(assemble_module, name, counting(name))
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    op = assemble(mesh, spaces, Coefficients(1.3, 0.7, 1.9), scope="blocks")
+    op = assemble(mesh, transfer, Coefficients(1.3, 0.7, 1.9), scope="blocks")
     assert len(op.blocks) == 27
     assert 0 < received["tet_geometry"] <= 6
     assert received["edge_element_matrices"] <= 6
@@ -443,10 +447,18 @@ def test_equal_shapes_get_bitwise_equal_geometry():
 
 
 def test_spd_smallest_eigenvalue(mesh222_j2):
-    skel = extract_skeleton(mesh222_j2)
-    spaces = build_spaces(mesh222_j2, skel)
+    transfers = _transfers(mesh222_j2)
     for op in (
-        assemble_scalar(mesh222_j2, spaces, Coefficients()),
-        assemble_edge(mesh222_j2, spaces, Coefficients()),
+        assemble_scalar(mesh222_j2, transfers["scalar"], Coefficients()),
+        assemble_edge(mesh222_j2, transfers["edge"], Coefficients()),
     ):
         assert sla.eigvalsh(op.matrix.toarray())[0] > 0
+
+
+def test_transfer_of_other_field_rejected(mesh222_j8):
+    """Each assembly reads its dofs from its own field's transfer."""
+    transfers = _transfers(mesh222_j8)
+    with pytest.raises(ValueError, match="scalar transfer"):
+        assemble_scalar(mesh222_j8, transfers["edge"], Coefficients())
+    with pytest.raises(ValueError, match="an edge transfer"):
+        assemble_edge(mesh222_j8, transfers["scalar"], Coefficients(), scope="blocks")

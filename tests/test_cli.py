@@ -163,6 +163,8 @@ def test_bad_arguments_exit_2(capsys, tmp_path):
     capsys.readouterr()
     assert main(["--seed", "-1", *SMALL]) == 2
     assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert main(["--problem", "maxwell", "--gamma", "1e160", *SMALL]) == 2
+    assert "error: coefficient gamma=1e+160: gamma^2 overflows" in capsys.readouterr().err
     for flag in ("--out", "--export-vtk"):
         assert main([flag, str(tmp_path), *SMALL]) == 2
         captured = capsys.readouterr()
@@ -171,6 +173,31 @@ def test_bad_arguments_exit_2(capsys, tmp_path):
     for problem in ("verify", "maxwell"):
         assert main(["--problem", problem, "--table", "--out", str(tmp_path)]) == 2
         assert "error: out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # On 3^3 subdomains the overflowing Schur complement fails Cholesky
+        # (SingularOperatorError); on 2,2,2 / 2,1,1 it factors, and PCG then
+        # meets negative curvature (PcgBreakdownError).
+        (["--cells", "3,3,3", "--subdomains", "3,3,3"], "not positive definite"),
+        (SMALL, "operator is not SPD"),
+    ],
+)
+def test_failed_solve_exits_1_without_traceback(capsys, grid, message):
+    assert main(["--problem", "scalar", "--alpha", "1e200", *grid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_true_residual_survives_large_reaction(capsys):
+    """The squared norms of a beta = 1e160 residual overflow; nrm2 does not."""
+    cfg = ExperimentConfig(problem="scalar", beta=1e160)
+    report = run_experiment(cfg, write=False)
+    assert report.metadata["converged"]
+    assert 0.0 < report.metadata["true_relres"] <= 100 * cfg.tol
 
 
 def test_verify_passes(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
-from schurhx.dofspaces import build_spaces, build_transfer
+from schurhx.dofspaces import build_transfer
 from schurhx.mesh import build_box_mesh, extract_skeleton
 
 
@@ -84,9 +84,8 @@ def test_regular_decomposition_exactness(mesh422_j211, rng):
 def test_gradient_trace_commutation_exact(cells, grid, selection):
     mesh = build_box_mesh(cells, grid)
     skel = extract_skeleton(mesh)
-    spaces = build_spaces(mesh, skel)
-    tr_v = selection(build_transfer(mesh, skel, spaces, "scalar"), "skeleton_trace")
-    tr_e = selection(build_transfer(mesh, skel, spaces, "edge"), "skeleton_trace")
+    tr_v = selection(build_transfer(mesh, skel, "scalar"), "skeleton_trace")
+    tr_e = selection(build_transfer(mesh, skel, "edge"), "skeleton_trace")
     g_vol = build_gradient(mesh)
     g_skel = build_gradient(mesh, "skeleton", skel)
     diff = tr_e @ g_vol - g_skel @ tr_v
@@ -96,9 +95,8 @@ def test_gradient_trace_commutation_exact(cells, grid, selection):
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_interp_trace_commutation_exact(mesh222_j8, skel222_j8, d, selection):
     mesh, skel = mesh222_j8, skel222_j8
-    spaces = build_spaces(mesh, skel)
-    tr_v = selection(build_transfer(mesh, skel, spaces, "scalar"), "skeleton_trace")
-    tr_e = selection(build_transfer(mesh, skel, spaces, "edge"), "skeleton_trace")
+    tr_v = selection(build_transfer(mesh, skel, "scalar"), "skeleton_trace")
+    tr_e = selection(build_transfer(mesh, skel, "edge"), "skeleton_trace")
     p_vol = build_nodal_interp(mesh, d)
     p_skel = build_nodal_interp(mesh, d, "skeleton", skel)
     diff = tr_e @ p_vol - p_skel @ tr_v

@@ -3,50 +3,50 @@
 import numpy as np
 import pytest
 
-from schurhx.dofspaces import build_spaces, build_transfer
+from schurhx.dofspaces import build_transfer
 from schurhx.mesh import extract_skeleton
 
 
 def test_space_dims_eight_subdomains(mesh222_j8, skel222_j8):
-    spaces = build_spaces(mesh222_j8, skel222_j8)
-    assert spaces.scalar_volume.dim == 27
-    assert spaces.scalar_skeleton.dim == 27
-    assert spaces.edge_volume.dim == 98
-    assert spaces.edge_skeleton.dim == 90
+    scalar = build_transfer(mesh222_j8, skel222_j8, "scalar")
+    edge = build_transfer(mesh222_j8, skel222_j8, "edge")
+    assert scalar.volume.dim == 27
+    assert scalar.skeleton.dim == 27
+    assert edge.volume.dim == 98
+    assert edge.skeleton.dim == 90
     # Eight single-cell subdomains: 8 vertices (all on the boundary) and 19
     # edges each, of which only the body diagonal is interior.
-    assert spaces.scalar_broken.dim == 64
-    assert spaces.scalar_boundary.dim == 64
-    assert spaces.edge_broken.dim == 8 * 19
-    assert spaces.edge_boundary.dim == 8 * 18
+    assert scalar.broken.dim == 64
+    assert scalar.boundary.dim == 64
+    assert edge.broken.dim == 8 * 19
+    assert edge.boundary.dim == 8 * 18
 
 
 def test_space_dims_single_subdomain(mesh222_j1, skel222_j1):
-    spaces = build_spaces(mesh222_j1, skel222_j1)
-    assert spaces.scalar_volume.dim == 27
-    assert spaces.scalar_skeleton.dim == 26
-    assert spaces.scalar_broken.dim == 27
-    assert spaces.scalar_boundary.dim == 26
+    scalar = build_transfer(mesh222_j1, skel222_j1, "scalar")
+    assert scalar.volume.dim == 27
+    assert scalar.skeleton.dim == 26
+    assert scalar.broken.dim == 27
+    assert scalar.boundary.dim == 26
 
 
 def test_block_slices_partition(mesh444_j8, scalar444_j8):
-    spaces = scalar444_j8.spaces
-    offsets = spaces.scalar_broken.block_offsets
+    broken = scalar444_j8.transfer.broken
+    offsets = broken.block_offsets
     assert offsets.size == mesh444_j8.n_subdomains + 1
     total = 0
     for j in range(mesh444_j8.n_subdomains):
         assert offsets[j] == total
         total = offsets[j + 1]
-    assert total == spaces.scalar_broken.dim
+    assert total == broken.dim
 
 
 def test_index_map_apply_matches_matrix(mesh422_j211, selection, rng):
     """Each map is a read-only integer array: indexing applies it and
     bincount its transpose, exactly as the 0/1 selection matrix does."""
     skel = extract_skeleton(mesh422_j211)
-    spaces = build_spaces(mesh422_j211, skel)
     for field in ("scalar", "edge"):
-        ops = build_transfer(mesh422_j211, skel, spaces, field)
+        ops = build_transfer(mesh422_j211, skel, field)
         maps = ("skeleton_trace", "volume_split", "boundary_trace", "skeleton_split")
         for name in maps:
             idx = getattr(ops, name)
@@ -65,13 +65,14 @@ def test_skeleton_trace_selects(skel222_j8, scalar222_j8):
 
 
 def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, rng):
-    spaces = scalar444_j8.spaces
+    ops = scalar444_j8.transfer
     u = rng.uniform(-1, 1, mesh444_j8.n_vertices)
-    broken = u[scalar444_j8.transfer.volume_split]
+    broken = u[ops.volume_split]
     for j in (0, 3, 7):
-        lo, hi = spaces.scalar_broken.block_offsets[j : j + 2]
+        lo, hi = ops.broken.block_offsets[j : j + 2]
         block = broken[lo:hi]
-        assert np.array_equal(block, u[spaces.subdomain_vertices[j]])
+        vertices = np.unique(mesh444_j8.tets[mesh444_j8.tet_subdomain == j])
+        assert np.array_equal(block, u[vertices])
 
 
 def test_split_maps_have_no_zero_columns(maxwell444_j8):
@@ -89,8 +90,7 @@ def test_split_maps_have_no_zero_columns(maxwell444_j8):
 def test_trace_split_commutation_exact(mesh422_j211, field, rng, selection):
     """Both routes volume -> boundary tuple agree entry for entry."""
     skel = extract_skeleton(mesh422_j211)
-    spaces = build_spaces(mesh422_j211, skel)
-    ops = build_transfer(mesh422_j211, skel, spaces, field)
+    ops = build_transfer(mesh422_j211, skel, field)
     diff = (
         selection(ops, "boundary_trace") @ selection(ops, "volume_split")
         - selection(ops, "skeleton_split") @ selection(ops, "skeleton_trace")
@@ -104,9 +104,8 @@ def test_trace_split_commutation_exact(mesh422_j211, field, rng, selection):
 
 
 def test_unknown_field_rejected(mesh222_j8, skel222_j8):
-    spaces = build_spaces(mesh222_j8, skel222_j8)
     with pytest.raises(ValueError):
-        build_transfer(mesh222_j8, skel222_j8, spaces, "volume")
+        build_transfer(mesh222_j8, skel222_j8, "volume")
 
 
 def test_single_subdomain_split_is_identity(scalar222_j1):
@@ -116,8 +115,7 @@ def test_single_subdomain_split_is_identity(scalar222_j1):
 
 def test_skeleton_split_column_sums_are_degrees(mesh222_j2):
     skel = extract_skeleton(mesh222_j2)
-    spaces = build_spaces(mesh222_j2, skel)
-    ops = build_transfer(mesh222_j2, skel, spaces, "scalar")
+    ops = build_transfer(mesh222_j2, skel, "scalar")
     counts = np.bincount(ops.skeleton_split, minlength=ops.skeleton.dim)
     assert np.array_equal(counts, skel.vertex_degree[skel.skeleton_vertices])
 

@@ -244,7 +244,7 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(
     assembled on the volume, which is the identity the whole construction
     rests on."""
     mw = maxwell222_j8
-    mesh, spaces, coeffs = mw.mesh, mw.spaces, mw.coeffs
+    mesh, coeffs = mw.mesh, mw.coeffs
 
     s_scalar = materialize(mw.scalar.schur.apply, mw.scalar.schur.dim)
     exact_inv = sla.inv(s_scalar)
@@ -260,8 +260,8 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(
     )
     lhs = materialize(q_exact, q_exact.dim)
 
-    l_dense = assemble_scalar(mesh, spaces, coeffs).matrix.toarray()
-    m_dense = assemble_edge(mesh, spaces, coeffs).matrix.toarray()
+    l_dense = assemble_scalar(mesh, mw.scalar.transfer, coeffs).matrix.toarray()
+    m_dense = assemble_edge(mesh, mw.transfer, coeffs).matrix.toarray()
     aux = np.diag(1.0 / np.diag(m_dense))
     g = build_gradient(mesh).toarray()
     aux = aux + g @ sla.solve(l_dense, g.T, assume_a="pos")
@@ -336,9 +336,34 @@ def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, ga
     monkeypatch.setattr(precond_mod, "assemble_edge", recording)
     mw = setup_maxwell(mesh, Coefficients(gamma=gamma))
     assert scopes == ["blocks"]
-    glob = assemble_edge(mesh, mw.spaces, mw.coeffs, scope="global")
+    glob = assemble_edge(mesh, mw.transfer, mw.coeffs, scope="global")
     expected = glob.matrix.diagonal()[mw.skeleton.skeleton_edges]
     assert np.array_equal(mw.jacobi_skeleton, expected)
+
+
+@pytest.mark.parametrize(
+    "setup, fields", [(setup_scalar, ["scalar"]), (setup_maxwell, ["scalar", "edge"])]
+)
+def test_setup_builds_each_field_once(mesh222_j8, monkeypatch, setup, fields):
+    """Each set-up extracts the skeleton once and builds the dofs of only
+    the fields it solves on, each once, from that skeleton."""
+    calls = []
+
+    def recording(name):
+        original = getattr(precond_mod, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return original(*args)
+
+        return wrapper
+
+    for name in ("extract_skeleton", "build_transfer"):
+        monkeypatch.setattr(precond_mod, name, recording(name))
+    problem = setup(mesh222_j8, Coefficients())
+    assert [name for name, _ in calls] == ["extract_skeleton"] + ["build_transfer"] * len(fields)
+    assert all(args[1] is problem.skeleton for _, args in calls[1:])
+    assert [args[2] for _, args in calls[1:]] == fields
 
 
 def test_solvers_keep_only_what_applies_read(maxwell444_j8):
@@ -373,7 +398,7 @@ def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
 
 
 def _dense_interface_solve(prob, rhs):
-    full = assemble_scalar(prob.mesh, prob.spaces, prob.coeffs).matrix.toarray()
+    full = assemble_scalar(prob.mesh, prob.transfer, prob.coeffs).matrix.toarray()
     skel = prob.skeleton.skeleton_vertices
     inner = np.setdiff1d(np.arange(prob.mesh.n_vertices), skel)
     s_dense = full[np.ix_(skel, skel)] - full[np.ix_(skel, inner)] @ sla.solve(

@@ -75,7 +75,7 @@ def test_global_schur_matches_dense_elimination(scalar222_j2):
     """Assembled interface operator == Schur complement of the global matrix
     after eliminating the non-skeleton unknowns."""
     prob = scalar222_j2
-    full = assemble_scalar(prob.mesh, prob.spaces, prob.coeffs).matrix.toarray()
+    full = assemble_scalar(prob.mesh, prob.transfer, prob.coeffs).matrix.toarray()
     skel_ids = prob.skeleton.skeleton_vertices
     mask = np.zeros(prob.mesh.n_vertices, dtype=bool)
     mask[skel_ids] = True
@@ -135,7 +135,7 @@ def test_tuple_dimension_checked(scalar444_j8):
 
 def test_build_requires_block_scope(mesh222_j8, scalar222_j8):
     full = assemble_scalar(
-        scalar222_j8.mesh, scalar222_j8.spaces, scalar222_j8.coeffs
+        scalar222_j8.mesh, scalar222_j8.transfer, scalar222_j8.coeffs
     )
     with pytest.raises(ValueError, match="block"):
         build_schur_system(full, scalar222_j8.transfer)
