@@ -216,7 +216,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
         relative_error=rel_error,
         true_relres=true_relres,
         distinct_blocks={
-            field: (len(s.groups), len(s.solvers)) for field, s in schurs.items()
+            field: (len(s.groups), len(s.group_of)) for field, s in schurs.items()
         },
         cond_coarse=qnn.cond_coarse,
     )
@@ -252,20 +252,14 @@ def run_table(config: ExperimentConfig) -> list[SolveReport]:
     return reports
 
 
-def run_verify(config: ExperimentConfig, corrupt_gradient_sign: bool = False) -> int:
+def run_verify(config: ExperimentConfig) -> int:
     """Identity suite on small meshes; exit code 0 when everything passes."""
     checks = []
     lemmas = verify_dense_lemmas(seed=config.seed)
     checks.extend(lemmas.checks)
     for grid in VERIFY_SUBDOMAIN_GRIDS:
         mesh = build_box_mesh((2, 2, 2), grid)
-        rep = verify_identities(
-            mesh,
-            config.coefficients(),
-            seed=config.seed,
-            corrupt_gradient_sign=corrupt_gradient_sign,
-        )
-        checks.extend(rep.checks)
+        checks.extend(verify_identities(mesh, config.coefficients()).checks)
 
     combined = IdentityReport(checks)
     for line in combined.lines():
@@ -313,9 +307,6 @@ def main(argv=None) -> int:
         help="run the refinement table (cells 3,6,9,12 per axis)",
     )
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument(
-        "--corrupt-gradient-sign", action="store_true", help=argparse.SUPPRESS
-    )
     args = parser.parse_args(argv)
 
     cli_values = {
@@ -332,7 +323,7 @@ def main(argv=None) -> int:
         for key, value in config.echo_items():
             print(f"  {key}={value}")
         if config.problem == "verify":
-            return run_verify(config, corrupt_gradient_sign=args.corrupt_gradient_sign)
+            return run_verify(config)
         if config.table:
             run_table(config)
         else:

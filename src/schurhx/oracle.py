@@ -27,7 +27,6 @@ from .mesh import BoxMesh, SkeletonIndex
 from .precond import estimate_condition, materialize, setup_maxwell, setup_scalar
 
 __all__ = [
-    "DenseOp",
     "pseudoinverse_surjective",
     "pseudoinverse_injective",
     "IdentityCheck",
@@ -40,45 +39,13 @@ __all__ = [
 DENSE_DOF_LIMIT = 1500
 
 
-@dataclass(frozen=True)
-class DenseOp:
-    """A dense matrix wrapper that can assert SPD-ness on construction."""
-
-    array: np.ndarray
-    spd: bool = False
-
-    def __post_init__(self):
-        a = np.asarray(self.array, dtype=float)
-        if a.ndim != 2:
-            raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-        object.__setattr__(self, "array", a)
-        if self.spd:
-            if a.shape[0] != a.shape[1]:
-                raise ValueError("SPD operator must be square")
-            scale = max(1.0, float(np.abs(a).max()))
-            if float(np.abs(a - a.T).max()) > 1e-12 * scale:
-                raise SingularOperatorError("operator tagged SPD is not symmetric")
-            try:
-                sla.cholesky(a, lower=True)
-            except sla.LinAlgError as err:
-                raise SingularOperatorError("operator tagged SPD is not PD") from err
-
-    @property
-    def shape(self):
-        return self.array.shape
-
-
-def _as_array(op) -> np.ndarray:
-    return op.array if isinstance(op, DenseOp) else np.asarray(op, dtype=float)
-
-
 def pseudoinverse_surjective(theta, weight) -> np.ndarray:
     """A-weighted pseudo-inverse of a surjective map (right inverse, min norm).
 
     Raises :class:`SingularOperatorError` when ``theta`` lacks full row rank.
     """
-    th = _as_array(theta)
-    a = _as_array(weight)
+    th = np.asarray(theta, dtype=float)
+    a = np.asarray(weight, dtype=float)
     lifted = sla.solve(a, th.T, assume_a="pos")
     try:
         chol = sla.cho_factor(th @ lifted)
@@ -92,8 +59,8 @@ def pseudoinverse_injective(phi, weight) -> np.ndarray:
 
     Raises :class:`SingularOperatorError` when ``phi`` has dependent columns.
     """
-    ph = _as_array(phi)
-    a = _as_array(weight)
+    ph = np.asarray(phi, dtype=float)
+    a = np.asarray(weight, dtype=float)
     gram = ph.T @ a @ ph
     try:
         chol = sla.cho_factor(gram)
@@ -242,17 +209,9 @@ def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> n
 
 
 def verify_identities(
-    mesh: BoxMesh,
-    coeffs: Coefficients | None = None,
-    seed: int = 0,
-    include_spectra: bool = True,
-    corrupt_gradient_sign: bool = False,
+    mesh: BoxMesh, coeffs: Coefficients | None = None, include_spectra: bool = True
 ) -> IdentityReport:
-    """Check every structural identity on one (small) partitioned mesh.
-
-    ``corrupt_gradient_sign`` flips one entry of the skeleton gradient before
-    checking; it exists so the failure path of the verifier is testable.
-    """
+    """Check every structural identity on one (small) partitioned mesh."""
     if mesh.n_edges > DENSE_DOF_LIMIT:
         raise ConfigurationError(
             f"dense verification is limited to {DENSE_DOF_LIMIT} edge dofs, "
@@ -268,9 +227,6 @@ def verify_identities(
 
     grad_vol = build_gradient(mesh, "volume")
     grad_skel = build_gradient(mesh, "skeleton", skeleton)
-    if corrupt_gradient_sign:
-        grad_skel = grad_skel.copy()
-        grad_skel.data[0] = -grad_skel.data[0]
 
     # Commutation lattice: trace/split squares and the differential maps,
     # all exact in floating point (0/1 selection matrices and identical

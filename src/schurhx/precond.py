@@ -116,12 +116,12 @@ class NeumannNeumann:
         self.degree = np.bincount(self.split, self.rho, minlength=self.dim)
         self.n_applies = 0
         self.inverse_dtn = [
-            _spd_inverse(solver.schur, f"{schur.kind} subdomain {members[0]} (Schur)")
-            for solver, members in schur.groups
+            _spd_inverse(s_u, f"{schur.kind} subdomain {members[0]} (Schur)")
+            for s_u, members in schur.groups
         ]
 
         offsets = schur.transfer.boundary.block_offsets
-        n_sub = len(schur.solvers)
+        n_sub = len(schur.group_of)
         rows = np.arange(schur.tuple_dim)
         ones = np.ones(schur.tuple_dim)
         split_matrix = sp.csr_matrix(
@@ -135,17 +135,17 @@ class NeumannNeumann:
         # with it the summation order of every Z @ c.
         self.coarse_basis = sp.diags(1.0 / self.degree) @ (split_matrix.T @ on_block)
 
-        # S Z blockwise: each subdomain applies its Schur complement to the
-        # few coarse columns that touch its boundary, all at once.
+        # S Z blockwise: each subdomain applies its group's Schur complement
+        # to the few coarse columns that touch its boundary, all at once.
+        # Subdomains go in ascending order, which fixes the summation order.
         split_basis = split_matrix @ self.coarse_basis
         self.s_coarse = np.zeros((self.dim, n_sub))
-        for j, solver in enumerate(schur.solvers):
+        for j, u in enumerate(schur.group_of):
             lo, hi = int(offsets[j]), int(offsets[j + 1])
             local = split_basis[lo:hi]
             cols = np.unique(local.indices)
-            self.s_coarse[np.ix_(self.split[lo:hi], cols)] += solver.apply_schur(
-                local[:, cols].toarray()
-            )
+            s_u = schur.groups[u][0]
+            self.s_coarse[np.ix_(self.split[lo:hi], cols)] += s_u @ local[:, cols].toarray()
         s0 = self.coarse_basis.T @ self.s_coarse
         self.coarse_matrix = (s0 + s0.T) / 2.0
         self.coarse_factor = SpdFactor(

@@ -1,4 +1,4 @@
-"""Per-subdomain solvers and the assembled interface (Schur) operator.
+"""Dense subdomain Schur complements and the assembled interface (Schur) operator.
 
 For each subdomain block A_j (nodal or edge), the local dofs split into
 boundary dofs b (on the subdomain skeleton) and interior dofs i.  The local
@@ -10,20 +10,18 @@ and the global interface operator on the skeleton space is
 split^T . blockdiag(S_j) . split.
 
 Subdomains whose blocks are bitwise equal (same CSR data, indices and
-indptr, and the same boundary positions) share one ``SubdomainSolver``, which
-keeps only the boundary positions and one dense S_u.  The interior block A_ii
-is factorized once to form S_u; the factor, A_ib and A_bb are then dropped.
-Since ``assemble.tet_geometry`` works on the integer lattice, equal blocks
-are the rule: under constant coefficients every subdomain of a uniform
-partition has the same block.  A blockwise apply is one GEMM per distinct
-block over the tuple slices of all its member subdomains
-(``SchurSystem.grouped_apply``).  Interior factors are dense Cholesky up to
-DENSE_CUTOFF dofs and sparse LU above.
+indptr, and the same boundary positions) form one group and share one dense
+S_u; ``build_schur_system`` is the only place that decides the groups.  The
+interior block A_ii is factorized once to form S_u; the factor, A_ib and
+A_bb are then dropped.  Since ``assemble.tet_geometry`` works on the integer
+lattice, equal blocks are the rule: under constant coefficients every
+subdomain of a uniform partition has the same block.  A blockwise apply is
+one GEMM per distinct block over the tuple slices of all its member
+subdomains (``SchurSystem.grouped_apply``).  Interior factors are dense
+Cholesky up to DENSE_CUTOFF dofs and sparse LU above.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +32,7 @@ from .assemble import SparseSymOp
 from .dofspaces import TransferOps
 from .errors import SingularOperatorError
 
-__all__ = ["DENSE_CUTOFF", "SpdFactor", "SubdomainSolver", "SchurSystem", "build_schur_system"]
+__all__ = ["DENSE_CUTOFF", "SpdFactor", "SchurSystem", "build_schur_system"]
 
 #: Blocks at or below this dof count are factorized densely (Cholesky).
 DENSE_CUTOFF = 600
@@ -67,19 +65,8 @@ class SpdFactor:
         return x
 
 
-@dataclass(eq=False)
-class SubdomainSolver:
-    """One distinct subdomain block: boundary positions and dense Schur complement."""
-
-    boundary: np.ndarray  # local dof positions on the subdomain boundary
-    schur: np.ndarray  # dense S = A_bb - A_ib^T A_ii^{-1} A_ib, symmetric
-
-    def apply_schur(self, p: np.ndarray) -> np.ndarray:
-        """S p for a boundary vector or a block of boundary columns."""
-        return (self.schur @ p.reshape(self.boundary.size, -1)).reshape(p.shape)
-
-
-def _subdomain_solver(block: sp.csr_matrix, boundary: np.ndarray, label: str):
+def _schur_complement(block: sp.csr_matrix, boundary: np.ndarray, label: str) -> np.ndarray:
+    """Dense S = A_bb - A_ib^T A_ii^{-1} A_ib, bitwise symmetric."""
     mask = np.ones(block.shape[0], dtype=bool)
     mask[boundary] = False
     interior = np.flatnonzero(mask)
@@ -89,32 +76,29 @@ def _subdomain_solver(block: sp.csr_matrix, boundary: np.ndarray, label: str):
         factor = SpdFactor(block[interior][:, interior].tocsr(), f"{label} (interior)")
         schur -= a_ib.T @ factor.solve(a_ib.toarray())
     # Averaging with the transpose leaves a bitwise-symmetric matrix unchanged.
-    schur = (schur + schur.T) / 2.0
-    return SubdomainSolver(boundary, schur)
+    return (schur + schur.T) / 2.0
 
 
 class SchurSystem:
     """Interface operator of one field: block DtN maps glued on the skeleton.
 
-    ``solvers[j]`` is subdomain j's solver; equal blocks share one object.
-    ``groups`` lists each distinct solver with its member subdomains.
+    ``groups[u]`` pairs the dense Schur complement S_u of distinct block u
+    with its member subdomains, and ``group_of[j]`` is subdomain j's group.
     """
 
-    def __init__(self, kind: str, transfer: TransferOps, solvers: list[SubdomainSolver]):
+    def __init__(
+        self, kind: str, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray
+    ):
         self.kind = kind
         self.transfer = transfer
-        self.solvers = solvers
         self.dim = transfer.skeleton.dim
         self.tuple_dim = transfer.boundary.dim
-        self._tuple_offsets = transfer.boundary.block_offsets
-        members: dict[int, list[int]] = {}
-        for j, solver in enumerate(solvers):
-            members.setdefault(id(solver), []).append(j)
-        self.groups = [(solvers[js[0]], np.array(js)) for js in members.values()]
+        self.group_of = group_of
+        self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
         # Tuple positions of each group as a (boundary size, members) array.
+        offsets = transfer.boundary.block_offsets
         self._group_rows = [
-            self._tuple_offsets[js][None, :] + np.arange(solver.boundary.size)[:, None]
-            for solver, js in self.groups
+            offsets[js][None, :] + np.arange(s_u.shape[0])[:, None] for s_u, js in self.groups
         ]
 
     def grouped_apply(self, matrices: list[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -132,7 +116,7 @@ class SchurSystem:
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:
         """Blockwise Schur complement on a boundary-tuple vector."""
-        return self.grouped_apply([solver.schur for solver, _ in self.groups], p)
+        return self.grouped_apply([s_u for s_u, _ in self.groups], p)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The assembled skeleton operator: split, block DtN, glue back."""
@@ -141,7 +125,8 @@ class SchurSystem:
 
 
 def build_schur_system(blocks_op: SparseSymOp, transfer: TransferOps) -> SchurSystem:
-    """Build one solver per distinct subdomain block and wire up the interface operator.
+    """Form one dense Schur complement per distinct subdomain block and wire up
+    the interface operator.
 
     Block j's boundary positions are its slice of the boundary trace, shifted
     to local numbering; they ascend in the same order as the boundary-tuple
@@ -153,15 +138,17 @@ def build_schur_system(blocks_op: SparseSymOp, transfer: TransferOps) -> SchurSy
         raise ValueError("need a block-scope operator")
     broken_offsets = transfer.broken.block_offsets
     tuple_offsets = transfer.boundary.block_offsets
-    distinct: dict[tuple[bytes, ...], SubdomainSolver] = {}
-    solvers = []
+    group_by_content: dict[tuple[bytes, ...], int] = {}
+    schurs = []
+    group_of = []
     for j, block in enumerate(blocks_op.blocks):
         lo, hi = tuple_offsets[j], tuple_offsets[j + 1]
         boundary = transfer.boundary_trace[lo:hi] - broken_offsets[j]
         content = (block.data, block.indices, block.indptr, boundary)
         key = tuple(a.tobytes() for a in content)
-        if key not in distinct:
+        if key not in group_by_content:
+            group_by_content[key] = len(schurs)
             label = f"{blocks_op.kind} subdomain {j}"
-            distinct[key] = _subdomain_solver(block, boundary, label)
-        solvers.append(distinct[key])
-    return SchurSystem(blocks_op.kind, transfer, solvers)
+            schurs.append(_schur_complement(block, boundary, label))
+        group_of.append(group_by_content[key])
+    return SchurSystem(blocks_op.kind, transfer, schurs, np.array(group_of))

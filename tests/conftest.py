@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import schurhx.oracle as oracle_mod
 from schurhx.assemble import Coefficients
 from schurhx.mesh import build_box_mesh, extract_skeleton
 from schurhx.precond import setup_maxwell, setup_scalar
@@ -41,6 +42,22 @@ def selection():
         return m
 
     return build
+
+
+@pytest.fixture
+def corrupt_gradient(monkeypatch):
+    """Flip the sign of the first entry of every skeleton gradient the
+    verifier builds, so its failure path can be exercised."""
+    original = oracle_mod.build_gradient
+
+    def corrupted(mesh, variant="volume", skeleton=None):
+        grad = original(mesh, variant, skeleton)
+        if variant == "skeleton":
+            grad = grad.copy()
+            grad.data[0] = -grad.data[0]
+        return grad
+
+    monkeypatch.setattr(oracle_mod, "build_gradient", corrupted)
 
 
 @pytest.fixture(scope="session")

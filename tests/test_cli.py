@@ -207,11 +207,9 @@ def test_verify_passes(capsys):
     assert "[pass]" in out and "[FAIL]" not in out
 
 
-def test_verify_catches_seeded_corruption(capsys, tmp_path):
+def test_verify_catches_seeded_corruption(capsys, tmp_path, corrupt_gradient):
     out = tmp_path / "checks.csv"
-    code = main(
-        ["--problem", "verify", "--corrupt-gradient-sign", "--out", str(out)]
-    )
+    code = main(["--problem", "verify", "--out", str(out)])
     assert code == 1
     stdout = capsys.readouterr().out
     assert "[FAIL] gradient-trace-commutation" in stdout

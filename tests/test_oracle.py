@@ -12,7 +12,6 @@ from schurhx.assemble import Coefficients
 from schurhx.errors import ConfigurationError, SingularOperatorError
 from schurhx.mesh import build_box_mesh, extract_skeleton
 from schurhx.oracle import (
-    DenseOp,
     IdentityReport,
     pseudoinverse_injective,
     pseudoinverse_surjective,
@@ -88,20 +87,6 @@ def test_rank_deficient_maps_rejected(rng):
         pseudoinverse_injective(np.column_stack([col, np.zeros(5)]), a)
 
 
-def test_dense_op_validation(rng):
-    with pytest.raises(ValueError, match="ndim"):
-        DenseOp(np.ones(4))
-    with pytest.raises(ValueError, match="square"):
-        DenseOp(np.ones((2, 3)), spd=True)
-    skew = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(SingularOperatorError, match="symmetric"):
-        DenseOp(skew, spd=True)
-    with pytest.raises(SingularOperatorError, match="PD"):
-        DenseOp(np.diag([1.0, -1.0]), spd=True)
-    op = DenseOp(_spd(rng, 4), spd=True)
-    assert op.shape == (4, 4)
-
-
 def test_dense_lemmas_pass(rng):
     report = verify_dense_lemmas(seed=0, draws=20)
     assert report.passed
@@ -171,10 +156,8 @@ def test_weighted_average_pseudoinverse_under_jump(mesh222_j8, checkerboard):
     assert report.passed, "\n".join(report.lines())
 
 
-def test_corrupted_gradient_is_caught(mesh222_j8):
-    report = verify_identities(
-        mesh222_j8, include_spectra=False, corrupt_gradient_sign=True
-    )
+def test_corrupted_gradient_is_caught(mesh222_j8, corrupt_gradient):
+    report = verify_identities(mesh222_j8, include_spectra=False)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {"gradient-trace-commutation"}

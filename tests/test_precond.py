@@ -19,7 +19,7 @@ from schurhx.precond import (
     setup_maxwell,
     setup_scalar,
 )
-from schurhx.schur import SpdFactor, SubdomainSolver
+from schurhx.schur import SchurSystem, SpdFactor
 
 TOL = 1e-9
 
@@ -58,16 +58,20 @@ def test_nn_balances_residual_on_coarse_space(scalar444_j8, scalar444_j8_jump, r
 
 
 def test_nn_singular_coarse_problem_raises(scalar222_j8, monkeypatch):
-    # Every Schur complement returns zero, so S Z = 0 and S0 = Z^T S Z = 0.
-    monkeypatch.setattr(SubdomainSolver, "apply_schur", lambda self, p: np.zeros_like(p))
+    # Every Schur complement is zero, so S Z = 0 and S0 = Z^T S Z = 0; the
+    # inverse DtN maps are stubbed so set-up reaches the coarse problem.
+    schur = scalar222_j8.schur
+    zeros = [np.zeros_like(s_u) for s_u, _ in schur.groups]
+    zero = SchurSystem(schur.kind, schur.transfer, zeros, schur.group_of)
+    monkeypatch.setattr(precond_mod, "_spd_inverse", lambda s, label: s)
     with pytest.raises(SingularOperatorError, match="coarse"):
-        NeumannNeumann(scalar222_j8.schur, scalar222_j8.qnn.rho)
+        NeumannNeumann(zero, scalar222_j8.qnn.rho)
 
 
 def test_nn_rejects_indefinite_schur_complement(mesh222_j8):
     prob = setup_scalar(mesh222_j8, Coefficients())
-    solver = prob.schur.groups[0][0]
-    solver.schur = -solver.schur
+    s_u = prob.schur.groups[0][0]
+    s_u *= -1.0
     with pytest.raises(SingularOperatorError, match="not positive definite"):
         NeumannNeumann(prob.schur, prob.qnn.rho)
 
@@ -367,10 +371,17 @@ def test_setup_builds_each_field_once(mesh222_j8, monkeypatch, setup, fields):
 
 
 def test_solvers_keep_only_what_applies_read(maxwell444_j8):
-    # The interior factor and the A_ib/A_bb blocks serve only to form S_u.
+    # The interior factor and the A_ib/A_bb blocks serve only to form S_u:
+    # each distinct block keeps one dense, bitwise-symmetric S_u sized to
+    # its members' tuple slices.
     for schur in (maxwell444_j8.schur, maxwell444_j8.scalar.schur):
-        for solver in schur.solvers:
-            assert set(vars(solver)) == {"boundary", "schur"}
+        assert set(vars(schur)) == {
+            "kind", "transfer", "dim", "tuple_dim", "group_of", "groups", "_group_rows"
+        }
+        sizes = np.diff(schur.transfer.boundary.block_offsets)
+        for s_u, members in schur.groups:
+            assert type(s_u) is np.ndarray and np.array_equal(s_u, s_u.T)
+            assert np.all(sizes[members] == s_u.shape[0])
 
 
 def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
@@ -388,8 +399,8 @@ def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
     monkeypatch.setattr(precond_mod, "SpdFactor", Recording)
     mw = setup_maxwell(mesh444_j8, Coefficients())
     for schur in (mw.schur, mw.scalar.schur):
-        assert len(schur.groups) == 1 and len(schur.solvers) == 8
-        assert all(solver is schur.solvers[0] for solver in schur.solvers)
+        assert len(schur.groups) == 1 and schur.group_of.tolist() == [0] * 8
+        assert schur.groups[0][1].tolist() == list(range(8))
     assert labels == [
         "scalar-blocks subdomain 0 (interior)",
         "balancing coarse problem",
@@ -407,15 +418,20 @@ def _dense_interface_solve(prob, rhs):
     return sla.solve(s_dense, rhs, assume_a="pos")
 
 
+def _one_perturbed_tet(mesh):
+    """The scalar problem with alpha = 1.5 on one tet of subdomain 5."""
+    alpha = np.ones(mesh.n_tets)
+    alpha[mesh.tets_of_subdomain(5)[3]] = 1.5
+    return setup_scalar(mesh, Coefficients(alpha=alpha))
+
+
 def test_blocks_grouped_by_content(mesh444_j8, rng):
     """Per-subdomain jumps make every scalar block distinct; one perturbed tet
     splits off only its own subdomain.  Either way the solve matches the
     dense interface solve."""
     alpha_j = 1.0 + np.arange(8.0)
     jump = setup_scalar(mesh444_j8, Coefficients(alpha=alpha_j[mesh444_j8.tet_subdomain]))
-    alpha = np.ones(mesh444_j8.n_tets)
-    alpha[mesh444_j8.tets_of_subdomain(5)[3]] = 1.5
-    one_tet = setup_scalar(mesh444_j8, Coefficients(alpha=alpha))
+    one_tet = _one_perturbed_tet(mesh444_j8)
     assert len(jump.schur.groups) == 8
     groups = sorted(members.tolist() for _, members in one_tet.schur.groups)
     assert groups == [[0, 1, 2, 3, 4, 6, 7], [5]]
@@ -444,3 +460,13 @@ def test_maxwell_solve_end_to_end(mesh222_j2, rng):
     assert report.history.converged
     err = np.linalg.norm(report.solution - u_ex) / np.linalg.norm(u_ex)
     assert err <= 1e-7
+
+
+def test_coarse_product_on_interleaved_groups(mesh444_j8):
+    """S Z, formed subdomain by subdomain from each group's S_u, matches the
+    assembled operator when one group's members surround another's."""
+    prob = _one_perturbed_tet(mesh444_j8)
+    assert prob.schur.group_of.tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
+    qnn = prob.qnn
+    want = materialize(prob.schur.apply, prob.schur.dim) @ qnn.coarse_basis.toarray()
+    assert np.abs(qnn.s_coarse - want).max() <= 1e-12 * np.abs(want).max()

@@ -1,4 +1,4 @@
-"""Subdomain solvers and the interface operator against dense oracles."""
+"""Subdomain Schur complements and the interface operator against dense oracles."""
 
 import numpy as np
 import pytest
@@ -13,26 +13,33 @@ from schurhx.precond import materialize
 from schurhx.schur import SpdFactor, build_schur_system
 
 
+def _subdomain_schur(prob, j):
+    """Subdomain j's dense Schur complement and its local boundary positions."""
+    sys, ops = prob.schur, prob.transfer
+    lo, hi = ops.boundary.block_offsets[j : j + 2]
+    boundary = ops.boundary_trace[lo:hi] - ops.broken.block_offsets[j]
+    return sys.groups[sys.group_of[j]][0], boundary
+
+
 def test_single_cell_subdomain_schur_is_whole_block(scalar222_j8):
     # Every vertex of a one-cell subdomain is a boundary vertex, so the
     # elimination is empty and the local DtN map is the block itself.
-    solver = scalar222_j8.schur.solvers[0]
+    s_u, boundary = _subdomain_schur(scalar222_j8, 0)
     block = scalar222_j8.blocks.blocks[0]
-    assert solver.boundary.size == block.shape[0]
-    assert np.array_equal(solver.schur, block.toarray())
+    assert boundary.size == block.shape[0]
+    assert np.array_equal(s_u, block.toarray())
 
 
 def test_schur_matches_dense_elimination(scalar444_j8, rng):
-    solver = scalar444_j8.schur.solvers[2]
+    s_u, bb = _subdomain_schur(scalar444_j8, 2)
     a = scalar444_j8.blocks.blocks[2].toarray()
-    bb = solver.boundary
     ii = np.setdiff1d(np.arange(a.shape[0]), bb)
     assert ii.size > 0
     dense_schur = a[np.ix_(bb, bb)] - a[np.ix_(bb, ii)] @ sla.solve(
         a[np.ix_(ii, ii)], a[np.ix_(ii, bb)], assume_a="pos"
     )
     p = rng.uniform(-1, 1, bb.size)
-    got = solver.apply_schur(p)
+    got = s_u @ p
     want = dense_schur @ p
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -41,10 +48,9 @@ def test_schur_inverse_is_resolvent_boundary_block(scalar444_j8):
     """T_j^{-1} equals the boundary block of the full Neumann inverse."""
     sys, qnn = scalar444_j8.schur, scalar444_j8.qnn
     j = 5
-    solver = sys.solvers[j]
+    _, bb = _subdomain_schur(scalar444_j8, j)
     a_inv = sla.inv(scalar444_j8.blocks.blocks[j].toarray())
-    bb = solver.boundary
-    lo = int(sys._tuple_offsets[j])
+    lo = int(sys.transfer.boundary.block_offsets[j])
 
     def block_inv(g):
         tup = np.zeros(sys.tuple_dim)
@@ -91,7 +97,7 @@ def test_single_subdomain_interface_is_dtn(scalar222_j1, rng):
     # J=1: the skeleton split is the identity, so the assembled operator is
     # the one local Schur complement, reproduced bitwise.
     u = rng.uniform(-1, 1, scalar222_j1.schur.dim)
-    direct = scalar222_j1.schur.solvers[0].apply_schur(u)
+    direct = (scalar222_j1.schur.groups[0][0] @ u[:, None])[:, 0]
     assert np.array_equal(scalar222_j1.schur.apply(u), direct)
 
 
@@ -104,7 +110,7 @@ def test_interface_operator_spd(scalar444_j8, rng):
 def test_dtn_block_locality(scalar444_j8, rng):
     """Data supported in one subdomain's slot never leaks into another."""
     sys = scalar444_j8.schur
-    offsets = sys._tuple_offsets
+    offsets = sys.transfer.boundary.block_offsets
     j = 3
     vec = np.zeros(sys.tuple_dim)
     lo, hi = int(offsets[j]), int(offsets[j + 1])
