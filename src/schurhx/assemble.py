@@ -66,7 +66,9 @@ class Coefficients:
     ``alpha`` (diffusion) and ``beta`` (reaction) may be scalars or per-tet
     arrays; ``gamma`` (the zeroth-order Maxwell weight) is a scalar whose
     square must be finite.  Assembly multiplies alpha and beta by tet volumes
-    (at most 1/6), so gamma^2 is the only product that can overflow.
+    (at most 1/6), so gamma^2 is the only product that can overflow.  The
+    Hiptmair-Xu gradient channel is weighted by 1/gamma^2, so that must be
+    finite too.
     """
 
     alpha: float | np.ndarray = 1.0
@@ -83,6 +85,8 @@ class Coefficients:
         gamma = float(self.gamma)
         if not np.isfinite(gamma * gamma):
             raise ConfigurationError(f"coefficient gamma={gamma!r}: gamma^2 overflows")
+        if gamma * gamma == 0.0 or not np.isfinite(1.0 / (gamma * gamma)):
+            raise ConfigurationError(f"coefficient gamma={gamma!r}: 1/gamma^2 overflows")
 
     def per_tet(self, name: str, n_tets: int) -> np.ndarray:
         value = np.asarray(getattr(self, name), dtype=float)

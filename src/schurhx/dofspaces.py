@@ -89,7 +89,7 @@ def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> Transf
     else:
         raise ValueError(f"unknown field {field!r}")
     sub_dofs = [
-        np.unique(tet_dofs[mesh.tet_subdomain == j]) for j in range(mesh.n_subdomains)
+        np.unique(tet_dofs[mesh.tets_of_subdomain(j)]) for j in range(mesh.n_subdomains)
     ]
     broken = _product_space(sub_dofs)
     skel = DofSpace(skel_dofs.shape[0])

@@ -14,6 +14,7 @@ outer boundary of the box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -45,7 +46,9 @@ class BoxMesh:
 
     All index arrays are read-only.  ``edges`` holds vertex pairs ``(a, b)``
     with ``a < b``, sorted lexicographically; that global orientation (low
-    index to high index) is the tangent convention used everywhere.
+    index to high index) is the tangent convention used everywhere.  The
+    per-subdomain tet index and the edge keys are computed once, on first
+    use, so per-subdomain loops never rescan whole-mesh arrays.
     """
 
     cells: tuple[int, int, int]
@@ -73,8 +76,24 @@ class BoxMesh:
         jx, jy, jz = self.subdomains
         return jx * jy * jz
 
+    @cached_property
+    def _tets_by_subdomain(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tet ids grouped by subdomain (a stable sort, so ascending within
+        each subdomain) and the offset of each subdomain's run."""
+        order = np.argsort(self.tet_subdomain, kind="stable")
+        offsets = np.zeros(self.n_subdomains + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.tet_subdomain, minlength=self.n_subdomains), out=offsets[1:])
+        return _freeze(order), offsets
+
     def tets_of_subdomain(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.tet_subdomain == j)
+        """Ascending ids of the tets of subdomain ``j``, as a read-only view."""
+        order, offsets = self._tets_by_subdomain
+        return order[offsets[j] : offsets[j + 1]]
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """Ascending int64 key ``a * n_vertices + b`` of every edge ``(a, b)``."""
+        return _freeze(self.edges[:, 0].astype(np.int64) * self.n_vertices + self.edges[:, 1])
 
 
 @dataclass(frozen=True)
@@ -209,7 +228,7 @@ def build_box_mesh(
 
 def edge_ids_of_pairs(mesh: BoxMesh, pairs: np.ndarray) -> np.ndarray:
     """Map sorted vertex pairs to edge ids (pairs must exist in the mesh)."""
-    keys = mesh.edges[:, 0].astype(np.int64) * mesh.n_vertices + mesh.edges[:, 1]
+    keys = mesh.edge_keys
     want = pairs[:, 0].astype(np.int64) * mesh.n_vertices + pairs[:, 1]
     pos = np.searchsorted(keys, want)
     if np.any(pos >= keys.shape[0]) or np.any(keys[np.minimum(pos, keys.shape[0] - 1)] != want):
@@ -235,7 +254,7 @@ def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
     boundary_faces: list[np.ndarray] = []
 
     for j in range(mesh.n_subdomains):
-        tets_j = mesh.tets[mesh.tet_subdomain == j]
+        tets_j = mesh.tets[mesh.tets_of_subdomain(j)]
         if tets_j.size == 0:
             raise ConfigurationError(f"subdomain {j} contains no tets")
         # Sorted triples order lexicographically as their keys do.

@@ -372,10 +372,20 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, skele
         lambda u: l_dense @ u, lambda u: pullback @ u, l_dense.shape[0]
     ).cond
     report.add_residual("average-pushdown-cond-bound", ctx, lhs, rhs * slack)
-    cond_nn = lhs
 
     # Final estimate: the edge preconditioner's condition number is bounded by
-    # the scalar one times the volume auxiliary-space condition number.
+    # that of its scalar plug-in times the volume auxiliary-space condition
+    # number.  The plug-in has its own coefficients (Delta + gamma^2), so
+    # under the default coefficients it equals ``scalar`` bit for bit.
+    plug_in = maxwell.scalar
+    s_aux = materialize(plug_in.schur.apply, plug_in.schur.dim)
+    q_aux = materialize(plug_in.qnn, plug_in.schur.dim)
+    cond_nn = estimate_condition(
+        lambda u: s_aux @ u, lambda u: q_aux @ u, s_aux.shape[0]
+    ).cond
+    l_aux = assemble_scalar(
+        mesh, plug_in.transfer, plug_in.coeffs, scope="global"
+    ).matrix.toarray()
     se_mat = materialize(maxwell.schur.apply, maxwell.schur.dim)
     qhx_mat = materialize(maxwell.qhx, maxwell.qhx.dim)
     cond_hx = estimate_condition(
@@ -384,10 +394,12 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, skele
 
     grad_vol = build_gradient(mesh, "volume").toarray()
     jac_edge_inv = np.diag(1.0 / np.diag(m_dense))
-    aux = jac_edge_inv + grad_vol @ sla.solve(l_dense, grad_vol.T, assume_a="pos")
+    aux = jac_edge_inv + maxwell.qhx.gradient_weight * (
+        grad_vol @ sla.solve(l_aux, grad_vol.T, assume_a="pos")
+    )
     for d in range(3):
         pv = build_nodal_interp(mesh, d, "volume").toarray()
-        aux = aux + pv @ sla.solve(l_dense, pv.T, assume_a="pos")
+        aux = aux + pv @ sla.solve(l_aux, pv.T, assume_a="pos")
     cond_aux = estimate_condition(
         lambda u: m_dense @ u, lambda u: aux @ u, m_dense.shape[0]
     ).cond

@@ -30,12 +30,15 @@ interface operator, and so is Q.
 The edge-space preconditioner sums a skeleton Jacobi term with one gradient
 and three nodal-interpolation pullbacks of the scalar preconditioner:
 
-    Q_hx f = f / jac + grad . Q(grad^T f) + sum_d interp_d . Q(interp_d^T f)
+    Q_hx f = f / jac + grad . Q(grad^T f) / gamma^2 + sum_d interp_d . Q(interp_d^T f)
 
 so one application costs exactly four scalar applies (one per auxiliary-space
-channel); an ``n_applies`` counter on Q makes that checkable.  Its scalar Q
-keeps rho = 1 (the counting weights 1/degree): the gradient channel does not
-see alpha, and rho-scaling there costs iterations on jumps.
+channel); an ``n_applies`` counter on Q makes that checkable.  The edge
+operator curl curl + gamma^2 reads neither alpha nor beta, so its auxiliary
+problems come from its own coefficients (Hiptmair & Xu 2007): Q is the
+Neumann-Neumann of Delta + gamma^2 (alpha = 1, beta = gamma^2, so rho = 1),
+which serves the three nodal channels, and the gradient channel, whose
+auxiliary operator is gamma^2 Delta, scales it by 1 / gamma^2.
 """
 
 from __future__ import annotations
@@ -178,7 +181,11 @@ class NeumannNeumann:
 
 
 class HiptmairXu:
-    """Skeleton Jacobi plus gradient/interpolation pullbacks of Neumann-Neumann."""
+    """Skeleton Jacobi plus gradient/interpolation pullbacks of Neumann-Neumann.
+
+    ``gradient_weight`` scales the gradient channel (1 / gamma^2 in
+    ``setup_maxwell``).
+    """
 
     def __init__(
         self,
@@ -186,6 +193,7 @@ class HiptmairXu:
         skeleton_gradient: sp.csr_matrix,
         skeleton_interps: list[sp.csr_matrix],
         nn: NeumannNeumann,
+        gradient_weight: float = 1.0,
     ):
         if len(skeleton_interps) != 3:
             raise ValueError("need one interpolation map per Cartesian direction")
@@ -199,13 +207,14 @@ class HiptmairXu:
         self.gradient = skeleton_gradient
         self.interps = list(skeleton_interps)
         self.nn = nn
+        self.gradient_weight = gradient_weight
         self.dim = shape[0]
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         if f.shape != (self.dim,):
             raise ValueError(f"expected skeleton edge vector of length {self.dim}")
         out = self.jacobi_inv * f
-        out = out + self.gradient @ self.nn(self.gradient.T @ f)
+        out = out + self.gradient_weight * (self.gradient @ self.nn(self.gradient.T @ f))
         for interp in self.interps:
             out = out + interp @ self.nn(interp.T @ f)
         return out
@@ -271,28 +280,26 @@ def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> n
 
 
 def _scalar_problem(
-    mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex, rho_weighted: bool
+    mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex
 ) -> ScalarProblem:
     transfer = build_transfer(mesh, skeleton, "scalar")
     blocks = assemble_scalar(mesh, transfer, coeffs, scope="blocks")
     schur = build_schur_system(blocks, transfer)
-    if rho_weighted:
-        rho = _copy_rho(mesh, coeffs, skeleton)
-    else:
-        rho = np.ones(schur.tuple_dim)
-    qnn = NeumannNeumann(schur, rho)
+    qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, skeleton))
     return ScalarProblem(mesh, skeleton, coeffs, transfer, blocks, schur, qnn)
 
 
 def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
     """The scalar interface solve, its Neumann-Neumann weighted by alpha."""
-    return _scalar_problem(mesh, coeffs, extract_skeleton(mesh), rho_weighted=True)
+    return _scalar_problem(mesh, coeffs, extract_skeleton(mesh))
 
 
 def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
+    """The edge interface solve; it reads only gamma of ``coeffs``."""
     skeleton = extract_skeleton(mesh)
-    # HX's scalar plug-in keeps the counting weights (rho = 1).
-    scalar = _scalar_problem(mesh, coeffs, skeleton, rho_weighted=False)
+    gamma2 = float(coeffs.gamma) ** 2
+    # HX's auxiliary problem Delta + gamma^2 (constant alpha, so rho = 1).
+    scalar = _scalar_problem(mesh, Coefficients(alpha=1.0, beta=gamma2), skeleton)
 
     transfer = build_transfer(mesh, skeleton, "edge")
     blocks = assemble_edge(mesh, transfer, coeffs, scope="blocks")
@@ -309,7 +316,7 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
     )
     gradient = build_gradient(mesh, "skeleton", skeleton)
     interps = [build_nodal_interp(mesh, d, "skeleton", skeleton) for d in range(3)]
-    qhx = HiptmairXu(jac, gradient, interps, scalar.qnn)
+    qhx = HiptmairXu(jac, gradient, interps, scalar.qnn, gradient_weight=1.0 / gamma2)
     return MaxwellProblem(
         mesh,
         skeleton,

@@ -4,24 +4,28 @@ For each subdomain block A_j (nodal or edge), the local dofs split into
 boundary dofs b (on the subdomain skeleton) and interior dofs i.  The local
 Dirichlet-to-Neumann map is the Schur complement
 
-    S_j = A_bb - A_bi A_ii^{-1} A_ib
+    S_j = A_bb - A_bi A_ii^{-1} A_ib = A_bb - X^T X,    X = L^{-1} A_ib,
 
-and the global interface operator on the skeleton space is
-split^T . blockdiag(S_j) . split.
+where A_ii = L L^T, and the global interface operator on the skeleton space
+is split^T . blockdiag(S_j) . split.  Interiors of up to DENSE_CUTOFF dofs
+are factorized by an in-place dense Cholesky; X overwrites a dense copy of
+A_ib (one triangular solve) and X^T X is one SYRK, so S_j comes out bitwise
+symmetric.  Larger interiors use sparse LU and S_j = A_bb - A_ib^T (A_ii^{-1}
+A_ib).  ``SpdFactor.inverse_form`` holds both paths.
 
 Subdomains whose blocks are bitwise equal (same CSR data, indices and
 indptr, and the same boundary positions) form one group and share one dense
 S_u; ``build_schur_system`` is the only place that decides the groups.  The
-interior block A_ii is factorized once to form S_u; the factor, A_ib and
-A_bb are then dropped.  Since ``assemble.tet_geometry`` works on the integer
-lattice, equal blocks are the rule: under constant coefficients every
-subdomain of a uniform partition has the same block.  A blockwise apply is
-one GEMM per distinct block over the tuple slices of all its member
-subdomains (``SchurSystem.grouped_apply``).  Interior factors are dense
-Cholesky up to DENSE_CUTOFF dofs and sparse LU above.
+interior factor, A_ib and A_bb are dropped once S_u is formed.  Since
+``assemble.tet_geometry`` works on the integer lattice, equal blocks are the
+rule: under constant coefficients every subdomain of a uniform partition has
+the same block.  A blockwise apply is one GEMM per distinct block over the
+tuple slices of all its member subdomains (``SchurSystem.grouped_apply``).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,7 +39,14 @@ from .errors import SingularOperatorError
 __all__ = ["DENSE_CUTOFF", "SpdFactor", "SchurSystem", "build_schur_system"]
 
 #: Blocks at or below this dof count are factorized densely (Cholesky).
-DENSE_CUTOFF = 600
+#: Forming S_u, the dense path was faster at every interior measured, from
+#: 125 to 3,032 dofs (1,206-dof edge interior, H/h = 6: 0.10 s against 0.21 s
+#: for sparse LU; 3,032 dofs, H/h = 8: 0.76 s against 1.93 s; one BLAS thread).
+#: The cutoff bounds memory instead: the dense interior takes n^2 doubles
+#: (32 MB at the cutoff), and forming one S_u densely raised peak RSS above
+#: the sparse-LU path's by 6 MB at n = 1,206, 15 MB at 1,981 and 29 MB at
+#: 3,032.
+DENSE_CUTOFF = 2000
 
 
 class SpdFactor:
@@ -46,10 +57,16 @@ class SpdFactor:
         if matrix.shape[0] <= DENSE_CUTOFF:
             self.mode = "dense-cholesky"
             try:
-                self._factor = sla.cho_factor(matrix.toarray(), lower=True)
+                # An F-ordered array is factorized in place, without a copy;
+                # LAPACK itself rejects a NaN pivot.
+                self._factor = sla.cho_factor(
+                    matrix.toarray(order="F"), lower=True, overwrite_a=True, check_finite=False
+                )
             except sla.LinAlgError as err:
                 raise SingularOperatorError(f"{label}: not positive definite") from err
-            self._solve = lambda b: sla.cho_solve(self._factor, b)
+            # A non-finite b gives a non-finite x, which ``solve`` rejects.
+            # No closure over self: the factor is freed with its last user.
+            self._solve = partial(sla.cho_solve, self._factor, check_finite=False)
         else:
             self.mode = "sparse-lu"
             try:
@@ -64,17 +81,36 @@ class SpdFactor:
             raise SingularOperatorError(f"{self.label}: non-finite solve result")
         return x
 
+    def inverse_form(self, b: sp.spmatrix) -> np.ndarray:
+        """Dense B^T A^{-1} B for a sparse B.
+
+        Dense mode forms X = L^{-1} B in place and returns X^T X, which numpy
+        computes as one SYRK, so the result is bitwise symmetric; sparse mode
+        returns B^T (A^{-1} B).
+        """
+        if self.mode == "sparse-lu":
+            return b.T @ self.solve(b.toarray())
+        x = b.toarray(order="F")
+        x, info = sla.lapack.dtrtrs(self._factor[0], x, lower=1, overwrite_b=1)
+        form = x.T @ x
+        if info != 0 or not np.all(np.isfinite(form)):
+            raise SingularOperatorError(f"{self.label}: non-finite solve result")
+        return form
+
 
 def _schur_complement(block: sp.csr_matrix, boundary: np.ndarray, label: str) -> np.ndarray:
     """Dense S = A_bb - A_ib^T A_ii^{-1} A_ib, bitwise symmetric."""
     mask = np.ones(block.shape[0], dtype=bool)
     mask[boundary] = False
     interior = np.flatnonzero(mask)
-    schur = block[boundary][:, boundary].toarray()
+    reduction = 0.0
     if interior.size:
+        # The factor goes as soon as it has formed the reduction, so A_bb and
+        # the sums below reuse its memory.
+        a_ii = block[interior][:, interior].tocsr()
         a_ib = block[interior][:, boundary].tocsr()
-        factor = SpdFactor(block[interior][:, interior].tocsr(), f"{label} (interior)")
-        schur -= a_ib.T @ factor.solve(a_ib.toarray())
+        reduction = SpdFactor(a_ii, f"{label} (interior)").inverse_form(a_ib)
+    schur = block[boundary][:, boundary].toarray() - reduction
     # Averaging with the transpose leaves a bitwise-symmetric matrix unchanged.
     return (schur + schur.T) / 2.0
 

@@ -275,6 +275,8 @@ def test_blocks_scope_keeps_only_blocks(mesh222_j8):
         dict(beta=np.array([])),
         dict(gamma=np.ones(6)),
         dict(gamma=1e160),
+        dict(gamma=1e-160),
+        dict(gamma=1e-170),
     ],
 )
 def test_coefficient_validation(kwargs):

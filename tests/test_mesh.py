@@ -140,6 +140,20 @@ def test_face_key_overflow_rejected(mesh111):
         extract_skeleton(huge)
 
 
+def test_subdomain_index_matches_scan():
+    """On an anisotropic partition the cached per-subdomain tet index holds,
+    for every subdomain, the ascending ids a scan of ``tet_subdomain`` finds,
+    as read-only views; the cached edge keys are read-only too."""
+    mesh = build_box_mesh((4, 6, 2), (2, 3, 1))
+    for j in range(mesh.n_subdomains):
+        ids = mesh.tets_of_subdomain(j)
+        assert np.array_equal(ids, np.flatnonzero(mesh.tet_subdomain == j))
+        assert not ids.flags.writeable
+    assert not mesh.edge_keys.flags.writeable
+    pairs = mesh.edges[::7]
+    assert np.array_equal(edge_ids_of_pairs(mesh, pairs), np.arange(mesh.n_edges)[::7])
+
+
 def test_edge_ids_of_pairs_rejects_non_edges(mesh111):
     # Vertices 1 and 6 are opposite corners of a face without a diagonal
     # between them (the Kuhn split only adds one diagonal per face).
@@ -152,6 +166,10 @@ def test_edge_ids_of_pairs_rejects_non_edges(mesh111):
     )
     with pytest.raises(KeyError):
         edge_ids_of_pairs(mesh111, np.array([missing]))
+    # The cached keys also reject a pair whose key lies past the last edge.
+    assert mesh111.edge_keys.size == mesh111.n_edges
+    with pytest.raises(KeyError):
+        edge_ids_of_pairs(mesh111, np.array([[7, 8]]))
 
 
 def test_watertight_subdomain_boundaries(mesh222_j8, skel222_j8):

@@ -8,8 +8,14 @@ import schurhx.precond as precond_mod
 import schurhx.schur as schur_mod
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
-from schurhx.errors import AssemblyError, ConfigurationError, SingularOperatorError
+from schurhx.errors import (
+    AssemblyError,
+    ConfigurationError,
+    PcgBreakdownError,
+    SingularOperatorError,
+)
 from schurhx.krylov import pcg
+from schurhx.mesh import build_box_mesh
 from schurhx.oracle import pseudoinverse_injective
 from schurhx.precond import (
     HiptmairXu,
@@ -147,17 +153,59 @@ def test_nn_robust_to_random_subdomain_coefficients(mesh666_j27):
         assert error <= 100 * TOL, seed
 
 
-def test_hx_scalar_plugin_keeps_counting_weights(mesh666_j27, checkerboard):
-    """Under an alpha jump the scalar problem of setup_scalar is rho-weighted
-    but HX's plug-in is not, and the HX count stays at its counting-weight 82."""
-    coeffs = Coefficients(alpha=checkerboard(mesh666_j27, 1e2))
-    mw = setup_maxwell(mesh666_j27, coeffs)
-    assert np.all(mw.scalar.qnn.rho == 1.0)
-    counting = np.bincount(mw.scalar.qnn.split, minlength=mw.scalar.qnn.dim)
-    assert np.array_equal(mw.scalar.qnn.degree, counting.astype(float))
-    assert np.unique(setup_scalar(mesh666_j27, coeffs).qnn.rho).tolist() == [1e-2, 1.0]
-    history, _ = _solve(mw, mw.qhx)
-    assert history.converged and history.iterations == 82
+def test_hx_plugin_ignores_alpha(mesh666_j27, checkerboard):
+    """The edge operator reads neither alpha nor beta, and neither does HX's
+    scalar plug-in: a Maxwell solve under an alpha checkerboard is bitwise
+    the constant-alpha solve (the plug-in once took 82 iterations here)."""
+    jump = setup_maxwell(mesh666_j27, Coefficients(alpha=checkerboard(mesh666_j27, 1e2)))
+    flat = setup_maxwell(mesh666_j27, Coefficients())
+    assert np.all(jump.scalar.qnn.rho == 1.0)
+    (h_jump, e_jump), (h_flat, e_flat) = _solve(jump, jump.qhx), _solve(flat, flat.qhx)
+    assert h_jump.converged and h_jump.iterations == h_flat.iterations
+    assert np.array_equal(h_jump.relres, h_flat.relres) and e_jump == e_flat
+
+
+@pytest.mark.parametrize("gamma", [1e-2, 1e2])
+def test_hx_robust_to_gamma(mesh666_j27, gamma):
+    """HX's auxiliary problems follow gamma: the plug-in solves Delta + gamma^2
+    and the gradient channel is scaled by 1/gamma^2.  With the user's alpha
+    and beta instead, gamma = 100 took 574 iterations."""
+    prob = setup_maxwell(mesh666_j27, Coefficients(gamma=gamma))
+    assert prob.qhx.gradient_weight == 1.0 / gamma**2
+    history, error = _solve(prob, prob.qhx)
+    assert history.converged and history.iterations <= 30
+    assert error <= 100 * TOL
+
+
+@pytest.mark.parametrize("gamma", [1e-100, 1e-8])
+def test_hx_tiny_gamma_fails_typed(gamma):
+    """When gamma^2 drops below the rounding of the curl-curl entries, the
+    1/gamma^2 gradient channel makes PCG break down with a typed error
+    instead of returning an answer with error 0.5.  On the way, products
+    overflow; numpy's overflow warnings are expected here."""
+    prob = setup_maxwell(build_box_mesh((3, 3, 3), (3, 3, 3)), Coefficients(gamma=gamma))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises((PcgBreakdownError, SingularOperatorError)):
+            _solve(prob, prob.qhx)
+
+
+def test_weak_scaling_iterations_stay_flat():
+    """H/h = 2 fixed while the subdomain count grows 2^3 .. 5^3: balancing NN
+    and HX keep their iteration counts bounded, and no step grows them by more
+    than 1.3 (the ratio style of criterion 10).  Measured 8, 9, 9, 9 and
+    16, 17, 18, 18."""
+    counts = {"scalar": [], "maxwell": []}
+    for j in range(2, 6):
+        mesh = build_box_mesh((2 * j,) * 3, (j,) * 3)
+        for field, setup in (("scalar", setup_scalar), ("maxwell", setup_maxwell)):
+            prob = setup(mesh, Coefficients())
+            history, error = _solve(prob, prob.qnn if field == "scalar" else prob.qhx)
+            assert history.converged and error <= 100 * TOL, (field, j)
+            counts[field].append(history.iterations)
+    for field, cap in (("scalar", 12), ("maxwell", 22)):
+        iters = counts[field]
+        assert max(iters) <= cap, (field, iters)
+        assert all(b / a <= 1.3 for a, b in zip(iters, iters[1:])), (field, iters)
 
 
 def test_nn_dimension_checked(scalar222_j8):

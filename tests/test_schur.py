@@ -6,8 +6,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import schurhx.schur as schur_mod
-from schurhx.assemble import assemble_scalar
+from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
+from schurhx.dofspaces import build_transfer
 from schurhx.errors import SingularOperatorError
+from schurhx.mesh import build_box_mesh, extract_skeleton
 from schurhx.oracle import pseudoinverse_surjective
 from schurhx.precond import materialize
 from schurhx.schur import SpdFactor, build_schur_system
@@ -151,6 +153,7 @@ def test_spd_factor_modes_and_consistency(monkeypatch, rng):
     w = rng.uniform(-1, 1, (40, 40))
     a = sp.csr_matrix(w @ w.T + 40 * np.eye(40))
     b = rng.uniform(-1, 1, 40)
+    coupling = sp.random(40, 25, density=0.2, format="csr", random_state=1)
 
     dense = SpdFactor(a, "test")
     assert dense.mode == "dense-cholesky"
@@ -158,6 +161,14 @@ def test_spd_factor_modes_and_consistency(monkeypatch, rng):
     sparse = SpdFactor(a, "test")
     assert sparse.mode == "sparse-lu"
     assert np.abs(dense.solve(b) - sparse.solve(b)).max() <= 1e-10
+
+    # B^T A^{-1} B: both modes agree, and the dense one is bitwise symmetric.
+    form = dense.inverse_form(coupling)
+    want = sparse.inverse_form(coupling)
+    assert form.shape == (25, 25) and np.array_equal(form, form.T)
+    assert np.abs(form - want).max() <= 1e-12 * np.abs(want).max()
+    direct = coupling.T @ np.linalg.solve(a.toarray(), coupling.toarray())
+    assert np.abs(form - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def test_spd_factor_rejects_indefinite():
@@ -167,3 +178,27 @@ def test_spd_factor_rejects_indefinite():
     indefinite = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(SingularOperatorError):
         SpdFactor(indefinite, "indefinite block")
+    # Off-diagonal indefiniteness, too, fails at the in-place dense factor.
+    saddle = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
+    with pytest.raises(SingularOperatorError, match="not positive definite"):
+        SpdFactor(saddle, "saddle block")
+
+
+def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
+    """At H/h = 6 (12^3 cells on 2^3 subdomains) the edge interior has 1,206
+    dofs and goes through the dense A_bb - X^T X path; its S_u matches the
+    sparse-LU path to 1e-12 relative."""
+    mesh = build_box_mesh((12, 12, 12), (2, 2, 2))
+    skeleton = extract_skeleton(mesh)
+    transfer = build_transfer(mesh, skeleton, "edge")
+    blocks = assemble_edge(mesh, transfer, Coefficients(), scope="blocks")
+    lo, hi = transfer.boundary.block_offsets[:2]
+    boundary = transfer.boundary_trace[lo:hi] - transfer.broken.block_offsets[0]
+    block = blocks.blocks[0]
+    assert block.shape[0] - boundary.size == 1206
+    assert 1206 <= schur_mod.DENSE_CUTOFF
+    dense = schur_mod._schur_complement(block, boundary, "edge")
+    monkeypatch.setattr(schur_mod, "DENSE_CUTOFF", 0)
+    sparse = schur_mod._schur_complement(block, boundary, "edge")
+    assert np.array_equal(dense, dense.T)
+    assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
