@@ -118,7 +118,7 @@ def _lattice(mesh: BoxMesh, tets: np.ndarray) -> np.ndarray:
     return lattice
 
 
-def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray | None = None):
+def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray):
     """Volumes and constant barycentric gradients, batched over tets.
 
     Edge vectors are integer lattice offsets times the cell size h of each
@@ -129,7 +129,7 @@ def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray | None = None):
     h, rounded; a vertex off the lattice raises :class:`AssemblyError`.
     """
     cells = np.asarray(mesh.cells, dtype=float)
-    lattice = _lattice(mesh, mesh.tets if tet_ids is None else mesh.tets[tet_ids])
+    lattice = _lattice(mesh, mesh.tets[tet_ids])
     e = (lattice[:, 1:] - lattice[:, :1]) * (1.0 / cells)  # rows p1-p0, p2-p0, p3-p0
     vols = np.linalg.det(e) / 6.0
     if np.any(vols <= 0) or not np.all(np.isfinite(vols)):

@@ -45,8 +45,6 @@ def pcg(
     rhs: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 1000,
-    x0: np.ndarray | None = None,
-    callback=None,
 ) -> SolveReport:
     """Solve  op x = rhs  with SPD ``apply_op`` and SPD ``apply_prec``.
 
@@ -60,8 +58,8 @@ def pcg(
     rhs = np.asarray(rhs, dtype=float)
     start = time.perf_counter()
 
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - apply_op(x) if x0 is not None else rhs.copy()
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     z = apply_prec(r)
     rho = float(z @ r)
     if rho < 0:
@@ -84,8 +82,6 @@ def pcg(
     p = z.copy()
     converged = False
     k = 0
-    if callback is not None:
-        callback(0, x)
     while k < max_iter:
         q = apply_op(p)
         p_op_p = float(p @ q)
@@ -105,8 +101,6 @@ def pcg(
         k += 1
         alphas.append(alpha)
         relres.append(float(np.sqrt(rho_new / rho0)))
-        if callback is not None:
-            callback(k, x)
         if relres[-1] <= tol:
             converged = True
             break

@@ -23,7 +23,7 @@ import scipy.linalg as sla
 from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import ConfigurationError, SingularOperatorError
-from .mesh import BoxMesh, SkeletonIndex
+from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
 from .precond import estimate_condition, materialize, setup_maxwell, setup_scalar
 
 __all__ = [
@@ -117,11 +117,12 @@ def _rel_max(diff: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(diff).max() / max(1.0, np.abs(reference).max()))
 
 
-def verify_dense_lemmas(seed: int = 0, draws: int = 20) -> IdentityReport:
-    """Random-instance checks of the pseudo-inverse algebra (dims up to 12x8)."""
+def verify_dense_lemmas(seed: int = 0) -> IdentityReport:
+    """Random-instance checks of the pseudo-inverse algebra: 20 draws, dims up
+    to 12x8."""
     rng = np.random.default_rng(seed)
     report = IdentityReport()
-    for k in range(draws):
+    for k in range(20):
         n = int(rng.integers(2, 13))
         m = int(rng.integers(1, min(8, n) + 1))
         a = _random_spd(rng, n)
@@ -208,9 +209,7 @@ def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> n
     return np.array(rho)
 
 
-def verify_identities(
-    mesh: BoxMesh, coeffs: Coefficients | None = None, include_spectra: bool = True
-) -> IdentityReport:
+def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> IdentityReport:
     """Check every structural identity on one (small) partitioned mesh."""
     if mesh.n_edges > DENSE_DOF_LIMIT:
         raise ConfigurationError(
@@ -223,15 +222,16 @@ def verify_identities(
 
     scalar = setup_scalar(mesh, coeffs)
     maxwell = setup_maxwell(mesh, coeffs)
-    skeleton = scalar.skeleton
+    skeleton = extract_skeleton(mesh)
+    scalar_ops, edge_ops = scalar.schur.transfer, maxwell.schur.transfer
 
-    grad_vol = build_gradient(mesh, "volume")
-    grad_skel = build_gradient(mesh, "skeleton", skeleton)
+    grad_vol = build_gradient(mesh)
+    grad_skel = build_gradient(mesh, skeleton)
 
     # Commutation lattice: trace/split squares and the differential maps,
     # all exact in floating point (0/1 selection matrices and identical
     # coordinate arithmetic on both paths).
-    for field_name, ops in (("scalar", scalar.transfer), ("edge", maxwell.transfer)):
+    for field_name, ops in (("scalar", scalar_ops), ("edge", edge_ops)):
         lhs = _selection(ops.boundary_trace, ops.broken.dim) @ _selection(
             ops.volume_split, ops.volume.dim
         )
@@ -242,8 +242,8 @@ def verify_identities(
             f"trace-split-commutation-{field_name}", ctx, _max_abs(lhs - rhs), 0.0
         )
 
-    trace_v = _selection(scalar.transfer.skeleton_trace, scalar.transfer.volume.dim)
-    trace_e = _selection(maxwell.transfer.skeleton_trace, maxwell.transfer.volume.dim)
+    trace_v = _selection(scalar_ops.skeleton_trace, scalar_ops.volume.dim)
+    trace_e = _selection(edge_ops.skeleton_trace, edge_ops.volume.dim)
     report.add_residual(
         "gradient-trace-commutation",
         ctx,
@@ -251,8 +251,8 @@ def verify_identities(
         0.0,
     )
     for d in range(3):
-        pv = build_nodal_interp(mesh, d, "volume")
-        ps = build_nodal_interp(mesh, d, "skeleton", skeleton)
+        pv = build_nodal_interp(mesh, d)
+        ps = build_nodal_interp(mesh, d, skeleton)
         report.add_residual(
             f"interp-trace-commutation-dir{d}",
             ctx,
@@ -262,13 +262,14 @@ def verify_identities(
 
     # Interface inverse identity: (assembled Schur) . (trace volinv trace^T) = Id,
     # for both fields.
-    l_dense = assemble_scalar(mesh, scalar.transfer, coeffs, scope="global").matrix.toarray()
-    m_dense = assemble_edge(mesh, maxwell.transfer, coeffs, scope="global").matrix.toarray()
+    l_dense = assemble_scalar(mesh, scalar_ops, coeffs, scope="global").matrix.toarray()
+    m_dense = assemble_edge(mesh, edge_ops, coeffs, scope="global").matrix.toarray()
     for field_name, problem, vol in (
         ("scalar", scalar, l_dense),
         ("edge", maxwell, m_dense),
     ):
-        tr = _selection(problem.transfer.skeleton_trace, problem.transfer.volume.dim)
+        ops = problem.schur.transfer
+        tr = _selection(ops.skeleton_trace, ops.volume.dim)
         pushed = tr @ sla.solve(vol, tr.T, assume_a="pos")
         s_mat = materialize(problem.schur.apply, problem.schur.dim)
         report.add_residual(
@@ -280,19 +281,19 @@ def verify_identities(
 
     # Pseudo-inverse commutation: splitting the volume lift of skeleton data
     # equals lifting blockwise.
-    ops = scalar.transfer
-    l_blocks = sla.block_diag(*(block.toarray() for block in scalar.blocks.blocks))
-    split = _selection(ops.skeleton_split, ops.skeleton.dim)
+    blocks = assemble_scalar(mesh, scalar_ops, coeffs, scope="blocks").blocks
+    l_blocks = sla.block_diag(*(block.toarray() for block in blocks))
+    split = _selection(scalar_ops.skeleton_split, scalar_ops.skeleton.dim)
     lift_vol = pseudoinverse_surjective(trace_v, l_dense)
     lift_blk = pseudoinverse_surjective(
-        _selection(ops.boundary_trace, ops.broken.dim), l_blocks
+        _selection(scalar_ops.boundary_trace, scalar_ops.broken.dim), l_blocks
     )
     report.add_residual(
         "pseudoinverse-commutation",
         ctx,
         float(
             np.abs(
-                _selection(ops.volume_split, ops.volume.dim) @ lift_vol
+                _selection(scalar_ops.volume_split, scalar_ops.volume.dim) @ lift_vol
                 - lift_blk @ split
             ).max()
         ),
@@ -327,15 +328,13 @@ def verify_identities(
             1e-9,
         )
 
-    if include_spectra:
-        _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, skeleton)
+    _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, trace_v)
     return report
 
 
-def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, skeleton):
+def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, tr):
     """Dense spectral inequalities tying the preconditioners to volume bounds."""
     slack = 1.0 + 1e-9
-    tr = _selection(scalar.transfer.skeleton_trace, scalar.transfer.volume.dim)
 
     # Jacobi pushed through the skeleton: cond of the preconditioned interface
     # operator is bounded by the volume Jacobi condition number.
@@ -384,7 +383,7 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, skele
         lambda u: s_aux @ u, lambda u: q_aux @ u, s_aux.shape[0]
     ).cond
     l_aux = assemble_scalar(
-        mesh, plug_in.transfer, plug_in.coeffs, scope="global"
+        mesh, plug_in.schur.transfer, plug_in.coeffs, scope="global"
     ).matrix.toarray()
     se_mat = materialize(maxwell.schur.apply, maxwell.schur.dim)
     qhx_mat = materialize(maxwell.qhx, maxwell.qhx.dim)
@@ -392,13 +391,13 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, skele
         lambda u: se_mat @ u, lambda u: qhx_mat @ u, se_mat.shape[0]
     ).cond
 
-    grad_vol = build_gradient(mesh, "volume").toarray()
+    grad_vol = build_gradient(mesh).toarray()
     jac_edge_inv = np.diag(1.0 / np.diag(m_dense))
     aux = jac_edge_inv + maxwell.qhx.gradient_weight * (
         grad_vol @ sla.solve(l_aux, grad_vol.T, assume_a="pos")
     )
     for d in range(3):
-        pv = build_nodal_interp(mesh, d, "volume").toarray()
+        pv = build_nodal_interp(mesh, d).toarray()
         aux = aux + pv @ sla.solve(l_aux, pv.T, assume_a="pos")
     cond_aux = estimate_condition(
         lambda u: m_dense @ u, lambda u: aux @ u, m_dense.shape[0]

@@ -17,7 +17,7 @@ Neumann solve,
 
 which ``test_schur_inverse_is_resolvent_boundary_block`` checks; it is
 applied as the explicit inverse of the dense S_u of each distinct block
-(``schur``), taken once from its Cholesky factor, so no whole-block Neumann
+(``schur``), taken once by ``SpdFactor.inverse``, so no whole-block Neumann
 factorization is needed.  M is balanced with a coarse space of one basis
 function per subdomain (Mandel's balancing domain decomposition):
 
@@ -50,8 +50,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assemble import Coefficients, SparseSymOp, assemble_edge, assemble_scalar
-from .dofspaces import TransferOps, build_transfer
+from .assemble import Coefficients, assemble_edge, assemble_scalar
+from .dofspaces import build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import AssemblyError, ConfigurationError, SingularOperatorError
 from .krylov import pcg
@@ -71,18 +71,6 @@ __all__ = [
 ]
 
 
-def _spd_inverse(s: np.ndarray, label: str) -> np.ndarray:
-    """Explicit inverse of a dense SPD matrix from its Cholesky factor,
-    mirrored so it is bitwise symmetric."""
-    chol, info = sla.lapack.dpotrf(s, lower=True)
-    if info != 0:
-        raise SingularOperatorError(f"{label}: not positive definite")
-    inv, info = sla.lapack.dpotri(chol, lower=True)
-    if info != 0 or not np.all(np.isfinite(inv)):
-        raise SingularOperatorError(f"{label}: inverse failed")
-    return np.tril(inv) + np.tril(inv, -1).T
-
-
 class NeumannNeumann:
     """Balancing Neumann-Neumann: a rho-weighted average of subdomain Neumann
     solves, balanced by a coarse space of one function per subdomain.
@@ -94,10 +82,11 @@ class NeumannNeumann:
     1: constant rho gives exactly the counting weights 1/degree.
 
     It is the only user of the inverse DtN map, so set-up inverts the dense
-    Schur complement S_u of each distinct subdomain block here.  Set-up also
-    computes S Z in one blockwise pass (each subdomain applies its Schur
-    complement to the few coarse columns it touches) and factorizes the
-    coarse matrix S0 = Z^T S Z; ``cond_coarse`` reports its condition number.
+    Schur complement S_u of each distinct subdomain block here, each with one
+    ``SpdFactor``.  Set-up also computes S Z in one blockwise pass (each
+    subdomain applies its Schur complement to the few coarse columns it
+    touches) and factorizes the coarse matrix S0 = Z^T S Z with one more
+    ``SpdFactor``; ``cond_coarse`` reports its condition number.
     One application makes one call to the average M (one grouped inverse-DtN
     apply, counted by ``n_applies``) and two coarse solves, using
 
@@ -119,7 +108,7 @@ class NeumannNeumann:
         self.degree = np.bincount(self.split, self.rho, minlength=self.dim)
         self.n_applies = 0
         self.inverse_dtn = [
-            _spd_inverse(s_u, f"{schur.kind} subdomain {members[0]} (Schur)")
+            SpdFactor(s_u, f"{schur.kind} subdomain {members[0]} (Schur)").inverse()
             for s_u, members in schur.groups
         ]
 
@@ -151,9 +140,7 @@ class NeumannNeumann:
             self.s_coarse[np.ix_(self.split[lo:hi], cols)] += s_u @ local[:, cols].toarray()
         s0 = self.coarse_basis.T @ self.s_coarse
         self.coarse_matrix = (s0 + s0.T) / 2.0
-        self.coarse_factor = SpdFactor(
-            sp.csr_matrix(self.coarse_matrix), "balancing coarse problem"
-        )
+        self.coarse_factor = SpdFactor(self.coarse_matrix, "balancing coarse problem")
 
     @cached_property
     def cond_coarse(self) -> float:
@@ -222,48 +209,30 @@ class HiptmairXu:
 
 @dataclass
 class ScalarProblem:
-    """Everything needed to run the scalar interface solve."""
+    """Everything the scalar interface solve and its report read."""
 
-    mesh: BoxMesh
-    skeleton: SkeletonIndex
-    coeffs: Coefficients
-    transfer: TransferOps
-    blocks: SparseSymOp
+    coeffs: Coefficients  # the only home of the HX plug-in's (1, gamma^2)
     schur: SchurSystem
     qnn: NeumannNeumann
+    dim_volume: int
 
     @property
     def dim_skeleton(self) -> int:
         return self.schur.dim
-
-    @property
-    def dim_volume(self) -> int:
-        return self.mesh.n_vertices
 
 
 @dataclass
 class MaxwellProblem:
-    """The edge interface solve plus its auxiliary scalar machinery."""
+    """The edge interface solve plus its auxiliary scalar problem."""
 
-    mesh: BoxMesh
-    skeleton: SkeletonIndex
-    coeffs: Coefficients
-    transfer: TransferOps
-    blocks: SparseSymOp
     schur: SchurSystem
     scalar: ScalarProblem
-    jacobi_skeleton: np.ndarray
-    gradient: sp.csr_matrix
-    interps: list[sp.csr_matrix]
     qhx: HiptmairXu
+    dim_volume: int
 
     @property
     def dim_skeleton(self) -> int:
         return self.schur.dim
-
-    @property
-    def dim_volume(self) -> int:
-        return self.mesh.n_edges
 
 
 def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> np.ndarray:
@@ -283,10 +252,10 @@ def _scalar_problem(
     mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex
 ) -> ScalarProblem:
     transfer = build_transfer(mesh, skeleton, "scalar")
-    blocks = assemble_scalar(mesh, transfer, coeffs, scope="blocks")
-    schur = build_schur_system(blocks, transfer)
+    # The blocks go once their Schur complements are formed.
+    schur = build_schur_system(assemble_scalar(mesh, transfer, coeffs, scope="blocks"), transfer)
     qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, skeleton))
-    return ScalarProblem(mesh, skeleton, coeffs, transfer, blocks, schur, qnn)
+    return ScalarProblem(coeffs, schur, qnn, mesh.n_vertices)
 
 
 def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
@@ -314,22 +283,10 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
         broken_diagonal[transfer.boundary_trace],
         minlength=schur.dim,
     )
-    gradient = build_gradient(mesh, "skeleton", skeleton)
-    interps = [build_nodal_interp(mesh, d, "skeleton", skeleton) for d in range(3)]
+    gradient = build_gradient(mesh, skeleton)
+    interps = [build_nodal_interp(mesh, d, skeleton) for d in range(3)]
     qhx = HiptmairXu(jac, gradient, interps, scalar.qnn, gradient_weight=1.0 / gamma2)
-    return MaxwellProblem(
-        mesh,
-        skeleton,
-        coeffs,
-        transfer,
-        blocks,
-        schur,
-        scalar,
-        jac,
-        gradient,
-        interps,
-        qhx,
-    )
+    return MaxwellProblem(schur, scalar, qhx, mesh.n_edges)
 
 
 def materialize(apply_op, dim: int) -> np.ndarray:

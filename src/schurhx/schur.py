@@ -50,17 +50,20 @@ DENSE_CUTOFF = 2000
 
 
 class SpdFactor:
-    """Factorize once, solve many; dense Cholesky or sparse LU by size."""
+    """Factorize once, solve many: dense Cholesky for an array or a sparse
+    matrix of up to DENSE_CUTOFF rows, sparse LU for a larger sparse one."""
 
-    def __init__(self, matrix: sp.csr_matrix, label: str):
+    def __init__(self, matrix: np.ndarray | sp.csr_matrix, label: str):
         self.label = label
-        if matrix.shape[0] <= DENSE_CUTOFF:
+        is_array = isinstance(matrix, np.ndarray)
+        if is_array or matrix.shape[0] <= DENSE_CUTOFF:
             self.mode = "dense-cholesky"
+            # A fresh F-ordered copy is factorized in place, so the caller
+            # keeps its matrix; LAPACK itself rejects a NaN pivot.
+            dense = np.array(matrix, order="F") if is_array else matrix.toarray(order="F")
             try:
-                # An F-ordered array is factorized in place, without a copy;
-                # LAPACK itself rejects a NaN pivot.
                 self._factor = sla.cho_factor(
-                    matrix.toarray(order="F"), lower=True, overwrite_a=True, check_finite=False
+                    dense, lower=True, overwrite_a=True, check_finite=False
                 )
             except sla.LinAlgError as err:
                 raise SingularOperatorError(f"{label}: not positive definite") from err
@@ -96,6 +99,14 @@ class SpdFactor:
         if info != 0 or not np.all(np.isfinite(form)):
             raise SingularOperatorError(f"{self.label}: non-finite solve result")
         return form
+
+    def inverse(self) -> np.ndarray:
+        """Explicit inverse from the dense Cholesky factor, mirrored so it is
+        bitwise symmetric."""
+        inv, info = sla.lapack.dpotri(self._factor[0], lower=True)
+        if info != 0 or not np.all(np.isfinite(inv)):
+            raise SingularOperatorError(f"{self.label}: inverse failed")
+        return np.tril(inv) + np.tril(inv, -1).T
 
 
 def _schur_complement(block: sp.csr_matrix, boundary: np.ndarray, label: str) -> np.ndarray:

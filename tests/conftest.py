@@ -50,9 +50,9 @@ def corrupt_gradient(monkeypatch):
     verifier builds, so its failure path can be exercised."""
     original = oracle_mod.build_gradient
 
-    def corrupted(mesh, variant="volume", skeleton=None):
-        grad = original(mesh, variant, skeleton)
-        if variant == "skeleton":
+    def corrupted(mesh, skeleton=None):
+        grad = original(mesh, skeleton)
+        if skeleton is not None:
             grad = grad.copy()
             grad.data[0] = -grad.data[0]
         return grad

@@ -83,7 +83,7 @@ def test_p1_mass_closed_form(mesh111):
     _, mass = scalar_element_matrices(
         mesh111, np.arange(6), np.zeros(6), np.ones(6)
     )
-    vols, _ = tet_geometry(mesh111)
+    vols, _ = tet_geometry(mesh111, np.arange(6))
     expected = vols[:, None, None] / 20.0 * (np.ones((4, 4)) + np.eye(4))
     assert np.array_equal(mass, expected)
 
@@ -302,7 +302,7 @@ def test_per_tet_coefficients(mesh222_j8):
 
 def _assembly_raises(mesh, transfers, match):
     with pytest.raises(AssemblyError, match=match):
-        tet_geometry(mesh)
+        tet_geometry(mesh, np.arange(mesh.n_tets))
     with pytest.raises(AssemblyError, match=match):
         assemble_scalar(mesh, transfers["scalar"], Coefficients())
     with pytest.raises(AssemblyError, match=match):
@@ -425,7 +425,7 @@ def test_element_matrices_once_per_class(field, monkeypatch):
 def test_lattice_geometry_matches_coordinates(mesh422_j211):
     """Lattice offsets times h agree with coordinate differences."""
     mesh = mesh422_j211
-    vols, grads = tet_geometry(mesh)
+    vols, grads = tet_geometry(mesh, np.arange(mesh.n_tets))
     p = mesh.vertex_coords[mesh.tets]
     e = p[:, 1:] - p[:, :1]
     ref_vols = np.linalg.det(e) / 6.0
@@ -441,7 +441,7 @@ def test_equal_shapes_get_bitwise_equal_geometry():
     # cell sizes 1/3, 1/6 and 1/5 are not binary fractions, so coordinate
     # differences would round differently from cell to cell.
     mesh = build_box_mesh((3, 6, 5))
-    vols, grads = tet_geometry(mesh)
+    vols, grads = tet_geometry(mesh, np.arange(mesh.n_tets))
     assert np.array_equal(vols.reshape(-1, 6), np.tile(vols[:6], (mesh.n_tets // 6, 1)))
     assert np.array_equal(
         grads.reshape(-1, 6, 4, 3), np.tile(grads[:6], (mesh.n_tets // 6, 1, 1, 1))

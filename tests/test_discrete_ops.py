@@ -87,7 +87,7 @@ def test_gradient_trace_commutation_exact(cells, grid, selection):
     tr_v = selection(build_transfer(mesh, skel, "scalar"), "skeleton_trace")
     tr_e = selection(build_transfer(mesh, skel, "edge"), "skeleton_trace")
     g_vol = build_gradient(mesh)
-    g_skel = build_gradient(mesh, "skeleton", skel)
+    g_skel = build_gradient(mesh, skel)
     diff = tr_e @ g_vol - g_skel @ tr_v
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -98,13 +98,13 @@ def test_interp_trace_commutation_exact(mesh222_j8, skel222_j8, d, selection):
     tr_v = selection(build_transfer(mesh, skel, "scalar"), "skeleton_trace")
     tr_e = selection(build_transfer(mesh, skel, "edge"), "skeleton_trace")
     p_vol = build_nodal_interp(mesh, d)
-    p_skel = build_nodal_interp(mesh, d, "skeleton", skel)
+    p_skel = build_nodal_interp(mesh, d, skel)
     diff = tr_e @ p_vol - p_skel @ tr_v
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 def test_skeleton_maps_index_skeleton_vertices(mesh222_j8, skel222_j8):
-    g = build_gradient(mesh222_j8, "skeleton", skel222_j8)
+    g = build_gradient(mesh222_j8, skel222_j8)
     assert g.shape == (90, 27)
     endpoints = mesh222_j8.edges[skel222_j8.skeleton_edges]
     expected_cols = np.searchsorted(skel222_j8.skeleton_vertices, endpoints)
@@ -117,8 +117,6 @@ def test_skeleton_maps_index_skeleton_vertices(mesh222_j8, skel222_j8):
 
 def test_variant_and_direction_validation(mesh111):
     with pytest.raises(ValueError):
-        build_gradient(mesh111, "surface")
-    with pytest.raises(ValueError):
-        build_gradient(mesh111, "skeleton", None)
-    with pytest.raises(ValueError):
         build_nodal_interp(mesh111, 3)
+    with pytest.raises(ValueError):
+        build_nodal_interp(mesh111, -1)

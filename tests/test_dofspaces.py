@@ -31,7 +31,7 @@ def test_space_dims_single_subdomain(mesh222_j1, skel222_j1):
 
 
 def test_block_slices_partition(mesh444_j8, scalar444_j8):
-    broken = scalar444_j8.transfer.broken
+    broken = scalar444_j8.schur.transfer.broken
     offsets = broken.block_offsets
     assert offsets.size == mesh444_j8.n_subdomains + 1
     total = 0
@@ -60,12 +60,12 @@ def test_index_map_apply_matches_matrix(mesh422_j211, selection, rng):
 
 
 def test_skeleton_trace_selects(skel222_j8, scalar222_j8):
-    trace = scalar222_j8.transfer.skeleton_trace
+    trace = scalar222_j8.schur.transfer.skeleton_trace
     assert np.array_equal(trace, skel222_j8.skeleton_vertices)
 
 
 def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, rng):
-    ops = scalar444_j8.transfer
+    ops = scalar444_j8.schur.transfer
     u = rng.uniform(-1, 1, mesh444_j8.n_vertices)
     broken = u[ops.volume_split]
     for j in (0, 3, 7):
@@ -78,7 +78,7 @@ def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, rng):
 def test_split_maps_have_no_zero_columns(maxwell444_j8):
     # Injectivity of the two split maps: every volume dof lands in some
     # subdomain, every skeleton dof on some subdomain boundary.
-    for ops in (maxwell444_j8.transfer, maxwell444_j8.scalar.transfer):
+    for ops in (maxwell444_j8.schur.transfer, maxwell444_j8.scalar.schur.transfer):
         for idx, source in (
             (ops.volume_split, ops.volume),
             (ops.skeleton_split, ops.skeleton),
@@ -109,7 +109,7 @@ def test_unknown_field_rejected(mesh222_j8, skel222_j8):
 
 
 def test_single_subdomain_split_is_identity(scalar222_j1):
-    split = scalar222_j1.transfer.skeleton_split
+    split = scalar222_j1.schur.transfer.skeleton_split
     assert np.array_equal(split, np.arange(26))
 
 
@@ -126,7 +126,7 @@ def test_multiplicity_matches_triple_product(
     """The Neumann-Neumann degree is the diagonal of split^T split, the
     number of subdomain boundaries through each skeleton vertex."""
     degree = scalar222_j8.qnn.degree
-    split = selection(scalar222_j8.transfer, "skeleton_split")
+    split = selection(scalar222_j8.schur.transfer, "skeleton_split")
     assert np.array_equal((split.T @ split).diagonal(), degree)
     expected = skel222_j8.vertex_degree[skel222_j8.skeleton_vertices]
     assert np.array_equal(degree, expected)
@@ -143,6 +143,6 @@ def test_multiplicity_single_subdomain(scalar222_j1):
 def test_edge_trace_is_unsigned_selection(skel222_j8, maxwell222_j8):
     # Tangential traces need no sign flips: the skeleton copy of an edge dof
     # is the volume dof itself, so the trace is a plain integer index array.
-    tr = maxwell222_j8.transfer.skeleton_trace
+    tr = maxwell222_j8.schur.transfer.skeleton_trace
     assert tr.dtype == np.int64
     assert np.array_equal(tr, skel222_j8.skeleton_edges)

@@ -42,14 +42,14 @@ def test_energy_error_monotone(rng):
     n = 25
     a = _spd(rng, n)
     u_ex = rng.uniform(-1, 1, n)
-    errors = []
 
-    def track(_k, x):
-        e = x - u_ex
-        errors.append(float(e @ (a @ e)))
+    def solve(max_iter):
+        return pcg(lambda u: a @ u, lambda u: u, a @ u_ex, tol=1e-12, max_iter=max_iter)
 
-    pcg(lambda u: a @ u, lambda u: u, a @ u_ex, tol=1e-12, callback=track)
-    errors = np.array(errors)
+    # CG is deterministic, so stopping after k steps yields its k-th iterate.
+    iterations = solve(1000).history.iterations
+    iterates = [np.zeros(n)] + [solve(k).solution for k in range(1, iterations + 1)]
+    errors = np.array([float((x - u_ex) @ (a @ (x - u_ex))) for x in iterates])
     assert np.all(errors[1:] <= errors[:-1] * (1 + 1e-12) + 1e-15)
 
 
@@ -121,15 +121,6 @@ def test_zero_rhs_short_circuits():
     assert np.all(report.solution == 0.0)
 
 
-def test_exact_initial_guess(rng):
-    a = _spd(rng, 6)
-    u_ex = rng.uniform(-1, 1, 6)
-    report = pcg(lambda u: a @ u, lambda u: u, a @ u_ex, x0=u_ex)
-    assert report.history.converged
-    assert report.history.iterations == 0
-    assert np.array_equal(report.solution, u_ex)
-
-
 def test_max_iter_reached_reported(rng):
     a = _spd(rng, 30) + np.diag(np.linspace(0, 1000, 30))
     report = pcg(lambda u: a @ u, lambda u: u, np.ones(30), tol=1e-13, max_iter=3)
@@ -148,16 +139,6 @@ def test_history_shapes(rng):
     assert np.all(h.alphas > 0)
     assert np.all(h.betas >= 0)
     assert h.relres[-1] <= h.tol
-
-
-def test_callback_sees_every_iterate(rng):
-    a = _spd(rng, 10)
-    seen = []
-    report = pcg(
-        lambda u: a @ u, lambda u: u, np.ones(10), tol=1e-10,
-        callback=lambda k, x: seen.append(k),
-    )
-    assert seen == list(range(report.history.iterations + 1))
 
 
 @settings(max_examples=20, deadline=None)

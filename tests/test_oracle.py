@@ -88,18 +88,18 @@ def test_rank_deficient_maps_rejected(rng):
 
 
 def test_dense_lemmas_pass(rng):
-    report = verify_dense_lemmas(seed=0, draws=20)
+    report = verify_dense_lemmas(seed=0)
     assert report.passed
     assert len(report.checks) == 140
     assert all(c.bound <= 1e-9 for c in report.checks)
     # a different seed exercises different dimensions and still passes
-    assert verify_dense_lemmas(seed=int(rng.integers(1, 1000)), draws=5).passed
+    assert verify_dense_lemmas(seed=int(rng.integers(1, 1000))).passed
 
 
 def test_trace_range_orthogonal_to_kernel(scalar222_j8, rng, selection):
     """The coordinate-selection trace annihilates exactly the interior dofs,
     so Range(trace^T) is orthogonal to Ker(trace) in the plain dot product."""
-    bt = selection(scalar222_j8.transfer, "boundary_trace").toarray()
+    bt = selection(scalar222_j8.schur.transfer, "boundary_trace").toarray()
     interior = np.flatnonzero(np.abs(bt).sum(axis=0) == 0)
     assert interior.size == bt.shape[1] - bt.shape[0]
     y = rng.uniform(-1, 1, bt.shape[0])
@@ -117,14 +117,6 @@ def test_verify_identities_passes(request, mesh_name):
     if mesh.n_subdomains == 1:
         assert "single-subdomain-exactness" in names
     assert "edge-final-cond-estimate" in names
-
-
-def test_verify_identities_without_spectra(mesh222_j2):
-    report = verify_identities(mesh222_j2, include_spectra=False)
-    assert report.passed
-    names = {c.name for c in report.checks}
-    assert "jacobi-pushdown-cond-bound" not in names
-    assert "interface-inverse-identity-edge" in names
 
 
 def test_oracle_rho_equals_setup_rho(monkeypatch):
@@ -157,7 +149,7 @@ def test_weighted_average_pseudoinverse_under_jump(mesh222_j8, checkerboard):
 
 
 def test_corrupted_gradient_is_caught(mesh222_j8, corrupt_gradient):
-    report = verify_identities(mesh222_j8, include_spectra=False)
+    report = verify_identities(mesh222_j8)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {"gradient-trace-commutation"}

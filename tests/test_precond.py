@@ -1,5 +1,7 @@
 """Neumann-Neumann and the edge preconditioner built on top of it."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -15,7 +17,7 @@ from schurhx.errors import (
     SingularOperatorError,
 )
 from schurhx.krylov import pcg
-from schurhx.mesh import build_box_mesh
+from schurhx.mesh import build_box_mesh, extract_skeleton
 from schurhx.oracle import pseudoinverse_injective
 from schurhx.precond import (
     HiptmairXu,
@@ -69,7 +71,20 @@ def test_nn_singular_coarse_problem_raises(scalar222_j8, monkeypatch):
     schur = scalar222_j8.schur
     zeros = [np.zeros_like(s_u) for s_u, _ in schur.groups]
     zero = SchurSystem(schur.kind, schur.transfer, zeros, schur.group_of)
-    monkeypatch.setattr(precond_mod, "_spd_inverse", lambda s, label: s)
+
+    class StubbedInverse(SpdFactor):
+        """The 'inverse' of an S_u is S_u itself, unfactorized; any other
+        matrix is factorized as usual."""
+
+        def __init__(self, matrix, label):
+            self._stub = matrix
+            if not label.endswith("(Schur)"):
+                super().__init__(matrix, label)
+
+        def inverse(self):
+            return self._stub
+
+    monkeypatch.setattr(precond_mod, "SpdFactor", StubbedInverse)
     with pytest.raises(SingularOperatorError, match="coarse"):
         NeumannNeumann(zero, scalar222_j8.qnn.rho)
 
@@ -98,13 +113,13 @@ def test_nn_validates_rho(scalar222_j8):
             NeumannNeumann(schur, rho)
 
 
-def test_nn_constant_rho_is_counting_average(scalar222_j8):
+def test_nn_constant_rho_is_counting_average(scalar222_j8, skel222_j8):
     """Only ratios of rho count: any constant rho gives bitwise the counting
     weights, with ``degree`` the number of copies of each skeleton vertex."""
     prob = scalar222_j8
     counting = np.bincount(prob.qnn.split, minlength=prob.qnn.dim).astype(float)
     assert np.array_equal(prob.qnn.degree, counting)
-    skel = prob.skeleton
+    skel = skel222_j8
     assert np.array_equal(counting, skel.vertex_degree[skel.skeleton_vertices])
     scaled = NeumannNeumann(prob.schur, np.full(prob.schur.tuple_dim, 2.7))
     assert np.array_equal(scaled.rho, prob.qnn.rho)
@@ -217,7 +232,7 @@ def test_ideal_weighted_average_is_exact_inverse(scalar222_j8, selection):
     """Swapping the counting weights for the energy-weighted pseudo-inverse
     of the skeleton split turns the average into the exact inverse."""
     prob = scalar222_j8
-    split = selection(prob.transfer, "skeleton_split").toarray()
+    split = selection(prob.schur.transfer, "skeleton_split").toarray()
     t_dense = materialize(prob.schur.apply_dtn, prob.schur.tuple_dim)
     pinj = pseudoinverse_injective(split, t_dense)
     q_ideal = pinj @ sla.solve(t_dense, pinj.T, assume_a="pos")
@@ -264,13 +279,12 @@ def test_preconditioners_linear(maxwell444_j8, rng, which):
     assert np.abs(combined - separate).max() <= 1e-13 * max(scale, 1.0)
 
 
-def test_hx_validates_inputs(maxwell222_j8, scalar222_j8):
-    mesh = maxwell222_j8.mesh
-    skel = maxwell222_j8.skeleton
-    vol_grad = build_gradient(mesh, "volume")
-    skel_grad = build_gradient(mesh, "skeleton", skel)
-    interps = [build_nodal_interp(mesh, d, "skeleton", skel) for d in range(3)]
-    jac = maxwell222_j8.jacobi_skeleton
+def test_hx_validates_inputs(mesh222_j8, skel222_j8, maxwell222_j8, scalar222_j8):
+    mesh, skel = mesh222_j8, skel222_j8
+    vol_grad = build_gradient(mesh)
+    skel_grad = build_gradient(mesh, skel)
+    interps = [build_nodal_interp(mesh, d, skel) for d in range(3)]
+    jac = 1.0 / maxwell222_j8.qhx.jacobi_inv
     with pytest.raises(ValueError, match="skeleton"):
         HiptmairXu(jac, vol_grad, interps, scalar222_j8.qnn)
     with pytest.raises(ValueError, match="direction"):
@@ -286,7 +300,7 @@ def test_hx_validates_inputs(maxwell222_j8, scalar222_j8):
 
 
 def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(
-    maxwell222_j8, selection
+    mesh222_j8, maxwell222_j8, selection
 ):
     """Replacing the scalar average by the exact interface inverse makes the
     edge preconditioner equal the skeleton push-down of
@@ -296,31 +310,24 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(
     assembled on the volume, which is the identity the whole construction
     rests on."""
     mw = maxwell222_j8
-    mesh, coeffs = mw.mesh, mw.coeffs
+    mesh, coeffs = mesh222_j8, Coefficients()
 
     s_scalar = materialize(mw.scalar.schur.apply, mw.scalar.schur.dim)
     exact_inv = sla.inv(s_scalar)
 
-    class ExactScalar:
-        dim = s_scalar.shape[0]
-
-        def __call__(self, f):
-            return exact_inv @ f
-
-    q_exact = HiptmairXu(
-        mw.jacobi_skeleton, mw.gradient, mw.interps, ExactScalar()
-    )
+    q_exact = copy.copy(mw.qhx)
+    q_exact.nn = lambda f: exact_inv @ f
     lhs = materialize(q_exact, q_exact.dim)
 
-    l_dense = assemble_scalar(mesh, mw.scalar.transfer, coeffs).matrix.toarray()
-    m_dense = assemble_edge(mesh, mw.transfer, coeffs).matrix.toarray()
+    l_dense = assemble_scalar(mesh, mw.scalar.schur.transfer, coeffs).matrix.toarray()
+    m_dense = assemble_edge(mesh, mw.schur.transfer, coeffs).matrix.toarray()
     aux = np.diag(1.0 / np.diag(m_dense))
     g = build_gradient(mesh).toarray()
     aux = aux + g @ sla.solve(l_dense, g.T, assume_a="pos")
     for d in range(3):
         p = build_nodal_interp(mesh, d).toarray()
         aux = aux + p @ sla.solve(l_dense, p.T, assume_a="pos")
-    tr = selection(mw.transfer, "skeleton_trace").toarray()
+    tr = selection(mw.schur.transfer, "skeleton_trace").toarray()
     rhs = tr @ aux @ tr.T
 
     assert np.abs(lhs - rhs).max() <= 1e-9
@@ -332,9 +339,9 @@ def test_hx_summands_positive_semidefinite(maxwell222_j8):
     assert np.all(mw.qhx.jacobi_inv > 0)
 
     q_nn = materialize(mw.scalar.qnn, mw.scalar.qnn.dim)
-    g = mw.gradient.toarray()
+    g = mw.qhx.gradient.toarray()
     sandwiches = [g @ q_nn @ g.T]
-    sandwiches += [p.toarray() @ q_nn @ p.toarray().T for p in mw.interps]
+    sandwiches += [p.toarray() @ q_nn @ p.toarray().T for p in mw.qhx.interps]
     for s in sandwiches:
         evs = sla.eigvalsh((s + s.T) / 2.0)
         assert evs[0] >= -1e-10
@@ -379,18 +386,26 @@ def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, ga
     glued from them is the global edge matrix's diagonal on the skeleton, bit
     for bit."""
     mesh = request.getfixturevalue(mesh_name)
+    coeffs = Coefficients(gamma=gamma)
     scopes = []
+    glued = []
 
     def recording(*args, **kwargs):
         scopes.append(kwargs.get("scope", "global"))
         return assemble_edge(*args, **kwargs)
 
+    class Recording(HiptmairXu):
+        def __init__(self, jacobi_skeleton, *args, **kwargs):
+            glued.append(jacobi_skeleton)
+            super().__init__(jacobi_skeleton, *args, **kwargs)
+
     monkeypatch.setattr(precond_mod, "assemble_edge", recording)
-    mw = setup_maxwell(mesh, Coefficients(gamma=gamma))
+    monkeypatch.setattr(precond_mod, "HiptmairXu", Recording)
+    mw = setup_maxwell(mesh, coeffs)
     assert scopes == ["blocks"]
-    glob = assemble_edge(mesh, mw.transfer, mw.coeffs, scope="global")
-    expected = glob.matrix.diagonal()[mw.skeleton.skeleton_edges]
-    assert np.array_equal(mw.jacobi_skeleton, expected)
+    glob = assemble_edge(mesh, mw.schur.transfer, coeffs, scope="global")
+    expected = glob.matrix.diagonal()[extract_skeleton(mesh).skeleton_edges]
+    assert len(glued) == 1 and np.array_equal(glued[0], expected)
 
 
 @pytest.mark.parametrize(
@@ -405,20 +420,26 @@ def test_setup_builds_each_field_once(mesh222_j8, monkeypatch, setup, fields):
         original = getattr(precond_mod, name)
 
         def wrapper(*args):
-            calls.append((name, args))
-            return original(*args)
+            result = original(*args)
+            calls.append((name, args, result))
+            return result
 
         return wrapper
 
     for name in ("extract_skeleton", "build_transfer"):
         monkeypatch.setattr(precond_mod, name, recording(name))
-    problem = setup(mesh222_j8, Coefficients())
-    assert [name for name, _ in calls] == ["extract_skeleton"] + ["build_transfer"] * len(fields)
-    assert all(args[1] is problem.skeleton for _, args in calls[1:])
-    assert [args[2] for _, args in calls[1:]] == fields
+    setup(mesh222_j8, Coefficients())
+    assert [name for name, _, _ in calls] == ["extract_skeleton"] + ["build_transfer"] * len(fields)
+    skeleton = calls[0][2]
+    assert all(args[1] is skeleton for _, args, _ in calls[1:])
+    assert [args[2] for _, args, _ in calls[1:]] == fields
 
 
 def test_solvers_keep_only_what_applies_read(maxwell444_j8):
+    # The problem records hold only what the solve and its report read; the
+    # mesh, skeleton, blocks and maps live with their callers or in qhx.
+    assert set(vars(maxwell444_j8)) == {"schur", "scalar", "qhx", "dim_volume"}
+    assert set(vars(maxwell444_j8.scalar)) == {"coeffs", "schur", "qnn", "dim_volume"}
     # The interior factor and the A_ib/A_bb blocks serve only to form S_u:
     # each distinct block keeps one dense, bitwise-symmetric S_u sized to
     # its members' tuple slices.
@@ -434,8 +455,9 @@ def test_solvers_keep_only_what_applies_read(maxwell444_j8):
 
 def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
     """Under constant coefficients all eight subdomains of each field share
-    one block: one interior factorization per field, and no whole-block
-    Neumann factorization at all."""
+    one block: every set-up factorization is one ``SpdFactor``, one interior
+    factorization per field, one Cholesky of the scalar S_u for its inverse,
+    one of the coarse problem, and no whole-block Neumann factorization."""
     labels = []
 
     class Recording(SpdFactor):
@@ -451,15 +473,16 @@ def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
         assert schur.groups[0][1].tolist() == list(range(8))
     assert labels == [
         "scalar-blocks subdomain 0 (interior)",
+        "scalar-blocks subdomain 0 (Schur)",
         "balancing coarse problem",
         "edge-blocks subdomain 0 (interior)",
     ]
 
 
-def _dense_interface_solve(prob, rhs):
-    full = assemble_scalar(prob.mesh, prob.transfer, prob.coeffs).matrix.toarray()
-    skel = prob.skeleton.skeleton_vertices
-    inner = np.setdiff1d(np.arange(prob.mesh.n_vertices), skel)
+def _dense_interface_solve(mesh, prob, rhs):
+    full = assemble_scalar(mesh, prob.schur.transfer, prob.coeffs).matrix.toarray()
+    skel = extract_skeleton(mesh).skeleton_vertices
+    inner = np.setdiff1d(np.arange(mesh.n_vertices), skel)
     s_dense = full[np.ix_(skel, skel)] - full[np.ix_(skel, inner)] @ sla.solve(
         full[np.ix_(inner, inner)], full[np.ix_(inner, skel)], assume_a="pos"
     )
@@ -485,7 +508,7 @@ def test_blocks_grouped_by_content(mesh444_j8, rng):
     assert groups == [[0, 1, 2, 3, 4, 6, 7], [5]]
     for prob in (jump, one_tet):
         rhs = rng.uniform(-1, 1, prob.dim_skeleton)
-        want = _dense_interface_solve(prob, rhs)
+        want = _dense_interface_solve(mesh444_j8, prob, rhs)
         report = pcg(prob.schur.apply, prob.qnn, rhs, tol=1e-11)
         assert report.history.converged
         err = np.linalg.norm(report.solution - want) / np.linalg.norm(want)
@@ -494,11 +517,12 @@ def test_blocks_grouped_by_content(mesh444_j8, rng):
 
 def test_setup_dimensions(maxwell444_j8, mesh444_j8):
     mw = maxwell444_j8
-    assert mw.dim_skeleton == mw.skeleton.n_skeleton_edges
+    skeleton = extract_skeleton(mesh444_j8)
+    assert mw.dim_skeleton == skeleton.n_skeleton_edges
     assert mw.dim_volume == mesh444_j8.n_edges
-    assert mw.scalar.dim_skeleton == mw.skeleton.n_skeleton_vertices
+    assert mw.scalar.dim_skeleton == skeleton.n_skeleton_vertices
     assert mw.scalar.dim_volume == mesh444_j8.n_vertices
-    assert mw.jacobi_skeleton.shape == (mw.dim_skeleton,)
+    assert mw.qhx.jacobi_inv.shape == (mw.dim_skeleton,)
 
 
 def test_maxwell_solve_end_to_end(mesh222_j2, rng):

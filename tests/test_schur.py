@@ -15,26 +15,32 @@ from schurhx.precond import materialize
 from schurhx.schur import SpdFactor, build_schur_system
 
 
+def _blocks(mesh, prob):
+    """The subdomain blocks of a scalar problem, assembled again."""
+    return assemble_scalar(mesh, prob.schur.transfer, prob.coeffs, scope="blocks").blocks
+
+
 def _subdomain_schur(prob, j):
     """Subdomain j's dense Schur complement and its local boundary positions."""
-    sys, ops = prob.schur, prob.transfer
+    sys = prob.schur
+    ops = sys.transfer
     lo, hi = ops.boundary.block_offsets[j : j + 2]
     boundary = ops.boundary_trace[lo:hi] - ops.broken.block_offsets[j]
     return sys.groups[sys.group_of[j]][0], boundary
 
 
-def test_single_cell_subdomain_schur_is_whole_block(scalar222_j8):
+def test_single_cell_subdomain_schur_is_whole_block(mesh222_j8, scalar222_j8):
     # Every vertex of a one-cell subdomain is a boundary vertex, so the
     # elimination is empty and the local DtN map is the block itself.
     s_u, boundary = _subdomain_schur(scalar222_j8, 0)
-    block = scalar222_j8.blocks.blocks[0]
+    block = _blocks(mesh222_j8, scalar222_j8)[0]
     assert boundary.size == block.shape[0]
     assert np.array_equal(s_u, block.toarray())
 
 
-def test_schur_matches_dense_elimination(scalar444_j8, rng):
+def test_schur_matches_dense_elimination(mesh444_j8, scalar444_j8, rng):
     s_u, bb = _subdomain_schur(scalar444_j8, 2)
-    a = scalar444_j8.blocks.blocks[2].toarray()
+    a = _blocks(mesh444_j8, scalar444_j8)[2].toarray()
     ii = np.setdiff1d(np.arange(a.shape[0]), bb)
     assert ii.size > 0
     dense_schur = a[np.ix_(bb, bb)] - a[np.ix_(bb, ii)] @ sla.solve(
@@ -46,12 +52,12 @@ def test_schur_matches_dense_elimination(scalar444_j8, rng):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_schur_inverse_is_resolvent_boundary_block(scalar444_j8):
+def test_schur_inverse_is_resolvent_boundary_block(mesh444_j8, scalar444_j8):
     """T_j^{-1} equals the boundary block of the full Neumann inverse."""
     sys, qnn = scalar444_j8.schur, scalar444_j8.qnn
     j = 5
     _, bb = _subdomain_schur(scalar444_j8, j)
-    a_inv = sla.inv(scalar444_j8.blocks.blocks[j].toarray())
+    a_inv = sla.inv(_blocks(mesh444_j8, scalar444_j8)[j].toarray())
     lo = int(sys.transfer.boundary.block_offsets[j])
 
     def block_inv(g):
@@ -79,13 +85,13 @@ def test_dtn_inverse_symmetric(scalar444_j8, rng):
     assert abs(left - right) <= 1e-12 * max(abs(left), 1.0)
 
 
-def test_global_schur_matches_dense_elimination(scalar222_j2):
+def test_global_schur_matches_dense_elimination(mesh222_j2, scalar222_j2):
     """Assembled interface operator == Schur complement of the global matrix
     after eliminating the non-skeleton unknowns."""
     prob = scalar222_j2
-    full = assemble_scalar(prob.mesh, prob.transfer, prob.coeffs).matrix.toarray()
-    skel_ids = prob.skeleton.skeleton_vertices
-    mask = np.zeros(prob.mesh.n_vertices, dtype=bool)
+    full = assemble_scalar(mesh222_j2, prob.schur.transfer, prob.coeffs).matrix.toarray()
+    skel_ids = extract_skeleton(mesh222_j2).skeleton_vertices
+    mask = np.zeros(mesh222_j2.n_vertices, dtype=bool)
     mask[skel_ids] = True
     inner = np.flatnonzero(~mask)
     dense = full[np.ix_(skel_ids, skel_ids)] - full[
@@ -123,11 +129,11 @@ def test_dtn_block_locality(scalar444_j8, rng):
         assert touched.min() >= lo and touched.max() < hi
 
 
-def test_blockwise_projector_algebra(scalar222_j8, selection):
+def test_blockwise_projector_algebra(mesh222_j8, scalar222_j8, selection):
     """P = (trace pseudo-inverse) . trace is an idempotent, self-adjoint
     (in the block energy) projector."""
-    trace = selection(scalar222_j8.transfer, "boundary_trace").toarray()
-    blocks = sp.block_diag(scalar222_j8.blocks.blocks, format="csr").toarray()
+    trace = selection(scalar222_j8.schur.transfer, "boundary_trace").toarray()
+    blocks = sp.block_diag(_blocks(mesh222_j8, scalar222_j8), format="csr").toarray()
     lift = pseudoinverse_surjective(trace, blocks)
     proj = lift @ trace
     assert np.abs(proj @ proj - proj).max() <= 1e-10
@@ -142,11 +148,10 @@ def test_tuple_dimension_checked(scalar444_j8):
 
 
 def test_build_requires_block_scope(mesh222_j8, scalar222_j8):
-    full = assemble_scalar(
-        scalar222_j8.mesh, scalar222_j8.transfer, scalar222_j8.coeffs
-    )
+    transfer = scalar222_j8.schur.transfer
+    full = assemble_scalar(mesh222_j8, transfer, scalar222_j8.coeffs)
     with pytest.raises(ValueError, match="block"):
-        build_schur_system(full, scalar222_j8.transfer)
+        build_schur_system(full, transfer)
 
 
 def test_spd_factor_modes_and_consistency(monkeypatch, rng):
@@ -161,6 +166,16 @@ def test_spd_factor_modes_and_consistency(monkeypatch, rng):
     sparse = SpdFactor(a, "test")
     assert sparse.mode == "sparse-lu"
     assert np.abs(dense.solve(b) - sparse.solve(b)).max() <= 1e-10
+
+    # An array is already dense: whatever the cutoff, it gets dense Cholesky,
+    # on a copy, so the caller keeps its matrix.
+    array = a.toarray()
+    from_array = SpdFactor(array, "test")
+    assert from_array.mode == "dense-cholesky"
+    assert np.array_equal(array, a.toarray())
+    inverse = from_array.inverse()
+    assert np.array_equal(inverse, inverse.T)
+    assert np.abs(inverse @ array - np.eye(40)).max() <= 1e-12
 
     # B^T A^{-1} B: both modes agree, and the dense one is bitwise symmetric.
     form = dense.inverse_form(coupling)
