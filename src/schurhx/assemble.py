@@ -29,15 +29,9 @@ representative, cached for the ``assemble_*`` call; tets gather it and apply
 their own coefficients in the per-tet operation order, so the values are
 bitwise per-tet ones.  Subdomains with the same local dof pattern share one
 coalesce plan (stable sort order, group starts, CSR indices and indptr), so a
-block's data is one ``np.add.reduceat``.
-
-Global operators are assembled as the ascending-subdomain sum of the scattered
-per-subdomain blocks.  That makes the algebraic identity
-
-    global = split^T . blockdiag(blocks) . split
-
-hold exactly (bitwise) in floating point, because both sides accumulate the
-same per-block values in the same order.
+block's data is one ``np.add.reduceat``.  The result is one CSR block per
+subdomain, in ascending subdomain order; no global matrix is assembled, and
+the dense oracle sums the blocks itself (``oracle.volume_matrix``).
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ from .mesh import LOCAL_EDGES, BoxMesh
 
 __all__ = [
     "Coefficients",
-    "SparseSymOp",
     "assemble_scalar",
     "assemble_edge",
 ]
@@ -97,16 +90,6 @@ class Coefficients:
                 f"coefficient {name} has shape {value.shape}, expected ({n_tets},)"
             )
         return value
-
-
-@dataclass
-class SparseSymOp:
-    """An assembled symmetric operator: one global matrix, or its subdomain blocks."""
-
-    kind: str  # "scalar-global" | "scalar-blocks" | "edge-global" | "edge-blocks"
-    dim: int
-    matrix: sp.csr_matrix | None = None
-    blocks: list[sp.csr_matrix] | None = None
 
 
 def _lattice(mesh: BoxMesh, tets: np.ndarray) -> np.ndarray:
@@ -231,23 +214,18 @@ def _coalesce_plan(ldof: np.ndarray, dim: int):
     return order, starts, c[starts].astype(np.int32), indptr
 
 
-def _scatter_block(block: sp.csr_matrix, dofs: np.ndarray, dim: int) -> sp.csr_matrix:
-    coo = block.tocoo()
-    m = sp.csr_matrix((coo.data, (dofs[coo.row], dofs[coo.col])), shape=(dim, dim))
-    m.sort_indices()
-    return m
-
-
 def _assemble(
     mesh: BoxMesh,
     transfer: TransferOps,
     scope: str,
     element_matrices,  # callable: tet_ids -> (T, k, k) local matrices
     tet_dofs: np.ndarray,  # (n_tets, k) global dof of each local dof
-) -> SparseSymOp:
-    if scope not in ("global", "blocks"):
-        raise ValueError(f"unknown scope {scope!r}")
-    field, offsets = transfer.field, transfer.broken.block_offsets
+) -> list[sp.csr_matrix]:
+    # "blocks" is the only scope.  The keyword stays because the benchmark's
+    # tracer routes assembly spans by it; it goes together with that routing.
+    if scope != "blocks":
+        raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
+    offsets = transfer.broken.block_offsets
     sub_dofs = [transfer.volume_split[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
     blocks = []
     plans = {}  # by local dof pattern; each block copies the shared index arrays
@@ -261,25 +239,14 @@ def _assemble(
         order, starts, indices, indptr = plans[pattern]
         data = np.add.reduceat(local.ravel()[order], starts)
         blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=True))
-
-    if scope == "blocks":
-        dim = sum(block.shape[0] for block in blocks)
-        return SparseSymOp(kind=f"{field}-blocks", dim=dim, blocks=blocks)
-
-    # Ascending-subdomain accumulation; see the module docstring for why the
-    # order matters.
-    dim = transfer.volume.dim
-    total = sp.csr_matrix((dim, dim))
-    for j, block in enumerate(blocks):
-        total = total + _scatter_block(block, sub_dofs[j], dim)
-    total.sort_indices()
-    return SparseSymOp(kind=f"{field}-global", dim=dim, matrix=total)
+    return blocks
 
 
 def assemble_scalar(
-    mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "global"
-) -> SparseSymOp:
-    """Assemble  int alpha grad u.grad v + beta u v  on the P1 dofs of ``transfer``."""
+    mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "blocks"
+) -> list[sp.csr_matrix]:
+    """Subdomain blocks of  int alpha grad u.grad v + beta u v  on the P1 dofs
+    of ``transfer``, one per subdomain in ascending order."""
     if transfer.field != "scalar":
         raise ValueError(f"expected a scalar transfer, got {transfer.field}")
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
@@ -297,9 +264,10 @@ def assemble_scalar(
 
 
 def assemble_edge(
-    mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "global"
-) -> SparseSymOp:
-    """Assemble  int curl u.curl v + gamma^2 u.v  on the edge dofs of ``transfer``."""
+    mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "blocks"
+) -> list[sp.csr_matrix]:
+    """Subdomain blocks of  int curl u.curl v + gamma^2 u.v  on the edge dofs
+    of ``transfer``, one per subdomain in ascending order."""
     if transfer.field != "edge":
         raise ValueError(f"expected an edge transfer, got {transfer.field}")
     gamma = float(np.asarray(coeffs.gamma))

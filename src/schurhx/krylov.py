@@ -64,25 +64,15 @@ def pcg(
     rho = float(z @ r)
     if rho < 0:
         raise PcgBreakdownError(f"preconditioner is not SPD: <z0, r0> = {rho}")
-    if rho == 0.0:
-        history = ConvergenceHistory(
-            relres=np.array([0.0]),
-            iterations=0,
-            converged=True,
-            tol=tol,
-            max_iter=max_iter,
-            wall_time=time.perf_counter() - start,
-        )
-        return SolveReport(x, history, {})
-
+    # A zero residual (rho == 0) is converged before the first iteration.
+    converged = rho == 0.0
     rho0 = rho
-    relres = [1.0]
+    relres = [0.0 if converged else 1.0]
     alphas: list[float] = []
     betas: list[float] = []
     p = z.copy()
-    converged = False
     k = 0
-    while k < max_iter:
+    while not converged and k < max_iter:
         q = apply_op(p)
         p_op_p = float(p @ q)
         if p_op_p <= 0:

@@ -13,6 +13,7 @@ outer boundary of the box.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -138,10 +139,14 @@ def build_box_mesh(
 
     ``cells`` gives the cell count per axis, ``subdomains`` the number of
     equal slabs per axis; each subdomain count must divide the cell count on
-    its axis.  Raises :class:`ConfigurationError` otherwise.
+    its axis.  Counts must be integers (numpy integers included).  Raises
+    :class:`ConfigurationError` otherwise.
     """
-    cells = tuple(int(c) for c in cells)
-    subdomains = tuple(int(j) for j in subdomains)
+    try:
+        cells = tuple(operator.index(c) for c in cells)
+        subdomains = tuple(operator.index(j) for j in subdomains)
+    except TypeError as err:
+        raise ConfigurationError(f"cells and subdomains must be integer triples: {err}") from err
     if len(cells) != 3 or len(subdomains) != 3:
         raise ConfigurationError("cells and subdomains must be triples")
     for axis in range(3):

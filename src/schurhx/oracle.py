@@ -22,6 +22,7 @@ import scipy.linalg as sla
 
 from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .discrete_ops import build_gradient, build_nodal_interp
+from .dofspaces import TransferOps
 from .errors import ConfigurationError, SingularOperatorError
 from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
 from .precond import estimate_condition, materialize, setup_maxwell, setup_scalar
@@ -31,6 +32,7 @@ __all__ = [
     "pseudoinverse_injective",
     "IdentityCheck",
     "IdentityReport",
+    "volume_matrix",
     "verify_dense_lemmas",
     "verify_identities",
 ]
@@ -192,6 +194,17 @@ def _selection(idx: np.ndarray, n_source: int) -> np.ndarray:
     return np.eye(n_source)[idx]
 
 
+def volume_matrix(transfer: TransferOps, blocks: list) -> np.ndarray:
+    """Dense volume matrix of a field: subdomain block j added at its slice of
+    ``volume_split``, in ascending j."""
+    n, offsets = transfer.volume.dim, transfer.broken.block_offsets
+    dense = np.zeros((n, n))
+    for j, block in enumerate(blocks):
+        dofs = transfer.volume_split[offsets[j] : offsets[j + 1]]
+        dense[np.ix_(dofs, dofs)] += block.toarray()
+    return dense
+
+
 def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> np.ndarray:
     """Per boundary-tuple copy, the largest alpha among the subdomain's tets
     that touch the vertex, tet by tet."""
@@ -262,8 +275,9 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
 
     # Interface inverse identity: (assembled Schur) . (trace volinv trace^T) = Id,
     # for both fields.
-    l_dense = assemble_scalar(mesh, scalar_ops, coeffs, scope="global").matrix.toarray()
-    m_dense = assemble_edge(mesh, edge_ops, coeffs, scope="global").matrix.toarray()
+    blocks = assemble_scalar(mesh, scalar_ops, coeffs)
+    l_dense = volume_matrix(scalar_ops, blocks)
+    m_dense = volume_matrix(edge_ops, assemble_edge(mesh, edge_ops, coeffs))
     for field_name, problem, vol in (
         ("scalar", scalar, l_dense),
         ("edge", maxwell, m_dense),
@@ -281,7 +295,6 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
 
     # Pseudo-inverse commutation: splitting the volume lift of skeleton data
     # equals lifting blockwise.
-    blocks = assemble_scalar(mesh, scalar_ops, coeffs, scope="blocks").blocks
     l_blocks = sla.block_diag(*(block.toarray() for block in blocks))
     split = _selection(scalar_ops.skeleton_split, scalar_ops.skeleton.dim)
     lift_vol = pseudoinverse_surjective(trace_v, l_dense)
@@ -382,9 +395,8 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, tr):
     cond_nn = estimate_condition(
         lambda u: s_aux @ u, lambda u: q_aux @ u, s_aux.shape[0]
     ).cond
-    l_aux = assemble_scalar(
-        mesh, plug_in.schur.transfer, plug_in.coeffs, scope="global"
-    ).matrix.toarray()
+    aux_ops = plug_in.schur.transfer
+    l_aux = volume_matrix(aux_ops, assemble_scalar(mesh, aux_ops, plug_in.coeffs))
     se_mat = materialize(maxwell.schur.apply, maxwell.schur.dim)
     qhx_mat = materialize(maxwell.qhx, maxwell.qhx.dim)
     cond_hx = estimate_condition(

@@ -94,8 +94,9 @@ class NeumannNeumann:
     """
 
     def __init__(self, schur: SchurSystem, rho: np.ndarray):
-        if schur.kind != "scalar-blocks":
-            raise ValueError(f"expected a scalar interface system, got {schur.kind}")
+        field = schur.transfer.field
+        if field != "scalar":
+            raise ValueError(f"expected a scalar interface system, got {field}")
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (schur.tuple_dim,):
             raise ValueError(f"expected rho of length {schur.tuple_dim}, got {rho.shape}")
@@ -108,7 +109,7 @@ class NeumannNeumann:
         self.degree = np.bincount(self.split, self.rho, minlength=self.dim)
         self.n_applies = 0
         self.inverse_dtn = [
-            SpdFactor(s_u, f"{schur.kind} subdomain {members[0]} (Schur)").inverse()
+            SpdFactor(s_u, f"{field} subdomain {members[0]} (Schur)").inverse()
             for s_u, members in schur.groups
         ]
 
@@ -253,7 +254,7 @@ def _scalar_problem(
 ) -> ScalarProblem:
     transfer = build_transfer(mesh, skeleton, "scalar")
     # The blocks go once their Schur complements are formed.
-    schur = build_schur_system(assemble_scalar(mesh, transfer, coeffs, scope="blocks"), transfer)
+    schur = build_schur_system(assemble_scalar(mesh, transfer, coeffs), transfer)
     qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, skeleton))
     return ScalarProblem(coeffs, schur, qnn, mesh.n_vertices)
 
@@ -271,13 +272,13 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
     scalar = _scalar_problem(mesh, Coefficients(alpha=1.0, beta=gamma2), skeleton)
 
     transfer = build_transfer(mesh, skeleton, "edge")
-    blocks = assemble_edge(mesh, transfer, coeffs, scope="blocks")
+    blocks = assemble_edge(mesh, transfer, coeffs)
     schur = build_schur_system(blocks, transfer)
 
     # The skeleton Jacobi diagonal glues the subdomain boundary diagonals.
-    # Copies add in ascending subdomain order, as in global assembly, so it
-    # equals the global edge diagonal on the skeleton bit for bit.
-    broken_diagonal = np.concatenate([block.diagonal() for block in blocks.blocks])
+    # Copies add in ascending subdomain order, as in ``oracle.volume_matrix``,
+    # so it equals the volume edge diagonal on the skeleton bit for bit.
+    broken_diagonal = np.concatenate([block.diagonal() for block in blocks])
     jac = np.bincount(
         transfer.skeleton_split,
         broken_diagonal[transfer.boundary_trace],

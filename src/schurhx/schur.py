@@ -32,7 +32,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assemble import SparseSymOp
 from .dofspaces import TransferOps
 from .errors import SingularOperatorError
 
@@ -133,10 +132,7 @@ class SchurSystem:
     with its member subdomains, and ``group_of[j]`` is subdomain j's group.
     """
 
-    def __init__(
-        self, kind: str, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray
-    ):
-        self.kind = kind
+    def __init__(self, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray):
         self.transfer = transfer
         self.dim = transfer.skeleton.dim
         self.tuple_dim = transfer.boundary.dim
@@ -167,11 +163,13 @@ class SchurSystem:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The assembled skeleton operator: split, block DtN, glue back."""
+        if u.shape != (self.dim,):
+            raise ValueError(f"expected skeleton vector of length {self.dim}")
         split = self.transfer.skeleton_split
         return np.bincount(split, self.apply_dtn(u[split]), minlength=self.dim)
 
 
-def build_schur_system(blocks_op: SparseSymOp, transfer: TransferOps) -> SchurSystem:
+def build_schur_system(blocks: list[sp.csr_matrix], transfer: TransferOps) -> SchurSystem:
     """Form one dense Schur complement per distinct subdomain block and wire up
     the interface operator.
 
@@ -181,21 +179,19 @@ def build_schur_system(blocks_op: SparseSymOp, transfer: TransferOps) -> SchurSy
     by content, so per-tet coefficients can only split a group, never merge
     different blocks.
     """
-    if blocks_op.blocks is None:
-        raise ValueError("need a block-scope operator")
     broken_offsets = transfer.broken.block_offsets
     tuple_offsets = transfer.boundary.block_offsets
     group_by_content: dict[tuple[bytes, ...], int] = {}
     schurs = []
     group_of = []
-    for j, block in enumerate(blocks_op.blocks):
+    for j, block in enumerate(blocks):
         lo, hi = tuple_offsets[j], tuple_offsets[j + 1]
         boundary = transfer.boundary_trace[lo:hi] - broken_offsets[j]
         content = (block.data, block.indices, block.indptr, boundary)
         key = tuple(a.tobytes() for a in content)
         if key not in group_by_content:
             group_by_content[key] = len(schurs)
-            label = f"{blocks_op.kind} subdomain {j}"
+            label = f"{transfer.field} subdomain {j}"
             schurs.append(_schur_complement(block, boundary, label))
         group_of.append(group_by_content[key])
-    return SchurSystem(blocks_op.kind, transfer, schurs, np.array(group_of))
+    return SchurSystem(transfer, schurs, np.array(group_of))

@@ -23,6 +23,7 @@ from schurhx.oracle import (
     pseudoinverse_injective,
     pseudoinverse_surjective,
     verify_dense_lemmas,
+    volume_matrix,
 )
 from schurhx.precond import (
     estimate_condition,
@@ -75,8 +76,10 @@ def test_criterion_01_scalar_interface_inverse_formula(selection):
         prob = setup_scalar(mesh, Coefficients())
         schur = materialize(prob.schur.apply, prob.schur.dim)
         tr = selection(prob.schur.transfer, "skeleton_trace").toarray()
-        vol = assemble_scalar(mesh, prob.schur.transfer, prob.coeffs, scope="global")
-        pushed = tr @ sla.solve(vol.matrix.toarray(), tr.T, assume_a="pos")
+        vol = volume_matrix(
+            prob.schur.transfer, assemble_scalar(mesh, prob.schur.transfer, prob.coeffs)
+        )
+        pushed = tr @ sla.solve(vol, tr.T, assume_a="pos")
         resid = np.abs(schur @ pushed - np.eye(schur.shape[0])).max()
         worst = max(worst, resid)
     elapsed = perf_counter() - t0
@@ -95,8 +98,8 @@ def test_criterion_02_edge_interface_inverse_formula(selection):
         prob = setup_maxwell(mesh, coeffs)
         schur = materialize(prob.schur.apply, prob.schur.dim)
         tr = selection(prob.schur.transfer, "skeleton_trace").toarray()
-        vol = assemble_edge(mesh, prob.schur.transfer, coeffs, scope="global")
-        pushed = tr @ sla.solve(vol.matrix.toarray(), tr.T, assume_a="pos")
+        vol = volume_matrix(prob.schur.transfer, assemble_edge(mesh, prob.schur.transfer, coeffs))
+        pushed = tr @ sla.solve(vol, tr.T, assume_a="pos")
         resid = np.abs(schur @ pushed - np.eye(schur.shape[0])).max()
         worst = max(worst, resid)
     elapsed = perf_counter() - t0
@@ -120,10 +123,9 @@ def test_criterion_04_pseudoinverse_commutation(selection):
         mesh = build_box_mesh((2, 2, 2), grid)
         prob = setup_scalar(mesh, Coefficients())
         ops = prob.schur.transfer
-        vol = assemble_scalar(mesh, ops, prob.coeffs, scope="global")
-        blocks = assemble_scalar(mesh, ops, prob.coeffs, scope="blocks").blocks
+        blocks = assemble_scalar(mesh, ops, prob.coeffs)
         lift_vol = pseudoinverse_surjective(
-            selection(ops, "skeleton_trace").toarray(), vol.matrix.toarray()
+            selection(ops, "skeleton_trace").toarray(), volume_matrix(ops, blocks)
         )
         lift_blk = pseudoinverse_surjective(
             selection(ops, "boundary_trace").toarray(),
@@ -196,8 +198,9 @@ def test_criterion_08_spectral_inequalities(selection):
     sc = mw.scalar
     slack = 1.0 + 1e-9
 
-    l_dense = assemble_scalar(mesh, sc.schur.transfer, coeffs, scope="global").matrix.toarray()
-    m_dense = assemble_edge(mesh, mw.schur.transfer, coeffs, scope="global").matrix.toarray()
+    scalar_ops, edge_ops = sc.schur.transfer, mw.schur.transfer
+    l_dense = volume_matrix(scalar_ops, assemble_scalar(mesh, scalar_ops, coeffs))
+    m_dense = volume_matrix(edge_ops, assemble_edge(mesh, edge_ops, coeffs))
     s_l = materialize(sc.schur.apply, sc.schur.dim)
     s_m = materialize(mw.schur.apply, mw.schur.dim)
     q_nn = materialize(sc.qnn, sc.qnn.dim)

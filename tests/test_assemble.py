@@ -1,5 +1,6 @@
 """Assembly: element closed forms vs an independent quadrature oracle, the
-exact block-sum identity, symmetry, kernels, and coefficient handling."""
+block-sum identity of the volume matrix, symmetry, kernels, and coefficient
+handling."""
 
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from schurhx.discrete_ops import build_gradient, build_nodal_interp
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
 from schurhx.mesh import LOCAL_EDGES, BoxMesh, build_box_mesh, extract_skeleton
+from schurhx.oracle import volume_matrix
 
 # Degree-2 quadrature on the reference tet, in barycentric coordinates:
 # four points (a, b, b, b) and permutations, equal weights.  Exact for all
@@ -127,51 +129,56 @@ def test_edge_curl_matches_quadrature(mesh444_j8):
 @pytest.mark.parametrize("field", ["scalar", "edge"])
 def test_assembled_operators_bitwise_symmetric(mesh444_j8, transfers444, field):
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    op = assemble(mesh444_j8, transfers444[field], Coefficients(1.3, 0.7, 1.9))
-    diff = op.matrix - op.matrix.T
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+    blocks = assemble(mesh444_j8, transfers444[field], Coefficients(1.3, 0.7, 1.9))
+    for block in blocks:
+        diff = block - block.T
+        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
 @pytest.mark.parametrize("grid", [(2, 1, 1), (2, 2, 2)])
 def test_global_equals_split_blockdiag_split(field, grid, selection):
-    """The defining identity of the assembly: exact, not approximate."""
+    """The oracle's dense volume matrix is split^T . blockdiag(blocks) . split
+    and bitwise symmetric."""
     mesh = build_box_mesh((2, 2, 2), grid)
     transfer = build_transfer(mesh, extract_skeleton(mesh), field)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    coeffs = Coefficients(2.0, 0.5, 3.0)
-    full = assemble(mesh, transfer, coeffs, scope="global")
-    blocks = assemble(mesh, transfer, coeffs, scope="blocks")
+    blocks = assemble(mesh, transfer, Coefficients(2.0, 0.5, 3.0))
+    dense = volume_matrix(transfer, blocks)
+    assert np.array_equal(dense, dense.T)
     split = selection(transfer, "volume_split")
-    triple = (split.T @ sp.block_diag(blocks.blocks, format="csr") @ split).tocsr()
-    triple.sort_indices()
-    diff = full.matrix - triple
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+    triple = (split.T @ sp.block_diag(blocks, format="csr") @ split).toarray()
+    assert np.abs(dense - triple).max() <= 1e-14 * np.abs(triple).max()
 
 
 def test_constant_energy_is_reaction_volume(mesh444_j8, transfers444):
     # The gradient term annihilates constants, so <L 1, 1> = beta * |box|
     # for any diffusion coefficient, including a tiny reaction limit.
     for beta in (3.25, 1e-8):
-        op = assemble_scalar(mesh444_j8, transfers444["scalar"], Coefficients(7.7, beta))
-        ones = np.ones(op.dim)
-        assert abs(ones @ (op.matrix @ ones) - beta) <= 1e-12 * max(beta, 1.0)
+        transfer = transfers444["scalar"]
+        dense = volume_matrix(
+            transfer, assemble_scalar(mesh444_j8, transfer, Coefficients(7.7, beta))
+        )
+        ones = np.ones(transfer.volume.dim)
+        assert abs(ones @ (dense @ ones) - beta) <= 1e-12 * max(beta, 1.0)
 
 
 def test_constant_vector_field_energy(mesh222_j1):
     transfer = build_transfer(mesh222_j1, extract_skeleton(mesh222_j1), "edge")
     gamma = 1.5
-    op = assemble_edge(mesh222_j1, transfer, Coefficients(gamma=gamma))
+    dense = volume_matrix(transfer, assemble_edge(mesh222_j1, transfer, Coefficients(gamma=gamma)))
     # Edge dofs of the constant field e_0; its curl vanishes, so the energy
     # is gamma^2 * integral of |e_0|^2 = gamma^2.
     u = build_nodal_interp(mesh222_j1, 0) @ np.ones(mesh222_j1.n_vertices)
-    assert abs(u @ (op.matrix @ u) - gamma * gamma) <= 1e-12
+    assert abs(u @ (dense @ u) - gamma * gamma) <= 1e-12
 
 
 def test_gradient_field_energy_matches_scalar_stiffness(mesh222_j8, rng):
     transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "edge")
     gamma = 2.5
-    edge_op = assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma))
+    edge_dense = volume_matrix(
+        transfer, assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma))
+    )
     grad = build_gradient(mesh222_j8)
 
     stiff, _ = scalar_element_matrices(
@@ -187,7 +194,7 @@ def test_gradient_field_energy_matches_scalar_stiffness(mesh222_j8, rng):
 
     v = rng.uniform(-1, 1, mesh222_j8.n_vertices)
     gv = grad @ v
-    lhs = gv @ (edge_op.matrix @ gv)
+    lhs = gv @ (edge_dense @ gv)
     rhs = gamma * gamma * (v @ (k_dense @ v))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
@@ -211,9 +218,10 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
     transfers = _transfers(mesh222_j8)
     beta, gamma = 0.3, 0.8
 
-    scal = assemble_scalar(
-        mesh222_j8, transfers["scalar"], Coefficients(1.0, beta)
-    ).matrix.toarray()
+    scal = volume_matrix(
+        transfers["scalar"],
+        assemble_scalar(mesh222_j8, transfers["scalar"], Coefficients(1.0, beta)),
+    )
     _, sm = scalar_element_matrices(
         mesh222_j8,
         np.arange(mesh222_j8.n_tets),
@@ -228,9 +236,10 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
     assert lmin_mass > 0
     assert sla.eigvalsh(scal)[0] >= beta * lmin_mass * (1 - 1e-12)
 
-    edge = assemble_edge(
-        mesh222_j8, transfers["edge"], Coefficients(gamma=gamma)
-    ).matrix.toarray()
+    edge = volume_matrix(
+        transfers["edge"],
+        assemble_edge(mesh222_j8, transfers["edge"], Coefficients(gamma=gamma)),
+    )
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
     mass_e = np.zeros_like(edge)
     for t in range(mesh222_j8.n_tets):
@@ -245,8 +254,10 @@ def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
     """Doubling gamma shifts each diagonal entry by 3 gamma^2 * mass diag."""
     transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "edge")
     gamma = 1.3
-    d1 = assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma)).matrix.diagonal()
-    d2 = assemble_edge(mesh222_j8, transfer, Coefficients(gamma=2 * gamma)).matrix.diagonal()
+    d1, d2 = (
+        np.diag(volume_matrix(transfer, assemble_edge(mesh222_j8, transfer, coeffs)))
+        for coeffs in (Coefficients(gamma=gamma), Coefficients(gamma=2 * gamma))
+    )
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
     mass_diag = np.zeros(mesh222_j8.n_edges)
     for t in range(mesh222_j8.n_tets):
@@ -257,12 +268,22 @@ def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
 
 
 def test_blocks_scope_keeps_only_blocks(mesh222_j8):
-    # The solve path reads the subdomain blocks one by one, so the blocks
-    # scope builds no block-diagonal copy of them.
+    # The solve path reads the subdomain blocks one by one, so assembly
+    # returns them as a plain list and builds no block-diagonal copy.
     transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "scalar")
-    op = assemble_scalar(mesh222_j8, transfer, Coefficients(), scope="blocks")
-    assert op.matrix is None and len(op.blocks) == 8
-    assert op.dim == transfer.broken.dim
+    blocks = assemble_scalar(mesh222_j8, transfer, Coefficients())
+    assert isinstance(blocks, list) and len(blocks) == 8
+    assert all(sp.isspmatrix_csr(block) for block in blocks)
+    assert sum(block.shape[0] for block in blocks) == transfer.broken.dim
+
+
+def test_global_scope_rejected(mesh222_j8):
+    """Blocks are the only scope; no global matrix is assembled."""
+    transfers = _transfers(mesh222_j8)
+    with pytest.raises(ValueError, match="'global'"):
+        assemble_scalar(mesh222_j8, transfers["scalar"], Coefficients(), scope="global")
+    with pytest.raises(ValueError, match="'global'"):
+        assemble_edge(mesh222_j8, transfers["edge"], Coefficients(), scope="global")
 
 
 @pytest.mark.parametrize(
@@ -294,8 +315,9 @@ def test_per_tet_coefficients(mesh222_j8):
             np.full(mesh222_j8.n_tets, 2.0), np.full(mesh222_j8.n_tets, 0.5)
         ),
     )
-    diff = uniform.matrix - arrays.matrix
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+    for a, b in zip(uniform, arrays, strict=True):
+        diff = a - b
+        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
     with pytest.raises(ConfigurationError, match="shape"):
         Coefficients(np.ones(5)).per_tet("alpha", mesh222_j8.n_tets)
 
@@ -306,7 +328,7 @@ def _assembly_raises(mesh, transfers, match):
     with pytest.raises(AssemblyError, match=match):
         assemble_scalar(mesh, transfers["scalar"], Coefficients())
     with pytest.raises(AssemblyError, match=match):
-        assemble_edge(mesh, transfers["edge"], Coefficients(), scope="blocks")
+        assemble_edge(mesh, transfers["edge"], Coefficients())
 
 
 def test_degenerate_tet_raises(mesh111):
@@ -382,7 +404,7 @@ def test_blocks_match_per_tet_reference(field):
         rng.uniform(0.1, 10.0, mesh.n_tets), rng.uniform(0.1, 10.0, mesh.n_tets), 1.3
     )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh, transfer, coeffs, scope="blocks").blocks
+    blocks = assemble(mesh, transfer, coeffs)
     reference = _reference_blocks(mesh, coeffs, field)
     assert len(blocks) == len(reference) == mesh.n_subdomains
     for block, ref in zip(blocks, reference):
@@ -414,8 +436,8 @@ def test_element_matrices_once_per_class(field, monkeypatch):
     for name in received:
         monkeypatch.setattr(assemble_module, name, counting(name))
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    op = assemble(mesh, transfer, Coefficients(1.3, 0.7, 1.9), scope="blocks")
-    assert len(op.blocks) == 27
+    blocks = assemble(mesh, transfer, Coefficients(1.3, 0.7, 1.9))
+    assert len(blocks) == 27
     assert 0 < received["tet_geometry"] <= 6
     assert received["edge_element_matrices"] <= 6
     if field == "edge":
@@ -450,11 +472,10 @@ def test_equal_shapes_get_bitwise_equal_geometry():
 
 def test_spd_smallest_eigenvalue(mesh222_j2):
     transfers = _transfers(mesh222_j2)
-    for op in (
-        assemble_scalar(mesh222_j2, transfers["scalar"], Coefficients()),
-        assemble_edge(mesh222_j2, transfers["edge"], Coefficients()),
-    ):
-        assert sla.eigvalsh(op.matrix.toarray())[0] > 0
+    for field, assemble in (("scalar", assemble_scalar), ("edge", assemble_edge)):
+        transfer = transfers[field]
+        dense = volume_matrix(transfer, assemble(mesh222_j2, transfer, Coefficients()))
+        assert sla.eigvalsh(dense)[0] > 0
 
 
 def test_transfer_of_other_field_rejected(mesh222_j8):
@@ -463,4 +484,4 @@ def test_transfer_of_other_field_rejected(mesh222_j8):
     with pytest.raises(ValueError, match="scalar transfer"):
         assemble_scalar(mesh222_j8, transfers["edge"], Coefficients())
     with pytest.raises(ValueError, match="an edge transfer"):
-        assemble_edge(mesh222_j8, transfers["scalar"], Coefficients(), scope="blocks")
+        assemble_edge(mesh222_j8, transfers["scalar"], Coefficients())

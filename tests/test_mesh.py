@@ -267,11 +267,20 @@ def test_divisibility_error_names_axis():
         ((0, 1, 1), (1, 1, 1)),
         ((1, 1, 1), (0, 1, 1)),
         ((1, 1), (1, 1, 1)),
+        ((2.5, 2, 2), (1, 1, 1.9)),
+        ((2, 2, 2.0), (1, 1, 1)),
+        ((2, 2, 2), (1, "1", 1)),
     ],
 )
 def test_invalid_shapes_rejected(cells, grid):
     with pytest.raises(ConfigurationError):
         build_box_mesh(cells, grid)
+
+
+def test_numpy_integer_counts_accepted():
+    mesh = build_box_mesh(np.array([2, 2, 4]), (np.int64(1), 2, np.int32(2)))
+    assert mesh.cells == (2, 2, 4) and mesh.subdomains == (1, 2, 2)
+    assert all(type(n) is int for n in mesh.cells + mesh.subdomains)
 
 
 def test_broken_mesh_rejected_by_skeleton(mesh111):

@@ -18,7 +18,7 @@ from schurhx.errors import (
 )
 from schurhx.krylov import pcg
 from schurhx.mesh import build_box_mesh, extract_skeleton
-from schurhx.oracle import pseudoinverse_injective
+from schurhx.oracle import pseudoinverse_injective, volume_matrix
 from schurhx.precond import (
     HiptmairXu,
     NeumannNeumann,
@@ -70,7 +70,7 @@ def test_nn_singular_coarse_problem_raises(scalar222_j8, monkeypatch):
     # inverse DtN maps are stubbed so set-up reaches the coarse problem.
     schur = scalar222_j8.schur
     zeros = [np.zeros_like(s_u) for s_u, _ in schur.groups]
-    zero = SchurSystem(schur.kind, schur.transfer, zeros, schur.group_of)
+    zero = SchurSystem(schur.transfer, zeros, schur.group_of)
 
     class StubbedInverse(SpdFactor):
         """The 'inverse' of an S_u is S_u itself, unfactorized; any other
@@ -228,6 +228,18 @@ def test_nn_dimension_checked(scalar222_j8):
         scalar222_j8.qnn(np.zeros(scalar222_j8.qnn.dim + 1))
 
 
+def test_schur_apply_dimension_checked(scalar444_j8):
+    # A longer vector would otherwise be split at the skeleton positions and
+    # its extra entries dropped without an error.
+    schur = scalar444_j8.schur
+    assert schur.dim == 117
+    for n in (116, 124):
+        with pytest.raises(ValueError, match="skeleton vector"):
+            schur.apply(np.zeros(n))
+    with pytest.raises(ValueError, match="skeleton vector"):
+        schur.apply(np.zeros((117, 1)))
+
+
 def test_ideal_weighted_average_is_exact_inverse(scalar222_j8, selection):
     """Swapping the counting weights for the energy-weighted pseudo-inverse
     of the skeleton split turns the average into the exact inverse."""
@@ -319,8 +331,9 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(
     q_exact.nn = lambda f: exact_inv @ f
     lhs = materialize(q_exact, q_exact.dim)
 
-    l_dense = assemble_scalar(mesh, mw.scalar.schur.transfer, coeffs).matrix.toarray()
-    m_dense = assemble_edge(mesh, mw.schur.transfer, coeffs).matrix.toarray()
+    scalar_ops, edge_ops = mw.scalar.schur.transfer, mw.schur.transfer
+    l_dense = volume_matrix(scalar_ops, assemble_scalar(mesh, scalar_ops, coeffs))
+    m_dense = volume_matrix(edge_ops, assemble_edge(mesh, edge_ops, coeffs))
     aux = np.diag(1.0 / np.diag(m_dense))
     g = build_gradient(mesh).toarray()
     aux = aux + g @ sla.solve(l_dense, g.T, assume_a="pos")
@@ -382,16 +395,16 @@ def test_estimate_condition_validation(scalar222_j8):
     "mesh_name, gamma", [("mesh444_j8", 1.0), ("mesh422_j211", 1.7)]
 )
 def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, gamma):
-    """Set-up assembles only the edge blocks, and the skeleton Jacobi diagonal
-    glued from them is the global edge matrix's diagonal on the skeleton, bit
+    """Set-up assembles the edge blocks once, and the skeleton Jacobi diagonal
+    glued from them is the volume edge matrix's diagonal on the skeleton, bit
     for bit."""
     mesh = request.getfixturevalue(mesh_name)
     coeffs = Coefficients(gamma=gamma)
-    scopes = []
+    calls = []
     glued = []
 
     def recording(*args, **kwargs):
-        scopes.append(kwargs.get("scope", "global"))
+        calls.append(kwargs)
         return assemble_edge(*args, **kwargs)
 
     class Recording(HiptmairXu):
@@ -402,9 +415,10 @@ def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, ga
     monkeypatch.setattr(precond_mod, "assemble_edge", recording)
     monkeypatch.setattr(precond_mod, "HiptmairXu", Recording)
     mw = setup_maxwell(mesh, coeffs)
-    assert scopes == ["blocks"]
-    glob = assemble_edge(mesh, mw.schur.transfer, coeffs, scope="global")
-    expected = glob.matrix.diagonal()[extract_skeleton(mesh).skeleton_edges]
+    assert len(calls) == 1
+    transfer = mw.schur.transfer
+    volume = volume_matrix(transfer, assemble_edge(mesh, transfer, coeffs))
+    expected = np.diag(volume)[extract_skeleton(mesh).skeleton_edges]
     assert len(glued) == 1 and np.array_equal(glued[0], expected)
 
 
@@ -445,7 +459,7 @@ def test_solvers_keep_only_what_applies_read(maxwell444_j8):
     # its members' tuple slices.
     for schur in (maxwell444_j8.schur, maxwell444_j8.scalar.schur):
         assert set(vars(schur)) == {
-            "kind", "transfer", "dim", "tuple_dim", "group_of", "groups", "_group_rows"
+            "transfer", "dim", "tuple_dim", "group_of", "groups", "_group_rows"
         }
         sizes = np.diff(schur.transfer.boundary.block_offsets)
         for s_u, members in schur.groups:
@@ -472,15 +486,16 @@ def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
         assert len(schur.groups) == 1 and schur.group_of.tolist() == [0] * 8
         assert schur.groups[0][1].tolist() == list(range(8))
     assert labels == [
-        "scalar-blocks subdomain 0 (interior)",
-        "scalar-blocks subdomain 0 (Schur)",
+        "scalar subdomain 0 (interior)",
+        "scalar subdomain 0 (Schur)",
         "balancing coarse problem",
-        "edge-blocks subdomain 0 (interior)",
+        "edge subdomain 0 (interior)",
     ]
 
 
 def _dense_interface_solve(mesh, prob, rhs):
-    full = assemble_scalar(mesh, prob.schur.transfer, prob.coeffs).matrix.toarray()
+    transfer = prob.schur.transfer
+    full = volume_matrix(transfer, assemble_scalar(mesh, transfer, prob.coeffs))
     skel = extract_skeleton(mesh).skeleton_vertices
     inner = np.setdiff1d(np.arange(mesh.n_vertices), skel)
     s_dense = full[np.ix_(skel, skel)] - full[np.ix_(skel, inner)] @ sla.solve(

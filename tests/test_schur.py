@@ -10,14 +10,14 @@ from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import SingularOperatorError
 from schurhx.mesh import build_box_mesh, extract_skeleton
-from schurhx.oracle import pseudoinverse_surjective
+from schurhx.oracle import pseudoinverse_surjective, volume_matrix
 from schurhx.precond import materialize
-from schurhx.schur import SpdFactor, build_schur_system
+from schurhx.schur import SpdFactor
 
 
 def _blocks(mesh, prob):
     """The subdomain blocks of a scalar problem, assembled again."""
-    return assemble_scalar(mesh, prob.schur.transfer, prob.coeffs, scope="blocks").blocks
+    return assemble_scalar(mesh, prob.schur.transfer, prob.coeffs)
 
 
 def _subdomain_schur(prob, j):
@@ -89,7 +89,8 @@ def test_global_schur_matches_dense_elimination(mesh222_j2, scalar222_j2):
     """Assembled interface operator == Schur complement of the global matrix
     after eliminating the non-skeleton unknowns."""
     prob = scalar222_j2
-    full = assemble_scalar(mesh222_j2, prob.schur.transfer, prob.coeffs).matrix.toarray()
+    transfer = prob.schur.transfer
+    full = volume_matrix(transfer, assemble_scalar(mesh222_j2, transfer, prob.coeffs))
     skel_ids = extract_skeleton(mesh222_j2).skeleton_vertices
     mask = np.zeros(mesh222_j2.n_vertices, dtype=bool)
     mask[skel_ids] = True
@@ -147,13 +148,6 @@ def test_tuple_dimension_checked(scalar444_j8):
             method(np.zeros(sys.tuple_dim + 1))
 
 
-def test_build_requires_block_scope(mesh222_j8, scalar222_j8):
-    transfer = scalar222_j8.schur.transfer
-    full = assemble_scalar(mesh222_j8, transfer, scalar222_j8.coeffs)
-    with pytest.raises(ValueError, match="block"):
-        build_schur_system(full, transfer)
-
-
 def test_spd_factor_modes_and_consistency(monkeypatch, rng):
     w = rng.uniform(-1, 1, (40, 40))
     a = sp.csr_matrix(w @ w.T + 40 * np.eye(40))
@@ -206,10 +200,9 @@ def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     mesh = build_box_mesh((12, 12, 12), (2, 2, 2))
     skeleton = extract_skeleton(mesh)
     transfer = build_transfer(mesh, skeleton, "edge")
-    blocks = assemble_edge(mesh, transfer, Coefficients(), scope="blocks")
+    block = assemble_edge(mesh, transfer, Coefficients())[0]
     lo, hi = transfer.boundary.block_offsets[:2]
     boundary = transfer.boundary_trace[lo:hi] - transfer.broken.block_offsets[0]
-    block = blocks.blocks[0]
     assert block.shape[0] - boundary.size == 1206
     assert 1206 <= schur_mod.DENSE_CUTOFF
     dense = schur_mod._schur_complement(block, boundary, "edge")
