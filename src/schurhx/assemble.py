@@ -54,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Strictly positive problem coefficients.
+    """Positive, finite problem coefficients.
 
     ``alpha`` (diffusion) and ``beta`` (reaction) may be scalars or per-tet
     arrays; ``gamma`` (the zeroth-order Maxwell weight) is a scalar whose
@@ -71,8 +71,12 @@ class Coefficients:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             value = np.asarray(getattr(self, name), dtype=float)
-            if value.size == 0 or np.any(value <= 0) or not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"coefficient {name} must be strictly positive")
+            bad = value[~(np.isfinite(value) & (value > 0))]
+            if bad.size or value.size == 0:
+                shown = repr(float(bad.flat[0])) if bad.size else "[]"
+                raise ConfigurationError(
+                    f"coefficient {name}={shown} must be positive and finite"
+                )
         if np.ndim(self.gamma) != 0:
             raise ConfigurationError("coefficient gamma must be a scalar")
         gamma = float(self.gamma)
@@ -225,7 +229,7 @@ def _assemble(
     # tracer routes assembly spans by it; it goes together with that routing.
     if scope != "blocks":
         raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
-    offsets = transfer.broken.block_offsets
+    offsets = transfer.broken_offsets
     sub_dofs = [transfer.volume_split[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
     blocks = []
     plans = {}  # by local dof pattern; each block copies the shared index arrays

@@ -62,9 +62,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be a non-empty path")
             if path is not None and Path(path).is_dir():
                 raise ConfigurationError(f"{name} {path} is a directory, expected a file path")
-        for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be strictly positive")
+        self.coefficients()
 
     def coefficients(self) -> Coefficients:
         return Coefficients(self.alpha, self.beta, self.gamma)

@@ -25,8 +25,6 @@ class ConvergenceHistory:
     relres: np.ndarray  # relres[k] after k iterations; relres[0] = 1
     iterations: int
     converged: bool
-    tol: float
-    max_iter: int
     wall_time: float
     alphas: np.ndarray = field(default_factory=lambda: np.empty(0))
     betas: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -103,8 +101,6 @@ def pcg(
         relres=np.asarray(relres),
         iterations=k,
         converged=converged,
-        tol=tol,
-        max_iter=max_iter,
         wall_time=time.perf_counter() - start,
         alphas=np.asarray(alphas),
         betas=np.asarray(betas),

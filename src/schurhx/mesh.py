@@ -103,24 +103,17 @@ class SkeletonIndex:
 
     ``boundary_vertices[j]`` / ``boundary_edges[j]`` list, in ascending global
     order, the dofs sitting on the boundary of subdomain ``j``.  The skeleton
-    lists are the unions over subdomains.  ``vertex_degree[x]`` counts how
-    many subdomain boundaries contain vertex ``x`` (0 off the skeleton).
+    lists are the unions over subdomains.
     """
 
     skeleton_vertices: np.ndarray  # sorted global vertex ids
     skeleton_edges: np.ndarray  # sorted global edge ids
     boundary_vertices: list[np.ndarray]  # per subdomain, sorted
     boundary_edges: list[np.ndarray]  # per subdomain, sorted
-    boundary_faces: list[np.ndarray]  # per subdomain, (m, 3) sorted triples
-    vertex_degree: np.ndarray  # (n_vertices,) int
 
     @property
     def n_skeleton_vertices(self) -> int:
         return self.skeleton_vertices.shape[0]
-
-    @property
-    def n_skeleton_edges(self) -> int:
-        return self.skeleton_edges.shape[0]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -130,6 +123,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _axis_name(axis: int) -> str:
     return "xyz"[axis]
+
+
+def _check_face_keys(n_vertices: int) -> None:
+    if n_vertices > FACE_KEY_LIMIT:
+        raise ConfigurationError(
+            f"{n_vertices} vertices: face keys overflow int64 above {FACE_KEY_LIMIT} vertices"
+        )
 
 
 def build_box_mesh(
@@ -167,6 +167,8 @@ def build_box_mesh(
 
     nx, ny, nz = cells
     jx, jy, jz = subdomains
+    # Checked before any array is built: the mesh would take gigabytes.
+    _check_face_keys((nx + 1) * (ny + 1) * (nz + 1))
 
     # Vertex id = i + (nx+1)*(j + (ny+1)*k), i fastest.
     kk, jj, ii = np.meshgrid(
@@ -249,14 +251,9 @@ def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
     rejected loudly rather than silently misclassified.
     """
     n_v = mesh.n_vertices
-    if n_v > FACE_KEY_LIMIT:
-        raise ConfigurationError(
-            f"{n_v} vertices: face keys overflow int64 above {FACE_KEY_LIMIT} vertices"
-        )
-    degree = np.zeros(n_v, dtype=np.int64)
+    _check_face_keys(n_v)  # again: a mesh may be built by hand
     boundary_vertices: list[np.ndarray] = []
     boundary_edges: list[np.ndarray] = []
-    boundary_faces: list[np.ndarray] = []
 
     for j in range(mesh.n_subdomains):
         tets_j = mesh.tets[mesh.tets_of_subdomain(j)]
@@ -279,21 +276,14 @@ def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
         face_pairs = bfaces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
         bedges = np.unique(edge_ids_of_pairs(mesh, face_pairs))
 
-        degree[bverts] += 1
         boundary_vertices.append(_freeze(bverts))
         boundary_edges.append(_freeze(bedges))
-        boundary_faces.append(_freeze(bfaces))
-
-    skeleton_vertices = np.flatnonzero(degree > 0)
-    skeleton_edges = np.unique(np.concatenate(boundary_edges))
 
     return SkeletonIndex(
-        skeleton_vertices=_freeze(skeleton_vertices),
-        skeleton_edges=_freeze(skeleton_edges),
+        skeleton_vertices=_freeze(np.unique(np.concatenate(boundary_vertices))),
+        skeleton_edges=_freeze(np.unique(np.concatenate(boundary_edges))),
         boundary_vertices=boundary_vertices,
         boundary_edges=boundary_edges,
-        boundary_faces=boundary_faces,
-        vertex_degree=_freeze(degree),
     )
 
 

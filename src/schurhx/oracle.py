@@ -197,7 +197,7 @@ def _selection(idx: np.ndarray, n_source: int) -> np.ndarray:
 def volume_matrix(transfer: TransferOps, blocks: list) -> np.ndarray:
     """Dense volume matrix of a field: subdomain block j added at its slice of
     ``volume_split``, in ascending j."""
-    n, offsets = transfer.volume.dim, transfer.broken.block_offsets
+    n, offsets = transfer.n_volume, transfer.broken_offsets
     dense = np.zeros((n, n))
     for j, block in enumerate(blocks):
         dofs = transfer.volume_split[offsets[j] : offsets[j + 1]]
@@ -245,18 +245,18 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
     # all exact in floating point (0/1 selection matrices and identical
     # coordinate arithmetic on both paths).
     for field_name, ops in (("scalar", scalar_ops), ("edge", edge_ops)):
-        lhs = _selection(ops.boundary_trace, ops.broken.dim) @ _selection(
-            ops.volume_split, ops.volume.dim
+        lhs = _selection(ops.boundary_trace, ops.volume_split.size) @ _selection(
+            ops.volume_split, ops.n_volume
         )
-        rhs = _selection(ops.skeleton_split, ops.skeleton.dim) @ _selection(
-            ops.skeleton_trace, ops.volume.dim
+        rhs = _selection(ops.skeleton_split, ops.skeleton_trace.size) @ _selection(
+            ops.skeleton_trace, ops.n_volume
         )
         report.add_residual(
             f"trace-split-commutation-{field_name}", ctx, _max_abs(lhs - rhs), 0.0
         )
 
-    trace_v = _selection(scalar_ops.skeleton_trace, scalar_ops.volume.dim)
-    trace_e = _selection(edge_ops.skeleton_trace, edge_ops.volume.dim)
+    trace_v = _selection(scalar_ops.skeleton_trace, scalar_ops.n_volume)
+    trace_e = _selection(edge_ops.skeleton_trace, edge_ops.n_volume)
     report.add_residual(
         "gradient-trace-commutation",
         ctx,
@@ -283,7 +283,7 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
         ("edge", maxwell, m_dense),
     ):
         ops = problem.schur.transfer
-        tr = _selection(ops.skeleton_trace, ops.volume.dim)
+        tr = _selection(ops.skeleton_trace, ops.n_volume)
         pushed = tr @ sla.solve(vol, tr.T, assume_a="pos")
         s_mat = materialize(problem.schur.apply, problem.schur.dim)
         report.add_residual(
@@ -296,17 +296,17 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
     # Pseudo-inverse commutation: splitting the volume lift of skeleton data
     # equals lifting blockwise.
     l_blocks = sla.block_diag(*(block.toarray() for block in blocks))
-    split = _selection(scalar_ops.skeleton_split, scalar_ops.skeleton.dim)
+    split = _selection(scalar_ops.skeleton_split, scalar_ops.skeleton_trace.size)
     lift_vol = pseudoinverse_surjective(trace_v, l_dense)
     lift_blk = pseudoinverse_surjective(
-        _selection(scalar_ops.boundary_trace, scalar_ops.broken.dim), l_blocks
+        _selection(scalar_ops.boundary_trace, scalar_ops.volume_split.size), l_blocks
     )
     report.add_residual(
         "pseudoinverse-commutation",
         ctx,
         float(
             np.abs(
-                _selection(scalar_ops.volume_split, scalar_ops.volume.dim) @ lift_vol
+                _selection(scalar_ops.volume_split, scalar_ops.n_volume) @ lift_vol
                 - lift_blk @ split
             ).max()
         ),

@@ -113,25 +113,20 @@ class NeumannNeumann:
             for s_u, members in schur.groups
         ]
 
-        offsets = schur.transfer.boundary.block_offsets
+        # Z: one entry rho_c / degree per copy c, at (its skeleton vertex, its
+        # subdomain); no two copies share a place, so nothing is summed.
+        offsets = schur.transfer.boundary_offsets
         n_sub = len(schur.group_of)
-        rows = np.arange(schur.tuple_dim)
-        ones = np.ones(schur.tuple_dim)
-        split_matrix = sp.csr_matrix(
-            (ones, (rows, self.split)), shape=(schur.tuple_dim, self.dim)
-        )
         block_of = np.repeat(np.arange(n_sub), np.diff(offsets))
-        on_block = sp.csr_matrix(
-            (self.rho, (rows, block_of)), shape=(schur.tuple_dim, n_sub)
+        self.coarse_basis = sp.csr_matrix(
+            (self.rho * (1.0 / self.degree)[self.split], (self.split, block_of)),
+            shape=(self.dim, n_sub),
         )
-        # The sparse product fixes the order of each row's entries in Z, and
-        # with it the summation order of every Z @ c.
-        self.coarse_basis = sp.diags(1.0 / self.degree) @ (split_matrix.T @ on_block)
 
         # S Z blockwise: each subdomain applies its group's Schur complement
         # to the few coarse columns that touch its boundary, all at once.
         # Subdomains go in ascending order, which fixes the summation order.
-        split_basis = split_matrix @ self.coarse_basis
+        split_basis = self.coarse_basis[self.split]
         self.s_coarse = np.zeros((self.dim, n_sub))
         for j, u in enumerate(schur.group_of):
             lo, hi = int(offsets[j]), int(offsets[j + 1])
@@ -181,7 +176,7 @@ class HiptmairXu:
         skeleton_gradient: sp.csr_matrix,
         skeleton_interps: list[sp.csr_matrix],
         nn: NeumannNeumann,
-        gradient_weight: float = 1.0,
+        gradient_weight: float,
     ):
         if len(skeleton_interps) != 3:
             raise ValueError("need one interpolation map per Cartesian direction")
@@ -306,7 +301,6 @@ class CondEstimate:
     lmin: float
     lmax: float
     cond: float
-    method: str
 
 
 def estimate_condition(
@@ -353,4 +347,4 @@ def estimate_condition(
         raise ValueError(f"unknown method {method!r}")
     if lmin <= 0:
         raise SingularOperatorError(f"nonpositive eigenvalue estimate {lmin}")
-    return CondEstimate(lmin, lmax, lmax / lmin, method)
+    return CondEstimate(lmin, lmax, lmax / lmin)

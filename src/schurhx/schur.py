@@ -134,12 +134,12 @@ class SchurSystem:
 
     def __init__(self, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray):
         self.transfer = transfer
-        self.dim = transfer.skeleton.dim
-        self.tuple_dim = transfer.boundary.dim
+        self.dim = transfer.skeleton_trace.size
+        self.tuple_dim = transfer.skeleton_split.size
         self.group_of = group_of
         self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
         # Tuple positions of each group as a (boundary size, members) array.
-        offsets = transfer.boundary.block_offsets
+        offsets = transfer.boundary_offsets
         self._group_rows = [
             offsets[js][None, :] + np.arange(s_u.shape[0])[:, None] for s_u, js in self.groups
         ]
@@ -179,14 +179,12 @@ def build_schur_system(blocks: list[sp.csr_matrix], transfer: TransferOps) -> Sc
     by content, so per-tet coefficients can only split a group, never merge
     different blocks.
     """
-    broken_offsets = transfer.broken.block_offsets
-    tuple_offsets = transfer.boundary.block_offsets
     group_by_content: dict[tuple[bytes, ...], int] = {}
     schurs = []
     group_of = []
     for j, block in enumerate(blocks):
-        lo, hi = tuple_offsets[j], tuple_offsets[j + 1]
-        boundary = transfer.boundary_trace[lo:hi] - broken_offsets[j]
+        lo, hi = transfer.boundary_offsets[j : j + 2]
+        boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
         content = (block.data, block.indices, block.indptr, boundary)
         key = tuple(a.tobytes() for a in content)
         if key not in group_by_content:

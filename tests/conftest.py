@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 import schurhx.oracle as oracle_mod
 from schurhx.assemble import Coefficients
-from schurhx.mesh import build_box_mesh, extract_skeleton
+from schurhx.mesh import LOCAL_FACES, build_box_mesh, extract_skeleton
 from schurhx.precond import setup_maxwell, setup_scalar
 
 
@@ -20,12 +20,13 @@ def rng():
     return np.random.default_rng(0)
 
 
-# Source space of each transfer map, as a TransferOps attribute.
+# Source dimension of each transfer map: the volume size, or the length of
+# the map into the source space.
 MAP_SOURCE = {
-    "skeleton_trace": "volume",
-    "volume_split": "volume",
-    "boundary_trace": "broken",
-    "skeleton_split": "skeleton",
+    "skeleton_trace": lambda ops: ops.n_volume,
+    "volume_split": lambda ops: ops.n_volume,
+    "boundary_trace": lambda ops: ops.volume_split.size,
+    "skeleton_split": lambda ops: ops.skeleton_trace.size,
 }
 
 
@@ -36,10 +37,42 @@ def selection():
 
     def build(ops, name: str) -> sp.csr_matrix:
         idx = getattr(ops, name)
-        shape = (idx.size, getattr(ops, MAP_SOURCE[name]).dim)
+        shape = (idx.size, MAP_SOURCE[name](ops))
         m = sp.csr_matrix((np.ones(idx.size), (np.arange(idx.size), idx)), shape=shape)
         m.sort_indices()
         return m
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def boundary_faces():
+    """Make each subdomain's boundary faces by row-unique counting, apart from
+    ``extract_skeleton``: the sorted vertex triples that exactly one tet of
+    the subdomain touches, in ascending row order."""
+
+    def build(mesh) -> list[np.ndarray]:
+        out = []
+        for j in range(mesh.n_subdomains):
+            tets_j = mesh.tets[mesh.tet_subdomain == j]
+            faces = np.sort(tets_j[:, LOCAL_FACES].reshape(-1, 3), axis=1)
+            uniq, counts = np.unique(faces, axis=0, return_counts=True)
+            out.append(uniq[counts == 1])
+        return out
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def vertex_degree(boundary_faces):
+    """Make the number of subdomain boundaries through each vertex (0 off
+    the skeleton), counted from ``boundary_faces``."""
+
+    def build(mesh) -> np.ndarray:
+        degree = np.zeros(mesh.n_vertices, dtype=np.int64)
+        for faces in boundary_faces(mesh):
+            degree[np.unique(faces)] += 1
+        return degree
 
     return build
 

@@ -173,7 +173,7 @@ def test_criterion_06_degree_average_closed_form(selection):
         ops = prob.schur.transfer
         split = selection(ops, "skeleton_split").toarray()
         closed = split.T / prob.qnn.degree[:, None]
-        pinj = pseudoinverse_injective(split, np.eye(ops.boundary.dim))
+        pinj = pseudoinverse_injective(split, np.eye(ops.skeleton_split.size))
         worst = max(worst, np.abs(pinj - closed).max())
     ok = worst <= 1e-12
     _report(6, ok, f"worst entrywise deviation {worst:.2e} (tol 1e-12)")

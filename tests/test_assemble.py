@@ -159,7 +159,7 @@ def test_constant_energy_is_reaction_volume(mesh444_j8, transfers444):
         dense = volume_matrix(
             transfer, assemble_scalar(mesh444_j8, transfer, Coefficients(7.7, beta))
         )
-        ones = np.ones(transfer.volume.dim)
+        ones = np.ones(transfer.n_volume)
         assert abs(ones @ (dense @ ones) - beta) <= 1e-12 * max(beta, 1.0)
 
 
@@ -274,7 +274,7 @@ def test_blocks_scope_keeps_only_blocks(mesh222_j8):
     blocks = assemble_scalar(mesh222_j8, transfer, Coefficients())
     assert isinstance(blocks, list) and len(blocks) == 8
     assert all(sp.isspmatrix_csr(block) for block in blocks)
-    assert sum(block.shape[0] for block in blocks) == transfer.broken.dim
+    assert sum(block.shape[0] for block in blocks) == transfer.volume_split.size
 
 
 def test_global_scope_rejected(mesh222_j8):
@@ -303,6 +303,25 @@ def test_global_scope_rejected(mesh222_j8):
 def test_coefficient_validation(kwargs):
     with pytest.raises(ConfigurationError):
         Coefficients(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, shown",
+    [
+        (dict(alpha=np.nan), "alpha=nan"),
+        (dict(beta=-np.inf), "beta=-inf"),
+        (dict(gamma=np.inf), "gamma=inf"),
+        (dict(alpha=0.0), "alpha=0.0"),
+        (dict(beta=np.array([1.0, np.nan, -2.0])), "beta=nan"),
+        (dict(alpha=np.array([])), "alpha=[]"),
+    ],
+)
+def test_coefficient_validation_finite(kwargs, shown):
+    """NaN and infinities are rejected like non-positive values, and the
+    message names the first offending value."""
+    with pytest.raises(ConfigurationError, match="finite") as err:
+        Coefficients(**kwargs)
+    assert str(err.value) == f"coefficient {shown} must be positive and finite"
 
 
 def test_per_tet_coefficients(mesh222_j8):

@@ -31,6 +31,10 @@ def test_config_validation():
         ExperimentConfig(max_iter=0)
     with pytest.raises(ConfigurationError, match="gamma"):
         ExperimentConfig(gamma=-1.0)
+    with pytest.raises(ConfigurationError, match="alpha=nan must be positive and finite"):
+        ExperimentConfig(alpha=float("nan"))
+    with pytest.raises(ConfigurationError, match="gamma\\^2 overflows"):
+        ExperimentConfig(gamma=1e160)
     with pytest.raises(ConfigurationError, match="seed"):
         ExperimentConfig(seed=-1)
 
@@ -163,8 +167,15 @@ def test_bad_arguments_exit_2(capsys, tmp_path):
     capsys.readouterr()
     assert main(["--seed", "-1", *SMALL]) == 2
     assert "error: seed must be >= 0" in capsys.readouterr().err
+    # Coefficients fail at configuration time, before any set-up.
     assert main(["--problem", "maxwell", "--gamma", "1e160", *SMALL]) == 2
-    assert "error: coefficient gamma=1e+160: gamma^2 overflows" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: coefficient gamma=1e+160: gamma^2 overflows" in captured.err
+    assert "effective configuration" not in captured.out
+    assert main(["--alpha", "nan", *SMALL]) == 2
+    captured = capsys.readouterr()
+    assert "error: coefficient alpha=nan must be positive and finite" in captured.err
+    assert "effective configuration" not in captured.out
     for flag in ("--out", "--export-vtk"):
         assert main([flag, str(tmp_path), *SMALL]) == 2
         captured = capsys.readouterr()

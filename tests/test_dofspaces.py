@@ -10,35 +10,35 @@ from schurhx.mesh import extract_skeleton
 def test_space_dims_eight_subdomains(mesh222_j8, skel222_j8):
     scalar = build_transfer(mesh222_j8, skel222_j8, "scalar")
     edge = build_transfer(mesh222_j8, skel222_j8, "edge")
-    assert scalar.volume.dim == 27
-    assert scalar.skeleton.dim == 27
-    assert edge.volume.dim == 98
-    assert edge.skeleton.dim == 90
+    assert scalar.n_volume == 27
+    assert scalar.skeleton_trace.size == 27
+    assert edge.n_volume == 98
+    assert edge.skeleton_trace.size == 90
     # Eight single-cell subdomains: 8 vertices (all on the boundary) and 19
     # edges each, of which only the body diagonal is interior.
-    assert scalar.broken.dim == 64
-    assert scalar.boundary.dim == 64
-    assert edge.broken.dim == 8 * 19
-    assert edge.boundary.dim == 8 * 18
+    assert scalar.volume_split.size == 64
+    assert scalar.skeleton_split.size == 64
+    assert edge.volume_split.size == 8 * 19
+    assert edge.skeleton_split.size == 8 * 18
 
 
 def test_space_dims_single_subdomain(mesh222_j1, skel222_j1):
     scalar = build_transfer(mesh222_j1, skel222_j1, "scalar")
-    assert scalar.volume.dim == 27
-    assert scalar.skeleton.dim == 26
-    assert scalar.broken.dim == 27
-    assert scalar.boundary.dim == 26
+    assert scalar.n_volume == 27
+    assert scalar.skeleton_trace.size == 26
+    assert scalar.volume_split.size == 27
+    assert scalar.skeleton_split.size == 26
 
 
 def test_block_slices_partition(mesh444_j8, scalar444_j8):
-    broken = scalar444_j8.schur.transfer.broken
-    offsets = broken.block_offsets
-    assert offsets.size == mesh444_j8.n_subdomains + 1
-    total = 0
-    for j in range(mesh444_j8.n_subdomains):
-        assert offsets[j] == total
-        total = offsets[j + 1]
-    assert total == broken.dim
+    ops = scalar444_j8.schur.transfer
+    for offsets, size in (
+        (ops.broken_offsets, ops.volume_split.size),
+        (ops.boundary_offsets, ops.skeleton_split.size),
+    ):
+        assert offsets.size == mesh444_j8.n_subdomains + 1
+        assert offsets[0] == 0 and offsets[-1] == size
+        assert np.all(np.diff(offsets) > 0)
 
 
 def test_index_map_apply_matches_matrix(mesh422_j211, selection, rng):
@@ -69,7 +69,7 @@ def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, rng):
     u = rng.uniform(-1, 1, mesh444_j8.n_vertices)
     broken = u[ops.volume_split]
     for j in (0, 3, 7):
-        lo, hi = ops.broken.block_offsets[j : j + 2]
+        lo, hi = ops.broken_offsets[j : j + 2]
         block = broken[lo:hi]
         vertices = np.unique(mesh444_j8.tets[mesh444_j8.tet_subdomain == j])
         assert np.array_equal(block, u[vertices])
@@ -79,11 +79,11 @@ def test_split_maps_have_no_zero_columns(maxwell444_j8):
     # Injectivity of the two split maps: every volume dof lands in some
     # subdomain, every skeleton dof on some subdomain boundary.
     for ops in (maxwell444_j8.schur.transfer, maxwell444_j8.scalar.schur.transfer):
-        for idx, source in (
-            (ops.volume_split, ops.volume),
-            (ops.skeleton_split, ops.skeleton),
+        for idx, source_dim in (
+            (ops.volume_split, ops.n_volume),
+            (ops.skeleton_split, ops.skeleton_trace.size),
         ):
-            assert np.bincount(idx, minlength=source.dim).min() >= 1
+            assert np.bincount(idx, minlength=source_dim).min() >= 1
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
@@ -97,7 +97,7 @@ def test_trace_split_commutation_exact(mesh422_j211, field, rng, selection):
     )
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
     # Integer probe: exact equality on the vector level as well.
-    u = rng.integers(-100, 100, ops.volume.dim).astype(float)
+    u = rng.integers(-100, 100, ops.n_volume).astype(float)
     left = u[ops.volume_split][ops.boundary_trace]
     right = u[ops.skeleton_trace][ops.skeleton_split]
     assert np.array_equal(left, right)
@@ -113,22 +113,22 @@ def test_single_subdomain_split_is_identity(scalar222_j1):
     assert np.array_equal(split, np.arange(26))
 
 
-def test_skeleton_split_column_sums_are_degrees(mesh222_j2):
+def test_skeleton_split_column_sums_are_degrees(mesh222_j2, vertex_degree):
     skel = extract_skeleton(mesh222_j2)
     ops = build_transfer(mesh222_j2, skel, "scalar")
-    counts = np.bincount(ops.skeleton_split, minlength=ops.skeleton.dim)
-    assert np.array_equal(counts, skel.vertex_degree[skel.skeleton_vertices])
+    counts = np.bincount(ops.skeleton_split, minlength=ops.skeleton_trace.size)
+    assert np.array_equal(counts, vertex_degree(mesh222_j2)[skel.skeleton_vertices])
 
 
 def test_multiplicity_matches_triple_product(
-    mesh222_j8, skel222_j8, scalar222_j8, selection
+    mesh222_j8, skel222_j8, scalar222_j8, selection, vertex_degree
 ):
     """The Neumann-Neumann degree is the diagonal of split^T split, the
     number of subdomain boundaries through each skeleton vertex."""
     degree = scalar222_j8.qnn.degree
     split = selection(scalar222_j8.schur.transfer, "skeleton_split")
     assert np.array_equal((split.T @ split).diagonal(), degree)
-    expected = skel222_j8.vertex_degree[skel222_j8.skeleton_vertices]
+    expected = vertex_degree(mesh222_j8)[skel222_j8.skeleton_vertices]
     assert np.array_equal(degree, expected)
     center = np.flatnonzero(
         np.all(mesh222_j8.vertex_coords[skel222_j8.skeleton_vertices] == 0.5, axis=1)

@@ -138,7 +138,7 @@ def test_history_shapes(rng):
     assert h.betas.size == h.iterations - 1
     assert np.all(h.alphas > 0)
     assert np.all(h.betas >= 0)
-    assert h.relres[-1] <= h.tol
+    assert h.relres[-1] <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)

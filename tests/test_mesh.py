@@ -94,8 +94,8 @@ def test_tet_edges_match_local_pairs(mesh422_j211):
 
 
 @pytest.mark.parametrize("mesh_name", ["mesh422_j211", "mesh222_j8", "mesh234_j132"])
-def test_key_unique_matches_row_unique(request, mesh_name):
-    """Edges and boundary faces found through int64 keys are exactly what
+def test_key_unique_matches_row_unique(request, mesh_name, boundary_faces):
+    """Edges and boundary sets found through int64 keys are exactly what
     np.unique(axis=0) on the vertex rows gives."""
     if mesh_name == "mesh234_j132":
         mesh = build_box_mesh((2, 3, 4), (1, 3, 2))
@@ -108,20 +108,15 @@ def test_key_unique_matches_row_unique(request, mesh_name):
     assert np.array_equal(mesh.tet_edges, inverse.reshape(-1, 6))
 
     edge_id = {tuple(e): i for i, e in enumerate(edges.tolist())}
-    degree = np.zeros(mesh.n_vertices, dtype=np.int64)
-    for j in range(mesh.n_subdomains):
-        tets_j = mesh.tets[mesh.tet_subdomain == j]
-        faces = np.sort(tets_j[:, LOCAL_FACES].reshape(-1, 3), axis=1)
-        uniq, counts = np.unique(faces, axis=0, return_counts=True)
-        bfaces = uniq[counts == 1]
+    on_skeleton = np.zeros(mesh.n_vertices, dtype=bool)
+    for j, bfaces in enumerate(boundary_faces(mesh)):
         bverts = np.unique(bfaces)
         face_pairs = np.unique(bfaces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=0)
         bedges = np.array(sorted(edge_id[tuple(p)] for p in face_pairs.tolist()))
-        degree[bverts] += 1
-        assert np.array_equal(skel.boundary_faces[j], bfaces)
+        on_skeleton[bverts] = True
         assert np.array_equal(skel.boundary_vertices[j], bverts)
         assert np.array_equal(skel.boundary_edges[j], bedges)
-    assert np.array_equal(skel.vertex_degree, degree)
+    assert np.array_equal(skel.skeleton_vertices, np.flatnonzero(on_skeleton))
 
 
 def test_face_key_overflow_rejected(mesh111):
@@ -138,6 +133,22 @@ def test_face_key_overflow_rejected(mesh111):
     )
     with pytest.raises(ConfigurationError, match="face keys"):
         extract_skeleton(huge)
+
+
+def test_vertex_limit_checked_before_meshing(monkeypatch):
+    """A grid over FACE_KEY_LIMIT vertices is refused before any mesh array
+    exists (129^3 vertices would take gigabytes); one at the limit proceeds
+    to meshing, which the stub stops."""
+
+    def no_meshing(*args, **kwargs):
+        raise AssertionError("mesh arrays built")
+
+    monkeypatch.setattr(np, "meshgrid", no_meshing)
+    assert 129**3 > FACE_KEY_LIMIT == 128**3
+    with pytest.raises(ConfigurationError, match="2146689 vertices"):
+        build_box_mesh((128, 128, 128))
+    with pytest.raises(AssertionError, match="mesh arrays built"):
+        build_box_mesh((127, 127, 127))
 
 
 def test_subdomain_index_matches_scan():
@@ -172,24 +183,24 @@ def test_edge_ids_of_pairs_rejects_non_edges(mesh111):
         edge_ids_of_pairs(mesh111, np.array([[7, 8]]))
 
 
-def test_watertight_subdomain_boundaries(mesh222_j8, skel222_j8):
-    """Recount boundary faces independently: shared by exactly one tet of j."""
-    mesh = mesh222_j8
-    for j in range(mesh.n_subdomains):
-        tets_j = mesh.tets[mesh.tet_subdomain == j]
-        faces = np.sort(tets_j[:, LOCAL_FACES].reshape(-1, 3), axis=1)
-        uniq, counts = np.unique(faces, axis=0, return_counts=True)
-        expected = uniq[counts == 1]
-        got = skel222_j8.boundary_faces[j]
-        assert np.array_equal(np.unique(expected, axis=0), got)
+def test_watertight_subdomain_boundaries(mesh222_j8, skel222_j8, boundary_faces):
+    """Recount boundary faces independently (shared by exactly one tet of j):
+    they close up, every face edge lying on exactly two of them, and their
+    vertices are the boundary vertices of j."""
+    for j, faces in enumerate(boundary_faces(mesh222_j8)):
+        face_pairs = faces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
+        _, uses = np.unique(face_pairs, axis=0, return_counts=True)
+        assert np.all(uses == 2)
+        assert np.array_equal(skel222_j8.boundary_vertices[j], np.unique(faces))
 
 
 def test_skeleton_j1_is_outer_boundary(mesh222_j1, skel222_j1):
-    # Single subdomain: skeleton = vertices of the box surface, every one
-    # with degree 1, and the center vertex is the only one missing.
+    # Single subdomain: skeleton = vertices of the box surface, all on the
+    # one boundary, and the center vertex is the only one missing.
     skel = skel222_j1
     assert skel.n_skeleton_vertices == 26
-    assert np.all(skel.vertex_degree[skel.skeleton_vertices] == 1)
+    assert len(skel.boundary_vertices) == 1
+    assert np.array_equal(skel.boundary_vertices[0], skel.skeleton_vertices)
     on_surface = np.any(
         (mesh222_j1.vertex_coords == 0.0) | (mesh222_j1.vertex_coords == 1.0),
         axis=1,
@@ -199,7 +210,11 @@ def test_skeleton_j1_is_outer_boundary(mesh222_j1, skel222_j1):
 
 def test_skeleton_counts_eight_subdomains(skel222_j8):
     assert skel222_j8.n_skeleton_vertices == 27
-    assert skel222_j8.n_skeleton_edges == 90
+    assert skel222_j8.skeleton_edges.size == 90
+
+
+def _boundaries_through(skel, vertex: int) -> int:
+    return sum(int(vertex in boundary) for boundary in skel.boundary_vertices)
 
 
 def test_center_vertex_degree(mesh222_j8, skel222_j8):
@@ -208,7 +223,7 @@ def test_center_vertex_degree(mesh222_j8, skel222_j8):
             np.all(mesh222_j8.vertex_coords == 0.5, axis=1)
         )[0]
     )
-    assert skel222_j8.vertex_degree[center] == 8
+    assert _boundaries_through(skel222_j8, center) == 8
 
 
 def test_interface_degrees_two_subdomains(mesh222_j2):
@@ -218,12 +233,12 @@ def test_interface_degrees_two_subdomains(mesh222_j2):
     mid = np.flatnonzero(
         (coords[:, 0] == 0.5) & (coords[:, 1] == 0.5) & (coords[:, 2] == 0.5)
     )[0]
-    assert skel.vertex_degree[mid] == 2
+    assert _boundaries_through(skel, mid) == 2
     # Interior of an outer face away from the interface: one subdomain only.
     face = np.flatnonzero(
         (coords[:, 0] == 0.0) & (coords[:, 1] == 0.5) & (coords[:, 2] == 0.5)
     )[0]
-    assert skel.vertex_degree[face] == 1
+    assert _boundaries_through(skel, face) == 1
 
 
 def test_skeleton_union_matches_per_subdomain(skel222_j8):
@@ -235,7 +250,7 @@ def test_skeleton_union_matches_per_subdomain(skel222_j8):
     "cells,grid",
     [((1, 1, 1), (1, 1, 1)), ((2, 2, 2), (2, 1, 1)), ((2, 2, 2), (2, 2, 2))],
 )
-def test_skeleton_edges_bruteforce(cells, grid):
+def test_skeleton_edges_bruteforce(cells, grid, boundary_faces):
     """Skeleton edges are exactly the edges lying on some boundary face.
 
     Brute-force characterization on meshes of at most 48 tets: an edge is on
@@ -246,9 +261,9 @@ def test_skeleton_edges_bruteforce(cells, grid):
     skel = extract_skeleton(mesh)
     expected = set()
     edge_id = {tuple(e): i for i, e in enumerate(mesh.edges)}
-    for j in range(mesh.n_subdomains):
+    for j, faces in enumerate(boundary_faces(mesh)):
         on_gamma = set(skel.boundary_vertices[j].tolist())
-        for face in skel.boundary_faces[j]:
+        for face in faces:
             a, b, c = (int(v) for v in face)
             for pair in ((a, b), (a, c), (b, c)):
                 assert pair[0] in on_gamma and pair[1] in on_gamma
@@ -340,8 +355,8 @@ def test_counts_closed_form(nx, ny, nz):
 
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(min_value=1, max_value=3), jx=st.integers(min_value=1, max_value=2))
-def test_degree_positive_exactly_on_skeleton(n, jx):
+def test_degree_positive_exactly_on_skeleton(vertex_degree, n, jx):
     mesh = build_box_mesh((2 * n, 2, 2), (jx, 2, 1))
     skel = extract_skeleton(mesh)
-    positive = np.flatnonzero(skel.vertex_degree > 0)
+    positive = np.flatnonzero(vertex_degree(mesh) > 0)
     assert np.array_equal(positive, skel.skeleton_vertices)

@@ -113,18 +113,37 @@ def test_nn_validates_rho(scalar222_j8):
             NeumannNeumann(schur, rho)
 
 
-def test_nn_constant_rho_is_counting_average(scalar222_j8, skel222_j8):
+def test_nn_constant_rho_is_counting_average(
+    mesh222_j8, scalar222_j8, skel222_j8, vertex_degree
+):
     """Only ratios of rho count: any constant rho gives bitwise the counting
     weights, with ``degree`` the number of copies of each skeleton vertex."""
     prob = scalar222_j8
     counting = np.bincount(prob.qnn.split, minlength=prob.qnn.dim).astype(float)
     assert np.array_equal(prob.qnn.degree, counting)
-    skel = skel222_j8
-    assert np.array_equal(counting, skel.vertex_degree[skel.skeleton_vertices])
+    expected = vertex_degree(mesh222_j8)[skel222_j8.skeleton_vertices]
+    assert np.array_equal(counting, expected)
     scaled = NeumannNeumann(prob.schur, np.full(prob.schur.tuple_dim, 2.7))
     assert np.array_equal(scaled.rho, prob.qnn.rho)
     assert np.array_equal(scaled.degree, counting)
     assert (scaled.coarse_basis != prob.qnn.coarse_basis).nnz == 0
+
+
+def test_coarse_basis_from_index_arrays(scalar444_j8, scalar444_j8_jump, selection):
+    """Z holds one entry rho_c / degree per copy c, at (its skeleton vertex,
+    its subdomain), each row's columns ascending; ``Z[split]`` is bitwise the
+    product of the 0/1 split matrix with Z."""
+    for prob in (scalar444_j8, scalar444_j8_jump):
+        q = prob.qnn
+        z = q.coarse_basis
+        assert z.has_canonical_format and z.has_sorted_indices
+        assert z.nnz == q.split.size
+        offsets = prob.schur.transfer.boundary_offsets
+        block_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        values = np.asarray(z[q.split, block_of]).ravel()
+        assert np.array_equal(values, q.rho * (1.0 / q.degree)[q.split])
+        product = selection(prob.schur.transfer, "skeleton_split") @ z
+        assert np.array_equal(z[q.split].toarray(), product.toarray())
 
 
 def test_nn_records_coarse_condition(scalar444_j8_jump):
@@ -298,15 +317,15 @@ def test_hx_validates_inputs(mesh222_j8, skel222_j8, maxwell222_j8, scalar222_j8
     interps = [build_nodal_interp(mesh, d, skel) for d in range(3)]
     jac = 1.0 / maxwell222_j8.qhx.jacobi_inv
     with pytest.raises(ValueError, match="skeleton"):
-        HiptmairXu(jac, vol_grad, interps, scalar222_j8.qnn)
+        HiptmairXu(jac, vol_grad, interps, scalar222_j8.qnn, 1.0)
     with pytest.raises(ValueError, match="direction"):
-        HiptmairXu(jac, skel_grad, interps[:2], scalar222_j8.qnn)
+        HiptmairXu(jac, skel_grad, interps[:2], scalar222_j8.qnn, 1.0)
     for bad in (0.0, -1.0, np.nan, np.inf):
         broken = jac.copy()
         broken[3] = bad
         with pytest.raises(AssemblyError, match="Jacobi"):
-            HiptmairXu(broken, skel_grad, interps, scalar222_j8.qnn)
-    q = HiptmairXu(jac, skel_grad, interps, scalar222_j8.qnn)
+            HiptmairXu(broken, skel_grad, interps, scalar222_j8.qnn, 1.0)
+    q = HiptmairXu(jac, skel_grad, interps, scalar222_j8.qnn, 1.0)
     with pytest.raises(ValueError):
         q(np.zeros(q.dim + 1))
 
@@ -461,7 +480,7 @@ def test_solvers_keep_only_what_applies_read(maxwell444_j8):
         assert set(vars(schur)) == {
             "transfer", "dim", "tuple_dim", "group_of", "groups", "_group_rows"
         }
-        sizes = np.diff(schur.transfer.boundary.block_offsets)
+        sizes = np.diff(schur.transfer.boundary_offsets)
         for s_u, members in schur.groups:
             assert type(s_u) is np.ndarray and np.array_equal(s_u, s_u.T)
             assert np.all(sizes[members] == s_u.shape[0])
@@ -533,7 +552,7 @@ def test_blocks_grouped_by_content(mesh444_j8, rng):
 def test_setup_dimensions(maxwell444_j8, mesh444_j8):
     mw = maxwell444_j8
     skeleton = extract_skeleton(mesh444_j8)
-    assert mw.dim_skeleton == skeleton.n_skeleton_edges
+    assert mw.dim_skeleton == skeleton.skeleton_edges.size
     assert mw.dim_volume == mesh444_j8.n_edges
     assert mw.scalar.dim_skeleton == skeleton.n_skeleton_vertices
     assert mw.scalar.dim_volume == mesh444_j8.n_vertices

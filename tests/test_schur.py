@@ -24,8 +24,8 @@ def _subdomain_schur(prob, j):
     """Subdomain j's dense Schur complement and its local boundary positions."""
     sys = prob.schur
     ops = sys.transfer
-    lo, hi = ops.boundary.block_offsets[j : j + 2]
-    boundary = ops.boundary_trace[lo:hi] - ops.broken.block_offsets[j]
+    lo, hi = ops.boundary_offsets[j : j + 2]
+    boundary = ops.boundary_trace[lo:hi] - ops.broken_offsets[j]
     return sys.groups[sys.group_of[j]][0], boundary
 
 
@@ -58,7 +58,7 @@ def test_schur_inverse_is_resolvent_boundary_block(mesh444_j8, scalar444_j8):
     j = 5
     _, bb = _subdomain_schur(scalar444_j8, j)
     a_inv = sla.inv(_blocks(mesh444_j8, scalar444_j8)[j].toarray())
-    lo = int(sys.transfer.boundary.block_offsets[j])
+    lo = int(sys.transfer.boundary_offsets[j])
 
     def block_inv(g):
         tup = np.zeros(sys.tuple_dim)
@@ -119,7 +119,7 @@ def test_interface_operator_spd(scalar444_j8, rng):
 def test_dtn_block_locality(scalar444_j8, rng):
     """Data supported in one subdomain's slot never leaks into another."""
     sys = scalar444_j8.schur
-    offsets = sys.transfer.boundary.block_offsets
+    offsets = sys.transfer.boundary_offsets
     j = 3
     vec = np.zeros(sys.tuple_dim)
     lo, hi = int(offsets[j]), int(offsets[j + 1])
@@ -201,8 +201,8 @@ def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     skeleton = extract_skeleton(mesh)
     transfer = build_transfer(mesh, skeleton, "edge")
     block = assemble_edge(mesh, transfer, Coefficients())[0]
-    lo, hi = transfer.boundary.block_offsets[:2]
-    boundary = transfer.boundary_trace[lo:hi] - transfer.broken.block_offsets[0]
+    lo, hi = transfer.boundary_offsets[:2]
+    boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[0]
     assert block.shape[0] - boundary.size == 1206
     assert 1206 <= schur_mod.DENSE_CUTOFF
     dense = schur_mod._schur_complement(block, boundary, "edge")
