@@ -24,12 +24,19 @@ orientation, so no sign bookkeeping is needed anywhere downstream.
 
 Blocks are assembled per subdomain from tet classes: a class is a tet's lattice
 edge offsets plus, for the edge field, its six edge orientations (a box mesh
-has six).  Each class's geometry or element matrix comes from one
-representative, cached for the ``assemble_*`` call; tets gather it and apply
-their own coefficients in the per-tet operation order, so the values are
-bitwise per-tet ones.  Subdomains with the same local dof pattern share one
-coalesce plan (stable sort order, group starts, CSR indices and indptr), so a
-block's data is one ``np.add.reduceat``.  The result is one CSR block per
+has six).  Which subdomains give equal blocks is decided before any block is
+computed.  A subdomain's structural key is its local dof pattern and its tets'
+class rows; subdomains with equal structural keys share one classification,
+one coalesce plan (stable sort order, group starts, CSR indices and indptr)
+and the class data, each class's geometry or element matrix computed from one
+representative.  Tets gather the class data and apply their own coefficients
+in the per-tet operation order, so the values are bitwise per-tet ones, and a
+block's data is one ``np.add.reduceat``.  The value key adds the per-tet
+coefficients (alpha and beta for the scalar field; gamma is global), and
+subdomains with equal value keys get one shared CSR block object whose
+``data``, ``indices`` and ``indptr`` are read-only.  Keys are built per
+subdomain, never over the whole mesh, and lattice positions are checked once
+per mesh (``BoxMesh.vertex_lattice``).  The result is one CSR block per
 subdomain, in ascending subdomain order; no global matrix is assembled, and
 the dense oracle sums the blocks itself (``oracle.volume_matrix``).
 """
@@ -43,7 +50,7 @@ import scipy.sparse as sp
 
 from .dofspaces import TransferOps
 from .errors import AssemblyError, ConfigurationError
-from .mesh import LOCAL_EDGES, BoxMesh
+from .mesh import LOCAL_EDGES, BoxMesh, _freeze
 
 __all__ = [
     "Coefficients",
@@ -96,15 +103,6 @@ class Coefficients:
         return value
 
 
-def _lattice(mesh: BoxMesh, tets: np.ndarray) -> np.ndarray:
-    """Lattice positions (T, 4, 3) of the tets' vertices; off-lattice raises."""
-    p, cells = mesh.vertex_coords[tets], np.asarray(mesh.cells, dtype=float)
-    lattice = np.rint(p * cells)
-    if not np.array_equal(lattice / cells, p):
-        raise AssemblyError("vertex off the box lattice")
-    return lattice
-
-
 def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray):
     """Volumes and constant barycentric gradients, batched over tets.
 
@@ -113,10 +111,11 @@ def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray):
     bitwise-equal volumes and gradients wherever they sit, and equal
     subdomain blocks are bitwise equal (which lets ``schur`` share their
     Schur complements).  A vertex's lattice position is its coordinate over
-    h, rounded; a vertex off the lattice raises :class:`AssemblyError`.
+    h, rounded (``BoxMesh.vertex_lattice``); a vertex off the lattice raises
+    :class:`AssemblyError`.
     """
     cells = np.asarray(mesh.cells, dtype=float)
-    lattice = _lattice(mesh, mesh.tets[tet_ids])
+    lattice = mesh.vertex_lattice[mesh.tets[tet_ids]]
     e = (lattice[:, 1:] - lattice[:, :1]) * (1.0 / cells)  # rows p1-p0, p2-p0, p3-p0
     vols = np.linalg.det(e) / 6.0
     if np.any(vols <= 0) or not np.all(np.isfinite(vols)):
@@ -124,7 +123,7 @@ def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray):
     # x - p0 = e^T (l1, l2, l3), hence grad l_i (i>=1) is column i-1 of inv(e),
     # i.e. row i-1 of inv(e)^T, and grad l_0 closes the partition of unity.
     inv_e = np.linalg.inv(e)
-    grads = np.empty_like(lattice)
+    grads = np.empty(lattice.shape)
     grads[:, 1:] = inv_e.transpose(0, 2, 1)
     grads[:, 0] = -grads[:, 1:].sum(axis=1)
     return vols, grads
@@ -188,26 +187,27 @@ def edge_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray):
     return _mirror_upper(curl_mat), _mirror_upper(mass_mat)
 
 
-def _per_class(mesh: BoxMesh, tet_ids, cache: dict, oriented: bool, compute):
-    """Class of each tet and the stacked class data; ``compute(rep_ids)``
-    returns a tuple of arrays and runs only for classes not in ``cache``."""
-    tets = mesh.tets[tet_ids]
-    lattice = _lattice(mesh, tets)
-    key = (lattice[:, 1:] - lattice[:, :1]).astype(np.int64).reshape(len(tets), 9)
+def _class_rows(mesh: BoxMesh, tets: np.ndarray, oriented: bool) -> np.ndarray:
+    """Class row of each tet: its lattice edge offsets and, if ``oriented``,
+    the orientations of its six edges."""
+    lattice = mesh.vertex_lattice[tets]
+    rows = (lattice[:, 1:] - lattice[:, :1]).reshape(len(tets), 9)
     if oriented:
-        key = np.hstack([key, tets[:, LOCAL_EDGES[:, 0]] > tets[:, LOCAL_EDGES[:, 1]]])
-    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        rows = np.hstack([rows, tets[:, LOCAL_EDGES[:, 0]] > tets[:, LOCAL_EDGES[:, 1]]])
+    return rows
+
+
+def _per_class(rows: np.ndarray, tet_ids: np.ndarray, compute):
+    """Class id of each tet and the class data: ``compute(rep_ids)`` returns a
+    tuple of per-class arrays from one representative tet per class."""
+    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    keys = [rows[i].tobytes() for i in first]
-    missing = [c for c, k in enumerate(keys) if k not in cache]
-    if missing:
-        values = zip(*compute(tet_ids[first[missing]]))
-        cache.update(zip((keys[c] for c in missing), values))
-    return inverse, [np.stack(field) for field in zip(*(cache[k] for k in keys))]
+    return inverse, compute(tet_ids[first])
 
 
 def _coalesce_plan(ldof: np.ndarray, dim: int):
-    """COO -> CSR plan of a local dof pattern: order, group starts, indices, indptr."""
+    """COO -> CSR plan of a local dof pattern: order, group starts, and the
+    read-only CSR indices and indptr."""
     k = ldof.shape[1]
     rows = np.repeat(ldof, k, axis=1).ravel()
     cols = np.tile(ldof, (1, k)).ravel()
@@ -215,15 +215,18 @@ def _coalesce_plan(ldof: np.ndarray, dim: int):
     r, c = rows[order], cols[order]
     starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
     indptr = np.searchsorted(r[starts], np.arange(dim + 1)).astype(np.int32)
-    return order, starts, c[starts].astype(np.int32), indptr
+    return order, starts, _freeze(c[starts].astype(np.int32)), _freeze(indptr)
 
 
 def _assemble(
     mesh: BoxMesh,
     transfer: TransferOps,
     scope: str,
-    element_matrices,  # callable: tet_ids -> (T, k, k) local matrices
     tet_dofs: np.ndarray,  # (n_tets, k) global dof of each local dof
+    oriented: bool,  # whether edge orientations split tet classes
+    compute,  # callable: representative tet ids -> tuple of per-class arrays
+    element,  # callable: (class ids, class data, *coefficients) -> (T, k, k)
+    coefficients: tuple[np.ndarray, ...],  # per-tet arrays ``element`` reads
 ) -> list[sp.csr_matrix]:
     # "blocks" is the only scope.  The keyword stays because the benchmark's
     # tracer routes assembly spans by it; it goes together with that routing.
@@ -231,18 +234,30 @@ def _assemble(
         raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
     offsets = transfer.broken_offsets
     sub_dofs = [transfer.volume_split[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    # (dof pattern, class rows) -> structure number, coalesce plan, class ids
+    # and class data; the value key names the structure by its number.
+    structures = {}
+    shared = {}  # (structure number, per-tet coefficients) -> finished block
     blocks = []
-    plans = {}  # by local dof pattern; each block copies the shared index arrays
     for j in range(mesh.n_subdomains):
         tet_ids = mesh.tets_of_subdomain(j)
-        local = element_matrices(tet_ids)  # (T, k, k)
         ldof = np.searchsorted(sub_dofs[j], tet_dofs[tet_ids])
+        rows = _class_rows(mesh, mesh.tets[tet_ids], oriented)
+        structure = (ldof.tobytes(), rows.tobytes())
         n = sub_dofs[j].size
-        if (pattern := ldof.tobytes()) not in plans:
-            plans[pattern] = _coalesce_plan(ldof, n)
-        order, starts, indices, indptr = plans[pattern]
-        data = np.add.reduceat(local.ravel()[order], starts)
-        blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=True))
+        if structure not in structures:
+            plan = _coalesce_plan(ldof, n)
+            structures[structure] = (
+                len(structures), plan, *_per_class(rows, tet_ids, compute)
+            )
+        number, (order, starts, indices, indptr), cls, class_data = structures[structure]
+        local_coeffs = [c[tet_ids] for c in coefficients]
+        value = (number, *(c.tobytes() for c in local_coeffs))
+        if value not in shared:
+            local = element(cls, class_data, *local_coeffs)
+            data = _freeze(np.add.reduceat(local.ravel()[order], starts))
+            shared[value] = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
+        blocks.append(shared[value])
     return blocks
 
 
@@ -255,16 +270,16 @@ def assemble_scalar(
         raise ValueError(f"expected a scalar transfer, got {transfer.field}")
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
     beta = coeffs.per_tet("beta", mesh.n_tets)
-    classes: dict = {}
 
-    def element(tet_ids):
-        cls, (vols, gg) = _per_class(
-            mesh, tet_ids, classes, False, lambda reps: _p1_geometry(mesh, reps)
-        )
-        stiff, mass = _p1_matrices(vols[cls], gg[cls], alpha[tet_ids], beta[tet_ids])
+    def element(cls, class_data, alpha, beta):
+        vols, gg = class_data
+        stiff, mass = _p1_matrices(vols[cls], gg[cls], alpha, beta)
         return stiff + mass
 
-    return _assemble(mesh, transfer, scope, element, mesh.tets)
+    return _assemble(
+        mesh, transfer, scope, mesh.tets, False,
+        lambda reps: _p1_geometry(mesh, reps), element, (alpha, beta),
+    )
 
 
 def assemble_edge(
@@ -276,12 +291,12 @@ def assemble_edge(
         raise ValueError(f"expected an edge transfer, got {transfer.field}")
     gamma = float(np.asarray(coeffs.gamma))
     g2 = gamma * gamma
-    classes: dict = {}
 
-    def element(tet_ids):
-        cls, (curl_mat, mass_mat) = _per_class(
-            mesh, tet_ids, classes, True, lambda reps: edge_element_matrices(mesh, reps)
-        )
+    def element(cls, class_data):
+        curl_mat, mass_mat = class_data
         return (curl_mat + g2 * mass_mat)[cls]
 
-    return _assemble(mesh, transfer, scope, element, mesh.tet_edges)
+    return _assemble(
+        mesh, transfer, scope, mesh.tet_edges, True,
+        lambda reps: edge_element_matrices(mesh, reps), element, (),
+    )

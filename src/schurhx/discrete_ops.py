@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import AssemblyError
 from .mesh import BoxMesh, SkeletonIndex
 
 __all__ = ["build_gradient", "build_nodal_interp"]
@@ -28,12 +29,15 @@ def _edge_endpoints(mesh: BoxMesh, skeleton: SkeletonIndex | None):
     """Rows (edges, as vertex ids), their two columns each, and the column count."""
     if skeleton is None:
         return mesh.edges, mesh.edges, mesh.n_vertices
+    ids = (skeleton.skeleton_edges, skeleton.skeleton_vertices)
+    if any(a.size and a[-1] >= n for a, n in zip(ids, (mesh.n_edges, mesh.n_vertices))):
+        raise AssemblyError("skeleton dof id beyond the mesh: not this mesh's skeleton")
     edges = mesh.edges[skeleton.skeleton_edges]
     col_of_vertex = np.full(mesh.n_vertices, -1, dtype=np.int64)
     col_of_vertex[skeleton.skeleton_vertices] = np.arange(skeleton.n_skeleton_vertices)
     cols = col_of_vertex[edges]
     if np.any(cols < 0):
-        raise AssertionError("skeleton edge with endpoint off the skeleton")
+        raise AssemblyError("skeleton edge with endpoint off the skeleton")
     return edges, cols, skeleton.n_skeleton_vertices
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AssemblyError
 from .mesh import BoxMesh, SkeletonIndex
 
 __all__ = [
@@ -69,8 +70,24 @@ def _offsets(dof_lists: list[np.ndarray]) -> np.ndarray:
     return _index_map(np.cumsum([0] + [dofs.size for dofs in dof_lists]))
 
 
+def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
+    """Positions of ``ids`` in ``sorted_ids``; an id not there raises
+    :class:`AssemblyError` with the message ``missing``."""
+    pos = np.searchsorted(sorted_ids, ids)
+    if np.any(pos >= sorted_ids.size) or np.any(
+        sorted_ids[np.minimum(pos, sorted_ids.size - 1)] != ids
+    ):
+        raise AssemblyError(missing)
+    return pos
+
+
 def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> TransferOps:
-    """Build the four transfer maps of ``field`` in {"scalar", "edge"}."""
+    """Build the four transfer maps of ``field`` in {"scalar", "edge"}.
+
+    Raises :class:`AssemblyError` when ``skeleton`` is not the skeleton of
+    ``mesh``: a different subdomain count, or a boundary dof that is not a
+    dof of its subdomain or of the skeleton.
+    """
     if field == "scalar":
         tet_dofs, n_volume = mesh.tets, mesh.n_vertices
         bnd_dofs, skel_dofs = skeleton.boundary_vertices, skeleton.skeleton_vertices
@@ -79,6 +96,10 @@ def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> Transf
         bnd_dofs, skel_dofs = skeleton.boundary_edges, skeleton.skeleton_edges
     else:
         raise ValueError(f"unknown field {field!r}")
+    if len(bnd_dofs) != mesh.n_subdomains:
+        raise AssemblyError(
+            f"skeleton lists {len(bnd_dofs)} subdomains, the mesh has {mesh.n_subdomains}"
+        )
     sub_dofs = [
         np.unique(tet_dofs[mesh.tets_of_subdomain(j)]) for j in range(mesh.n_subdomains)
     ]
@@ -91,14 +112,10 @@ def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> Transf
     local_boundary = []
     skeleton_position = []
     for j in range(mesh.n_subdomains):
-        loc = np.searchsorted(sub_dofs[j], bnd_dofs[j])
-        if np.any(sub_dofs[j][loc] != bnd_dofs[j]):
-            raise AssertionError(f"boundary dof of subdomain {j} not in subdomain")
+        where = f"boundary dof of subdomain {j}"
+        loc = _positions(sub_dofs[j], bnd_dofs[j], f"{where} not in subdomain")
         local_boundary.append(int(broken_offsets[j]) + loc)
-        pos = np.searchsorted(skel_dofs, bnd_dofs[j])
-        if np.any(skel_dofs[pos] != bnd_dofs[j]):
-            raise AssertionError(f"boundary dof of subdomain {j} not on skeleton")
-        skeleton_position.append(pos)
+        skeleton_position.append(_positions(skel_dofs, bnd_dofs[j], f"{where} not on skeleton"))
 
     boundary_trace = _index_map(np.concatenate(local_boundary))
     skeleton_split = _index_map(np.concatenate(skeleton_position))
@@ -108,7 +125,7 @@ def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> Transf
     covered = np.zeros(skel_dofs.size, dtype=bool)
     covered[skeleton_split] = True
     if not covered.all():
-        raise AssertionError("skeleton dof missing from every subdomain boundary")
+        raise AssemblyError("skeleton dof missing from every subdomain boundary")
 
     return TransferOps(
         field,

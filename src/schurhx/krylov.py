@@ -46,8 +46,9 @@ def pcg(
 ) -> SolveReport:
     """Solve  op x = rhs  with SPD ``apply_op`` and SPD ``apply_prec``.
 
-    Raises :class:`PcgBreakdownError` when <p, op p> <= 0 or an iterate goes
-    non-finite, both of which mean an operator is not SPD as promised.
+    Raises :class:`PcgBreakdownError` when <z0, r0> <= 0 for a nonzero
+    right-hand side, when <p, op p> <= 0, or when an iterate goes non-finite:
+    each means an operator is not SPD as promised.
     """
     if not (0 < tol < 1):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -60,10 +61,11 @@ def pcg(
     r = rhs.copy()
     z = apply_prec(r)
     rho = float(z @ r)
-    if rho < 0:
-        raise PcgBreakdownError(f"preconditioner is not SPD: <z0, r0> = {rho}")
-    # A zero residual (rho == 0) is converged before the first iteration.
-    converged = rho == 0.0
+    # Only a zero residual is converged before the first iteration; an SPD
+    # preconditioner gives <z0, r0> > 0 for any other.
+    converged = not np.any(r)
+    if not converged and not rho > 0:
+        raise PcgBreakdownError(f"preconditioner is not SPD: <z0, r0> = {rho} for r0 != 0")
     rho0 = rho
     relres = [0.0 if converged else 1.0]
     alphas: list[float] = []

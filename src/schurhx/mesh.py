@@ -48,8 +48,9 @@ class BoxMesh:
     All index arrays are read-only.  ``edges`` holds vertex pairs ``(a, b)``
     with ``a < b``, sorted lexicographically; that global orientation (low
     index to high index) is the tangent convention used everywhere.  The
-    per-subdomain tet index and the edge keys are computed once, on first
-    use, so per-subdomain loops never rescan whole-mesh arrays.
+    per-subdomain tet index, the vertex lattice and the edge keys are
+    computed once, on first use, so per-subdomain loops never rescan
+    whole-mesh arrays.
     """
 
     cells: tuple[int, int, int]
@@ -90,6 +91,17 @@ class BoxMesh:
         """Ascending ids of the tets of subdomain ``j``, as a read-only view."""
         order, offsets = self._tets_by_subdomain
         return order[offsets[j] : offsets[j + 1]]
+
+    @cached_property
+    def vertex_lattice(self) -> np.ndarray:
+        """Integer lattice position (n_vertices, 3) of every vertex: its
+        coordinate over the cell size h, rounded.  Checked once per mesh; a
+        vertex off the lattice raises :class:`AssemblyError`."""
+        cells = np.asarray(self.cells, dtype=float)
+        lattice = np.rint(self.vertex_coords * cells)
+        if not np.array_equal(lattice / cells, self.vertex_coords):
+            raise AssemblyError("vertex off the box lattice")
+        return _freeze(lattice.astype(np.int64))
 
     @cached_property
     def edge_keys(self) -> np.ndarray:

@@ -15,11 +15,13 @@ A_ib).  ``SpdFactor.inverse_form`` holds both paths.
 
 Subdomains whose blocks are bitwise equal (same CSR data, indices and
 indptr, and the same boundary positions) form one group and share one dense
-S_u; ``build_schur_system`` is the only place that decides the groups.  The
-interior factor, A_ib and A_bb are dropped once S_u is formed.  Since
+S_u; ``build_schur_system`` is the only place that decides the groups.  It
+reads each distinct block object's content once, so a block that assembly
+shares among many subdomains is hashed once per call.  The interior factor,
+A_ib and A_bb are dropped once S_u is formed.  Since
 ``assemble.tet_geometry`` works on the integer lattice, equal blocks are the
 rule: under constant coefficients every subdomain of a uniform partition has
-the same block.  A blockwise apply is one GEMM per distinct block over the
+the same block, and assembly hands them all one block object.  A blockwise apply is one GEMM per distinct block over the
 tuple slices of all its member subdomains (``SchurSystem.grouped_apply``).
 """
 
@@ -177,16 +179,20 @@ def build_schur_system(blocks: list[sp.csr_matrix], transfer: TransferOps) -> Sc
     to local numbering; they ascend in the same order as the boundary-tuple
     space, so tuple slices line up without permutations.  Blocks are grouped
     by content, so per-tet coefficients can only split a group, never merge
-    different blocks.
+    different blocks.  Assembly hands equal subdomains one shared block
+    object, whose content is read once per call.
     """
     group_by_content: dict[tuple[bytes, ...], int] = {}
+    content_of: dict[int, tuple[bytes, ...]] = {}  # by block object
     schurs = []
     group_of = []
     for j, block in enumerate(blocks):
         lo, hi = transfer.boundary_offsets[j : j + 2]
         boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
-        content = (block.data, block.indices, block.indptr, boundary)
-        key = tuple(a.tobytes() for a in content)
+        if id(block) not in content_of:
+            arrays = (block.data, block.indices, block.indptr)
+            content_of[id(block)] = tuple(a.tobytes() for a in arrays)
+        key = (*content_of[id(block)], boundary.tobytes())
         if key not in group_by_content:
             group_by_content[key] = len(schurs)
             label = f"{transfer.field} subdomain {j}"

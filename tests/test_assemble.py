@@ -23,6 +23,7 @@ from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
 from schurhx.mesh import LOCAL_EDGES, BoxMesh, build_box_mesh, extract_skeleton
 from schurhx.oracle import volume_matrix
+from schurhx.schur import build_schur_system
 
 # Degree-2 quadrature on the reference tet, in barycentric coordinates:
 # four points (a, b, b, b) and permutations, equal weights.  Exact for all
@@ -454,6 +455,11 @@ def test_element_matrices_once_per_class(field, monkeypatch):
 
     for name in received:
         monkeypatch.setattr(assemble_module, name, counting(name))
+    plans = []
+    original_plan = assemble_module._coalesce_plan
+    monkeypatch.setattr(
+        assemble_module, "_coalesce_plan", lambda *args: plans.append(1) or original_plan(*args)
+    )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     blocks = assemble(mesh, transfer, Coefficients(1.3, 0.7, 1.9))
     assert len(blocks) == 27
@@ -461,6 +467,35 @@ def test_element_matrices_once_per_class(field, monkeypatch):
     assert received["edge_element_matrices"] <= 6
     if field == "edge":
         assert received["edge_element_matrices"] > 0
+    # Every subdomain of a uniform partition has the same dof pattern.
+    assert len(plans) == 1
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_equal_subdomains_share_one_block(field):
+    """Subdomains with equal dof pattern, tet classes and coefficients get one
+    shared, read-only block object, bitwise the per-tet reference; per-tet
+    coefficients split the sharing exactly along their subdomain classes."""
+    mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
+    transfer = build_transfer(mesh, extract_skeleton(mesh), field)
+    rng = np.random.default_rng(11)
+    alpha_j = rng.choice([0.5, 2.0], mesh.n_subdomains)
+    alpha_j[13] = 7.0  # the middle subdomain's alpha repeats nowhere
+    coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.3, gamma=1.7)
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    blocks = assemble(mesh, transfer, coeffs)
+    for block, ref in zip(blocks, _reference_blocks(mesh, coeffs, field), strict=True):
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(block, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    # alpha does not enter the edge form, so its blocks are all one object.
+    n_classes = np.unique(alpha_j).size if field == "scalar" else 1
+    assert len({id(block) for block in blocks}) == n_classes
+    assert len(build_schur_system(blocks, transfer).groups) == n_classes
+    shared = next(b for b in blocks if sum(c is b for c in blocks) > 1)
+    for name in ("data", "indices", "indptr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(shared, name)[0] = 0
 
 
 def test_lattice_geometry_matches_coordinates(mesh422_j211):

@@ -6,6 +6,7 @@ import pytest
 
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
 from schurhx.dofspaces import build_transfer
+from schurhx.errors import AssemblyError
 from schurhx.mesh import build_box_mesh, extract_skeleton
 
 
@@ -120,3 +121,16 @@ def test_variant_and_direction_validation(mesh111):
         build_nodal_interp(mesh111, 3)
     with pytest.raises(ValueError):
         build_nodal_interp(mesh111, -1)
+
+
+@pytest.mark.parametrize(
+    "cells, match", [((2, 2, 2), "endpoint off the skeleton"), ((6, 6, 6), "beyond the mesh")]
+)
+def test_skeleton_of_another_mesh_raises(mesh444_j8, cells, match):
+    """Skeleton maps from a skeleton of a smaller or larger mesh raise a
+    typed error instead of indexing past the mesh's arrays."""
+    other = extract_skeleton(build_box_mesh(cells, (2, 2, 2)))
+    with pytest.raises(AssemblyError, match=match):
+        build_gradient(mesh444_j8, other)
+    with pytest.raises(AssemblyError, match=match):
+        build_nodal_interp(mesh444_j8, 0, other)

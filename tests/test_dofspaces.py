@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from schurhx.dofspaces import build_transfer
-from schurhx.mesh import extract_skeleton
+from schurhx.errors import AssemblyError
+from schurhx.mesh import build_box_mesh, extract_skeleton
 
 
 def test_space_dims_eight_subdomains(mesh222_j8, skel222_j8):
@@ -146,3 +147,20 @@ def test_edge_trace_is_unsigned_selection(skel222_j8, maxwell222_j8):
     tr = maxwell222_j8.schur.transfer.skeleton_trace
     assert tr.dtype == np.int64
     assert np.array_equal(tr, skel222_j8.skeleton_edges)
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+@pytest.mark.parametrize(
+    "cells, subdomains, match",
+    [
+        ((4, 4, 4), (2, 1, 1), "skeleton lists 2 subdomains, the mesh has 8"),
+        ((4, 4, 4), (4, 2, 1), "boundary dof of subdomain 0 not in subdomain"),
+        ((2, 2, 2), (2, 2, 2), "boundary dof of subdomain 0 not in subdomain"),
+    ],
+)
+def test_skeleton_of_another_mesh_raises(mesh444_j8, field, cells, subdomains, match):
+    """A skeleton from another partition or another mesh is rejected with a
+    typed error, never an IndexError or a silently wrong map."""
+    other = extract_skeleton(build_box_mesh(cells, subdomains))
+    with pytest.raises(AssemblyError, match=match):
+        build_transfer(mesh444_j8, other, field)

@@ -121,6 +121,22 @@ def test_zero_rhs_short_circuits():
     assert np.all(report.solution == 0.0)
 
 
+@pytest.mark.parametrize(
+    "prec",
+    [
+        lambda r: np.zeros_like(r),
+        lambda r: np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]]) @ r,
+    ],
+    ids=["zero", "skew"],
+)
+def test_preconditioner_orthogonal_to_residual_raises(prec):
+    """A preconditioner that maps a nonzero residual to a zero or
+    r-orthogonal vector is not SPD; it must not read as converged at x = 0."""
+    a = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(PcgBreakdownError, match=r"<z0, r0> = 0\.0"):
+        pcg(lambda u: a @ u, prec, np.ones(3))
+
+
 def test_max_iter_reached_reported(rng):
     a = _spd(rng, 30) + np.diag(np.linspace(0, 1000, 30))
     report = pcg(lambda u: a @ u, lambda u: u, np.ones(30), tol=1e-13, max_iter=3)
