@@ -34,11 +34,14 @@ in the per-tet operation order, so the values are bitwise per-tet ones, and a
 block's data is one ``np.add.reduceat``.  The value key adds the per-tet
 coefficients (alpha and beta for the scalar field; gamma is global), and
 subdomains with equal value keys get one shared CSR block object whose
-``data``, ``indices`` and ``indptr`` are read-only.  Keys are built per
-subdomain, never over the whole mesh, and lattice positions are checked once
-per mesh (``BoxMesh.vertex_lattice``).  The result is one CSR block per
-subdomain, in ascending subdomain order; no global matrix is assembled, and
-the dense oracle sums the blocks itself (``oracle.volume_matrix``).
+``data``, ``indices`` and ``indptr`` are read-only.  So a block object is
+shared only among bitwise-equal blocks, and this is the one place that
+decides sharing: ``schur`` groups subdomains by block object.  Keys are
+built per subdomain, never over the whole mesh, and lattice positions are
+checked once per mesh (``BoxMesh.vertex_lattice``).  The result is one CSR
+block per subdomain, in ascending subdomain order; no global matrix is
+assembled, and the dense oracle sums the blocks itself
+(``oracle.volume_matrix``).
 """
 
 from __future__ import annotations
@@ -108,10 +111,10 @@ def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray):
 
     Edge vectors are integer lattice offsets times the cell size h of each
     axis, not differences of vertex coordinates, so tets of equal shape get
-    bitwise-equal volumes and gradients wherever they sit, and equal
-    subdomain blocks are bitwise equal (which lets ``schur`` share their
-    Schur complements).  A vertex's lattice position is its coordinate over
-    h, rounded (``BoxMesh.vertex_lattice``); a vertex off the lattice raises
+    bitwise-equal volumes and gradients wherever they sit, and subdomains
+    with equal tet classes and coefficients get bitwise-equal blocks.  A
+    vertex's lattice position is its coordinate over h, rounded
+    (``BoxMesh.vertex_lattice``); a vertex off the lattice raises
     :class:`AssemblyError`.
     """
     cells = np.asarray(mesh.cells, dtype=float)

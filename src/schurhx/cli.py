@@ -177,7 +177,7 @@ def _write_outputs(config: ExperimentConfig, reports: list[SolveReport]) -> None
     _summary_path(config.out).write_text("\n".join(rows) + "\n")
 
 
-def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
+def run_experiment(config: ExperimentConfig) -> SolveReport:
     """One interface solve with a manufactured random solution."""
     mesh = build_box_mesh(config.cells, config.subdomains)
     coeffs = config.coefficients()
@@ -228,8 +228,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> SolveReport:
     )
     if config.export_vtk:
         export_vtk(mesh, config.export_vtk)
-    if write:
-        _write_outputs(config, [report])
+    _write_outputs(config, [report])
     return report
 
 
@@ -238,7 +237,7 @@ def run_table(config: ExperimentConfig) -> list[SolveReport]:
     reports = []
     for n in TABLE_CELLS:
         cfg = replace(config, cells=(n, n, n), table=False, out=None)
-        reports.append(run_experiment(cfg, write=False))
+        reports.append(run_experiment(cfg))
     print(f"\n{config.problem} refinement table (subdomains={config.subdomains}):")
     print("dim_skeleton  dim_volume  iters")
     for rep in reports:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError
-from .mesh import BoxMesh, SkeletonIndex
+from .mesh import BoxMesh, SkeletonIndex, _positions
 
 __all__ = [
     "TransferOps",
@@ -68,17 +68,6 @@ def _index_map(idx: np.ndarray) -> np.ndarray:
 def _offsets(dof_lists: list[np.ndarray]) -> np.ndarray:
     """Block offsets of the product of one dof set per subdomain."""
     return _index_map(np.cumsum([0] + [dofs.size for dofs in dof_lists]))
-
-
-def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
-    """Positions of ``ids`` in ``sorted_ids``; an id not there raises
-    :class:`AssemblyError` with the message ``missing``."""
-    pos = np.searchsorted(sorted_ids, ids)
-    if np.any(pos >= sorted_ids.size) or np.any(
-        sorted_ids[np.minimum(pos, sorted_ids.size - 1)] != ids
-    ):
-        raise AssemblyError(missing)
-    return pos
 
 
 def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> TransferOps:

@@ -46,9 +46,10 @@ def pcg(
 ) -> SolveReport:
     """Solve  op x = rhs  with SPD ``apply_op`` and SPD ``apply_prec``.
 
-    Raises :class:`PcgBreakdownError` when <z0, r0> <= 0 for a nonzero
-    right-hand side, when <p, op p> <= 0, or when an iterate goes non-finite:
-    each means an operator is not SPD as promised.
+    Raises :class:`PcgBreakdownError` when <z, r> <= 0 for a nonzero
+    residual, before the first iteration or after any, when <p, op p> <= 0,
+    or when an iterate goes non-finite: each means an operator is not SPD as
+    promised.
     """
     if not (0 < tol < 1):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -84,9 +85,11 @@ def pcg(
         r = r - alpha * q
         z = apply_prec(r)
         rho_new = float(z @ r)
-        if not np.isfinite(rho_new) or rho_new < 0:
+        # As before the loop, <z, r> = 0 means convergence only for r = 0;
+        # r is scanned only in this rare branch.
+        if not (np.isfinite(rho_new) and rho_new > 0) and (rho_new != 0 or np.any(r)):
             raise PcgBreakdownError(
-                f"non-finite or negative <z, r> = {rho_new} at iteration {k + 1}"
+                f"non-finite or non-positive <z, r> = {rho_new} at iteration {k + 1}"
             )
         k += 1
         alphas.append(alpha)

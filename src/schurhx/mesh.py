@@ -245,14 +245,22 @@ def build_box_mesh(
     )
 
 
-def edge_ids_of_pairs(mesh: BoxMesh, pairs: np.ndarray) -> np.ndarray:
-    """Map sorted vertex pairs to edge ids (pairs must exist in the mesh)."""
-    keys = mesh.edge_keys
-    want = pairs[:, 0].astype(np.int64) * mesh.n_vertices + pairs[:, 1]
-    pos = np.searchsorted(keys, want)
-    if np.any(pos >= keys.shape[0]) or np.any(keys[np.minimum(pos, keys.shape[0] - 1)] != want):
-        raise KeyError("vertex pair is not an edge of the mesh")
+def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
+    """Positions of ``ids`` in ``sorted_ids``; an id not there raises
+    :class:`AssemblyError` with the message ``missing``."""
+    pos = np.searchsorted(sorted_ids, ids)
+    if np.any(pos >= sorted_ids.size) or np.any(
+        sorted_ids[np.minimum(pos, sorted_ids.size - 1)] != ids
+    ):
+        raise AssemblyError(missing)
     return pos
+
+
+def edge_ids_of_pairs(mesh: BoxMesh, pairs: np.ndarray) -> np.ndarray:
+    """Map sorted vertex pairs to edge ids; a pair that is not an edge of the
+    mesh raises :class:`AssemblyError`."""
+    want = pairs[:, 0].astype(np.int64) * mesh.n_vertices + pairs[:, 1]
+    return _positions(mesh.edge_keys, want, "vertex pair is not an edge of the mesh")
 
 
 def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:

@@ -13,16 +13,14 @@ A_ib (one triangular solve) and X^T X is one SYRK, so S_j comes out bitwise
 symmetric.  Larger interiors use sparse LU and S_j = A_bb - A_ib^T (A_ii^{-1}
 A_ib).  ``SpdFactor.inverse_form`` holds both paths.
 
-Subdomains whose blocks are bitwise equal (same CSR data, indices and
-indptr, and the same boundary positions) form one group and share one dense
-S_u; ``build_schur_system`` is the only place that decides the groups.  It
-reads each distinct block object's content once, so a block that assembly
-shares among many subdomains is hashed once per call.  The interior factor,
-A_ib and A_bb are dropped once S_u is formed.  Since
-``assemble.tet_geometry`` works on the integer lattice, equal blocks are the
-rule: under constant coefficients every subdomain of a uniform partition has
-the same block, and assembly hands them all one block object.  A blockwise apply is one GEMM per distinct block over the
-tuple slices of all its member subdomains (``SchurSystem.grouped_apply``).
+Assembly alone decides which subdomains share a block: it hands one block
+object only to subdomains whose blocks are bitwise equal (under constant
+coefficients, every subdomain of a uniform partition).
+``build_schur_system`` reads that sharing; subdomains with the same block
+object and the same boundary positions form one group and share one dense
+S_u.  The interior factor, A_ib and A_bb are dropped once S_u is formed.  A
+blockwise apply is one GEMM per group over the tuple slices of all its
+member subdomains (``SchurSystem.grouped_apply``).
 """
 
 from __future__ import annotations
@@ -172,30 +170,27 @@ class SchurSystem:
 
 
 def build_schur_system(blocks: list[sp.csr_matrix], transfer: TransferOps) -> SchurSystem:
-    """Form one dense Schur complement per distinct subdomain block and wire up
-    the interface operator.
+    """Form one dense Schur complement per group of subdomains that share a
+    block and wire up the interface operator.
 
     Block j's boundary positions are its slice of the boundary trace, shifted
     to local numbering; they ascend in the same order as the boundary-tuple
-    space, so tuple slices line up without permutations.  Blocks are grouped
-    by content, so per-tet coefficients can only split a group, never merge
-    different blocks.  Assembly hands equal subdomains one shared block
-    object, whose content is read once per call.
+    space, so tuple slices line up without permutations.  Subdomains are
+    grouped by block object and boundary positions: assembly shares a block
+    object only among bitwise-equal blocks, so each S_u is computed from the
+    block every member holds.
     """
-    group_by_content: dict[tuple[bytes, ...], int] = {}
-    content_of: dict[int, tuple[bytes, ...]] = {}  # by block object
+    group_by_key: dict[tuple[int, bytes], int] = {}
     schurs = []
     group_of = []
     for j, block in enumerate(blocks):
         lo, hi = transfer.boundary_offsets[j : j + 2]
         boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
-        if id(block) not in content_of:
-            arrays = (block.data, block.indices, block.indptr)
-            content_of[id(block)] = tuple(a.tobytes() for a in arrays)
-        key = (*content_of[id(block)], boundary.tobytes())
-        if key not in group_by_content:
-            group_by_content[key] = len(schurs)
+        # ``blocks`` holds every block for the whole loop, so ids stay unique.
+        key = (id(block), boundary.tobytes())
+        if key not in group_by_key:
+            group_by_key[key] = len(schurs)
             label = f"{transfer.field} subdomain {j}"
             schurs.append(_schur_complement(block, boundary, label))
-        group_of.append(group_by_content[key])
+        group_of.append(group_by_key[key])
     return SchurSystem(transfer, schurs, np.array(group_of))

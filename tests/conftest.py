@@ -77,6 +77,26 @@ def vertex_degree(boundary_faces):
     return build
 
 
+@pytest.fixture(scope="session")
+def content_partition():
+    """Make the partition of subdomains by block content (CSR data, indices
+    and indptr bytes) and local boundary positions, apart from
+    ``build_schur_system``: labels number the classes in order of first
+    appearance, as ``SchurSystem.group_of`` numbers its groups."""
+
+    def build(blocks, transfer) -> np.ndarray:
+        labels: dict = {}
+        out = []
+        for j, block in enumerate(blocks):
+            lo, hi = transfer.boundary_offsets[j : j + 2]
+            boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
+            arrays = (block.data, block.indices, block.indptr, boundary)
+            out.append(labels.setdefault(tuple(a.tobytes() for a in arrays), len(labels)))
+        return np.array(out)
+
+    return build
+
+
 @pytest.fixture
 def corrupt_gradient(monkeypatch):
     """Flip the sign of the first entry of every skeleton gradient the

@@ -472,10 +472,11 @@ def test_element_matrices_once_per_class(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_equal_subdomains_share_one_block(field):
+def test_equal_subdomains_share_one_block(field, content_partition):
     """Subdomains with equal dof pattern, tet classes and coefficients get one
     shared, read-only block object, bitwise the per-tet reference; per-tet
-    coefficients split the sharing exactly along their subdomain classes."""
+    coefficients split the sharing exactly along their subdomain classes, and
+    the Schur groups read from that sharing are the partition by content."""
     mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
     transfer = build_transfer(mesh, extract_skeleton(mesh), field)
     rng = np.random.default_rng(11)
@@ -491,7 +492,9 @@ def test_equal_subdomains_share_one_block(field):
     # alpha does not enter the edge form, so its blocks are all one object.
     n_classes = np.unique(alpha_j).size if field == "scalar" else 1
     assert len({id(block) for block in blocks}) == n_classes
-    assert len(build_schur_system(blocks, transfer).groups) == n_classes
+    system = build_schur_system(blocks, transfer)
+    assert len(system.groups) == n_classes
+    assert np.array_equal(system.group_of, content_partition(blocks, transfer))
     shared = next(b for b in blocks if sum(c is b for c in blocks) > 1)
     for name in ("data", "indices", "indptr"):
         with pytest.raises(ValueError, match="read-only"):

@@ -206,7 +206,7 @@ def test_failed_solve_exits_1_without_traceback(capsys, grid, message):
 def test_true_residual_survives_large_reaction(capsys):
     """The squared norms of a beta = 1e160 residual overflow; nrm2 does not."""
     cfg = ExperimentConfig(problem="scalar", beta=1e160)
-    report = run_experiment(cfg, write=False)
+    report = run_experiment(cfg)
     assert report.metadata["converged"]
     assert 0.0 < report.metadata["true_relres"] <= 100 * cfg.tol
 
@@ -236,21 +236,21 @@ def test_export_vtk(tmp_path, capsys):
 @pytest.mark.parametrize("problem", ["scalar", "maxwell"])
 def test_report_carries_coarse_condition(capsys, problem):
     cfg = ExperimentConfig(problem=problem, cells=(4, 4, 4), subdomains=(2, 2, 2))
-    report = run_experiment(cfg, write=False)
+    report = run_experiment(cfg)
     cond = report.metadata["cond_coarse"]
     assert isinstance(cond, float) and 1.0 <= cond < 1e3
 
 
 def test_single_subdomain_converges_immediately(capsys):
     cfg = ExperimentConfig(problem="scalar", cells=(2, 2, 2), subdomains=(1, 1, 1))
-    report = run_experiment(cfg, write=False)
+    report = run_experiment(cfg)
     assert report.metadata["iterations"] <= 2
     assert report.metadata["relative_error"] <= 1e-7
 
 
 def test_maxwell_solve_through_driver(capsys):
     cfg = ExperimentConfig(problem="maxwell", cells=(2, 2, 2), subdomains=(2, 2, 2))
-    report = run_experiment(cfg, write=False)
+    report = run_experiment(cfg)
     assert report.metadata["converged"]
     assert report.metadata["dim_skeleton"] == 90
     assert report.metadata["relative_error"] <= 1e-7
@@ -261,7 +261,7 @@ def test_maxwell_solve_through_driver(capsys):
 )
 def test_report_carries_true_residual_and_block_counts(capsys, problem, fields):
     cfg = ExperimentConfig(problem=problem, cells=(2, 2, 2), subdomains=(2, 2, 2))
-    report = run_experiment(cfg, write=False)
+    report = run_experiment(cfg)
     assert 0.0 <= report.metadata["true_relres"] <= 100 * cfg.tol
     # One-cell subdomains of a uniform grid all have the same block.
     assert report.metadata["distinct_blocks"] == {field: (1, 8) for field in fields}

@@ -137,6 +137,15 @@ def test_preconditioner_orthogonal_to_residual_raises(prec):
         pcg(lambda u: a @ u, prec, np.ones(3))
 
 
+def test_semidefinite_preconditioner_raises_inside_loop():
+    """P = diag(1, 0, 0) maps the residual after one step to zero: <z, r> = 0
+    on a nonzero residual must raise, not read as converged (the true
+    relative residual there is 0.82)."""
+    a = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(PcgBreakdownError, match=r"<z, r> = 0\.0 at iteration 1"):
+        pcg(lambda u: a @ u, lambda r: np.array([r[0], 0.0, 0.0]), np.ones(3))
+
+
 def test_max_iter_reached_reported(rng):
     a = _spd(rng, 30) + np.diag(np.linspace(0, 1000, 30))
     report = pcg(lambda u: a @ u, lambda u: u, np.ones(30), tol=1e-13, max_iter=3)

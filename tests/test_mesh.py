@@ -175,11 +175,11 @@ def test_edge_ids_of_pairs_rejects_non_edges(mesh111):
         for b in range(a + 1, 8)
         if (a, b) not in present
     )
-    with pytest.raises(KeyError):
+    with pytest.raises(AssemblyError, match="not an edge"):
         edge_ids_of_pairs(mesh111, np.array([missing]))
     # The cached keys also reject a pair whose key lies past the last edge.
     assert mesh111.edge_keys.size == mesh111.n_edges
-    with pytest.raises(KeyError):
+    with pytest.raises(AssemblyError, match="not an edge"):
         edge_ids_of_pairs(mesh111, np.array([[7, 8]]))
 
 
@@ -299,20 +299,33 @@ def test_numpy_integer_counts_accepted():
 
 
 def test_broken_mesh_rejected_by_skeleton(mesh111):
-    # Duplicate one tet: its faces now appear three times within the
-    # subdomain, which extract_skeleton must refuse to classify.
-    tets = np.vstack([mesh111.tets, mesh111.tets[:1]])
-    bad = BoxMesh(
+    """Two hand-built meshes that extract_skeleton must refuse, each with an
+    AssemblyError: one tet duplicated, so its faces appear three times within
+    the subdomain; and one boundary edge missing from ``edges``, so a boundary
+    face names a vertex pair that is not an edge."""
+    duplicate_tet = BoxMesh(
         cells=mesh111.cells,
         subdomains=mesh111.subdomains,
         vertex_coords=mesh111.vertex_coords,
-        tets=tets,
+        tets=np.vstack([mesh111.tets, mesh111.tets[:1]]),
         tet_subdomain=np.zeros(7, dtype=np.int64),
         edges=mesh111.edges,
         tet_edges=np.vstack([mesh111.tet_edges, mesh111.tet_edges[:1]]),
     )
-    with pytest.raises(AssemblyError):
-        extract_skeleton(bad)
+    # Edge 0 is (0, 1), an edge of the cube, so it lies on the boundary.
+    assert mesh111.edges[0].tolist() == [0, 1]
+    missing_edge = BoxMesh(
+        cells=mesh111.cells,
+        subdomains=mesh111.subdomains,
+        vertex_coords=mesh111.vertex_coords,
+        tets=mesh111.tets,
+        tet_subdomain=mesh111.tet_subdomain,
+        edges=mesh111.edges[1:],
+        tet_edges=mesh111.tet_edges,
+    )
+    for bad in (duplicate_tet, missing_edge):
+        with pytest.raises(AssemblyError):
+            extract_skeleton(bad)
 
 
 def test_export_vtk(tmp_path, mesh222_j8):

@@ -530,16 +530,27 @@ def _one_perturbed_tet(mesh):
     return setup_scalar(mesh, Coefficients(alpha=alpha))
 
 
-def test_blocks_grouped_by_content(mesh444_j8, rng):
+def test_blocks_grouped_by_shared_block(mesh444_j8, rng, content_partition):
     """Per-subdomain jumps make every scalar block distinct; one perturbed tet
-    splits off only its own subdomain.  Either way the solve matches the
-    dense interface solve."""
-    alpha_j = 1.0 + np.arange(8.0)
-    jump = setup_scalar(mesh444_j8, Coefficients(alpha=alpha_j[mesh444_j8.tet_subdomain]))
+    splits off only its own subdomain.  For both fields, the groups read from
+    assembly's shared blocks are the partition by block content and boundary
+    positions, and the solve matches the dense interface solve."""
+    jump_coeffs = Coefficients(alpha=(1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain])
+    jump = setup_scalar(mesh444_j8, jump_coeffs)
     one_tet = _one_perturbed_tet(mesh444_j8)
     assert len(jump.schur.groups) == 8
     groups = sorted(members.tolist() for _, members in one_tet.schur.groups)
     assert groups == [[0, 1, 2, 3, 4, 6, 7], [5]]
+    maxwell = setup_maxwell(mesh444_j8, jump_coeffs)
+    systems = [
+        (prob.schur, assemble_scalar(mesh444_j8, prob.schur.transfer, prob.coeffs))
+        for prob in (jump, one_tet, maxwell.scalar)
+    ]
+    systems.append(
+        (maxwell.schur, assemble_edge(mesh444_j8, maxwell.schur.transfer, jump_coeffs))
+    )
+    for system, blocks in systems:
+        assert np.array_equal(system.group_of, content_partition(blocks, system.transfer))
     for prob in (jump, one_tet):
         rhs = rng.uniform(-1, 1, prob.dim_skeleton)
         want = _dense_interface_solve(mesh444_j8, prob, rhs)

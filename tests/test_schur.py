@@ -12,7 +12,7 @@ from schurhx.errors import SingularOperatorError
 from schurhx.mesh import build_box_mesh, extract_skeleton
 from schurhx.oracle import pseudoinverse_surjective, volume_matrix
 from schurhx.precond import materialize
-from schurhx.schur import SpdFactor
+from schurhx.schur import SpdFactor, build_schur_system
 
 
 def _blocks(mesh, prob):
@@ -210,3 +210,18 @@ def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     sparse = schur_mod._schur_complement(block, boundary, "edge")
     assert np.array_equal(dense, dense.T)
     assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_equal_content_in_distinct_blocks_forms_distinct_groups(mesh444_j8, field):
+    """Grouping reads assembly's sharing, not block content: a bitwise copy of
+    the shared block is a group of its own, with a bitwise-equal S_u."""
+    transfer = build_transfer(mesh444_j8, extract_skeleton(mesh444_j8), field)
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    blocks = assemble(mesh444_j8, transfer, Coefficients())
+    assert all(block is blocks[0] for block in blocks)
+    blocks[5] = blocks[0].copy()
+    system = build_schur_system(blocks, transfer)
+    assert system.group_of.tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
+    (s_shared, _), (s_copy, _) = system.groups
+    assert np.array_equal(s_shared, s_copy)
