@@ -217,13 +217,14 @@ def run_experiment(config: ExperimentConfig) -> SolveReport:
             field: (len(s.groups), len(s.group_of)) for field, s in schurs.items()
         },
         cond_coarse=qnn.cond_coarse,
+        cond_precond=report.history.lanczos().cond,
     )
     print(
         f"{config.problem}: cells={config.cells} subdomains={config.subdomains} "
         f"dim_skeleton={problem.dim_skeleton} dim_volume={problem.dim_volume} "
         f"iters={report.history.iterations} converged={report.history.converged} "
         f"relres={report.history.relres[-1]:.3e} true_relres={true_relres:.3e} "
-        f"relerr={rel_error:.3e} "
+        f"relerr={rel_error:.3e} cond_precond={report.metadata['cond_precond']:.4g} "
         f"time={report.history.wall_time:.2f}s"
     )
     if config.export_vtk:

@@ -2,22 +2,30 @@
 
 The iteration monitors  sqrt(<z_k, r_k> / <z_0, r_0>)  where z = prec(r); that
 quantity is the energy norm of the preconditioned residual and is what the
-convergence histories and the stopping test use.  The CG coefficients
-(alpha_k, beta_k) are kept: they define the Lanczos tridiagonal whose extreme
-eigenvalues bound the preconditioned spectrum from inside, which the condition
-estimator uses.
+convergence histories and the stopping test use.  The history keeps the CG
+coefficients (alpha_k, beta_k); ``ConvergenceHistory.lanczos``, the only
+builder of their Lanczos tridiagonal, reads its extreme Ritz values, which
+bound the preconditioned spectrum from inside (Strakos & Tichy, ETNA 13, 2002).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from .errors import PcgBreakdownError
+from .errors import PcgBreakdownError, SingularOperatorError
 
-__all__ = ["ConvergenceHistory", "SolveReport", "pcg"]
+__all__ = ["CondEstimate", "ConvergenceHistory", "SolveReport", "pcg"]
+
+
+@dataclass(frozen=True)
+class CondEstimate:
+    lmin: float
+    lmax: float
+    cond: float
 
 
 @dataclass
@@ -26,8 +34,26 @@ class ConvergenceHistory:
     iterations: int
     converged: bool
     wall_time: float
-    alphas: np.ndarray = field(default_factory=lambda: np.empty(0))
-    betas: np.ndarray = field(default_factory=lambda: np.empty(0))
+    alphas: np.ndarray  # one CG step length per iteration
+    betas: np.ndarray  # one per iteration that did not stop
+
+    def lanczos(self) -> CondEstimate:
+        """Extreme Ritz values of prec . op, so ``cond`` is a lower bound on
+        its condition number.  Raises :class:`SingularOperatorError` when no
+        CG step was taken or the smallest Ritz value is not positive.
+        """
+        a, m = self.alphas, self.alphas.size
+        if m == 0:
+            raise SingularOperatorError("no CG steps taken; cannot estimate spectrum")
+        b = self.betas[: m - 1]
+        diag = 1.0 / a
+        diag[1:] += b / a[:-1]
+        off = np.sqrt(b) / a[:-1]
+        evs = sla.eigvalsh_tridiagonal(diag, off) if m > 1 else diag
+        lmin, lmax = float(np.min(evs)), float(np.max(evs))
+        if lmin <= 0:
+            raise SingularOperatorError(f"nonpositive eigenvalue estimate {lmin}")
+        return CondEstimate(lmin, lmax, lmax / lmin)
 
 
 @dataclass
@@ -46,16 +72,18 @@ def pcg(
 ) -> SolveReport:
     """Solve  op x = rhs  with SPD ``apply_op`` and SPD ``apply_prec``.
 
-    Raises :class:`PcgBreakdownError` when <z, r> <= 0 for a nonzero
-    residual, before the first iteration or after any, when <p, op p> <= 0,
-    or when an iterate goes non-finite: each means an operator is not SPD as
-    promised.
+    Raises ``ValueError`` for a non-finite ``rhs`` before any apply.  Raises
+    :class:`PcgBreakdownError` when <z, r> <= 0 for a nonzero residual,
+    before the first iteration or after any, when <p, op p> <= 0, or when an
+    iterate goes non-finite: each means an operator is not SPD as promised.
     """
     if not (0 < tol < 1):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     rhs = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs must be finite")
     start = time.perf_counter()
 
     x = np.zeros_like(rhs)

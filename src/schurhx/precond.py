@@ -53,8 +53,8 @@ import scipy.sparse as sp
 from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .dofspaces import build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
-from .errors import AssemblyError, ConfigurationError, SingularOperatorError
-from .krylov import pcg
+from .errors import AssemblyError, ConfigurationError
+from .krylov import CondEstimate, pcg
 from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
 from .schur import SchurSystem, SpdFactor, build_schur_system
 
@@ -65,9 +65,7 @@ __all__ = [
     "MaxwellProblem",
     "setup_scalar",
     "setup_maxwell",
-    "CondEstimate",
     "estimate_condition",
-    "materialize",
 ]
 
 
@@ -285,66 +283,18 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
     return MaxwellProblem(schur, scalar, qhx, mesh.n_edges)
 
 
-def materialize(apply_op, dim: int) -> np.ndarray:
-    """Dense matrix of a linear callable, one identity column at a time."""
-    cols = np.empty((dim, dim))
-    e = np.zeros(dim)
-    for i in range(dim):
-        e[i] = 1.0
-        cols[:, i] = apply_op(e)
-        e[i] = 0.0
-    return cols
-
-
-@dataclass(frozen=True)
-class CondEstimate:
-    lmin: float
-    lmax: float
-    cond: float
-
-
 def estimate_condition(
-    apply_op, apply_prec, dim: int, method: str = "dense", seed: int = 0
+    apply_op, apply_prec, dim: int, method: str = "lanczos", seed: int = 0
 ) -> CondEstimate:
-    """Spectral bounds of prec . op for SPD op and prec.
+    """Lanczos bounds of prec . op for SPD op and prec: preconditioned CG on a
+    seeded random right-hand side, read through ``ConvergenceHistory.lanczos``.
 
-    "dense" materializes both operators and solves the symmetric-definite
-    eigenproblem exactly (prec.op is similar to C^T prec C with op = C C^T),
-    so lmin/lmax are the true extremes.  "lanczos" runs preconditioned CG on
-    a seeded random right-hand side and takes the extreme eigenvalues of the
-    CG-Lanczos tridiagonal, which bound the spectrum from inside: the reported
-    condition number is a lower bound on the true one.
+    ``method`` accepts only "lanczos" and stays only for the benchmark's
+    call; ROADMAP item 4 removes it.  The dense estimate is
+    ``oracle.dense_condition``.
     """
-    if method == "dense":
-        op = materialize(apply_op, dim)
-        prec = materialize(apply_prec, dim)
-        op = (op + op.T) / 2.0
-        prec = (prec + prec.T) / 2.0
-        try:
-            chol = sla.cholesky(op, lower=True)
-        except sla.LinAlgError as err:
-            raise SingularOperatorError("operator is not SPD") from err
-        w = chol.T @ prec @ chol
-        evs = sla.eigvalsh((w + w.T) / 2.0)
-        lmin, lmax = float(evs[0]), float(evs[-1])
-    elif method == "lanczos":
-        rng = np.random.default_rng(seed)
-        rhs = rng.uniform(-1.0, 1.0, dim)
-        report = pcg(
-            apply_op, apply_prec, rhs, tol=1e-14, max_iter=min(dim, 200)
-        )
-        alphas = report.history.alphas
-        betas = report.history.betas
-        m = alphas.size
-        if m == 0:
-            raise SingularOperatorError("no CG steps taken; cannot estimate spectrum")
-        diag = 1.0 / alphas
-        diag[1:] += betas[: m - 1] / alphas[: m - 1]
-        off = np.sqrt(betas[: m - 1]) / alphas[: m - 1]
-        evs = sla.eigvalsh_tridiagonal(diag, off) if m > 1 else diag
-        lmin, lmax = float(np.min(evs)), float(np.max(evs))
-    else:
+    if method != "lanczos":
         raise ValueError(f"unknown method {method!r}")
-    if lmin <= 0:
-        raise SingularOperatorError(f"nonpositive eigenvalue estimate {lmin}")
-    return CondEstimate(lmin, lmax, lmax / lmin)
+    rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, dim)
+    report = pcg(apply_op, apply_prec, rhs, tol=1e-14, max_iter=min(dim, 200))
+    return report.history.lanczos()

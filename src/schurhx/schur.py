@@ -33,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dofspaces import TransferOps
-from .errors import SingularOperatorError
+from .errors import AssemblyError, SingularOperatorError
 
 __all__ = ["DENSE_CUTOFF", "SpdFactor", "SchurSystem", "build_schur_system"]
 
@@ -179,7 +179,21 @@ def build_schur_system(blocks: list[sp.csr_matrix], transfer: TransferOps) -> Sc
     grouped by block object and boundary positions: assembly shares a block
     object only among bitwise-equal blocks, so each S_u is computed from the
     block every member holds.
+
+    Raises :class:`AssemblyError` unless there is one block per subdomain of
+    ``transfer``, each as large as its slice of the broken space.
     """
+    sizes = np.diff(transfer.broken_offsets)
+    if len(blocks) != sizes.size:
+        raise AssemblyError(
+            f"{transfer.field} transfer has {sizes.size} subdomains, got {len(blocks)} blocks"
+        )
+    for j, (block, n) in enumerate(zip(blocks, sizes)):
+        if block.shape != (n, n):
+            raise AssemblyError(
+                f"{transfer.field} subdomain {j}: block of shape {block.shape}, "
+                f"expected {(int(n), int(n))}"
+            )
     group_by_key: dict[tuple[int, bytes], int] = {}
     schurs = []
     group_of = []

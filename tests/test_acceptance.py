@@ -20,17 +20,14 @@ from schurhx.dofspaces import build_transfer
 from schurhx.krylov import pcg
 from schurhx.mesh import build_box_mesh, extract_skeleton
 from schurhx.oracle import (
+    dense_condition,
+    materialize,
     pseudoinverse_injective,
     pseudoinverse_surjective,
     verify_dense_lemmas,
     volume_matrix,
 )
-from schurhx.precond import (
-    estimate_condition,
-    materialize,
-    setup_maxwell,
-    setup_scalar,
-)
+from schurhx.precond import setup_maxwell, setup_scalar
 
 SUBDOMAIN_GRIDS = ((1, 1, 1), (2, 1, 1), (2, 2, 2))
 
@@ -206,8 +203,8 @@ def test_criterion_08_spectral_inequalities(selection):
     q_nn = materialize(sc.qnn, sc.qnn.dim)
     q_hx = materialize(mw.qhx, mw.qhx.dim)
 
-    cond_hx = estimate_condition(lambda u: s_m @ u, lambda u: q_hx @ u, s_m.shape[0]).cond
-    cond_nn = estimate_condition(lambda u: s_l @ u, lambda u: q_nn @ u, s_l.shape[0]).cond
+    cond_hx = dense_condition(s_m, q_hx)
+    cond_nn = dense_condition(s_l, q_nn)
 
     aux = np.diag(1.0 / np.diag(m_dense))
     grad = build_gradient(mesh).toarray()
@@ -215,18 +212,14 @@ def test_criterion_08_spectral_inequalities(selection):
     for d in range(3):
         interp = build_nodal_interp(mesh, d).toarray()
         aux = aux + interp @ sla.solve(l_dense, interp.T, assume_a="pos")
-    cond_aux = estimate_condition(
-        lambda u: m_dense @ u, lambda u: aux @ u, m_dense.shape[0]
-    ).cond
+    cond_aux = dense_condition(m_dense, aux)
 
     # The push-down corollary instantiated with the scalar Jacobi choice.
     tr = selection(sc.schur.transfer, "skeleton_trace").toarray()
     jac_inv = 1.0 / np.diag(l_dense)
     pushed = (tr * jac_inv) @ tr.T
-    cond_push = estimate_condition(lambda u: s_l @ u, lambda u: pushed @ u, s_l.shape[0]).cond
-    cond_jac = estimate_condition(
-        lambda u: l_dense @ u, lambda u: jac_inv * u, l_dense.shape[0]
-    ).cond
+    cond_push = dense_condition(s_l, pushed)
+    cond_jac = dense_condition(l_dense, np.diag(jac_inv))
 
     elapsed = perf_counter() - t0
     product_ok = cond_hx <= cond_nn * cond_aux * slack

@@ -11,6 +11,9 @@ from schurhx.cli import (
     run_table,
 )
 from schurhx.errors import ConfigurationError
+from schurhx.mesh import build_box_mesh
+from schurhx.oracle import dense_condition, materialize
+from schurhx.precond import setup_maxwell, setup_scalar
 
 SMALL = ["--cells", "2,2,2", "--subdomains", "2,1,1"]
 
@@ -239,6 +242,28 @@ def test_report_carries_coarse_condition(capsys, problem):
     report = run_experiment(cfg)
     cond = report.metadata["cond_coarse"]
     assert isinstance(cond, float) and 1.0 <= cond < 1e3
+
+
+@pytest.mark.parametrize("problem", ["scalar", "maxwell"])
+def test_report_carries_preconditioned_condition(capsys, problem):
+    """cond_precond, read from the solve's own Lanczos extremes, lies between
+    1 and the dense condition number of the preconditioned operator, and the
+    stdout line prints it."""
+    cfg = ExperimentConfig(problem=problem, cells=(4, 4, 4), subdomains=(2, 2, 2))
+    report = run_experiment(cfg)
+    cond = report.metadata["cond_precond"]
+    assert f"cond_precond={cond:.4g} " in capsys.readouterr().out
+    mesh = build_box_mesh(cfg.cells, cfg.subdomains)
+    if problem == "scalar":
+        prob = setup_scalar(mesh, cfg.coefficients())
+        prec = prob.qnn
+    else:
+        prob = setup_maxwell(mesh, cfg.coefficients())
+        prec = prob.qhx
+    dense = dense_condition(
+        materialize(prob.schur.apply, prob.schur.dim), materialize(prec, prob.schur.dim)
+    )
+    assert isinstance(cond, float) and 1.0 <= cond <= dense * (1 + 1e-9)
 
 
 def test_single_subdomain_converges_immediately(capsys):

@@ -46,3 +46,30 @@ def test_raises_are_typed(name):
         if isinstance(node, ast.Raise) and _raised_name(node) not in RAISABLE
     ]
     assert untyped == []
+
+
+def _imported_modules(tree: ast.Module, package: str) -> set[str]:
+    """Absolute names of the modules a source tree imports, and of the
+    names it imports from them, resolving relative imports in ``package``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            names.add(base)
+            names |= {f"{base}.{alias.name}" for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "schurhx.cli"])
+def test_only_cli_imports_the_oracle(name):
+    """The dense verification layer stays out of the solver: no module but
+    the command-line driver imports ``schurhx.oracle``."""
+    module = importlib.import_module(name)
+    package = name if hasattr(module, "__path__") else name.rpartition(".")[0]
+    tree = ast.parse(inspect.getsource(module))
+    assert "schurhx.oracle" not in _imported_modules(tree, package)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurhx.errors import PcgBreakdownError
+from schurhx.errors import PcgBreakdownError, SingularOperatorError
 from schurhx.krylov import pcg
 
 
@@ -98,10 +98,30 @@ def test_indefinite_preconditioner_detected(rng):
 
 
 def test_nan_input_detected(rng):
+    """A NaN right-hand side is refused before any apply; a NaN that an
+    operator returns is a breakdown."""
     a = _spd(rng, 3)
-    rhs = np.array([1.0, np.nan, 0.0])
-    with pytest.raises(PcgBreakdownError):
-        pcg(lambda u: a @ u, lambda u: u, rhs)
+    applied = []
+
+    def op(u):
+        applied.append("op")
+        return a @ u
+
+    def prec(r):
+        applied.append("prec")
+        return r
+
+    with pytest.raises(ValueError, match="rhs must be finite"):
+        pcg(op, prec, np.array([1.0, np.nan, 0.0]))
+    assert applied == []
+    with pytest.raises(PcgBreakdownError, match="non-finite"):
+        pcg(lambda u: a @ u * np.nan, lambda u: u, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_rhs_rejected(bad):
+    with pytest.raises(ValueError, match="rhs must be finite"):
+        pcg(lambda u: u, lambda u: u, np.array([1.0, bad]))
 
 
 def test_parameter_validation():
@@ -164,6 +184,25 @@ def test_history_shapes(rng):
     assert np.all(h.alphas > 0)
     assert np.all(h.betas >= 0)
     assert h.relres[-1] <= 1e-10
+
+
+def test_lanczos_of_two_eigenvalues_is_exact():
+    """CG on diag(1, 4) ends after two steps, where the Ritz values are the
+    eigenvalues themselves."""
+    a = np.array([1.0, 4.0])
+    est = pcg(lambda u: a * u, lambda u: u, np.ones(2), tol=1e-14).history.lanczos()
+    assert est.lmin == pytest.approx(1.0, rel=1e-12)
+    assert est.lmax == pytest.approx(4.0, rel=1e-12)
+    assert est.cond == pytest.approx(4.0, rel=1e-12)
+
+
+def test_lanczos_without_steps_raises():
+    history = pcg(lambda u: u, lambda u: u, np.zeros(3)).history
+    with pytest.raises(SingularOperatorError, match="no CG steps"):
+        history.lanczos()
+    history.alphas, history.iterations = np.array([-1.0]), 1
+    with pytest.raises(SingularOperatorError, match="nonpositive"):
+        history.lanczos()
 
 
 @settings(max_examples=20, deadline=None)

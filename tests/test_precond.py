@@ -18,12 +18,16 @@ from schurhx.errors import (
 )
 from schurhx.krylov import pcg
 from schurhx.mesh import build_box_mesh, extract_skeleton
-from schurhx.oracle import pseudoinverse_injective, volume_matrix
+from schurhx.oracle import (
+    dense_condition,
+    materialize,
+    pseudoinverse_injective,
+    volume_matrix,
+)
 from schurhx.precond import (
     HiptmairXu,
     NeumannNeumann,
     estimate_condition,
-    materialize,
     setup_maxwell,
     setup_scalar,
 )
@@ -385,29 +389,62 @@ def test_hx_summands_positive_semidefinite(maxwell222_j8):
 
 
 def test_estimate_condition_identity():
-    est = estimate_condition(lambda u: u, lambda u: u, 7, method="dense")
-    assert abs(est.cond - 1.0) <= 1e-10
-    est = estimate_condition(lambda u: 2.0 * u, lambda u: 0.5 * u, 7, method="lanczos")
+    assert abs(dense_condition(np.eye(7), np.eye(7)) - 1.0) <= 1e-10
+    est = estimate_condition(lambda u: 2.0 * u, lambda u: 0.5 * u, 7)
     assert abs(est.cond - 1.0) <= 1e-10
 
 
 def test_estimate_condition_dense_vs_lanczos(scalar222_j8):
     prob = scalar222_j8
-    dense = estimate_condition(prob.schur.apply, prob.qnn, prob.schur.dim, "dense")
-    lanczos = estimate_condition(
-        prob.schur.apply, prob.qnn, prob.schur.dim, "lanczos"
+    dense = dense_condition(
+        materialize(prob.schur.apply, prob.schur.dim), materialize(prob.qnn, prob.qnn.dim)
     )
-    assert dense.cond >= 1.0
+    lanczos = estimate_condition(prob.schur.apply, prob.qnn, prob.schur.dim)
+    assert dense >= 1.0
     # Lanczos bounds the spectrum from inside.
-    assert lanczos.cond <= dense.cond * (1 + 1e-9)
-    assert lanczos.cond >= 0.5 * dense.cond
+    assert lanczos.cond <= dense * (1 + 1e-9)
+    assert lanczos.cond >= 0.5 * dense
 
 
-def test_estimate_condition_validation(scalar222_j8):
-    with pytest.raises(ValueError):
-        estimate_condition(lambda u: u, lambda u: u, 4, method="power")
+def test_estimate_condition_validation():
+    for method in ("power", "dense"):
+        with pytest.raises(ValueError, match="unknown method"):
+            estimate_condition(lambda u: u, lambda u: u, 4, method=method)
     with pytest.raises(SingularOperatorError):
-        estimate_condition(lambda u: -u, lambda u: u, 4, method="dense")
+        dense_condition(-np.eye(4), np.eye(4))
+    with pytest.raises(SingularOperatorError, match="nonpositive"):
+        dense_condition(np.eye(4), -np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "name, prec_name", [("scalar222_j8", "qnn"), ("maxwell222_j8", "qhx")], ids=["scalar", "edge"]
+)
+def test_lanczos_lies_inside_dense_spectrum(request, name, prec_name, rng):
+    """The Ritz values of a PCG solve's history lie inside the dense spectrum
+    of the preconditioned operator, for both fields."""
+    prob = request.getfixturevalue(name)
+    prec = getattr(prob, prec_name)
+    s_mat = materialize(prob.schur.apply, prob.schur.dim)
+    q_mat = materialize(prec, prob.schur.dim)
+    # S x = lambda Q^{-1} x, that is, Q S x = lambda x.
+    evs = sla.eigvalsh((s_mat + s_mat.T) / 2.0, sla.inv((q_mat + q_mat.T) / 2.0))
+    rhs = rng.uniform(-1.0, 1.0, prob.schur.dim)
+    est = pcg(prob.schur.apply, prec, rhs, tol=1e-14, max_iter=prob.schur.dim).history.lanczos()
+    slack = 1e-9 * evs[-1]
+    assert evs[0] - slack <= est.lmin <= est.lmax <= evs[-1] + slack
+    assert est.cond <= dense_condition(s_mat, q_mat) * (1 + 1e-9)
+
+
+def test_pcg_rejects_nan_rhs_before_the_coarse_solve(scalar222_j8):
+    """A NaN right-hand side is refused as input, not reported as a failure
+    of the balancing coarse problem."""
+    prob = scalar222_j8
+    rhs = np.ones(prob.schur.dim)
+    rhs[3] = np.nan
+    before = prob.qnn.n_applies
+    with pytest.raises(ValueError, match="finite"):
+        pcg(prob.schur.apply, prob.qnn, rhs)
+    assert prob.qnn.n_applies == before
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,9 @@ import scipy.sparse as sp
 import schurhx.schur as schur_mod
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.dofspaces import build_transfer
-from schurhx.errors import SingularOperatorError
+from schurhx.errors import AssemblyError, SingularOperatorError
 from schurhx.mesh import build_box_mesh, extract_skeleton
-from schurhx.oracle import pseudoinverse_surjective, volume_matrix
-from schurhx.precond import materialize
+from schurhx.oracle import materialize, pseudoinverse_surjective, volume_matrix
 from schurhx.schur import SpdFactor, build_schur_system
 
 
@@ -225,3 +224,17 @@ def test_equal_content_in_distinct_blocks_forms_distinct_groups(mesh444_j8, fiel
     assert system.group_of.tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
     (s_shared, _), (s_copy, _) = system.groups
     assert np.array_equal(s_shared, s_copy)
+
+
+def test_blocks_must_match_the_transfer(mesh444_j8):
+    """One block per subdomain, each as large as its broken slice: a short
+    list would leave tuple rows unwritten, and blocks of another field would
+    index past their ends."""
+    skeleton = extract_skeleton(mesh444_j8)
+    scalar = build_transfer(mesh444_j8, skeleton, "scalar")
+    edge = build_transfer(mesh444_j8, skeleton, "edge")
+    blocks = assemble_scalar(mesh444_j8, scalar, Coefficients())
+    with pytest.raises(AssemblyError, match="8 subdomains, got 7 blocks"):
+        build_schur_system(blocks[:-1], scalar)
+    with pytest.raises(AssemblyError, match="edge subdomain 0: block of shape"):
+        build_schur_system(blocks, edge)
