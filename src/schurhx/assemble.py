@@ -24,22 +24,17 @@ orientation, so no sign bookkeeping is needed anywhere downstream.
 
 Blocks are assembled per subdomain from tet classes: a class is a tet's lattice
 edge offsets plus, for the edge field, its six edge orientations (a box mesh
-has six).  Which subdomains give equal blocks is decided before any block is
-computed.  A subdomain's structural key is its local dof pattern and its tets'
-class rows; subdomains with equal structural keys share one classification,
-one coalesce plan (stable sort order, group starts, CSR indices and indptr)
-and the class data, each class's geometry or element matrix computed from one
-representative.  Tets gather the class data and apply their own coefficients
-in the per-tet operation order, so the values are bitwise per-tet ones, and a
-block's data is one ``np.add.reduceat``.  The value key adds the per-tet
-coefficients (alpha and beta for the scalar field; gamma is global), and
-subdomains with equal value keys get one shared CSR block object whose
-``data``, ``indices`` and ``indptr`` are read-only.  So a block object is
-shared only among bitwise-equal blocks, and this is the one place that
-decides sharing: ``schur`` groups subdomains by block object.  Keys are
-built per subdomain, never over the whole mesh, and lattice positions are
-checked once per mesh (``BoxMesh.vertex_lattice``).  The result is one CSR
-block per subdomain, in ascending subdomain order; no global matrix is
+has six).  Subdomains of one shape (``BoxMesh.shapes``) share the coalesce
+plan (stable sort order, group starts, CSR indices and indptr) and the class
+data, each class's geometry or element matrix computed from one
+representative of the shape's first subdomain.  Tets gather the class data
+and apply their own coefficients in the per-tet operation order, so the
+values are bitwise per-tet ones, and a block's data is one
+``np.add.reduceat``.  Subdomains of one shape with bitwise-equal per-tet
+coefficients (alpha and beta for the scalar field; gamma is global) get one
+shared CSR block object whose ``data``, ``indices`` and ``indptr`` are
+read-only; ``schur`` groups subdomains by block object.  The result is one
+CSR block per subdomain, in ascending subdomain order; no global matrix is
 assembled, and the dense oracle sums the blocks itself
 (``oracle.volume_matrix``).
 """
@@ -237,28 +232,23 @@ def _assemble(
         raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
     offsets = transfer.broken_offsets
     sub_dofs = [transfer.volume_split[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
-    # (dof pattern, class rows) -> structure number, coalesce plan, class ids
-    # and class data; the value key names the structure by its number.
-    structures = {}
-    shared = {}  # (structure number, per-tet coefficients) -> finished block
-    blocks = []
-    for j in range(mesh.n_subdomains):
+    shape_of, first = mesh.shapes
+    structures = []  # per shape: coalesce plan, class ids and class data
+    for j in first:
         tet_ids = mesh.tets_of_subdomain(j)
-        ldof = np.searchsorted(sub_dofs[j], tet_dofs[tet_ids])
         rows = _class_rows(mesh, mesh.tets[tet_ids], oriented)
-        structure = (ldof.tobytes(), rows.tobytes())
-        n = sub_dofs[j].size
-        if structure not in structures:
-            plan = _coalesce_plan(ldof, n)
-            structures[structure] = (
-                len(structures), plan, *_per_class(rows, tet_ids, compute)
-            )
-        number, (order, starts, indices, indptr), cls, class_data = structures[structure]
-        local_coeffs = [c[tet_ids] for c in coefficients]
-        value = (number, *(c.tobytes() for c in local_coeffs))
+        plan = _coalesce_plan(np.searchsorted(sub_dofs[j], tet_dofs[tet_ids]), sub_dofs[j].size)
+        structures.append((plan, *_per_class(rows, tet_ids, compute)))
+    shared = {}  # (shape, per-tet coefficients) -> finished block
+    blocks = []
+    for j, s in enumerate(shape_of):
+        (order, starts, indices, indptr), cls, class_data = structures[s]
+        local_coeffs = [c[mesh.tets_of_subdomain(j)] for c in coefficients]
+        value = (s, *(c.tobytes() for c in local_coeffs))
         if value not in shared:
             local = element(cls, class_data, *local_coeffs)
             data = _freeze(np.add.reduceat(local.ravel()[order], starts))
+            n = sub_dofs[j].size
             shared[value] = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
         blocks.append(shared[value])
     return blocks

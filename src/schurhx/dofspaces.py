@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError
-from .mesh import BoxMesh, SkeletonIndex, _positions
+from .mesh import BoxMesh, SkeletonIndex, _gather, _positions
 
 __all__ = [
     "TransferOps",
@@ -89,9 +89,9 @@ def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> Transf
         raise AssemblyError(
             f"skeleton lists {len(bnd_dofs)} subdomains, the mesh has {mesh.n_subdomains}"
         )
-    sub_dofs = [
-        np.unique(tet_dofs[mesh.tets_of_subdomain(j)]) for j in range(mesh.n_subdomains)
-    ]
+    # Each shape's sorted dofs, as flat positions in its first subdomain's tets.
+    local = [tet_dofs[mesh.tets_of_subdomain(j)] for j in mesh.shapes[1]]
+    sub_dofs = _gather(mesh, tet_dofs, [np.unique(t, return_index=True)[1] for t in local])
     broken_offsets = _offsets(sub_dofs)
     skeleton_trace = _index_map(skel_dofs)
     volume_split = _index_map(np.concatenate(sub_dofs))

@@ -74,8 +74,8 @@ def pcg(
 
     Raises ``ValueError`` for a non-finite ``rhs`` before any apply.  Raises
     :class:`PcgBreakdownError` when <z, r> <= 0 for a nonzero residual,
-    before the first iteration or after any, when <p, op p> <= 0, or when an
-    iterate goes non-finite: each means an operator is not SPD as promised.
+    before the first iteration or after any, when <p, op p> is not positive
+    (NaN included), or when an iterate goes non-finite: an operator is not SPD.
     """
     if not (0 < tol < 1):
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -104,7 +104,7 @@ def pcg(
     while not converged and k < max_iter:
         q = apply_op(p)
         p_op_p = float(p @ q)
-        if p_op_p <= 0:
+        if not p_op_p > 0:  # NaN included
             raise PcgBreakdownError(
                 f"operator is not SPD at iteration {k + 1}: <p, op p> = {p_op_p}"
             )

@@ -47,10 +47,11 @@ class BoxMesh:
 
     All index arrays are read-only.  ``edges`` holds vertex pairs ``(a, b)``
     with ``a < b``, sorted lexicographically; that global orientation (low
-    index to high index) is the tangent convention used everywhere.  The
-    per-subdomain tet index, the vertex lattice and the edge keys are
-    computed once, on first use, so per-subdomain loops never rescan
-    whole-mesh arrays.
+    index to high index) is the tangent convention used everywhere.  Shape
+    sharing relies on ``tet_edges`` agreeing with ``tets`` and ``edges``.
+    The per-subdomain tet index, the vertex lattice, the edge keys and the
+    subdomain shapes are computed once, on first use, so per-subdomain loops
+    never rescan whole-mesh arrays.
     """
 
     cells: tuple[int, int, int]
@@ -102,6 +103,25 @@ class BoxMesh:
         if not np.array_equal(lattice / cells, self.vertex_coords):
             raise AssemblyError("vertex off the box lattice")
         return _freeze(lattice.astype(np.int64))
+
+    @cached_property
+    def shapes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Shape number of each subdomain, in order of first appearance, and
+        the first subdomain of each shape.  Subdomains share a shape when their
+        tets, in order, differ by one vertex-id and one lattice offset; that
+        keeps the order of vertex ids and edge keys, so a sorted local dof list
+        sits at the same positions of every member's tet rows.  An empty
+        subdomain raises :class:`ConfigurationError`."""
+        keys: dict = {}
+        shape_of = np.empty(self.n_subdomains, dtype=np.int64)
+        for j in range(self.n_subdomains):
+            tets_j = self.tets[self.tets_of_subdomain(j)]
+            if tets_j.size == 0:
+                raise ConfigurationError(f"subdomain {j} contains no tets")
+            lattice = self.vertex_lattice[tets_j]
+            key = ((tets_j - tets_j[0, 0]).tobytes(), (lattice - lattice[0, 0]).tobytes())
+            shape_of[j] = keys.setdefault(key, len(keys))
+        return _freeze(shape_of), _freeze(np.unique(shape_of, return_index=True)[1])
 
     @cached_property
     def edge_keys(self) -> np.ndarray:
@@ -263,24 +283,29 @@ def edge_ids_of_pairs(mesh: BoxMesh, pairs: np.ndarray) -> np.ndarray:
     return _positions(mesh.edge_keys, want, "vertex pair is not an edge of the mesh")
 
 
+def _gather(mesh: BoxMesh, tet_dofs: np.ndarray, positions: list) -> list[np.ndarray]:
+    """Each subdomain's dofs at its shape's flat positions in its tet rows."""
+    return [
+        _freeze(tet_dofs[mesh.tets_of_subdomain(j)].ravel()[positions[s]])
+        for j, s in enumerate(mesh.shapes[0])
+    ]
+
+
 def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
     """Collect boundary vertices/edges of every subdomain and their union.
 
-    A face of subdomain ``j`` is a boundary face when exactly one tet of the
+    A face of a subdomain is a boundary face when exactly one tet of the
     subdomain touches it; any other count means the mesh is broken, so it is
-    rejected loudly rather than silently misclassified.
+    rejected loudly rather than silently misclassified.  Faces are counted
+    once per shape (``BoxMesh.shapes``), on its first subdomain.
     """
     n_v = mesh.n_vertices
     _check_face_keys(n_v)  # again: a mesh may be built by hand
-    boundary_vertices: list[np.ndarray] = []
-    boundary_edges: list[np.ndarray] = []
-
-    for j in range(mesh.n_subdomains):
-        tets_j = mesh.tets[mesh.tets_of_subdomain(j)]
-        if tets_j.size == 0:
-            raise ConfigurationError(f"subdomain {j} contains no tets")
+    vpos, epos = [], []  # per shape: boundary dof positions in its tet rows
+    for j in mesh.shapes[1]:
+        tet_ids = mesh.tets_of_subdomain(j)
         # Sorted triples order lexicographically as their keys do.
-        faces = np.sort(tets_j[:, LOCAL_FACES].reshape(-1, 3), axis=1)
+        faces = np.sort(mesh.tets[tet_ids][:, LOCAL_FACES].reshape(-1, 3), axis=1)
         a, b, c = faces.astype(np.int64, copy=False).T
         keys, counts = np.unique((a * n_v + b) * n_v + c, return_counts=True)
         if counts.max() > 2:
@@ -290,14 +315,16 @@ def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
         ab, c = np.divmod(keys[counts == 1], n_v)
         a, b = np.divmod(ab, n_v)
         bfaces = np.column_stack((a, b, c))
-        bverts = np.unique(bfaces)
         # Faces store sorted vertex triples, so the three edges of each face
         # are already sorted pairs.
         face_pairs = bfaces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
         bedges = np.unique(edge_ids_of_pairs(mesh, face_pairs))
-
-        boundary_vertices.append(_freeze(bverts))
-        boundary_edges.append(_freeze(bedges))
+        verts, first = np.unique(mesh.tets[tet_ids], return_index=True)
+        vpos.append(first[np.searchsorted(verts, np.unique(bfaces))])
+        edges, first = np.unique(mesh.tet_edges[tet_ids], return_index=True)
+        epos.append(first[_positions(edges, bedges, "tet_edges disagree with tets")])
+    boundary_vertices = _gather(mesh, mesh.tets, vpos)
+    boundary_edges = _gather(mesh, mesh.tet_edges, epos)
 
     return SkeletonIndex(
         skeleton_vertices=_freeze(np.unique(np.concatenate(boundary_vertices))),

@@ -5,6 +5,8 @@ Everything here is session-scoped; the objects are immutable after setup
 keeps the suite fast.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -151,6 +153,17 @@ def mesh422_j211():
     # Deliberately anisotropic cell counts: catches x/y/z index mix-ups that
     # cubic grids cannot see.
     return build_box_mesh((4, 2, 2), (2, 1, 1))
+
+
+@pytest.fixture(scope="session")
+def mesh422_two_shapes(mesh422_j211):
+    """``mesh422_j211`` with the six tets of cell 2, the first cell of
+    subdomain 1, moved to subdomain 0: its two subdomains are no longer
+    translates of each other."""
+    tet_subdomain = mesh422_j211.tet_subdomain.copy()
+    assert np.all(tet_subdomain[12:18] == 1)
+    tet_subdomain[12:18] = 0
+    return replace(mesh422_j211, tet_subdomain=tet_subdomain)
 
 
 @pytest.fixture(scope="session")

@@ -436,6 +436,77 @@ def test_blocks_match_per_tet_reference(field):
         assert block.indptr.dtype == ref.indptr.dtype
 
 
+def _assert_blocks_equal(blocks, reference):
+    for block, ref in zip(blocks, reference, strict=True):
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(block, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field):
+    """With one cell moved between subdomains, each subdomain's transfer
+    slices equal a per-subdomain np.unique reference and each block equals
+    the per-tet reference."""
+    mesh = mesh422_two_shapes
+    assert mesh.shapes[1].tolist() == [0, 1]
+    skel = extract_skeleton(mesh)
+    transfer = build_transfer(mesh, skel, field)
+    tet_dofs = mesh.tets if field == "scalar" else mesh.tet_edges
+    bnd = skel.boundary_vertices if field == "scalar" else skel.boundary_edges
+    skel_dofs = skel.skeleton_vertices if field == "scalar" else skel.skeleton_edges
+    sub_dofs = [np.unique(tet_dofs[mesh.tet_subdomain == j]) for j in range(2)]
+    offsets = np.cumsum([0] + [d.size for d in sub_dofs])
+    assert np.array_equal(transfer.broken_offsets, offsets)
+    assert np.array_equal(transfer.volume_split, np.concatenate(sub_dofs))
+    assert np.array_equal(
+        transfer.boundary_trace,
+        np.concatenate([offsets[j] + np.searchsorted(sub_dofs[j], bnd[j]) for j in range(2)]),
+    )
+    assert np.array_equal(
+        transfer.skeleton_split, np.concatenate([np.searchsorted(skel_dofs, b) for b in bnd])
+    )
+    rng = np.random.default_rng(5)
+    coeffs = Coefficients(rng.uniform(0.5, 2.0, mesh.n_tets), 0.3, 1.7)
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    blocks = assemble(mesh, transfer, coeffs)
+    _assert_blocks_equal(blocks, _reference_blocks(mesh, coeffs, field))
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_translated_ids_with_other_geometry_share_nothing(field):
+    """Subdomains whose tets are translates in vertex ids but not on the
+    lattice (the last vertex plane moved out by one cell) get their own
+    blocks, bitwise the per-tet reference."""
+    mesh = build_box_mesh((4, 1, 1), (2, 1, 1))
+    coords = mesh.vertex_coords.copy()
+    coords[coords[:, 0] == 1.0, 0] = 1.25
+    stretched = replace(mesh, vertex_coords=coords)
+    assert mesh.shapes[0].tolist() == [0, 0] and stretched.shapes[0].tolist() == [0, 1]
+    transfer = _transfers(stretched)[field]
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    blocks = assemble(stretched, transfer, Coefficients())
+    assert blocks[0] is not blocks[1]
+    _assert_blocks_equal(blocks, _reference_blocks(stretched, Coefficients(), field))
+
+
+def test_empty_subdomain_rejected(mesh222_j2):
+    """A subdomain without tets is refused by every layer that indexes
+    subdomains, with the same typed error."""
+    empty = replace(mesh222_j2, tet_subdomain=np.zeros(mesh222_j2.n_tets, dtype=np.int64))
+    transfers = _transfers(mesh222_j2)
+    calls = [
+        lambda: extract_skeleton(empty),
+        lambda: build_transfer(empty, extract_skeleton(mesh222_j2), "scalar"),
+        lambda: build_transfer(empty, extract_skeleton(mesh222_j2), "edge"),
+        lambda: assemble_scalar(empty, transfers["scalar"], Coefficients()),
+        lambda: assemble_edge(empty, transfers["edge"], Coefficients()),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="^subdomain 1 contains no tets$"):
+            call()
+
+
 @pytest.mark.parametrize("field", ["scalar", "edge"])
 def test_element_matrices_once_per_class(field, monkeypatch):
     """A box mesh has six tet classes, oriented or not; each is computed once
@@ -485,10 +556,7 @@ def test_equal_subdomains_share_one_block(field, content_partition):
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.3, gamma=1.7)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     blocks = assemble(mesh, transfer, coeffs)
-    for block, ref in zip(blocks, _reference_blocks(mesh, coeffs, field), strict=True):
-        for name in ("data", "indices", "indptr"):
-            got, want = getattr(block, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    _assert_blocks_equal(blocks, _reference_blocks(mesh, coeffs, field))
     # alpha does not enter the edge form, so its blocks are all one object.
     n_classes = np.unique(alpha_j).size if field == "scalar" else 1
     assert len({id(block) for block in blocks}) == n_classes

@@ -114,8 +114,28 @@ def test_nan_input_detected(rng):
     with pytest.raises(ValueError, match="rhs must be finite"):
         pcg(op, prec, np.array([1.0, np.nan, 0.0]))
     assert applied == []
-    with pytest.raises(PcgBreakdownError, match="non-finite"):
+    with pytest.raises(PcgBreakdownError, match="operator is not SPD"):
         pcg(lambda u: a @ u * np.nan, lambda u: u, np.ones(3))
+
+
+@pytest.mark.parametrize("bad_apply", [1, 3])
+def test_nan_from_operator_blames_the_operator(rng, bad_apply):
+    """A NaN <p, op p> is reported at the iteration whose operator apply
+    returned it, as the operator's fault, not a step later as the
+    preconditioner's."""
+    a = _spd(rng, 6)
+    calls = []
+
+    def op(u):
+        calls.append(1)
+        return a @ u * (np.nan if len(calls) == bad_apply else 1.0)
+
+    with pytest.raises(
+        PcgBreakdownError,
+        match=rf"^operator is not SPD at iteration {bad_apply}: <p, op p> = nan$",
+    ):
+        pcg(op, lambda u: u, np.ones(6), tol=1e-12)
+    assert len(calls) == bad_apply
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])

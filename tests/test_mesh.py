@@ -93,10 +93,13 @@ def test_tet_edges_match_local_pairs(mesh422_j211):
             assert tuple(mesh.edges[eid]) == (a, b)
 
 
-@pytest.mark.parametrize("mesh_name", ["mesh422_j211", "mesh222_j8", "mesh234_j132"])
+@pytest.mark.parametrize(
+    "mesh_name", ["mesh422_j211", "mesh222_j8", "mesh234_j132", "mesh422_two_shapes"]
+)
 def test_key_unique_matches_row_unique(request, mesh_name, boundary_faces):
     """Edges and boundary sets found through int64 keys are exactly what
-    np.unique(axis=0) on the vertex rows gives."""
+    np.unique(axis=0) on the vertex rows gives, also when the subdomains
+    have different shapes."""
     if mesh_name == "mesh234_j132":
         mesh = build_box_mesh((2, 3, 4), (1, 3, 2))
     else:
@@ -117,6 +120,56 @@ def test_key_unique_matches_row_unique(request, mesh_name, boundary_faces):
         assert np.array_equal(skel.boundary_vertices[j], bverts)
         assert np.array_equal(skel.boundary_edges[j], bedges)
     assert np.array_equal(skel.skeleton_vertices, np.flatnonzero(on_skeleton))
+
+
+# Every grid the suite and the benchmark mesh, anisotropic ones included.
+SUITE_GRIDS = [
+    ((1, 1, 1), (1, 1, 1)),
+    ((2, 2, 2), (1, 1, 1)),
+    ((2, 2, 2), (2, 1, 1)),
+    ((2, 2, 2), (2, 2, 2)),
+    ((2, 2, 4), (1, 2, 2)),
+    ((2, 3, 4), (1, 1, 1)),
+    ((2, 3, 4), (1, 3, 2)),
+    ((3, 3, 3), (3, 1, 1)),
+    ((3, 3, 3), (3, 3, 3)),
+    ((3, 6, 5), (1, 1, 1)),
+    ((3, 6, 5), (1, 2, 5)),
+    ((4, 2, 2), (2, 1, 1)),
+    ((4, 4, 4), (2, 1, 1)),
+    ((4, 4, 4), (2, 2, 2)),
+    ((4, 4, 4), (4, 2, 1)),
+    ((4, 6, 2), (2, 3, 1)),
+    ((6, 2, 2), (2, 2, 1)),
+    ((6, 6, 6), (2, 2, 2)),
+    ((6, 6, 6), (3, 3, 3)),
+    ((8, 8, 8), (4, 4, 4)),
+    ((9, 9, 9), (3, 3, 3)),
+    ((10, 10, 10), (5, 5, 5)),
+    ((12, 12, 12), (2, 2, 2)),
+    ((12, 12, 12), (3, 3, 3)),
+    ((24, 6, 6), (2, 2, 2)),
+    ((24, 24, 24), (4, 4, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "cells, subdomains",
+    SUITE_GRIDS,
+    ids=["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in SUITE_GRIDS],
+)
+def test_box_mesh_subdomains_share_one_shape(cells, subdomains):
+    """Every subdomain of a box partition is a translate of subdomain 0."""
+    mesh = build_box_mesh(cells, subdomains)
+    shape_of, first = mesh.shapes
+    assert np.array_equal(shape_of, np.zeros(mesh.n_subdomains))
+    assert first.tolist() == [0]
+    assert not shape_of.flags.writeable and not first.flags.writeable
+
+
+def test_moved_cell_makes_two_shapes(mesh422_two_shapes):
+    shape_of, first = mesh422_two_shapes.shapes
+    assert shape_of.tolist() == [0, 1] and first.tolist() == [0, 1]
 
 
 def test_face_key_overflow_rejected(mesh111):
@@ -326,6 +379,23 @@ def test_broken_mesh_rejected_by_skeleton(mesh111):
     for bad in (duplicate_tet, missing_edge):
         with pytest.raises(AssemblyError):
             extract_skeleton(bad)
+
+
+def test_tet_edges_out_of_step_with_tets_rejected(mesh111):
+    """Boundary edges are read through ``tet_edges``; when it names other
+    edges than the tets' vertex pairs, extract_skeleton raises instead of
+    gathering wrong edge ids."""
+    bad = BoxMesh(
+        cells=mesh111.cells,
+        subdomains=mesh111.subdomains,
+        vertex_coords=mesh111.vertex_coords,
+        tets=mesh111.tets,
+        tet_subdomain=mesh111.tet_subdomain,
+        edges=mesh111.edges,
+        tet_edges=np.zeros_like(mesh111.tet_edges),
+    )
+    with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
+        extract_skeleton(bad)
 
 
 def test_export_vtk(tmp_path, mesh222_j8):
