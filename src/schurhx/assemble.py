@@ -25,11 +25,12 @@ orientation, so no sign bookkeeping is needed anywhere downstream.
 Blocks are assembled per subdomain from tet classes: a class is a tet's lattice
 edge offsets plus, for the edge field, its six edge orientations (a box mesh
 has six).  Subdomains of one shape (``BoxMesh.shapes``) share the coalesce
-plan (stable sort order, group starts, CSR indices and indptr) and the class
-data, each class's geometry or element matrix computed from one
-representative of the shape's first subdomain.  Tets gather the class data
-and apply their own coefficients in the per-tet operation order, so the
-values are bitwise per-tet ones, and a block's data is one
+plan (stable sort order, group starts, CSR indices and indptr) of its
+``BoxMesh.numbering`` and the class data, each class's geometry or element
+matrix computed from one representative of the shape's first subdomain; a
+transfer of other subdomain sizes raises :class:`AssemblyError`.  Tets gather
+the class data and apply their own coefficients in the per-tet operation
+order, so the values are bitwise per-tet ones, and a block's data is one
 ``np.add.reduceat``.  Subdomains of one shape with bitwise-equal per-tet
 coefficients (alpha and beta for the scalar field; gamma is global) get one
 shared CSR block object whose ``data``, ``indices`` and ``indptr`` are
@@ -220,7 +221,7 @@ def _assemble(
     mesh: BoxMesh,
     transfer: TransferOps,
     scope: str,
-    tet_dofs: np.ndarray,  # (n_tets, k) global dof of each local dof
+    numbering: list,  # per shape (sorted dof positions, local ids): BoxMesh.numbering
     oriented: bool,  # whether edge orientations split tet classes
     compute,  # callable: representative tet ids -> tuple of per-class arrays
     element,  # callable: (class ids, class data, *coefficients) -> (T, k, k)
@@ -230,15 +231,15 @@ def _assemble(
     # tracer routes assembly spans by it; it goes together with that routing.
     if scope != "blocks":
         raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
-    offsets = transfer.broken_offsets
-    sub_dofs = [transfer.volume_split[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
     shape_of, first = mesh.shapes
+    sizes = [positions.size for positions, _ in numbering]
+    if not np.array_equal(np.diff(transfer.broken_offsets), [sizes[s] for s in shape_of]):
+        raise AssemblyError("transfer is not of this mesh: its subdomain sizes differ")
     structures = []  # per shape: coalesce plan, class ids and class data
-    for j in first:
+    for j, (_, local), size in zip(first, numbering, sizes):
         tet_ids = mesh.tets_of_subdomain(j)
         rows = _class_rows(mesh, mesh.tets[tet_ids], oriented)
-        plan = _coalesce_plan(np.searchsorted(sub_dofs[j], tet_dofs[tet_ids]), sub_dofs[j].size)
-        structures.append((plan, *_per_class(rows, tet_ids, compute)))
+        structures.append((_coalesce_plan(local, size), *_per_class(rows, tet_ids, compute)))
     shared = {}  # (shape, per-tet coefficients) -> finished block
     blocks = []
     for j, s in enumerate(shape_of):
@@ -248,7 +249,7 @@ def _assemble(
         if value not in shared:
             local = element(cls, class_data, *local_coeffs)
             data = _freeze(np.add.reduceat(local.ravel()[order], starts))
-            n = sub_dofs[j].size
+            n = sizes[s]
             shared[value] = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
         blocks.append(shared[value])
     return blocks
@@ -270,7 +271,7 @@ def assemble_scalar(
         return stiff + mass
 
     return _assemble(
-        mesh, transfer, scope, mesh.tets, False,
+        mesh, transfer, scope, mesh.numbering["scalar"], False,
         lambda reps: _p1_geometry(mesh, reps), element, (alpha, beta),
     )
 
@@ -290,6 +291,6 @@ def assemble_edge(
         return (curl_mat + g2 * mass_mat)[cls]
 
     return _assemble(
-        mesh, transfer, scope, mesh.tet_edges, True,
+        mesh, transfer, scope, mesh.numbering["edge"], True,
         lambda reps: edge_element_matrices(mesh, reps), element, (),
     )

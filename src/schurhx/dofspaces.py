@@ -14,7 +14,7 @@ skeleton -> boundary tuple) commutes entry for entry in exact arithmetic;
 tests assert a literally zero residual.
 
 A field's four maps come from one call,
-``build_transfer(mesh, skeleton, field)``; nothing else numbers its dofs.
+``build_transfer(mesh, skeleton, field)``, which gathers ``BoxMesh.numbering``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError
-from .mesh import BoxMesh, SkeletonIndex, _gather, _positions
+from .mesh import BoxMesh, SkeletonIndex, _gather
 
 __all__ = [
     "TransferOps",
@@ -70,6 +70,17 @@ def _offsets(dof_lists: list[np.ndarray]) -> np.ndarray:
     return _index_map(np.cumsum([0] + [dofs.size for dofs in dof_lists]))
 
 
+def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
+    """Positions of ``ids`` in ``sorted_ids``; an id not there raises
+    :class:`AssemblyError` with the message ``missing``."""
+    pos = np.searchsorted(sorted_ids, ids)
+    if np.any(pos >= sorted_ids.size) or np.any(
+        sorted_ids[np.minimum(pos, sorted_ids.size - 1)] != ids
+    ):
+        raise AssemblyError(missing)
+    return pos
+
+
 def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> TransferOps:
     """Build the four transfer maps of ``field`` in {"scalar", "edge"}.
 
@@ -89,9 +100,7 @@ def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> Transf
         raise AssemblyError(
             f"skeleton lists {len(bnd_dofs)} subdomains, the mesh has {mesh.n_subdomains}"
         )
-    # Each shape's sorted dofs, as flat positions in its first subdomain's tets.
-    local = [tet_dofs[mesh.tets_of_subdomain(j)] for j in mesh.shapes[1]]
-    sub_dofs = _gather(mesh, tet_dofs, [np.unique(t, return_index=True)[1] for t in local])
+    sub_dofs = _gather(mesh, tet_dofs, [first for first, _ in mesh.numbering[field]])
     broken_offsets = _offsets(sub_dofs)
     skeleton_trace = _index_map(skel_dofs)
     volume_split = _index_map(np.concatenate(sub_dofs))

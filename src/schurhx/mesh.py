@@ -36,8 +36,11 @@ LOCAL_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 #: Local faces, face f is opposite local vertex f.
 LOCAL_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
-#: Sorted vertex triples (a, b, c) are keyed as (a * n_v + b) * n_v + c, which
-#: fits in int64 (keys < n_v**3 <= 2**63) up to this many vertices.
+#: Local edges of each local face (slots of LOCAL_EDGES).
+FACE_EDGES = np.array([[3, 4, 5], [1, 2, 5], [0, 2, 4], [0, 1, 3]])
+
+#: A face's sorted local vertex ids (a, b, c) among n <= n_vertices are keyed
+#: as (a * n + b) * n + c, which fits in int64 up to this many vertices.
 FACE_KEY_LIMIT = 2**21
 
 
@@ -47,11 +50,10 @@ class BoxMesh:
 
     All index arrays are read-only.  ``edges`` holds vertex pairs ``(a, b)``
     with ``a < b``, sorted lexicographically; that global orientation (low
-    index to high index) is the tangent convention used everywhere.  Shape
-    sharing relies on ``tet_edges`` agreeing with ``tets`` and ``edges``.
-    The per-subdomain tet index, the vertex lattice, the edge keys and the
-    subdomain shapes are computed once, on first use, so per-subdomain loops
-    never rescan whole-mesh arrays.
+    index to high index) is the tangent convention used everywhere.
+    The per-subdomain tet index, the vertex lattice, the subdomain shapes and
+    their local dof numbering are computed once, on first use, so
+    per-subdomain loops never rescan whole-mesh arrays.
     """
 
     cells: tuple[int, int, int]
@@ -109,7 +111,7 @@ class BoxMesh:
         """Shape number of each subdomain, in order of first appearance, and
         the first subdomain of each shape.  Subdomains share a shape when their
         tets, in order, differ by one vertex-id and one lattice offset; that
-        keeps the order of vertex ids and edge keys, so a sorted local dof list
+        keeps the order of vertex ids and edge ids, so a sorted local dof list
         sits at the same positions of every member's tet rows.  An empty
         subdomain raises :class:`ConfigurationError`."""
         keys: dict = {}
@@ -124,9 +126,24 @@ class BoxMesh:
         return _freeze(shape_of), _freeze(np.unique(shape_of, return_index=True)[1])
 
     @cached_property
-    def edge_keys(self) -> np.ndarray:
-        """Ascending int64 key ``a * n_vertices + b`` of every edge ``(a, b)``."""
-        return _freeze(self.edges[:, 0].astype(np.int64) * self.n_vertices + self.edges[:, 1])
+    def numbering(self) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
+        """Per field ("scalar" numbers ``tets``, "edge" ``tet_edges``), one
+        ``(first, local)`` per shape, on its first subdomain: the flat positions
+        of its sorted dofs in its tet rows and the local id (T, k) of each tet
+        slot; member j's dofs are ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.
+        ``tet_edges`` out of step with ``tets`` and ``edges`` raise :class:`AssemblyError`."""
+        numbering = {"scalar": [], "edge": []}
+        for j in self.shapes[1]:
+            tet_ids = self.tets_of_subdomain(j)
+            tets, tet_edges = self.tets[tet_ids], self.tet_edges[tet_ids]
+            pairs = np.sort(tets[:, LOCAL_EDGES], axis=2)
+            in_range = tet_edges.min() >= 0 and tet_edges.max() < self.n_edges
+            if not (in_range and np.array_equal(self.edges[tet_edges], pairs)):
+                raise AssemblyError(f"subdomain {j}: tet_edges disagree with tets and edges")
+            for field, rows in (("scalar", tets), ("edge", tet_edges)):
+                _, first, local = np.unique(rows, return_index=True, return_inverse=True)
+                numbering[field].append((_freeze(first), _freeze(local.reshape(rows.shape))))
+        return numbering
 
 
 @dataclass(frozen=True)
@@ -265,24 +282,6 @@ def build_box_mesh(
     )
 
 
-def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
-    """Positions of ``ids`` in ``sorted_ids``; an id not there raises
-    :class:`AssemblyError` with the message ``missing``."""
-    pos = np.searchsorted(sorted_ids, ids)
-    if np.any(pos >= sorted_ids.size) or np.any(
-        sorted_ids[np.minimum(pos, sorted_ids.size - 1)] != ids
-    ):
-        raise AssemblyError(missing)
-    return pos
-
-
-def edge_ids_of_pairs(mesh: BoxMesh, pairs: np.ndarray) -> np.ndarray:
-    """Map sorted vertex pairs to edge ids; a pair that is not an edge of the
-    mesh raises :class:`AssemblyError`."""
-    want = pairs[:, 0].astype(np.int64) * mesh.n_vertices + pairs[:, 1]
-    return _positions(mesh.edge_keys, want, "vertex pair is not an edge of the mesh")
-
-
 def _gather(mesh: BoxMesh, tet_dofs: np.ndarray, positions: list) -> list[np.ndarray]:
     """Each subdomain's dofs at its shape's flat positions in its tet rows."""
     return [
@@ -291,44 +290,39 @@ def _gather(mesh: BoxMesh, tet_dofs: np.ndarray, positions: list) -> list[np.nda
     ]
 
 
+def _members(ids: np.ndarray, n: int) -> np.ndarray:
+    """The distinct ids in ``ids``, all in [0, n), ascending."""
+    return np.flatnonzero(np.bincount(ids.ravel(), minlength=n))
+
+
 def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
     """Collect boundary vertices/edges of every subdomain and their union.
 
     A face of a subdomain is a boundary face when exactly one tet of the
     subdomain touches it; any other count means the mesh is broken, so it is
     rejected loudly rather than silently misclassified.  Faces are counted
-    once per shape (``BoxMesh.shapes``), on its first subdomain.
+    once per shape, on its first subdomain, in its ``BoxMesh.numbering``.
     """
-    n_v = mesh.n_vertices
-    _check_face_keys(n_v)  # again: a mesh may be built by hand
+    _check_face_keys(mesh.n_vertices)  # again: a mesh may be built by hand
     vpos, epos = [], []  # per shape: boundary dof positions in its tet rows
-    for j in mesh.shapes[1]:
-        tet_ids = mesh.tets_of_subdomain(j)
-        # Sorted triples order lexicographically as their keys do.
-        faces = np.sort(mesh.tets[tet_ids][:, LOCAL_FACES].reshape(-1, 3), axis=1)
-        a, b, c = faces.astype(np.int64, copy=False).T
-        keys, counts = np.unique((a * n_v + b) * n_v + c, return_counts=True)
+    scalar, edge = mesh.numbering["scalar"], mesh.numbering["edge"]
+    for j, (vfirst, vlocal), (efirst, elocal) in zip(mesh.shapes[1], scalar, edge):
+        # Per (tet, face) slot, the face's sorted local vertex ids and its key.
+        faces = np.sort(vlocal[:, LOCAL_FACES], axis=2).reshape(-1, 3)
+        n = vfirst.size
+        _, slots, counts = np.unique(faces @ [n * n, n, 1], return_index=True, return_counts=True)
         if counts.max() > 2:
-            raise AssemblyError(
-                f"subdomain {j}: a face is shared by {counts.max()} tets"
-            )
-        ab, c = np.divmod(keys[counts == 1], n_v)
-        a, b = np.divmod(ab, n_v)
-        bfaces = np.column_stack((a, b, c))
-        # Faces store sorted vertex triples, so the three edges of each face
-        # are already sorted pairs.
-        face_pairs = bfaces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
-        bedges = np.unique(edge_ids_of_pairs(mesh, face_pairs))
-        verts, first = np.unique(mesh.tets[tet_ids], return_index=True)
-        vpos.append(first[np.searchsorted(verts, np.unique(bfaces))])
-        edges, first = np.unique(mesh.tet_edges[tet_ids], return_index=True)
-        epos.append(first[_positions(edges, bedges, "tet_edges disagree with tets")])
+            raise AssemblyError(f"subdomain {j}: a face is shared by {counts.max()} tets")
+        slots = slots[counts == 1]
+        vpos.append(vfirst[_members(faces[slots], n)])
+        face_edges = elocal[:, FACE_EDGES].reshape(-1, 3)
+        epos.append(efirst[_members(face_edges[slots], efirst.size)])
     boundary_vertices = _gather(mesh, mesh.tets, vpos)
     boundary_edges = _gather(mesh, mesh.tet_edges, epos)
 
     return SkeletonIndex(
-        skeleton_vertices=_freeze(np.unique(np.concatenate(boundary_vertices))),
-        skeleton_edges=_freeze(np.unique(np.concatenate(boundary_edges))),
+        skeleton_vertices=_freeze(_members(np.concatenate(boundary_vertices), mesh.n_vertices)),
+        skeleton_edges=_freeze(_members(np.concatenate(boundary_edges), mesh.n_edges)),
         boundary_vertices=boundary_vertices,
         boundary_edges=boundary_edges,
     )

@@ -51,7 +51,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assemble import Coefficients, assemble_edge, assemble_scalar
-from .dofspaces import build_transfer
+from .dofspaces import TransferOps, build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import AssemblyError, ConfigurationError
 from .krylov import CondEstimate, pcg
@@ -229,17 +229,17 @@ class MaxwellProblem:
         return self.schur.dim
 
 
-def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> np.ndarray:
+def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, transfer: TransferOps) -> np.ndarray:
     """rho of every boundary-tuple copy: the largest alpha among the
-    subdomain's tets that touch the vertex, one subdomain at a time."""
+    subdomain's tets that touch the vertex, over its broken-space slots."""
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
-    parts = []
-    for j, boundary in enumerate(skeleton.boundary_vertices):
+    offsets = transfer.broken_offsets
+    peak = np.zeros(offsets[-1])
+    for j, s in enumerate(mesh.shapes[0]):
         tet_ids = mesh.tets_of_subdomain(j)
-        peak = np.zeros(mesh.n_vertices)
-        np.maximum.at(peak, mesh.tets[tet_ids].ravel(), np.repeat(alpha[tet_ids], 4))
-        parts.append(peak[boundary])
-    return np.concatenate(parts)
+        local = mesh.numbering["scalar"][s][1]
+        np.maximum.at(peak, offsets[j] + local.ravel(), np.repeat(alpha[tet_ids], 4))
+    return peak[transfer.boundary_trace]
 
 
 def _scalar_problem(
@@ -248,7 +248,7 @@ def _scalar_problem(
     transfer = build_transfer(mesh, skeleton, "scalar")
     # The blocks go once their Schur complements are formed.
     schur = build_schur_system(assemble_scalar(mesh, transfer, coeffs), transfer)
-    qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, skeleton))
+    qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, transfer))
     return ScalarProblem(coeffs, schur, qnn, mesh.n_vertices)
 
 

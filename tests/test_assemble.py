@@ -610,3 +610,18 @@ def test_transfer_of_other_field_rejected(mesh222_j8):
         assemble_scalar(mesh222_j8, transfers["edge"], Coefficients())
     with pytest.raises(ValueError, match="an edge transfer"):
         assemble_edge(mesh222_j8, transfers["scalar"], Coefficients())
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+@pytest.mark.parametrize(
+    "cells, subdomains, foreign",
+    [((4, 4, 4), (2, 2, 2), (2, 2, 1)), ((6, 4, 4), (3, 2, 2), (3, 2, 1))],
+)
+def test_transfer_of_another_mesh_rejected(cells, subdomains, foreign, field):
+    """A transfer built for another partition of the grid has other subdomain
+    sizes and count; assembly raises instead of returning blocks sized by it."""
+    mesh = build_box_mesh(cells, subdomains)
+    transfer = _transfers(build_box_mesh(cells, foreign))[field]
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    with pytest.raises(AssemblyError, match="not of this mesh"):
+        assemble(mesh, transfer, Coefficients())

@@ -1,10 +1,14 @@
 """Mesh generation: counts, orientation, conformity, skeleton extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurhx.assemble import Coefficients, assemble_edge
+from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
 from schurhx.mesh import (
     FACE_KEY_LIMIT,
@@ -12,7 +16,6 @@ from schurhx.mesh import (
     LOCAL_FACES,
     BoxMesh,
     build_box_mesh,
-    edge_ids_of_pairs,
     export_vtk,
     extract_skeleton,
 )
@@ -172,6 +175,41 @@ def test_moved_cell_makes_two_shapes(mesh422_two_shapes):
     assert shape_of.tolist() == [0, 1] and first.tolist() == [0, 1]
 
 
+# Suite grids, most of them anisotropic in cells or in subdomains.
+NUMBERING_GRIDS = [
+    ((2, 3, 4), (1, 3, 2)),
+    ((3, 6, 5), (1, 2, 5)),
+    ((4, 4, 4), (4, 2, 1)),
+    ((4, 6, 2), (2, 3, 1)),
+    ((6, 6, 6), (3, 3, 3)),
+    ((24, 6, 6), (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["two_shapes"] + NUMBERING_GRIDS,
+    ids=["422/two_shapes"]
+    + ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in NUMBERING_GRIDS],
+)
+def test_numbering_holds_on_every_member(grid, mesh422_two_shapes):
+    """A shape's numbering, taken on its first subdomain, numbers every member:
+    its positions pick each member's dofs in strictly ascending order, and
+    its local ids give back the member's tet rows."""
+    mesh = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
+    assert set(mesh.numbering) == {"scalar", "edge"}
+    for field, tet_dofs in (("scalar", mesh.tets), ("edge", mesh.tet_edges)):
+        numbering = mesh.numbering[field]
+        assert len(numbering) == mesh.shapes[1].size
+        for j, s in enumerate(mesh.shapes[0]):
+            first, local = numbering[s]
+            assert not first.flags.writeable and not local.flags.writeable
+            rows = tet_dofs[mesh.tets_of_subdomain(j)]
+            dofs = rows.ravel()[first]
+            assert np.all(np.diff(dofs) > 0)
+            assert np.array_equal(dofs[local], rows)
+
+
 def test_face_key_overflow_rejected(mesh111):
     # Only the vertex count matters: a zero-strided coordinate array stands in
     # for a mesh too large to build here.
@@ -207,33 +245,12 @@ def test_vertex_limit_checked_before_meshing(monkeypatch):
 def test_subdomain_index_matches_scan():
     """On an anisotropic partition the cached per-subdomain tet index holds,
     for every subdomain, the ascending ids a scan of ``tet_subdomain`` finds,
-    as read-only views; the cached edge keys are read-only too."""
+    as read-only views."""
     mesh = build_box_mesh((4, 6, 2), (2, 3, 1))
     for j in range(mesh.n_subdomains):
         ids = mesh.tets_of_subdomain(j)
         assert np.array_equal(ids, np.flatnonzero(mesh.tet_subdomain == j))
         assert not ids.flags.writeable
-    assert not mesh.edge_keys.flags.writeable
-    pairs = mesh.edges[::7]
-    assert np.array_equal(edge_ids_of_pairs(mesh, pairs), np.arange(mesh.n_edges)[::7])
-
-
-def test_edge_ids_of_pairs_rejects_non_edges(mesh111):
-    # Vertices 1 and 6 are opposite corners of a face without a diagonal
-    # between them (the Kuhn split only adds one diagonal per face).
-    present = {tuple(e) for e in mesh111.edges}
-    missing = next(
-        (a, b)
-        for a in range(8)
-        for b in range(a + 1, 8)
-        if (a, b) not in present
-    )
-    with pytest.raises(AssemblyError, match="not an edge"):
-        edge_ids_of_pairs(mesh111, np.array([missing]))
-    # The cached keys also reject a pair whose key lies past the last edge.
-    assert mesh111.edge_keys.size == mesh111.n_edges
-    with pytest.raises(AssemblyError, match="not an edge"):
-        edge_ids_of_pairs(mesh111, np.array([[7, 8]]))
 
 
 def test_watertight_subdomain_boundaries(mesh222_j8, skel222_j8, boundary_faces):
@@ -382,20 +399,22 @@ def test_broken_mesh_rejected_by_skeleton(mesh111):
 
 
 def test_tet_edges_out_of_step_with_tets_rejected(mesh111):
-    """Boundary edges are read through ``tet_edges``; when it names other
-    edges than the tets' vertex pairs, extract_skeleton raises instead of
-    gathering wrong edge ids."""
-    bad = BoxMesh(
-        cells=mesh111.cells,
-        subdomains=mesh111.subdomains,
-        vertex_coords=mesh111.vertex_coords,
-        tets=mesh111.tets,
-        tet_subdomain=mesh111.tet_subdomain,
-        edges=mesh111.edges,
-        tet_edges=np.zeros_like(mesh111.tet_edges),
-    )
-    with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
-        extract_skeleton(bad)
+    """Every reader of the edge numbering (the skeleton, the edge transfer and
+    edge assembly) raises an AssemblyError, not an IndexError or wrong edge
+    ids, when ``tet_edges`` names other edges than the tets' vertex pairs or
+    points past the last edge."""
+    zeros = replace(mesh111, tet_edges=np.zeros_like(mesh111.tet_edges))
+    past_end = replace(mesh111, edges=mesh111.edges[1:])
+    assert mesh111.tet_edges.max() == past_end.n_edges
+    skeleton = extract_skeleton(mesh111)
+    transfer = build_transfer(mesh111, skeleton, "edge")
+    for bad in (zeros, past_end):
+        with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
+            extract_skeleton(bad)
+        with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
+            build_transfer(bad, skeleton, "edge")
+        with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
+            assemble_edge(bad, transfer, Coefficients())
 
 
 def test_export_vtk(tmp_path, mesh222_j8):

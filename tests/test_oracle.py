@@ -119,10 +119,15 @@ def test_verify_identities_passes(request, mesh_name):
     assert "edge-final-cond-estimate" in names
 
 
-def test_oracle_rho_equals_setup_rho(monkeypatch):
+@pytest.mark.parametrize("mesh_name", ["mesh365_j125", "mesh422_two_shapes"])
+def test_oracle_rho_equals_setup_rho(request, monkeypatch, mesh_name):
     """The oracle's tet-by-tet rho is bitwise the rho setup_scalar hands to
-    Neumann-Neumann, on an anisotropic mesh with per-tet alpha."""
-    mesh = build_box_mesh((3, 6, 5), (1, 2, 5))
+    Neumann-Neumann, with per-tet alpha, on an anisotropic mesh and on one
+    whose two subdomains have different shapes."""
+    if mesh_name == "mesh365_j125":
+        mesh = build_box_mesh((3, 6, 5), (1, 2, 5))
+    else:
+        mesh = request.getfixturevalue(mesh_name)
     alpha = np.exp(np.random.default_rng(3).uniform(-5.0, 5.0, mesh.n_tets))
     coeffs = Coefficients(alpha=alpha, beta=0.3)
     passed = []
