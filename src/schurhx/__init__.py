@@ -4,7 +4,7 @@ from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .dofspaces import build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
 from .krylov import pcg
-from .mesh import build_box_mesh, extract_skeleton
+from .mesh import build_box_mesh
 from .precond import (
     HiptmairXu,
     NeumannNeumann,
@@ -28,7 +28,6 @@ __all__ = [
     "build_schur_system",
     "build_transfer",
     "estimate_condition",
-    "extract_skeleton",
     "pcg",
     "setup_maxwell",
     "setup_scalar",

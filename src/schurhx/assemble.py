@@ -221,7 +221,7 @@ def _assemble(
     mesh: BoxMesh,
     transfer: TransferOps,
     scope: str,
-    numbering: list,  # per shape (sorted dof positions, local ids): BoxMesh.numbering
+    numbering: list,  # per shape (dof positions, local ids, boundary): BoxMesh.numbering
     oriented: bool,  # whether edge orientations split tet classes
     compute,  # callable: representative tet ids -> tuple of per-class arrays
     element,  # callable: (class ids, class data, *coefficients) -> (T, k, k)
@@ -232,11 +232,11 @@ def _assemble(
     if scope != "blocks":
         raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
     shape_of, first = mesh.shapes
-    sizes = [positions.size for positions, _ in numbering]
+    sizes = [positions.size for positions, _, _ in numbering]
     if not np.array_equal(np.diff(transfer.broken_offsets), [sizes[s] for s in shape_of]):
         raise AssemblyError("transfer is not of this mesh: its subdomain sizes differ")
     structures = []  # per shape: coalesce plan, class ids and class data
-    for j, (_, local), size in zip(first, numbering, sizes):
+    for j, (_, local, _), size in zip(first, numbering, sizes):
         tet_ids = mesh.tets_of_subdomain(j)
         rows = _class_rows(mesh, mesh.tets[tet_ids], oriented)
         structures.append((_coalesce_plan(local, size), *_per_class(rows, tet_ids, compute)))

@@ -7,8 +7,9 @@ For a P1 function u and edge e = (a, b):
     interpolation dof:  int_e (c_d u) . tau = (x_b - x_a)_d (u(a) + u(b)) / 2
 
 where c_d is the d-th Cartesian unit vector and u is linear along e.  Given
-a ``SkeletonIndex``, a map runs from skeleton vertices to skeleton edges;
-without one, from all vertices to all edges.  Both use the same coordinate
+the scalar and edge ``TransferOps`` as a pair, a map runs from skeleton
+vertices to skeleton edges (their ``skeleton_trace`` ids); without them, from
+all vertices to all edges.  Both use the same coordinate
 arithmetic on the same vertices, so trace-then-map equals map-then-trace with
 a literally zero residual; tests and the verification suite rely on that
 exactness.
@@ -20,25 +21,29 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
-from .mesh import BoxMesh, SkeletonIndex
+from .dofspaces import TransferOps
+from .mesh import BoxMesh
 
 __all__ = ["build_gradient", "build_nodal_interp"]
 
 
-def _edge_endpoints(mesh: BoxMesh, skeleton: SkeletonIndex | None):
+def _edge_endpoints(mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | None):
     """Rows (edges, as vertex ids), their two columns each, and the column count."""
-    if skeleton is None:
+    if transfers is None:
         return mesh.edges, mesh.edges, mesh.n_vertices
-    ids = (skeleton.skeleton_edges, skeleton.skeleton_vertices)
-    if any(a.size and a[-1] >= n for a, n in zip(ids, (mesh.n_edges, mesh.n_vertices))):
-        raise AssemblyError("skeleton dof id beyond the mesh: not this mesh's skeleton")
-    edges = mesh.edges[skeleton.skeleton_edges]
+    scalar, edge = transfers
+    if (scalar.n_volume, edge.n_volume) != (mesh.n_vertices, mesh.n_edges):
+        raise AssemblyError("transfer of another mesh: its volume sizes differ")
+    vertices = scalar.skeleton_trace
+    edges = mesh.edges[edge.skeleton_trace]
     col_of_vertex = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    col_of_vertex[skeleton.skeleton_vertices] = np.arange(skeleton.n_skeleton_vertices)
+    col_of_vertex[vertices] = np.arange(vertices.size)
     cols = col_of_vertex[edges]
     if np.any(cols < 0):
         raise AssemblyError("skeleton edge with endpoint off the skeleton")
-    return edges, cols, skeleton.n_skeleton_vertices
+    if np.bincount(cols.ravel(), minlength=vertices.size).min() == 0:
+        raise AssemblyError("skeleton vertex on no skeleton edge")
+    return edges, cols, vertices.size
 
 
 def _edge_map(cols: np.ndarray, n_cols: int, data: np.ndarray) -> sp.csr_matrix:
@@ -50,20 +55,22 @@ def _edge_map(cols: np.ndarray, n_cols: int, data: np.ndarray) -> sp.csr_matrix:
     return m
 
 
-def build_gradient(mesh: BoxMesh, skeleton: SkeletonIndex | None = None) -> sp.csr_matrix:
+def build_gradient(
+    mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | None = None
+) -> sp.csr_matrix:
     """Signed incidence map from nodal dofs to edge dofs."""
-    _, cols, n_cols = _edge_endpoints(mesh, skeleton)
+    _, cols, n_cols = _edge_endpoints(mesh, transfers)
     return _edge_map(cols, n_cols, np.tile(np.array([-1.0, 1.0]), cols.shape[0]))
 
 
 def build_nodal_interp(
-    mesh: BoxMesh, direction: int, skeleton: SkeletonIndex | None = None
+    mesh: BoxMesh, direction: int, transfers: tuple[TransferOps, TransferOps] | None = None
 ) -> sp.csr_matrix:
     """Edge interpolation of a nodal field times the Cartesian unit vector."""
     if direction not in (0, 1, 2):
         raise ValueError(f"direction must be 0, 1 or 2, got {direction}")
-    edges, cols, n_cols = _edge_endpoints(mesh, skeleton)
-    # Same expression with and without a skeleton, so the entries agree bitwise.
+    edges, cols, n_cols = _edge_endpoints(mesh, transfers)
+    # Same expression with and without transfers, so the entries agree bitwise.
     half_tangent = (
         mesh.vertex_coords[edges[:, 1], direction]
         - mesh.vertex_coords[edges[:, 0], direction]

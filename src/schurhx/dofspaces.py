@@ -13,8 +13,10 @@ The square of maps (volume -> broken -> boundary tuple) and (volume ->
 skeleton -> boundary tuple) commutes entry for entry in exact arithmetic;
 tests assert a literally zero residual.
 
-A field's four maps come from one call,
-``build_transfer(mesh, skeleton, field)``, which gathers ``BoxMesh.numbering``.
+A field's four maps come from one call, ``build_transfer(mesh, field)``,
+which reads each subdomain's dofs and boundary from its shape's entry in
+``BoxMesh.numbering``; the skeleton is the union of the boundaries, so every
+skeleton dof lies on some subdomain boundary by construction.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssemblyError
-from .mesh import BoxMesh, SkeletonIndex, _gather
+from .mesh import BoxMesh, _members
 
 __all__ = [
     "TransferOps",
@@ -70,69 +71,37 @@ def _offsets(dof_lists: list[np.ndarray]) -> np.ndarray:
     return _index_map(np.cumsum([0] + [dofs.size for dofs in dof_lists]))
 
 
-def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
-    """Positions of ``ids`` in ``sorted_ids``; an id not there raises
-    :class:`AssemblyError` with the message ``missing``."""
-    pos = np.searchsorted(sorted_ids, ids)
-    if np.any(pos >= sorted_ids.size) or np.any(
-        sorted_ids[np.minimum(pos, sorted_ids.size - 1)] != ids
-    ):
-        raise AssemblyError(missing)
-    return pos
-
-
-def build_transfer(mesh: BoxMesh, skeleton: SkeletonIndex, field: str) -> TransferOps:
-    """Build the four transfer maps of ``field`` in {"scalar", "edge"}.
-
-    Raises :class:`AssemblyError` when ``skeleton`` is not the skeleton of
-    ``mesh``: a different subdomain count, or a boundary dof that is not a
-    dof of its subdomain or of the skeleton.
-    """
+def build_transfer(mesh: BoxMesh, field: str) -> TransferOps:
+    """Build the four transfer maps of ``field`` in {"scalar", "edge"}."""
     if field == "scalar":
         tet_dofs, n_volume = mesh.tets, mesh.n_vertices
-        bnd_dofs, skel_dofs = skeleton.boundary_vertices, skeleton.skeleton_vertices
     elif field == "edge":
         tet_dofs, n_volume = mesh.tet_edges, mesh.n_edges
-        bnd_dofs, skel_dofs = skeleton.boundary_edges, skeleton.skeleton_edges
     else:
         raise ValueError(f"unknown field {field!r}")
-    if len(bnd_dofs) != mesh.n_subdomains:
-        raise AssemblyError(
-            f"skeleton lists {len(bnd_dofs)} subdomains, the mesh has {mesh.n_subdomains}"
-        )
-    sub_dofs = _gather(mesh, tet_dofs, [first for first, _ in mesh.numbering[field]])
+    per_shape = mesh.numbering[field]
+    numbering = [per_shape[s] for s in mesh.shapes[0]]
+    sub_dofs = [
+        tet_dofs[mesh.tets_of_subdomain(j)].ravel()[first]
+        for j, (first, _, _) in enumerate(numbering)
+    ]
     broken_offsets = _offsets(sub_dofs)
-    skeleton_trace = _index_map(skel_dofs)
     volume_split = _index_map(np.concatenate(sub_dofs))
-
-    # Boundary dofs expressed in each subdomain's local numbering: both lists
-    # are sorted by global id, so searchsorted gives the local positions.
-    local_boundary = []
-    skeleton_position = []
-    for j in range(mesh.n_subdomains):
-        where = f"boundary dof of subdomain {j}"
-        loc = _positions(sub_dofs[j], bnd_dofs[j], f"{where} not in subdomain")
-        local_boundary.append(int(broken_offsets[j]) + loc)
-        skeleton_position.append(_positions(skel_dofs, bnd_dofs[j], f"{where} not on skeleton"))
-
-    boundary_trace = _index_map(np.concatenate(local_boundary))
-    skeleton_split = _index_map(np.concatenate(skeleton_position))
-
-    # Every skeleton dof must appear on at least one subdomain boundary,
-    # otherwise the split map would have a kernel.
-    covered = np.zeros(skel_dofs.size, dtype=bool)
-    covered[skeleton_split] = True
-    if not covered.all():
-        raise AssemblyError("skeleton dof missing from every subdomain boundary")
-
+    boundaries = [boundary for _, _, boundary in numbering]
+    boundary_trace = _index_map(
+        np.concatenate([offset + b for offset, b in zip(broken_offsets, boundaries)])
+    )
+    # The skeleton is the union of the boundaries, in ascending order, so one
+    # searchsorted finds every boundary copy's skeleton dof.
+    boundary_dofs = volume_split[boundary_trace]
+    skeleton_trace = _index_map(_members(boundary_dofs, n_volume))
     return TransferOps(
         field,
         n_volume,
         broken_offsets,
-        _offsets(bnd_dofs),
+        _offsets(boundaries),
         skeleton_trace,
         volume_split,
         boundary_trace,
-        skeleton_split,
+        _index_map(np.searchsorted(skeleton_trace, boundary_dofs)),
     )
-

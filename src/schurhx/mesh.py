@@ -24,9 +24,7 @@ from .errors import AssemblyError, ConfigurationError
 
 __all__ = [
     "BoxMesh",
-    "SkeletonIndex",
     "build_box_mesh",
-    "extract_skeleton",
     "export_vtk",
 ]
 
@@ -52,7 +50,7 @@ class BoxMesh:
     with ``a < b``, sorted lexicographically; that global orientation (low
     index to high index) is the tangent convention used everywhere.
     The per-subdomain tet index, the vertex lattice, the subdomain shapes and
-    their local dof numbering are computed once, on first use, so
+    their local dof numbering and boundary are computed once, on first use, so
     per-subdomain loops never rescan whole-mesh arrays.
     """
 
@@ -126,12 +124,16 @@ class BoxMesh:
         return _freeze(shape_of), _freeze(np.unique(shape_of, return_index=True)[1])
 
     @cached_property
-    def numbering(self) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
+    def numbering(self) -> dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
         """Per field ("scalar" numbers ``tets``, "edge" ``tet_edges``), one
-        ``(first, local)`` per shape, on its first subdomain: the flat positions
-        of its sorted dofs in its tet rows and the local id (T, k) of each tet
-        slot; member j's dofs are ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.
-        ``tet_edges`` out of step with ``tets`` and ``edges`` raise :class:`AssemblyError`."""
+        ``(first, local, boundary)`` per shape, on its first subdomain: the flat
+        positions of its sorted dofs in its tet rows, the local id (T, k) of
+        each tet slot, and the ascending local ids of its boundary dofs, those
+        on a face that exactly one of its tets touches; member j's dofs are
+        ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.  ``tet_edges`` out of
+        step with ``tets`` and ``edges``, or a face of more than two tets of a
+        subdomain, raise :class:`AssemblyError`."""
+        _check_face_keys(self.n_vertices)  # again: a mesh may be built by hand
         numbering = {"scalar": [], "edge": []}
         for j in self.shapes[1]:
             tet_ids = self.tets_of_subdomain(j)
@@ -140,29 +142,28 @@ class BoxMesh:
             in_range = tet_edges.min() >= 0 and tet_edges.max() < self.n_edges
             if not (in_range and np.array_equal(self.edges[tet_edges], pairs)):
                 raise AssemblyError(f"subdomain {j}: tet_edges disagree with tets and edges")
-            for field, rows in (("scalar", tets), ("edge", tet_edges)):
-                _, first, local = np.unique(rows, return_index=True, return_inverse=True)
-                numbering[field].append((_freeze(first), _freeze(local.reshape(rows.shape))))
+            (_, vfirst, vlocal), (_, efirst, elocal) = (
+                np.unique(rows, return_index=True, return_inverse=True)
+                for rows in (tets, tet_edges)
+            )
+            vlocal, elocal = vlocal.reshape(tets.shape), elocal.reshape(tet_edges.shape)
+            # Per (tet, face) slot, the face's sorted local vertex ids and its
+            # key; a boundary face is the only slot of its key.
+            faces = np.sort(vlocal[:, LOCAL_FACES], axis=2).reshape(-1, 3)
+            n = vfirst.size
+            keys = faces @ [n * n, n, 1]
+            _, slots, counts = np.unique(keys, return_index=True, return_counts=True)
+            if counts.max() > 2:
+                raise AssemblyError(f"subdomain {j}: a face is shared by {counts.max()} tets")
+            slots = slots[counts == 1]
+            face_edges = elocal[:, FACE_EDGES].reshape(-1, 3)
+            for field, first, local, boundary in (
+                ("scalar", vfirst, vlocal, faces[slots]),
+                ("edge", efirst, elocal, face_edges[slots]),
+            ):
+                boundary = _members(boundary, first.size)
+                numbering[field].append((_freeze(first), _freeze(local), _freeze(boundary)))
         return numbering
-
-
-@dataclass(frozen=True)
-class SkeletonIndex:
-    """Index sets describing the subdomain skeleton.
-
-    ``boundary_vertices[j]`` / ``boundary_edges[j]`` list, in ascending global
-    order, the dofs sitting on the boundary of subdomain ``j``.  The skeleton
-    lists are the unions over subdomains.
-    """
-
-    skeleton_vertices: np.ndarray  # sorted global vertex ids
-    skeleton_edges: np.ndarray  # sorted global edge ids
-    boundary_vertices: list[np.ndarray]  # per subdomain, sorted
-    boundary_edges: list[np.ndarray]  # per subdomain, sorted
-
-    @property
-    def n_skeleton_vertices(self) -> int:
-        return self.skeleton_vertices.shape[0]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -282,50 +283,9 @@ def build_box_mesh(
     )
 
 
-def _gather(mesh: BoxMesh, tet_dofs: np.ndarray, positions: list) -> list[np.ndarray]:
-    """Each subdomain's dofs at its shape's flat positions in its tet rows."""
-    return [
-        _freeze(tet_dofs[mesh.tets_of_subdomain(j)].ravel()[positions[s]])
-        for j, s in enumerate(mesh.shapes[0])
-    ]
-
-
 def _members(ids: np.ndarray, n: int) -> np.ndarray:
     """The distinct ids in ``ids``, all in [0, n), ascending."""
     return np.flatnonzero(np.bincount(ids.ravel(), minlength=n))
-
-
-def extract_skeleton(mesh: BoxMesh) -> SkeletonIndex:
-    """Collect boundary vertices/edges of every subdomain and their union.
-
-    A face of a subdomain is a boundary face when exactly one tet of the
-    subdomain touches it; any other count means the mesh is broken, so it is
-    rejected loudly rather than silently misclassified.  Faces are counted
-    once per shape, on its first subdomain, in its ``BoxMesh.numbering``.
-    """
-    _check_face_keys(mesh.n_vertices)  # again: a mesh may be built by hand
-    vpos, epos = [], []  # per shape: boundary dof positions in its tet rows
-    scalar, edge = mesh.numbering["scalar"], mesh.numbering["edge"]
-    for j, (vfirst, vlocal), (efirst, elocal) in zip(mesh.shapes[1], scalar, edge):
-        # Per (tet, face) slot, the face's sorted local vertex ids and its key.
-        faces = np.sort(vlocal[:, LOCAL_FACES], axis=2).reshape(-1, 3)
-        n = vfirst.size
-        _, slots, counts = np.unique(faces @ [n * n, n, 1], return_index=True, return_counts=True)
-        if counts.max() > 2:
-            raise AssemblyError(f"subdomain {j}: a face is shared by {counts.max()} tets")
-        slots = slots[counts == 1]
-        vpos.append(vfirst[_members(faces[slots], n)])
-        face_edges = elocal[:, FACE_EDGES].reshape(-1, 3)
-        epos.append(efirst[_members(face_edges[slots], efirst.size)])
-    boundary_vertices = _gather(mesh, mesh.tets, vpos)
-    boundary_edges = _gather(mesh, mesh.tet_edges, epos)
-
-    return SkeletonIndex(
-        skeleton_vertices=_freeze(_members(np.concatenate(boundary_vertices), mesh.n_vertices)),
-        skeleton_edges=_freeze(_members(np.concatenate(boundary_edges), mesh.n_edges)),
-        boundary_vertices=boundary_vertices,
-        boundary_edges=boundary_edges,
-    )
 
 
 def export_vtk(mesh: BoxMesh, path) -> None:

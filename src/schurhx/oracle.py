@@ -24,7 +24,7 @@ from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .discrete_ops import build_gradient, build_nodal_interp
 from .dofspaces import TransferOps
 from .errors import ConfigurationError, SingularOperatorError
-from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
+from .mesh import BoxMesh
 from .precond import setup_maxwell, setup_scalar
 
 __all__ = [
@@ -234,12 +234,14 @@ def volume_matrix(transfer: TransferOps, blocks: list) -> np.ndarray:
     return dense
 
 
-def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex) -> np.ndarray:
-    """Per boundary-tuple copy, the largest alpha among the subdomain's tets
-    that touch the vertex, tet by tet."""
+def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, transfer: TransferOps) -> np.ndarray:
+    """Per boundary-tuple copy of the scalar ``transfer``, the largest alpha
+    among the subdomain's tets that touch the vertex, tet by tet."""
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
+    copies = transfer.volume_split[transfer.boundary_trace]
     rho = []
-    for j, boundary in enumerate(skeleton.boundary_vertices):
+    for j in range(mesh.n_subdomains):
+        boundary = copies[transfer.boundary_offsets[j] : transfer.boundary_offsets[j + 1]]
         peak = dict.fromkeys(boundary.tolist(), 0.0)
         for t in range(mesh.n_tets):
             if mesh.tet_subdomain[t] != j:
@@ -264,11 +266,10 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
 
     scalar = setup_scalar(mesh, coeffs)
     maxwell = setup_maxwell(mesh, coeffs)
-    skeleton = extract_skeleton(mesh)
     scalar_ops, edge_ops = scalar.schur.transfer, maxwell.schur.transfer
 
     grad_vol = build_gradient(mesh)
-    grad_skel = build_gradient(mesh, skeleton)
+    grad_skel = build_gradient(mesh, (scalar_ops, edge_ops))
 
     # Commutation lattice: trace/split squares and the differential maps,
     # all exact in floating point (0/1 selection matrices and identical
@@ -294,7 +295,7 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
     )
     for d in range(3):
         pv = build_nodal_interp(mesh, d)
-        ps = build_nodal_interp(mesh, d, skeleton)
+        ps = build_nodal_interp(mesh, d, (scalar_ops, edge_ops))
         report.add_residual(
             f"interp-trace-commutation-dir{d}",
             ctx,
@@ -346,7 +347,7 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
     # skeleton split, scaled by the rho-weighted degree, is its pseudo-inverse
     # for the weight diag(rho).  rho is scaled to a largest value of 1, as in
     # Neumann-Neumann, so under constant alpha this is the degree average.
-    rho = _copy_rho(mesh, coeffs, skeleton)
+    rho = _copy_rho(mesh, coeffs, scalar_ops)
     rho = rho / rho.max()
     report.add_residual(
         "degree-average-pseudoinverse",

@@ -55,7 +55,7 @@ from .dofspaces import TransferOps, build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import AssemblyError, ConfigurationError
 from .krylov import CondEstimate, pcg
-from .mesh import BoxMesh, SkeletonIndex, extract_skeleton
+from .mesh import BoxMesh
 from .schur import SchurSystem, SpdFactor, build_schur_system
 
 __all__ = [
@@ -242,29 +242,22 @@ def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, transfer: TransferOps) -> np.
     return peak[transfer.boundary_trace]
 
 
-def _scalar_problem(
-    mesh: BoxMesh, coeffs: Coefficients, skeleton: SkeletonIndex
-) -> ScalarProblem:
-    transfer = build_transfer(mesh, skeleton, "scalar")
+def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
+    """The scalar interface solve, its Neumann-Neumann weighted by alpha."""
+    transfer = build_transfer(mesh, "scalar")
     # The blocks go once their Schur complements are formed.
     schur = build_schur_system(assemble_scalar(mesh, transfer, coeffs), transfer)
     qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, transfer))
     return ScalarProblem(coeffs, schur, qnn, mesh.n_vertices)
 
 
-def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
-    """The scalar interface solve, its Neumann-Neumann weighted by alpha."""
-    return _scalar_problem(mesh, coeffs, extract_skeleton(mesh))
-
-
 def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
     """The edge interface solve; it reads only gamma of ``coeffs``."""
-    skeleton = extract_skeleton(mesh)
     gamma2 = float(coeffs.gamma) ** 2
     # HX's auxiliary problem Delta + gamma^2 (constant alpha, so rho = 1).
-    scalar = _scalar_problem(mesh, Coefficients(alpha=1.0, beta=gamma2), skeleton)
+    scalar = setup_scalar(mesh, Coefficients(alpha=1.0, beta=gamma2))
 
-    transfer = build_transfer(mesh, skeleton, "edge")
+    transfer = build_transfer(mesh, "edge")
     blocks = assemble_edge(mesh, transfer, coeffs)
     schur = build_schur_system(blocks, transfer)
 
@@ -277,8 +270,9 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
         broken_diagonal[transfer.boundary_trace],
         minlength=schur.dim,
     )
-    gradient = build_gradient(mesh, skeleton)
-    interps = [build_nodal_interp(mesh, d, skeleton) for d in range(3)]
+    transfers = (scalar.schur.transfer, transfer)
+    gradient = build_gradient(mesh, transfers)
+    interps = [build_nodal_interp(mesh, d, transfers) for d in range(3)]
     qhx = HiptmairXu(jac, gradient, interps, scalar.qnn, gradient_weight=1.0 / gamma2)
     return MaxwellProblem(schur, scalar, qhx, mesh.n_edges)
 

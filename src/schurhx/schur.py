@@ -101,7 +101,9 @@ class SpdFactor:
 
     def inverse(self) -> np.ndarray:
         """Explicit inverse from the dense Cholesky factor, mirrored so it is
-        bitwise symmetric."""
+        bitwise symmetric; a sparse-LU factor raises :class:`ValueError`."""
+        if self.mode != "dense-cholesky":
+            raise ValueError(f"{self.label}: no explicit inverse of a {self.mode} factor")
         inv, info = sla.lapack.dpotri(self._factor[0], lower=True)
         if info != 0 or not np.all(np.isfinite(inv)):
             raise SingularOperatorError(f"{self.label}: inverse failed")

@@ -13,7 +13,8 @@ import scipy.sparse as sp
 
 import schurhx.oracle as oracle_mod
 from schurhx.assemble import Coefficients
-from schurhx.mesh import LOCAL_FACES, build_box_mesh, extract_skeleton
+from schurhx.dofspaces import build_transfer
+from schurhx.mesh import LOCAL_FACES, build_box_mesh
 from schurhx.precond import setup_maxwell, setup_scalar
 
 
@@ -49,9 +50,9 @@ def selection():
 
 @pytest.fixture(scope="session")
 def boundary_faces():
-    """Make each subdomain's boundary faces by row-unique counting, apart from
-    ``extract_skeleton``: the sorted vertex triples that exactly one tet of
-    the subdomain touches, in ascending row order."""
+    """Make each subdomain's boundary faces by row-unique counting on the whole
+    mesh, apart from ``BoxMesh.numbering``: the sorted vertex triples that
+    exactly one tet of the subdomain touches, in ascending row order."""
 
     def build(mesh) -> list[np.ndarray]:
         out = []
@@ -61,6 +62,17 @@ def boundary_faces():
             uniq, counts = np.unique(faces, axis=0, return_counts=True)
             out.append(uniq[counts == 1])
         return out
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def boundary_dofs():
+    """Make each subdomain's boundary dofs read off a transfer, ascending
+    global ids: its slice of ``volume_split[boundary_trace]``."""
+
+    def build(ops) -> list[np.ndarray]:
+        return np.split(ops.volume_split[ops.boundary_trace], ops.boundary_offsets[1:-1])
 
     return build
 
@@ -105,9 +117,9 @@ def corrupt_gradient(monkeypatch):
     verifier builds, so its failure path can be exercised."""
     original = oracle_mod.build_gradient
 
-    def corrupted(mesh, skeleton=None):
-        grad = original(mesh, skeleton)
-        if skeleton is not None:
+    def corrupted(mesh, transfers=None):
+        grad = original(mesh, transfers)
+        if transfers is not None:
             grad = grad.copy()
             grad.data[0] = -grad.data[0]
         return grad
@@ -174,13 +186,13 @@ def mesh444_j8():
 
 
 @pytest.fixture(scope="session")
-def skel222_j1(mesh222_j1):
-    return extract_skeleton(mesh222_j1)
+def transfers222_j1(mesh222_j1):
+    return build_transfer(mesh222_j1, "scalar"), build_transfer(mesh222_j1, "edge")
 
 
 @pytest.fixture(scope="session")
-def skel222_j8(mesh222_j8):
-    return extract_skeleton(mesh222_j8)
+def transfers222_j8(mesh222_j8):
+    return build_transfer(mesh222_j8, "scalar"), build_transfer(mesh222_j8, "edge")
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from schurhx.cli import ExperimentConfig, run_experiment, run_table
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
 from schurhx.dofspaces import build_transfer
 from schurhx.krylov import pcg
-from schurhx.mesh import build_box_mesh, extract_skeleton
+from schurhx.mesh import build_box_mesh
 from schurhx.oracle import (
     dense_condition,
     materialize,
@@ -141,9 +141,8 @@ def test_criterion_05_commutation_lattice_exact(selection):
     worst = 0.0
     for cells, grid in TEST_MESHES:
         mesh = build_box_mesh(cells, grid)
-        skel = extract_skeleton(mesh)
-        scalar_ops = build_transfer(mesh, skel, "scalar")
-        edge_ops = build_transfer(mesh, skel, "edge")
+        scalar_ops = build_transfer(mesh, "scalar")
+        edge_ops = build_transfer(mesh, "edge")
         for ops in (scalar_ops, edge_ops):
             lhs = selection(ops, "boundary_trace") @ selection(ops, "volume_split")
             rhs = selection(ops, "skeleton_split") @ selection(ops, "skeleton_trace")
@@ -151,11 +150,11 @@ def test_criterion_05_commutation_lattice_exact(selection):
         tr_v = selection(scalar_ops, "skeleton_trace")
         tr_e = selection(edge_ops, "skeleton_trace")
         g_vol = build_gradient(mesh)
-        g_skel = build_gradient(mesh, skel)
+        g_skel = build_gradient(mesh, (scalar_ops, edge_ops))
         worst = max(worst, _max_abs(tr_e @ g_vol - g_skel @ tr_v))
         for d in range(3):
             pv = build_nodal_interp(mesh, d)
-            ps = build_nodal_interp(mesh, d, skel)
+            ps = build_nodal_interp(mesh, d, (scalar_ops, edge_ops))
             worst = max(worst, _max_abs(tr_e @ pv - ps @ tr_v))
     ok = worst == 0.0
     _report(5, ok, f"max residual {worst!r} over {len(TEST_MESHES)} meshes (must be exactly 0)")

@@ -21,7 +21,7 @@ from schurhx.assemble import (
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
-from schurhx.mesh import LOCAL_EDGES, BoxMesh, build_box_mesh, extract_skeleton
+from schurhx.mesh import LOCAL_EDGES, BoxMesh, build_box_mesh
 from schurhx.oracle import volume_matrix
 from schurhx.schur import build_schur_system
 
@@ -61,8 +61,7 @@ def _tet_edge_endpoints(mesh, t):
 
 def _transfers(mesh):
     """Both fields' transfer operators, by field name."""
-    skel = extract_skeleton(mesh)
-    return {field: build_transfer(mesh, skel, field) for field in ("scalar", "edge")}
+    return {field: build_transfer(mesh, field) for field in ("scalar", "edge")}
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +141,7 @@ def test_global_equals_split_blockdiag_split(field, grid, selection):
     """The oracle's dense volume matrix is split^T . blockdiag(blocks) . split
     and bitwise symmetric."""
     mesh = build_box_mesh((2, 2, 2), grid)
-    transfer = build_transfer(mesh, extract_skeleton(mesh), field)
+    transfer = build_transfer(mesh, field)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     blocks = assemble(mesh, transfer, Coefficients(2.0, 0.5, 3.0))
     dense = volume_matrix(transfer, blocks)
@@ -165,7 +164,7 @@ def test_constant_energy_is_reaction_volume(mesh444_j8, transfers444):
 
 
 def test_constant_vector_field_energy(mesh222_j1):
-    transfer = build_transfer(mesh222_j1, extract_skeleton(mesh222_j1), "edge")
+    transfer = build_transfer(mesh222_j1, "edge")
     gamma = 1.5
     dense = volume_matrix(transfer, assemble_edge(mesh222_j1, transfer, Coefficients(gamma=gamma)))
     # Edge dofs of the constant field e_0; its curl vanishes, so the energy
@@ -175,7 +174,7 @@ def test_constant_vector_field_energy(mesh222_j1):
 
 
 def test_gradient_field_energy_matches_scalar_stiffness(mesh222_j8, rng):
-    transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "edge")
+    transfer = build_transfer(mesh222_j8, "edge")
     gamma = 2.5
     edge_dense = volume_matrix(
         transfer, assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma))
@@ -253,7 +252,7 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
 
 def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
     """Doubling gamma shifts each diagonal entry by 3 gamma^2 * mass diag."""
-    transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "edge")
+    transfer = build_transfer(mesh222_j8, "edge")
     gamma = 1.3
     d1, d2 = (
         np.diag(volume_matrix(transfer, assemble_edge(mesh222_j8, transfer, coeffs)))
@@ -271,7 +270,7 @@ def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
 def test_blocks_scope_keeps_only_blocks(mesh222_j8):
     # The solve path reads the subdomain blocks one by one, so assembly
     # returns them as a plain list and builds no block-diagonal copy.
-    transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "scalar")
+    transfer = build_transfer(mesh222_j8, "scalar")
     blocks = assemble_scalar(mesh222_j8, transfer, Coefficients())
     assert isinstance(blocks, list) and len(blocks) == 8
     assert all(sp.isspmatrix_csr(block) for block in blocks)
@@ -326,7 +325,7 @@ def test_coefficient_validation_finite(kwargs, shown):
 
 
 def test_per_tet_coefficients(mesh222_j8):
-    transfer = build_transfer(mesh222_j8, extract_skeleton(mesh222_j8), "scalar")
+    transfer = build_transfer(mesh222_j8, "scalar")
     uniform = assemble_scalar(mesh222_j8, transfer, Coefficients(2.0, 0.5))
     arrays = assemble_scalar(
         mesh222_j8,
@@ -418,7 +417,7 @@ def test_blocks_match_per_tet_reference(field):
     straightforward per-tet assembly bit for bit, on an anisotropic mesh with
     per-tet coefficients."""
     mesh = build_box_mesh((3, 6, 5), (1, 2, 5))
-    transfer = build_transfer(mesh, extract_skeleton(mesh), field)
+    transfer = build_transfer(mesh, field)
     rng = np.random.default_rng(7)
     coeffs = Coefficients(
         rng.uniform(0.1, 10.0, mesh.n_tets), rng.uniform(0.1, 10.0, mesh.n_tets), 1.3
@@ -444,17 +443,26 @@ def _assert_blocks_equal(blocks, reference):
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field):
+def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field, boundary_faces):
     """With one cell moved between subdomains, each subdomain's transfer
-    slices equal a per-subdomain np.unique reference and each block equals
-    the per-tet reference."""
+    slices equal a per-subdomain np.unique reference on the boundary faces
+    counted over the whole mesh, and each block equals the per-tet
+    reference."""
     mesh = mesh422_two_shapes
     assert mesh.shapes[1].tolist() == [0, 1]
-    skel = extract_skeleton(mesh)
-    transfer = build_transfer(mesh, skel, field)
+    transfer = build_transfer(mesh, field)
     tet_dofs = mesh.tets if field == "scalar" else mesh.tet_edges
-    bnd = skel.boundary_vertices if field == "scalar" else skel.boundary_edges
-    skel_dofs = skel.skeleton_vertices if field == "scalar" else skel.skeleton_edges
+    faces = boundary_faces(mesh)
+    if field == "scalar":
+        bnd = [np.unique(f) for f in faces]
+    else:
+        edge_id = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
+        bnd = [
+            np.unique([edge_id[tuple(p)] for p in f[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)])
+            for f in faces
+        ]
+    skel_dofs = np.unique(np.concatenate(bnd))
+    assert np.array_equal(transfer.skeleton_trace, skel_dofs)
     sub_dofs = [np.unique(tet_dofs[mesh.tet_subdomain == j]) for j in range(2)]
     offsets = np.cumsum([0] + [d.size for d in sub_dofs])
     assert np.array_equal(transfer.broken_offsets, offsets)
@@ -496,9 +504,8 @@ def test_empty_subdomain_rejected(mesh222_j2):
     empty = replace(mesh222_j2, tet_subdomain=np.zeros(mesh222_j2.n_tets, dtype=np.int64))
     transfers = _transfers(mesh222_j2)
     calls = [
-        lambda: extract_skeleton(empty),
-        lambda: build_transfer(empty, extract_skeleton(mesh222_j2), "scalar"),
-        lambda: build_transfer(empty, extract_skeleton(mesh222_j2), "edge"),
+        lambda: build_transfer(empty, "scalar"),
+        lambda: build_transfer(empty, "edge"),
         lambda: assemble_scalar(empty, transfers["scalar"], Coefficients()),
         lambda: assemble_edge(empty, transfers["edge"], Coefficients()),
     ]
@@ -512,7 +519,7 @@ def test_element_matrices_once_per_class(field, monkeypatch):
     """A box mesh has six tet classes, oriented or not; each is computed once
     per assembly call, however many subdomains share it."""
     mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
-    transfer = build_transfer(mesh, extract_skeleton(mesh), field)
+    transfer = build_transfer(mesh, field)
     received = {"tet_geometry": 0, "edge_element_matrices": 0}
 
     def counting(name):
@@ -549,7 +556,7 @@ def test_equal_subdomains_share_one_block(field, content_partition):
     coefficients split the sharing exactly along their subdomain classes, and
     the Schur groups read from that sharing are the partition by content."""
     mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
-    transfer = build_transfer(mesh, extract_skeleton(mesh), field)
+    transfer = build_transfer(mesh, field)
     rng = np.random.default_rng(11)
     alpha_j = rng.choice([0.5, 2.0], mesh.n_subdomains)
     alpha_j[13] = 7.0  # the middle subdomain's alpha repeats nowhere

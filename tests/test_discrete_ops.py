@@ -7,7 +7,7 @@ import pytest
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError
-from schurhx.mesh import build_box_mesh, extract_skeleton
+from schurhx.mesh import build_box_mesh
 
 
 def test_gradient_kills_constants(mesh422_j211):
@@ -84,31 +84,29 @@ def test_regular_decomposition_exactness(mesh422_j211, rng):
 @pytest.mark.parametrize("cells,grid", [((2, 2, 2), (2, 2, 2)), ((4, 2, 2), (2, 1, 1))])
 def test_gradient_trace_commutation_exact(cells, grid, selection):
     mesh = build_box_mesh(cells, grid)
-    skel = extract_skeleton(mesh)
-    tr_v = selection(build_transfer(mesh, skel, "scalar"), "skeleton_trace")
-    tr_e = selection(build_transfer(mesh, skel, "edge"), "skeleton_trace")
+    transfers = build_transfer(mesh, "scalar"), build_transfer(mesh, "edge")
+    tr_v, tr_e = (selection(ops, "skeleton_trace") for ops in transfers)
     g_vol = build_gradient(mesh)
-    g_skel = build_gradient(mesh, skel)
+    g_skel = build_gradient(mesh, transfers)
     diff = tr_e @ g_vol - g_skel @ tr_v
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
-def test_interp_trace_commutation_exact(mesh222_j8, skel222_j8, d, selection):
-    mesh, skel = mesh222_j8, skel222_j8
-    tr_v = selection(build_transfer(mesh, skel, "scalar"), "skeleton_trace")
-    tr_e = selection(build_transfer(mesh, skel, "edge"), "skeleton_trace")
-    p_vol = build_nodal_interp(mesh, d)
-    p_skel = build_nodal_interp(mesh, d, skel)
+def test_interp_trace_commutation_exact(mesh222_j8, transfers222_j8, d, selection):
+    tr_v, tr_e = (selection(ops, "skeleton_trace") for ops in transfers222_j8)
+    p_vol = build_nodal_interp(mesh222_j8, d)
+    p_skel = build_nodal_interp(mesh222_j8, d, transfers222_j8)
     diff = tr_e @ p_vol - p_skel @ tr_v
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-def test_skeleton_maps_index_skeleton_vertices(mesh222_j8, skel222_j8):
-    g = build_gradient(mesh222_j8, skel222_j8)
+def test_skeleton_maps_index_skeleton_vertices(mesh222_j8, transfers222_j8):
+    scalar, edge = transfers222_j8
+    g = build_gradient(mesh222_j8, transfers222_j8)
     assert g.shape == (90, 27)
-    endpoints = mesh222_j8.edges[skel222_j8.skeleton_edges]
-    expected_cols = np.searchsorted(skel222_j8.skeleton_vertices, endpoints)
+    endpoints = mesh222_j8.edges[edge.skeleton_trace]
+    expected_cols = np.searchsorted(scalar.skeleton_trace, endpoints)
     coo = g.tocoo()
     got = np.zeros((90, 2), dtype=np.int64)
     for r, c, val in zip(coo.row, coo.col, coo.data):
@@ -124,13 +122,35 @@ def test_variant_and_direction_validation(mesh111):
 
 
 @pytest.mark.parametrize(
-    "cells, match", [((2, 2, 2), "endpoint off the skeleton"), ((6, 6, 6), "beyond the mesh")]
+    "scalar_grid, edge_grid, match",
+    [
+        pytest.param(((2, 2, 2), (2, 2, 2)), ((2, 2, 2), (2, 2, 2)), "another mesh", id="smaller"),
+        pytest.param(((6, 6, 6), (2, 2, 2)), ((6, 6, 6), (2, 2, 2)), "another mesh", id="larger"),
+        pytest.param(((4, 4, 4), (2, 2, 2)), ((6, 6, 6), (2, 2, 2)), "another mesh", id="mixed"),
+        pytest.param(
+            ((4, 4, 4), (2, 1, 1)),
+            ((4, 4, 4), (2, 2, 2)),
+            "endpoint off the skeleton",
+            id="two-partitions",
+        ),
+        pytest.param(
+            ((4, 4, 4), (2, 2, 2)),
+            ((4, 4, 4), (2, 1, 1)),
+            "skeleton vertex on no skeleton edge",
+            id="two-partitions-reversed",
+        ),
+    ],
 )
-def test_skeleton_of_another_mesh_raises(mesh444_j8, cells, match):
-    """Skeleton maps from a skeleton of a smaller or larger mesh raise a
-    typed error instead of indexing past the mesh's arrays."""
-    other = extract_skeleton(build_box_mesh(cells, (2, 2, 2)))
+def test_transfers_of_another_mesh_raise(mesh444_j8, scalar_grid, edge_grid, match):
+    """Skeleton maps from the transfers of a smaller or larger mesh, or from a
+    scalar and an edge transfer of two partitions of the mesh (either one the
+    finer), raise a typed error instead of indexing past the mesh's arrays or
+    mapping between two skeletons."""
+    transfers = (
+        build_transfer(build_box_mesh(*scalar_grid), "scalar"),
+        build_transfer(build_box_mesh(*edge_grid), "edge"),
+    )
     with pytest.raises(AssemblyError, match=match):
-        build_gradient(mesh444_j8, other)
+        build_gradient(mesh444_j8, transfers)
     with pytest.raises(AssemblyError, match=match):
-        build_nodal_interp(mesh444_j8, 0, other)
+        build_nodal_interp(mesh444_j8, 0, transfers)

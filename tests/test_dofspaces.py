@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from schurhx.dofspaces import build_transfer
-from schurhx.errors import AssemblyError
-from schurhx.mesh import build_box_mesh, extract_skeleton
 
 
-def test_space_dims_eight_subdomains(mesh222_j8, skel222_j8):
-    scalar = build_transfer(mesh222_j8, skel222_j8, "scalar")
-    edge = build_transfer(mesh222_j8, skel222_j8, "edge")
+def test_space_dims_eight_subdomains(transfers222_j8):
+    scalar, edge = transfers222_j8
     assert scalar.n_volume == 27
     assert scalar.skeleton_trace.size == 27
     assert edge.n_volume == 98
@@ -23,8 +20,8 @@ def test_space_dims_eight_subdomains(mesh222_j8, skel222_j8):
     assert edge.skeleton_split.size == 8 * 18
 
 
-def test_space_dims_single_subdomain(mesh222_j1, skel222_j1):
-    scalar = build_transfer(mesh222_j1, skel222_j1, "scalar")
+def test_space_dims_single_subdomain(transfers222_j1):
+    scalar, _ = transfers222_j1
     assert scalar.n_volume == 27
     assert scalar.skeleton_trace.size == 26
     assert scalar.volume_split.size == 27
@@ -45,9 +42,8 @@ def test_block_slices_partition(mesh444_j8, scalar444_j8):
 def test_index_map_apply_matches_matrix(mesh422_j211, selection, rng):
     """Each map is a read-only integer array: indexing applies it and
     bincount its transpose, exactly as the 0/1 selection matrix does."""
-    skel = extract_skeleton(mesh422_j211)
     for field in ("scalar", "edge"):
-        ops = build_transfer(mesh422_j211, skel, field)
+        ops = build_transfer(mesh422_j211, field)
         maps = ("skeleton_trace", "volume_split", "boundary_trace", "skeleton_split")
         for name in maps:
             idx = getattr(ops, name)
@@ -60,9 +56,9 @@ def test_index_map_apply_matches_matrix(mesh422_j211, selection, rng):
             assert np.array_equal(back, matrix.T @ w)
 
 
-def test_skeleton_trace_selects(skel222_j8, scalar222_j8):
+def test_skeleton_trace_selects(mesh222_j8, scalar222_j8, vertex_degree):
     trace = scalar222_j8.schur.transfer.skeleton_trace
-    assert np.array_equal(trace, skel222_j8.skeleton_vertices)
+    assert np.array_equal(trace, np.flatnonzero(vertex_degree(mesh222_j8) > 0))
 
 
 def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, rng):
@@ -90,8 +86,7 @@ def test_split_maps_have_no_zero_columns(maxwell444_j8):
 @pytest.mark.parametrize("field", ["scalar", "edge"])
 def test_trace_split_commutation_exact(mesh422_j211, field, rng, selection):
     """Both routes volume -> boundary tuple agree entry for entry."""
-    skel = extract_skeleton(mesh422_j211)
-    ops = build_transfer(mesh422_j211, skel, field)
+    ops = build_transfer(mesh422_j211, field)
     diff = (
         selection(ops, "boundary_trace") @ selection(ops, "volume_split")
         - selection(ops, "skeleton_split") @ selection(ops, "skeleton_trace")
@@ -104,9 +99,9 @@ def test_trace_split_commutation_exact(mesh422_j211, field, rng, selection):
     assert np.array_equal(left, right)
 
 
-def test_unknown_field_rejected(mesh222_j8, skel222_j8):
+def test_unknown_field_rejected(mesh222_j8):
     with pytest.raises(ValueError):
-        build_transfer(mesh222_j8, skel222_j8, "volume")
+        build_transfer(mesh222_j8, "volume")
 
 
 def test_single_subdomain_split_is_identity(scalar222_j1):
@@ -115,25 +110,21 @@ def test_single_subdomain_split_is_identity(scalar222_j1):
 
 
 def test_skeleton_split_column_sums_are_degrees(mesh222_j2, vertex_degree):
-    skel = extract_skeleton(mesh222_j2)
-    ops = build_transfer(mesh222_j2, skel, "scalar")
+    ops = build_transfer(mesh222_j2, "scalar")
     counts = np.bincount(ops.skeleton_split, minlength=ops.skeleton_trace.size)
-    assert np.array_equal(counts, vertex_degree(mesh222_j2)[skel.skeleton_vertices])
+    assert np.array_equal(counts, vertex_degree(mesh222_j2)[ops.skeleton_trace])
 
 
-def test_multiplicity_matches_triple_product(
-    mesh222_j8, skel222_j8, scalar222_j8, selection, vertex_degree
-):
+def test_multiplicity_matches_triple_product(mesh222_j8, scalar222_j8, selection, vertex_degree):
     """The Neumann-Neumann degree is the diagonal of split^T split, the
     number of subdomain boundaries through each skeleton vertex."""
     degree = scalar222_j8.qnn.degree
     split = selection(scalar222_j8.schur.transfer, "skeleton_split")
     assert np.array_equal((split.T @ split).diagonal(), degree)
-    expected = vertex_degree(mesh222_j8)[skel222_j8.skeleton_vertices]
+    skeleton_vertices = scalar222_j8.schur.transfer.skeleton_trace
+    expected = vertex_degree(mesh222_j8)[skeleton_vertices]
     assert np.array_equal(degree, expected)
-    center = np.flatnonzero(
-        np.all(mesh222_j8.vertex_coords[skel222_j8.skeleton_vertices] == 0.5, axis=1)
-    )
+    center = np.flatnonzero(np.all(mesh222_j8.vertex_coords[skeleton_vertices] == 0.5, axis=1))
     assert degree[center[0]] == 8.0
 
 
@@ -141,26 +132,10 @@ def test_multiplicity_single_subdomain(scalar222_j1):
     assert np.all(scalar222_j1.qnn.degree == 1.0)
 
 
-def test_edge_trace_is_unsigned_selection(skel222_j8, maxwell222_j8):
+def test_edge_trace_is_unsigned_selection(transfers222_j8, maxwell222_j8):
     # Tangential traces need no sign flips: the skeleton copy of an edge dof
     # is the volume dof itself, so the trace is a plain integer index array.
     tr = maxwell222_j8.schur.transfer.skeleton_trace
     assert tr.dtype == np.int64
-    assert np.array_equal(tr, skel222_j8.skeleton_edges)
+    assert np.array_equal(tr, transfers222_j8[1].skeleton_trace)
 
-
-@pytest.mark.parametrize("field", ["scalar", "edge"])
-@pytest.mark.parametrize(
-    "cells, subdomains, match",
-    [
-        ((4, 4, 4), (2, 1, 1), "skeleton lists 2 subdomains, the mesh has 8"),
-        ((4, 4, 4), (4, 2, 1), "boundary dof of subdomain 0 not in subdomain"),
-        ((2, 2, 2), (2, 2, 2), "boundary dof of subdomain 0 not in subdomain"),
-    ],
-)
-def test_skeleton_of_another_mesh_raises(mesh444_j8, field, cells, subdomains, match):
-    """A skeleton from another partition or another mesh is rejected with a
-    typed error, never an IndexError or a silently wrong map."""
-    other = extract_skeleton(build_box_mesh(cells, subdomains))
-    with pytest.raises(AssemblyError, match=match):
-        build_transfer(mesh444_j8, other, field)

@@ -1,4 +1,4 @@
-"""Mesh generation: counts, orientation, conformity, skeleton extraction."""
+"""Mesh generation: counts, orientation, conformity, subdomain boundaries."""
 
 from dataclasses import replace
 
@@ -17,7 +17,6 @@ from schurhx.mesh import (
     BoxMesh,
     build_box_mesh,
     export_vtk,
-    extract_skeleton,
 )
 
 
@@ -99,7 +98,7 @@ def test_tet_edges_match_local_pairs(mesh422_j211):
 @pytest.mark.parametrize(
     "mesh_name", ["mesh422_j211", "mesh222_j8", "mesh234_j132", "mesh422_two_shapes"]
 )
-def test_key_unique_matches_row_unique(request, mesh_name, boundary_faces):
+def test_key_unique_matches_row_unique(request, mesh_name, boundary_faces, boundary_dofs):
     """Edges and boundary sets found through int64 keys are exactly what
     np.unique(axis=0) on the vertex rows gives, also when the subdomains
     have different shapes."""
@@ -107,7 +106,9 @@ def test_key_unique_matches_row_unique(request, mesh_name, boundary_faces):
         mesh = build_box_mesh((2, 3, 4), (1, 3, 2))
     else:
         mesh = request.getfixturevalue(mesh_name)
-    skel = extract_skeleton(mesh)
+    scalar = build_transfer(mesh, "scalar")
+    boundary_vertices = boundary_dofs(scalar)
+    boundary_edges = boundary_dofs(build_transfer(mesh, "edge"))
     pairs = np.sort(mesh.tets[:, LOCAL_EDGES].reshape(-1, 2), axis=1)
     edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
     assert np.array_equal(mesh.edges, edges)
@@ -120,9 +121,9 @@ def test_key_unique_matches_row_unique(request, mesh_name, boundary_faces):
         face_pairs = np.unique(bfaces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=0)
         bedges = np.array(sorted(edge_id[tuple(p)] for p in face_pairs.tolist()))
         on_skeleton[bverts] = True
-        assert np.array_equal(skel.boundary_vertices[j], bverts)
-        assert np.array_equal(skel.boundary_edges[j], bedges)
-    assert np.array_equal(skel.skeleton_vertices, np.flatnonzero(on_skeleton))
+        assert np.array_equal(boundary_vertices[j], bverts)
+        assert np.array_equal(boundary_edges[j], bedges)
+    assert np.array_equal(scalar.skeleton_trace, np.flatnonzero(on_skeleton))
 
 
 # Every grid the suite and the benchmark mesh, anisotropic ones included.
@@ -195,15 +196,17 @@ NUMBERING_GRIDS = [
 def test_numbering_holds_on_every_member(grid, mesh422_two_shapes):
     """A shape's numbering, taken on its first subdomain, numbers every member:
     its positions pick each member's dofs in strictly ascending order, and
-    its local ids give back the member's tet rows."""
+    its local ids give back the member's tet rows; its boundary local ids
+    ascend strictly."""
     mesh = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
     assert set(mesh.numbering) == {"scalar", "edge"}
     for field, tet_dofs in (("scalar", mesh.tets), ("edge", mesh.tet_edges)):
         numbering = mesh.numbering[field]
         assert len(numbering) == mesh.shapes[1].size
         for j, s in enumerate(mesh.shapes[0]):
-            first, local = numbering[s]
-            assert not first.flags.writeable and not local.flags.writeable
+            first, local, boundary = numbering[s]
+            assert not any(a.flags.writeable for a in (first, local, boundary))
+            assert np.all(np.diff(boundary) > 0) and boundary[-1] < first.size
             rows = tet_dofs[mesh.tets_of_subdomain(j)]
             dofs = rows.ravel()[first]
             assert np.all(np.diff(dofs) > 0)
@@ -223,7 +226,7 @@ def test_face_key_overflow_rejected(mesh111):
         tet_edges=mesh111.tet_edges,
     )
     with pytest.raises(ConfigurationError, match="face keys"):
-        extract_skeleton(huge)
+        build_transfer(huge, "scalar")
 
 
 def test_vertex_limit_checked_before_meshing(monkeypatch):
@@ -253,51 +256,56 @@ def test_subdomain_index_matches_scan():
         assert not ids.flags.writeable
 
 
-def test_watertight_subdomain_boundaries(mesh222_j8, skel222_j8, boundary_faces):
+def test_watertight_subdomain_boundaries(
+    mesh222_j8, transfers222_j8, boundary_faces, boundary_dofs
+):
     """Recount boundary faces independently (shared by exactly one tet of j):
     they close up, every face edge lying on exactly two of them, and their
     vertices are the boundary vertices of j."""
+    boundary_vertices = boundary_dofs(transfers222_j8[0])
     for j, faces in enumerate(boundary_faces(mesh222_j8)):
         face_pairs = faces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)
         _, uses = np.unique(face_pairs, axis=0, return_counts=True)
         assert np.all(uses == 2)
-        assert np.array_equal(skel222_j8.boundary_vertices[j], np.unique(faces))
+        assert np.array_equal(boundary_vertices[j], np.unique(faces))
 
 
-def test_skeleton_j1_is_outer_boundary(mesh222_j1, skel222_j1):
+def test_skeleton_j1_is_outer_boundary(mesh222_j1, transfers222_j1, boundary_dofs):
     # Single subdomain: skeleton = vertices of the box surface, all on the
     # one boundary, and the center vertex is the only one missing.
-    skel = skel222_j1
-    assert skel.n_skeleton_vertices == 26
-    assert len(skel.boundary_vertices) == 1
-    assert np.array_equal(skel.boundary_vertices[0], skel.skeleton_vertices)
+    skeleton_vertices = transfers222_j1[0].skeleton_trace
+    boundary_vertices = boundary_dofs(transfers222_j1[0])
+    assert skeleton_vertices.size == 26
+    assert len(boundary_vertices) == 1
+    assert np.array_equal(boundary_vertices[0], skeleton_vertices)
     on_surface = np.any(
         (mesh222_j1.vertex_coords == 0.0) | (mesh222_j1.vertex_coords == 1.0),
         axis=1,
     )
-    assert np.array_equal(skel.skeleton_vertices, np.flatnonzero(on_surface))
+    assert np.array_equal(skeleton_vertices, np.flatnonzero(on_surface))
 
 
-def test_skeleton_counts_eight_subdomains(skel222_j8):
-    assert skel222_j8.n_skeleton_vertices == 27
-    assert skel222_j8.skeleton_edges.size == 90
+def test_skeleton_counts_eight_subdomains(transfers222_j8):
+    scalar, edge = transfers222_j8
+    assert scalar.skeleton_trace.size == 27
+    assert edge.skeleton_trace.size == 90
 
 
-def _boundaries_through(skel, vertex: int) -> int:
-    return sum(int(vertex in boundary) for boundary in skel.boundary_vertices)
+def _boundaries_through(boundary_vertices, vertex: int) -> int:
+    return sum(int(vertex in boundary) for boundary in boundary_vertices)
 
 
-def test_center_vertex_degree(mesh222_j8, skel222_j8):
+def test_center_vertex_degree(mesh222_j8, transfers222_j8, boundary_dofs):
     center = int(
         np.flatnonzero(
             np.all(mesh222_j8.vertex_coords == 0.5, axis=1)
         )[0]
     )
-    assert _boundaries_through(skel222_j8, center) == 8
+    assert _boundaries_through(boundary_dofs(transfers222_j8[0]), center) == 8
 
 
-def test_interface_degrees_two_subdomains(mesh222_j2):
-    skel = extract_skeleton(mesh222_j2)
+def test_interface_degrees_two_subdomains(mesh222_j2, boundary_dofs):
+    skel = boundary_dofs(build_transfer(mesh222_j2, "scalar"))
     coords = mesh222_j2.vertex_coords
     # Interior of the interface plane x = 0.5: both subdomains touch it.
     mid = np.flatnonzero(
@@ -311,34 +319,51 @@ def test_interface_degrees_two_subdomains(mesh222_j2):
     assert _boundaries_through(skel, face) == 1
 
 
-def test_skeleton_union_matches_per_subdomain(skel222_j8):
-    union = np.unique(np.concatenate(skel222_j8.boundary_vertices))
-    assert np.array_equal(union, skel222_j8.skeleton_vertices)
+def test_skeleton_union_matches_per_subdomain(transfers222_j8, boundary_dofs):
+    union = np.unique(np.concatenate(boundary_dofs(transfers222_j8[0])))
+    assert np.array_equal(union, transfers222_j8[0].skeleton_trace)
 
 
 @pytest.mark.parametrize(
     "cells,grid",
-    [((1, 1, 1), (1, 1, 1)), ((2, 2, 2), (2, 1, 1)), ((2, 2, 2), (2, 2, 2))],
+    [
+        ((1, 1, 1), (1, 1, 1)),
+        ((2, 2, 2), (2, 1, 1)),
+        ((2, 2, 2), (2, 2, 2)),
+        ((2, 2, 2), (1, 1, 1)),
+        pytest.param("two_shapes", None, id="422/two_shapes"),
+    ],
 )
-def test_skeleton_edges_bruteforce(cells, grid, boundary_faces):
-    """Skeleton edges are exactly the edges lying on some boundary face.
+def test_skeleton_edges_bruteforce(request, cells, grid, boundary_faces, boundary_dofs):
+    """Each subdomain's boundary vertices and edges are exactly those of its
+    boundary faces, and skeleton edges are exactly the edges lying on some
+    boundary face.
 
-    Brute-force characterization on meshes of at most 48 tets: an edge is on
-    the skeleton iff, for some subdomain j, both endpoints are on the
-    boundary of j AND the edge is an edge of one of j's boundary faces.
+    Brute-force characterization on meshes of at most 96 tets, one of them
+    with two subdomain shapes: an edge is on the skeleton iff, for some
+    subdomain j, both endpoints are on the boundary of j AND the edge is an
+    edge of one of j's boundary faces.
     """
-    mesh = build_box_mesh(cells, grid)
-    skel = extract_skeleton(mesh)
+    if cells == "two_shapes":
+        mesh = request.getfixturevalue("mesh422_two_shapes")
+    else:
+        mesh = build_box_mesh(cells, grid)
+    scalar, edge = build_transfer(mesh, "scalar"), build_transfer(mesh, "edge")
+    boundary_vertices, boundary_edges = boundary_dofs(scalar), boundary_dofs(edge)
     expected = set()
-    edge_id = {tuple(e): i for i, e in enumerate(mesh.edges)}
+    edge_id = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
     for j, faces in enumerate(boundary_faces(mesh)):
-        on_gamma = set(skel.boundary_vertices[j].tolist())
+        assert np.array_equal(boundary_vertices[j], np.unique(faces))
+        on_gamma = set(boundary_vertices[j].tolist())
+        face_edges = set()
         for face in faces:
             a, b, c = (int(v) for v in face)
             for pair in ((a, b), (a, c), (b, c)):
                 assert pair[0] in on_gamma and pair[1] in on_gamma
-                expected.add(edge_id[pair])
-    assert expected == set(skel.skeleton_edges.tolist())
+                face_edges.add(edge_id[pair])
+        assert boundary_edges[j].tolist() == sorted(face_edges)
+        expected |= face_edges
+    assert expected == set(edge.skeleton_trace.tolist())
 
 
 def test_divisibility_error_names_axis():
@@ -369,7 +394,7 @@ def test_numpy_integer_counts_accepted():
 
 
 def test_broken_mesh_rejected_by_skeleton(mesh111):
-    """Two hand-built meshes that extract_skeleton must refuse, each with an
+    """Two hand-built meshes whose transfers must be refused, each with an
     AssemblyError: one tet duplicated, so its faces appear three times within
     the subdomain; and one boundary edge missing from ``edges``, so a boundary
     face names a vertex pair that is not an edge."""
@@ -394,25 +419,23 @@ def test_broken_mesh_rejected_by_skeleton(mesh111):
         tet_edges=mesh111.tet_edges,
     )
     for bad in (duplicate_tet, missing_edge):
-        with pytest.raises(AssemblyError):
-            extract_skeleton(bad)
+        for field in ("scalar", "edge"):
+            with pytest.raises(AssemblyError):
+                build_transfer(bad, field)
 
 
 def test_tet_edges_out_of_step_with_tets_rejected(mesh111):
-    """Every reader of the edge numbering (the skeleton, the edge transfer and
-    edge assembly) raises an AssemblyError, not an IndexError or wrong edge
-    ids, when ``tet_edges`` names other edges than the tets' vertex pairs or
+    """Every reader of the edge numbering (the edge transfer and edge
+    assembly) raises an AssemblyError, not an IndexError or wrong edge ids,
+    when ``tet_edges`` names other edges than the tets' vertex pairs or
     points past the last edge."""
     zeros = replace(mesh111, tet_edges=np.zeros_like(mesh111.tet_edges))
     past_end = replace(mesh111, edges=mesh111.edges[1:])
     assert mesh111.tet_edges.max() == past_end.n_edges
-    skeleton = extract_skeleton(mesh111)
-    transfer = build_transfer(mesh111, skeleton, "edge")
+    transfer = build_transfer(mesh111, "edge")
     for bad in (zeros, past_end):
         with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
-            extract_skeleton(bad)
-        with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
-            build_transfer(bad, skeleton, "edge")
+            build_transfer(bad, "edge")
         with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
             assemble_edge(bad, transfer, Coefficients())
 
@@ -459,6 +482,5 @@ def test_counts_closed_form(nx, ny, nz):
 @given(n=st.integers(min_value=1, max_value=3), jx=st.integers(min_value=1, max_value=2))
 def test_degree_positive_exactly_on_skeleton(vertex_degree, n, jx):
     mesh = build_box_mesh((2 * n, 2, 2), (jx, 2, 1))
-    skel = extract_skeleton(mesh)
     positive = np.flatnonzero(vertex_degree(mesh) > 0)
-    assert np.array_equal(positive, skel.skeleton_vertices)
+    assert np.array_equal(positive, build_transfer(mesh, "scalar").skeleton_trace)

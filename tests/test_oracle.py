@@ -9,8 +9,9 @@ import scipy.linalg as sla
 import schurhx.oracle as oracle_mod
 import schurhx.precond as precond_mod
 from schurhx.assemble import Coefficients
+from schurhx.dofspaces import build_transfer
 from schurhx.errors import ConfigurationError, SingularOperatorError
-from schurhx.mesh import build_box_mesh, extract_skeleton
+from schurhx.mesh import build_box_mesh
 from schurhx.oracle import (
     IdentityReport,
     pseudoinverse_injective,
@@ -139,7 +140,7 @@ def test_oracle_rho_equals_setup_rho(request, monkeypatch, mesh_name):
 
     monkeypatch.setattr(precond_mod, "NeumannNeumann", Recording)
     setup_scalar(mesh, coeffs)
-    expected = oracle_mod._copy_rho(mesh, coeffs, extract_skeleton(mesh))
+    expected = oracle_mod._copy_rho(mesh, coeffs, build_transfer(mesh, "scalar"))
     assert len(passed) == 1
     assert passed[0].dtype == expected.dtype and np.array_equal(passed[0], expected)
     assert np.unique(expected).size > 10

@@ -17,7 +17,8 @@ from schurhx.errors import (
     SingularOperatorError,
 )
 from schurhx.krylov import pcg
-from schurhx.mesh import build_box_mesh, extract_skeleton
+from schurhx.dofspaces import build_transfer
+from schurhx.mesh import build_box_mesh
 from schurhx.oracle import (
     dense_condition,
     materialize,
@@ -117,16 +118,14 @@ def test_nn_validates_rho(scalar222_j8):
             NeumannNeumann(schur, rho)
 
 
-def test_nn_constant_rho_is_counting_average(
-    mesh222_j8, scalar222_j8, skel222_j8, vertex_degree
-):
+def test_nn_constant_rho_is_counting_average(mesh222_j8, scalar222_j8, vertex_degree):
     """Only ratios of rho count: any constant rho gives bitwise the counting
     weights, with ``degree`` the number of copies of each skeleton vertex."""
     prob = scalar222_j8
     counting = np.bincount(prob.qnn.split, minlength=prob.qnn.dim).astype(float)
     assert np.array_equal(prob.qnn.degree, counting)
-    expected = vertex_degree(mesh222_j8)[skel222_j8.skeleton_vertices]
-    assert np.array_equal(counting, expected)
+    degree = vertex_degree(mesh222_j8)
+    assert np.array_equal(counting, degree[degree > 0])
     scaled = NeumannNeumann(prob.schur, np.full(prob.schur.tuple_dim, 2.7))
     assert np.array_equal(scaled.rho, prob.qnn.rho)
     assert np.array_equal(scaled.degree, counting)
@@ -314,11 +313,11 @@ def test_preconditioners_linear(maxwell444_j8, rng, which):
     assert np.abs(combined - separate).max() <= 1e-13 * max(scale, 1.0)
 
 
-def test_hx_validates_inputs(mesh222_j8, skel222_j8, maxwell222_j8, scalar222_j8):
-    mesh, skel = mesh222_j8, skel222_j8
+def test_hx_validates_inputs(mesh222_j8, transfers222_j8, maxwell222_j8, scalar222_j8):
+    mesh = mesh222_j8
     vol_grad = build_gradient(mesh)
-    skel_grad = build_gradient(mesh, skel)
-    interps = [build_nodal_interp(mesh, d, skel) for d in range(3)]
+    skel_grad = build_gradient(mesh, transfers222_j8)
+    interps = [build_nodal_interp(mesh, d, transfers222_j8) for d in range(3)]
     jac = 1.0 / maxwell222_j8.qhx.jacobi_inv
     with pytest.raises(ValueError, match="skeleton"):
         HiptmairXu(jac, vol_grad, interps, scalar222_j8.qnn, 1.0)
@@ -474,7 +473,7 @@ def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, ga
     assert len(calls) == 1
     transfer = mw.schur.transfer
     volume = volume_matrix(transfer, assemble_edge(mesh, transfer, coeffs))
-    expected = np.diag(volume)[extract_skeleton(mesh).skeleton_edges]
+    expected = np.diag(volume)[transfer.skeleton_trace]
     assert len(glued) == 1 and np.array_equal(glued[0], expected)
 
 
@@ -482,8 +481,8 @@ def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, ga
     "setup, fields", [(setup_scalar, ["scalar"]), (setup_maxwell, ["scalar", "edge"])]
 )
 def test_setup_builds_each_field_once(mesh222_j8, monkeypatch, setup, fields):
-    """Each set-up extracts the skeleton once and builds the dofs of only
-    the fields it solves on, each once, from that skeleton."""
+    """Each set-up builds the dofs of only the fields it solves on, each once,
+    from the mesh."""
     calls = []
 
     def recording(name):
@@ -496,13 +495,10 @@ def test_setup_builds_each_field_once(mesh222_j8, monkeypatch, setup, fields):
 
         return wrapper
 
-    for name in ("extract_skeleton", "build_transfer"):
-        monkeypatch.setattr(precond_mod, name, recording(name))
+    monkeypatch.setattr(precond_mod, "build_transfer", recording("build_transfer"))
     setup(mesh222_j8, Coefficients())
-    assert [name for name, _, _ in calls] == ["extract_skeleton"] + ["build_transfer"] * len(fields)
-    skeleton = calls[0][2]
-    assert all(args[1] is skeleton for _, args, _ in calls[1:])
-    assert [args[2] for _, args, _ in calls[1:]] == fields
+    assert all(args[0] is mesh222_j8 for _, args, _ in calls)
+    assert [args[1:] for _, args, _ in calls] == [(field,) for field in fields]
 
 
 def test_solvers_keep_only_what_applies_read(maxwell444_j8):
@@ -552,7 +548,7 @@ def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
 def _dense_interface_solve(mesh, prob, rhs):
     transfer = prob.schur.transfer
     full = volume_matrix(transfer, assemble_scalar(mesh, transfer, prob.coeffs))
-    skel = extract_skeleton(mesh).skeleton_vertices
+    skel = transfer.skeleton_trace
     inner = np.setdiff1d(np.arange(mesh.n_vertices), skel)
     s_dense = full[np.ix_(skel, skel)] - full[np.ix_(skel, inner)] @ sla.solve(
         full[np.ix_(inner, inner)], full[np.ix_(inner, skel)], assume_a="pos"
@@ -599,10 +595,9 @@ def test_blocks_grouped_by_shared_block(mesh444_j8, rng, content_partition):
 
 def test_setup_dimensions(maxwell444_j8, mesh444_j8):
     mw = maxwell444_j8
-    skeleton = extract_skeleton(mesh444_j8)
-    assert mw.dim_skeleton == skeleton.skeleton_edges.size
+    assert mw.dim_skeleton == build_transfer(mesh444_j8, "edge").skeleton_trace.size
     assert mw.dim_volume == mesh444_j8.n_edges
-    assert mw.scalar.dim_skeleton == skeleton.n_skeleton_vertices
+    assert mw.scalar.dim_skeleton == build_transfer(mesh444_j8, "scalar").skeleton_trace.size
     assert mw.scalar.dim_volume == mesh444_j8.n_vertices
     assert mw.qhx.jacobi_inv.shape == (mw.dim_skeleton,)
 

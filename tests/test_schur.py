@@ -9,7 +9,7 @@ import schurhx.schur as schur_mod
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, SingularOperatorError
-from schurhx.mesh import build_box_mesh, extract_skeleton
+from schurhx.mesh import build_box_mesh
 from schurhx.oracle import materialize, pseudoinverse_surjective, volume_matrix
 from schurhx.schur import SpdFactor, build_schur_system
 
@@ -90,7 +90,7 @@ def test_global_schur_matches_dense_elimination(mesh222_j2, scalar222_j2):
     prob = scalar222_j2
     transfer = prob.schur.transfer
     full = volume_matrix(transfer, assemble_scalar(mesh222_j2, transfer, prob.coeffs))
-    skel_ids = extract_skeleton(mesh222_j2).skeleton_vertices
+    skel_ids = transfer.skeleton_trace
     mask = np.zeros(mesh222_j2.n_vertices, dtype=bool)
     mask[skel_ids] = True
     inner = np.flatnonzero(~mask)
@@ -192,13 +192,21 @@ def test_spd_factor_rejects_indefinite():
         SpdFactor(saddle, "saddle block")
 
 
+def test_spd_factor_inverse_needs_dense_cholesky():
+    """Only the dense Cholesky factor has an explicit inverse: a sparse-LU
+    factor raises a typed error naming its label and mode."""
+    factor = SpdFactor(sp.identity(schur_mod.DENSE_CUTOFF + 1, format="csr") * 2.0, "x")
+    assert factor.mode == "sparse-lu"
+    with pytest.raises(ValueError, match="^x: no explicit inverse of a sparse-lu factor$"):
+        factor.inverse()
+
+
 def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     """At H/h = 6 (12^3 cells on 2^3 subdomains) the edge interior has 1,206
     dofs and goes through the dense A_bb - X^T X path; its S_u matches the
     sparse-LU path to 1e-12 relative."""
     mesh = build_box_mesh((12, 12, 12), (2, 2, 2))
-    skeleton = extract_skeleton(mesh)
-    transfer = build_transfer(mesh, skeleton, "edge")
+    transfer = build_transfer(mesh, "edge")
     block = assemble_edge(mesh, transfer, Coefficients())[0]
     lo, hi = transfer.boundary_offsets[:2]
     boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[0]
@@ -215,7 +223,7 @@ def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
 def test_equal_content_in_distinct_blocks_forms_distinct_groups(mesh444_j8, field):
     """Grouping reads assembly's sharing, not block content: a bitwise copy of
     the shared block is a group of its own, with a bitwise-equal S_u."""
-    transfer = build_transfer(mesh444_j8, extract_skeleton(mesh444_j8), field)
+    transfer = build_transfer(mesh444_j8, field)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     blocks = assemble(mesh444_j8, transfer, Coefficients())
     assert all(block is blocks[0] for block in blocks)
@@ -230,9 +238,8 @@ def test_blocks_must_match_the_transfer(mesh444_j8):
     """One block per subdomain, each as large as its broken slice: a short
     list would leave tuple rows unwritten, and blocks of another field would
     index past their ends."""
-    skeleton = extract_skeleton(mesh444_j8)
-    scalar = build_transfer(mesh444_j8, skeleton, "scalar")
-    edge = build_transfer(mesh444_j8, skeleton, "edge")
+    scalar = build_transfer(mesh444_j8, "scalar")
+    edge = build_transfer(mesh444_j8, "edge")
     blocks = assemble_scalar(mesh444_j8, scalar, Coefficients())
     with pytest.raises(AssemblyError, match="8 subdomains, got 7 blocks"):
         build_schur_system(blocks[:-1], scalar)
