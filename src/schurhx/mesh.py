@@ -1,9 +1,11 @@
 """Structured tetrahedral meshes of the unit box, split into box subdomains.
 
-Every cell of a regular ``nx x ny x nz`` grid is cut into six tetrahedra that
-share the cell's main diagonal (lower corner to upper corner).  Because the
-cut pattern is the same in every cell, the triangulation is conforming across
-cell faces, and therefore across any subdomain interface made of cell faces.
+Every cell of a regular ``nx x ny x nz`` grid is cut into the six tetrahedra
+of the Freudenthal pattern (``CELL_TETS``), which share the cell's main
+diagonal (lower corner to upper corner).  Because the cut pattern is the same
+in every cell, the triangulation is conforming across cell faces, and
+therefore across any subdomain interface made of cell faces.  A mesh is its
+tets: its edges and each tet's edge ids are derived from them.
 
 Subdomains are boxes of whole cells: axis ``a`` is divided into ``j_a`` equal
 slabs, which requires ``j_a`` to divide the cell count on that axis.  The
@@ -16,7 +18,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -27,6 +28,13 @@ __all__ = [
     "build_box_mesh",
     "export_vtk",
 ]
+
+#: The six tets of a cell, as cell corners i + 2j + 4k: one per axis order,
+#: walking from corner 0 to corner 7 one axis at a time, with the middle two
+#: vertices swapped on odd axis orders so that every tet is positively oriented.
+CELL_TETS = np.array(
+    [[0, 1, 3, 7], [0, 5, 1, 7], [0, 3, 2, 7], [0, 2, 6, 7], [0, 4, 5, 7], [0, 6, 4, 7]]
+)
 
 #: Local edges of a tetrahedron (pairs of local vertex numbers, fixed order).
 LOCAL_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
@@ -46,12 +54,13 @@ FACE_KEY_LIMIT = 2**21
 class BoxMesh:
     """Tetrahedral mesh of the unit box with a subdomain id per tet.
 
-    All index arrays are read-only.  ``edges`` holds vertex pairs ``(a, b)``
-    with ``a < b``, sorted lexicographically; that global orientation (low
-    index to high index) is the tangent convention used everywhere.
-    The per-subdomain tet index, the vertex lattice, the subdomain shapes and
-    their local dof numbering and boundary are computed once, on first use, so
-    per-subdomain loops never rescan whole-mesh arrays.
+    All index arrays are read-only.  ``edges`` and ``tet_edges`` are derived
+    from ``tets``: ``edges`` holds vertex pairs ``(a, b)`` with ``a < b``,
+    sorted lexicographically; that global orientation (low index to high
+    index) is the tangent convention used everywhere.  They, the per-subdomain
+    tet index, the vertex lattice, the subdomain shapes and their local dof
+    numbering and boundary are computed once, on first use, so per-subdomain
+    loops never rescan whole-mesh arrays.
     """
 
     cells: tuple[int, int, int]
@@ -59,8 +68,6 @@ class BoxMesh:
     vertex_coords: np.ndarray  # (n_vertices, 3) float
     tets: np.ndarray  # (n_tets, 4) vertex ids, positive orientation
     tet_subdomain: np.ndarray  # (n_tets,) subdomain id per tet
-    edges: np.ndarray  # (n_edges, 2) sorted vertex pairs
-    tet_edges: np.ndarray  # (n_tets, 6) edge id of each local edge
 
     @property
     def n_vertices(self) -> int:
@@ -78,6 +85,33 @@ class BoxMesh:
     def n_subdomains(self) -> int:
         jx, jy, jz = self.subdomains
         return jx * jy * jz
+
+    @property
+    def edges(self) -> np.ndarray:  # (n_edges, 2) sorted vertex pairs
+        return self._edge_numbering[0]
+
+    @property
+    def tet_edges(self) -> np.ndarray:  # (n_tets, 6) edge id of each local edge
+        return self._edge_numbering[1]
+
+    @cached_property
+    def _edge_numbering(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge (a, b), a < b, sits in slot 7a + k, where b - a is the k-th
+        ascending corner offset of a cell; the used slots, in order, are the
+        edges, so they come out sorted.  A tet edge whose b - a is no corner
+        offset raises :class:`AssemblyError`."""
+        steps = _corner_offsets(self.cells)[1:]
+        ends = self.tets[:, LOCAL_EDGES]
+        low, step = ends.min(axis=2), np.abs(ends[:, :, 1] - ends[:, :, 0])
+        k = np.searchsorted(steps, step)
+        if not np.array_equal(steps[np.minimum(k, 6)], step):
+            raise AssemblyError("a tet edge joins no two corners of a cell")
+        slots = 7 * low + k
+        used = np.bincount(slots.ravel(), minlength=7 * self.n_vertices) > 0
+        edge_of_slot = np.cumsum(used, dtype=np.int64) - 1
+        start, k = np.divmod(np.flatnonzero(used), 7)
+        edges = np.column_stack([start, start + steps[k]])
+        return _freeze(edges), _freeze(edge_of_slot[slots])
 
     @cached_property
     def _tets_by_subdomain(self) -> tuple[np.ndarray, np.ndarray]:
@@ -130,18 +164,13 @@ class BoxMesh:
         positions of its sorted dofs in its tet rows, the local id (T, k) of
         each tet slot, and the ascending local ids of its boundary dofs, those
         on a face that exactly one of its tets touches; member j's dofs are
-        ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.  ``tet_edges`` out of
-        step with ``tets`` and ``edges``, or a face of more than two tets of a
-        subdomain, raise :class:`AssemblyError`."""
+        ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.  A face of more than
+        two tets of a subdomain raises :class:`AssemblyError`."""
         _check_face_keys(self.n_vertices)  # again: a mesh may be built by hand
         numbering = {"scalar": [], "edge": []}
         for j in self.shapes[1]:
             tet_ids = self.tets_of_subdomain(j)
             tets, tet_edges = self.tets[tet_ids], self.tet_edges[tet_ids]
-            pairs = np.sort(tets[:, LOCAL_EDGES], axis=2)
-            in_range = tet_edges.min() >= 0 and tet_edges.max() < self.n_edges
-            if not (in_range and np.array_equal(self.edges[tet_edges], pairs)):
-                raise AssemblyError(f"subdomain {j}: tet_edges disagree with tets and edges")
             (_, vfirst, vlocal), (_, efirst, elocal) = (
                 np.unique(rows, return_index=True, return_inverse=True)
                 for rows in (tets, tet_edges)
@@ -173,6 +202,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _axis_name(axis: int) -> str:
     return "xyz"[axis]
+
+
+def _corner_offsets(cells: tuple[int, int, int]) -> np.ndarray:
+    """Vertex-id offset of cell corner i + 2j + 4k from corner 0, ascending."""
+    nx, ny, _ = cells
+    k, j, i = np.indices((2, 2, 2)).reshape(3, -1)
+    return i + (nx + 1) * (j + (ny + 1) * k)
 
 
 def _check_face_keys(n_vertices: int) -> None:
@@ -216,7 +252,7 @@ def build_box_mesh(
             )
 
     nx, ny, nz = cells
-    jx, jy, jz = subdomains
+    jx, jy, _ = subdomains
     # Checked before any array is built: the mesh would take gigabytes.
     _check_face_keys((nx + 1) * (ny + 1) * (nz + 1))
 
@@ -228,49 +264,12 @@ def build_box_mesh(
         [ii.ravel() / nx, jj.ravel() / ny, kk.ravel() / nz]
     ).astype(float)
 
-    # Lower-corner grid indices of every cell, x fastest.
-    ck, cj, ci = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
-    ci, cj, ck = ci.ravel(), cj.ravel(), ck.ravel()
-
-    def vid(di: int, dj: int, dk: int) -> np.ndarray:
-        return (ci + di) + (nx + 1) * ((cj + dj) + (ny + 1) * (ck + dk))
-
-    # Six tets per cell: one per axis permutation, walking from the lower
-    # corner to the upper corner one axis at a time.  All six share the main
-    # diagonal, and the pattern is identical in every cell, which makes the
-    # triangulation conforming.  Odd permutations get two vertices swapped so
-    # every stored tet is positively oriented.
-    unit = np.eye(3, dtype=int)
-    cell_tets = []
-    for perm in permutations(range(3)):
-        steps = np.zeros((4, 3), dtype=int)
-        steps[1] = unit[perm[0]]
-        steps[2] = steps[1] + unit[perm[1]]
-        steps[3] = (1, 1, 1)
-        inversions = sum(
-            perm[a] > perm[b] for a in range(3) for b in range(a + 1, 3)
-        )
-        order = (0, 1, 2, 3) if inversions % 2 == 0 else (0, 2, 1, 3)
-        cell_tets.append(np.stack([vid(*steps[t]) for t in order], axis=1))
-    # Group the six tets of each cell contiguously: tet id = 6*cell + variant.
-    tets = np.stack(cell_tets, axis=1).reshape(-1, 4)
-
-    p = coords[tets]
-    vols6 = np.linalg.det(p[:, 1:] - p[:, :1])
-    if not np.all(vols6 > 0):
-        raise AssemblyError("mesh generation produced a non-positive tet volume")
-
-    sub = (ci // (nx // jx)) + jx * ((cj // (ny // jy)) + jy * (ck // (nz // jz)))
-    tet_subdomain = np.repeat(sub, 6)
-
-    # Sorted pairs (a, b) order lexicographically exactly as their int64
-    # keys a * n_v + b do, so a 1-D unique of the keys lists the edges.
-    pairs = np.sort(tets[:, LOCAL_EDGES].reshape(-1, 2), axis=1)
-    n_v = coords.shape[0]
-    pair_keys = pairs[:, 0].astype(np.int64) * n_v + pairs[:, 1]
-    edge_keys, tet_edges = np.unique(pair_keys, return_inverse=True)
-    edges = np.column_stack(np.divmod(edge_keys, n_v))
-    tet_edges = tet_edges.reshape(-1, 6)
+    # Cells, x fastest, by their lower-corner vertex; the same pattern in every
+    # cell makes the triangulation conforming.  Tet id = 6 * cell + variant.
+    lower = np.arange(coords.shape[0]).reshape(nz + 1, ny + 1, nx + 1)[:-1, :-1, :-1].ravel()
+    tets = (lower[:, None, None] + _corner_offsets(cells)[CELL_TETS]).reshape(-1, 4)
+    ci, cj, ck = (a.ravel()[lower] // (n // j) for a, n, j in zip((ii, jj, kk), cells, subdomains))
+    tet_subdomain = np.repeat(ci + jx * (cj + jy * ck), 6)
 
     return BoxMesh(
         cells=cells,
@@ -278,8 +277,6 @@ def build_box_mesh(
         vertex_coords=_freeze(coords),
         tets=_freeze(tets),
         tet_subdomain=_freeze(tet_subdomain),
-        edges=_freeze(edges),
-        tet_edges=_freeze(tet_edges.astype(np.int64)),
     )
 
 
@@ -297,7 +294,7 @@ def export_vtk(mesh: BoxMesh, path) -> None:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_vertices} double",
     ]
-    lines += [f"{x!r} {y!r} {z!r}" for x, y, z in mesh.vertex_coords]
+    lines += [" ".join(repr(float(x)) for x in row) for row in mesh.vertex_coords]
     lines.append(f"CELLS {mesh.n_tets} {5 * mesh.n_tets}")
     lines += [f"4 {a} {b} {c} {d}" for a, b, c, d in mesh.tets]
     lines.append(f"CELL_TYPES {mesh.n_tets}")

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import schurhx.oracle as oracle_mod
 from schurhx.assemble import Coefficients
 from schurhx.dofspaces import build_transfer
-from schurhx.mesh import LOCAL_FACES, build_box_mesh
+from schurhx.mesh import LOCAL_EDGES, LOCAL_FACES, build_box_mesh
 from schurhx.precond import setup_maxwell, setup_scalar
 
 
@@ -62,6 +62,22 @@ def boundary_faces():
             uniq, counts = np.unique(faces, axis=0, return_counts=True)
             out.append(uniq[counts == 1])
         return out
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def edge_numbering():
+    """Make a mesh's edges and tet edge ids by sorting every tet's vertex
+    pairs and taking their np.unique, apart from ``BoxMesh``: the distinct
+    pairs ``(a, b)``, ``a < b``, in lexicographic order, and each local edge's
+    row among them."""
+
+    def build(mesh) -> tuple[np.ndarray, np.ndarray]:
+        pairs = np.sort(mesh.tets[:, LOCAL_EDGES].reshape(-1, 2), axis=1)
+        keys = pairs[:, 0].astype(np.int64) * mesh.n_vertices + pairs[:, 1]
+        edge_keys, inverse = np.unique(keys, return_inverse=True)
+        return np.column_stack(np.divmod(edge_keys, mesh.n_vertices)), inverse.reshape(-1, 6)
 
     return build
 

@@ -359,8 +359,6 @@ def test_degenerate_tet_raises(mesh111):
         vertex_coords=coords,
         tets=mesh111.tets,
         tet_subdomain=mesh111.tet_subdomain,
-        edges=mesh111.edges,
-        tet_edges=mesh111.tet_edges,
     )
     _assembly_raises(bad, _transfers(mesh111), "degenerate")
 

@@ -1,6 +1,7 @@
 """Mesh generation: counts, orientation, conformity, subdomain boundaries."""
 
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from schurhx.assemble import Coefficients, assemble_edge
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
 from schurhx.mesh import (
+    CELL_TETS,
     FACE_KEY_LIMIT,
     LOCAL_EDGES,
     LOCAL_FACES,
@@ -47,6 +49,22 @@ def test_vertex_id_layout():
                 assert np.allclose(
                     mesh.vertex_coords[vid], [i / 2, j / 3, k / 4]
                 )
+
+
+def test_cell_tets_are_the_axis_order_walks():
+    """Each of the six cell tets walks from corner 0 to corner 7 one axis at
+    a time (corner i + 2j + 4k), one per axis order, in the order of
+    itertools.permutations, with the middle two corners swapped on odd
+    orders; all six have positive volume on the unit cell."""
+    walks = []
+    for perm in permutations(range(3)):
+        first, second = 1 << perm[0], (1 << perm[0]) | (1 << perm[1])
+        inversions = sum(perm[a] > perm[b] for a in range(3) for b in range(a + 1, 3))
+        walks.append([0, second, first, 7] if inversions % 2 else [0, first, second, 7])
+    assert np.array_equal(CELL_TETS, walks)
+    corners = (np.arange(8)[:, None] >> np.arange(3)) & 1
+    p = corners[CELL_TETS].astype(float)
+    assert np.all(np.linalg.det(p[:, 1:] - p[:, :1]) > 0)
 
 
 def test_positive_volumes(mesh422_j211):
@@ -93,6 +111,31 @@ def test_tet_edges_match_local_pairs(mesh422_j211):
             a, b = pairs[t, e]
             eid = mesh.tet_edges[t, e]
             assert tuple(mesh.edges[eid]) == (a, b)
+
+
+def _assert_derived_edges(mesh, edge_numbering):
+    """``edges`` and ``tet_edges`` are bitwise the sort-and-unique reference,
+    int64, read-only, and cached: the same objects on a second access."""
+    for got, want in zip((mesh.edges, mesh.tet_edges), edge_numbering(mesh)):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert mesh.edges is mesh.edges and mesh.tet_edges is mesh.tet_edges
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4), nz=st.integers(1, 4))
+def test_derived_edges_match_reference(edge_numbering, nx, ny, nz):
+    _assert_derived_edges(build_box_mesh((nx, ny, nz)), edge_numbering)
+
+
+def test_derived_edges_of_hand_built_meshes(mesh422_two_shapes, edge_numbering):
+    """Meshes made by replacing fields of a generated one: a cell moved to the
+    other subdomain, and the last vertex plane moved out by one cell."""
+    mesh = build_box_mesh((4, 1, 1), (2, 1, 1))
+    coords = mesh.vertex_coords.copy()
+    coords[coords[:, 0] == 1.0, 0] = 1.25
+    for hand_built in (mesh422_two_shapes, replace(mesh, vertex_coords=coords)):
+        _assert_derived_edges(hand_built, edge_numbering)
 
 
 @pytest.mark.parametrize(
@@ -222,8 +265,6 @@ def test_face_key_overflow_rejected(mesh111):
         vertex_coords=np.broadcast_to(np.zeros(3), (FACE_KEY_LIMIT + 1, 3)),
         tets=mesh111.tets,
         tet_subdomain=mesh111.tet_subdomain,
-        edges=mesh111.edges,
-        tet_edges=mesh111.tet_edges,
     )
     with pytest.raises(ConfigurationError, match="face keys"):
         build_transfer(huge, "scalar")
@@ -396,58 +437,47 @@ def test_numpy_integer_counts_accepted():
 def test_broken_mesh_rejected_by_skeleton(mesh111):
     """Two hand-built meshes whose transfers must be refused, each with an
     AssemblyError: one tet duplicated, so its faces appear three times within
-    the subdomain; and one boundary edge missing from ``edges``, so a boundary
-    face names a vertex pair that is not an edge."""
+    the subdomain; and one tet with a vertex pair that joins no two corners of
+    a cell, so the pair has no edge id (edge assembly refuses it too)."""
     duplicate_tet = BoxMesh(
         cells=mesh111.cells,
         subdomains=mesh111.subdomains,
         vertex_coords=mesh111.vertex_coords,
         tets=np.vstack([mesh111.tets, mesh111.tets[:1]]),
         tet_subdomain=np.zeros(7, dtype=np.int64),
-        edges=mesh111.edges,
-        tet_edges=np.vstack([mesh111.tet_edges, mesh111.tet_edges[:1]]),
     )
-    # Edge 0 is (0, 1), an edge of the cube, so it lies on the boundary.
-    assert mesh111.edges[0].tolist() == [0, 1]
-    missing_edge = BoxMesh(
-        cells=mesh111.cells,
-        subdomains=mesh111.subdomains,
-        vertex_coords=mesh111.vertex_coords,
-        tets=mesh111.tets,
-        tet_subdomain=mesh111.tet_subdomain,
-        edges=mesh111.edges[1:],
-        tet_edges=mesh111.tet_edges,
-    )
-    for bad in (duplicate_tet, missing_edge):
+    # On two cells along x, vertex ids 0 and 2 are two cells apart.
+    mesh211 = build_box_mesh((2, 1, 1))
+    tets = mesh211.tets.copy()
+    tets[0] = (0, 2, 3, 6)
+    off_pattern = replace(mesh211, tets=tets)
+    for bad in (duplicate_tet, off_pattern):
         for field in ("scalar", "edge"):
             with pytest.raises(AssemblyError):
                 build_transfer(bad, field)
+    transfer = build_transfer(mesh211, "edge")
+    with pytest.raises(AssemblyError, match="joins no two corners of a cell"):
+        assemble_edge(off_pattern, transfer, Coefficients())
 
 
-def test_tet_edges_out_of_step_with_tets_rejected(mesh111):
-    """Every reader of the edge numbering (the edge transfer and edge
-    assembly) raises an AssemblyError, not an IndexError or wrong edge ids,
-    when ``tet_edges`` names other edges than the tets' vertex pairs or
-    points past the last edge."""
-    zeros = replace(mesh111, tet_edges=np.zeros_like(mesh111.tet_edges))
-    past_end = replace(mesh111, edges=mesh111.edges[1:])
-    assert mesh111.tet_edges.max() == past_end.n_edges
-    transfer = build_transfer(mesh111, "edge")
-    for bad in (zeros, past_end):
-        with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
-            build_transfer(bad, "edge")
-        with pytest.raises(AssemblyError, match="tet_edges disagree with tets"):
-            assemble_edge(bad, transfer, Coefficients())
-
-
-def test_export_vtk(tmp_path, mesh222_j8):
+def test_export_vtk(tmp_path):
+    """The POINTS and CELLS blocks read back exactly as the mesh's coordinates
+    and tets, on a grid whose coordinates (thirds) need every digit."""
+    mesh = build_box_mesh((2, 3, 1), (2, 1, 1))
     path = tmp_path / "mesh.vtk"
-    export_vtk(mesh222_j8, path)
-    text = path.read_text()
-    assert "POINTS 27 double" in text
-    assert "CELLS 48 240" in text
-    assert "CELL_DATA 48" in text
-    assert "SCALARS subdomain int 1" in text
+    export_vtk(mesh, path)
+    lines = path.read_text().splitlines()
+    n_v, n_t = mesh.n_vertices, mesh.n_tets
+    at = lines.index(f"POINTS {n_v} double")
+    points = np.array([[float(x) for x in line.split()] for line in lines[at + 1 : at + 1 + n_v]])
+    assert np.array_equal(points, mesh.vertex_coords)
+    at = lines.index(f"CELLS {n_t} {5 * n_t}")
+    cells = np.array([[int(v) for v in line.split()] for line in lines[at + 1 : at + 1 + n_t]])
+    assert np.array_equal(cells[:, 0], np.full(n_t, 4))
+    assert np.array_equal(cells[:, 1:], mesh.tets)
+    assert lines[at + 1 + n_t] == f"CELL_TYPES {n_t}"
+    assert f"CELL_DATA {n_t}" in lines
+    assert "SCALARS subdomain int 1" in lines
 
 
 grid_axis = st.integers(min_value=1, max_value=4)
