@@ -31,13 +31,13 @@ matrix computed from one representative of the shape's first subdomain; a
 transfer of other subdomain sizes raises :class:`AssemblyError`.  Tets gather
 the class data and apply their own coefficients in the per-tet operation
 order, so the values are bitwise per-tet ones, and a block's data is one
-``np.add.reduceat``.  Subdomains of one shape with bitwise-equal per-tet
-coefficients (alpha and beta for the scalar field; gamma is global) get one
-shared CSR block object whose ``data``, ``indices`` and ``indptr`` are
-read-only; ``schur`` groups subdomains by block object.  The result is one
-CSR block per subdomain, in ascending subdomain order; no global matrix is
-assembled, and the dense oracle sums the blocks itself
-(``oracle.volume_matrix``).
+``np.add.reduceat``.  Assembly alone decides which subdomains share a
+block: those of one shape with bitwise-equal per-tet coefficients (alpha and
+beta for the scalar field; gamma is global).  It returns ``(blocks,
+group_of)``: one CSR block per distinct block, in order of first appearance,
+with read-only ``data``, ``indices`` and ``indptr``, and the read-only int64
+``group_of[j]``, subdomain j's block.  No global matrix is assembled; the
+dense oracle sums the blocks itself (``oracle.volume_matrix``).
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _assemble(
     compute,  # callable: representative tet ids -> tuple of per-class arrays
     element,  # callable: (class ids, class data, *coefficients) -> (T, k, k)
     coefficients: tuple[np.ndarray, ...],  # per-tet arrays ``element`` reads
-) -> list[sp.csr_matrix]:
+) -> tuple[list[sp.csr_matrix], np.ndarray]:
     # "blocks" is the only scope.  The keyword stays because the benchmark's
     # tracer routes assembly spans by it; it goes together with that routing.
     if scope != "blocks":
@@ -240,26 +240,28 @@ def _assemble(
         tet_ids = mesh.tets_of_subdomain(j)
         rows = _class_rows(mesh, mesh.tets[tet_ids], oriented)
         structures.append((_coalesce_plan(local, size), *_per_class(rows, tet_ids, compute)))
-    shared = {}  # (shape, per-tet coefficients) -> finished block
+    shared = {}  # (shape, per-tet coefficients) -> block number
     blocks = []
+    group_of = np.empty(len(shape_of), dtype=np.int64)
     for j, s in enumerate(shape_of):
         (order, starts, indices, indptr), cls, class_data = structures[s]
         local_coeffs = [c[mesh.tets_of_subdomain(j)] for c in coefficients]
         value = (s, *(c.tobytes() for c in local_coeffs))
         if value not in shared:
+            shared[value] = len(blocks)
             local = element(cls, class_data, *local_coeffs)
             data = _freeze(np.add.reduceat(local.ravel()[order], starts))
             n = sizes[s]
-            shared[value] = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
-        blocks.append(shared[value])
-    return blocks
+            blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False))
+        group_of[j] = shared[value]
+    return blocks, _freeze(group_of)
 
 
 def assemble_scalar(
     mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "blocks"
-) -> list[sp.csr_matrix]:
-    """Subdomain blocks of  int alpha grad u.grad v + beta u v  on the P1 dofs
-    of ``transfer``, one per subdomain in ascending order."""
+) -> tuple[list[sp.csr_matrix], np.ndarray]:
+    """Distinct subdomain blocks of  int alpha grad u.grad v + beta u v  on the
+    P1 dofs of ``transfer``, and each subdomain's block number."""
     if transfer.field != "scalar":
         raise ValueError(f"expected a scalar transfer, got {transfer.field}")
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
@@ -278,9 +280,9 @@ def assemble_scalar(
 
 def assemble_edge(
     mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "blocks"
-) -> list[sp.csr_matrix]:
-    """Subdomain blocks of  int curl u.curl v + gamma^2 u.v  on the edge dofs
-    of ``transfer``, one per subdomain in ascending order."""
+) -> tuple[list[sp.csr_matrix], np.ndarray]:
+    """Distinct subdomain blocks of  int curl u.curl v + gamma^2 u.v  on the
+    edge dofs of ``transfer``, and each subdomain's block number."""
     if transfer.field != "edge":
         raise ValueError(f"expected an edge transfer, got {transfer.field}")
     gamma = float(np.asarray(coeffs.gamma))

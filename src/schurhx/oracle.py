@@ -223,14 +223,14 @@ def _selection(idx: np.ndarray, n_source: int) -> np.ndarray:
     return np.eye(n_source)[idx]
 
 
-def volume_matrix(transfer: TransferOps, blocks: list) -> np.ndarray:
-    """Dense volume matrix of a field: subdomain block j added at its slice of
-    ``volume_split``, in ascending j."""
+def volume_matrix(transfer: TransferOps, blocks: list, group_of: np.ndarray) -> np.ndarray:
+    """Dense volume matrix of a field: subdomain j's block ``blocks[group_of[j]]``
+    added at its slice of ``volume_split``, in ascending j."""
     n, offsets = transfer.n_volume, transfer.broken_offsets
     dense = np.zeros((n, n))
-    for j, block in enumerate(blocks):
+    for j, u in enumerate(group_of):
         dofs = transfer.volume_split[offsets[j] : offsets[j + 1]]
-        dense[np.ix_(dofs, dofs)] += block.toarray()
+        dense[np.ix_(dofs, dofs)] += blocks[u].toarray()
     return dense
 
 
@@ -305,9 +305,9 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
 
     # Interface inverse identity: (assembled Schur) . (trace volinv trace^T) = Id,
     # for both fields.
-    blocks = assemble_scalar(mesh, scalar_ops, coeffs)
-    l_dense = volume_matrix(scalar_ops, blocks)
-    m_dense = volume_matrix(edge_ops, assemble_edge(mesh, edge_ops, coeffs))
+    blocks, group_of = assemble_scalar(mesh, scalar_ops, coeffs)
+    l_dense = volume_matrix(scalar_ops, blocks, group_of)
+    m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, edge_ops, coeffs))
     for field_name, problem, vol in (
         ("scalar", scalar, l_dense),
         ("edge", maxwell, m_dense),
@@ -325,7 +325,7 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
 
     # Pseudo-inverse commutation: splitting the volume lift of skeleton data
     # equals lifting blockwise.
-    l_blocks = sla.block_diag(*(block.toarray() for block in blocks))
+    l_blocks = sla.block_diag(*(blocks[u].toarray() for u in group_of))
     split = _selection(scalar_ops.skeleton_split, scalar_ops.skeleton_trace.size)
     lift_vol = pseudoinverse_surjective(trace_v, l_dense)
     lift_blk = pseudoinverse_surjective(
@@ -416,7 +416,7 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, tr):
     q_aux = materialize(plug_in.qnn, plug_in.schur.dim)
     cond_nn = dense_condition(s_aux, q_aux)
     aux_ops = plug_in.schur.transfer
-    l_aux = volume_matrix(aux_ops, assemble_scalar(mesh, aux_ops, plug_in.coeffs))
+    l_aux = volume_matrix(aux_ops, *assemble_scalar(mesh, aux_ops, plug_in.coeffs))
     se_mat = materialize(maxwell.schur.apply, maxwell.schur.dim)
     qhx_mat = materialize(maxwell.qhx, maxwell.qhx.dim)
     cond_hx = dense_condition(se_mat, qhx_mat)

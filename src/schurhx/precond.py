@@ -138,10 +138,10 @@ class NeumannNeumann:
 
     @cached_property
     def cond_coarse(self) -> float:
-        """Condition number of S0, from its eigenvalues on first read: the
-        solve itself never needs it."""
+        """Condition number of S0, from its eigenvalues on first read (the
+        solve never needs it); ``inf`` if the smallest is not positive."""
         evs = sla.eigvalsh(self.coarse_matrix)
-        return float(evs[-1] / evs[0])
+        return float(evs[-1] / evs[0]) if evs[0] > 0 else float("inf")
 
     def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
         """Blockwise inverse DtN on a boundary-tuple vector."""
@@ -246,7 +246,7 @@ def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
     """The scalar interface solve, its Neumann-Neumann weighted by alpha."""
     transfer = build_transfer(mesh, "scalar")
     # The blocks go once their Schur complements are formed.
-    schur = build_schur_system(assemble_scalar(mesh, transfer, coeffs), transfer)
+    schur = build_schur_system(*assemble_scalar(mesh, transfer, coeffs), transfer)
     qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, transfer))
     return ScalarProblem(coeffs, schur, qnn, mesh.n_vertices)
 
@@ -258,13 +258,14 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
     scalar = setup_scalar(mesh, Coefficients(alpha=1.0, beta=gamma2))
 
     transfer = build_transfer(mesh, "edge")
-    blocks = assemble_edge(mesh, transfer, coeffs)
-    schur = build_schur_system(blocks, transfer)
+    blocks, group_of = assemble_edge(mesh, transfer, coeffs)
+    schur = build_schur_system(blocks, group_of, transfer)
 
     # The skeleton Jacobi diagonal glues the subdomain boundary diagonals.
     # Copies add in ascending subdomain order, as in ``oracle.volume_matrix``,
     # so it equals the volume edge diagonal on the skeleton bit for bit.
-    broken_diagonal = np.concatenate([block.diagonal() for block in blocks])
+    diagonals = [block.diagonal() for block in blocks]
+    broken_diagonal = np.concatenate([diagonals[u] for u in group_of])
     jac = np.bincount(
         transfer.skeleton_split,
         broken_diagonal[transfer.boundary_trace],
@@ -284,7 +285,7 @@ def estimate_condition(
     seeded random right-hand side, read through ``ConvergenceHistory.lanczos``.
 
     ``method`` accepts only "lanczos" and stays only for the benchmark's
-    call; ROADMAP item 4 removes it.  The dense estimate is
+    call; ROADMAP item 3 removes it.  The dense estimate is
     ``oracle.dense_condition``.
     """
     if method != "lanczos":

@@ -13,14 +13,15 @@ A_ib (one triangular solve) and X^T X is one SYRK, so S_j comes out bitwise
 symmetric.  Larger interiors use sparse LU and S_j = A_bb - A_ib^T (A_ii^{-1}
 A_ib).  ``SpdFactor.inverse_form`` holds both paths.
 
-Assembly alone decides which subdomains share a block: it hands one block
-object only to subdomains whose blocks are bitwise equal (under constant
-coefficients, every subdomain of a uniform partition).
-``build_schur_system`` reads that sharing; subdomains with the same block
-object and the same boundary positions form one group and share one dense
-S_u.  The interior factor, A_ib and A_bb are dropped once S_u is formed.  A
-blockwise apply is one GEMM per group over the tuple slices of all its
-member subdomains (``SchurSystem.grouped_apply``).
+Assembly alone decides which subdomains share a block: it returns each
+distinct block once and ``group_of[j]``, subdomain j's block (under constant
+coefficients, one block for every subdomain of a uniform partition).
+``build_schur_system`` forms one dense S_u per block from the local boundary
+of its first member, after checking that every member has the block's size
+and the same local boundary positions.  The interior factor, A_ib and A_bb
+are dropped once S_u is formed.  A blockwise apply is one GEMM per block
+over the tuple slices of all its member subdomains
+(``SchurSystem.grouped_apply``).
 """
 
 from __future__ import annotations
@@ -147,13 +148,16 @@ class SchurSystem:
         ]
 
     def grouped_apply(self, matrices: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """Apply ``matrices[u]`` to the tuple slice of every member of group u,
-        one GEMM per group."""
+        """One GEMM per group u: ``matrices[u]``, square and sized to u's tuple
+        slices (else :class:`ValueError`), times the slice of every member."""
         if x.shape != (self.tuple_dim,):
             raise ValueError(
                 f"expected boundary-tuple vector of length {self.tuple_dim}, "
                 f"got shape {x.shape}"
             )
+        shapes = [rows.shape[:1] * 2 for rows in self._group_rows]
+        if [matrix.shape for matrix in matrices] != shapes:
+            raise ValueError(f"expected one matrix per group, of shapes {shapes}")
         out = np.empty(x.shape)
         for matrix, rows in zip(matrices, self._group_rows):
             out[rows] = matrix @ x[rows]
@@ -171,42 +175,34 @@ class SchurSystem:
         return np.bincount(split, self.apply_dtn(u[split]), minlength=self.dim)
 
 
-def build_schur_system(blocks: list[sp.csr_matrix], transfer: TransferOps) -> SchurSystem:
-    """Form one dense Schur complement per group of subdomains that share a
-    block and wire up the interface operator.
+def build_schur_system(blocks: list, group_of: np.ndarray, transfer: TransferOps) -> SchurSystem:
+    """One dense Schur complement S_u per distinct block u of assembly, the
+    block of every subdomain j with ``group_of[j] == u``, glued into the
+    interface operator.  S_u is formed at its first member's local boundary
+    positions (its boundary-trace slice, shifted to local numbering), which
+    ascend in boundary-tuple order, so tuple slices line up unpermuted.
 
-    Block j's boundary positions are its slice of the boundary trace, shifted
-    to local numbering; they ascend in the same order as the boundary-tuple
-    space, so tuple slices line up without permutations.  Subdomains are
-    grouped by block object and boundary positions: assembly shares a block
-    object only among bitwise-equal blocks, so each S_u is computed from the
-    block every member holds.
-
-    Raises :class:`AssemblyError` unless there is one block per subdomain of
-    ``transfer``, each as large as its slice of the broken space.
+    Raises :class:`AssemblyError` unless ``group_of`` has one entry per
+    subdomain of ``transfer`` and uses every block, and all members of a
+    block have its size and the same local boundary positions.
     """
+    field = transfer.field
     sizes = np.diff(transfer.broken_offsets)
-    if len(blocks) != sizes.size:
-        raise AssemblyError(
-            f"{transfer.field} transfer has {sizes.size} subdomains, got {len(blocks)} blocks"
-        )
-    for j, (block, n) in enumerate(zip(blocks, sizes)):
-        if block.shape != (n, n):
-            raise AssemblyError(
-                f"{transfer.field} subdomain {j}: block of shape {block.shape}, "
-                f"expected {(int(n), int(n))}"
-            )
-    group_by_key: dict[tuple[int, bytes], int] = {}
+    offsets = transfer.boundary_offsets
+    dims = np.column_stack([sizes, np.diff(offsets)])  # volume and boundary sizes
+    if len(group_of) != sizes.size:
+        raise AssemblyError(f"{field}: {len(group_of)} group_of entries, {sizes.size} subdomains")
+    if not np.array_equal(np.unique(group_of), np.arange(len(blocks))):
+        raise AssemblyError(f"group_of does not use each of the {len(blocks)} blocks once or more")
     schurs = []
-    group_of = []
-    for j, block in enumerate(blocks):
-        lo, hi = transfer.boundary_offsets[j : j + 2]
-        boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
-        # ``blocks`` holds every block for the whole loop, so ids stay unique.
-        key = (id(block), boundary.tobytes())
-        if key not in group_by_key:
-            group_by_key[key] = len(schurs)
-            label = f"{transfer.field} subdomain {j}"
-            schurs.append(_schur_complement(block, boundary, label))
-        group_of.append(group_by_key[key])
-    return SchurSystem(transfer, schurs, np.array(group_of))
+    for u, block in enumerate(blocks):
+        members = np.flatnonzero(group_of == u)
+        j = members[0]
+        if block.shape != (sizes[j],) * 2 or np.any(dims[members] != dims[j]):
+            raise AssemblyError(f"{field} block {u}: shape {block.shape}, members of other sizes")
+        rows = offsets[members] + np.arange(dims[j, 1])[:, None]
+        local = transfer.boundary_trace[rows] - transfer.broken_offsets[members]
+        if np.any(local != local[:, :1]):
+            raise AssemblyError(f"{field} block {u}: its members' boundary positions differ")
+        schurs.append(_schur_complement(block, local[:, 0], f"{field} subdomain {j}"))
+    return SchurSystem(transfer, schurs, group_of)

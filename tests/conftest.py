@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 import schurhx.oracle as oracle_mod
 from schurhx.assemble import Coefficients
@@ -107,12 +108,25 @@ def vertex_degree(boundary_faces):
     return build
 
 
+@st.composite
+def jump_grids(draw):
+    """A mesh of 1 to 4 cells per axis on a divisor subdomain grid, and one
+    alpha per subdomain drawn from {0.5, 2}."""
+    cells = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    subdomains = tuple(
+        draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0])) for n in cells
+    )
+    n_sub = int(np.prod(subdomains))
+    alpha_j = draw(st.lists(st.sampled_from([0.5, 2.0]), min_size=n_sub, max_size=n_sub))
+    return build_box_mesh(cells, subdomains), np.array(alpha_j)
+
+
 @pytest.fixture(scope="session")
 def content_partition():
     """Make the partition of subdomains by block content (CSR data, indices
-    and indptr bytes) and local boundary positions, apart from
-    ``build_schur_system``: labels number the classes in order of first
-    appearance, as ``SchurSystem.group_of`` numbers its groups."""
+    and indptr bytes) and local boundary positions, from a per-subdomain
+    block list and apart from assembly: labels number the classes in order
+    of first appearance, as assembly numbers its blocks in ``group_of``."""
 
     def build(blocks, transfer) -> np.ndarray:
         labels: dict = {}

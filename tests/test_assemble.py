@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from conftest import jump_grids
+from hypothesis import given, settings
 
 from schurhx import assemble as assemble_module
 from schurhx.assemble import (
@@ -129,7 +131,7 @@ def test_edge_curl_matches_quadrature(mesh444_j8):
 @pytest.mark.parametrize("field", ["scalar", "edge"])
 def test_assembled_operators_bitwise_symmetric(mesh444_j8, transfers444, field):
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh444_j8, transfers444[field], Coefficients(1.3, 0.7, 1.9))
+    blocks, _ = assemble(mesh444_j8, transfers444[field], Coefficients(1.3, 0.7, 1.9))
     for block in blocks:
         diff = block - block.T
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
@@ -143,11 +145,12 @@ def test_global_equals_split_blockdiag_split(field, grid, selection):
     mesh = build_box_mesh((2, 2, 2), grid)
     transfer = build_transfer(mesh, field)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh, transfer, Coefficients(2.0, 0.5, 3.0))
-    dense = volume_matrix(transfer, blocks)
+    blocks, group_of = assemble(mesh, transfer, Coefficients(2.0, 0.5, 3.0))
+    dense = volume_matrix(transfer, blocks, group_of)
     assert np.array_equal(dense, dense.T)
     split = selection(transfer, "volume_split")
-    triple = (split.T @ sp.block_diag(blocks, format="csr") @ split).toarray()
+    blockdiag = sp.block_diag([blocks[u] for u in group_of], format="csr")
+    triple = (split.T @ blockdiag @ split).toarray()
     assert np.abs(dense - triple).max() <= 1e-14 * np.abs(triple).max()
 
 
@@ -157,7 +160,7 @@ def test_constant_energy_is_reaction_volume(mesh444_j8, transfers444):
     for beta in (3.25, 1e-8):
         transfer = transfers444["scalar"]
         dense = volume_matrix(
-            transfer, assemble_scalar(mesh444_j8, transfer, Coefficients(7.7, beta))
+            transfer, *assemble_scalar(mesh444_j8, transfer, Coefficients(7.7, beta))
         )
         ones = np.ones(transfer.n_volume)
         assert abs(ones @ (dense @ ones) - beta) <= 1e-12 * max(beta, 1.0)
@@ -166,7 +169,9 @@ def test_constant_energy_is_reaction_volume(mesh444_j8, transfers444):
 def test_constant_vector_field_energy(mesh222_j1):
     transfer = build_transfer(mesh222_j1, "edge")
     gamma = 1.5
-    dense = volume_matrix(transfer, assemble_edge(mesh222_j1, transfer, Coefficients(gamma=gamma)))
+    dense = volume_matrix(
+        transfer, *assemble_edge(mesh222_j1, transfer, Coefficients(gamma=gamma))
+    )
     # Edge dofs of the constant field e_0; its curl vanishes, so the energy
     # is gamma^2 * integral of |e_0|^2 = gamma^2.
     u = build_nodal_interp(mesh222_j1, 0) @ np.ones(mesh222_j1.n_vertices)
@@ -177,7 +182,7 @@ def test_gradient_field_energy_matches_scalar_stiffness(mesh222_j8, rng):
     transfer = build_transfer(mesh222_j8, "edge")
     gamma = 2.5
     edge_dense = volume_matrix(
-        transfer, assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma))
+        transfer, *assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma))
     )
     grad = build_gradient(mesh222_j8)
 
@@ -220,7 +225,7 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
 
     scal = volume_matrix(
         transfers["scalar"],
-        assemble_scalar(mesh222_j8, transfers["scalar"], Coefficients(1.0, beta)),
+        *assemble_scalar(mesh222_j8, transfers["scalar"], Coefficients(1.0, beta)),
     )
     _, sm = scalar_element_matrices(
         mesh222_j8,
@@ -238,7 +243,7 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
 
     edge = volume_matrix(
         transfers["edge"],
-        assemble_edge(mesh222_j8, transfers["edge"], Coefficients(gamma=gamma)),
+        *assemble_edge(mesh222_j8, transfers["edge"], Coefficients(gamma=gamma)),
     )
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
     mass_e = np.zeros_like(edge)
@@ -255,7 +260,7 @@ def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
     transfer = build_transfer(mesh222_j8, "edge")
     gamma = 1.3
     d1, d2 = (
-        np.diag(volume_matrix(transfer, assemble_edge(mesh222_j8, transfer, coeffs)))
+        np.diag(volume_matrix(transfer, *assemble_edge(mesh222_j8, transfer, coeffs)))
         for coeffs in (Coefficients(gamma=gamma), Coefficients(gamma=2 * gamma))
     )
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
@@ -268,13 +273,16 @@ def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
 
 
 def test_blocks_scope_keeps_only_blocks(mesh222_j8):
-    # The solve path reads the subdomain blocks one by one, so assembly
-    # returns them as a plain list and builds no block-diagonal copy.
+    # The solve path reads each distinct block once, so assembly returns them
+    # as a plain list with each subdomain's block number, and builds no
+    # block-diagonal copy.
     transfer = build_transfer(mesh222_j8, "scalar")
-    blocks = assemble_scalar(mesh222_j8, transfer, Coefficients())
-    assert isinstance(blocks, list) and len(blocks) == 8
+    blocks, group_of = assemble_scalar(mesh222_j8, transfer, Coefficients())
+    assert isinstance(blocks, list) and len(blocks) == 1
     assert all(sp.isspmatrix_csr(block) for block in blocks)
-    assert sum(block.shape[0] for block in blocks) == transfer.volume_split.size
+    assert group_of.dtype == np.int64 and group_of.tolist() == [0] * 8
+    assert not group_of.flags.writeable
+    assert sum(blocks[u].shape[0] for u in group_of) == transfer.volume_split.size
 
 
 def test_global_scope_rejected(mesh222_j8):
@@ -334,7 +342,8 @@ def test_per_tet_coefficients(mesh222_j8):
             np.full(mesh222_j8.n_tets, 2.0), np.full(mesh222_j8.n_tets, 0.5)
         ),
     )
-    for a, b in zip(uniform, arrays, strict=True):
+    assert np.array_equal(uniform[1], arrays[1])
+    for a, b in zip(uniform[0], arrays[0], strict=True):
         diff = a - b
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
     with pytest.raises(ConfigurationError, match="shape"):
@@ -421,10 +430,10 @@ def test_blocks_match_per_tet_reference(field):
         rng.uniform(0.1, 10.0, mesh.n_tets), rng.uniform(0.1, 10.0, mesh.n_tets), 1.3
     )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh, transfer, coeffs)
+    blocks, group_of = assemble(mesh, transfer, coeffs)
     reference = _reference_blocks(mesh, coeffs, field)
-    assert len(blocks) == len(reference) == mesh.n_subdomains
-    for block, ref in zip(blocks, reference):
+    assert len(group_of) == len(reference) == mesh.n_subdomains
+    for block, ref in zip([blocks[u] for u in group_of], reference):
         assert block.shape == ref.shape
         assert np.array_equal(block.data, ref.data)
         assert np.array_equal(block.indices, ref.indices)
@@ -433,8 +442,11 @@ def test_blocks_match_per_tet_reference(field):
         assert block.indptr.dtype == ref.indptr.dtype
 
 
-def _assert_blocks_equal(blocks, reference):
-    for block, ref in zip(blocks, reference, strict=True):
+def _assert_blocks_equal(assembled, reference):
+    """Assembly's ``(blocks, group_of)`` gives each subdomain the bits of its
+    reference block."""
+    blocks, group_of = assembled
+    for block, ref in zip([blocks[u] for u in group_of], reference, strict=True):
         for name in ("data", "indices", "indptr"):
             got, want = getattr(block, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -475,8 +487,7 @@ def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field, bo
     rng = np.random.default_rng(5)
     coeffs = Coefficients(rng.uniform(0.5, 2.0, mesh.n_tets), 0.3, 1.7)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh, transfer, coeffs)
-    _assert_blocks_equal(blocks, _reference_blocks(mesh, coeffs, field))
+    _assert_blocks_equal(assemble(mesh, transfer, coeffs), _reference_blocks(mesh, coeffs, field))
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
@@ -491,9 +502,9 @@ def test_translated_ids_with_other_geometry_share_nothing(field):
     assert mesh.shapes[0].tolist() == [0, 0] and stretched.shapes[0].tolist() == [0, 1]
     transfer = _transfers(stretched)[field]
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(stretched, transfer, Coefficients())
-    assert blocks[0] is not blocks[1]
-    _assert_blocks_equal(blocks, _reference_blocks(stretched, Coefficients(), field))
+    blocks, group_of = assemble(stretched, transfer, Coefficients())
+    assert len(blocks) == 2 and group_of.tolist() == [0, 1]
+    _assert_blocks_equal((blocks, group_of), _reference_blocks(stretched, Coefficients(), field))
 
 
 def test_empty_subdomain_rejected(mesh222_j2):
@@ -537,8 +548,8 @@ def test_element_matrices_once_per_class(field, monkeypatch):
         assemble_module, "_coalesce_plan", lambda *args: plans.append(1) or original_plan(*args)
     )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh, transfer, Coefficients(1.3, 0.7, 1.9))
-    assert len(blocks) == 27
+    blocks, group_of = assemble(mesh, transfer, Coefficients(1.3, 0.7, 1.9))
+    assert len(blocks) == 1 and group_of.tolist() == [0] * 27
     assert 0 < received["tet_geometry"] <= 6
     assert received["edge_element_matrices"] <= 6
     if field == "edge":
@@ -548,30 +559,30 @@ def test_element_matrices_once_per_class(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_equal_subdomains_share_one_block(field, content_partition):
-    """Subdomains with equal dof pattern, tet classes and coefficients get one
-    shared, read-only block object, bitwise the per-tet reference; per-tet
-    coefficients split the sharing exactly along their subdomain classes, and
-    the Schur groups read from that sharing are the partition by content."""
-    mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
+@settings(max_examples=20, deadline=None)
+@given(grid=jump_grids())
+def test_equal_subdomains_share_one_block(field, content_partition, grid):
+    """Subdomains with equal dof pattern, tet classes and coefficients share
+    one read-only block, bitwise the per-tet reference: ``group_of`` is the
+    partition of the per-subdomain blocks by content, so per-subdomain alpha
+    splits the scalar sharing exactly along its values, and
+    ``build_schur_system`` forms one group per block."""
+    mesh, alpha_j = grid
     transfer = build_transfer(mesh, field)
-    rng = np.random.default_rng(11)
-    alpha_j = rng.choice([0.5, 2.0], mesh.n_subdomains)
-    alpha_j[13] = 7.0  # the middle subdomain's alpha repeats nowhere
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.3, gamma=1.7)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh, transfer, coeffs)
-    _assert_blocks_equal(blocks, _reference_blocks(mesh, coeffs, field))
-    # alpha does not enter the edge form, so its blocks are all one object.
-    n_classes = np.unique(alpha_j).size if field == "scalar" else 1
-    assert len({id(block) for block in blocks}) == n_classes
-    system = build_schur_system(blocks, transfer)
-    assert len(system.groups) == n_classes
-    assert np.array_equal(system.group_of, content_partition(blocks, transfer))
-    shared = next(b for b in blocks if sum(c is b for c in blocks) > 1)
-    for name in ("data", "indices", "indptr"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(shared, name)[0] = 0
+    blocks, group_of = assemble(mesh, transfer, coeffs)
+    _assert_blocks_equal((blocks, group_of), _reference_blocks(mesh, coeffs, field))
+    # alpha does not enter the edge form, so all its subdomains share a block.
+    assert len(blocks) == (np.unique(alpha_j).size if field == "scalar" else 1)
+    per_subdomain = [blocks[u] for u in group_of]
+    assert np.array_equal(group_of, content_partition(per_subdomain, transfer))
+    system = build_schur_system(blocks, group_of, transfer)
+    assert len(system.groups) == len(blocks) and system.group_of is group_of
+    assert not group_of.flags.writeable
+    for block in blocks:
+        for name in ("data", "indices", "indptr"):
+            assert not getattr(block, name).flags.writeable
 
 
 def test_lattice_geometry_matches_coordinates(mesh422_j211):
@@ -604,7 +615,7 @@ def test_spd_smallest_eigenvalue(mesh222_j2):
     transfers = _transfers(mesh222_j2)
     for field, assemble in (("scalar", assemble_scalar), ("edge", assemble_edge)):
         transfer = transfers[field]
-        dense = volume_matrix(transfer, assemble(mesh222_j2, transfer, Coefficients()))
+        dense = volume_matrix(transfer, *assemble(mesh222_j2, transfer, Coefficients()))
         assert sla.eigvalsh(dense)[0] > 0
 
 

@@ -244,6 +244,17 @@ def test_report_carries_coarse_condition(capsys, problem):
     assert isinstance(cond, float) and 1.0 <= cond < 1e3
 
 
+@pytest.mark.parametrize(
+    "cells, subdomains, beta", [((8, 8, 8), (4, 4, 4), 1e-30), ((12, 12, 12), (6, 6, 6), 1e-16)]
+)
+def test_singular_coarse_matrix_reads_infinite_condition(capsys, cells, subdomains, beta):
+    """A reaction so small that S0 is singular to rounding gives a smallest
+    computed eigenvalue that is not positive: cond_coarse reads inf, not a
+    negative number."""
+    cfg = ExperimentConfig(problem="scalar", cells=cells, subdomains=subdomains, beta=beta)
+    assert run_experiment(cfg).metadata["cond_coarse"] == float("inf")
+
+
 @pytest.mark.parametrize("problem", ["scalar", "maxwell"])
 def test_report_carries_preconditioned_condition(capsys, problem):
     """cond_precond, read from the solve's own Lanczos extremes, lies between

@@ -5,6 +5,8 @@ import copy
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import jump_grids
+from hypothesis import given, settings
 
 import schurhx.precond as precond_mod
 import schurhx.schur as schur_mod
@@ -354,8 +356,8 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(
     lhs = materialize(q_exact, q_exact.dim)
 
     scalar_ops, edge_ops = mw.scalar.schur.transfer, mw.schur.transfer
-    l_dense = volume_matrix(scalar_ops, assemble_scalar(mesh, scalar_ops, coeffs))
-    m_dense = volume_matrix(edge_ops, assemble_edge(mesh, edge_ops, coeffs))
+    l_dense = volume_matrix(scalar_ops, *assemble_scalar(mesh, scalar_ops, coeffs))
+    m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, edge_ops, coeffs))
     aux = np.diag(1.0 / np.diag(m_dense))
     g = build_gradient(mesh).toarray()
     aux = aux + g @ sla.solve(l_dense, g.T, assume_a="pos")
@@ -472,7 +474,7 @@ def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, ga
     mw = setup_maxwell(mesh, coeffs)
     assert len(calls) == 1
     transfer = mw.schur.transfer
-    volume = volume_matrix(transfer, assemble_edge(mesh, transfer, coeffs))
+    volume = volume_matrix(transfer, *assemble_edge(mesh, transfer, coeffs))
     expected = np.diag(volume)[transfer.skeleton_trace]
     assert len(glued) == 1 and np.array_equal(glued[0], expected)
 
@@ -547,7 +549,7 @@ def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
 
 def _dense_interface_solve(mesh, prob, rhs):
     transfer = prob.schur.transfer
-    full = volume_matrix(transfer, assemble_scalar(mesh, transfer, prob.coeffs))
+    full = volume_matrix(transfer, *assemble_scalar(mesh, transfer, prob.coeffs))
     skel = transfer.skeleton_trace
     inner = np.setdiff1d(np.arange(mesh.n_vertices), skel)
     s_dense = full[np.ix_(skel, skel)] - full[np.ix_(skel, inner)] @ sla.solve(
@@ -563,34 +565,33 @@ def _one_perturbed_tet(mesh):
     return setup_scalar(mesh, Coefficients(alpha=alpha))
 
 
-def test_blocks_grouped_by_shared_block(mesh444_j8, rng, content_partition):
-    """Per-subdomain jumps make every scalar block distinct; one perturbed tet
-    splits off only its own subdomain.  For both fields, the groups read from
-    assembly's shared blocks are the partition by block content and boundary
-    positions, and the solve matches the dense interface solve."""
-    jump_coeffs = Coefficients(alpha=(1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain])
-    jump = setup_scalar(mesh444_j8, jump_coeffs)
-    one_tet = _one_perturbed_tet(mesh444_j8)
-    assert len(jump.schur.groups) == 8
-    groups = sorted(members.tolist() for _, members in one_tet.schur.groups)
-    assert groups == [[0, 1, 2, 3, 4, 6, 7], [5]]
-    maxwell = setup_maxwell(mesh444_j8, jump_coeffs)
+@settings(max_examples=15, deadline=None)
+@given(grid=jump_grids())
+def test_blocks_grouped_by_shared_block(content_partition, grid):
+    """For both fields and the plug-in, set-up's groups are assembly's
+    ``group_of``, the partition of the per-subdomain blocks by content and
+    boundary positions, under per-subdomain alpha drawn from {0.5, 2}; the
+    scalar solve matches the dense interface solve."""
+    mesh, alpha_j = grid
+    jump_coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain])
+    jump = setup_scalar(mesh, jump_coeffs)
+    maxwell = setup_maxwell(mesh, jump_coeffs)
+    assert len(jump.schur.groups) == np.unique(alpha_j).size
     systems = [
-        (prob.schur, assemble_scalar(mesh444_j8, prob.schur.transfer, prob.coeffs))
-        for prob in (jump, one_tet, maxwell.scalar)
+        (jump.schur, assemble_scalar, jump_coeffs),
+        (maxwell.scalar.schur, assemble_scalar, maxwell.scalar.coeffs),
+        (maxwell.schur, assemble_edge, jump_coeffs),
     ]
-    systems.append(
-        (maxwell.schur, assemble_edge(mesh444_j8, maxwell.schur.transfer, jump_coeffs))
-    )
-    for system, blocks in systems:
-        assert np.array_equal(system.group_of, content_partition(blocks, system.transfer))
-    for prob in (jump, one_tet):
-        rhs = rng.uniform(-1, 1, prob.dim_skeleton)
-        want = _dense_interface_solve(mesh444_j8, prob, rhs)
-        report = pcg(prob.schur.apply, prob.qnn, rhs, tol=1e-11)
-        assert report.history.converged
-        err = np.linalg.norm(report.solution - want) / np.linalg.norm(want)
-        assert err <= 1e-9
+    for system, assemble, coeffs in systems:
+        blocks, group_of = assemble(mesh, system.transfer, coeffs)
+        assert np.array_equal(system.group_of, group_of)
+        per_subdomain = [blocks[u] for u in group_of]
+        assert np.array_equal(group_of, content_partition(per_subdomain, system.transfer))
+    rhs = np.random.default_rng(0).uniform(-1, 1, jump.dim_skeleton)
+    want = _dense_interface_solve(mesh, jump, rhs)
+    report = pcg(jump.schur.apply, jump.qnn, rhs, tol=1e-11)
+    assert report.history.converged
+    assert np.linalg.norm(report.solution - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_setup_dimensions(maxwell444_j8, mesh444_j8):
@@ -611,11 +612,16 @@ def test_maxwell_solve_end_to_end(mesh222_j2, rng):
     assert err <= 1e-7
 
 
-def test_coarse_product_on_interleaved_groups(mesh444_j8):
+def test_coarse_product_on_interleaved_groups(mesh444_j8, rng):
     """S Z, formed subdomain by subdomain from each group's S_u, matches the
-    assembled operator when one group's members surround another's."""
+    assembled operator when one group's members surround another's, and the
+    solve matches the dense interface solve."""
     prob = _one_perturbed_tet(mesh444_j8)
     assert prob.schur.group_of.tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
     qnn = prob.qnn
     want = materialize(prob.schur.apply, prob.schur.dim) @ qnn.coarse_basis.toarray()
     assert np.abs(qnn.s_coarse - want).max() <= 1e-12 * np.abs(want).max()
+    rhs = rng.uniform(-1, 1, prob.dim_skeleton)
+    want = _dense_interface_solve(mesh444_j8, prob, rhs)
+    report = pcg(prob.schur.apply, prob.qnn, rhs, tol=1e-11)
+    assert np.linalg.norm(report.solution - want) <= 1e-9 * np.linalg.norm(want)

@@ -1,5 +1,7 @@
 """Subdomain Schur complements and the interface operator against dense oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -11,12 +13,14 @@ from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, SingularOperatorError
 from schurhx.mesh import build_box_mesh
 from schurhx.oracle import materialize, pseudoinverse_surjective, volume_matrix
+from schurhx.precond import setup_scalar
 from schurhx.schur import SpdFactor, build_schur_system
 
 
 def _blocks(mesh, prob):
-    """The subdomain blocks of a scalar problem, assembled again."""
-    return assemble_scalar(mesh, prob.schur.transfer, prob.coeffs)
+    """Each subdomain's block of a scalar problem, assembled again."""
+    blocks, group_of = assemble_scalar(mesh, prob.schur.transfer, prob.coeffs)
+    return [blocks[u] for u in group_of]
 
 
 def _subdomain_schur(prob, j):
@@ -89,7 +93,7 @@ def test_global_schur_matches_dense_elimination(mesh222_j2, scalar222_j2):
     after eliminating the non-skeleton unknowns."""
     prob = scalar222_j2
     transfer = prob.schur.transfer
-    full = volume_matrix(transfer, assemble_scalar(mesh222_j2, transfer, prob.coeffs))
+    full = volume_matrix(transfer, *assemble_scalar(mesh222_j2, transfer, prob.coeffs))
     skel_ids = transfer.skeleton_trace
     mask = np.zeros(mesh222_j2.n_vertices, dtype=bool)
     mask[skel_ids] = True
@@ -207,7 +211,7 @@ def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     sparse-LU path to 1e-12 relative."""
     mesh = build_box_mesh((12, 12, 12), (2, 2, 2))
     transfer = build_transfer(mesh, "edge")
-    block = assemble_edge(mesh, transfer, Coefficients())[0]
+    block = assemble_edge(mesh, transfer, Coefficients())[0][0]
     lo, hi = transfer.boundary_offsets[:2]
     boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[0]
     assert block.shape[0] - boundary.size == 1206
@@ -219,29 +223,61 @@ def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
 
 
-@pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_equal_content_in_distinct_blocks_forms_distinct_groups(mesh444_j8, field):
-    """Grouping reads assembly's sharing, not block content: a bitwise copy of
-    the shared block is a group of its own, with a bitwise-equal S_u."""
-    transfer = build_transfer(mesh444_j8, field)
-    assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks = assemble(mesh444_j8, transfer, Coefficients())
-    assert all(block is blocks[0] for block in blocks)
-    blocks[5] = blocks[0].copy()
-    system = build_schur_system(blocks, transfer)
-    assert system.group_of.tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
-    (s_shared, _), (s_copy, _) = system.groups
-    assert np.array_equal(s_shared, s_copy)
-
-
 def test_blocks_must_match_the_transfer(mesh444_j8):
-    """One block per subdomain, each as large as its broken slice: a short
-    list would leave tuple rows unwritten, and blocks of another field would
-    index past their ends."""
+    """``group_of`` names a block for every subdomain, each as large as its
+    members' broken slices: a short ``group_of`` would leave tuple rows
+    unwritten, and blocks of another field would index past their ends."""
     scalar = build_transfer(mesh444_j8, "scalar")
     edge = build_transfer(mesh444_j8, "edge")
-    blocks = assemble_scalar(mesh444_j8, scalar, Coefficients())
-    with pytest.raises(AssemblyError, match="8 subdomains, got 7 blocks"):
-        build_schur_system(blocks[:-1], scalar)
-    with pytest.raises(AssemblyError, match="edge subdomain 0: block of shape"):
-        build_schur_system(blocks, edge)
+    blocks, group_of = assemble_scalar(mesh444_j8, scalar, Coefficients())
+    with pytest.raises(AssemblyError, match="^scalar: 7 group_of entries, 8 subdomains$"):
+        build_schur_system(blocks, group_of[:-1], scalar)
+    with pytest.raises(AssemblyError, match="^edge block 0: shape"):
+        build_schur_system(blocks, group_of, edge)
+
+
+def test_group_of_must_use_every_block(mesh444_j8):
+    """A block that no subdomain names, or a name past the last block, is
+    refused rather than left without a group."""
+    scalar = build_transfer(mesh444_j8, "scalar")
+    blocks, group_of = assemble_scalar(mesh444_j8, scalar, Coefficients())
+    with pytest.raises(AssemblyError, match="each of the 2 blocks"):
+        build_schur_system(blocks + [blocks[0]], group_of, scalar)
+    with pytest.raises(AssemblyError, match="each of the 1 blocks"):
+        build_schur_system(blocks, np.where(np.arange(8) == 3, 1, group_of), scalar)
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_members_with_other_boundary_positions_rejected(mesh444_j8, field):
+    """Members of one block must share its local boundary positions: a member
+    whose boundary trace names other local ids of the same count would
+    otherwise be applied the first member's S_u."""
+    transfer = build_transfer(mesh444_j8, field)
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    blocks, group_of = assemble(mesh444_j8, transfer, Coefficients())
+    assert len(blocks) == 1
+    j = 5
+    lo, hi = transfer.boundary_offsets[j : j + 2]
+    start, stop = transfer.broken_offsets[j : j + 2]
+    local = transfer.boundary_trace[lo:hi] - start
+    interior = np.setdiff1d(np.arange(stop - start), local)
+    moved = transfer.boundary_trace.copy()
+    moved[lo:hi] = start + np.sort(np.r_[local[:-1], interior[0]])
+    other = replace(transfer, boundary_trace=moved)
+    with pytest.raises(AssemblyError, match=f"^{field} block 0: .* boundary positions differ$"):
+        build_schur_system(blocks, group_of, other)
+
+
+def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
+    """With eight jump groups, a matrix list one short or a matrix of another
+    size raises instead of leaving tuple rows unwritten."""
+    alpha = (1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain]
+    schur = setup_scalar(mesh444_j8, Coefficients(alpha=alpha)).schur
+    matrices = [s_u for s_u, _ in schur.groups]
+    assert len(matrices) == 8
+    x = rng.uniform(-1, 1, schur.tuple_dim)
+    with pytest.raises(ValueError, match="one matrix per group"):
+        schur.grouped_apply(matrices[:-1], x)
+    with pytest.raises(ValueError, match="one matrix per group"):
+        schur.grouped_apply(matrices[:3] + [matrices[3][:-1, :-1]] + matrices[4:], x)
+    assert np.array_equal(schur.grouped_apply(matrices, x), schur.apply_dtn(x))
