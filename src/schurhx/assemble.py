@@ -128,9 +128,18 @@ def tet_geometry(mesh: BoxMesh, tet_ids: np.ndarray):
     return vols, grads
 
 
+#: Row and column indices of the strict lower triangle of a 4x4 or 6x6 matrix.
+_LOWER_SLOTS = {k: np.tril_indices(k, -1) for k in (4, 6)}
+
+
 def _mirror_upper(batch: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one, forcing bitwise symmetry."""
-    return np.triu(batch) + np.triu(batch, 1).transpose(0, 2, 1)
+    """Copy the upper triangle onto the lower one, forcing bitwise symmetry.
+    Every entry gets +0.0 added, as a sum of the two triangles would, so a
+    -0.0 reads +0.0."""
+    out = batch + 0.0
+    rows, cols = _LOWER_SLOTS[batch.shape[-1]]
+    out[:, rows, cols] = out[:, cols, rows]
+    return out
 
 
 def _p1_geometry(mesh: BoxMesh, tet_ids: np.ndarray):

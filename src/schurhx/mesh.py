@@ -16,6 +16,7 @@ outer boundary of the box.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,17 +101,11 @@ class BoxMesh:
         ascending corner offset of a cell; the used slots, in order, are the
         edges, so they come out sorted.  A tet edge whose b - a is no corner
         offset raises :class:`AssemblyError`."""
-        steps = _corner_offsets(self.cells)[1:]
-        ends = self.tets[:, LOCAL_EDGES]
-        low, step = ends.min(axis=2), np.abs(ends[:, :, 1] - ends[:, :, 0])
-        k = np.searchsorted(steps, step)
-        if not np.array_equal(steps[np.minimum(k, 6)], step):
-            raise AssemblyError("a tet edge joins no two corners of a cell")
-        slots = 7 * low + k
+        slots = _edge_slots(self.cells, self.tets)
         used = np.bincount(slots.ravel(), minlength=7 * self.n_vertices) > 0
         edge_of_slot = np.cumsum(used, dtype=np.int64) - 1
         start, k = np.divmod(np.flatnonzero(used), 7)
-        edges = np.column_stack([start, start + steps[k]])
+        edges = np.column_stack([start, start + _corner_offsets(self.cells)[1:][k]])
         return _freeze(edges), _freeze(edge_of_slot[slots])
 
     @cached_property
@@ -144,55 +139,96 @@ class BoxMesh:
         the first subdomain of each shape.  Subdomains share a shape when their
         tets, in order, differ by one vertex-id and one lattice offset; that
         keeps the order of vertex ids and edge ids, so a sorted local dof list
-        sits at the same positions of every member's tet rows.  An empty
-        subdomain raises :class:`ConfigurationError`."""
+        sits at the same positions of every member's tet rows.  A subdomain is
+        keyed by its vertex-id offsets and by the lattice offsets of only its
+        distinct vertices.  An empty subdomain raises
+        :class:`ConfigurationError`."""
+        distinct: dict = {}  # id offsets -> distinct vertex-id offsets, of their first subdomain
         keys: dict = {}
         shape_of = np.empty(self.n_subdomains, dtype=np.int64)
         for j in range(self.n_subdomains):
             tets_j = self.tets[self.tets_of_subdomain(j)]
             if tets_j.size == 0:
                 raise ConfigurationError(f"subdomain {j} contains no tets")
-            lattice = self.vertex_lattice[tets_j]
-            key = ((tets_j - tets_j[0, 0]).tobytes(), (lattice - lattice[0, 0]).tobytes())
-            shape_of[j] = keys.setdefault(key, len(keys))
+            origin = tets_j[0, 0]
+            ids = (tets_j - origin).tobytes()
+            if ids not in distinct:
+                distinct[ids] = np.unique(tets_j) - origin
+            lattice = self.vertex_lattice[origin + distinct[ids]] - self.vertex_lattice[origin]
+            shape_of[j] = keys.setdefault((ids, lattice.tobytes()), len(keys))
         return _freeze(shape_of), _freeze(np.unique(shape_of, return_index=True)[1])
 
     @cached_property
-    def numbering(self) -> dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    def numbering(self) -> Mapping[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
         """Per field ("scalar" numbers ``tets``, "edge" ``tet_edges``), one
         ``(first, local, boundary)`` per shape, on its first subdomain: the flat
         positions of its sorted dofs in its tet rows, the local id (T, k) of
         each tet slot, and the ascending local ids of its boundary dofs, those
         on a face that exactly one of its tets touches; member j's dofs are
-        ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.  A face of more than
-        two tets of a subdomain raises :class:`AssemblyError`."""
+        ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.  A field is numbered
+        on its first read, and both fields share one face count per shape, so
+        a scalar-only set-up never derives the edges.  A face of more than two
+        tets of a subdomain raises :class:`AssemblyError`."""
+        return _OnFirstRead(
+            scalar=lambda: [vertices for vertices, _ in self._boundary_faces],
+            edge=self._number_edges,
+        )
+
+    @cached_property
+    def _boundary_faces(self) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+        """Per shape, its vertex ``(first, local, boundary)`` and the (tet,
+        face) slots of its boundary faces, from one count of its faces."""
         _check_face_keys(self.n_vertices)  # again: a mesh may be built by hand
-        numbering = {"scalar": [], "edge": []}
+        out = []
         for j in self.shapes[1]:
-            tet_ids = self.tets_of_subdomain(j)
-            tets, tet_edges = self.tets[tet_ids], self.tet_edges[tet_ids]
-            (_, vfirst, vlocal), (_, efirst, elocal) = (
-                np.unique(rows, return_index=True, return_inverse=True)
-                for rows in (tets, tet_edges)
-            )
-            vlocal, elocal = vlocal.reshape(tets.shape), elocal.reshape(tet_edges.shape)
+            tets = self.tets[self.tets_of_subdomain(j)]
+            _edge_slots(self.cells, tets)  # checked once per shape: members are translates
+            _, first, local = np.unique(tets, return_index=True, return_inverse=True)
+            local = local.reshape(tets.shape)
             # Per (tet, face) slot, the face's sorted local vertex ids and its
             # key; a boundary face is the only slot of its key.
-            faces = np.sort(vlocal[:, LOCAL_FACES], axis=2).reshape(-1, 3)
-            n = vfirst.size
+            faces = np.sort(local[:, LOCAL_FACES], axis=2).reshape(-1, 3)
+            n = first.size
             keys = faces @ [n * n, n, 1]
             _, slots, counts = np.unique(keys, return_index=True, return_counts=True)
             if counts.max() > 2:
                 raise AssemblyError(f"subdomain {j}: a face is shared by {counts.max()} tets")
             slots = slots[counts == 1]
-            face_edges = elocal[:, FACE_EDGES].reshape(-1, 3)
-            for field, first, local, boundary in (
-                ("scalar", vfirst, vlocal, faces[slots]),
-                ("edge", efirst, elocal, face_edges[slots]),
-            ):
-                boundary = _members(boundary, first.size)
-                numbering[field].append((_freeze(first), _freeze(local), _freeze(boundary)))
-        return numbering
+            boundary = _members(faces[slots], n)
+            out.append(((_freeze(first), _freeze(local), _freeze(boundary)), slots))
+        return out
+
+    def _number_edges(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        out = []
+        for j, (_, slots) in zip(self.shapes[1], self._boundary_faces):
+            tet_edges = self.tet_edges[self.tets_of_subdomain(j)]
+            _, first, local = np.unique(tet_edges, return_index=True, return_inverse=True)
+            local = local.reshape(tet_edges.shape)
+            boundary = _members(local[:, FACE_EDGES].reshape(-1, 3)[slots], first.size)
+            out.append((_freeze(first), _freeze(local), _freeze(boundary)))
+        return out
+
+
+class _OnFirstRead(Mapping):
+    """A mapping of fixed keys, each value built by its function on first
+    read; asking for a key (``in``) builds nothing."""
+
+    def __init__(self, **build):
+        self._build, self._values = build, {}
+
+    def __contains__(self, key) -> bool:
+        return key in self._build
+
+    def __getitem__(self, key):
+        if key not in self._values:
+            self._values[key] = self._build[key]()
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._build)
+
+    def __len__(self) -> int:
+        return len(self._build)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -209,6 +245,22 @@ def _corner_offsets(cells: tuple[int, int, int]) -> np.ndarray:
     nx, ny, _ = cells
     k, j, i = np.indices((2, 2, 2)).reshape(3, -1)
     return i + (nx + 1) * (j + (ny + 1) * k)
+
+
+def _edge_slots(cells: tuple[int, int, int], tets: np.ndarray) -> np.ndarray:
+    """Slot 7a + k of each tet edge (a, b), a < b, where b - a is the k-th of
+    the seven ascending corner offsets of a cell; a tet edge of another step
+    raises :class:`AssemblyError`.  One local edge at a time, so a whole-mesh
+    call holds one (T, 6) array and a few (T,) ones."""
+    steps = _corner_offsets(cells)[1:]
+    slots = np.empty((tets.shape[0], 6), dtype=np.int64)
+    for e, (p, q) in enumerate(LOCAL_EDGES):
+        step = np.abs(tets[:, q] - tets[:, p])
+        k = np.searchsorted(steps, step)
+        if np.any(steps.take(k, mode="clip") != step):
+            raise AssemblyError("a tet edge joins no two corners of a cell")
+        slots[:, e] = 7 * np.minimum(tets[:, p], tets[:, q]) + k
+    return slots
 
 
 def _check_face_keys(n_vertices: int) -> None:

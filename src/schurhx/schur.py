@@ -7,11 +7,14 @@ Dirichlet-to-Neumann map is the Schur complement
     S_j = A_bb - A_bi A_ii^{-1} A_ib = A_bb - X^T X,    X = L^{-1} A_ib,
 
 where A_ii = L L^T, and the global interface operator on the skeleton space
-is split^T . blockdiag(S_j) . split.  Interiors of up to DENSE_CUTOFF dofs
-are factorized by an in-place dense Cholesky; X overwrites a dense copy of
-A_ib (one triangular solve) and X^T X is one SYRK, so S_j comes out bitwise
-symmetric.  Larger interiors use sparse LU and S_j = A_bb - A_ib^T (A_ii^{-1}
-A_ib).  ``SpdFactor.inverse_form`` holds both paths.
+is split^T . blockdiag(S_j) . split.  The block's nonzeros are split once,
+by interior or boundary row and column, into the triplets of A_ii, A_ib and
+A_bb (no sparse slicing); A_ii and A_ib become CSR matrices and A_bb a
+dense one.  Interiors of up to DENSE_CUTOFF dofs get an in-place dense
+Cholesky of the factor's own copy of A_ii, so it is the only dense one; X
+overwrites a dense copy of A_ib (one triangular solve) and X^T X is one SYRK,
+so S_j comes out bitwise symmetric.  Larger interiors use sparse LU and S_j =
+A_bb - A_ib^T (A_ii^{-1} A_ib).  ``SpdFactor.inverse_form`` holds both paths.
 
 Assembly alone decides which subdomains share a block: it returns each
 distinct block once and ``group_of[j]``, subdomain j's block (under constant
@@ -108,22 +111,55 @@ class SpdFactor:
         inv, info = sla.lapack.dpotri(self._factor[0], lower=True)
         if info != 0 or not np.all(np.isfinite(inv)):
             raise SingularOperatorError(f"{self.label}: inverse failed")
-        return np.tril(inv) + np.tril(inv, -1).T
+        # dpotri fills the lower triangle.  Every entry gets +0.0 added, as a
+        # sum of the two triangles would, so a -0.0 reads +0.0.
+        return np.where(np.tri(inv.shape[0], dtype=bool), inv, inv.T) + 0.0
+
+
+def _split(block: sp.csr_matrix, boundary: np.ndarray) -> list[tuple]:
+    """The nonzeros of a CSR block, split once by interior or boundary row
+    and column: the (data, row, col) triplets of A_ii, A_ib and A_bb, in
+    storage order, each index numbered within its kind (interior dofs
+    ascending, boundary dofs in the order of ``boundary``)."""
+    n = block.shape[0]
+    on_boundary = np.zeros(n, dtype=bool)
+    on_boundary[boundary] = True
+    position = np.empty(n, dtype=np.int64)
+    position[boundary] = np.arange(boundary.size)
+    position[~on_boundary] = np.arange(n - boundary.size)
+    rows = np.repeat(np.arange(n), np.diff(block.indptr))
+    kind = 2 * on_boundary[rows] + on_boundary[block.indices]  # A_bi (2) is A_ib^T
+    row, col = position[rows], position[block.indices]
+    return [(block.data[kind == k], row[kind == k], col[kind == k]) for k in (0, 1, 3)]
+
+
+def _dense(triplets: tuple, shape: tuple[int, int]) -> np.ndarray:
+    """Scatter triplets into a new dense array; duplicates add up in storage
+    order, from zero, as ``toarray`` adds them."""
+    data, row, col = triplets
+    return np.bincount(row * shape[1] + col, data, minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _csr(triplets: tuple, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR matrix of triplets whose rows ascend in storage order."""
+    data, row, col = triplets
+    return sp.csr_matrix((data, col, np.searchsorted(row, np.arange(shape[0] + 1))), shape=shape)
 
 
 def _schur_complement(block: sp.csr_matrix, boundary: np.ndarray, label: str) -> np.ndarray:
     """Dense S = A_bb - A_ib^T A_ii^{-1} A_ib, bitwise symmetric."""
-    mask = np.ones(block.shape[0], dtype=bool)
-    mask[boundary] = False
-    interior = np.flatnonzero(mask)
+    a_ii, a_ib, a_bb = _split(block, boundary)
+    n_b = boundary.size
+    n_i = block.shape[0] - n_b
     reduction = 0.0
-    if interior.size:
-        # The factor goes as soon as it has formed the reduction, so A_bb and
-        # the sums below reuse its memory.
-        a_ii = block[interior][:, interior].tocsr()
-        a_ib = block[interior][:, boundary].tocsr()
-        reduction = SpdFactor(a_ii, f"{label} (interior)").inverse_form(a_ib)
-    schur = block[boundary][:, boundary].toarray() - reduction
+    if n_i:
+        # The sparse A_ii becomes the factor's one dense copy; the factor goes
+        # before A_bb is allocated.
+        factor = SpdFactor(_csr(a_ii, (n_i, n_i)), f"{label} (interior)")
+        reduction = factor.inverse_form(_csr(a_ib, (n_i, n_b)))
+        del factor
+    schur = _dense(a_bb, (n_b, n_b))
+    schur -= reduction
     # Averaging with the transpose leaves a bitwise-symmetric matrix unchanged.
     return (schur + schur.T) / 2.0
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
@@ -136,6 +137,83 @@ def content_partition():
             boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
             arrays = (block.data, block.indices, block.indptr, boundary)
             out.append(labels.setdefault(tuple(a.tobytes() for a in arrays), len(labels)))
+        return np.array(out)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def sliced_schur():
+    """Make a dense Schur complement the way the solver once did, by scipy
+    slicing: A_ii, A_ib and A_bb sliced out of the CSR block, then
+    S = A_bb - X^T X with X = L^{-1} A_ib from a dense Cholesky of A_ii
+    (dense blocks only), averaged with its transpose."""
+
+    def build(block, boundary) -> np.ndarray:
+        mask = np.ones(block.shape[0], dtype=bool)
+        mask[boundary] = False
+        interior = np.flatnonzero(mask)
+        reduction = 0.0
+        if interior.size:
+            a_ii = block[interior][:, interior].tocsr().toarray(order="F")
+            factor, _ = sla.cho_factor(a_ii, lower=True, overwrite_a=True, check_finite=False)
+            x = block[interior][:, boundary].tocsr().toarray(order="F")
+            x, _ = sla.lapack.dtrtrs(factor, x, lower=1, overwrite_b=1)
+            reduction = x.T @ x
+        schur = block[boundary][:, boundary].toarray() - reduction
+        return (schur + schur.T) / 2.0
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def tril_inverse():
+    """Make the explicit inverse of an SPD array from its dense Cholesky
+    factor, mirrored by summing its two triangles."""
+
+    def build(matrix) -> np.ndarray:
+        factor, _ = sla.cho_factor(np.array(matrix, order="F"), lower=True, check_finite=False)
+        inv, _ = sla.lapack.dpotri(factor, lower=True)
+        return np.tril(inv) + np.tril(inv, -1).T
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def looped_coarse_product():
+    """Make S Z subdomain by subdomain, by scipy slicing: each subdomain's
+    group S_u times its boundary rows of Z in the coarse columns they touch,
+    added into S Z in ascending subdomain order."""
+
+    def build(schur, basis) -> np.ndarray:
+        split, offsets = schur.transfer.skeleton_split, schur.transfer.boundary_offsets
+        split_basis = basis[split]
+        out = np.zeros(basis.shape)
+        for j, u in enumerate(schur.group_of):
+            lo, hi = int(offsets[j]), int(offsets[j + 1])
+            local = split_basis[lo:hi]
+            cols = np.unique(local.indices)
+            s_u = schur.groups[u][0]
+            out[np.ix_(split[lo:hi], cols)] += s_u @ local[:, cols].toarray()
+        return out
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def full_key_shapes():
+    """Make each subdomain's shape number by keying it on all its tet rows,
+    apart from ``BoxMesh.shapes``: its vertex ids and their lattice
+    positions, each less those of its first tet's first vertex."""
+
+    def build(mesh) -> np.ndarray:
+        keys: dict = {}
+        out = []
+        for j in range(mesh.n_subdomains):
+            tets_j = mesh.tets[mesh.tet_subdomain == j]
+            lattice = mesh.vertex_lattice[tets_j]
+            key = ((tets_j - tets_j[0, 0]).tobytes(), (lattice - lattice[0, 0]).tobytes())
+            out.append(keys.setdefault(key, len(keys)))
         return np.array(out)
 
     return build

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import jump_grids
+
 from schurhx.assemble import Coefficients, assemble_edge
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
@@ -20,6 +22,7 @@ from schurhx.mesh import (
     build_box_mesh,
     export_vtk,
 )
+from schurhx.precond import setup_maxwell, setup_scalar
 
 
 def test_single_cell_counts(mesh111):
@@ -217,6 +220,44 @@ def test_box_mesh_subdomains_share_one_shape(cells, subdomains):
 def test_moved_cell_makes_two_shapes(mesh422_two_shapes):
     shape_of, first = mesh422_two_shapes.shapes
     assert shape_of.tolist() == [0, 1] and first.tolist() == [0, 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=jump_grids(), moved=st.integers(0, 63))
+def test_shapes_match_full_key_reference(full_key_shapes, grid, moved):
+    """Keying subdomains by vertex-id offsets and checking the lattice on
+    their distinct vertices gives the shapes of keying them by all their tet
+    rows and lattice rows: on box partitions, with one cell's tets moved to
+    another subdomain, and with the last vertex plane moved off the lattice
+    step (translated ids, other geometry)."""
+    mesh = grid[0]
+    meshes = [mesh]
+    cell = moved % (mesh.n_tets // 6)
+    tet_subdomain = mesh.tet_subdomain.copy()
+    tet_subdomain[6 * cell : 6 * cell + 6] = (tet_subdomain[6 * cell] + 1) % mesh.n_subdomains
+    if np.all(np.bincount(tet_subdomain, minlength=mesh.n_subdomains) > 0):
+        meshes.append(replace(mesh, tet_subdomain=tet_subdomain))
+    coords = mesh.vertex_coords.copy()
+    nx = mesh.cells[0]
+    coords[coords[:, 0] == 1.0, 0] = (nx + 1) / nx
+    meshes.append(replace(mesh, vertex_coords=coords))
+    for m in meshes:
+        shape_of, first = m.shapes
+        assert np.array_equal(shape_of, full_key_shapes(m))
+        assert np.array_equal(first, np.unique(shape_of, return_index=True)[1])
+
+
+@pytest.mark.parametrize("setup", [setup_scalar, setup_maxwell])
+def test_numbering_derives_only_the_fields_read(setup):
+    """A scalar set-up never derives the edges, a Maxwell set-up does; both
+    count the faces.  Listing the fields or asking for one derives nothing."""
+    mesh = build_box_mesh((4, 4, 2), (2, 2, 1))
+    assert set(mesh.numbering) == {"scalar", "edge"}
+    assert "edge" in mesh.numbering and "scalar" in mesh.numbering
+    assert "_edge_numbering" not in vars(mesh) and "_boundary_faces" not in vars(mesh)
+    setup(mesh, Coefficients())
+    assert ("_edge_numbering" in vars(mesh)) == (setup is setup_maxwell)
+    assert "_boundary_faces" in vars(mesh)
 
 
 # Suite grids, most of them anisotropic in cells or in subdomains.

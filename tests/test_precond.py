@@ -625,3 +625,75 @@ def test_coarse_product_on_interleaved_groups(mesh444_j8, rng):
     want = _dense_interface_solve(mesh444_j8, prob, rhs)
     report = pcg(prob.schur.apply, prob.qnn, rhs, tol=1e-11)
     assert np.linalg.norm(report.solution - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes())
+
+
+def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, tril_inverse, looped):
+    """Every S_u of the scalar, plug-in and edge systems, and every inverse
+    DtN map, S Z and coarse matrix of both Neumann-Neumanns, bit for bit the
+    sliced and looped references."""
+    coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.7, gamma=1.9)
+    scalar = setup_scalar(mesh, coeffs)
+    maxwell = setup_maxwell(mesh, coeffs)
+    systems = [
+        (scalar, assemble_scalar, coeffs),
+        (maxwell.scalar, assemble_scalar, maxwell.scalar.coeffs),
+        (maxwell, assemble_edge, coeffs),
+    ]
+    for prob, assemble, co in systems:
+        transfer = prob.schur.transfer
+        blocks, _ = assemble(mesh, transfer, co)
+        for block, (s_u, members) in zip(blocks, prob.schur.groups, strict=True):
+            j = members[0]
+            lo, hi = transfer.boundary_offsets[j : j + 2]
+            boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
+            assert _same_bits(s_u, sliced_schur(block, boundary))
+    for qnn in (scalar.qnn, maxwell.scalar.qnn):
+        for inverse, (s_u, _) in zip(qnn.inverse_dtn, qnn.schur.groups, strict=True):
+            assert _same_bits(inverse, tril_inverse(s_u))
+        s_coarse = looped(qnn.schur, qnn.coarse_basis)
+        assert _same_bits(qnn.s_coarse, s_coarse)
+        s0 = qnn.coarse_basis.T @ s_coarse
+        assert _same_bits(qnn.coarse_matrix, (s0 + s0.T) / 2.0)
+
+
+# Suite grids, most of them anisotropic in cells or in subdomains.
+BITWISE_GRIDS = [
+    ((2, 3, 4), (1, 3, 2)),
+    ((3, 6, 5), (1, 2, 5)),
+    ((4, 4, 4), (4, 2, 1)),
+    ((4, 6, 2), (2, 3, 1)),
+    ((6, 6, 6), (3, 3, 3)),
+    ((24, 6, 6), (2, 2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["two_shapes"] + BITWISE_GRIDS,
+    ids=["422/two_shapes"]
+    + ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in BITWISE_GRIDS],
+)
+def test_setup_bitwise_equals_sliced_references(
+    grid, mesh422_two_shapes, sliced_schur, tril_inverse, looped_coarse_product
+):
+    """The one-split Schur complements, the mirrored inverses and the
+    dense S Z reproduce the sliced, per-subdomain computations exactly,
+    under log-uniform per-subdomain alpha on [0.1, 10]."""
+    mesh = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
+    rng = np.random.default_rng(3)
+    alpha_j = np.exp(rng.uniform(np.log(0.1), np.log(10.0), mesh.n_subdomains))
+    _assert_setup_matches_references(
+        mesh, alpha_j, sliced_schur, tril_inverse, looped_coarse_product
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid=jump_grids())
+def test_setup_bitwise_equals_sliced_references_on_jump_grids(
+    sliced_schur, tril_inverse, looped_coarse_product, grid
+):
+    _assert_setup_matches_references(*grid, sliced_schur, tril_inverse, looped_coarse_product)

@@ -281,3 +281,50 @@ def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
     with pytest.raises(ValueError, match="one matrix per group"):
         schur.grouped_apply(matrices[:3] + [matrices[3][:-1, :-1]] + matrices[4:], x)
     assert np.array_equal(schur.grouped_apply(matrices, x), schur.apply_dtn(x))
+
+
+def test_split_of_non_canonical_block_matches_toarray(mesh444_j8, sliced_schur):
+    """A CSR block with unsorted column indices, each value split into two
+    duplicate halves, and explicit +0.0 and -0.0 entries: its split, dense,
+    CSR or CSR made dense in F order, holds exactly the blocks of
+    ``toarray``, and its Schur complement is bitwise that of the canonical
+    block."""
+    transfer = build_transfer(mesh444_j8, "scalar")
+    canonical = assemble_scalar(mesh444_j8, transfer, Coefficients(alpha=1.3))[0][0]
+    lo, hi = transfer.boundary_offsets[:2]
+    boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[0]
+    rng = np.random.default_rng(4)
+    n = canonical.shape[0]
+    rows, cols, data = [], [], []
+    for i in range(n):
+        lo, hi = canonical.indptr[i : i + 2]
+        row_cols = np.r_[np.repeat(canonical.indices[lo:hi], 2), rng.integers(0, n, 2)]
+        row_data = np.r_[np.repeat(canonical.data[lo:hi] / 2.0, 2), 0.0, -0.0]
+        order = rng.permutation(row_cols.size)
+        rows.append(np.full(row_cols.size, i))
+        cols.append(row_cols[order])
+        data.append(row_data[order])
+    indptr = np.r_[0, np.cumsum([r.size for r in rows])]
+    block = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, n))
+    assert not block.has_sorted_indices and block.nnz > 2 * canonical.nnz
+    dense = block.toarray()
+    assert np.array_equal(dense, canonical.toarray())
+
+    interior = np.setdiff1d(np.arange(n), boundary)
+    a_ii, a_ib, a_bb = schur_mod._split(block, boundary)
+    expected = [
+        (a_ii, dense[np.ix_(interior, interior)]),
+        (a_ib, dense[np.ix_(interior, boundary)]),
+        (a_bb, dense[np.ix_(boundary, boundary)]),
+    ]
+    for triplets, want in expected:
+        for got in (
+            schur_mod._dense(triplets, want.shape),
+            schur_mod._csr(triplets, want.shape).toarray(),
+            schur_mod._csr(triplets, want.shape).toarray(order="F"),
+        ):
+            assert got.tobytes() == want.tobytes()
+
+    s_u = schur_mod._schur_complement(block, boundary, "scalar")
+    assert s_u.tobytes() == schur_mod._schur_complement(canonical, boundary, "scalar").tobytes()
+    assert s_u.tobytes() == sliced_schur(canonical, boundary).tobytes()
