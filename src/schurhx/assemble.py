@@ -25,19 +25,20 @@ orientation, so no sign bookkeeping is needed anywhere downstream.
 Blocks are assembled per subdomain from tet classes: a class is a tet's lattice
 edge offsets plus, for the edge field, its six edge orientations (a box mesh
 has six).  Subdomains of one shape (``BoxMesh.shapes``) share the coalesce
-plan (stable sort order, group starts, CSR indices and indptr) of its
-``BoxMesh.numbering`` and the class data, each class's geometry or element
-matrix computed from one representative of the shape's first subdomain; a
-transfer of other subdomain sizes raises :class:`AssemblyError`.  Tets gather
-the class data and apply their own coefficients in the per-tet operation
-order, so the values are bitwise per-tet ones, and a block's data is one
-``np.add.reduceat``.  Assembly alone decides which subdomains share a
-block: those of one shape with bitwise-equal per-tet coefficients (alpha and
-beta for the scalar field; gamma is global).  It returns ``(blocks,
-group_of)``: one CSR block per distinct block, in order of first appearance,
-with read-only ``data``, ``indices`` and ``indptr``, and the read-only int64
-``group_of[j]``, subdomain j's block.  No global matrix is assembled; the
-dense oracle sums the blocks itself (``oracle.volume_matrix``).
+plan (stable sort order, group starts, CSR indices and indptr) built from its
+``BoxMesh.numbering``, so a block's rows run in that order, boundary dofs
+last, and they share the class data, computed from one representative tet of
+the shape's first subdomain; a transfer of other subdomain sizes raises
+:class:`AssemblyError`.  Tets gather the class data and apply their own
+coefficients in the per-tet operation order, so the values are bitwise
+per-tet ones, and a block's data is one ``np.add.reduceat``.  Subdomains of
+one shape with bitwise-equal per-tet coefficients (alpha and beta for the
+scalar field; gamma is global) share a block; assembly alone decides this.
+It returns ``(blocks, group_of)``: one CSR block per distinct block, in order
+of first appearance, with read-only ``data``, ``indices`` and ``indptr``, and
+the read-only int64 ``group_of[j]``, subdomain j's block.  No global matrix
+is assembled; the dense oracle sums the blocks itself
+(``oracle.volume_matrix``).
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def _assemble(
     mesh: BoxMesh,
     transfer: TransferOps,
     scope: str,
-    numbering: list,  # per shape (dof positions, local ids, boundary): BoxMesh.numbering
+    numbering: list,  # per shape (dof positions, local ids, interior count): BoxMesh.numbering
     oriented: bool,  # whether edge orientations split tet classes
     compute,  # callable: representative tet ids -> tuple of per-class arrays
     element,  # callable: (class ids, class data, *coefficients) -> (T, k, k)
@@ -282,7 +283,7 @@ def assemble_scalar(
         return stiff + mass
 
     return _assemble(
-        mesh, transfer, scope, mesh.numbering["scalar"], False,
+        mesh, transfer, scope, mesh.numbering("scalar"), False,
         lambda reps: _p1_geometry(mesh, reps), element, (alpha, beta),
     )
 
@@ -302,6 +303,6 @@ def assemble_edge(
         return (curl_mat + g2 * mass_mat)[cls]
 
     return _assemble(
-        mesh, transfer, scope, mesh.numbering["edge"], True,
+        mesh, transfer, scope, mesh.numbering("edge"), True,
         lambda reps: edge_element_matrices(mesh, reps), element, (),
     )

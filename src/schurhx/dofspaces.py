@@ -14,9 +14,9 @@ skeleton -> boundary tuple) commutes entry for entry in exact arithmetic;
 tests assert a literally zero residual.
 
 A field's four maps come from one call, ``build_transfer(mesh, field)``,
-which reads each subdomain's dofs and boundary from its shape's entry in
-``BoxMesh.numbering``; the skeleton is the union of the boundaries, so every
-skeleton dof lies on some subdomain boundary by construction.
+which reads each subdomain's dofs, boundary last, from its shape's
+``BoxMesh.numbering``.  The skeleton is the union of the boundaries, so
+every skeleton dof lies on some subdomain boundary by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import BoxMesh, _members
+from .mesh import BoxMesh
 
 __all__ = [
     "TransferOps",
@@ -42,7 +42,8 @@ class TransferOps:
 
     skeleton_trace : volume -> skeleton (select skeleton dofs)
     volume_split   : volume -> broken   (copy into every subdomain)
-    boundary_trace : broken -> boundary tuple (block-diagonal trace)
+    boundary_trace : broken -> boundary tuple (each subdomain's trailing
+                     dofs, its boundary in ``BoxMesh.numbering``)
     skeleton_split : skeleton -> boundary tuple (copy onto every boundary)
 
     A space's size is the length of the map into it, except the volume's,
@@ -66,9 +67,9 @@ def _index_map(idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offsets(dof_lists: list[np.ndarray]) -> np.ndarray:
-    """Block offsets of the product of one dof set per subdomain."""
-    return _index_map(np.cumsum([0] + [dofs.size for dofs in dof_lists]))
+def _offsets(sizes) -> np.ndarray:
+    """Block offsets of a product space of blocks of these sizes."""
+    return _index_map(np.cumsum([0, *sizes]))
 
 
 def build_transfer(mesh: BoxMesh, field: str) -> TransferOps:
@@ -79,27 +80,29 @@ def build_transfer(mesh: BoxMesh, field: str) -> TransferOps:
         tet_dofs, n_volume = mesh.tet_edges, mesh.n_edges
     else:
         raise ValueError(f"unknown field {field!r}")
-    per_shape = mesh.numbering[field]
+    per_shape = mesh.numbering(field)
     numbering = [per_shape[s] for s in mesh.shapes[0]]
     sub_dofs = [
         tet_dofs[mesh.tets_of_subdomain(j)].ravel()[first]
         for j, (first, _, _) in enumerate(numbering)
     ]
-    broken_offsets = _offsets(sub_dofs)
+    sizes = np.array([dofs.size for dofs in sub_dofs])
+    n_interior = np.array([n_i for _, _, n_i in numbering])
+    broken_offsets = _offsets(sizes)
     volume_split = _index_map(np.concatenate(sub_dofs))
-    boundaries = [boundary for _, _, boundary in numbering]
+    boundary_starts = broken_offsets[:-1] + n_interior
     boundary_trace = _index_map(
-        np.concatenate([offset + b for offset, b in zip(broken_offsets, boundaries)])
+        np.concatenate([np.arange(lo, hi) for lo, hi in zip(boundary_starts, broken_offsets[1:])])
     )
     # The skeleton is the union of the boundaries, in ascending order, so one
     # searchsorted finds every boundary copy's skeleton dof.
     boundary_dofs = volume_split[boundary_trace]
-    skeleton_trace = _index_map(_members(boundary_dofs, n_volume))
+    skeleton_trace = _index_map(np.flatnonzero(np.bincount(boundary_dofs, minlength=n_volume)))
     return TransferOps(
         field,
         n_volume,
         broken_offsets,
-        _offsets(boundaries),
+        _offsets(sizes - n_interior),
         skeleton_trace,
         volume_split,
         boundary_trace,

@@ -16,7 +16,6 @@ outer boundary of the box.
 from __future__ import annotations
 
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,11 +137,11 @@ class BoxMesh:
         """Shape number of each subdomain, in order of first appearance, and
         the first subdomain of each shape.  Subdomains share a shape when their
         tets, in order, differ by one vertex-id and one lattice offset; that
-        keeps the order of vertex ids and edge ids, so a sorted local dof list
-        sits at the same positions of every member's tet rows.  A subdomain is
-        keyed by its vertex-id offsets and by the lattice offsets of only its
-        distinct vertices.  An empty subdomain raises
-        :class:`ConfigurationError`."""
+        keeps the order of vertex ids and edge ids and the boundary faces, so
+        a shape's ``numbering`` sits at the same positions of every member's
+        tet rows.  A subdomain is keyed by its vertex-id offsets and by the
+        lattice offsets of only its distinct vertices.  An empty subdomain
+        raises :class:`ConfigurationError`."""
         distinct: dict = {}  # id offsets -> distinct vertex-id offsets, of their first subdomain
         keys: dict = {}
         shape_of = np.empty(self.n_subdomains, dtype=np.int64)
@@ -158,28 +157,31 @@ class BoxMesh:
             shape_of[j] = keys.setdefault((ids, lattice.tobytes()), len(keys))
         return _freeze(shape_of), _freeze(np.unique(shape_of, return_index=True)[1])
 
-    @cached_property
-    def numbering(self) -> Mapping[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """Per field ("scalar" numbers ``tets``, "edge" ``tet_edges``), one
-        ``(first, local, boundary)`` per shape, on its first subdomain: the flat
-        positions of its sorted dofs in its tet rows, the local id (T, k) of
-        each tet slot, and the ascending local ids of its boundary dofs, those
-        on a face that exactly one of its tets touches; member j's dofs are
+    def numbering(self, field: str) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """Per shape of ``field`` ("scalar" numbers ``tets``, "edge"
+        ``tet_edges``), on its first subdomain, ``(first, local, n_interior)``:
+        the flat positions of its dofs in its tet rows, the local id (T, k) of
+        each tet slot, and its interior count.  Interior dofs come first and
+        boundary dofs (those on a face that exactly one of its tets touches)
+        last, each in ascending global order, so local ids ``n_interior`` and
+        up are the boundary; member j's dofs are
         ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.  A field is numbered
-        on its first read, and both fields share one face count per shape, so
-        a scalar-only set-up never derives the edges.  A face of more than two
-        tets of a subdomain raises :class:`AssemblyError`."""
-        return _OnFirstRead(
-            scalar=lambda: [vertices for vertices, _ in self._boundary_faces],
-            edge=self._number_edges,
-        )
+        on its first request, and both share one face count per shape, so a
+        scalar-only set-up never derives the edges.  A face of more than two
+        tets of a subdomain raises :class:`AssemblyError`, another field
+        :class:`ValueError`."""
+        if field == "scalar":
+            return self._boundary_faces[0]
+        if field == "edge":
+            return self._edge_dofs
+        raise ValueError(f"unknown field {field!r}")
 
     @cached_property
-    def _boundary_faces(self) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
-        """Per shape, its vertex ``(first, local, boundary)`` and the (tet,
-        face) slots of its boundary faces, from one count of its faces."""
+    def _boundary_faces(self) -> tuple[list[tuple[np.ndarray, np.ndarray, int]], list]:
+        """Per shape, its vertex numbering, and the (tet, face) slots of its
+        boundary faces, from one count of its faces."""
         _check_face_keys(self.n_vertices)  # again: a mesh may be built by hand
-        out = []
+        numbering, boundary_slots = [], []
         for j in self.shapes[1]:
             tets = self.tets[self.tets_of_subdomain(j)]
             _edge_slots(self.cells, tets)  # checked once per shape: members are translates
@@ -194,41 +196,35 @@ class BoxMesh:
             if counts.max() > 2:
                 raise AssemblyError(f"subdomain {j}: a face is shared by {counts.max()} tets")
             slots = slots[counts == 1]
-            boundary = _members(faces[slots], n)
-            out.append(((_freeze(first), _freeze(local), _freeze(boundary)), slots))
-        return out
+            numbering.append(_boundary_last(first, local, faces[slots]))
+            boundary_slots.append(slots)
+        return numbering, boundary_slots
 
-    def _number_edges(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    @cached_property
+    def _edge_dofs(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """Per shape, its edge numbering, on the boundary faces of
+        ``_boundary_faces``."""
         out = []
-        for j, (_, slots) in zip(self.shapes[1], self._boundary_faces):
+        for j, slots in zip(self.shapes[1], self._boundary_faces[1]):
             tet_edges = self.tet_edges[self.tets_of_subdomain(j)]
             _, first, local = np.unique(tet_edges, return_index=True, return_inverse=True)
             local = local.reshape(tet_edges.shape)
-            boundary = _members(local[:, FACE_EDGES].reshape(-1, 3)[slots], first.size)
-            out.append((_freeze(first), _freeze(local), _freeze(boundary)))
+            out.append(_boundary_last(first, local, local[:, FACE_EDGES].reshape(-1, 3)[slots]))
         return out
 
 
-class _OnFirstRead(Mapping):
-    """A mapping of fixed keys, each value built by its function on first
-    read; asking for a key (``in``) builds nothing."""
-
-    def __init__(self, **build):
-        self._build, self._values = build, {}
-
-    def __contains__(self, key) -> bool:
-        return key in self._build
-
-    def __getitem__(self, key):
-        if key not in self._values:
-            self._values[key] = self._build[key]()
-        return self._values[key]
-
-    def __iter__(self):
-        return iter(self._build)
-
-    def __len__(self) -> int:
-        return len(self._build)
+def _boundary_last(
+    first: np.ndarray, local: np.ndarray, boundary: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Renumber a shape's dofs, sorted by global id, interior first and
+    boundary last, each part keeping its order: the new ``first`` and
+    ``local``, read-only, and the interior count.  ``boundary`` holds the
+    boundary dofs' local ids in the sorted numbering, repeats allowed."""
+    on_boundary = np.bincount(boundary.ravel(), minlength=first.size) > 0
+    order = np.argsort(on_boundary, kind="stable")  # new local id -> sorted one
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    return _freeze(first[order]), _freeze(renumber[local]), int(order.size - on_boundary.sum())
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -330,11 +326,6 @@ def build_box_mesh(
         tets=_freeze(tets),
         tet_subdomain=_freeze(tet_subdomain),
     )
-
-
-def _members(ids: np.ndarray, n: int) -> np.ndarray:
-    """The distinct ids in ``ids``, all in [0, n), ascending."""
-    return np.flatnonzero(np.bincount(ids.ravel(), minlength=n))
 
 
 def export_vtk(mesh: BoxMesh, path) -> None:

@@ -261,7 +261,7 @@ def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, transfer: TransferOps) -> np.
     peak = np.zeros(offsets[-1])
     for j, s in enumerate(mesh.shapes[0]):
         tet_ids = mesh.tets_of_subdomain(j)
-        local = mesh.numbering["scalar"][s][1]
+        local = mesh.numbering("scalar")[s][1]
         np.maximum.at(peak, offsets[j] + local.ravel(), np.repeat(alpha[tet_ids], 4))
     return peak[transfer.boundary_trace]
 

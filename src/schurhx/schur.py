@@ -1,30 +1,27 @@
 """Dense subdomain Schur complements and the assembled interface (Schur) operator.
 
-For each subdomain block A_j (nodal or edge), the local dofs split into
-boundary dofs b (on the subdomain skeleton) and interior dofs i.  The local
-Dirichlet-to-Neumann map is the Schur complement
+Each subdomain block A_j (nodal or edge) numbers its interior dofs i first
+and its boundary dofs b (on the subdomain skeleton) last
+(``BoxMesh.numbering``), so A_ii, A_ib and A_bb are its three contiguous
+CSR submatrices.  The local Dirichlet-to-Neumann map is the Schur complement
 
     S_j = A_bb - A_bi A_ii^{-1} A_ib = A_bb - X^T X,    X = L^{-1} A_ib,
 
 where A_ii = L L^T, and the global interface operator on the skeleton space
-is split^T . blockdiag(S_j) . split.  The block's nonzeros are split once,
-by interior or boundary row and column, into the triplets of A_ii, A_ib and
-A_bb (no sparse slicing); A_ii and A_ib become CSR matrices and A_bb a
-dense one.  Interiors of up to DENSE_CUTOFF dofs get an in-place dense
-Cholesky of the factor's own copy of A_ii, so it is the only dense one; X
-overwrites a dense copy of A_ib (one triangular solve) and X^T X is one SYRK,
-so S_j comes out bitwise symmetric.  Larger interiors use sparse LU and S_j =
-A_bb - A_ib^T (A_ii^{-1} A_ib).  ``SpdFactor.inverse_form`` holds both paths.
+is split^T . blockdiag(S_j) . split.  Interiors of up to DENSE_CUTOFF dofs
+get an in-place dense Cholesky of the factor's own copy of A_ii; X
+overwrites a dense copy of A_ib (one triangular solve) and X^T X is one
+SYRK, so S_j comes out bitwise symmetric.  Larger interiors use sparse LU
+and S_j = A_bb - A_ib^T (A_ii^{-1} A_ib).  ``SpdFactor.inverse_form`` holds
+both paths.
 
 Assembly alone decides which subdomains share a block: it returns each
 distinct block once and ``group_of[j]``, subdomain j's block (under constant
 coefficients, one block for every subdomain of a uniform partition).
-``build_schur_system`` forms one dense S_u per block from the local boundary
-of its first member, after checking that every member has the block's size
-and the same local boundary positions.  The interior factor, A_ib and A_bb
-are dropped once S_u is formed.  A blockwise apply is one GEMM per block
-over the tuple slices of all its member subdomains
-(``SchurSystem.grouped_apply``).
+``build_schur_system`` forms one dense S_u per block, after checking that
+every member has the block's size and boundary size.  The interior factor
+is dropped once S_u is formed.  A blockwise apply is one GEMM per block over
+the tuple slices of all its member subdomains (``SchurSystem.grouped_apply``).
 """
 
 from __future__ import annotations
@@ -116,49 +113,18 @@ class SpdFactor:
         return np.where(np.tri(inv.shape[0], dtype=bool), inv, inv.T) + 0.0
 
 
-def _split(block: sp.csr_matrix, boundary: np.ndarray) -> list[tuple]:
-    """The nonzeros of a CSR block, split once by interior or boundary row
-    and column: the (data, row, col) triplets of A_ii, A_ib and A_bb, in
-    storage order, each index numbered within its kind (interior dofs
-    ascending, boundary dofs in the order of ``boundary``)."""
-    n = block.shape[0]
-    on_boundary = np.zeros(n, dtype=bool)
-    on_boundary[boundary] = True
-    position = np.empty(n, dtype=np.int64)
-    position[boundary] = np.arange(boundary.size)
-    position[~on_boundary] = np.arange(n - boundary.size)
-    rows = np.repeat(np.arange(n), np.diff(block.indptr))
-    kind = 2 * on_boundary[rows] + on_boundary[block.indices]  # A_bi (2) is A_ib^T
-    row, col = position[rows], position[block.indices]
-    return [(block.data[kind == k], row[kind == k], col[kind == k]) for k in (0, 1, 3)]
-
-
-def _dense(triplets: tuple, shape: tuple[int, int]) -> np.ndarray:
-    """Scatter triplets into a new dense array; duplicates add up in storage
-    order, from zero, as ``toarray`` adds them."""
-    data, row, col = triplets
-    return np.bincount(row * shape[1] + col, data, minlength=shape[0] * shape[1]).reshape(shape)
-
-
-def _csr(triplets: tuple, shape: tuple[int, int]) -> sp.csr_matrix:
-    """CSR matrix of triplets whose rows ascend in storage order."""
-    data, row, col = triplets
-    return sp.csr_matrix((data, col, np.searchsorted(row, np.arange(shape[0] + 1))), shape=shape)
-
-
-def _schur_complement(block: sp.csr_matrix, boundary: np.ndarray, label: str) -> np.ndarray:
-    """Dense S = A_bb - A_ib^T A_ii^{-1} A_ib, bitwise symmetric."""
-    a_ii, a_ib, a_bb = _split(block, boundary)
-    n_b = boundary.size
-    n_i = block.shape[0] - n_b
+def _schur_complement(block: sp.csr_matrix, n_interior: int, label: str) -> np.ndarray:
+    """Dense S = A_bb - A_ib^T A_ii^{-1} A_ib of a block whose first
+    ``n_interior`` dofs are its interior, bitwise symmetric."""
+    n_i = n_interior
     reduction = 0.0
     if n_i:
-        # The sparse A_ii becomes the factor's one dense copy; the factor goes
-        # before A_bb is allocated.
-        factor = SpdFactor(_csr(a_ii, (n_i, n_i)), f"{label} (interior)")
-        reduction = factor.inverse_form(_csr(a_ib, (n_i, n_b)))
+        # A_ii becomes the factor's one dense copy; the factor goes before
+        # A_bb is made dense.
+        factor = SpdFactor(block[:n_i, :n_i], f"{label} (interior)")
+        reduction = factor.inverse_form(block[:n_i, n_i:])
         del factor
-    schur = _dense(a_bb, (n_b, n_b))
+    schur = block[n_i:, n_i:].toarray()
     schur -= reduction
     # Averaging with the transpose leaves a bitwise-symmetric matrix unchanged.
     return (schur + schur.T) / 2.0
@@ -214,13 +180,14 @@ class SchurSystem:
 def build_schur_system(blocks: list, group_of: np.ndarray, transfer: TransferOps) -> SchurSystem:
     """One dense Schur complement S_u per distinct block u of assembly, the
     block of every subdomain j with ``group_of[j] == u``, glued into the
-    interface operator.  S_u is formed at its first member's local boundary
-    positions (its boundary-trace slice, shifted to local numbering), which
-    ascend in boundary-tuple order, so tuple slices line up unpermuted.
+    interface operator.  Each subdomain's boundary is the trailing range of
+    its broken slice, in boundary-tuple order, so tuple slices line up
+    unpermuted.
 
     Raises :class:`AssemblyError` unless ``group_of`` has one entry per
-    subdomain of ``transfer`` and uses every block, and all members of a
-    block have its size and the same local boundary positions.
+    subdomain of ``transfer`` and uses every block, every boundary trace
+    is that trailing range, and all members of a block have its size and
+    boundary size.
     """
     field = transfer.field
     sizes = np.diff(transfer.broken_offsets)
@@ -230,15 +197,20 @@ def build_schur_system(blocks: list, group_of: np.ndarray, transfer: TransferOps
         raise AssemblyError(f"{field}: {len(group_of)} group_of entries, {sizes.size} subdomains")
     if not np.array_equal(np.unique(group_of), np.arange(len(blocks))):
         raise AssemblyError(f"group_of does not use each of the {len(blocks)} blocks once or more")
+    # Tuple slot t = offsets[j] + k is broken slot broken_offsets[j + 1] -
+    # n_b + k, so boundary_trace[t] - t is one shift per subdomain.
+    shift = np.repeat(transfer.broken_offsets[1:] - offsets[1:], dims[:, 1])
+    moved = transfer.boundary_trace - np.arange(offsets[-1]) != shift
+    if np.any(moved):
+        j = np.searchsorted(offsets, np.argmax(moved), side="right") - 1
+        raise AssemblyError(
+            f"{field} subdomain {j}: its boundary trace is not the trailing range of its block"
+        )
     schurs = []
     for u, block in enumerate(blocks):
         members = np.flatnonzero(group_of == u)
         j = members[0]
         if block.shape != (sizes[j],) * 2 or np.any(dims[members] != dims[j]):
             raise AssemblyError(f"{field} block {u}: shape {block.shape}, members of other sizes")
-        rows = offsets[members] + np.arange(dims[j, 1])[:, None]
-        local = transfer.boundary_trace[rows] - transfer.broken_offsets[members]
-        if np.any(local != local[:, :1]):
-            raise AssemblyError(f"{field} block {u}: its members' boundary positions differ")
-        schurs.append(_schur_complement(block, local[:, 0], f"{field} subdomain {j}"))
+        schurs.append(_schur_complement(block, sizes[j] - dims[j, 1], f"{field} subdomain {j}"))
     return SchurSystem(transfer, schurs, group_of)

@@ -69,6 +69,32 @@ def boundary_faces():
 
 
 @pytest.fixture(scope="session")
+def subdomain_dofs(boundary_faces):
+    """Make each subdomain's (interior, boundary) dofs of a field, each
+    ascending, from a whole-mesh np.unique and ``boundary_faces``, apart from
+    ``BoxMesh.numbering``; a face's edges are looked up among ``mesh.edges``
+    by their sorted vertex pairs."""
+
+    def build(mesh, field) -> list[tuple[np.ndarray, np.ndarray]]:
+        tet_dofs = mesh.tets if field == "scalar" else mesh.tet_edges
+        edge_keys = mesh.edges @ [mesh.n_vertices, 1]
+        out = []
+        for j, faces in enumerate(boundary_faces(mesh)):
+            if field == "scalar":
+                bnd = np.unique(faces)
+            else:
+                pairs = faces[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2) @ [mesh.n_vertices, 1]
+                ids = np.searchsorted(edge_keys, pairs)
+                assert np.array_equal(edge_keys[ids], pairs)
+                bnd = np.unique(ids)
+            dofs = np.unique(tet_dofs[mesh.tet_subdomain == j])
+            out.append((np.setdiff1d(dofs, bnd), bnd))
+        return out
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def edge_numbering():
     """Make a mesh's edges and tet edge ids by sorting every tet's vertex
     pairs and taking their np.unique, apart from ``BoxMesh``: the distinct

@@ -378,9 +378,10 @@ def test_off_lattice_vertex_raises(mesh111):
     _assembly_raises(replace(mesh111, vertex_coords=coords), _transfers(mesh111), "lattice")
 
 
-def _reference_blocks(mesh, coeffs, field):
+def _reference_blocks(mesh, coeffs, field, subdomain_dofs):
     """Per-tet element matrices, a stable lexsort and left-to-right group sums,
-    on subdomain dof lists built here rather than read from a transfer."""
+    on subdomain dof lists built here (interior dofs, then boundary dofs)
+    rather than read from a transfer."""
     if field == "scalar":
         alpha = coeffs.per_tet("alpha", mesh.n_tets)
         beta = coeffs.per_tet("beta", mesh.n_tets)
@@ -388,9 +389,7 @@ def _reference_blocks(mesh, coeffs, field):
     else:
         g2 = float(coeffs.gamma) * float(coeffs.gamma)
         tet_dofs = mesh.tet_edges
-    sub_dofs = [
-        np.unique(tet_dofs[mesh.tet_subdomain == j]) for j in range(mesh.n_subdomains)
-    ]
+    sub_dofs = [np.r_[interior, bnd] for interior, bnd in subdomain_dofs(mesh, field)]
     blocks = []
     for j in range(mesh.n_subdomains):
         tet_ids = mesh.tets_of_subdomain(j)
@@ -403,7 +402,9 @@ def _reference_blocks(mesh, coeffs, field):
             curl, mass = edge_element_matrices(mesh, tet_ids)
             local = curl + g2 * mass
         k = local.shape[1]
-        ldof = np.searchsorted(sub_dofs[j], tet_dofs[tet_ids])
+        position = np.full(tet_dofs.max() + 1, -1)
+        position[sub_dofs[j]] = np.arange(sub_dofs[j].size)
+        ldof = position[tet_dofs[tet_ids]]
         rows = np.repeat(ldof, k, axis=1).ravel()
         cols = np.tile(ldof, (1, k)).ravel()
         order = np.lexsort((cols, rows))
@@ -419,7 +420,7 @@ def _reference_blocks(mesh, coeffs, field):
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_blocks_match_per_tet_reference(field):
+def test_blocks_match_per_tet_reference(field, subdomain_dofs):
     """Class-wise element matrices and the shared coalesce plan reproduce a
     straightforward per-tet assembly bit for bit, on an anisotropic mesh with
     per-tet coefficients."""
@@ -431,7 +432,7 @@ def test_blocks_match_per_tet_reference(field):
     )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     blocks, group_of = assemble(mesh, transfer, coeffs)
-    reference = _reference_blocks(mesh, coeffs, field)
+    reference = _reference_blocks(mesh, coeffs, field, subdomain_dofs)
     assert len(group_of) == len(reference) == mesh.n_subdomains
     for block, ref in zip([blocks[u] for u in group_of], reference):
         assert block.shape == ref.shape
@@ -453,33 +454,24 @@ def _assert_blocks_equal(assembled, reference):
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field, boundary_faces):
+def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field, subdomain_dofs):
     """With one cell moved between subdomains, each subdomain's transfer
-    slices equal a per-subdomain np.unique reference on the boundary faces
-    counted over the whole mesh, and each block equals the per-tet
-    reference."""
+    slices equal a reference of its interior dofs, then its dofs on the
+    boundary faces counted over the whole mesh, and each block equals the
+    per-tet reference."""
     mesh = mesh422_two_shapes
     assert mesh.shapes[1].tolist() == [0, 1]
     transfer = build_transfer(mesh, field)
-    tet_dofs = mesh.tets if field == "scalar" else mesh.tet_edges
-    faces = boundary_faces(mesh)
-    if field == "scalar":
-        bnd = [np.unique(f) for f in faces]
-    else:
-        edge_id = {tuple(e): i for i, e in enumerate(mesh.edges.tolist())}
-        bnd = [
-            np.unique([edge_id[tuple(p)] for p in f[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2)])
-            for f in faces
-        ]
+    interior, bnd = zip(*subdomain_dofs(mesh, field))
     skel_dofs = np.unique(np.concatenate(bnd))
     assert np.array_equal(transfer.skeleton_trace, skel_dofs)
-    sub_dofs = [np.unique(tet_dofs[mesh.tet_subdomain == j]) for j in range(2)]
+    sub_dofs = [np.r_[i, b] for i, b in zip(interior, bnd)]
     offsets = np.cumsum([0] + [d.size for d in sub_dofs])
     assert np.array_equal(transfer.broken_offsets, offsets)
     assert np.array_equal(transfer.volume_split, np.concatenate(sub_dofs))
     assert np.array_equal(
         transfer.boundary_trace,
-        np.concatenate([offsets[j] + np.searchsorted(sub_dofs[j], bnd[j]) for j in range(2)]),
+        np.concatenate([offsets[j] + interior[j].size + np.arange(bnd[j].size) for j in range(2)]),
     )
     assert np.array_equal(
         transfer.skeleton_split, np.concatenate([np.searchsorted(skel_dofs, b) for b in bnd])
@@ -487,11 +479,13 @@ def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field, bo
     rng = np.random.default_rng(5)
     coeffs = Coefficients(rng.uniform(0.5, 2.0, mesh.n_tets), 0.3, 1.7)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    _assert_blocks_equal(assemble(mesh, transfer, coeffs), _reference_blocks(mesh, coeffs, field))
+    _assert_blocks_equal(
+        assemble(mesh, transfer, coeffs), _reference_blocks(mesh, coeffs, field, subdomain_dofs)
+    )
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_translated_ids_with_other_geometry_share_nothing(field):
+def test_translated_ids_with_other_geometry_share_nothing(field, subdomain_dofs):
     """Subdomains whose tets are translates in vertex ids but not on the
     lattice (the last vertex plane moved out by one cell) get their own
     blocks, bitwise the per-tet reference."""
@@ -504,7 +498,8 @@ def test_translated_ids_with_other_geometry_share_nothing(field):
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     blocks, group_of = assemble(stretched, transfer, Coefficients())
     assert len(blocks) == 2 and group_of.tolist() == [0, 1]
-    _assert_blocks_equal((blocks, group_of), _reference_blocks(stretched, Coefficients(), field))
+    reference = _reference_blocks(stretched, Coefficients(), field, subdomain_dofs)
+    _assert_blocks_equal((blocks, group_of), reference)
 
 
 def test_empty_subdomain_rejected(mesh222_j2):
@@ -561,7 +556,7 @@ def test_element_matrices_once_per_class(field, monkeypatch):
 @pytest.mark.parametrize("field", ["scalar", "edge"])
 @settings(max_examples=20, deadline=None)
 @given(grid=jump_grids())
-def test_equal_subdomains_share_one_block(field, content_partition, grid):
+def test_equal_subdomains_share_one_block(field, content_partition, subdomain_dofs, grid):
     """Subdomains with equal dof pattern, tet classes and coefficients share
     one read-only block, bitwise the per-tet reference: ``group_of`` is the
     partition of the per-subdomain blocks by content, so per-subdomain alpha
@@ -572,7 +567,7 @@ def test_equal_subdomains_share_one_block(field, content_partition, grid):
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.3, gamma=1.7)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     blocks, group_of = assemble(mesh, transfer, coeffs)
-    _assert_blocks_equal((blocks, group_of), _reference_blocks(mesh, coeffs, field))
+    _assert_blocks_equal((blocks, group_of), _reference_blocks(mesh, coeffs, field, subdomain_dofs))
     # alpha does not enter the edge form, so all its subdomains share a block.
     assert len(blocks) == (np.unique(alpha_j).size if field == "scalar" else 1)
     per_subdomain = [blocks[u] for u in group_of]

@@ -61,15 +61,16 @@ def test_skeleton_trace_selects(mesh222_j8, scalar222_j8, vertex_degree):
     assert np.array_equal(trace, np.flatnonzero(vertex_degree(mesh222_j8) > 0))
 
 
-def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, rng):
+def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, subdomain_dofs, rng):
+    """Each subdomain's broken slice copies its interior vertices, then its
+    boundary vertices, each ascending."""
     ops = scalar444_j8.schur.transfer
     u = rng.uniform(-1, 1, mesh444_j8.n_vertices)
     broken = u[ops.volume_split]
+    reference = subdomain_dofs(mesh444_j8, "scalar")
     for j in (0, 3, 7):
         lo, hi = ops.broken_offsets[j : j + 2]
-        block = broken[lo:hi]
-        vertices = np.unique(mesh444_j8.tets[mesh444_j8.tet_subdomain == j])
-        assert np.array_equal(block, u[vertices])
+        assert np.array_equal(broken[lo:hi], u[np.concatenate(reference[j])])
 
 
 def test_split_maps_have_no_zero_columns(maxwell444_j8):

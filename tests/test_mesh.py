@@ -250,10 +250,10 @@ def test_shapes_match_full_key_reference(full_key_shapes, grid, moved):
 @pytest.mark.parametrize("setup", [setup_scalar, setup_maxwell])
 def test_numbering_derives_only_the_fields_read(setup):
     """A scalar set-up never derives the edges, a Maxwell set-up does; both
-    count the faces.  Listing the fields or asking for one derives nothing."""
+    count the faces.  A new mesh has derived neither."""
     mesh = build_box_mesh((4, 4, 2), (2, 2, 1))
-    assert set(mesh.numbering) == {"scalar", "edge"}
-    assert "edge" in mesh.numbering and "scalar" in mesh.numbering
+    with pytest.raises(ValueError, match="^unknown field 'face'$"):
+        mesh.numbering("face")
     assert "_edge_numbering" not in vars(mesh) and "_boundary_faces" not in vars(mesh)
     setup(mesh, Coefficients())
     assert ("_edge_numbering" in vars(mesh)) == (setup is setup_maxwell)
@@ -277,23 +277,25 @@ NUMBERING_GRIDS = [
     ids=["422/two_shapes"]
     + ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in NUMBERING_GRIDS],
 )
-def test_numbering_holds_on_every_member(grid, mesh422_two_shapes):
+def test_numbering_holds_on_every_member(grid, mesh422_two_shapes, subdomain_dofs):
     """A shape's numbering, taken on its first subdomain, numbers every member:
-    its positions pick each member's dofs in strictly ascending order, and
-    its local ids give back the member's tet rows; its boundary local ids
-    ascend strictly."""
+    its positions pick each member's interior dofs in strictly ascending
+    order, then its boundary dofs in strictly ascending order, those of the
+    face-count reference, and its local ids give back the member's tet
+    rows."""
     mesh = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
-    assert set(mesh.numbering) == {"scalar", "edge"}
     for field, tet_dofs in (("scalar", mesh.tets), ("edge", mesh.tet_edges)):
-        numbering = mesh.numbering[field]
+        numbering = mesh.numbering(field)
         assert len(numbering) == mesh.shapes[1].size
-        for j, s in enumerate(mesh.shapes[0]):
-            first, local, boundary = numbering[s]
-            assert not any(a.flags.writeable for a in (first, local, boundary))
-            assert np.all(np.diff(boundary) > 0) and boundary[-1] < first.size
+        for j, (s, (interior, boundary)) in enumerate(
+            zip(mesh.shapes[0], subdomain_dofs(mesh, field), strict=True)
+        ):
+            first, local, n_interior = numbering[s]
+            assert not any(a.flags.writeable for a in (first, local))
             rows = tet_dofs[mesh.tets_of_subdomain(j)]
             dofs = rows.ravel()[first]
-            assert np.all(np.diff(dofs) > 0)
+            assert np.array_equal(dofs[:n_interior], interior)
+            assert np.array_equal(dofs[n_interior:], boundary)
             assert np.array_equal(dofs[local], rows)
 
 
