@@ -25,9 +25,10 @@ function per subdomain (Mandel's balancing domain decomposition):
 
 where column j of Z is D^T (ones on boundary j), so the columns sum to one
 on the skeleton.  With one subdomain M is already the exact inverse of the
-interface operator, and so is Q.  Set-up forms S Z dense without sparse
-slicing: a table of each subdomain's neighbour coarse columns, its dense
-boundary rows of Z in them, one product with its S_u, and one scatter in
+interface operator, and so is Q.  Set-up forms S Z as CSR, with no sparse
+slicing and no dense (skeleton, J) array: a table of each subdomain's
+neighbour coarse columns, its dense boundary rows of Z in them, one product
+with its S_u, and one sparse product with the glue, which sums each entry in
 ascending subdomain order.
 
 The edge-space preconditioner sums a skeleton Jacobi term with one gradient
@@ -72,17 +73,20 @@ __all__ = [
 ]
 
 
-def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> np.ndarray:
-    """Dense S Z from each subdomain j's dense Z_j: its boundary rows of Z in
-    the columns of the subdomains it shares a skeleton dof with (8, 12, 18
-    or 27 on a box partition).  Each Z_j is overwritten by S_u Z_j, one GEMM
-    at its exact width (padding to another width changes the bits), and one
-    scatter adds the products in ascending subdomain order, which fixes each
-    entry's summation order."""
+def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> sp.csr_matrix:
+    """S Z as canonical CSR, from each subdomain j's dense Z_j: its boundary
+    rows of Z in the columns of the subdomains it shares a skeleton dof with
+    (8, 12, 18 or 27 on a box partition).  Each Z_j is overwritten by
+    S_u Z_j, one GEMM at its exact width (padding to another width changes
+    the bits).  The products are the rows of a (boundary tuple, J) CSR
+    matrix V, and S Z = glue V, the glue being the split's transpose:
+    scipy sums each entry over ascending tuple slots, so in ascending
+    subdomain order, which fixes each entry's summation order."""
     split, offsets = schur.transfer.skeleton_split, schur.transfer.boundary_offsets
     n_sub, sizes = offsets.size - 1, np.diff(offsets)
     entries = basis[split].tocoo()  # Z's rows of every boundary copy
-    sub = np.repeat(np.arange(n_sub), sizes)[entries.row]
+    row_sub = np.repeat(np.arange(n_sub), sizes)  # subdomain of each tuple slot
+    sub = row_sub[entries.row]
     # The neighbour table: subdomain j's sorted columns are
     # cols[first[j] : first[j + 1]].
     pairs = np.unique(sub * n_sub + entries.col)
@@ -90,17 +94,22 @@ def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> np.ndarray:
     first = np.concatenate([[0], np.cumsum(width)])
     cols = pairs % n_sub
     rank = np.searchsorted(pairs, sub * n_sub + entries.col) - first[sub]
-    # Every Z_j, C-ordered, one after another in ascending j.
-    start = np.concatenate([[0], np.cumsum(sizes * width)])
-    values = np.zeros(start[-1])
-    values[start[sub] + (entries.row - offsets[sub]) * width[sub] + rank] = entries.data
-    target = np.empty(start[-1], dtype=np.int64)  # flat S Z entry of each value
+    # Every Z_j, C-ordered, one after another in ascending j: row t of V.
+    row_width = np.repeat(width, sizes)
+    indptr = np.concatenate([[0], np.cumsum(row_width)])
+    values = np.zeros(indptr[-1])
+    values[indptr[entries.row] + rank] = entries.data
     for j, u in enumerate(schur.group_of):
-        z_j = values[start[j] : start[j + 1]].reshape(sizes[j], width[j])
+        z_j = values[indptr[offsets[j]] : indptr[offsets[j + 1]]].reshape(sizes[j], width[j])
         z_j[:] = schur.groups[u][0] @ z_j
-        rows = split[offsets[j] : offsets[j + 1]] * n_sub
-        target[start[j] : start[j + 1]] = (rows[:, None] + cols[first[j] : first[j + 1]]).ravel()
-    return np.bincount(target, values, minlength=schur.dim * n_sub).reshape(schur.dim, n_sub)
+    indices = cols[np.arange(indptr[-1]) + np.repeat(first[row_sub] - indptr[:-1], row_width)]
+    products = sp.csr_matrix((values, indices, indptr), shape=(split.size, n_sub))
+    glue = sp.csc_matrix(
+        (np.ones(split.size), split, np.arange(split.size + 1)), shape=(schur.dim, split.size)
+    ).tocsr()
+    product = glue @ products
+    product.sort_indices()
+    return product
 
 
 class NeumannNeumann:
@@ -115,10 +124,10 @@ class NeumannNeumann:
 
     It is the only user of the inverse DtN map, so set-up inverts the dense
     Schur complement S_u of each distinct subdomain block here, each with one
-    ``SpdFactor``.  Set-up first computes S Z (each subdomain's S_u times
-    the few coarse columns it touches, scattered once in ascending subdomain
-    order) and factorizes the coarse matrix S0 = Z^T S Z with one more
-    ``SpdFactor``; ``cond_coarse`` reports its condition number.
+    ``SpdFactor``.  Set-up first computes S Z as CSR (each subdomain's S_u
+    times the few coarse columns it touches, summed in ascending subdomain
+    order) and factorizes the dense J x J coarse matrix S0 = Z^T S Z with
+    one more ``SpdFactor``; ``cond_coarse`` reports its condition number.
     One application makes one call to the average M (one grouped inverse-DtN
     apply, counted by ``n_applies``) and two coarse solves, using
 
@@ -139,6 +148,7 @@ class NeumannNeumann:
         self.dim = schur.dim
         self.rho = rho / rho.max()
         self.degree = np.bincount(self.split, self.rho, minlength=self.dim)
+        self._copy_degree = self.degree[self.split]
         self.n_applies = 0
         # Z: one entry rho_c / degree per copy c, at (its skeleton vertex, its
         # subdomain); no two copies share a place, so nothing is summed.
@@ -150,8 +160,12 @@ class NeumannNeumann:
             shape=(self.dim, n_sub),
         )
 
+        # Both products of an apply read rows of a CSR matrix: Z^T and
+        # (S Z)^T are kept beside Z and S Z.
+        self._basis_t = self.coarse_basis.T.tocsr()
         self.s_coarse = _schur_times_basis(schur, self.coarse_basis)
-        s0 = self.coarse_basis.T @ self.s_coarse
+        self._s_coarse_t = self.s_coarse.T.tocsr()
+        s0 = (self._basis_t @ self.s_coarse).toarray()
         self.coarse_matrix = (s0 + s0.T) / 2.0
         # The inverses come after S Z, so its temporary arrays are gone by then.
         self.inverse_dtn = [
@@ -172,16 +186,16 @@ class NeumannNeumann:
         return self.schur.grouped_apply(self.inverse_dtn, g)
 
     def _average(self, f: np.ndarray) -> np.ndarray:
-        w = self.apply_dtn_inv((f[self.split] * self.rho) / self.degree[self.split])
+        w = self.apply_dtn_inv((f[self.split] * self.rho) / self._copy_degree)
         return np.bincount(self.split, self.rho * w, minlength=self.dim) / self.degree
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         if f.shape != (self.dim,):
             raise ValueError(f"expected skeleton vector of length {self.dim}")
         self.n_applies += 1
-        zf = self.coarse_basis.T @ f
+        zf = self._basis_t @ f
         m = self._average(f - self.s_coarse @ self.coarse_factor.solve(zf))
-        correction = self.coarse_factor.solve(zf - self.s_coarse.T @ m)
+        correction = self.coarse_factor.solve(zf - self._s_coarse_t @ m)
         return m + self.coarse_basis @ correction
 
 

@@ -21,7 +21,9 @@ coefficients, one block for every subdomain of a uniform partition).
 ``build_schur_system`` forms one dense S_u per block, after checking that
 every member has the block's size and boundary size.  The interior factor
 is dropped once S_u is formed.  A blockwise apply is one GEMM per block over
-the tuple slices of all its member subdomains (``SchurSystem.grouped_apply``).
+the tuple slices of all its member subdomains (``SchurSystem.grouped_apply``),
+read member after member through one slice when the members are consecutive
+subdomains, else through one index array.
 """
 
 from __future__ import annotations
@@ -85,16 +87,18 @@ class SpdFactor:
         return x
 
     def inverse_form(self, b: sp.spmatrix) -> np.ndarray:
-        """Dense B^T A^{-1} B for a sparse B.
+        """Dense B^T A^{-1} B for a sparse B; the factor's last use.
 
-        Dense mode forms X = L^{-1} B in place and returns X^T X, which numpy
-        computes as one SYRK, so the result is bitwise symmetric; sparse mode
+        Dense mode forms X = L^{-1} B in place, frees the Cholesky factor and
+        returns X^T X, which numpy computes as one SYRK, so the result is
+        bitwise symmetric and the factor is not held beside it; sparse mode
         returns B^T (A^{-1} B).
         """
         if self.mode == "sparse-lu":
             return b.T @ self.solve(b.toarray())
         x = b.toarray(order="F")
         x, info = sla.lapack.dtrtrs(self._factor[0], x, lower=1, overwrite_b=1)
+        del self._factor, self._solve
         form = x.T @ x
         if info != 0 or not np.all(np.isfinite(form)):
             raise SingularOperatorError(f"{self.label}: non-finite solve result")
@@ -119,8 +123,8 @@ def _schur_complement(block: sp.csr_matrix, n_interior: int, label: str) -> np.n
     n_i = n_interior
     reduction = 0.0
     if n_i:
-        # A_ii becomes the factor's one dense copy; the factor goes before
-        # A_bb is made dense.
+        # A_ii becomes the factor's one dense copy; the factor is gone
+        # before A_bb is made dense.
         factor = SpdFactor(block[:n_i, :n_i], f"{label} (interior)")
         reduction = factor.inverse_form(block[:n_i, n_i:])
         del factor
@@ -143,26 +147,38 @@ class SchurSystem:
         self.tuple_dim = transfer.skeleton_split.size
         self.group_of = group_of
         self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
-        # Tuple positions of each group as a (boundary size, members) array.
+        # Tuple slots of each group, member after member: a slice when the
+        # members are consecutive subdomains, else one flat index array.
         offsets = transfer.boundary_offsets
         self._group_rows = [
-            offsets[js][None, :] + np.arange(s_u.shape[0])[:, None] for s_u, js in self.groups
+            slice(offsets[js[0]], offsets[js[-1] + 1])
+            if js[-1] - js[0] == js.size - 1
+            else (offsets[js][:, None] + np.arange(s_u.shape[0])).ravel()
+            for s_u, js in self.groups
         ]
 
     def grouped_apply(self, matrices: list[np.ndarray], x: np.ndarray) -> np.ndarray:
         """One GEMM per group u: ``matrices[u]``, square and sized to u's tuple
-        slices (else :class:`ValueError`), times the slice of every member."""
+        slices (else :class:`ValueError`), times the slice of every member.
+
+        The members' slices are read as the rows of one (members, boundary
+        size) array X, a view for a slice, and the product is ``matrix``
+        times a C-ordered copy of X^T, the operand of a gather member by
+        member: BLAS rounds ``X @ matrix.T``, or a transposed operand,
+        differently on some group sizes.
+        """
         if x.shape != (self.tuple_dim,):
             raise ValueError(
                 f"expected boundary-tuple vector of length {self.tuple_dim}, "
                 f"got shape {x.shape}"
             )
-        shapes = [rows.shape[:1] * 2 for rows in self._group_rows]
+        shapes = [s_u.shape for s_u, _ in self.groups]
         if [matrix.shape for matrix in matrices] != shapes:
             raise ValueError(f"expected one matrix per group, of shapes {shapes}")
         out = np.empty(x.shape)
-        for matrix, rows in zip(matrices, self._group_rows):
-            out[rows] = matrix @ x[rows]
+        for matrix, (_, members), rows in zip(matrices, self.groups, self._group_rows):
+            slices = np.ascontiguousarray(x[rows].reshape(members.size, -1).T)
+            out[rows] = (matrix @ slices).T.ravel()
         return out
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:

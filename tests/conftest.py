@@ -370,5 +370,14 @@ def scalar444_j8_jump(mesh444_j8, checkerboard):
 
 
 @pytest.fixture(scope="session")
+def scalar444_j8_one_tet(mesh444_j8):
+    """The scalar problem with alpha = 1.5 on one tet of subdomain 5, whose
+    groups [0, 0, 0, 0, 0, 1, 0, 0] interleave."""
+    alpha = np.ones(mesh444_j8.n_tets)
+    alpha[mesh444_j8.tets_of_subdomain(5)[3]] = 1.5
+    return setup_scalar(mesh444_j8, Coefficients(alpha=alpha))
+
+
+@pytest.fixture(scope="session")
 def maxwell444_j8(mesh444_j8):
     return setup_maxwell(mesh444_j8, Coefficients())

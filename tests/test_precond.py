@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from conftest import jump_grids
 from hypothesis import given, settings
 
@@ -558,13 +559,6 @@ def _dense_interface_solve(mesh, prob, rhs):
     return sla.solve(s_dense, rhs, assume_a="pos")
 
 
-def _one_perturbed_tet(mesh):
-    """The scalar problem with alpha = 1.5 on one tet of subdomain 5."""
-    alpha = np.ones(mesh.n_tets)
-    alpha[mesh.tets_of_subdomain(5)[3]] = 1.5
-    return setup_scalar(mesh, Coefficients(alpha=alpha))
-
-
 @settings(max_examples=15, deadline=None)
 @given(grid=jump_grids())
 def test_blocks_grouped_by_shared_block(content_partition, grid):
@@ -612,11 +606,11 @@ def test_maxwell_solve_end_to_end(mesh222_j2, rng):
     assert err <= 1e-7
 
 
-def test_coarse_product_on_interleaved_groups(mesh444_j8, rng):
+def test_coarse_product_on_interleaved_groups(mesh444_j8, scalar444_j8_one_tet, rng):
     """S Z, formed subdomain by subdomain from each group's S_u, matches the
     assembled operator when one group's members surround another's, and the
     solve matches the dense interface solve."""
-    prob = _one_perturbed_tet(mesh444_j8)
+    prob = scalar444_j8_one_tet
     assert prob.schur.group_of.tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
     qnn = prob.qnn
     want = materialize(prob.schur.apply, prob.schur.dim) @ qnn.coarse_basis.toarray()
@@ -631,10 +625,18 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes())
 
 
+def _is_canonical_csr(matrix) -> bool:
+    """CSR whose (row, column) keys strictly ascend in storage order: each
+    row's columns sorted, none stored twice."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    keys = rows * matrix.shape[1] + matrix.indices
+    return sp.isspmatrix_csr(matrix) and bool(np.all(np.diff(keys) > 0))
+
+
 def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, tril_inverse, looped):
     """Every S_u of the scalar, plug-in and edge systems, and every inverse
     DtN map, S Z and coarse matrix of both Neumann-Neumanns, bit for bit the
-    sliced and looped references."""
+    sliced and looped references; S Z is canonical CSR holding no zero."""
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.7, gamma=1.9)
     scalar = setup_scalar(mesh, coeffs)
     maxwell = setup_maxwell(mesh, coeffs)
@@ -655,7 +657,8 @@ def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, tril_inverse, 
         for inverse, (s_u, _) in zip(qnn.inverse_dtn, qnn.schur.groups, strict=True):
             assert _same_bits(inverse, tril_inverse(s_u))
         s_coarse = looped(qnn.schur, qnn.coarse_basis)
-        assert _same_bits(qnn.s_coarse, s_coarse)
+        assert _is_canonical_csr(qnn.s_coarse) and np.all(qnn.s_coarse.data != 0)
+        assert _same_bits(qnn.s_coarse.toarray(), s_coarse)
         s0 = qnn.coarse_basis.T @ s_coarse
         assert _same_bits(qnn.coarse_matrix, (s0 + s0.T) / 2.0)
 

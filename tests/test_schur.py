@@ -175,7 +175,9 @@ def test_spd_factor_modes_and_consistency(monkeypatch, rng):
     assert np.abs(inverse @ array - np.eye(40)).max() <= 1e-12
 
     # B^T A^{-1} B: both modes agree, and the dense one is bitwise symmetric.
+    # It is the factor's last use: the dense factor is freed before X^T X.
     form = dense.inverse_form(coupling)
+    assert "_factor" not in vars(dense) and "_solve" not in vars(dense)
     want = sparse.inverse_form(coupling)
     assert form.shape == (25, 25) and np.array_equal(form, form.T)
     assert np.abs(form - want).max() <= 1e-12 * np.abs(want).max()
@@ -284,6 +286,57 @@ def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
     with pytest.raises(ValueError, match="one matrix per group"):
         schur.grouped_apply(matrices[:3] + [matrices[3][:-1, :-1]] + matrices[4:], x)
     assert np.array_equal(schur.grouped_apply(matrices, x), schur.apply_dtn(x))
+
+
+def _per_member_apply(schur, matrices, x):
+    """Each member's tuple slice x_j gathered, multiplied and scattered one
+    member at a time, apart from the group selectors.  A group's products
+    S_u x_j are the columns of one GEMM, since BLAS rounds a GEMM column
+    and a lone S_u @ x_j (a GEMV) differently."""
+    offsets = schur.transfer.boundary_offsets
+    out = np.full(x.shape, np.nan)
+    for matrix, (_, members) in zip(matrices, schur.groups, strict=True):
+        columns = matrix @ np.column_stack([x[offsets[j] : offsets[j + 1]] for j in members])
+        for k, j in enumerate(members):
+            out[offsets[j] : offsets[j + 1]] = columns[:, k]
+    return out
+
+
+@pytest.mark.parametrize("case", ["uniform", "one_member", "interleaved", "checkerboard"])
+def test_grouped_apply_equals_per_member_products(
+    case, mesh444_j8, maxwell444_j8, scalar444_j8_one_tet, scalar444_j8_jump, rng
+):
+    """Every group's members, read through one slice (consecutive members:
+    one group of eight, or eight groups of one) or one index array (members
+    0-4, 6, 7 around subdomain 5; the checkerboard's two groups of four),
+    get bitwise the per-member products of the S_u and of the inverse DtN
+    maps, and S_u @ x_j to rounding."""
+    if case == "uniform":
+        prob, sizes, selectors = maxwell444_j8.scalar, [8], [slice]
+    elif case == "one_member":
+        alpha = (1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain]
+        prob = setup_scalar(mesh444_j8, Coefficients(alpha=alpha))
+        sizes, selectors = [1] * 8, [slice] * 8
+    elif case == "interleaved":
+        prob, sizes, selectors = scalar444_j8_one_tet, [7, 1], [np.ndarray, slice]
+    else:
+        prob, sizes, selectors = scalar444_j8_jump, [4, 4], [np.ndarray] * 2
+    schurs = [s_u for s_u, _ in prob.schur.groups]
+    checks = [(prob.schur, schurs), (prob.schur, prob.qnn.inverse_dtn)]
+    if case == "uniform":
+        edge = maxwell444_j8.schur
+        checks.append((edge, [s_u for s_u, _ in edge.groups]))
+    for schur, matrices in checks:
+        assert [members.size for _, members in schur.groups] == sizes
+        assert [type(rows) for rows in schur._group_rows] == selectors
+        x = rng.uniform(-1, 1, schur.tuple_dim)
+        got = schur.grouped_apply(matrices, x)
+        assert np.array_equal(got, _per_member_apply(schur, matrices, x))
+        offsets = schur.transfer.boundary_offsets
+        for j, u in enumerate(schur.group_of):
+            lo, hi = offsets[j : j + 2]
+            want = matrices[u] @ x[lo:hi]
+            assert np.abs(got[lo:hi] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_split_of_non_canonical_block_matches_toarray(mesh444_j8, sliced_schur):
