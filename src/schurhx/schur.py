@@ -12,8 +12,8 @@ is split^T . blockdiag(S_j) . split.  Interiors of up to DENSE_CUTOFF dofs
 get an in-place dense Cholesky of the factor's own copy of A_ii; X
 overwrites a dense copy of A_ib (one triangular solve) and X^T X is one
 SYRK, so S_j comes out bitwise symmetric.  Larger interiors use sparse LU
-and S_j = A_bb - A_ib^T (A_ii^{-1} A_ib).  ``SpdFactor.inverse_form`` holds
-both paths.
+and S_j = A_bb - A_ib^T (A_ii^{-1} A_ib).  ``_inverse_form`` holds both
+paths.
 
 Assembly alone decides which subdomains share a block: it returns each
 distinct block once and ``group_of[j]``, subdomain j's block (under constant
@@ -21,9 +21,7 @@ coefficients, one block for every subdomain of a uniform partition).
 ``build_schur_system`` forms one dense S_u per block, after checking that
 every member has the block's size and boundary size.  The interior factor
 is dropped once S_u is formed.  A blockwise apply is one GEMM per block over
-the tuple slices of all its member subdomains (``SchurSystem.grouped_apply``),
-read member after member through one slice when the members are consecutive
-subdomains, else through one index array.
+the tuple slices of all its member subdomains (``SchurSystem.grouped_apply``).
 """
 
 from __future__ import annotations
@@ -86,24 +84,6 @@ class SpdFactor:
             raise SingularOperatorError(f"{self.label}: non-finite solve result")
         return x
 
-    def inverse_form(self, b: sp.spmatrix) -> np.ndarray:
-        """Dense B^T A^{-1} B for a sparse B; the factor's last use.
-
-        Dense mode forms X = L^{-1} B in place, frees the Cholesky factor and
-        returns X^T X, which numpy computes as one SYRK, so the result is
-        bitwise symmetric and the factor is not held beside it; sparse mode
-        returns B^T (A^{-1} B).
-        """
-        if self.mode == "sparse-lu":
-            return b.T @ self.solve(b.toarray())
-        x = b.toarray(order="F")
-        x, info = sla.lapack.dtrtrs(self._factor[0], x, lower=1, overwrite_b=1)
-        del self._factor, self._solve
-        form = x.T @ x
-        if info != 0 or not np.all(np.isfinite(form)):
-            raise SingularOperatorError(f"{self.label}: non-finite solve result")
-        return form
-
     def inverse(self) -> np.ndarray:
         """Explicit inverse from the dense Cholesky factor, mirrored so it is
         bitwise symmetric; a sparse-LU factor raises :class:`ValueError`."""
@@ -117,6 +97,25 @@ class SpdFactor:
         return np.where(np.tri(inv.shape[0], dtype=bool), inv, inv.T) + 0.0
 
 
+def _inverse_form(a: sp.csr_matrix, b: sp.csr_matrix, label: str) -> np.ndarray:
+    """Dense B^T A^{-1} B for a sparse SPD A and a sparse B, from a factor of
+    A that lives only here.
+
+    Dense mode forms X = L^{-1} B in place and frees L before X^T X, which
+    numpy computes as one SYRK, so the result is bitwise symmetric; sparse
+    mode returns B^T (A^{-1} B).
+    """
+    factor = SpdFactor(a, label)
+    if factor.mode == "sparse-lu":
+        return b.T @ factor.solve(b.toarray())
+    x, info = sla.lapack.dtrtrs(factor._factor[0], b.toarray(order="F"), lower=1, overwrite_b=1)
+    del factor
+    form = x.T @ x
+    if info != 0 or not np.all(np.isfinite(form)):
+        raise SingularOperatorError(f"{label}: non-finite solve result")
+    return form
+
+
 def _schur_complement(block: sp.csr_matrix, n_interior: int, label: str) -> np.ndarray:
     """Dense S = A_bb - A_ib^T A_ii^{-1} A_ib of a block whose first
     ``n_interior`` dofs are its interior, bitwise symmetric."""
@@ -125,9 +124,7 @@ def _schur_complement(block: sp.csr_matrix, n_interior: int, label: str) -> np.n
     if n_i:
         # A_ii becomes the factor's one dense copy; the factor is gone
         # before A_bb is made dense.
-        factor = SpdFactor(block[:n_i, :n_i], f"{label} (interior)")
-        reduction = factor.inverse_form(block[:n_i, n_i:])
-        del factor
+        reduction = _inverse_form(block[:n_i, :n_i], block[:n_i, n_i:], f"{label} (interior)")
     schur = block[n_i:, n_i:].toarray()
     schur -= reduction
     # Averaging with the transpose leaves a bitwise-symmetric matrix unchanged.
@@ -147,38 +144,26 @@ class SchurSystem:
         self.tuple_dim = transfer.skeleton_split.size
         self.group_of = group_of
         self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
-        # Tuple slots of each group, member after member: a slice when the
-        # members are consecutive subdomains, else one flat index array.
+        # Tuple positions of each group as a (boundary size, members) array.
         offsets = transfer.boundary_offsets
         self._group_rows = [
-            slice(offsets[js[0]], offsets[js[-1] + 1])
-            if js[-1] - js[0] == js.size - 1
-            else (offsets[js][:, None] + np.arange(s_u.shape[0])).ravel()
-            for s_u, js in self.groups
+            offsets[js][None, :] + np.arange(s_u.shape[0])[:, None] for s_u, js in self.groups
         ]
 
     def grouped_apply(self, matrices: list[np.ndarray], x: np.ndarray) -> np.ndarray:
         """One GEMM per group u: ``matrices[u]``, square and sized to u's tuple
-        slices (else :class:`ValueError`), times the slice of every member.
-
-        The members' slices are read as the rows of one (members, boundary
-        size) array X, a view for a slice, and the product is ``matrix``
-        times a C-ordered copy of X^T, the operand of a gather member by
-        member: BLAS rounds ``X @ matrix.T``, or a transposed operand,
-        differently on some group sizes.
-        """
+        slices (else :class:`ValueError`), times the slice of every member."""
         if x.shape != (self.tuple_dim,):
             raise ValueError(
                 f"expected boundary-tuple vector of length {self.tuple_dim}, "
                 f"got shape {x.shape}"
             )
-        shapes = [s_u.shape for s_u, _ in self.groups]
+        shapes = [rows.shape[:1] * 2 for rows in self._group_rows]
         if [matrix.shape for matrix in matrices] != shapes:
             raise ValueError(f"expected one matrix per group, of shapes {shapes}")
         out = np.empty(x.shape)
-        for matrix, (_, members), rows in zip(matrices, self.groups, self._group_rows):
-            slices = np.ascontiguousarray(x[rows].reshape(members.size, -1).T)
-            out[rows] = (matrix @ slices).T.ravel()
+        for matrix, rows in zip(matrices, self._group_rows):
+            out[rows] = matrix @ x[rows]
         return out
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:

@@ -175,10 +175,9 @@ def test_spd_factor_modes_and_consistency(monkeypatch, rng):
     assert np.abs(inverse @ array - np.eye(40)).max() <= 1e-12
 
     # B^T A^{-1} B: both modes agree, and the dense one is bitwise symmetric.
-    # It is the factor's last use: the dense factor is freed before X^T X.
-    form = dense.inverse_form(coupling)
-    assert "_factor" not in vars(dense) and "_solve" not in vars(dense)
-    want = sparse.inverse_form(coupling)
+    want = schur_mod._inverse_form(a, coupling, "test")
+    monkeypatch.undo()
+    form = schur_mod._inverse_form(a, coupling, "test")
     assert form.shape == (25, 25) and np.array_equal(form, form.T)
     assert np.abs(form - want).max() <= 1e-12 * np.abs(want).max()
     direct = coupling.T @ np.linalg.solve(a.toarray(), coupling.toarray())
@@ -290,9 +289,9 @@ def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
 
 def _per_member_apply(schur, matrices, x):
     """Each member's tuple slice x_j gathered, multiplied and scattered one
-    member at a time, apart from the group selectors.  A group's products
-    S_u x_j are the columns of one GEMM, since BLAS rounds a GEMM column
-    and a lone S_u @ x_j (a GEMV) differently."""
+    member at a time.  A group's products S_u x_j are the columns of one
+    GEMM, since BLAS rounds a GEMM column and a lone S_u @ x_j (a GEMV)
+    differently."""
     offsets = schur.transfer.boundary_offsets
     out = np.full(x.shape, np.nan)
     for matrix, (_, members) in zip(matrices, schur.groups, strict=True):
@@ -306,21 +305,20 @@ def _per_member_apply(schur, matrices, x):
 def test_grouped_apply_equals_per_member_products(
     case, mesh444_j8, maxwell444_j8, scalar444_j8_one_tet, scalar444_j8_jump, rng
 ):
-    """Every group's members, read through one slice (consecutive members:
-    one group of eight, or eight groups of one) or one index array (members
-    0-4, 6, 7 around subdomain 5; the checkerboard's two groups of four),
-    get bitwise the per-member products of the S_u and of the inverse DtN
-    maps, and S_u @ x_j to rounding."""
+    """Every group's members (one group of eight, eight groups of one,
+    members 0-4, 6, 7 around subdomain 5, the checkerboard's two groups of
+    four) get bitwise the per-member products of the S_u and of the inverse
+    DtN maps, and S_u @ x_j to rounding."""
     if case == "uniform":
-        prob, sizes, selectors = maxwell444_j8.scalar, [8], [slice]
+        prob, sizes = maxwell444_j8.scalar, [8]
     elif case == "one_member":
         alpha = (1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain]
         prob = setup_scalar(mesh444_j8, Coefficients(alpha=alpha))
-        sizes, selectors = [1] * 8, [slice] * 8
+        sizes = [1] * 8
     elif case == "interleaved":
-        prob, sizes, selectors = scalar444_j8_one_tet, [7, 1], [np.ndarray, slice]
+        prob, sizes = scalar444_j8_one_tet, [7, 1]
     else:
-        prob, sizes, selectors = scalar444_j8_jump, [4, 4], [np.ndarray] * 2
+        prob, sizes = scalar444_j8_jump, [4, 4]
     schurs = [s_u for s_u, _ in prob.schur.groups]
     checks = [(prob.schur, schurs), (prob.schur, prob.qnn.inverse_dtn)]
     if case == "uniform":
@@ -328,7 +326,6 @@ def test_grouped_apply_equals_per_member_products(
         checks.append((edge, [s_u for s_u, _ in edge.groups]))
     for schur, matrices in checks:
         assert [members.size for _, members in schur.groups] == sizes
-        assert [type(rows) for rows in schur._group_rows] == selectors
         x = rng.uniform(-1, 1, schur.tuple_dim)
         got = schur.grouped_apply(matrices, x)
         assert np.array_equal(got, _per_member_apply(schur, matrices, x))
