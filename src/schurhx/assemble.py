@@ -27,9 +27,11 @@ edge offsets plus, for the edge field, its six edge orientations (a box mesh
 has six).  Subdomains of one shape (``BoxMesh.shapes``) share the coalesce
 plan (stable sort order, group starts, CSR indices and indptr) built from its
 ``BoxMesh.numbering``, so a block's rows run in that order, boundary dofs
-last, and they share the class data, computed from one representative tet of
-the shape's first subdomain; a transfer of other subdomain sizes raises
-:class:`AssemblyError`.  Tets gather the class data and apply their own
+last, as ``dofspaces.build_transfer`` numbers them, and they share the class
+data, computed from one representative tet of the shape's first subdomain.
+Assembly reads only the mesh and the coefficients; ``build_schur_system``,
+where blocks meet a transfer, refuses blocks of another partition or field.
+Tets gather the class data and apply their own
 coefficients in the per-tet operation order, so the values are bitwise
 per-tet ones, and a block's data is one ``np.add.reduceat``.  Subdomains of
 one shape with bitwise-equal per-tet coefficients (alpha and beta for the
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dofspaces import TransferOps
 from .errors import AssemblyError, ConfigurationError
 from .mesh import LOCAL_EDGES, BoxMesh, _freeze
 
@@ -229,7 +230,6 @@ def _coalesce_plan(ldof: np.ndarray, dim: int):
 
 def _assemble(
     mesh: BoxMesh,
-    transfer: TransferOps,
     scope: str,
     numbering: list,  # per shape (dof positions, local ids, interior count): BoxMesh.numbering
     oriented: bool,  # whether edge orientations split tet classes
@@ -243,8 +243,6 @@ def _assemble(
         raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
     shape_of, first = mesh.shapes
     sizes = [positions.size for positions, _, _ in numbering]
-    if not np.array_equal(np.diff(transfer.broken_offsets), [sizes[s] for s in shape_of]):
-        raise AssemblyError("transfer is not of this mesh: its subdomain sizes differ")
     structures = []  # per shape: coalesce plan, class ids and class data
     for j, (_, local, _), size in zip(first, numbering, sizes):
         tet_ids = mesh.tets_of_subdomain(j)
@@ -268,12 +266,10 @@ def _assemble(
 
 
 def assemble_scalar(
-    mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "blocks"
+    mesh: BoxMesh, coeffs: Coefficients, scope: str = "blocks"
 ) -> tuple[list[sp.csr_matrix], np.ndarray]:
     """Distinct subdomain blocks of  int alpha grad u.grad v + beta u v  on the
-    P1 dofs of ``transfer``, and each subdomain's block number."""
-    if transfer.field != "scalar":
-        raise ValueError(f"expected a scalar transfer, got {transfer.field}")
+    P1 dofs, and each subdomain's block number."""
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
     beta = coeffs.per_tet("beta", mesh.n_tets)
 
@@ -283,18 +279,16 @@ def assemble_scalar(
         return stiff + mass
 
     return _assemble(
-        mesh, transfer, scope, mesh.numbering("scalar"), False,
+        mesh, scope, mesh.numbering("scalar"), False,
         lambda reps: _p1_geometry(mesh, reps), element, (alpha, beta),
     )
 
 
 def assemble_edge(
-    mesh: BoxMesh, transfer: TransferOps, coeffs: Coefficients, scope: str = "blocks"
+    mesh: BoxMesh, coeffs: Coefficients, scope: str = "blocks"
 ) -> tuple[list[sp.csr_matrix], np.ndarray]:
     """Distinct subdomain blocks of  int curl u.curl v + gamma^2 u.v  on the
-    edge dofs of ``transfer``, and each subdomain's block number."""
-    if transfer.field != "edge":
-        raise ValueError(f"expected an edge transfer, got {transfer.field}")
+    edge dofs, and each subdomain's block number."""
     gamma = float(np.asarray(coeffs.gamma))
     g2 = gamma * gamma
 
@@ -303,6 +297,6 @@ def assemble_edge(
         return (curl_mat + g2 * mass_mat)[cls]
 
     return _assemble(
-        mesh, transfer, scope, mesh.numbering("edge"), True,
+        mesh, scope, mesh.numbering("edge"), True,
         lambda reps: edge_element_matrices(mesh, reps), element, (),
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -156,25 +157,40 @@ def _summary_path(out: str) -> Path:
     return p.with_name(p.stem + ".summary.csv")
 
 
+def _per_size_path(path: str, n: int, suffix: str) -> Path:
+    """A table run's ``<stem>.cells<n>`` file, with the suffix of ``path`` or ``suffix``."""
+    p = Path(path)
+    return p.with_name(f"{p.stem}.cells{n}{p.suffix or suffix}")
+
+
+@contextmanager
+def _writing(path):
+    """Create the directory of ``path``; an OSError inside is a ConfigurationError."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err}") from err
+
+
 def _write_outputs(config: ExperimentConfig, reports: list[SolveReport]) -> None:
     if config.out is None:
         return
-    out = Path(config.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if len(reports) == 1:
-        out.write_text("\n".join(_history_lines(config, reports[0])) + "\n")
-    else:
-        for rep in reports:
-            n = rep.metadata["cells"][0]
-            per_size = out.with_name(out.stem + f".cells{n}{out.suffix or '.csv'}")
-            cfg = replace(config, cells=rep.metadata["cells"], table=False)
-            per_size.write_text("\n".join(_history_lines(cfg, rep)) + "\n")
-    rows = ["dim_skeleton,dim_volume,iters"]
-    rows += [
-        f"{rep.metadata['dim_skeleton']},{rep.metadata['dim_volume']},{rep.metadata['iterations']}"
-        for rep in reports
-    ]
-    _summary_path(config.out).write_text("\n".join(rows) + "\n")
+    with _writing(config.out):
+        if len(reports) == 1:
+            Path(config.out).write_text("\n".join(_history_lines(config, reports[0])) + "\n")
+        else:
+            for rep in reports:
+                per_size = _per_size_path(config.out, rep.metadata["cells"][0], ".csv")
+                cfg = replace(config, cells=rep.metadata["cells"], table=False)
+                per_size.write_text("\n".join(_history_lines(cfg, rep)) + "\n")
+        rows = ["dim_skeleton,dim_volume,iters"]
+        rows += [
+            f"{rep.metadata['dim_skeleton']},{rep.metadata['dim_volume']},"
+            f"{rep.metadata['iterations']}"
+            for rep in reports
+        ]
+        _summary_path(config.out).write_text("\n".join(rows) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> SolveReport:
@@ -228,7 +244,8 @@ def run_experiment(config: ExperimentConfig) -> SolveReport:
         f"time={report.history.wall_time:.2f}s"
     )
     if config.export_vtk:
-        export_vtk(mesh, config.export_vtk)
+        with _writing(config.export_vtk):
+            export_vtk(mesh, config.export_vtk)
     _write_outputs(config, [report])
     return report
 
@@ -237,7 +254,8 @@ def run_table(config: ExperimentConfig) -> list[SolveReport]:
     """The refinement table: cells {3,6,9,12} per axis, fixed subdomain grid."""
     reports = []
     for n in TABLE_CELLS:
-        cfg = replace(config, cells=(n, n, n), table=False, out=None)
+        vtk = config.export_vtk and str(_per_size_path(config.export_vtk, n, ".vtk"))
+        cfg = replace(config, cells=(n, n, n), table=False, out=None, export_vtk=vtk)
         reports.append(run_experiment(cfg))
     print(f"\n{config.problem} refinement table (subdomains={config.subdomains}):")
     print("dim_skeleton  dim_volume  iters")
@@ -265,8 +283,8 @@ def run_verify(config: ExperimentConfig) -> int:
     n_fail = sum(not c.passed for c in combined.checks)
     print(f"verify: {len(combined.checks)} checks, {n_fail} failures")
     if config.out:
-        Path(config.out).parent.mkdir(parents=True, exist_ok=True)
-        combined.write_csv(config.out)
+        with _writing(config.out):
+            combined.write_csv(config.out)
     return 0 if combined.passed else 1
 
 

@@ -15,13 +15,15 @@ tests assert a literally zero residual.
 
 A field's four maps come from one call, ``build_transfer(mesh, field)``,
 which reads each subdomain's dofs, boundary last, from its shape's
-``BoxMesh.numbering``.  The skeleton is the union of the boundaries, so
-every skeleton dof lies on some subdomain boundary by construction.
+``BoxMesh.numbering``, so ``boundary_trace`` is read off the offsets and no
+transfer can hold a boundary that is not trailing.  The skeleton is the union
+of the boundaries, so every skeleton dof lies on some boundary by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +45,7 @@ class TransferOps:
     skeleton_trace : volume -> skeleton (select skeleton dofs)
     volume_split   : volume -> broken   (copy into every subdomain)
     boundary_trace : broken -> boundary tuple (each subdomain's trailing
-                     dofs, its boundary in ``BoxMesh.numbering``)
+                     dofs, its boundary; derived from the offsets)
     skeleton_split : skeleton -> boundary tuple (copy onto every boundary)
 
     A space's size is the length of the map into it, except the volume's,
@@ -56,8 +58,14 @@ class TransferOps:
     boundary_offsets: np.ndarray  # len n_subdomains + 1
     skeleton_trace: np.ndarray
     volume_split: np.ndarray
-    boundary_trace: np.ndarray
     skeleton_split: np.ndarray
+
+    @cached_property
+    def boundary_trace(self) -> np.ndarray:
+        # Tuple slot boundary_offsets[j] + k is broken slot broken_offsets[j + 1] - n_b + k.
+        shift = self.broken_offsets[1:] - self.boundary_offsets[1:]
+        n_b = np.diff(self.boundary_offsets)
+        return _index_map(np.arange(self.boundary_offsets[-1]) + np.repeat(shift, n_b))
 
 
 def _index_map(idx: np.ndarray) -> np.ndarray:
@@ -88,23 +96,16 @@ def build_transfer(mesh: BoxMesh, field: str) -> TransferOps:
     ]
     sizes = np.array([dofs.size for dofs in sub_dofs])
     n_interior = np.array([n_i for _, _, n_i in numbering])
-    broken_offsets = _offsets(sizes)
-    volume_split = _index_map(np.concatenate(sub_dofs))
-    boundary_starts = broken_offsets[:-1] + n_interior
-    boundary_trace = _index_map(
-        np.concatenate([np.arange(lo, hi) for lo, hi in zip(boundary_starts, broken_offsets[1:])])
-    )
     # The skeleton is the union of the boundaries, in ascending order, so one
     # searchsorted finds every boundary copy's skeleton dof.
-    boundary_dofs = volume_split[boundary_trace]
+    boundary_dofs = np.concatenate([dofs[n_i:] for dofs, n_i in zip(sub_dofs, n_interior)])
     skeleton_trace = _index_map(np.flatnonzero(np.bincount(boundary_dofs, minlength=n_volume)))
     return TransferOps(
         field,
         n_volume,
-        broken_offsets,
+        _offsets(sizes),
         _offsets(sizes - n_interior),
         skeleton_trace,
-        volume_split,
-        boundary_trace,
+        _index_map(np.concatenate(sub_dofs)),
         _index_map(np.searchsorted(skeleton_trace, boundary_dofs)),
     )

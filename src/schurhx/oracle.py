@@ -305,9 +305,9 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
 
     # Interface inverse identity: (assembled Schur) . (trace volinv trace^T) = Id,
     # for both fields.
-    blocks, group_of = assemble_scalar(mesh, scalar_ops, coeffs)
+    blocks, group_of = assemble_scalar(mesh, coeffs)
     l_dense = volume_matrix(scalar_ops, blocks, group_of)
-    m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, edge_ops, coeffs))
+    m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, coeffs))
     for field_name, problem, vol in (
         ("scalar", scalar, l_dense),
         ("edge", maxwell, m_dense),
@@ -416,7 +416,7 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, tr):
     q_aux = materialize(plug_in.qnn, plug_in.schur.dim)
     cond_nn = dense_condition(s_aux, q_aux)
     aux_ops = plug_in.schur.transfer
-    l_aux = volume_matrix(aux_ops, *assemble_scalar(mesh, aux_ops, plug_in.coeffs))
+    l_aux = volume_matrix(aux_ops, *assemble_scalar(mesh, plug_in.coeffs))
     se_mat = materialize(maxwell.schur.apply, maxwell.schur.dim)
     qhx_mat = materialize(maxwell.qhx, maxwell.qhx.dim)
     cond_hx = dense_condition(se_mat, qhx_mat)

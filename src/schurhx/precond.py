@@ -284,7 +284,7 @@ def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
     """The scalar interface solve, its Neumann-Neumann weighted by alpha."""
     transfer = build_transfer(mesh, "scalar")
     # The blocks go once their Schur complements are formed.
-    schur = build_schur_system(*assemble_scalar(mesh, transfer, coeffs), transfer)
+    schur = build_schur_system(*assemble_scalar(mesh, coeffs), transfer)
     qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, transfer))
     return ScalarProblem(coeffs, schur, qnn, mesh.n_vertices)
 
@@ -296,7 +296,7 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
     scalar = setup_scalar(mesh, Coefficients(alpha=1.0, beta=gamma2))
 
     transfer = build_transfer(mesh, "edge")
-    blocks, group_of = assemble_edge(mesh, transfer, coeffs)
+    blocks, group_of = assemble_edge(mesh, coeffs)
     schur = build_schur_system(blocks, group_of, transfer)
 
     # The skeleton Jacobi diagonal glues the subdomain boundary diagonals.
@@ -323,7 +323,7 @@ def estimate_condition(
     seeded random right-hand side, read through ``ConvergenceHistory.lanczos``.
 
     ``method`` accepts only "lanczos" and stays only for the benchmark's
-    call; ROADMAP item 3 removes it.  The dense estimate is
+    call; ROADMAP item 1 removes it.  The dense estimate is
     ``oracle.dense_condition``.
     """
     if method != "lanczos":

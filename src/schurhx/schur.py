@@ -8,22 +8,23 @@ CSR submatrices.  The local Dirichlet-to-Neumann map is the Schur complement
     S_j = A_bb - A_bi A_ii^{-1} A_ib = A_bb - X^T X,    X = L^{-1} A_ib,
 
 where A_ii = L L^T, and the global interface operator on the skeleton space
-is split^T . blockdiag(S_j) . split.  Interiors of up to DENSE_CUTOFF dofs
-get an in-place dense Cholesky of the factor's own copy of A_ii; X
-overwrites a dense copy of A_ib (one triangular solve) and X^T X is one
-SYRK, so S_j comes out bitwise symmetric.  Larger interiors use sparse LU
-and S_j = A_bb - A_ib^T (A_ii^{-1} A_ib).  ``_inverse_form`` holds both
-paths.
+is split^T . blockdiag(S_j) . split.  ``_inverse_form`` alone chooses how
+to eliminate the interior: up to DENSE_CUTOFF dofs, an in-place dense
+Cholesky (``SpdFactor``) of its one dense copy of A_ii; X overwrites a dense
+copy of A_ib (one triangular solve) and X^T X is one SYRK, so S_j comes out
+bitwise symmetric.  Larger interiors use sparse LU and
+S_j = A_bb - A_ib^T (A_ii^{-1} A_ib).
 
 Assembly alone decides which subdomains share a block: it returns each
 distinct block once and ``group_of[j]``, subdomain j's block (under constant
 coefficients, one block for every subdomain of a uniform partition).
-``build_schur_system`` forms one dense S_u per block, after checking that
-every member has the block's size and boundary size.  The interior factor
-is dropped once S_u is formed.  A blockwise apply is one GEMM per block over
-the tuple slices of all its member subdomains (``SchurSystem.grouped_apply``).
+``build_schur_system`` is where blocks meet a transfer: it forms one dense
+S_u per block, after checking that ``group_of`` covers the transfer's
+subdomains and that every member has the block's size and boundary size.
+The interior factor is dropped once S_u is formed.  A blockwise apply is one
+GEMM per block over the tuple slices of all its member subdomains
+(``SchurSystem.grouped_apply``).
 """
-
 from __future__ import annotations
 
 from functools import partial
@@ -50,46 +51,29 @@ DENSE_CUTOFF = 2000
 
 
 class SpdFactor:
-    """Factorize once, solve many: dense Cholesky for an array or a sparse
-    matrix of up to DENSE_CUTOFF rows, sparse LU for a larger sparse one."""
+    """Factorize once, solve many: an in-place dense Cholesky of an array or
+    a sparse matrix, whose lower triangle ``lower`` holds the factor L."""
 
-    def __init__(self, matrix: np.ndarray | sp.csr_matrix, label: str):
+    def __init__(self, matrix: np.ndarray | sp.spmatrix, label: str):
         self.label = label
-        is_array = isinstance(matrix, np.ndarray)
-        if is_array or matrix.shape[0] <= DENSE_CUTOFF:
-            self.mode = "dense-cholesky"
-            # A fresh F-ordered copy is factorized in place, so the caller
-            # keeps its matrix; LAPACK itself rejects a NaN pivot.
-            dense = np.array(matrix, order="F") if is_array else matrix.toarray(order="F")
-            try:
-                self._factor = sla.cho_factor(
-                    dense, lower=True, overwrite_a=True, check_finite=False
-                )
-            except sla.LinAlgError as err:
-                raise SingularOperatorError(f"{label}: not positive definite") from err
-            # A non-finite b gives a non-finite x, which ``solve`` rejects.
-            # No closure over self: the factor is freed with its last user.
-            self._solve = partial(sla.cho_solve, self._factor, check_finite=False)
-        else:
-            self.mode = "sparse-lu"
-            try:
-                lu = spla.splu(matrix.tocsc())
-            except RuntimeError as err:
-                raise SingularOperatorError(f"{label}: factorization failed") from err
-            self._solve = lu.solve
+        # A fresh F-ordered copy is factorized in place, so the caller keeps
+        # its matrix; LAPACK itself rejects a NaN pivot.
+        dense = matrix.toarray(order="F") if sp.issparse(matrix) else np.array(matrix, order="F")
+        try:
+            self.lower, _ = sla.cho_factor(dense, lower=True, overwrite_a=True, check_finite=False)
+        except sla.LinAlgError as err:
+            raise SingularOperatorError(f"{label}: not positive definite") from err
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._solve(b)
+        # A non-finite b gives a non-finite x, which is rejected here.
+        x = sla.cho_solve((self.lower, True), b, check_finite=False)
         if not np.all(np.isfinite(x)):
             raise SingularOperatorError(f"{self.label}: non-finite solve result")
         return x
 
     def inverse(self) -> np.ndarray:
-        """Explicit inverse from the dense Cholesky factor, mirrored so it is
-        bitwise symmetric; a sparse-LU factor raises :class:`ValueError`."""
-        if self.mode != "dense-cholesky":
-            raise ValueError(f"{self.label}: no explicit inverse of a {self.mode} factor")
-        inv, info = sla.lapack.dpotri(self._factor[0], lower=True)
+        """Explicit inverse from the factor, mirrored so it is bitwise symmetric."""
+        inv, info = sla.lapack.dpotri(self.lower, lower=True)
         if info != 0 or not np.all(np.isfinite(inv)):
             raise SingularOperatorError(f"{self.label}: inverse failed")
         # dpotri fills the lower triangle.  Every entry gets +0.0 added, as a
@@ -101,14 +85,21 @@ def _inverse_form(a: sp.csr_matrix, b: sp.csr_matrix, label: str) -> np.ndarray:
     """Dense B^T A^{-1} B for a sparse SPD A and a sparse B, from a factor of
     A that lives only here.
 
-    Dense mode forms X = L^{-1} B in place and frees L before X^T X, which
-    numpy computes as one SYRK, so the result is bitwise symmetric; sparse
-    mode returns B^T (A^{-1} B).
+    Up to DENSE_CUTOFF rows, X = L^{-1} B is formed in place and L is freed
+    before X^T X, which numpy computes as one SYRK, so the result is bitwise
+    symmetric; above it, a sparse LU gives B^T (A^{-1} B).
     """
+    if a.shape[0] > DENSE_CUTOFF:
+        try:
+            lu = spla.splu(a.tocsc())
+        except RuntimeError as err:
+            raise SingularOperatorError(f"{label}: factorization failed") from err
+        x = lu.solve(b.toarray())
+        if not np.all(np.isfinite(x)):
+            raise SingularOperatorError(f"{label}: non-finite solve result")
+        return b.T @ x
     factor = SpdFactor(a, label)
-    if factor.mode == "sparse-lu":
-        return b.T @ factor.solve(b.toarray())
-    x, info = sla.lapack.dtrtrs(factor._factor[0], b.toarray(order="F"), lower=1, overwrite_b=1)
+    x, info = sla.lapack.dtrtrs(factor.lower, b.toarray(order="F"), lower=1, overwrite_b=1)
     del factor
     form = x.T @ x
     if info != 0 or not np.all(np.isfinite(form)):
@@ -182,31 +173,21 @@ def build_schur_system(blocks: list, group_of: np.ndarray, transfer: TransferOps
     """One dense Schur complement S_u per distinct block u of assembly, the
     block of every subdomain j with ``group_of[j] == u``, glued into the
     interface operator.  Each subdomain's boundary is the trailing range of
-    its broken slice, in boundary-tuple order, so tuple slices line up
-    unpermuted.
+    its broken slice (``TransferOps.boundary_trace``), so tuple slices line
+    up unpermuted.
 
     Raises :class:`AssemblyError` unless ``group_of`` has one entry per
-    subdomain of ``transfer`` and uses every block, every boundary trace
-    is that trailing range, and all members of a block have its size and
-    boundary size.
+    subdomain of ``transfer`` and uses every block, and all members of a
+    block have its size and boundary size: blocks of another partition or
+    field are refused here.
     """
     field = transfer.field
     sizes = np.diff(transfer.broken_offsets)
-    offsets = transfer.boundary_offsets
-    dims = np.column_stack([sizes, np.diff(offsets)])  # volume and boundary sizes
+    dims = np.column_stack([sizes, np.diff(transfer.boundary_offsets)])  # volume, boundary
     if len(group_of) != sizes.size:
         raise AssemblyError(f"{field}: {len(group_of)} group_of entries, {sizes.size} subdomains")
     if not np.array_equal(np.unique(group_of), np.arange(len(blocks))):
         raise AssemblyError(f"group_of does not use each of the {len(blocks)} blocks once or more")
-    # Tuple slot t = offsets[j] + k is broken slot broken_offsets[j + 1] -
-    # n_b + k, so boundary_trace[t] - t is one shift per subdomain.
-    shift = np.repeat(transfer.broken_offsets[1:] - offsets[1:], dims[:, 1])
-    moved = transfer.boundary_trace - np.arange(offsets[-1]) != shift
-    if np.any(moved):
-        j = np.searchsorted(offsets, np.argmax(moved), side="right") - 1
-        raise AssemblyError(
-            f"{field} subdomain {j}: its boundary trace is not the trailing range of its block"
-        )
     schurs = []
     for u, block in enumerate(blocks):
         members = np.flatnonzero(group_of == u)

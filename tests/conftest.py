@@ -136,16 +136,22 @@ def vertex_degree(boundary_faces):
 
 
 @st.composite
-def jump_grids(draw):
-    """A mesh of 1 to 4 cells per axis on a divisor subdomain grid, and one
-    alpha per subdomain drawn from {0.5, 2}."""
+def box_partitions(draw):
+    """A mesh of 1 to 4 cells per axis on a divisor subdomain grid."""
     cells = tuple(draw(st.integers(1, 4)) for _ in range(3))
     subdomains = tuple(
         draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0])) for n in cells
     )
-    n_sub = int(np.prod(subdomains))
+    return build_box_mesh(cells, subdomains)
+
+
+@st.composite
+def jump_grids(draw):
+    """A ``box_partitions`` mesh and one alpha per subdomain drawn from {0.5, 2}."""
+    mesh = draw(box_partitions())
+    n_sub = mesh.n_subdomains
     alpha_j = draw(st.lists(st.sampled_from([0.5, 2.0]), min_size=n_sub, max_size=n_sub))
-    return build_box_mesh(cells, subdomains), np.array(alpha_j)
+    return mesh, np.array(alpha_j)
 
 
 @pytest.fixture(scope="session")

@@ -74,7 +74,7 @@ def test_criterion_01_scalar_interface_inverse_formula(selection):
         schur = materialize(prob.schur.apply, prob.schur.dim)
         tr = selection(prob.schur.transfer, "skeleton_trace").toarray()
         vol = volume_matrix(
-            prob.schur.transfer, *assemble_scalar(mesh, prob.schur.transfer, prob.coeffs)
+            prob.schur.transfer, *assemble_scalar(mesh, prob.coeffs)
         )
         pushed = tr @ sla.solve(vol, tr.T, assume_a="pos")
         resid = np.abs(schur @ pushed - np.eye(schur.shape[0])).max()
@@ -95,7 +95,7 @@ def test_criterion_02_edge_interface_inverse_formula(selection):
         prob = setup_maxwell(mesh, coeffs)
         schur = materialize(prob.schur.apply, prob.schur.dim)
         tr = selection(prob.schur.transfer, "skeleton_trace").toarray()
-        vol = volume_matrix(prob.schur.transfer, *assemble_edge(mesh, prob.schur.transfer, coeffs))
+        vol = volume_matrix(prob.schur.transfer, *assemble_edge(mesh, coeffs))
         pushed = tr @ sla.solve(vol, tr.T, assume_a="pos")
         resid = np.abs(schur @ pushed - np.eye(schur.shape[0])).max()
         worst = max(worst, resid)
@@ -120,7 +120,7 @@ def test_criterion_04_pseudoinverse_commutation(selection):
         mesh = build_box_mesh((2, 2, 2), grid)
         prob = setup_scalar(mesh, Coefficients())
         ops = prob.schur.transfer
-        blocks, group_of = assemble_scalar(mesh, ops, prob.coeffs)
+        blocks, group_of = assemble_scalar(mesh, prob.coeffs)
         lift_vol = pseudoinverse_surjective(
             selection(ops, "skeleton_trace").toarray(), volume_matrix(ops, blocks, group_of)
         )
@@ -195,8 +195,8 @@ def test_criterion_08_spectral_inequalities(selection):
     slack = 1.0 + 1e-9
 
     scalar_ops, edge_ops = sc.schur.transfer, mw.schur.transfer
-    l_dense = volume_matrix(scalar_ops, *assemble_scalar(mesh, scalar_ops, coeffs))
-    m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, edge_ops, coeffs))
+    l_dense = volume_matrix(scalar_ops, *assemble_scalar(mesh, coeffs))
+    m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, coeffs))
     s_l = materialize(sc.schur.apply, sc.schur.dim)
     s_m = materialize(mw.schur.apply, mw.schur.dim)
     q_nn = materialize(sc.qnn, sc.qnn.dim)

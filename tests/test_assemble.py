@@ -129,9 +129,9 @@ def test_edge_curl_matches_quadrature(mesh444_j8):
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_assembled_operators_bitwise_symmetric(mesh444_j8, transfers444, field):
+def test_assembled_operators_bitwise_symmetric(mesh444_j8, field):
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, _ = assemble(mesh444_j8, transfers444[field], Coefficients(1.3, 0.7, 1.9))
+    blocks, _ = assemble(mesh444_j8, Coefficients(1.3, 0.7, 1.9))
     for block in blocks:
         diff = block - block.T
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
@@ -145,7 +145,7 @@ def test_global_equals_split_blockdiag_split(field, grid, selection):
     mesh = build_box_mesh((2, 2, 2), grid)
     transfer = build_transfer(mesh, field)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, group_of = assemble(mesh, transfer, Coefficients(2.0, 0.5, 3.0))
+    blocks, group_of = assemble(mesh, Coefficients(2.0, 0.5, 3.0))
     dense = volume_matrix(transfer, blocks, group_of)
     assert np.array_equal(dense, dense.T)
     split = selection(transfer, "volume_split")
@@ -160,7 +160,7 @@ def test_constant_energy_is_reaction_volume(mesh444_j8, transfers444):
     for beta in (3.25, 1e-8):
         transfer = transfers444["scalar"]
         dense = volume_matrix(
-            transfer, *assemble_scalar(mesh444_j8, transfer, Coefficients(7.7, beta))
+            transfer, *assemble_scalar(mesh444_j8, Coefficients(7.7, beta))
         )
         ones = np.ones(transfer.n_volume)
         assert abs(ones @ (dense @ ones) - beta) <= 1e-12 * max(beta, 1.0)
@@ -170,7 +170,7 @@ def test_constant_vector_field_energy(mesh222_j1):
     transfer = build_transfer(mesh222_j1, "edge")
     gamma = 1.5
     dense = volume_matrix(
-        transfer, *assemble_edge(mesh222_j1, transfer, Coefficients(gamma=gamma))
+        transfer, *assemble_edge(mesh222_j1, Coefficients(gamma=gamma))
     )
     # Edge dofs of the constant field e_0; its curl vanishes, so the energy
     # is gamma^2 * integral of |e_0|^2 = gamma^2.
@@ -182,7 +182,7 @@ def test_gradient_field_energy_matches_scalar_stiffness(mesh222_j8, rng):
     transfer = build_transfer(mesh222_j8, "edge")
     gamma = 2.5
     edge_dense = volume_matrix(
-        transfer, *assemble_edge(mesh222_j8, transfer, Coefficients(gamma=gamma))
+        transfer, *assemble_edge(mesh222_j8, Coefficients(gamma=gamma))
     )
     grad = build_gradient(mesh222_j8)
 
@@ -225,7 +225,7 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
 
     scal = volume_matrix(
         transfers["scalar"],
-        *assemble_scalar(mesh222_j8, transfers["scalar"], Coefficients(1.0, beta)),
+        *assemble_scalar(mesh222_j8, Coefficients(1.0, beta)),
     )
     _, sm = scalar_element_matrices(
         mesh222_j8,
@@ -243,7 +243,7 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
 
     edge = volume_matrix(
         transfers["edge"],
-        *assemble_edge(mesh222_j8, transfers["edge"], Coefficients(gamma=gamma)),
+        *assemble_edge(mesh222_j8, Coefficients(gamma=gamma)),
     )
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
     mass_e = np.zeros_like(edge)
@@ -260,7 +260,7 @@ def test_jacobi_diagonal_gamma_scaling(mesh222_j8):
     transfer = build_transfer(mesh222_j8, "edge")
     gamma = 1.3
     d1, d2 = (
-        np.diag(volume_matrix(transfer, *assemble_edge(mesh222_j8, transfer, coeffs)))
+        np.diag(volume_matrix(transfer, *assemble_edge(mesh222_j8, coeffs)))
         for coeffs in (Coefficients(gamma=gamma), Coefficients(gamma=2 * gamma))
     )
     _, em = edge_element_matrices(mesh222_j8, np.arange(mesh222_j8.n_tets))
@@ -277,7 +277,7 @@ def test_blocks_scope_keeps_only_blocks(mesh222_j8):
     # as a plain list with each subdomain's block number, and builds no
     # block-diagonal copy.
     transfer = build_transfer(mesh222_j8, "scalar")
-    blocks, group_of = assemble_scalar(mesh222_j8, transfer, Coefficients())
+    blocks, group_of = assemble_scalar(mesh222_j8, Coefficients())
     assert isinstance(blocks, list) and len(blocks) == 1
     assert all(sp.isspmatrix_csr(block) for block in blocks)
     assert group_of.dtype == np.int64 and group_of.tolist() == [0] * 8
@@ -287,11 +287,10 @@ def test_blocks_scope_keeps_only_blocks(mesh222_j8):
 
 def test_global_scope_rejected(mesh222_j8):
     """Blocks are the only scope; no global matrix is assembled."""
-    transfers = _transfers(mesh222_j8)
     with pytest.raises(ValueError, match="'global'"):
-        assemble_scalar(mesh222_j8, transfers["scalar"], Coefficients(), scope="global")
+        assemble_scalar(mesh222_j8, Coefficients(), scope="global")
     with pytest.raises(ValueError, match="'global'"):
-        assemble_edge(mesh222_j8, transfers["edge"], Coefficients(), scope="global")
+        assemble_edge(mesh222_j8, Coefficients(), scope="global")
 
 
 @pytest.mark.parametrize(
@@ -333,11 +332,9 @@ def test_coefficient_validation_finite(kwargs, shown):
 
 
 def test_per_tet_coefficients(mesh222_j8):
-    transfer = build_transfer(mesh222_j8, "scalar")
-    uniform = assemble_scalar(mesh222_j8, transfer, Coefficients(2.0, 0.5))
+    uniform = assemble_scalar(mesh222_j8, Coefficients(2.0, 0.5))
     arrays = assemble_scalar(
         mesh222_j8,
-        transfer,
         Coefficients(
             np.full(mesh222_j8.n_tets, 2.0), np.full(mesh222_j8.n_tets, 0.5)
         ),
@@ -350,13 +347,13 @@ def test_per_tet_coefficients(mesh222_j8):
         Coefficients(np.ones(5)).per_tet("alpha", mesh222_j8.n_tets)
 
 
-def _assembly_raises(mesh, transfers, match):
+def _assembly_raises(mesh, match):
     with pytest.raises(AssemblyError, match=match):
         tet_geometry(mesh, np.arange(mesh.n_tets))
     with pytest.raises(AssemblyError, match=match):
-        assemble_scalar(mesh, transfers["scalar"], Coefficients())
+        assemble_scalar(mesh, Coefficients())
     with pytest.raises(AssemblyError, match=match):
-        assemble_edge(mesh, transfers["edge"], Coefficients())
+        assemble_edge(mesh, Coefficients())
 
 
 def test_degenerate_tet_raises(mesh111):
@@ -369,13 +366,13 @@ def test_degenerate_tet_raises(mesh111):
         tets=mesh111.tets,
         tet_subdomain=mesh111.tet_subdomain,
     )
-    _assembly_raises(bad, _transfers(mesh111), "degenerate")
+    _assembly_raises(bad, "degenerate")
 
 
 def test_off_lattice_vertex_raises(mesh111):
     coords = mesh111.vertex_coords.copy()
     coords[7] = (0.9, 1.0, 1.0)
-    _assembly_raises(replace(mesh111, vertex_coords=coords), _transfers(mesh111), "lattice")
+    _assembly_raises(replace(mesh111, vertex_coords=coords), "lattice")
 
 
 def _reference_blocks(mesh, coeffs, field, subdomain_dofs):
@@ -431,7 +428,7 @@ def test_blocks_match_per_tet_reference(field, subdomain_dofs):
         rng.uniform(0.1, 10.0, mesh.n_tets), rng.uniform(0.1, 10.0, mesh.n_tets), 1.3
     )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, group_of = assemble(mesh, transfer, coeffs)
+    blocks, group_of = assemble(mesh, coeffs)
     reference = _reference_blocks(mesh, coeffs, field, subdomain_dofs)
     assert len(group_of) == len(reference) == mesh.n_subdomains
     for block, ref in zip([blocks[u] for u in group_of], reference):
@@ -480,7 +477,7 @@ def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field, su
     coeffs = Coefficients(rng.uniform(0.5, 2.0, mesh.n_tets), 0.3, 1.7)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     _assert_blocks_equal(
-        assemble(mesh, transfer, coeffs), _reference_blocks(mesh, coeffs, field, subdomain_dofs)
+        assemble(mesh, coeffs), _reference_blocks(mesh, coeffs, field, subdomain_dofs)
     )
 
 
@@ -494,9 +491,8 @@ def test_translated_ids_with_other_geometry_share_nothing(field, subdomain_dofs)
     coords[coords[:, 0] == 1.0, 0] = 1.25
     stretched = replace(mesh, vertex_coords=coords)
     assert mesh.shapes[0].tolist() == [0, 0] and stretched.shapes[0].tolist() == [0, 1]
-    transfer = _transfers(stretched)[field]
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, group_of = assemble(stretched, transfer, Coefficients())
+    blocks, group_of = assemble(stretched, Coefficients())
     assert len(blocks) == 2 and group_of.tolist() == [0, 1]
     reference = _reference_blocks(stretched, Coefficients(), field, subdomain_dofs)
     _assert_blocks_equal((blocks, group_of), reference)
@@ -506,12 +502,11 @@ def test_empty_subdomain_rejected(mesh222_j2):
     """A subdomain without tets is refused by every layer that indexes
     subdomains, with the same typed error."""
     empty = replace(mesh222_j2, tet_subdomain=np.zeros(mesh222_j2.n_tets, dtype=np.int64))
-    transfers = _transfers(mesh222_j2)
     calls = [
         lambda: build_transfer(empty, "scalar"),
         lambda: build_transfer(empty, "edge"),
-        lambda: assemble_scalar(empty, transfers["scalar"], Coefficients()),
-        lambda: assemble_edge(empty, transfers["edge"], Coefficients()),
+        lambda: assemble_scalar(empty, Coefficients()),
+        lambda: assemble_edge(empty, Coefficients()),
     ]
     for call in calls:
         with pytest.raises(ConfigurationError, match="^subdomain 1 contains no tets$"):
@@ -523,7 +518,6 @@ def test_element_matrices_once_per_class(field, monkeypatch):
     """A box mesh has six tet classes, oriented or not; each is computed once
     per assembly call, however many subdomains share it."""
     mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
-    transfer = build_transfer(mesh, field)
     received = {"tet_geometry": 0, "edge_element_matrices": 0}
 
     def counting(name):
@@ -543,7 +537,7 @@ def test_element_matrices_once_per_class(field, monkeypatch):
         assemble_module, "_coalesce_plan", lambda *args: plans.append(1) or original_plan(*args)
     )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, group_of = assemble(mesh, transfer, Coefficients(1.3, 0.7, 1.9))
+    blocks, group_of = assemble(mesh, Coefficients(1.3, 0.7, 1.9))
     assert len(blocks) == 1 and group_of.tolist() == [0] * 27
     assert 0 < received["tet_geometry"] <= 6
     assert received["edge_element_matrices"] <= 6
@@ -566,7 +560,7 @@ def test_equal_subdomains_share_one_block(field, content_partition, subdomain_do
     transfer = build_transfer(mesh, field)
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.3, gamma=1.7)
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, group_of = assemble(mesh, transfer, coeffs)
+    blocks, group_of = assemble(mesh, coeffs)
     _assert_blocks_equal((blocks, group_of), _reference_blocks(mesh, coeffs, field, subdomain_dofs))
     # alpha does not enter the edge form, so all its subdomains share a block.
     assert len(blocks) == (np.unique(alpha_j).size if field == "scalar" else 1)
@@ -610,17 +604,20 @@ def test_spd_smallest_eigenvalue(mesh222_j2):
     transfers = _transfers(mesh222_j2)
     for field, assemble in (("scalar", assemble_scalar), ("edge", assemble_edge)):
         transfer = transfers[field]
-        dense = volume_matrix(transfer, *assemble(mesh222_j2, transfer, Coefficients()))
+        dense = volume_matrix(transfer, *assemble(mesh222_j2, Coefficients()))
         assert sla.eigvalsh(dense)[0] > 0
 
 
 def test_transfer_of_other_field_rejected(mesh222_j8):
-    """Each assembly reads its dofs from its own field's transfer."""
+    """Assembly takes no transfer; blocks of one field meet the other field's
+    transfer in ``build_schur_system``, which refuses them by size."""
     transfers = _transfers(mesh222_j8)
-    with pytest.raises(ValueError, match="scalar transfer"):
-        assemble_scalar(mesh222_j8, transfers["edge"], Coefficients())
-    with pytest.raises(ValueError, match="an edge transfer"):
-        assemble_edge(mesh222_j8, transfers["scalar"], Coefficients())
+    scalar_blocks = assemble_scalar(mesh222_j8, Coefficients())
+    edge_blocks = assemble_edge(mesh222_j8, Coefficients())
+    with pytest.raises(AssemblyError, match=r"^edge block 0: shape \(8, 8\), members of other"):
+        build_schur_system(*scalar_blocks, transfers["edge"])
+    with pytest.raises(AssemblyError, match=r"^scalar block 0: shape \(19, 19\), members of other"):
+        build_schur_system(*edge_blocks, transfers["scalar"])
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
@@ -629,10 +626,14 @@ def test_transfer_of_other_field_rejected(mesh222_j8):
     [((4, 4, 4), (2, 2, 2), (2, 2, 1)), ((6, 4, 4), (3, 2, 2), (3, 2, 1))],
 )
 def test_transfer_of_another_mesh_rejected(cells, subdomains, foreign, field):
-    """A transfer built for another partition of the grid has other subdomain
-    sizes and count; assembly raises instead of returning blocks sized by it."""
+    """A transfer built for another partition of the grid has another
+    subdomain count; ``build_schur_system`` raises instead of forming
+    interface operators sized by it."""
     mesh = build_box_mesh(cells, subdomains)
     transfer = _transfers(build_box_mesh(cells, foreign))[field]
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    with pytest.raises(AssemblyError, match="not of this mesh"):
-        assemble(mesh, transfer, Coefficients())
+    n_sub, n_foreign = np.prod(subdomains), np.prod(foreign)
+    with pytest.raises(
+        AssemblyError, match=f"^{field}: {n_sub} group_of entries, {n_foreign} subdomains$"
+    ):
+        build_schur_system(*assemble(mesh, Coefficients()), transfer)

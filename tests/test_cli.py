@@ -236,6 +236,30 @@ def test_export_vtk(tmp_path, capsys):
     assert path.read_text().startswith("# vtk DataFile")
 
 
+def test_table_exports_one_vtk_per_size(tmp_path, capsys):
+    """A table run writes ``<stem>.cells<n>.vtk`` per size, as it names its
+    history files, instead of overwriting one file with each mesh."""
+    path = tmp_path / "sub" / "mesh.vtk"
+    assert main(["--problem", "scalar", "--table", "--export-vtk", str(path)]) == 0
+    assert not path.exists()
+    for n in (3, 6, 9, 12):
+        text = (tmp_path / "sub" / f"mesh.cells{n}.vtk").read_text()
+        assert f"POINTS {(n + 1) ** 3} " in text
+
+
+@pytest.mark.parametrize("flag, name", [("--export-vtk", "mesh.vtk"), ("--out", "run.csv")])
+def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys, flag, name):
+    """An output path under a regular file cannot be written: the driver
+    reports it as a configuration error instead of raising NotADirectoryError."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = blocker / "sub" / name
+    assert main(["--problem", "scalar", *SMALL, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and "Not a directory" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("problem", ["scalar", "maxwell"])
 def test_report_carries_coarse_condition(capsys, problem):
     cfg = ExperimentConfig(problem=problem, cells=(4, 4, 4), subdomains=(2, 2, 2))

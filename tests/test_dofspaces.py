@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import box_partitions
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurhx.dofspaces import build_transfer
 
@@ -71,6 +74,30 @@ def test_volume_split_copies_blocks(mesh444_j8, scalar444_j8, subdomain_dofs, rn
     for j in (0, 3, 7):
         lo, hi = ops.broken_offsets[j : j + 2]
         assert np.array_equal(broken[lo:hi], u[np.concatenate(reference[j])])
+
+
+def _assert_boundary_is_face_count(mesh, field, subdomain_dofs):
+    """Each subdomain's broken slice is its interior, then its boundary (the
+    dofs on faces that only one of its tets touches), so ``boundary_trace``,
+    read off the offsets, selects exactly that boundary."""
+    ops = build_transfer(mesh, field)
+    reference = subdomain_dofs(mesh, field)
+    for j, (interior, boundary) in enumerate(reference):
+        lo, hi = ops.boundary_offsets[j : j + 2]
+        assert np.array_equal(ops.volume_split[ops.boundary_trace[lo:hi]], boundary)
+        start, stop = ops.broken_offsets[j : j + 2]
+        assert np.array_equal(ops.volume_split[start:stop], np.r_[interior, boundary])
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=box_partitions(), field=st.sampled_from(["scalar", "edge"]))
+def test_boundary_trace_is_face_count_boundary(mesh, field, subdomain_dofs):
+    _assert_boundary_is_face_count(mesh, field, subdomain_dofs)
+
+
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_boundary_trace_of_two_shapes(mesh422_two_shapes, field, subdomain_dofs):
+    _assert_boundary_is_face_count(mesh422_two_shapes, field, subdomain_dofs)
 
 
 def test_split_maps_have_no_zero_columns(maxwell444_j8):

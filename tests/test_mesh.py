@@ -498,9 +498,8 @@ def test_broken_mesh_rejected_by_skeleton(mesh111):
         for field in ("scalar", "edge"):
             with pytest.raises(AssemblyError):
                 build_transfer(bad, field)
-    transfer = build_transfer(mesh211, "edge")
     with pytest.raises(AssemblyError, match="joins no two corners of a cell"):
-        assemble_edge(off_pattern, transfer, Coefficients())
+        assemble_edge(off_pattern, Coefficients())
 
 
 def test_export_vtk(tmp_path):

@@ -357,8 +357,8 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(
     lhs = materialize(q_exact, q_exact.dim)
 
     scalar_ops, edge_ops = mw.scalar.schur.transfer, mw.schur.transfer
-    l_dense = volume_matrix(scalar_ops, *assemble_scalar(mesh, scalar_ops, coeffs))
-    m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, edge_ops, coeffs))
+    l_dense = volume_matrix(scalar_ops, *assemble_scalar(mesh, coeffs))
+    m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, coeffs))
     aux = np.diag(1.0 / np.diag(m_dense))
     g = build_gradient(mesh).toarray()
     aux = aux + g @ sla.solve(l_dense, g.T, assume_a="pos")
@@ -475,7 +475,7 @@ def test_glued_jacobi_equals_global_diagonal(request, monkeypatch, mesh_name, ga
     mw = setup_maxwell(mesh, coeffs)
     assert len(calls) == 1
     transfer = mw.schur.transfer
-    volume = volume_matrix(transfer, *assemble_edge(mesh, transfer, coeffs))
+    volume = volume_matrix(transfer, *assemble_edge(mesh, coeffs))
     expected = np.diag(volume)[transfer.skeleton_trace]
     assert len(glued) == 1 and np.array_equal(glued[0], expected)
 
@@ -550,7 +550,7 @@ def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
 
 def _dense_interface_solve(mesh, prob, rhs):
     transfer = prob.schur.transfer
-    full = volume_matrix(transfer, *assemble_scalar(mesh, transfer, prob.coeffs))
+    full = volume_matrix(transfer, *assemble_scalar(mesh, prob.coeffs))
     skel = transfer.skeleton_trace
     inner = np.setdiff1d(np.arange(mesh.n_vertices), skel)
     s_dense = full[np.ix_(skel, skel)] - full[np.ix_(skel, inner)] @ sla.solve(
@@ -577,7 +577,7 @@ def test_blocks_grouped_by_shared_block(content_partition, grid):
         (maxwell.schur, assemble_edge, jump_coeffs),
     ]
     for system, assemble, coeffs in systems:
-        blocks, group_of = assemble(mesh, system.transfer, coeffs)
+        blocks, group_of = assemble(mesh, coeffs)
         assert np.array_equal(system.group_of, group_of)
         per_subdomain = [blocks[u] for u in group_of]
         assert np.array_equal(group_of, content_partition(per_subdomain, system.transfer))
@@ -647,7 +647,7 @@ def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, tril_inverse, 
     ]
     for prob, assemble, co in systems:
         transfer = prob.schur.transfer
-        blocks, _ = assemble(mesh, transfer, co)
+        blocks, _ = assemble(mesh, co)
         for block, (s_u, members) in zip(blocks, prob.schur.groups, strict=True):
             j = members[0]
             lo, hi = transfer.boundary_offsets[j : j + 2]

@@ -1,7 +1,5 @@
 """Subdomain Schur complements and the interface operator against dense oracles."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -19,7 +17,7 @@ from schurhx.schur import SpdFactor, build_schur_system
 
 def _blocks(mesh, prob):
     """Each subdomain's block of a scalar problem, assembled again."""
-    blocks, group_of = assemble_scalar(mesh, prob.schur.transfer, prob.coeffs)
+    blocks, group_of = assemble_scalar(mesh, prob.coeffs)
     return [blocks[u] for u in group_of]
 
 
@@ -93,7 +91,7 @@ def test_global_schur_matches_dense_elimination(mesh222_j2, scalar222_j2):
     after eliminating the non-skeleton unknowns."""
     prob = scalar222_j2
     transfer = prob.schur.transfer
-    full = volume_matrix(transfer, *assemble_scalar(mesh222_j2, transfer, prob.coeffs))
+    full = volume_matrix(transfer, *assemble_scalar(mesh222_j2, prob.coeffs))
     skel_ids = transfer.skeleton_trace
     mask = np.zeros(mesh222_j2.n_vertices, dtype=bool)
     mask[skel_ids] = True
@@ -152,29 +150,26 @@ def test_tuple_dimension_checked(scalar444_j8):
 
 
 def test_spd_factor_modes_and_consistency(monkeypatch, rng):
+    """``SpdFactor`` is one dense Cholesky, of a sparse matrix or an array;
+    ``_inverse_form`` alone picks dense Cholesky or sparse LU by size, and
+    both of its modes agree."""
     w = rng.uniform(-1, 1, (40, 40))
     a = sp.csr_matrix(w @ w.T + 40 * np.eye(40))
     b = rng.uniform(-1, 1, 40)
     coupling = sp.random(40, 25, density=0.2, format="csr", random_state=1)
 
-    dense = SpdFactor(a, "test")
-    assert dense.mode == "dense-cholesky"
-    monkeypatch.setattr(schur_mod, "DENSE_CUTOFF", 0)
-    sparse = SpdFactor(a, "test")
-    assert sparse.mode == "sparse-lu"
-    assert np.abs(dense.solve(b) - sparse.solve(b)).max() <= 1e-10
-
-    # An array is already dense: whatever the cutoff, it gets dense Cholesky,
-    # on a copy, so the caller keeps its matrix.
+    # An array is factorized on a copy, so the caller keeps its matrix.
     array = a.toarray()
     from_array = SpdFactor(array, "test")
-    assert from_array.mode == "dense-cholesky"
     assert np.array_equal(array, a.toarray())
+    assert np.array_equal(from_array.solve(b), SpdFactor(a, "test").solve(b))
+    assert np.abs(array @ from_array.solve(b) - b).max() <= 1e-12
     inverse = from_array.inverse()
     assert np.array_equal(inverse, inverse.T)
     assert np.abs(inverse @ array - np.eye(40)).max() <= 1e-12
 
     # B^T A^{-1} B: both modes agree, and the dense one is bitwise symmetric.
+    monkeypatch.setattr(schur_mod, "DENSE_CUTOFF", 0)
     want = schur_mod._inverse_form(a, coupling, "test")
     monkeypatch.undo()
     form = schur_mod._inverse_form(a, coupling, "test")
@@ -197,22 +192,13 @@ def test_spd_factor_rejects_indefinite():
         SpdFactor(saddle, "saddle block")
 
 
-def test_spd_factor_inverse_needs_dense_cholesky():
-    """Only the dense Cholesky factor has an explicit inverse: a sparse-LU
-    factor raises a typed error naming its label and mode."""
-    factor = SpdFactor(sp.identity(schur_mod.DENSE_CUTOFF + 1, format="csr") * 2.0, "x")
-    assert factor.mode == "sparse-lu"
-    with pytest.raises(ValueError, match="^x: no explicit inverse of a sparse-lu factor$"):
-        factor.inverse()
-
-
 def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     """At H/h = 6 (12^3 cells on 2^3 subdomains) the edge interior has 1,206
     dofs and goes through the dense A_bb - X^T X path; its S_u matches the
     sparse-LU path to 1e-12 relative."""
     mesh = build_box_mesh((12, 12, 12), (2, 2, 2))
     transfer = build_transfer(mesh, "edge")
-    block = assemble_edge(mesh, transfer, Coefficients())[0][0]
+    block = assemble_edge(mesh, Coefficients())[0][0]
     lo, hi = transfer.boundary_offsets[:2]
     boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[0]
     n_interior = block.shape[0] - boundary.size
@@ -230,7 +216,7 @@ def test_blocks_must_match_the_transfer(mesh444_j8):
     unwritten, and blocks of another field would index past their ends."""
     scalar = build_transfer(mesh444_j8, "scalar")
     edge = build_transfer(mesh444_j8, "edge")
-    blocks, group_of = assemble_scalar(mesh444_j8, scalar, Coefficients())
+    blocks, group_of = assemble_scalar(mesh444_j8, Coefficients())
     with pytest.raises(AssemblyError, match="^scalar: 7 group_of entries, 8 subdomains$"):
         build_schur_system(blocks, group_of[:-1], scalar)
     with pytest.raises(AssemblyError, match="^edge block 0: shape"):
@@ -241,35 +227,11 @@ def test_group_of_must_use_every_block(mesh444_j8):
     """A block that no subdomain names, or a name past the last block, is
     refused rather than left without a group."""
     scalar = build_transfer(mesh444_j8, "scalar")
-    blocks, group_of = assemble_scalar(mesh444_j8, scalar, Coefficients())
+    blocks, group_of = assemble_scalar(mesh444_j8, Coefficients())
     with pytest.raises(AssemblyError, match="each of the 2 blocks"):
         build_schur_system(blocks + [blocks[0]], group_of, scalar)
     with pytest.raises(AssemblyError, match="each of the 1 blocks"):
         build_schur_system(blocks, np.where(np.arange(8) == 3, 1, group_of), scalar)
-
-
-@pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_members_with_other_boundary_positions_rejected(mesh444_j8, field):
-    """Every subdomain's boundary must be the trailing range of its broken
-    slice: a member whose boundary trace names other local ids of the same
-    count would otherwise be applied the first member's S_u."""
-    transfer = build_transfer(mesh444_j8, field)
-    assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, group_of = assemble(mesh444_j8, transfer, Coefficients())
-    assert len(blocks) == 1
-    j = 5
-    lo, hi = transfer.boundary_offsets[j : j + 2]
-    start, stop = transfer.broken_offsets[j : j + 2]
-    local = transfer.boundary_trace[lo:hi] - start
-    assert np.array_equal(local, np.arange(stop - start - (hi - lo), stop - start))
-    moved = transfer.boundary_trace.copy()
-    moved[lo:hi] = start + np.r_[local[0] - 1, local[1:]]
-    other = replace(transfer, boundary_trace=moved)
-    with pytest.raises(
-        AssemblyError,
-        match=f"^{field} subdomain 5: its boundary trace is not the trailing range of its block$",
-    ):
-        build_schur_system(blocks, group_of, other)
 
 
 def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
@@ -342,7 +304,7 @@ def test_split_of_non_canonical_block_matches_toarray(mesh444_j8, sliced_schur):
     complement is bitwise that of the canonical block and of the sliced
     reference."""
     transfer = build_transfer(mesh444_j8, "scalar")
-    canonical = assemble_scalar(mesh444_j8, transfer, Coefficients(alpha=1.3))[0][0]
+    canonical = assemble_scalar(mesh444_j8, Coefficients(alpha=1.3))[0][0]
     lo, hi = transfer.boundary_offsets[:2]
     n_interior = canonical.shape[0] - (hi - lo)
     rng = np.random.default_rng(4)
