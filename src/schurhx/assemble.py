@@ -31,11 +31,11 @@ last, as ``dofspaces.build_transfer`` numbers them, and they share the class
 data, computed from one representative tet of the shape's first subdomain.
 Assembly reads only the mesh and the coefficients; ``build_schur_system``,
 where blocks meet a transfer, refuses blocks of another partition or field.
-Tets gather the class data and apply their own
-coefficients in the per-tet operation order, so the values are bitwise
-per-tet ones, and a block's data is one ``np.add.reduceat``.  Subdomains of
-one shape with bitwise-equal per-tet coefficients (alpha and beta for the
-scalar field; gamma is global) share a block; assembly alone decides this.
+Tets gather the class data and apply their own coefficients in the per-tet
+operation order, so the values are bitwise per-tet ones, and a block's data
+is one ``np.add.reduceat``.  Subdomains of one shape with bitwise-equal
+per-tet coefficients (alpha and beta for the scalar field; gamma is global)
+share a block; assembly alone decides this.
 It returns ``(blocks, group_of)``: one CSR block per distinct block, in order
 of first appearance, with read-only ``data``, ``indices`` and ``indptr``, and
 the read-only int64 ``group_of[j]``, subdomain j's block.  No global matrix

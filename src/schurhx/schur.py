@@ -25,9 +25,8 @@ The interior factor is dropped once S_u is formed.  A blockwise apply is one
 GEMM per block over the tuple slices of all its member subdomains
 (``SchurSystem.grouped_apply``).
 """
-from __future__ import annotations
 
-from functools import partial
+from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
