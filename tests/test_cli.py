@@ -249,7 +249,7 @@ def test_table_exports_one_vtk_per_size(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, name", [("--export-vtk", "mesh.vtk"), ("--out", "run.csv")])
 def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys, flag, name):
-    """An output path under a regular file cannot be written: the driver
+    """An output path under a regular file cannot be written: the CLI
     reports it as a configuration error instead of raising NotADirectoryError."""
     blocker = tmp_path / "file"
     blocker.write_text("")
