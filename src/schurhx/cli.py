@@ -1,5 +1,9 @@
 """Command-line driver: interface solves, refinement tables, identity checks.
 
+``ExperimentConfig`` is the one list of settings: argparse only splits argv,
+and a value from a flag or a config file is parsed by ``_coerce`` from its
+field's default and checked by ``ExperimentConfig``, so it exits 2 if bad.
+
 Outputs are deterministic for a fixed configuration: the convergence CSV and
 the summary CSV are byte-identical across reruns (timings go to stdout only).
 """
@@ -63,6 +67,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be a non-empty path")
             if path is not None and Path(path).is_dir():
                 raise ConfigurationError(f"{name} {path} is a directory, expected a file path")
+        for name in ("table", "export_vtk"):
+            if self.problem == "verify" and getattr(self, name):
+                raise ConfigurationError(f"verify runs its fixed meshes and takes no {name}")
         self.coefficients()
 
     def coefficients(self) -> Coefficients:
@@ -108,38 +115,32 @@ def _read_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value):
-    if isinstance(value, str):
-        if key in ("cells", "subdomains"):
-            return _parse_triple(value, key)
-        if key in ("alpha", "beta", "gamma", "tol", "max_iter", "seed"):
-            number = int if key in ("max_iter", "seed") else float
-            try:
-                return number(value)
-            except ValueError as err:
-                raise ConfigurationError(
-                    f"{key} expects {number.__name__}, got {value!r}"
-                ) from err
-        if key == "table":
-            if value.lower() in ("1", "true", "yes"):
-                return True
-            if value.lower() in ("0", "false", "no"):
-                return False
-            raise ConfigurationError(f"table expects a boolean, got {value!r}")
-    return value
+    """Text ``value`` as the type of field ``key``'s default (str or None: as is)."""
+    default = getattr(ExperimentConfig, key)
+    if not isinstance(value, str) or default is None or isinstance(default, str):
+        return value
+    if isinstance(default, tuple):
+        return _parse_triple(value, key)
+    if isinstance(default, bool):
+        truth = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+        if value.lower() not in truth:
+            raise ConfigurationError(f"{key} expects a boolean, got {value!r}")
+        return truth[value.lower()]
+    number = type(default)
+    try:
+        return number(value)
+    except ValueError as err:
+        raise ConfigurationError(f"{key} expects {number.__name__}, got {value!r}") from err
 
 
 def build_config(cli_values: dict, file_values: dict) -> ExperimentConfig:
     """Defaults, overridden by the config file, overridden by CLI flags."""
     known = {f.name for f in fields(ExperimentConfig)}
-    merged: dict = {}
-    for key, value in file_values.items():
+    merged = {**file_values, **cli_values}
+    for key in merged:
         if key not in known:
             raise ConfigurationError(f"unknown config key {key!r}")
-        merged[key] = _coerce(key, value)
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = _coerce(key, value)
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**{key: _coerce(key, value) for key, value in merged.items()})
 
 
 def _history_lines(config: ExperimentConfig, report: SolveReport) -> list[str]:
@@ -291,6 +292,7 @@ def run_verify(config: ExperimentConfig) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="schurhx",
+        argument_default=argparse.SUPPRESS,
         description=(
             "Substructured interface solves on the unit box: scalar "
             "reaction-diffusion with a Neumann-Neumann preconditioner, "
@@ -298,42 +300,23 @@ def main(argv=None) -> int:
             "plus a dense identity verifier."
         ),
     )
-    parser.add_argument(
-        "--problem", choices=("scalar", "maxwell", "verify"), default=None,
-        help="what to run (default scalar)",
-    )
-    parser.add_argument("--cells", default=None, help="cells per axis, NX,NY,NZ")
-    parser.add_argument(
-        "--subdomains", default=None, help="subdomains per axis, JX,JY,JZ"
-    )
-    parser.add_argument("--alpha", type=float, default=None, help="diffusion coefficient")
-    parser.add_argument("--beta", type=float, default=None, help="reaction coefficient")
-    parser.add_argument(
-        "--gamma", type=float, default=None, help="zeroth-order Maxwell weight"
-    )
-    parser.add_argument("--tol", type=float, default=None, help="PCG relative tolerance")
-    parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
-    parser.add_argument("--out", default=None, help="convergence CSV path")
-    parser.add_argument(
-        "--export-vtk", default=None, dest="export_vtk", help="write the mesh as VTK"
-    )
-    parser.add_argument(
-        "--table", action="store_const", const=True, default=None,
-        help="run the refinement table (cells 3,6,9,12 per axis)",
-    )
-    parser.add_argument("--config", default=None, help="key=value config file")
-    args = parser.parse_args(argv)
-
-    cli_values = {
-        key: getattr(args, key)
-        for key in (
-            "problem", "cells", "subdomains", "alpha", "beta", "gamma",
-            "tol", "max_iter", "seed", "out", "export_vtk", "table",
-        )
-    }
+    parser.add_argument("--problem", help="scalar, maxwell or verify (default scalar)")
+    parser.add_argument("--cells", help="cells per axis, NX,NY,NZ")
+    parser.add_argument("--subdomains", help="subdomains per axis, JX,JY,JZ")
+    parser.add_argument("--alpha", help="diffusion coefficient")
+    parser.add_argument("--beta", help="reaction coefficient")
+    parser.add_argument("--gamma", help="zeroth-order Maxwell weight")
+    parser.add_argument("--tol", help="PCG relative tolerance")
+    parser.add_argument("--max-iter", help="PCG iteration cap")
+    parser.add_argument("--seed", help="RNG seed")
+    parser.add_argument("--out", help="convergence CSV path")
+    parser.add_argument("--export-vtk", help="write the mesh as VTK")
+    parser.add_argument("--table", action="store_true", help="refinement table, cells 3,6,9,12")
+    parser.add_argument("--config", help="key=value config file")
+    cli_values = vars(parser.parse_args(argv))
+    config_path = cli_values.pop("config", None)
     try:
-        file_values = _read_config_file(args.config) if args.config else {}
+        file_values = _read_config_file(config_path) if config_path else {}
         config = build_config(cli_values, file_values)
         print("effective configuration:")
         for key, value in config.echo_items():

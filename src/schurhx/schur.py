@@ -13,7 +13,9 @@ to eliminate the interior: up to DENSE_CUTOFF dofs, an in-place dense
 Cholesky (``SpdFactor``) of its one dense copy of A_ii; X overwrites a dense
 copy of A_ib (one triangular solve) and X^T X is one SYRK, so S_j comes out
 bitwise symmetric.  Larger interiors use sparse LU and
-S_j = A_bb - A_ib^T (A_ii^{-1} A_ib).
+S_j = A_bb - A_ib^T (A_ii^{-1} A_ib), whose product ``_inverse_form``
+averages with its transpose, so S_j is bitwise symmetric on both paths
+(assembly mirrors every element matrix, so A_bb already is).
 
 Assembly alone decides which subdomains share a block: it returns each
 distinct block once and ``group_of[j]``, subdomain j's block (under constant
@@ -86,7 +88,8 @@ def _inverse_form(a: sp.csr_matrix, b: sp.csr_matrix, label: str) -> np.ndarray:
 
     Up to DENSE_CUTOFF rows, X = L^{-1} B is formed in place and L is freed
     before X^T X, which numpy computes as one SYRK, so the result is bitwise
-    symmetric; above it, a sparse LU gives B^T (A^{-1} B).
+    symmetric; above it, a sparse LU gives B^T (A^{-1} B), averaged with its
+    transpose.
     """
     if a.shape[0] > DENSE_CUTOFF:
         try:
@@ -96,7 +99,9 @@ def _inverse_form(a: sp.csr_matrix, b: sp.csr_matrix, label: str) -> np.ndarray:
         x = lu.solve(b.toarray())
         if not np.all(np.isfinite(x)):
             raise SingularOperatorError(f"{label}: non-finite solve result")
-        return b.T @ x
+        # Only this product can come out asymmetric: average it with its transpose.
+        form = b.T @ x
+        return (form + form.T) / 2.0
     factor = SpdFactor(a, label)
     x, info = sla.lapack.dtrtrs(factor.lower, b.toarray(order="F"), lower=1, overwrite_b=1)
     del factor
@@ -117,8 +122,7 @@ def _schur_complement(block: sp.csr_matrix, n_interior: int, label: str) -> np.n
         reduction = _inverse_form(block[:n_i, :n_i], block[:n_i, n_i:], f"{label} (interior)")
     schur = block[n_i:, n_i:].toarray()
     schur -= reduction
-    # Averaging with the transpose leaves a bitwise-symmetric matrix unchanged.
-    return (schur + schur.T) / 2.0
+    return schur
 
 
 class SchurSystem:

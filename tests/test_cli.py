@@ -1,5 +1,7 @@
 """End-to-end driver tests, run in process through main(argv)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,9 @@ def test_build_config_precedence():
     assert cfg.seed == 7 and cfg.cells == (2, 2, 2) and cfg.table
     with pytest.raises(ConfigurationError, match="unknown config key"):
         build_config({}, {"widgets": "3"})
+    # A method of ExperimentConfig is not a setting.
+    with pytest.raises(ConfigurationError, match="unknown config key 'coefficients'"):
+        build_config({"coefficients": "x"}, {})
 
 
 def test_main_echoes_configuration(capsys, tmp_path):
@@ -187,6 +192,63 @@ def test_bad_arguments_exit_2(capsys, tmp_path):
     for problem in ("verify", "maxwell"):
         assert main(["--problem", problem, "--table", "--out", str(tmp_path)]) == 2
         assert "error: out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("problem", "bogus"),
+        ("cells", "4"),
+        ("subdomains", "a,b,c"),
+        ("alpha", "x"),
+        ("beta", "0"),
+        ("gamma", "1e160"),
+        ("tol", "2.0"),
+        ("max_iter", "1.5"),
+        ("seed", "abc"),
+        ("out", ""),
+        ("export_vtk", ""),
+        ("table", "maybe"),
+    ],
+)
+def test_flag_and_file_values_share_one_parse(tmp_path, capsys, key, value):
+    """A bad value returns 2 from main with the same ``error:`` line whether
+    it comes from a flag or from a config file; argparse never exits."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(["--config", str(cfg)]) == 2
+    from_file = capsys.readouterr()
+    assert from_file.err.startswith("error: ") and key in from_file.err
+    assert from_file.err.count("\n") == 1
+    assert "effective configuration" not in from_file.out
+    if key != "table":  # --table takes no value
+        assert main([f"--{key.replace('_', '-')}", value]) == 2
+        assert capsys.readouterr().err == from_file.err
+
+
+def test_help_names_a_flag_for_every_setting(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for field in fields(ExperimentConfig):
+        assert f"--{field.name.replace('_', '-')} " in out
+
+
+@pytest.mark.parametrize("key", ["table", "export_vtk"])
+def test_verify_refuses_table_and_vtk_export(tmp_path, capsys, key):
+    """verify runs its fixed meshes: a table or a VTK path, from a flag or a
+    file, is refused instead of silently dropped."""
+    vtk = tmp_path / "mesh.vtk"
+    flag, value = (["--table"], "yes") if key == "table" else (["--export-vtk", str(vtk)], vtk)
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"problem = verify\n{key} = {value}\n")
+    for argv in (["--problem", "verify", *flag], ["--config", str(cfg)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: verify runs its fixed meshes and takes no {key}\n"
+        assert "effective configuration" not in captured.out
+    assert not vtk.exists()
 
 
 @pytest.mark.parametrize(

@@ -195,7 +195,7 @@ def test_spd_factor_rejects_indefinite():
 def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     """At H/h = 6 (12^3 cells on 2^3 subdomains) the edge interior has 1,206
     dofs and goes through the dense A_bb - X^T X path; its S_u matches the
-    sparse-LU path to 1e-12 relative."""
+    sparse-LU path to 1e-12 relative, and both are bitwise symmetric."""
     mesh = build_box_mesh((12, 12, 12), (2, 2, 2))
     transfer = build_transfer(mesh, "edge")
     block = assemble_edge(mesh, Coefficients())[0][0]
@@ -206,7 +206,7 @@ def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
     dense = schur_mod._schur_complement(block, n_interior, "edge")
     monkeypatch.setattr(schur_mod, "DENSE_CUTOFF", 0)
     sparse = schur_mod._schur_complement(block, n_interior, "edge")
-    assert np.array_equal(dense, dense.T)
+    assert np.array_equal(dense, dense.T) and np.array_equal(sparse, sparse.T)
     assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
 
 
