@@ -27,15 +27,16 @@ edge offsets plus, for the edge field, its six edge orientations (a box mesh
 has six).  Subdomains of one shape (``BoxMesh.shapes``) share the coalesce
 plan (stable sort order, group starts, CSR indices and indptr) built from its
 ``BoxMesh.numbering``, so a block's rows run in that order, boundary dofs
-last, as ``dofspaces.build_transfer`` numbers them, and they share the class
-data, computed from one representative tet of the shape's first subdomain.
-Assembly reads only the mesh and the coefficients; ``build_schur_system``,
-where blocks meet a transfer, refuses blocks of another partition or field.
-Tets gather the class data and apply their own coefficients in the per-tet
-operation order, so the values are bitwise per-tet ones, and a block's data
-is one ``np.add.reduceat``.  Subdomains of one shape with bitwise-equal
-per-tet coefficients (alpha and beta for the scalar field; gamma is global)
-share a block; assembly alone decides this.
+last, as ``dofspaces.build_transfer`` numbers them.  They also share the
+per-tet data, gathered once per shape from class data computed on one
+representative tet per class of the shape's first subdomain.  Each block
+applies its own per-tet coefficients to it in the per-tet operation order, so
+the values are bitwise per-tet ones, and a block's data is one
+``np.add.reduceat``.  Subdomains of one shape with bitwise-equal per-tet
+coefficients (alpha and beta for the scalar field; gamma is global) share a
+block; assembly alone decides this.  Assembly reads only the mesh and the
+coefficients; ``build_schur_system``, where blocks meet a transfer, refuses
+blocks of another partition or field.
 It returns ``(blocks, group_of)``: one CSR block per distinct block, in order
 of first appearance, with read-only ``data``, ``indices`` and ``indptr``, and
 the read-only int64 ``group_of[j]``, subdomain j's block.  No global matrix
@@ -197,22 +198,18 @@ def edge_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray):
     return _mirror_upper(curl_mat), _mirror_upper(mass_mat)
 
 
-def _class_rows(mesh: BoxMesh, tets: np.ndarray, oriented: bool) -> np.ndarray:
-    """Class row of each tet: its lattice edge offsets and, if ``oriented``,
-    the orientations of its six edges."""
+def _per_tet(mesh: BoxMesh, tet_ids: np.ndarray, oriented: bool, compute) -> tuple:
+    """Per-tet arrays of ``tet_ids``: ``compute(rep_ids)`` returns a tuple of
+    per-class arrays from one representative tet per class, where a class is a
+    tet's lattice edge offsets and, if ``oriented``, its six edge orientations."""
+    tets = mesh.tets[tet_ids]
     lattice = mesh.vertex_lattice[tets]
     rows = (lattice[:, 1:] - lattice[:, :1]).reshape(len(tets), 9)
     if oriented:
         rows = np.hstack([rows, tets[:, LOCAL_EDGES[:, 0]] > tets[:, LOCAL_EDGES[:, 1]]])
-    return rows
-
-
-def _per_class(rows: np.ndarray, tet_ids: np.ndarray, compute):
-    """Class id of each tet and the class data: ``compute(rep_ids)`` returns a
-    tuple of per-class arrays from one representative tet per class."""
     rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    return inverse, compute(tet_ids[first])
+    return tuple(data[inverse] for data in compute(tet_ids[first]))
 
 
 def _coalesce_plan(ldof: np.ndarray, dim: int):
@@ -231,10 +228,9 @@ def _coalesce_plan(ldof: np.ndarray, dim: int):
 def _assemble(
     mesh: BoxMesh,
     scope: str,
-    numbering: list,  # per shape (dof positions, local ids, interior count): BoxMesh.numbering
-    oriented: bool,  # whether edge orientations split tet classes
+    field: str,  # "scalar" or "edge": the numbering, and whether orientations split classes
     compute,  # callable: representative tet ids -> tuple of per-class arrays
-    element,  # callable: (class ids, class data, *coefficients) -> (T, k, k)
+    element,  # callable: (*per-tet data, *coefficients) -> (T, k, k)
     coefficients: tuple[np.ndarray, ...],  # per-tet arrays ``element`` reads
 ) -> tuple[list[sp.csr_matrix], np.ndarray]:
     # "blocks" is the only scope.  The keyword stays because the benchmark's
@@ -242,25 +238,25 @@ def _assemble(
     if scope != "blocks":
         raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
     shape_of, first = mesh.shapes
+    numbering = mesh.numbering(field)
     sizes = [positions.size for positions, _, _ in numbering]
-    structures = []  # per shape: coalesce plan, class ids and class data
+    structures = []  # per shape: coalesce plan and per-tet data
     for j, (_, local, _), size in zip(first, numbering, sizes):
-        tet_ids = mesh.tets_of_subdomain(j)
-        rows = _class_rows(mesh, mesh.tets[tet_ids], oriented)
-        structures.append((_coalesce_plan(local, size), *_per_class(rows, tet_ids, compute)))
+        plan = _coalesce_plan(local, size)  # before the per-tet data: a lower peak
+        per_tet = _per_tet(mesh, mesh.tets_of_subdomain(j), field == "edge", compute)
+        structures.append((plan, per_tet))
     shared = {}  # (shape, per-tet coefficients) -> block number
     blocks = []
     group_of = np.empty(len(shape_of), dtype=np.int64)
     for j, s in enumerate(shape_of):
-        (order, starts, indices, indptr), cls, class_data = structures[s]
+        (order, starts, indices, indptr), per_tet = structures[s]
         local_coeffs = [c[mesh.tets_of_subdomain(j)] for c in coefficients]
         value = (s, *(c.tobytes() for c in local_coeffs))
         if value not in shared:
             shared[value] = len(blocks)
-            local = element(cls, class_data, *local_coeffs)
+            local = element(*per_tet, *local_coeffs)
             data = _freeze(np.add.reduceat(local.ravel()[order], starts))
-            n = sizes[s]
-            blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False))
+            blocks.append(sp.csr_matrix((data, indices, indptr), shape=(sizes[s],) * 2, copy=False))
         group_of[j] = shared[value]
     return blocks, _freeze(group_of)
 
@@ -273,14 +269,12 @@ def assemble_scalar(
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
     beta = coeffs.per_tet("beta", mesh.n_tets)
 
-    def element(cls, class_data, alpha, beta):
-        vols, gg = class_data
-        stiff, mass = _p1_matrices(vols[cls], gg[cls], alpha, beta)
+    def element(vols, gg, alpha, beta):
+        stiff, mass = _p1_matrices(vols, gg, alpha, beta)
         return stiff + mass
 
     return _assemble(
-        mesh, scope, mesh.numbering("scalar"), False,
-        lambda reps: _p1_geometry(mesh, reps), element, (alpha, beta),
+        mesh, scope, "scalar", lambda reps: _p1_geometry(mesh, reps), element, (alpha, beta)
     )
 
 
@@ -292,11 +286,8 @@ def assemble_edge(
     gamma = float(np.asarray(coeffs.gamma))
     g2 = gamma * gamma
 
-    def element(cls, class_data):
-        curl_mat, mass_mat = class_data
-        return (curl_mat + g2 * mass_mat)[cls]
+    def compute(reps):
+        curl_mat, mass_mat = edge_element_matrices(mesh, reps)
+        return (curl_mat + g2 * mass_mat,)
 
-    return _assemble(
-        mesh, scope, mesh.numbering("edge"), True,
-        lambda reps: edge_element_matrices(mesh, reps), element, (),
-    )
+    return _assemble(mesh, scope, "edge", compute, lambda matrices: matrices, ())

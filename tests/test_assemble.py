@@ -514,37 +514,46 @@ def test_empty_subdomain_rejected(mesh222_j2):
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_element_matrices_once_per_class(field, monkeypatch):
+def test_element_matrices_once_per_class(field, monkeypatch, mesh422_two_shapes):
     """A box mesh has six tet classes, oriented or not; each is computed once
-    per assembly call, however many subdomains share it."""
+    per shape and assembly call, and gathered to the tets once per shape,
+    however many subdomains or distinct blocks share it."""
     mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
-    received = {"tet_geometry": 0, "edge_element_matrices": 0}
+    alpha_j = 1.0 + np.arange(mesh.n_subdomains) / 8.0
+    cases = [  # mesh, coefficients, distinct blocks per field
+        (mesh, Coefficients(1.3, 0.7, 1.9), {"scalar": 1, "edge": 1}),
+        (mesh, Coefficients(alpha_j[mesh.tet_subdomain], 0.7, 1.9), {"scalar": 27, "edge": 1}),
+        (mesh422_two_shapes, Coefficients(1.3, 0.7, 1.9), {"scalar": 2, "edge": 2}),
+    ]
+    # Per call: the number of tets for the element functions, else 1.
+    names = ("tet_geometry", "edge_element_matrices", "_per_tet", "_coalesce_plan")
+    received = {name: [] for name in names}
 
     def counting(name):
         original = getattr(assemble_module, name)
 
-        def wrapper(mesh, tet_ids=None):
-            received[name] += mesh.n_tets if tet_ids is None else len(tet_ids)
-            return original(mesh, tet_ids)
+        def wrapper(*args):
+            received[name].append(len(args[1]) if name in names[:2] else 1)
+            return original(*args)
 
         return wrapper
 
     for name in received:
         monkeypatch.setattr(assemble_module, name, counting(name))
-    plans = []
-    original_plan = assemble_module._coalesce_plan
-    monkeypatch.setattr(
-        assemble_module, "_coalesce_plan", lambda *args: plans.append(1) or original_plan(*args)
-    )
     assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, group_of = assemble(mesh, Coefficients(1.3, 0.7, 1.9))
-    assert len(blocks) == 1 and group_of.tolist() == [0] * 27
-    assert 0 < received["tet_geometry"] <= 6
-    assert received["edge_element_matrices"] <= 6
-    if field == "edge":
-        assert received["edge_element_matrices"] > 0
-    # Every subdomain of a uniform partition has the same dof pattern.
-    assert len(plans) == 1
+    for case_mesh, coeffs, n_blocks in cases:
+        for calls in received.values():
+            calls.clear()
+        n_shapes = case_mesh.shapes[1].size
+        blocks, group_of = assemble(case_mesh, coeffs)
+        assert len(blocks) == n_blocks[field] and len(group_of) == case_mesh.n_subdomains
+        assert len(received["_per_tet"]) == n_shapes
+        # Every subdomain of a shape has the same dof pattern.
+        assert len(received["_coalesce_plan"]) == n_shapes
+        assert 0 < sum(received["tet_geometry"]) <= 6 * n_shapes
+        assert sum(received["edge_element_matrices"]) <= 6 * n_shapes
+        if field == "edge":
+            assert len(received["edge_element_matrices"]) == n_shapes
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])

@@ -47,10 +47,10 @@ def test_config_validation():
 def test_build_config_precedence():
     cfg = build_config(
         {"alpha": 2.0, "out": None},
-        {"alpha": "9.0", "seed": "7", "cells": "2,2,2", "table": "yes"},
+        {"alpha": "9.0", "seed": "7", "subdomains": "2,2,2", "table": "yes"},
     )
     assert cfg.alpha == 2.0  # CLI beats file
-    assert cfg.seed == 7 and cfg.cells == (2, 2, 2) and cfg.table
+    assert cfg.seed == 7 and cfg.subdomains == (2, 2, 2) and cfg.table
     with pytest.raises(ConfigurationError, match="unknown config key"):
         build_config({}, {"widgets": "3"})
     # A method of ExperimentConfig is not a setting.
@@ -249,6 +249,36 @@ def test_verify_refuses_table_and_vtk_export(tmp_path, capsys, key):
         assert captured.err == f"error: verify runs its fixed meshes and takes no {key}\n"
         assert "effective configuration" not in captured.out
     assert not vtk.exists()
+
+
+@pytest.mark.parametrize(
+    "run, key, value",
+    [
+        ("verify", "cells", "4,4,4"),
+        ("verify", "subdomains", "1,1,1"),
+        ("verify", "tol", "1e-3"),
+        ("verify", "max_iter", "1"),
+        ("table", "cells", "5,5,5"),
+    ],
+)
+def test_unread_settings_are_refused(tmp_path, capsys, run, key, value):
+    """A setting the run does not read, set away from its default by a flag
+    or a config file, exits 2 with one ``error:`` line instead of being
+    dropped; left at its default, it is accepted."""
+    refusal, chosen = {
+        "verify": ("verify runs its fixed meshes", {"problem": "verify"}),
+        "table": ("the table runs cells 3,6,9,12", {"table": "yes"}),
+    }[run]
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**chosen, key: value}.items()))
+    flags = ["--problem", "verify"] if run == "verify" else ["--table"]
+    for argv in ([*flags, f"--{key.replace('_', '-')}", value], ["--config", str(cfg)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {refusal} and takes no {key}\n"
+        assert "effective configuration" not in captured.out
+    default = {"cells": "3,3,3", "subdomains": "3,3,3", "tol": "1e-9", "max_iter": "1000"}[key]
+    build_config({key: default}, chosen)
 
 
 @pytest.mark.parametrize(
