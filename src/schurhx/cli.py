@@ -4,7 +4,8 @@
 and a value from a flag or a config file is parsed by ``_coerce`` from its
 field's default and checked by ``ExperimentConfig``, so it exits 2 if bad.
 So does a setting the run does not read, unless it keeps its default: verify
-takes no mesh, solver, table or VTK setting, and the table takes no cells.
+takes no mesh, solver, table or VTK setting, maxwell no alpha or beta, scalar
+no gamma, and the table no cells.
 
 Outputs are deterministic for a fixed configuration: the convergence CSV and
 the summary CSV are byte-identical across reruns (timings go to stdout only).
@@ -69,16 +70,20 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be a non-empty path")
             if path is not None and Path(path).is_dir():
                 raise ConfigurationError(f"{name} {path} is a directory, expected a file path")
-        # A setting the run does not read must keep its default.
-        if self.problem == "verify":
-            run = "verify runs its fixed meshes"
-            unread = ("cells", "subdomains", "tol", "max_iter", "table", "export_vtk")
-        else:
-            run, unread = "the table runs cells 3,6,9,12", ("cells",) if self.table else ()
-        for name in unread:
-            if getattr(self, name) != getattr(ExperimentConfig, name):
-                raise ConfigurationError(f"{run} and takes no {name}")
         self.coefficients()
+        # A setting the run does not read must keep its default.
+        unread = [{
+            "verify": ["verify runs its fixed meshes", "cells", "subdomains", "tol", "max_iter",
+                       "table", "export_vtk"],
+            "maxwell": ["maxwell reads only gamma", "alpha", "beta"],
+            "scalar": ["scalar reads only alpha and beta", "gamma"],
+        }[self.problem]]
+        if self.table:
+            unread.append(["the table runs cells 3,6,9,12", "cells"])
+        for run, *names in unread:
+            for name in names:
+                if getattr(self, name) != getattr(ExperimentConfig, name):
+                    raise ConfigurationError(f"{run} and takes no {name}")
 
     def coefficients(self) -> Coefficients:
         return Coefficients(self.alpha, self.beta, self.gamma)

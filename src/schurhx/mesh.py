@@ -132,6 +132,16 @@ class BoxMesh:
             raise AssemblyError("vertex off the box lattice")
         return _freeze(lattice.astype(np.int64))
 
+    def dof_positions(self, field: str, dofs: np.ndarray) -> np.ndarray:
+        """Doubled lattice positions (len(dofs), 3) of dofs of ``field``: twice
+        a vertex's ``vertex_lattice`` point or an edge's end points summed, so
+        cell faces lie at even coordinates; another field raises ValueError."""
+        if field == "scalar":
+            return 2 * self.vertex_lattice[dofs]
+        if field == "edge":
+            return self.vertex_lattice[self.edges[dofs]].sum(axis=1)
+        raise ValueError(f"unknown field {field!r}")
+
     @cached_property
     def shapes(self) -> tuple[np.ndarray, np.ndarray]:
         """Shape number of each subdomain, in order of first appearance, and

@@ -284,7 +284,7 @@ def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
     """The scalar interface solve, its Neumann-Neumann weighted by alpha."""
     transfer = build_transfer(mesh, "scalar")
     # The blocks go once their Schur complements are formed.
-    schur = build_schur_system(*assemble_scalar(mesh, coeffs), transfer)
+    schur = build_schur_system(*assemble_scalar(mesh, coeffs), transfer, mesh)
     qnn = NeumannNeumann(schur, _copy_rho(mesh, coeffs, transfer))
     return ScalarProblem(coeffs, schur, qnn, mesh.n_vertices)
 
@@ -297,7 +297,7 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
 
     transfer = build_transfer(mesh, "edge")
     blocks, group_of = assemble_edge(mesh, coeffs)
-    schur = build_schur_system(blocks, group_of, transfer)
+    schur = build_schur_system(blocks, group_of, transfer, mesh)
 
     # The skeleton Jacobi diagonal glues the subdomain boundary diagonals.
     # Copies add in ascending subdomain order, as in ``oracle.volume_matrix``,

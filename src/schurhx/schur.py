@@ -8,14 +8,19 @@ CSR submatrices.  The local Dirichlet-to-Neumann map is the Schur complement
     S_j = A_bb - A_bi A_ii^{-1} A_ib = A_bb - X^T X,    X = L^{-1} A_ib,
 
 where A_ii = L L^T, and the global interface operator on the skeleton space
-is split^T . blockdiag(S_j) . split.  ``_inverse_form`` alone chooses how
-to eliminate the interior: up to DENSE_CUTOFF dofs, an in-place dense
-Cholesky (``SpdFactor``) of its one dense copy of A_ii; X overwrites a dense
-copy of A_ib (one triangular solve) and X^T X is one SYRK, so S_j comes out
-bitwise symmetric.  Larger interiors use sparse LU and
-S_j = A_bb - A_ib^T (A_ii^{-1} A_ib), whose product ``_inverse_form``
-averages with its transpose, so S_j is bitwise symmetric on both paths
-(assembly mirrors every element matrix, so A_bb already is).
+is split^T . blockdiag(S_j) . split.  Every reduction A_bi A_ii^{-1} A_ib is
+one recursive static condensation over nested dissection (George 1973,
+``_reduction``).  An interior of at most LEAF dofs is a leaf: its rows are
+made dense once, a copy of A_ii is factorized in place, X overwrites a copy
+of A_ib and X^T X is one SYRK (``_inverse_form``).  A larger interior is cut
+at the cell-face plane nearest its middle on each axis at least two cells
+wide, read off ``BoxMesh.dof_positions``: its dofs on a cut form the
+separator G, the rest at most eight octants that share no matrix entry.
+Each octant's reduction onto the dofs it touches is subtracted from the
+dense (G, boundary) part of the block, whose G is then eliminated as a leaf.
+S_j comes out bitwise symmetric (assembly mirrors every element matrix, so
+A_bb already is).  A dense matrix over ``DENSE_BYTES_LIMIT`` is refused
+before it is allocated.
 
 Assembly alone decides which subdomains share a block: it returns each
 distinct block once and ``group_of[j]``, subdomain j's block (under constant
@@ -23,8 +28,8 @@ coefficients, one block for every subdomain of a uniform partition).
 ``build_schur_system`` is where blocks meet a transfer: it forms one dense
 S_u per block, after checking that ``group_of`` covers the transfer's
 subdomains and that every member has the block's size and boundary size.
-The interior factor is dropped once S_u is formed.  A blockwise apply is one
-GEMM per block over the tuple slices of all its member subdomains
+The interior factors are dropped once S_u is formed.  A blockwise apply is
+one GEMM per block over the tuple slices of all its member subdomains
 (``SchurSystem.grouped_apply``).
 """
 
@@ -33,22 +38,22 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dofspaces import TransferOps
-from .errors import AssemblyError, SingularOperatorError
+from .errors import AssemblyError, ConfigurationError, SingularOperatorError
+from .mesh import BoxMesh
 
-__all__ = ["DENSE_CUTOFF", "SpdFactor", "SchurSystem", "build_schur_system"]
+__all__ = ["LEAF", "DENSE_BYTES_LIMIT", "SpdFactor", "SchurSystem", "build_schur_system"]
 
-#: Blocks at or below this dof count are factorized densely (Cholesky).
-#: Forming S_u, the dense path was faster at every interior measured, from
-#: 125 to 3,032 dofs (1,206-dof edge interior, H/h = 6: 0.10 s against 0.21 s
-#: for sparse LU; 3,032 dofs, H/h = 8: 0.76 s against 1.93 s; one BLAS thread).
-#: The cutoff bounds memory instead: the dense interior takes n^2 doubles
-#: (32 MB at the cutoff), and forming one S_u densely raised peak RSS above
-#: the sparse-LU path's by 6 MB at n = 1,206, 15 MB at 1,981 and 29 MB at
-#: 3,032.
-DENSE_CUTOFF = 2000
+#: Interiors of at most this many dofs are eliminated whole, larger ones cut.
+#: One BLAS thread, best of 3, cut against whole: edge 6^3 cells (1,206 dofs)
+#: 41 ms at any leaf from 531 to 1,205 against 91 ms; edge 5^3 (665) 22 against
+#: 26 ms; scalar 10^3 (729) 24 against 28 ms.
+LEAF = 600
+
+#: Largest dense S_u or separator matrix, in bytes (1 GiB: 11,585 dofs square);
+#: a larger one raises :class:`ConfigurationError` before it is allocated.
+DENSE_BYTES_LIMIT = 2**30
 
 
 class SpdFactor:
@@ -82,28 +87,18 @@ class SpdFactor:
         return np.where(np.tri(inv.shape[0], dtype=bool), inv, inv.T) + 0.0
 
 
-def _inverse_form(a: sp.csr_matrix, b: sp.csr_matrix, label: str) -> np.ndarray:
-    """Dense B^T A^{-1} B for a sparse SPD A and a sparse B, from a factor of
-    A that lives only here.
+def _check_dense(n: int, label: str) -> None:
+    if 8 * n * n > DENSE_BYTES_LIMIT:
+        raise ConfigurationError(f"{label}: dense {n} x {n} matrix over {DENSE_BYTES_LIMIT} bytes")
 
-    Up to DENSE_CUTOFF rows, X = L^{-1} B is formed in place and L is freed
-    before X^T X, which numpy computes as one SYRK, so the result is bitwise
-    symmetric; above it, a sparse LU gives B^T (A^{-1} B), averaged with its
-    transpose.
-    """
-    if a.shape[0] > DENSE_CUTOFF:
-        try:
-            lu = spla.splu(a.tocsc())
-        except RuntimeError as err:
-            raise SingularOperatorError(f"{label}: factorization failed") from err
-        x = lu.solve(b.toarray())
-        if not np.all(np.isfinite(x)):
-            raise SingularOperatorError(f"{label}: non-finite solve result")
-        # Only this product can come out asymmetric: average it with its transpose.
-        form = b.T @ x
-        return (form + form.T) / 2.0
+
+def _inverse_form(a: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
+    """Dense B^T A^{-1} B for an SPD array A and an array B, from a Cholesky
+    factor of A that lives only here: X = L^{-1} B overwrites a copy of B and
+    L is freed before X^T X, which numpy computes as one SYRK, so the result
+    is bitwise symmetric."""
     factor = SpdFactor(a, label)
-    x, info = sla.lapack.dtrtrs(factor.lower, b.toarray(order="F"), lower=1, overwrite_b=1)
+    x, info = sla.lapack.dtrtrs(factor.lower, np.array(b, order="F"), lower=1, overwrite_b=1)
     del factor
     form = x.T @ x
     if info != 0 or not np.all(np.isfinite(form)):
@@ -111,15 +106,53 @@ def _inverse_form(a: sp.csr_matrix, b: sp.csr_matrix, label: str) -> np.ndarray:
     return form
 
 
-def _schur_complement(block: sp.csr_matrix, n_interior: int, label: str) -> np.ndarray:
+def _reduction(rows: sp.csr_matrix, positions: np.ndarray, label: str) -> np.ndarray:
+    """Dense A_bi A_ii^{-1} A_ib, bitwise symmetric, from the interior rows
+    [A_ii A_ib] of an SPD block and the positions of all its dofs.  M, the G
+    rows of the block on G and the boundary, less each octant's reduction, is
+    condensed to M_Gb^T M_GG^{-1} M_Gb - M_bb.  An octant row that touches
+    another octant raises :class:`AssemblyError`."""
+    n_i, n = rows.shape
+    lo, hi = positions.min(axis=0), positions.max(axis=0)
+    plane = (lo + hi) // 4 * 2  # the cell face nearest the middle
+    cut = hi - lo >= 4  # at least two cells wide
+    if n_i <= LEAF or not cut.any():  # a leaf
+        dense = rows.toarray()
+        return _inverse_form(dense[:, :n_i], dense[:, n_i:], label)
+    inner = positions[:n_i, cut]
+    on_plane = np.any(inner == plane[cut], axis=1)
+    octant = (inner > plane[cut]) @ (1 << np.arange(inner.shape[1]))
+    keep, n_g = np.r_[np.flatnonzero(on_plane), n_i:n], np.count_nonzero(on_plane)
+    _check_dense(keep.size, label)
+    where = np.full(n, -1)
+    where[keep] = np.arange(keep.size)
+    m = np.zeros((keep.size, keep.size))
+    m[:n_g] = rows[keep[:n_g]][:, keep].toarray()  # M_bG is never read
+    for code in np.unique(octant[~on_plane]):
+        own = np.flatnonzero(~on_plane & (octant == code))
+        part = rows[own]
+        touched = np.setdiff1d(part.indices, own)
+        if np.any(where[touched] < 0):
+            raise AssemblyError(f"{label}: two octants of a cut share a matrix entry")
+        cols, local = np.r_[own, touched], where[touched]
+        m[np.ix_(local, local)] -= _reduction(part[:, cols], positions[cols], label)
+    form = _inverse_form(m[:n_g, :n_g], m[:n_g, n_g:], label)
+    form -= m[n_g:, n_g:]
+    return form
+
+
+def _schur_complement(
+    block: sp.csr_matrix, n_interior: int, positions: np.ndarray, label: str
+) -> np.ndarray:
     """Dense S = A_bb - A_ib^T A_ii^{-1} A_ib of a block whose first
-    ``n_interior`` dofs are its interior, bitwise symmetric."""
+    ``n_interior`` dofs are its interior, bitwise symmetric; ``positions``
+    are the doubled lattice positions of its dofs."""
     n_i = n_interior
+    _check_dense(block.shape[0] - n_i, label)
     reduction = 0.0
     if n_i:
-        # A_ii becomes the factor's one dense copy; the factor is gone
-        # before A_bb is made dense.
-        reduction = _inverse_form(block[:n_i, :n_i], block[:n_i, n_i:], f"{label} (interior)")
+        # Every dense interior copy is gone before A_bb is made dense.
+        reduction = _reduction(block[:n_i], positions, f"{label} (interior)")
     schur = block[n_i:, n_i:].toarray()
     schur -= reduction
     return schur
@@ -172,12 +205,16 @@ class SchurSystem:
         return np.bincount(split, self.apply_dtn(u[split]), minlength=self.dim)
 
 
-def build_schur_system(blocks: list, group_of: np.ndarray, transfer: TransferOps) -> SchurSystem:
+def build_schur_system(
+    blocks: list, group_of: np.ndarray, transfer: TransferOps, mesh: BoxMesh
+) -> SchurSystem:
     """One dense Schur complement S_u per distinct block u of assembly, the
     block of every subdomain j with ``group_of[j] == u``, glued into the
     interface operator.  Each subdomain's boundary is the trailing range of
     its broken slice (``TransferOps.boundary_trace``), so tuple slices line
-    up unpermuted.
+    up unpermuted.  The elimination cuts each block at the doubled lattice
+    positions of its first member's dofs in ``mesh``, the mesh of
+    ``transfer`` (``BoxMesh.dof_positions``).
 
     Raises :class:`AssemblyError` unless ``group_of`` has one entry per
     subdomain of ``transfer`` and uses every block, and all members of a
@@ -197,5 +234,8 @@ def build_schur_system(blocks: list, group_of: np.ndarray, transfer: TransferOps
         j = members[0]
         if block.shape != (sizes[j],) * 2 or np.any(dims[members] != dims[j]):
             raise AssemblyError(f"{field} block {u}: shape {block.shape}, members of other sizes")
-        schurs.append(_schur_complement(block, sizes[j] - dims[j, 1], f"{field} subdomain {j}"))
+        lo, hi = transfer.broken_offsets[j : j + 2]
+        positions = mesh.dof_positions(field, transfer.volume_split[lo:hi])
+        n_i = sizes[j] - dims[j, 1]
+        schurs.append(_schur_complement(block, n_i, positions, f"{field} subdomain {j}"))
     return SchurSystem(transfer, schurs, group_of)

@@ -575,7 +575,7 @@ def test_equal_subdomains_share_one_block(field, content_partition, subdomain_do
     assert len(blocks) == (np.unique(alpha_j).size if field == "scalar" else 1)
     per_subdomain = [blocks[u] for u in group_of]
     assert np.array_equal(group_of, content_partition(per_subdomain, transfer))
-    system = build_schur_system(blocks, group_of, transfer)
+    system = build_schur_system(blocks, group_of, transfer, mesh)
     assert len(system.groups) == len(blocks) and system.group_of is group_of
     assert not group_of.flags.writeable
     for block in blocks:
@@ -624,9 +624,9 @@ def test_transfer_of_other_field_rejected(mesh222_j8):
     scalar_blocks = assemble_scalar(mesh222_j8, Coefficients())
     edge_blocks = assemble_edge(mesh222_j8, Coefficients())
     with pytest.raises(AssemblyError, match=r"^edge block 0: shape \(8, 8\), members of other"):
-        build_schur_system(*scalar_blocks, transfers["edge"])
+        build_schur_system(*scalar_blocks, transfers["edge"], mesh222_j8)
     with pytest.raises(AssemblyError, match=r"^scalar block 0: shape \(19, 19\), members of other"):
-        build_schur_system(*edge_blocks, transfers["scalar"])
+        build_schur_system(*edge_blocks, transfers["scalar"], mesh222_j8)
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
@@ -645,4 +645,4 @@ def test_transfer_of_another_mesh_rejected(cells, subdomains, foreign, field):
     with pytest.raises(
         AssemblyError, match=f"^{field}: {n_sub} group_of entries, {n_foreign} subdomains$"
     ):
-        build_schur_system(*assemble(mesh, Coefficients()), transfer)
+        build_schur_system(*assemble(mesh, Coefficients()), transfer, mesh)

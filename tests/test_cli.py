@@ -259,6 +259,9 @@ def test_verify_refuses_table_and_vtk_export(tmp_path, capsys, key):
         ("verify", "tol", "1e-3"),
         ("verify", "max_iter", "1"),
         ("table", "cells", "5,5,5"),
+        ("maxwell", "alpha", "7"),
+        ("maxwell", "beta", "0.01"),
+        ("scalar", "gamma", "9"),
     ],
 )
 def test_unread_settings_are_refused(tmp_path, capsys, run, key, value):
@@ -268,16 +271,20 @@ def test_unread_settings_are_refused(tmp_path, capsys, run, key, value):
     refusal, chosen = {
         "verify": ("verify runs its fixed meshes", {"problem": "verify"}),
         "table": ("the table runs cells 3,6,9,12", {"table": "yes"}),
+        "maxwell": ("maxwell reads only gamma", {"problem": "maxwell"}),
+        "scalar": ("scalar reads only alpha and beta", {"problem": "scalar"}),
     }[run]
     cfg = tmp_path / "unread.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**chosen, key: value}.items()))
-    flags = ["--problem", "verify"] if run == "verify" else ["--table"]
+    flags = ["--table"] if run == "table" else ["--problem", run]
     for argv in ([*flags, f"--{key.replace('_', '-')}", value], ["--config", str(cfg)]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {refusal} and takes no {key}\n"
         assert "effective configuration" not in captured.out
-    default = {"cells": "3,3,3", "subdomains": "3,3,3", "tol": "1e-9", "max_iter": "1000"}[key]
+    default = {"cells": "3,3,3", "subdomains": "3,3,3", "tol": "1e-9", "max_iter": "1000"}.get(
+        key, "1.0"
+    )
     build_config({key: default}, chosen)
 
 

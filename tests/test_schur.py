@@ -8,10 +8,10 @@ import scipy.sparse as sp
 import schurhx.schur as schur_mod
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.dofspaces import build_transfer
-from schurhx.errors import AssemblyError, SingularOperatorError
+from schurhx.errors import AssemblyError, ConfigurationError, SingularOperatorError
 from schurhx.mesh import build_box_mesh
 from schurhx.oracle import materialize, pseudoinverse_surjective, volume_matrix
-from schurhx.precond import setup_scalar
+from schurhx.precond import setup_maxwell, setup_scalar
 from schurhx.schur import SpdFactor, build_schur_system
 
 
@@ -149,10 +149,9 @@ def test_tuple_dimension_checked(scalar444_j8):
             method(np.zeros(sys.tuple_dim + 1))
 
 
-def test_spd_factor_modes_and_consistency(monkeypatch, rng):
+def test_spd_factor_modes_and_consistency(rng):
     """``SpdFactor`` is one dense Cholesky, of a sparse matrix or an array;
-    ``_inverse_form`` alone picks dense Cholesky or sparse LU by size, and
-    both of its modes agree."""
+    ``_inverse_form``'s B^T A^{-1} B is bitwise symmetric."""
     w = rng.uniform(-1, 1, (40, 40))
     a = sp.csr_matrix(w @ w.T + 40 * np.eye(40))
     b = rng.uniform(-1, 1, 40)
@@ -168,14 +167,9 @@ def test_spd_factor_modes_and_consistency(monkeypatch, rng):
     assert np.array_equal(inverse, inverse.T)
     assert np.abs(inverse @ array - np.eye(40)).max() <= 1e-12
 
-    # B^T A^{-1} B: both modes agree, and the dense one is bitwise symmetric.
-    monkeypatch.setattr(schur_mod, "DENSE_CUTOFF", 0)
-    want = schur_mod._inverse_form(a, coupling, "test")
-    monkeypatch.undo()
-    form = schur_mod._inverse_form(a, coupling, "test")
+    form = schur_mod._inverse_form(array, coupling.toarray(), "test")
     assert form.shape == (25, 25) and np.array_equal(form, form.T)
-    assert np.abs(form - want).max() <= 1e-12 * np.abs(want).max()
-    direct = coupling.T @ np.linalg.solve(a.toarray(), coupling.toarray())
+    direct = coupling.T @ np.linalg.solve(array, coupling.toarray())
     assert np.abs(form - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
@@ -192,22 +186,71 @@ def test_spd_factor_rejects_indefinite():
         SpdFactor(saddle, "saddle block")
 
 
-def test_edge_schur_above_old_cutoff_matches_sparse_lu(monkeypatch):
-    """At H/h = 6 (12^3 cells on 2^3 subdomains) the edge interior has 1,206
-    dofs and goes through the dense A_bb - X^T X path; its S_u matches the
-    sparse-LU path to 1e-12 relative, and both are bitwise symmetric."""
-    mesh = build_box_mesh((12, 12, 12), (2, 2, 2))
-    transfer = build_transfer(mesh, "edge")
-    block = assemble_edge(mesh, Coefficients())[0][0]
-    lo, hi = transfer.boundary_offsets[:2]
-    boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[0]
-    n_interior = block.shape[0] - boundary.size
-    assert n_interior == 1206 <= schur_mod.DENSE_CUTOFF
-    dense = schur_mod._schur_complement(block, n_interior, "edge")
-    monkeypatch.setattr(schur_mod, "DENSE_CUTOFF", 0)
-    sparse = schur_mod._schur_complement(block, n_interior, "edge")
-    assert np.array_equal(dense, dense.T) and np.array_equal(sparse, sparse.T)
-    assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
+def _block(mesh, field, j=0):
+    """Subdomain j's block, its interior count and its dofs' positions."""
+    transfer = build_transfer(mesh, field)
+    assemble = assemble_scalar if field == "scalar" else assemble_edge
+    blocks, group_of = assemble(mesh, Coefficients())
+    block = blocks[group_of[j]]
+    lo, hi = transfer.broken_offsets[j : j + 2]
+    n_interior = block.shape[0] - int(np.diff(transfer.boundary_offsets)[j])
+    return block, n_interior, mesh.dof_positions(field, transfer.volume_split[lo:hi])
+
+
+@pytest.mark.parametrize(
+    "cells, subdomains, leaf",
+    [
+        ((12, 12, 12), (2, 2, 2), 600),  # maxwell-24's 6^3-cell block, 1,206 interior
+        ((5, 5, 5), (1, 1, 1), 600),  # an odd cell count: uneven cuts, 665 interior
+        ((12, 6, 6), (1, 1, 1), 600),  # two levels of cuts, 2,508 interior
+        ("two_shapes", None, 0),  # subdomains that are no boxes, cut to single dofs
+    ],
+    ids=["edge-12^3/2^3", "edge-5^3", "edge-12x6x6", "422/two_shapes"],
+)
+def test_nested_schur_matches_leaf(monkeypatch, mesh422_two_shapes, cells, subdomains, leaf):
+    """Nested dissection inside a block gives S_u to 1e-13 relative of the
+    leaf elimination of the whole interior, bitwise symmetric."""
+    assert schur_mod.LEAF == 600
+    two_shapes = cells == "two_shapes"
+    mesh = mesh422_two_shapes if two_shapes else build_box_mesh(cells, subdomains)
+    # Subdomain 1 of two_shapes, whose corner cell moved, has no scalar interior.
+    cases = [("scalar", 0), ("edge", 0), ("edge", 1)] if two_shapes else [("edge", 0)]
+    for field, j in cases:
+        block, n_interior, positions = _block(mesh, field, j)
+        assert n_interior > leaf
+        monkeypatch.setattr(schur_mod, "LEAF", leaf)
+        nested = schur_mod._schur_complement(block, n_interior, positions, field)
+        monkeypatch.setattr(schur_mod, "LEAF", n_interior)
+        whole = schur_mod._schur_complement(block, n_interior, positions, field)
+        assert np.array_equal(nested, nested.T) and np.array_equal(whole, whole.T)
+        assert np.abs(nested - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+def test_octants_that_share_an_entry_are_refused():
+    """Positions that put two coupled dofs in different octants of a cut
+    (here: shuffled) raise instead of dropping their coupling."""
+    block, n_interior, positions = _block(build_box_mesh((5, 5, 5)), "edge")
+    shuffled = positions[np.random.default_rng(0).permutation(positions.shape[0])]
+    with pytest.raises(AssemblyError, match="two octants of a cut share a matrix entry"):
+        schur_mod._schur_complement(block, n_interior, shuffled, "edge")
+
+
+def test_oversized_dense_matrices_are_refused(monkeypatch):
+    """A dense S_u, or the separator matrix of a cut, above
+    ``DENSE_BYTES_LIMIT`` raises :class:`ConfigurationError` before it is
+    allocated.  On 5^3 cells in one subdomain the edge S_u is 450 square and
+    its first separator matrix larger."""
+    mesh = build_box_mesh((5, 5, 5))
+    block, n_interior, positions = _block(mesh, "edge")
+    assert block.shape[0] - n_interior == 450
+    monkeypatch.setattr(schur_mod, "DENSE_BYTES_LIMIT", 8 * 450**2 - 1)
+    with pytest.raises(ConfigurationError, match="^edge subdomain 0: dense 450 x 450 matrix"):
+        setup_maxwell(mesh, Coefficients())
+    monkeypatch.setattr(schur_mod, "DENSE_BYTES_LIMIT", 8 * 450**2)
+    with pytest.raises(ConfigurationError, match=r"^edge subdomain 0 \(interior\): dense"):
+        setup_maxwell(mesh, Coefficients())
+    monkeypatch.undo()
+    setup_maxwell(mesh, Coefficients())
 
 
 def test_blocks_must_match_the_transfer(mesh444_j8):
@@ -218,9 +261,9 @@ def test_blocks_must_match_the_transfer(mesh444_j8):
     edge = build_transfer(mesh444_j8, "edge")
     blocks, group_of = assemble_scalar(mesh444_j8, Coefficients())
     with pytest.raises(AssemblyError, match="^scalar: 7 group_of entries, 8 subdomains$"):
-        build_schur_system(blocks, group_of[:-1], scalar)
+        build_schur_system(blocks, group_of[:-1], scalar, mesh444_j8)
     with pytest.raises(AssemblyError, match="^edge block 0: shape"):
-        build_schur_system(blocks, group_of, edge)
+        build_schur_system(blocks, group_of, edge, mesh444_j8)
 
 
 def test_group_of_must_use_every_block(mesh444_j8):
@@ -229,9 +272,9 @@ def test_group_of_must_use_every_block(mesh444_j8):
     scalar = build_transfer(mesh444_j8, "scalar")
     blocks, group_of = assemble_scalar(mesh444_j8, Coefficients())
     with pytest.raises(AssemblyError, match="each of the 2 blocks"):
-        build_schur_system(blocks + [blocks[0]], group_of, scalar)
+        build_schur_system(blocks + [blocks[0]], group_of, scalar, mesh444_j8)
     with pytest.raises(AssemblyError, match="each of the 1 blocks"):
-        build_schur_system(blocks, np.where(np.arange(8) == 3, 1, group_of), scalar)
+        build_schur_system(blocks, np.where(np.arange(8) == 3, 1, group_of), scalar, mesh444_j8)
 
 
 def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
@@ -324,6 +367,8 @@ def test_split_of_non_canonical_block_matches_toarray(mesh444_j8, sliced_schur):
     dense = block.toarray()
     assert np.array_equal(dense, canonical.toarray())
 
-    s_u = schur_mod._schur_complement(block, n_interior, "scalar")
-    assert s_u.tobytes() == schur_mod._schur_complement(canonical, n_interior, "scalar").tobytes()
+    positions = mesh444_j8.dof_positions("scalar", transfer.volume_split[:n])
+    s_u = schur_mod._schur_complement(block, n_interior, positions, "scalar")
+    want = schur_mod._schur_complement(canonical, n_interior, positions, "scalar")
+    assert s_u.tobytes() == want.tobytes()
     assert s_u.tobytes() == sliced_schur(canonical, np.arange(n_interior, n)).tobytes()
