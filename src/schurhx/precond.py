@@ -16,10 +16,11 @@ Neumann solve,
     S_j^{-1} g = trace_b( A_j^{-1} extend_by_zero(g) ),
 
 which ``test_schur_inverse_is_resolvent_boundary_block`` checks; it is
-applied as the explicit inverse of the dense S_u of each distinct block
-(``schur``), taken once by ``SpdFactor.inverse``, so no whole-block Neumann
-factorization is needed.  M is balanced with a coarse space of one basis
-function per subdomain (Mandel's balancing domain decomposition):
+applied as the explicit inverse of each distinct block's S_u, taken once
+by ``SpdFactor.inverse`` and stored as ``schur`` stores S_u (packed for a
+lone member), so no whole-block Neumann factorization is needed.  M is
+balanced with a coarse space of one basis function per subdomain (Mandel's
+balancing domain decomposition):
 
     Q f = Q0 f + (I - Q0 S) M (I - S Q0) f,    Q0 = Z (Z^T S Z)^{-1} Z^T,
 
@@ -60,7 +61,7 @@ from .discrete_ops import build_gradient, build_nodal_interp
 from .errors import AssemblyError, ConfigurationError
 from .krylov import CondEstimate, pcg
 from .mesh import BoxMesh
-from .schur import SchurSystem, SpdFactor, build_schur_system
+from .schur import SchurSystem, SpdFactor, build_schur_system, check_dense
 
 __all__ = [
     "NeumannNeumann",
@@ -101,7 +102,7 @@ def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> sp.csr_matri
     for j, u in enumerate(schur.group_of):
         lo, hi = indptr[offsets[j]], indptr[offsets[j + 1]]
         z_j = values[lo:hi].reshape(sizes[j], width[j])
-        z_j[:] = schur.groups[u][0] @ z_j
+        z_j[:] = schur.dense(schur.groups[u][0]) @ z_j
         indices[lo:hi].reshape(sizes[j], width[j])[:] = cols[first[j] : first[j + 1]]
     products = sp.csr_matrix((values, indices, indptr), shape=(split.size, n_sub))
     glue = sp.csc_matrix(
@@ -122,11 +123,12 @@ class NeumannNeumann:
     degree.  Only ratios of rho matter, so it is scaled to a largest value of
     1: constant rho gives exactly the counting weights 1/degree.
 
-    It is the only user of the inverse DtN map, so set-up inverts the dense
-    Schur complement S_u of each distinct subdomain block here, each with one
-    ``SpdFactor``.  Set-up first computes S Z as CSR (each subdomain's S_u
-    times the few coarse columns it touches, summed in ascending subdomain
-    order) and factorizes the dense J x J coarse matrix S0 = Z^T S Z with
+    It is the only user of the inverse DtN map, so set-up inverts the Schur
+    complement S_u of each distinct subdomain block here, each with one
+    ``SpdFactor`` of its square array, and stores it as S_u is stored.
+    Set-up first computes S Z as CSR (each subdomain's S_u times the few
+    coarse columns it touches, summed in ascending subdomain order) and
+    factorizes the dense J x J coarse matrix S0 = Z^T S Z with
     one more ``SpdFactor``; ``cond_coarse`` reports its condition number.
     One application makes one call to the average M (one grouped inverse-DtN
     apply, counted by ``n_applies``) and two coarse solves, using
@@ -168,10 +170,10 @@ class NeumannNeumann:
         s0 = (self._basis_t @ self.s_coarse).toarray()
         self.coarse_matrix = (s0 + s0.T) / 2.0
         # The inverses come after S Z, so its temporary arrays are gone by then.
-        self.inverse_dtn = [
-            SpdFactor(s_u, f"{field} subdomain {members[0]} (Schur)").inverse()
-            for s_u, members in schur.groups
-        ]
+        self.inverse_dtn = []
+        for s_u, js in schur.groups:
+            inverse = SpdFactor(schur.dense(s_u), f"{field} subdomain {js[0]} (Schur)").inverse()
+            self.inverse_dtn.append(schur.stored(inverse, js.size))
         self.coarse_factor = SpdFactor(self.coarse_matrix, "balancing coarse problem")
 
     @cached_property
@@ -292,6 +294,9 @@ def setup_scalar(mesh: BoxMesh, coeffs: Coefficients) -> ScalarProblem:
 def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
     """The edge interface solve; it reads only gamma of ``coeffs``."""
     gamma2 = float(coeffs.gamma) ** 2
+    # An edge S_u too large to form is refused before the auxiliary set-up.
+    for j, (first, _, n_interior) in zip(mesh.shapes[1], mesh.numbering("edge")):
+        check_dense(first.size - n_interior, f"edge subdomain {j}")
     # HX's auxiliary problem Delta + gamma^2 (constant alpha, so rho = 1).
     scalar = setup_scalar(mesh, Coefficients(alpha=1.0, beta=gamma2))
 

@@ -25,15 +25,21 @@ before it is allocated.
 Assembly alone decides which subdomains share a block: it returns each
 distinct block once and ``group_of[j]``, subdomain j's block (under constant
 coefficients, one block for every subdomain of a uniform partition).
-``build_schur_system`` is where blocks meet a transfer: it forms one dense
-S_u per block, after checking that ``group_of`` covers the transfer's
+``build_schur_system`` is where blocks meet a transfer: it forms one S_u
+per block, after checking that ``group_of`` covers the transfer's
 subdomains and that every member has the block's size and boundary size.
-The interior factors are dropped once S_u is formed.  A blockwise apply is
-one GEMM per block over the tuple slices of all its member subdomains
-(``SchurSystem.grouped_apply``).
+The interior factors are dropped once S_u is formed, and S_u is stored at
+once by its member count (``SchurSystem.stored``, as are the inverses): a
+lone member's lower triangle packed by columns, since its apply is one
+memory-bound SPMV, and several members' square array, shared by one GEMM
+over all their tuple slices (``SchurSystem.grouped_apply``).  A packed
+triangle is unpacked exactly, by one gather (``SchurSystem.dense``).
 """
 
 from __future__ import annotations
+
+from functools import cache
+from math import isqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,7 +49,8 @@ from .dofspaces import TransferOps
 from .errors import AssemblyError, ConfigurationError, SingularOperatorError
 from .mesh import BoxMesh
 
-__all__ = ["LEAF", "DENSE_BYTES_LIMIT", "SpdFactor", "SchurSystem", "build_schur_system"]
+__all__ = ["LEAF", "DENSE_BYTES_LIMIT", "SpdFactor", "SchurSystem", "build_schur_system",
+           "check_dense"]
 
 #: Interiors of at most this many dofs are eliminated whole, larger ones cut.
 #: One BLAS thread, best of 3, cut against whole: edge 6^3 cells (1,206 dofs)
@@ -58,7 +65,7 @@ DENSE_BYTES_LIMIT = 2**30
 
 class SpdFactor:
     """Factorize once, solve many: an in-place dense Cholesky of an array or
-    a sparse matrix, whose lower triangle ``lower`` holds the factor L."""
+    a sparse matrix; ``lower`` holds L, ``inverse()`` packs the inverse."""
 
     def __init__(self, matrix: np.ndarray | sp.spmatrix, label: str):
         self.label = label
@@ -78,18 +85,29 @@ class SpdFactor:
         return x
 
     def inverse(self) -> np.ndarray:
-        """Explicit inverse from the factor, mirrored so it is bitwise symmetric."""
+        """Explicit inverse from the factor, its lower triangle packed by columns."""
         inv, info = sla.lapack.dpotri(self.lower, lower=True)
-        if info != 0 or not np.all(np.isfinite(inv)):
-            raise SingularOperatorError(f"{self.label}: inverse failed")
         # dpotri fills the lower triangle.  Every entry gets +0.0 added, as a
         # sum of the two triangles would, so a -0.0 reads +0.0.
-        return np.where(np.tri(inv.shape[0], dtype=bool), inv, inv.T) + 0.0
+        packed = sla.lapack.dtrttp(inv, uplo="L")[0] + 0.0
+        if info != 0 or not np.all(np.isfinite(packed)):
+            raise SingularOperatorError(f"{self.label}: inverse failed")
+        return packed
 
 
-def _check_dense(n: int, label: str) -> None:
+def check_dense(n: int, label: str) -> None:
+    """Refuse a dense n x n matrix over ``DENSE_BYTES_LIMIT``."""
     if 8 * n * n > DENSE_BYTES_LIMIT:
         raise ConfigurationError(f"{label}: dense {n} x {n} matrix over {DENSE_BYTES_LIMIT} bytes")
+
+
+@cache
+def _packed_positions(n: int) -> np.ndarray:
+    """Where entry (i, j) of an n x n symmetric matrix sits in its packed
+    lower triangle: at (max(i, j), min(i, j))."""
+    i = np.arange(n)
+    lo = np.minimum.outer(i, i)
+    return lo * (2 * n - 1 - lo) // 2 + np.maximum.outer(i, i)
 
 
 def _inverse_form(a: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
@@ -123,7 +141,7 @@ def _reduction(rows: sp.csr_matrix, positions: np.ndarray, label: str) -> np.nda
     on_plane = np.any(inner == plane[cut], axis=1)
     octant = (inner > plane[cut]) @ (1 << np.arange(inner.shape[1]))
     keep, n_g = np.r_[np.flatnonzero(on_plane), n_i:n], np.count_nonzero(on_plane)
-    _check_dense(keep.size, label)
+    check_dense(keep.size, label)
     where = np.full(n, -1)
     where[keep] = np.arange(keep.size)
     m = np.zeros((keep.size, keep.size))
@@ -148,7 +166,7 @@ def _schur_complement(
     ``n_interior`` dofs are its interior, bitwise symmetric; ``positions``
     are the doubled lattice positions of its dofs."""
     n_i = n_interior
-    _check_dense(block.shape[0] - n_i, label)
+    check_dense(block.shape[0] - n_i, label)
     reduction = 0.0
     if n_i:
         # Every dense interior copy is gone before A_bb is made dense.
@@ -161,8 +179,9 @@ def _schur_complement(
 class SchurSystem:
     """Interface operator of one field: block DtN maps glued on the skeleton.
 
-    ``groups[u]`` pairs the dense Schur complement S_u of distinct block u
-    with its member subdomains, and ``group_of[j]`` is subdomain j's group.
+    ``groups[u]`` pairs the Schur complement S_u of distinct block u, its
+    lower triangle packed by columns if u has one member, with its member
+    subdomains, and ``group_of[j]`` is subdomain j's group.
     """
 
     def __init__(self, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray):
@@ -173,24 +192,47 @@ class SchurSystem:
         self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
         # Tuple positions of each group as a (boundary size, members) array.
         offsets = transfer.boundary_offsets
+        sizes = np.diff(offsets)
         self._group_rows = [
-            offsets[js][None, :] + np.arange(s_u.shape[0])[:, None] for s_u, js in self.groups
+            offsets[js][None, :] + np.arange(sizes[js[0]])[:, None] for _, js in self.groups
         ]
 
+    @staticmethod
+    def dense(matrix: np.ndarray) -> np.ndarray:
+        """A group's symmetric matrix as a square array, unpacked exactly if packed."""
+        if matrix.ndim == 2:
+            return matrix
+        return matrix.take(_packed_positions((isqrt(8 * matrix.size + 1) - 1) // 2))
+
+    @staticmethod
+    def stored(matrix: np.ndarray, n_members: int) -> np.ndarray:
+        """A symmetric matrix, packed or square, as a group of ``n_members``
+        keeps it: packed for one, whose apply is memory-bound, and square
+        for several, which share one GEMM."""
+        if n_members > 1:
+            return SchurSystem.dense(matrix)
+        return matrix if matrix.ndim == 1 else sla.lapack.dtrttp(matrix, uplo="L")[0]
+
     def grouped_apply(self, matrices: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-        """One GEMM per group u: ``matrices[u]``, square and sized to u's tuple
-        slices (else :class:`ValueError`), times the slice of every member."""
+        """Per group u, ``matrices[u]``, stored as u stores S_u and sized to
+        u's tuple slices (else :class:`ValueError`), times the slice of each
+        member: one packed SPMV for a lone member, one GEMM over several."""
         if x.shape != (self.tuple_dim,):
             raise ValueError(
                 f"expected boundary-tuple vector of length {self.tuple_dim}, "
                 f"got shape {x.shape}"
             )
-        shapes = [rows.shape[:1] * 2 for rows in self._group_rows]
+        sizes = [rows.shape for rows in self._group_rows]
+        shapes = [(n * (n + 1) // 2,) if m == 1 else (n, n) for n, m in sizes]
         if [matrix.shape for matrix in matrices] != shapes:
             raise ValueError(f"expected one matrix per group, of shapes {shapes}")
         out = np.empty(x.shape)
         for matrix, rows in zip(matrices, self._group_rows):
-            out[rows] = matrix @ x[rows]
+            if matrix.ndim == 1:
+                n, lo = rows.shape[0], rows[0, 0]
+                out[lo : lo + n] = sla.blas.dspmv(n, 1.0, matrix, x[lo : lo + n], lower=1)
+            else:
+                out[rows] = matrix @ x[rows]
         return out
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:
@@ -208,7 +250,7 @@ class SchurSystem:
 def build_schur_system(
     blocks: list, group_of: np.ndarray, transfer: TransferOps, mesh: BoxMesh
 ) -> SchurSystem:
-    """One dense Schur complement S_u per distinct block u of assembly, the
+    """One Schur complement S_u per distinct block u of assembly, the
     block of every subdomain j with ``group_of[j] == u``, glued into the
     interface operator.  Each subdomain's boundary is the trailing range of
     its broken slice (``TransferOps.boundary_trace``), so tuple slices line
@@ -237,5 +279,7 @@ def build_schur_system(
         lo, hi = transfer.broken_offsets[j : j + 2]
         positions = mesh.dof_positions(field, transfer.volume_split[lo:hi])
         n_i = sizes[j] - dims[j, 1]
-        schurs.append(_schur_complement(block, n_i, positions, f"{field} subdomain {j}"))
+        # Stored as soon as formed, so no two dense S_u of lone members coexist.
+        s_u = _schur_complement(block, n_i, positions, f"{field} subdomain {j}")
+        schurs.append(SchurSystem.stored(s_u, members.size))
     return SchurSystem(transfer, schurs, group_of)

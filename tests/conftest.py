@@ -225,7 +225,7 @@ def looped_coarse_product():
             lo, hi = int(offsets[j]), int(offsets[j + 1])
             local = split_basis[lo:hi]
             cols = np.unique(local.indices)
-            s_u = schur.groups[u][0]
+            s_u = schur.dense(schur.groups[u][0])
             out[np.ix_(split[lo:hi], cols)] += s_u @ local[:, cols].toarray()
         return out
 

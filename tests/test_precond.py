@@ -635,8 +635,9 @@ def _is_canonical_csr(matrix) -> bool:
 
 def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, tril_inverse, looped):
     """Every S_u of the scalar, plug-in and edge systems, and every inverse
-    DtN map, S Z and coarse matrix of both Neumann-Neumanns, bit for bit the
-    sliced and looped references; S Z is canonical CSR holding no zero."""
+    DtN map, as square arrays, and S Z and the coarse matrix of both
+    Neumann-Neumanns, bit for bit the sliced and looped references; S Z is
+    canonical CSR holding no zero."""
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.7, gamma=1.9)
     scalar = setup_scalar(mesh, coeffs)
     maxwell = setup_maxwell(mesh, coeffs)
@@ -652,10 +653,11 @@ def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, tril_inverse, 
             j = members[0]
             lo, hi = transfer.boundary_offsets[j : j + 2]
             boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
-            assert _same_bits(s_u, sliced_schur(block, boundary))
+            assert _same_bits(SchurSystem.dense(s_u), sliced_schur(block, boundary))
     for qnn in (scalar.qnn, maxwell.scalar.qnn):
         for inverse, (s_u, _) in zip(qnn.inverse_dtn, qnn.schur.groups, strict=True):
-            assert _same_bits(inverse, tril_inverse(s_u))
+            want = tril_inverse(SchurSystem.dense(s_u))
+            assert _same_bits(SchurSystem.dense(inverse), want)
         s_coarse = looped(qnn.schur, qnn.coarse_basis)
         assert _is_canonical_csr(qnn.s_coarse) and np.all(qnn.s_coarse.data != 0)
         assert _same_bits(qnn.s_coarse.toarray(), s_coarse)
@@ -683,8 +685,8 @@ BITWISE_GRIDS = [
 def test_setup_bitwise_equals_sliced_references(
     grid, mesh422_two_shapes, sliced_schur, tril_inverse, looped_coarse_product
 ):
-    """The one-split Schur complements, the mirrored inverses and the
-    dense S Z reproduce the sliced, per-subdomain computations exactly,
+    """The one-split Schur complements, the inverses and the dense S Z
+    reproduce the sliced, per-subdomain computations exactly,
     under log-uniform per-subdomain alpha on [0.1, 10]."""
     mesh = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
     rng = np.random.default_rng(3)

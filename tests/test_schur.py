@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from conftest import jump_grids
+from hypothesis import given, settings
 
+import schurhx.precond as precond_mod
 import schurhx.schur as schur_mod
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.dofspaces import build_transfer
@@ -12,7 +15,7 @@ from schurhx.errors import AssemblyError, ConfigurationError, SingularOperatorEr
 from schurhx.mesh import build_box_mesh
 from schurhx.oracle import materialize, pseudoinverse_surjective, volume_matrix
 from schurhx.precond import setup_maxwell, setup_scalar
-from schurhx.schur import SpdFactor, build_schur_system
+from schurhx.schur import SchurSystem, SpdFactor, build_schur_system
 
 
 def _blocks(mesh, prob):
@@ -105,10 +108,12 @@ def test_global_schur_matches_dense_elimination(mesh222_j2, scalar222_j2):
 
 def test_single_subdomain_interface_is_dtn(scalar222_j1, rng):
     # J=1: the skeleton split is the identity, so the assembled operator is
-    # the one local Schur complement, reproduced bitwise.
-    u = rng.uniform(-1, 1, scalar222_j1.schur.dim)
-    direct = (scalar222_j1.schur.groups[0][0] @ u[:, None])[:, 0]
-    assert np.array_equal(scalar222_j1.schur.apply(u), direct)
+    # the one local Schur complement, a packed triangle applied by SPMV,
+    # reproduced bitwise.
+    schur = scalar222_j1.schur
+    u = rng.uniform(-1, 1, schur.dim)
+    direct = sla.blas.dspmv(schur.dim, 1.0, schur.groups[0][0], u, lower=1)
+    assert np.array_equal(schur.apply(u), direct)
 
 
 def test_interface_operator_spd(scalar444_j8, rng):
@@ -149,9 +154,10 @@ def test_tuple_dimension_checked(scalar444_j8):
             method(np.zeros(sys.tuple_dim + 1))
 
 
-def test_spd_factor_modes_and_consistency(rng):
-    """``SpdFactor`` is one dense Cholesky, of a sparse matrix or an array;
-    ``_inverse_form``'s B^T A^{-1} B is bitwise symmetric."""
+def test_spd_factor_modes_and_consistency(rng, tril_inverse):
+    """``SpdFactor`` is one dense Cholesky, of a sparse matrix or an array,
+    whose inverse is the packed lower triangle of ``dpotri``'s; ``_inverse_form``'s
+    B^T A^{-1} B is bitwise symmetric."""
     w = rng.uniform(-1, 1, (40, 40))
     a = sp.csr_matrix(w @ w.T + 40 * np.eye(40))
     b = rng.uniform(-1, 1, 40)
@@ -163,8 +169,10 @@ def test_spd_factor_modes_and_consistency(rng):
     assert np.array_equal(array, a.toarray())
     assert np.array_equal(from_array.solve(b), SpdFactor(a, "test").solve(b))
     assert np.abs(array @ from_array.solve(b) - b).max() <= 1e-12
-    inverse = from_array.inverse()
-    assert np.array_equal(inverse, inverse.T)
+    packed = from_array.inverse()
+    assert packed.shape == (40 * 41 // 2,)
+    inverse = SchurSystem.dense(packed)
+    assert inverse.tobytes() == tril_inverse(array).tobytes()
     assert np.abs(inverse @ array - np.eye(40)).max() <= 1e-12
 
     form = schur_mod._inverse_form(array, coupling.toarray(), "test")
@@ -238,14 +246,22 @@ def test_octants_that_share_an_entry_are_refused():
 def test_oversized_dense_matrices_are_refused(monkeypatch):
     """A dense S_u, or the separator matrix of a cut, above
     ``DENSE_BYTES_LIMIT`` raises :class:`ConfigurationError` before it is
-    allocated.  On 5^3 cells in one subdomain the edge S_u is 450 square and
-    its first separator matrix larger."""
+    allocated, an edge S_u before the scalar auxiliary set-up begins.  On
+    5^3 cells in one subdomain the edge S_u is 450 square and its first
+    separator matrix larger."""
     mesh = build_box_mesh((5, 5, 5))
     block, n_interior, positions = _block(mesh, "edge")
     assert block.shape[0] - n_interior == 450
+    scalar_calls = []
+    monkeypatch.setattr(
+        precond_mod,
+        "assemble_scalar",
+        lambda *args: scalar_calls.append(args) or assemble_scalar(*args),
+    )
     monkeypatch.setattr(schur_mod, "DENSE_BYTES_LIMIT", 8 * 450**2 - 1)
     with pytest.raises(ConfigurationError, match="^edge subdomain 0: dense 450 x 450 matrix"):
         setup_maxwell(mesh, Coefficients())
+    assert scalar_calls == []
     monkeypatch.setattr(schur_mod, "DENSE_BYTES_LIMIT", 8 * 450**2)
     with pytest.raises(ConfigurationError, match=r"^edge subdomain 0 \(interior\): dense"):
         setup_maxwell(mesh, Coefficients())
@@ -278,8 +294,9 @@ def test_group_of_must_use_every_block(mesh444_j8):
 
 
 def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
-    """With eight jump groups, a matrix list one short or a matrix of another
-    size raises instead of leaving tuple rows unwritten."""
+    """With eight jump groups of one member, a matrix list one short, a
+    packed matrix of another size or a square one raises instead of leaving
+    tuple rows unwritten."""
     alpha = (1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain]
     schur = setup_scalar(mesh444_j8, Coefficients(alpha=alpha)).schur
     matrices = [s_u for s_u, _ in schur.groups]
@@ -287,20 +304,51 @@ def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
     x = rng.uniform(-1, 1, schur.tuple_dim)
     with pytest.raises(ValueError, match="one matrix per group"):
         schur.grouped_apply(matrices[:-1], x)
-    with pytest.raises(ValueError, match="one matrix per group"):
-        schur.grouped_apply(matrices[:3] + [matrices[3][:-1, :-1]] + matrices[4:], x)
+    for wrong in (matrices[3][:-1], schur.dense(matrices[3])):
+        with pytest.raises(ValueError, match="one matrix per group"):
+            schur.grouped_apply(matrices[:3] + [wrong] + matrices[4:], x)
     assert np.array_equal(schur.grouped_apply(matrices, x), schur.apply_dtn(x))
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid=jump_grids())
+def test_one_member_groups_keep_packed_triangles(grid):
+    """A group of one member keeps S_u and S_u^{-1} as n_b(n_b+1)/2 floats,
+    any other group as n_b^2; the stored maps invert each other, and a
+    packed matrix of another size is refused in any group."""
+    mesh, alpha_j = grid
+    prob = setup_scalar(mesh, Coefficients(alpha=alpha_j[mesh.tet_subdomain]))
+    schur, qnn = prob.schur, prob.qnn
+    sizes = np.diff(schur.transfer.boundary_offsets)
+    for (s_u, members), inverse in zip(schur.groups, qnn.inverse_dtn, strict=True):
+        n = sizes[members[0]]
+        shape = (n * (n + 1) // 2,) if members.size == 1 else (n, n)
+        assert s_u.shape == inverse.shape == shape
+    g = np.random.default_rng(0).uniform(-1, 1, schur.tuple_dim)
+    back = schur.apply_dtn(qnn.apply_dtn_inv(g))
+    assert np.abs(back - g).max() <= 1e-10 * np.abs(g).max()
+    matrices = [s_u for s_u, _ in schur.groups]
+    for u, (_, members) in enumerate(schur.groups):
+        n = sizes[members[0]]
+        wrong = matrices[:u] + [np.zeros(n * (n - 1) // 2)] + matrices[u + 1 :]
+        with pytest.raises(ValueError, match="one matrix per group"):
+            schur.grouped_apply(wrong, g)
 
 
 def _per_member_apply(schur, matrices, x):
     """Each member's tuple slice x_j gathered, multiplied and scattered one
     member at a time.  A group's products S_u x_j are the columns of one
     GEMM, since BLAS rounds a GEMM column and a lone S_u @ x_j (a GEMV)
-    differently."""
+    differently; a packed S_u of a lone member is applied by SPMV."""
     offsets = schur.transfer.boundary_offsets
     out = np.full(x.shape, np.nan)
     for matrix, (_, members) in zip(matrices, schur.groups, strict=True):
-        columns = matrix @ np.column_stack([x[offsets[j] : offsets[j + 1]] for j in members])
+        slices = [x[offsets[j] : offsets[j + 1]] for j in members]
+        if matrix.ndim == 1:
+            (x_j,) = slices
+            columns = sla.blas.dspmv(x_j.size, 1.0, matrix, x_j, lower=1)[:, None]
+        else:
+            columns = matrix @ np.column_stack(slices)
         for k, j in enumerate(members):
             out[offsets[j] : offsets[j + 1]] = columns[:, k]
     return out
@@ -313,7 +361,7 @@ def test_grouped_apply_equals_per_member_products(
     """Every group's members (one group of eight, eight groups of one,
     members 0-4, 6, 7 around subdomain 5, the checkerboard's two groups of
     four) get bitwise the per-member products of the S_u and of the inverse
-    DtN maps, and S_u @ x_j to rounding."""
+    DtN maps, and the dense S_u @ x_j to rounding."""
     if case == "uniform":
         prob, sizes = maxwell444_j8.scalar, [8]
     elif case == "one_member":
@@ -337,7 +385,7 @@ def test_grouped_apply_equals_per_member_products(
         offsets = schur.transfer.boundary_offsets
         for j, u in enumerate(schur.group_of):
             lo, hi = offsets[j : j + 2]
-            want = matrices[u] @ x[lo:hi]
+            want = SchurSystem.dense(matrices[u]) @ x[lo:hi]
             assert np.abs(got[lo:hi] - want).max() <= 1e-13 * np.abs(want).max()
 
 
