@@ -202,8 +202,8 @@ def _per_tet(mesh: BoxMesh, tet_ids: np.ndarray, oriented: bool, compute) -> tup
     """Per-tet arrays of ``tet_ids``: ``compute(rep_ids)`` returns a tuple of
     per-class arrays from one representative tet per class, where a class is a
     tet's lattice edge offsets and, if ``oriented``, its six edge orientations."""
-    tets = mesh.tets[tet_ids]
-    lattice = mesh.vertex_lattice[tets]
+    tets = mesh.tets.take(tet_ids, axis=0)
+    lattice = mesh.vertex_lattice.take(tets, axis=0)
     rows = (lattice[:, 1:] - lattice[:, :1]).reshape(len(tets), 9)
     if oriented:
         rows = np.hstack([rows, tets[:, LOCAL_EDGES[:, 0]] > tets[:, LOCAL_EDGES[:, 1]]])
@@ -214,15 +214,15 @@ def _per_tet(mesh: BoxMesh, tet_ids: np.ndarray, oriented: bool, compute) -> tup
 
 def _coalesce_plan(ldof: np.ndarray, dim: int):
     """COO -> CSR plan of a local dof pattern: order, group starts, and the
-    read-only CSR indices and indptr."""
-    k = ldof.shape[1]
-    rows = np.repeat(ldof, k, axis=1).ravel()
-    cols = np.tile(ldof, (1, k)).ravel()
-    order = np.lexsort((cols, rows))
-    r, c = rows[order], cols[order]
-    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
-    indptr = np.searchsorted(r[starts], np.arange(dim + 1)).astype(np.int32)
-    return order, starts, _freeze(c[starts].astype(np.int32)), _freeze(indptr)
+    read-only CSR indices and indptr.  Entry (row, col) is keyed as
+    row * dim + col, so one stable argsort gives lexsort's (row, col) order."""
+    keys = (ldof[:, :, None] * dim + ldof[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    rows, cols = np.divmod(keys[starts], dim)
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=dim))].astype(np.int32)
+    return order, starts, _freeze(cols.astype(np.int32)), _freeze(indptr)
 
 
 def _assemble(

@@ -35,10 +35,10 @@ def _edge_endpoints(mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | 
     if (scalar.n_volume, edge.n_volume) != (mesh.n_vertices, mesh.n_edges):
         raise AssemblyError("transfer of another mesh: its volume sizes differ")
     vertices = scalar.skeleton_trace
-    edges = mesh.edges[edge.skeleton_trace]
+    edges = mesh.edges.take(edge.skeleton_trace, axis=0)
     col_of_vertex = np.full(mesh.n_vertices, -1, dtype=np.int64)
     col_of_vertex[vertices] = np.arange(vertices.size)
-    cols = col_of_vertex[edges]
+    cols = col_of_vertex.take(edges)
     if np.any(cols < 0):
         raise AssemblyError("skeleton edge with endpoint off the skeleton")
     if np.bincount(cols.ravel(), minlength=vertices.size).min() == 0:
@@ -47,12 +47,10 @@ def _edge_endpoints(mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | 
 
 
 def _edge_map(cols: np.ndarray, n_cols: int, data: np.ndarray) -> sp.csr_matrix:
-    """Edges x vertices matrix with ``data`` at each edge's two endpoint columns."""
+    """Edges x vertices CSR with ``data`` at each edge's two (ascending) endpoint columns."""
     n_e = cols.shape[0]
-    rows = np.repeat(np.arange(n_e, dtype=np.int64), 2)
-    m = sp.csr_matrix((data, (rows, cols.ravel())), shape=(n_e, n_cols))
-    m.sort_indices()
-    return m
+    indptr = np.arange(0, 2 * n_e + 1, 2)
+    return sp.csr_matrix((data, cols.ravel(), indptr), shape=(n_e, n_cols))
 
 
 def build_gradient(
@@ -71,8 +69,6 @@ def build_nodal_interp(
         raise ValueError(f"direction must be 0, 1 or 2, got {direction}")
     edges, cols, n_cols = _edge_endpoints(mesh, transfers)
     # Same expression with and without transfers, so the entries agree bitwise.
-    half_tangent = (
-        mesh.vertex_coords[edges[:, 1], direction]
-        - mesh.vertex_coords[edges[:, 0], direction]
-    ) / 2.0
+    coords = mesh.vertex_coords[:, direction]
+    half_tangent = (coords.take(edges[:, 1]) - coords.take(edges[:, 0])) / 2.0
     return _edge_map(cols, n_cols, np.repeat(half_tangent, 2))

@@ -14,8 +14,8 @@ skeleton -> boundary tuple) commutes entry for entry in exact arithmetic;
 tests assert a literally zero residual.
 
 A field's four maps come from one call, ``build_transfer(mesh, field)``,
-which reads each subdomain's dofs, boundary last, from its shape's
-``BoxMesh.numbering``, so ``boundary_trace`` is read off the offsets and no
+which reads every member's dofs of a shape at once, boundary last
+(``BoxMesh.member_dofs``), so ``boundary_trace`` is read off the offsets and no
 transfer can hold a boundary that is not trailing.  The skeleton is the union
 of the boundaries, so every skeleton dof lies on some boundary by construction.
 """
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import BoxMesh
+from .mesh import BoxMesh, _freeze
 
 __all__ = [
     "TransferOps",
@@ -65,47 +65,38 @@ class TransferOps:
         # Tuple slot boundary_offsets[j] + k is broken slot broken_offsets[j + 1] - n_b + k.
         shift = self.broken_offsets[1:] - self.boundary_offsets[1:]
         n_b = np.diff(self.boundary_offsets)
-        return _index_map(np.arange(self.boundary_offsets[-1]) + np.repeat(shift, n_b))
-
-
-def _index_map(idx: np.ndarray) -> np.ndarray:
-    """A read-only int64 copy of ``idx``."""
-    out = np.array(idx, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+        return _freeze(np.arange(self.boundary_offsets[-1]) + np.repeat(shift, n_b))
 
 
 def _offsets(sizes) -> np.ndarray:
     """Block offsets of a product space of blocks of these sizes."""
-    return _index_map(np.cumsum([0, *sizes]))
+    return _freeze(np.cumsum([0, *sizes], dtype=np.int64))
 
 
 def build_transfer(mesh: BoxMesh, field: str) -> TransferOps:
     """Build the four transfer maps of ``field`` in {"scalar", "edge"}."""
-    if field == "scalar":
-        tet_dofs, n_volume = mesh.tets, mesh.n_vertices
-    elif field == "edge":
-        tet_dofs, n_volume = mesh.tet_edges, mesh.n_edges
-    else:
+    if field not in ("scalar", "edge"):
         raise ValueError(f"unknown field {field!r}")
-    per_shape = mesh.numbering(field)
-    numbering = [per_shape[s] for s in mesh.shapes[0]]
-    sub_dofs = [
-        tet_dofs[mesh.tets_of_subdomain(j)].ravel()[first]
-        for j, (first, _, _) in enumerate(numbering)
-    ]
-    sizes = np.array([dofs.size for dofs in sub_dofs])
-    n_interior = np.array([n_i for _, _, n_i in numbering])
-    # The skeleton is the union of the boundaries, in ascending order, so one
-    # searchsorted finds every boundary copy's skeleton dof.
-    boundary_dofs = np.concatenate([dofs[n_i:] for dofs, n_i in zip(sub_dofs, n_interior)])
-    skeleton_trace = _index_map(np.flatnonzero(np.bincount(boundary_dofs, minlength=n_volume)))
+    shape_of, numbering = mesh.shapes[0], mesh.numbering(field)
+    sizes = np.array([numbering[s][0].size for s in shape_of])
+    broken, boundary = _offsets(sizes), _offsets(sizes - [numbering[s][2] for s in shape_of])
+    volume_split = np.empty(broken[-1], dtype=np.int64)
+    boundary_dofs = np.empty(boundary[-1], dtype=np.int64)
+    for s, (first, _, n_interior) in enumerate(numbering):
+        dofs, members = mesh.member_dofs(field, s), shape_of == s
+        volume_split[broken[:-1][members, None] + np.arange(first.size)] = dofs
+        at = boundary[:-1][members, None] + np.arange(first.size - n_interior)
+        boundary_dofs[at] = dofs[:, n_interior:]
+    # The skeleton is the union of the boundaries, in ascending order.
+    n_volume = mesh.n_vertices if field == "scalar" else mesh.n_edges
+    on_skeleton = np.bincount(boundary_dofs, minlength=n_volume) > 0
+    skeleton_of = np.cumsum(on_skeleton) - 1  # a skeleton dof's place on the skeleton
     return TransferOps(
         field,
         n_volume,
-        _offsets(sizes),
-        _offsets(sizes - n_interior),
-        skeleton_trace,
-        _index_map(np.concatenate(sub_dofs)),
-        _index_map(np.searchsorted(skeleton_trace, boundary_dofs)),
+        broken,
+        boundary,
+        _freeze(np.flatnonzero(on_skeleton)),
+        _freeze(volume_split),
+        _freeze(skeleton_of[boundary_dofs]),
     )

@@ -90,22 +90,23 @@ class BoxMesh:
     def edges(self) -> np.ndarray:  # (n_edges, 2) sorted vertex pairs
         return self._edge_numbering[0]
 
-    @property
-    def tet_edges(self) -> np.ndarray:  # (n_tets, 6) edge id of each local edge
-        return self._edge_numbering[1]
+    @cached_property
+    def tet_edges(self) -> np.ndarray:  # (n_tets, 6) edge ids, for the oracle and tests
+        return _freeze(self._edge_numbering[1][_edge_slots(self.cells, self.tets)])
 
     @cached_property
     def _edge_numbering(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge (a, b), a < b, sits in slot 7a + k, where b - a is the k-th
         ascending corner offset of a cell; the used slots, in order, are the
-        edges, so they come out sorted.  A tet edge whose b - a is no corner
-        offset raises :class:`AssemblyError`."""
-        slots = _edge_slots(self.cells, self.tets)
-        used = np.bincount(slots.ravel(), minlength=7 * self.n_vertices) > 0
+        edges, so they come out sorted: each shape's slots translated to its
+        members.  Returns the edges and each used slot's edge id."""
+        used = np.zeros(7 * self.n_vertices, dtype=bool)
+        for s, slots in enumerate(self._boundary_faces[2]):
+            used[np.unique(slots) + 7 * self._translations(s)] = True
         edge_of_slot = np.cumsum(used, dtype=np.int64) - 1
-        start, k = np.divmod(np.flatnonzero(used), 7)
+        start, k = np.nonzero(used.reshape(-1, 7))
         edges = np.column_stack([start, start + _corner_offsets(self.cells)[1:][k]])
-        return _freeze(edges), _freeze(edge_of_slot[slots])
+        return _freeze(edges), _freeze(edge_of_slot)
 
     @cached_property
     def _tets_by_subdomain(self) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +140,7 @@ class BoxMesh:
         if field == "scalar":
             return 2 * self.vertex_lattice[dofs]
         if field == "edge":
-            return self.vertex_lattice[self.edges[dofs]].sum(axis=1)
+            return self.vertex_lattice.take(self.edges.take(dofs, axis=0), axis=0).sum(axis=1)
         raise ValueError(f"unknown field {field!r}")
 
     @cached_property
@@ -156,16 +157,33 @@ class BoxMesh:
         keys: dict = {}
         shape_of = np.empty(self.n_subdomains, dtype=np.int64)
         for j in range(self.n_subdomains):
-            tets_j = self.tets[self.tets_of_subdomain(j)]
+            tets_j = self.tets.take(self.tets_of_subdomain(j), axis=0)  # quicker than tets[ids]
             if tets_j.size == 0:
                 raise ConfigurationError(f"subdomain {j} contains no tets")
             origin = tets_j[0, 0]
             ids = (tets_j - origin).tobytes()
             if ids not in distinct:
                 distinct[ids] = np.unique(tets_j) - origin
-            lattice = self.vertex_lattice[origin + distinct[ids]] - self.vertex_lattice[origin]
+            lattice = self.vertex_lattice.take(origin + distinct[ids], axis=0)
+            lattice -= self.vertex_lattice[origin]
             shape_of[j] = keys.setdefault((ids, lattice.tobytes()), len(keys))
         return _freeze(shape_of), _freeze(np.unique(shape_of, return_index=True)[1])
+
+    def _translations(self, shape: int) -> np.ndarray:
+        """Vertex-id offset (a column) of each member of ``shape`` from its first."""
+        order, offsets = self._tets_by_subdomain
+        origin = self.tets[order[offsets[:-1][self.shapes[0] == shape]], 0]
+        return (origin - origin[0])[:, None]
+
+    def member_dofs(self, field: str, shape: int) -> np.ndarray:
+        """Each member's dofs of ``field`` in ``numbering`` order, a row per member
+        (ascending): its first member's vertex ids or edge slots, translated."""
+        first, delta = self.numbering(field)[shape][0], self._translations(shape)
+        if field == "scalar":
+            rows = self.tets.take(self.tets_of_subdomain(self.shapes[1][shape]), axis=0)
+            return rows.ravel()[first] + delta
+        slots = self._boundary_faces[2][shape].ravel()[first]
+        return self._edge_numbering[1].take(slots + 7 * delta)
 
     def numbering(self, field: str) -> list[tuple[np.ndarray, np.ndarray, int]]:
         """Per shape of ``field`` ("scalar" numbers ``tets``, "edge"
@@ -187,14 +205,14 @@ class BoxMesh:
         raise ValueError(f"unknown field {field!r}")
 
     @cached_property
-    def _boundary_faces(self) -> tuple[list[tuple[np.ndarray, np.ndarray, int]], list]:
-        """Per shape, its vertex numbering, and the (tet, face) slots of its
-        boundary faces, from one count of its faces."""
+    def _boundary_faces(self) -> tuple[list[tuple[np.ndarray, np.ndarray, int]], list, list]:
+        """Per shape, its vertex numbering and the (tet, face) slots of its boundary
+        faces, from one count of its faces, and its (T, 6) edge slots."""
         _check_face_keys(self.n_vertices)  # again: a mesh may be built by hand
-        numbering, boundary_slots = [], []
+        numbering, boundary_slots, edge_slots = [], [], []
         for j in self.shapes[1]:
-            tets = self.tets[self.tets_of_subdomain(j)]
-            _edge_slots(self.cells, tets)  # checked once per shape: members are translates
+            tets = self.tets.take(self.tets_of_subdomain(j), axis=0)
+            edge_slots.append(_edge_slots(self.cells, tets))  # checked once: members are translates
             _, first, local = np.unique(tets, return_index=True, return_inverse=True)
             local = local.reshape(tets.shape)
             # Per (tet, face) slot, the face's sorted local vertex ids and its
@@ -208,18 +226,17 @@ class BoxMesh:
             slots = slots[counts == 1]
             numbering.append(_boundary_last(first, local, faces[slots]))
             boundary_slots.append(slots)
-        return numbering, boundary_slots
+        return numbering, boundary_slots, edge_slots
 
     @cached_property
     def _edge_dofs(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """Per shape, its edge numbering, on the boundary faces of
-        ``_boundary_faces``."""
+        """Per shape, its edge numbering, on the boundary faces of ``_boundary_faces``."""
         out = []
-        for j, slots in zip(self.shapes[1], self._boundary_faces[1]):
-            tet_edges = self.tet_edges[self.tets_of_subdomain(j)]
-            _, first, local = np.unique(tet_edges, return_index=True, return_inverse=True)
-            local = local.reshape(tet_edges.shape)
-            out.append(_boundary_last(first, local, local[:, FACE_EDGES].reshape(-1, 3)[slots]))
+        for faces, slots in zip(*self._boundary_faces[1:]):
+            # Edge ids ascend with slots, so the slots number them alike.
+            _, first, local = np.unique(slots, return_index=True, return_inverse=True)
+            local = local.reshape(slots.shape)
+            out.append(_boundary_last(first, local, local[:, FACE_EDGES].reshape(-1, 3)[faces]))
         return out
 
 

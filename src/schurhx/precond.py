@@ -74,43 +74,50 @@ __all__ = [
 ]
 
 
-def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> sp.csr_matrix:
-    """S Z as canonical CSR, from each subdomain j's dense Z_j: its boundary
-    rows of Z in the columns of the subdomains it shares a skeleton dof with
-    (8, 12, 18 or 27 on a box partition).  Each Z_j is overwritten by
-    S_u Z_j, one GEMM at its exact width (padding to another width changes
-    the bits).  The products are the rows of a (boundary tuple, J) CSR
-    matrix V, and S Z = glue V, the glue being the split's transpose:
-    scipy sums each entry over ascending tuple slots, so in ascending
-    subdomain order, which fixes each entry's summation order."""
+def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> tuple:
+    """S Z as canonical CSR, and each group's inverse DtN map stored as S_u is, from S_u
+    unpacked once.  S Z comes from each subdomain j's dense Z_j: its boundary rows of Z in
+    the columns of the subdomains it shares a skeleton dof with (8, 12, 18 or 27 on a box
+    partition).  Each Z_j is overwritten by S_u Z_j, one GEMM at its exact width (padding to
+    another width changes the bits).  The products are the rows of a (boundary tuple, J) CSR
+    matrix V, and S Z = glue V, the glue being the split's transpose: scipy sums each entry
+    over ascending tuple slots, so in ascending subdomain order, which fixes each entry's
+    summation order."""
     split, offsets = schur.transfer.skeleton_split, schur.transfer.boundary_offsets
     n_sub, sizes = offsets.size - 1, np.diff(offsets)
     entries = basis[split].tocoo()  # Z's rows of every boundary copy
     sub = np.repeat(np.arange(n_sub), sizes)[entries.row]
     # The neighbour table: subdomain j's sorted columns are
     # cols[first[j] : first[j + 1]].
-    pairs = np.unique(sub * n_sub + entries.col)
+    pairs, pair_of = np.unique(sub * n_sub + entries.col, return_inverse=True)
     width = np.bincount(pairs // n_sub, minlength=n_sub)
     first = np.concatenate([[0], np.cumsum(width)])
     cols = pairs % n_sub
-    rank = np.searchsorted(pairs, sub * n_sub + entries.col) - first[sub]
+    rank = pair_of - first[sub]
     # Every Z_j, C-ordered, one after another in ascending j: row t of V.
     indptr = np.concatenate([[0], np.cumsum(np.repeat(width, sizes))])
     values = np.zeros(indptr[-1])
     values[indptr[entries.row] + rank] = entries.data
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for j, u in enumerate(schur.group_of):
-        lo, hi = indptr[offsets[j]], indptr[offsets[j + 1]]
-        z_j = values[lo:hi].reshape(sizes[j], width[j])
-        z_j[:] = schur.dense(schur.groups[u][0]) @ z_j
-        indices[lo:hi].reshape(sizes[j], width[j])[:] = cols[first[j] : first[j + 1]]
+    del entries, sub, pair_of, rank  # before the inverses' arrays
+    inverses = []
+    for s_u, js in schur.groups:
+        s_u = schur.dense(s_u)
+        for j in js:
+            lo, hi = indptr[offsets[j]], indptr[offsets[j + 1]]
+            z_j = values[lo:hi].reshape(sizes[j], width[j])
+            z_j[:] = s_u @ z_j
+            indices[lo:hi].reshape(sizes[j], width[j])[:] = cols[first[j] : first[j + 1]]
+        factor = SpdFactor(s_u, f"scalar subdomain {js[0]} (Schur)")
+        del s_u  # before the inverse: the factor holds its own copy
+        inverses.append(schur.stored(factor.inverse(), js.size))
     products = sp.csr_matrix((values, indices, indptr), shape=(split.size, n_sub))
     glue = sp.csc_matrix(
         (np.ones(split.size), split, np.arange(split.size + 1)), shape=(schur.dim, split.size)
     ).tocsr()
     product = glue @ products
     product.sort_indices()
-    return product
+    return product, inverses
 
 
 class NeumannNeumann:
@@ -126,9 +133,9 @@ class NeumannNeumann:
     It is the only user of the inverse DtN map, so set-up inverts the Schur
     complement S_u of each distinct subdomain block here, each with one
     ``SpdFactor`` of its square array, and stores it as S_u is stored.
-    Set-up first computes S Z as CSR (each subdomain's S_u times the few
-    coarse columns it touches, summed in ascending subdomain order) and
-    factorizes the dense J x J coarse matrix S0 = Z^T S Z with
+    Set-up computes S Z as CSR in the same pass (each S_u, unpacked once,
+    times the few coarse columns its members touch, summed in ascending
+    subdomain order), then factorizes the dense J x J coarse matrix S0 = Z^T S Z with
     one more ``SpdFactor``; ``cond_coarse`` reports its condition number.
     One application makes one call to the average M (one grouped inverse-DtN
     apply, counted by ``n_applies``) and two coarse solves, using
@@ -165,15 +172,10 @@ class NeumannNeumann:
         # and a CSR product sums in the order of the CSC one of ``.T`` but
         # takes a half to a third of its time at 24^3/4^3.
         self._basis_t = self.coarse_basis.T.tocsr()
-        self.s_coarse = _schur_times_basis(schur, self.coarse_basis)
+        self.s_coarse, self.inverse_dtn = _schur_times_basis(schur, self.coarse_basis)
         self._s_coarse_t = self.s_coarse.T.tocsr()
         s0 = (self._basis_t @ self.s_coarse).toarray()
         self.coarse_matrix = (s0 + s0.T) / 2.0
-        # The inverses come after S Z, so its temporary arrays are gone by then.
-        self.inverse_dtn = []
-        for s_u, js in schur.groups:
-            inverse = SpdFactor(schur.dense(s_u), f"{field} subdomain {js[0]} (Schur)").inverse()
-            self.inverse_dtn.append(schur.stored(inverse, js.size))
         self.coarse_factor = SpdFactor(self.coarse_matrix, "balancing coarse problem")
 
     @cached_property
@@ -272,6 +274,8 @@ class MaxwellProblem:
 def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, transfer: TransferOps) -> np.ndarray:
     """rho of every boundary-tuple copy: the largest alpha among the
     subdomain's tets that touch the vertex, over its broken-space slots."""
+    if np.ndim(coeffs.alpha) == 0:
+        return np.full(transfer.boundary_offsets[-1], float(coeffs.alpha))
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
     offsets = transfer.broken_offsets
     peak = np.zeros(offsets[-1])

@@ -33,12 +33,11 @@ once by its member count (``SchurSystem.stored``, as are the inverses): a
 lone member's lower triangle packed by columns, since its apply is one
 memory-bound SPMV, and several members' square array, shared by one GEMM
 over all their tuple slices (``SchurSystem.grouped_apply``).  A packed
-triangle is unpacked exactly, by one gather (``SchurSystem.dense``).
+triangle is unpacked exactly, keeping no index (``SchurSystem.dense``).
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -101,15 +100,6 @@ def check_dense(n: int, label: str) -> None:
         raise ConfigurationError(f"{label}: dense {n} x {n} matrix over {DENSE_BYTES_LIMIT} bytes")
 
 
-@cache
-def _packed_positions(n: int) -> np.ndarray:
-    """Where entry (i, j) of an n x n symmetric matrix sits in its packed
-    lower triangle: at (max(i, j), min(i, j))."""
-    i = np.arange(n)
-    lo = np.minimum.outer(i, i)
-    return lo * (2 * n - 1 - lo) // 2 + np.maximum.outer(i, i)
-
-
 def _inverse_form(a: np.ndarray, b: np.ndarray, label: str) -> np.ndarray:
     """Dense B^T A^{-1} B for an SPD array A and an array B, from a Cholesky
     factor of A that lives only here: X = L^{-1} B overwrites a copy of B and
@@ -144,19 +134,39 @@ def _reduction(rows: sp.csr_matrix, positions: np.ndarray, label: str) -> np.nda
     check_dense(keep.size, label)
     where = np.full(n, -1)
     where[keep] = np.arange(keep.size)
-    m = np.zeros((keep.size, keep.size))
-    m[:n_g] = rows[keep[:n_g]][:, keep].toarray()  # M_bG is never read
-    for code in np.unique(octant[~on_plane]):
-        own = np.flatnonzero(~on_plane & (octant == code))
-        part = rows[own]
-        touched = np.setdiff1d(part.indices, own)
+    m = np.zeros((keep.size, keep.size))  # M_bG is never read
+    # One row gather: the G rows, then each octant's, by ascending code.
+    free = np.flatnonzero(~on_plane)[np.argsort(octant[~on_plane], kind="stable")]
+    picked = rows[np.r_[keep[:n_g], free]]
+    _on_columns(picked, 0, n_g, where).toarray(out=m[:n_g])
+    starts = n_g + np.flatnonzero(np.diff(octant[free], prepend=-1))
+    for start, end in zip(starts, np.r_[starts[1:], picked.shape[0]]):
+        own = free[start - n_g : end - n_g]
+        a, b = picked.indptr[[start, end]]
+        reached = np.bincount(picked.indices[a:b], minlength=n) > 0
+        reached[own] = False
+        touched = np.flatnonzero(reached)
         if np.any(where[touched] < 0):
             raise AssemblyError(f"{label}: two octants of a cut share a matrix entry")
         cols, local = np.r_[own, touched], where[touched]
-        m[np.ix_(local, local)] -= _reduction(part[:, cols], positions[cols], label)
+        column_of = np.full(n, -1)
+        column_of[cols] = np.arange(cols.size)
+        reduced = _reduction(_on_columns(picked, start, end, column_of), positions[cols], label)
+        # One flat index per (local, local) entry: a quicker gather than np.ix_.
+        m.ravel()[(local[:, None] * keep.size + local).ravel()] -= reduced.ravel()
     form = _inverse_form(m[:n_g, :n_g], m[:n_g, n_g:], label)
     form -= m[n_g:, n_g:]
     return form
+
+
+def _on_columns(rows: sp.csr_matrix, lo: int, hi: int, column_of: np.ndarray) -> sp.csr_matrix:
+    """Rows lo:hi of ``rows`` on the columns c numbered by ``column_of[c] >= 0``,
+    in order, so ``toarray`` sums duplicates as on ``rows``."""
+    a, b = rows.indptr[lo], rows.indptr[hi]
+    cols = column_of[rows.indices[a:b]]
+    on = cols >= 0
+    indptr = np.r_[0, np.cumsum(on)][rows.indptr[lo : hi + 1] - a]
+    return sp.csr_matrix((rows.data[a:b][on], cols[on], indptr), (hi - lo, column_of.max() + 1))
 
 
 def _schur_complement(
@@ -199,10 +209,12 @@ class SchurSystem:
 
     @staticmethod
     def dense(matrix: np.ndarray) -> np.ndarray:
-        """A group's symmetric matrix as a square array, unpacked exactly if packed."""
+        """A group's symmetric matrix as a square array, unpacked exactly if
+        packed: its lower triangle laid out, selected against its transpose."""
         if matrix.ndim == 2:
             return matrix
-        return matrix.take(_packed_positions((isqrt(8 * matrix.size + 1) - 1) // 2))
+        lower = sla.lapack.dtpttr(isqrt(2 * matrix.size), matrix, uplo="L")[0]
+        return np.where(np.tri(lower.shape[0], dtype=bool), lower, lower.T)
 
     @staticmethod
     def stored(matrix: np.ndarray, n_members: int) -> np.ndarray:

@@ -10,6 +10,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from conftest import jump_grids
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from schurhx import assemble as assemble_module
 from schurhx.assemble import (
@@ -646,3 +648,35 @@ def test_transfer_of_another_mesh_rejected(cells, subdomains, foreign, field):
         AssemblyError, match=f"^{field}: {n_sub} group_of entries, {n_foreign} subdomains$"
     ):
         build_schur_system(*assemble(mesh, Coefficients()), transfer, mesh)
+
+
+def _lexsort_plan(ldof: np.ndarray, dim: int):
+    """The coalesce plan of two-key lexsort: rows and columns of every
+    (tet, a, b) entry, ordered by (row, col), stably."""
+    k = ldof.shape[1]
+    rows = np.repeat(ldof, k, axis=1).ravel()
+    cols = np.tile(ldof, (1, k)).ravel()
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+    indptr = np.searchsorted(r[starts], np.arange(dim + 1)).astype(np.int32)
+    return order, starts, c[starts].astype(np.int32), indptr
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 30),
+    k=st.sampled_from([4, 6]),
+    n_tets=st.integers(1, 25),
+    data=st.data(),
+)
+def test_coalesce_plan_equals_lexsort_plan(dim, k, n_tets, data):
+    """The one-key plan (row * dim + col, one stable argsort) has the order,
+    group starts, CSR indices and indptr of the two-key lexsort plan, with
+    their dtypes, on random local-id patterns: ids repeat within and across
+    tets, and some rows may have no entry."""
+    ldof = data.draw(arrays(np.int64, (n_tets, k), elements=st.integers(0, dim - 1)))
+    got = assemble_module._coalesce_plan(ldof, dim)
+    for g, w in zip(got, _lexsort_plan(ldof, dim), strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert not got[2].flags.writeable and not got[3].flags.writeable

@@ -15,10 +15,14 @@ from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
 from schurhx.mesh import (
     CELL_TETS,
+    FACE_EDGES,
     FACE_KEY_LIMIT,
     LOCAL_EDGES,
     LOCAL_FACES,
     BoxMesh,
+    _boundary_last,
+    _corner_offsets,
+    _edge_slots,
     build_box_mesh,
     export_vtk,
 )
@@ -250,7 +254,8 @@ def test_shapes_match_full_key_reference(full_key_shapes, grid, moved):
 @pytest.mark.parametrize("setup", [setup_scalar, setup_maxwell])
 def test_numbering_derives_only_the_fields_read(setup):
     """A scalar set-up never derives the edges, a Maxwell set-up does; both
-    count the faces.  A new mesh has derived neither."""
+    count the faces, and neither derives the whole-mesh ``tet_edges``.  A
+    new mesh has derived none of them."""
     mesh = build_box_mesh((4, 4, 2), (2, 2, 1))
     with pytest.raises(ValueError, match="^unknown field 'face'$"):
         mesh.numbering("face")
@@ -258,6 +263,7 @@ def test_numbering_derives_only_the_fields_read(setup):
     setup(mesh, Coefficients())
     assert ("_edge_numbering" in vars(mesh)) == (setup is setup_maxwell)
     assert "_boundary_faces" in vars(mesh)
+    assert "tet_edges" not in vars(mesh)
 
 
 # Suite grids, most of them anisotropic in cells or in subdomains.
@@ -297,6 +303,64 @@ def test_numbering_holds_on_every_member(grid, mesh422_two_shapes, subdomain_dof
             assert np.array_equal(dofs[:n_interior], interior)
             assert np.array_equal(dofs[n_interior:], boundary)
             assert np.array_equal(dofs[local], rows)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["two_shapes"] + NUMBERING_GRIDS,
+    ids=["422/two_shapes"]
+    + ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in NUMBERING_GRIDS],
+)
+def test_translated_numbering_equals_whole_mesh_reference(grid, mesh422_two_shapes):
+    """Edges, ``tet_edges``, the edge numbering and every array of both
+    transfers, reached through each shape's slots translated to its members,
+    are bitwise what whole-mesh code builds: one ``_edge_slots`` over all
+    tets, and a gather of every subdomain's tet rows of the dof ids."""
+    base = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
+    mesh, ref = replace(base), replace(base)  # fresh caches each
+    slots = _edge_slots(ref.cells, ref.tets)
+    used = np.bincount(slots.ravel(), minlength=7 * ref.n_vertices) > 0
+    start, k = np.divmod(np.flatnonzero(used), 7)
+    edges = np.column_stack([start, start + _corner_offsets(ref.cells)[1:][k]])
+    tet_edges = (np.cumsum(used, dtype=np.int64) - 1)[slots]
+    edge_numbering = []
+    for j, faces in zip(ref.shapes[1], ref._boundary_faces[1]):
+        rows = tet_edges[ref.tets_of_subdomain(j)]
+        _, first, local = np.unique(rows, return_index=True, return_inverse=True)
+        local = local.reshape(rows.shape)
+        boundary = local[:, FACE_EDGES].reshape(-1, 3)[faces]
+        edge_numbering.append(_boundary_last(first, local, boundary))
+    for got, want in ((mesh.edges, edges), (mesh.tet_edges, tet_edges)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for got, want in zip(mesh.numbering("edge"), edge_numbering, strict=True):
+        assert got[2] == want[2]
+        assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got[:2], want))
+    cases = (("scalar", ref.tets, ref.numbering("scalar")), ("edge", tet_edges, edge_numbering))
+    for field, tet_dofs, numbering in cases:
+        per_subdomain = [numbering[s] for s in ref.shapes[0]]
+        sub_dofs = [
+            tet_dofs[ref.tets_of_subdomain(j)].ravel()[first]
+            for j, (first, _, _) in enumerate(per_subdomain)
+        ]
+        boundary = np.concatenate([d[n_i:] for d, (_, _, n_i) in zip(sub_dofs, per_subdomain)])
+        skeleton = np.flatnonzero(np.bincount(boundary, minlength=tet_dofs.max() + 1))
+        sizes = [d.size for d in sub_dofs]
+        n_boundary = [d.size - n_i for d, (_, _, n_i) in zip(sub_dofs, per_subdomain)]
+        ops = build_transfer(mesh, field)
+        assert ops.n_volume == tet_dofs.max() + 1
+        want = {
+            "broken_offsets": np.cumsum([0, *sizes]),
+            "boundary_offsets": np.cumsum([0, *n_boundary]),
+            "skeleton_trace": skeleton,
+            "volume_split": np.concatenate(sub_dofs),
+            "skeleton_split": np.searchsorted(skeleton, boundary),
+            "boundary_trace": np.concatenate(
+                [np.arange(hi - n_b, hi) for hi, n_b in zip(np.cumsum(sizes), n_boundary)]
+            ),
+        }
+        for name, array in want.items():
+            got = getattr(ops, name)
+            assert got.dtype == np.int64 and got.tobytes() == array.astype(np.int64).tobytes()
 
 
 def test_face_key_overflow_rejected(mesh111):
@@ -500,6 +564,35 @@ def test_broken_mesh_rejected_by_skeleton(mesh111):
                 build_transfer(bad, field)
     with pytest.raises(AssemblyError, match="joins no two corners of a cell"):
         assemble_edge(off_pattern, Coefficients())
+
+
+def test_tet_edge_off_the_cell_corners_is_refused():
+    """A hand-built tet edge that joins no two corners of a cell raises
+    :class:`AssemblyError` on every read that numbers edges, whether the tet
+    sits in a shape's first subdomain or in a subdomain of its own shape
+    (edge slots are checked once per shape, on its first subdomain)."""
+    # One subdomain: vertex ids 0 and 2 are two cells apart along x.
+    one = build_box_mesh((2, 1, 1))
+    tets = one.tets.copy()
+    tets[0] = (0, 2, 3, 6)
+    # Two subdomains: tet 13 of subdomain 1 gets the two-cell edge (2, 4).
+    two = build_box_mesh((4, 1, 1), (2, 1, 1))
+    tets_two = two.tets.copy()
+    tets_two[13] = (2, 4, 7, 17)
+    bad_meshes = (replace(one, tets=tets), replace(two, tets=tets_two))
+    assert bad_meshes[1].shapes[0].tolist() == [0, 1]
+    reads = (
+        lambda m: m.edges,
+        lambda m: m.tet_edges,
+        lambda m: m.numbering("edge"),
+        lambda m: m.numbering("scalar"),
+        lambda m: build_transfer(m, "edge"),
+        lambda m: setup_maxwell(m, Coefficients()),
+    )
+    for bad in bad_meshes:
+        for read in reads:
+            with pytest.raises(AssemblyError, match="joins no two corners of a cell"):
+                read(replace(bad))
 
 
 def test_export_vtk(tmp_path):

@@ -35,7 +35,7 @@ from schurhx.precond import (
     setup_maxwell,
     setup_scalar,
 )
-from schurhx.schur import SchurSystem, SpdFactor
+from schurhx.schur import SchurSystem, SpdFactor, build_schur_system
 
 TOL = 1e-9
 
@@ -702,3 +702,37 @@ def test_setup_bitwise_equals_sliced_references_on_jump_grids(
     sliced_schur, tril_inverse, looped_coarse_product, grid
 ):
     _assert_setup_matches_references(*grid, sliced_schur, tril_inverse, looped_coarse_product)
+
+
+@settings(max_examples=10, deadline=None)
+@given(grid=jump_grids())
+def test_nn_setup_unpacks_each_packed_matrix_once(grid):
+    """Neumann-Neumann set-up unpacks each packed matrix once: a lone
+    member's S_u, which both S Z and its Cholesky read, and the inverse of a
+    group of several members, stored square.  The unpacked matrix is the
+    packed triangle mirrored, bitwise, C-ordered."""
+    mesh, alpha_j = grid
+    coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.5)
+    transfer = build_transfer(mesh, "scalar")
+    schur = build_schur_system(*assemble_scalar(mesh, coeffs), transfer, mesh)
+    unpacked = []
+    dense = SchurSystem.dense
+
+    def counting(matrix):
+        out = dense(matrix)
+        if matrix.ndim == 1:
+            unpacked.append(matrix)
+            n = out.shape[0]
+            rows, cols = np.tril_indices(n)
+            order = np.lexsort((rows, cols))  # packed by columns
+            assert out.flags.c_contiguous and np.array_equal(out, out.T)
+            assert out[rows[order], cols[order]].tobytes() == matrix.tobytes()
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SchurSystem, "dense", staticmethod(counting))
+        qnn = NeumannNeumann(schur, np.ones(schur.tuple_dim))
+    assert len(unpacked) == len(schur.groups)
+    lone = [s_u for s_u, js in schur.groups if js.size == 1]
+    assert sum(any(m is s_u for s_u in lone) for m in unpacked) == len(lone)
+    assert len(qnn.inverse_dtn) == len(schur.groups)
