@@ -152,14 +152,16 @@ def _p1_geometry(mesh: BoxMesh, tet_ids: np.ndarray):
 
 
 def _p1_matrices(vols, gg, alpha, beta):
+    """Per-tet (stiffness, mass), unmirrored."""
     stiff = (alpha * vols)[:, None, None] * gg
     mass = (beta * vols / 20.0)[:, None, None] * (np.ones((4, 4)) + np.eye(4))
-    return _mirror_upper(stiff), _mirror_upper(mass)
+    return stiff, mass
 
 
 def scalar_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray, alpha, beta):
     """Per-tet (stiffness, mass) pairs, each (T, 4, 4) and bitwise symmetric."""
-    return _p1_matrices(*_p1_geometry(mesh, tet_ids), alpha, beta)
+    stiff, mass = _p1_matrices(*_p1_geometry(mesh, tet_ids), alpha, beta)
+    return _mirror_upper(stiff), _mirror_upper(mass)
 
 
 def edge_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray):
@@ -270,8 +272,10 @@ def assemble_scalar(
     beta = coeffs.per_tet("beta", mesh.n_tets)
 
     def element(vols, gg, alpha, beta):
+        # One mirror of the sum is bitwise the sum of the two mirrors: each
+        # entry gets +0.0 added once either way.
         stiff, mass = _p1_matrices(vols, gg, alpha, beta)
-        return stiff + mass
+        return _mirror_upper(stiff + mass)
 
     return _assemble(
         mesh, scope, "scalar", lambda reps: _p1_geometry(mesh, reps), element, (alpha, beta)

@@ -12,26 +12,44 @@ vertices to skeleton edges (their ``skeleton_trace`` ids); without them, from
 all vertices to all edges.  Both use the same coordinate
 arithmetic on the same vertices, so trace-then-map equals map-then-trace with
 a literally zero residual; tests and the verification suite rely on that
-exactness.
+exactness.  The skeleton edges' endpoint columns are computed once per
+transfer pair: the last pair's are kept, the mesh and transfers weakly held.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
 from .dofspaces import TransferOps
-from .mesh import BoxMesh
+from .mesh import BoxMesh, _freeze
 
 __all__ = ["build_gradient", "build_nodal_interp"]
+
+
+# The last skeleton call's mesh and transfers, weakly held, and its result:
+# set-up builds all four HX maps from one pair, so it computes them once.
+_last_endpoints: list = [(), None]
 
 
 def _edge_endpoints(mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | None):
     """Rows (edges, as vertex ids), their two columns each, and the column count."""
     if transfers is None:
         return mesh.edges, mesh.edges, mesh.n_vertices
-    scalar, edge = transfers
+    refs, endpoints = _last_endpoints
+    if len(refs) == 3 and all(ref() is obj for ref, obj in zip(refs, (mesh, *transfers))):
+        return endpoints
+    endpoints = _skeleton_endpoints(mesh, *transfers)
+    _last_endpoints[:] = [tuple(weakref.ref(obj) for obj in (mesh, *transfers)), endpoints]
+    return endpoints
+
+
+def _skeleton_endpoints(mesh: BoxMesh, scalar: TransferOps, edge: TransferOps):
+    """``_edge_endpoints`` on the skeleton, read-only, after checking that the
+    transfers belong to the mesh and to one partition of it."""
     if (scalar.n_volume, edge.n_volume) != (mesh.n_vertices, mesh.n_edges):
         raise AssemblyError("transfer of another mesh: its volume sizes differ")
     vertices = scalar.skeleton_trace
@@ -43,7 +61,7 @@ def _edge_endpoints(mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | 
         raise AssemblyError("skeleton edge with endpoint off the skeleton")
     if np.bincount(cols.ravel(), minlength=vertices.size).min() == 0:
         raise AssemblyError("skeleton vertex on no skeleton edge")
-    return edges, cols, vertices.size
+    return _freeze(edges), _freeze(cols), vertices.size
 
 
 def _edge_map(cols: np.ndarray, n_cols: int, data: np.ndarray) -> sp.csr_matrix:

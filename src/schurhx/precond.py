@@ -16,11 +16,14 @@ Neumann solve,
     S_j^{-1} g = trace_b( A_j^{-1} extend_by_zero(g) ),
 
 which ``test_schur_inverse_is_resolvent_boundary_block`` checks; it is
-applied as the explicit inverse of each distinct block's S_u, taken once
-by ``SpdFactor.inverse`` and stored as ``schur`` stores S_u (packed for a
-lone member), so no whole-block Neumann factorization is needed.  M is
-balanced with a coarse space of one basis function per subdomain (Mandel's
-balancing domain decomposition):
+applied from one Cholesky factorization of each distinct block's S_u, so no
+whole-block Neumann factorization is needed: a lone member keeps its upper
+factor U (S_u = U^T U) packed by columns, as large as its packed S_u, and
+applies S_u^{-1} = U^{-1} U^{-T} as one packed solve; a group of several
+members keeps the explicit inverse from ``SpdFactor.inverse``, square,
+shared by one GEMM over all its members.  M is balanced with a coarse space
+of one basis function per subdomain (Mandel's balancing domain
+decomposition):
 
     Q f = Q0 f + (I - Q0 S) M (I - S Q0) f,    Q0 = Z (Z^T S Z)^{-1} Z^T,
 
@@ -58,7 +61,7 @@ import scipy.sparse as sp
 from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .dofspaces import TransferOps, build_transfer
 from .discrete_ops import build_gradient, build_nodal_interp
-from .errors import AssemblyError, ConfigurationError
+from .errors import AssemblyError, ConfigurationError, SingularOperatorError
 from .krylov import CondEstimate, pcg
 from .mesh import BoxMesh
 from .schur import SchurSystem, SpdFactor, build_schur_system, check_dense
@@ -108,9 +111,13 @@ def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> tuple:
             z_j = values[lo:hi].reshape(sizes[j], width[j])
             z_j[:] = s_u @ z_j
             indices[lo:hi].reshape(sizes[j], width[j])[:] = cols[first[j] : first[j + 1]]
-        factor = SpdFactor(s_u, f"scalar subdomain {js[0]} (Schur)")
-        del s_u  # before the inverse: the factor holds its own copy
-        inverses.append(schur.stored(factor.inverse(), js.size))
+        label = f"scalar subdomain {js[0]} (Schur)"
+        if js.size == 1:
+            inverses.append(_packed_factor(s_u, label))
+        else:
+            factor = SpdFactor(s_u, label)
+            del s_u  # before the inverse: the factor holds its own copy
+            inverses.append(factor.inverse())
     products = sp.csr_matrix((values, indices, indptr), shape=(split.size, n_sub))
     glue = sp.csc_matrix(
         (np.ones(split.size), split, np.arange(split.size + 1)), shape=(schur.dim, split.size)
@@ -118,6 +125,22 @@ def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> tuple:
     product = glue @ products
     product.sort_indices()
     return product, inverses
+
+
+def _packed_factor(s_u: np.ndarray, label: str) -> np.ndarray:
+    """The upper Cholesky factor U of a lone member's S_u (S_u = U^T U),
+    packed by columns.  S_u, unpacked for this set-up alone, is factorized in
+    place through its F-ordered view, which holds the same matrix since S_u
+    is bitwise symmetric.  Upper rather than lower: OpenBLAS's packed solve
+    with U took 0.96 ms against 1.27 ms with L for 64 blocks of 218 dofs
+    (one BLAS thread on a 2-vCPU Xeon)."""
+    upper, info = sla.lapack.dpotrf(s_u.T, lower=0, clean=0, overwrite_a=1)
+    if info != 0:
+        raise SingularOperatorError(f"{label}: not positive definite")
+    packed, info = sla.lapack.dtrttp(upper, uplo="U")
+    if info != 0 or not np.all(np.isfinite(packed)):
+        raise SingularOperatorError(f"{label}: factor failed")
+    return packed
 
 
 class NeumannNeumann:
@@ -130,9 +153,11 @@ class NeumannNeumann:
     degree.  Only ratios of rho matter, so it is scaled to a largest value of
     1: constant rho gives exactly the counting weights 1/degree.
 
-    It is the only user of the inverse DtN map, so set-up inverts the Schur
-    complement S_u of each distinct subdomain block here, each with one
-    ``SpdFactor`` of its square array, and stores it as S_u is stored.
+    It is the only user of the inverse DtN map, so set-up factorizes the
+    Schur complement S_u of each distinct subdomain block here, once: a lone
+    member's S_u, unpacked for this set-up alone, in place, its upper factor
+    packed by columns (applied by ``dpptrs``); a shared S_u with one
+    ``SpdFactor``, whose square inverse its members share.
     Set-up computes S Z as CSR in the same pass (each S_u, unpacked once,
     times the few coarse columns its members touch, summed in ascending
     subdomain order), then factorizes the dense J x J coarse matrix S0 = Z^T S Z with
@@ -157,6 +182,7 @@ class NeumannNeumann:
         self.dim = schur.dim
         self.rho = rho / rho.max()
         self.degree = np.bincount(self.split, self.rho, minlength=self.dim)
+        self._split_degree = self.degree[self.split]
         self.n_applies = 0
         # Z: one entry rho_c / degree per copy c, at (its skeleton vertex, its
         # subdomain); no two copies share a place, so nothing is summed.
@@ -187,10 +213,10 @@ class NeumannNeumann:
 
     def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
         """Blockwise inverse DtN on a boundary-tuple vector."""
-        return self.schur.grouped_apply(self.inverse_dtn, g)
+        return self.schur.grouped_apply(self.inverse_dtn, g, factored=True)
 
     def _average(self, f: np.ndarray) -> np.ndarray:
-        w = self.apply_dtn_inv((f[self.split] * self.rho) / self.degree[self.split])
+        w = self.apply_dtn_inv((f[self.split] * self.rho) / self._split_degree)
         return np.bincount(self.split, self.rho * w, minlength=self.dim) / self.degree
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
@@ -229,6 +255,11 @@ class HiptmairXu:
         self.jacobi_inv = 1.0 / jacobi_skeleton
         self.gradient = skeleton_gradient
         self.interps = list(skeleton_interps)
+        # Each map's transpose as CSR, stored once: every apply multiplies by
+        # all four, and a CSR product sums in the order of the CSC one of
+        # ``.T`` in about 60 % of its time at 24^3/4^3.
+        self._gradient_t = skeleton_gradient.T.tocsr()
+        self._interps_t = [interp.T.tocsr() for interp in self.interps]
         self.nn = nn
         self.gradient_weight = gradient_weight
         self.dim = shape[0]
@@ -237,9 +268,9 @@ class HiptmairXu:
         if f.shape != (self.dim,):
             raise ValueError(f"expected skeleton edge vector of length {self.dim}")
         out = self.jacobi_inv * f
-        out = out + self.gradient_weight * (self.gradient @ self.nn(self.gradient.T @ f))
-        for interp in self.interps:
-            out = out + interp @ self.nn(interp.T @ f)
+        out = out + self.gradient_weight * (self.gradient @ self.nn(self._gradient_t @ f))
+        for interp, interp_t in zip(self.interps, self._interps_t):
+            out = out + interp @ self.nn(interp_t @ f)
         return out
 
 

@@ -10,9 +10,10 @@ CSR submatrices.  The local Dirichlet-to-Neumann map is the Schur complement
 where A_ii = L L^T, and the global interface operator on the skeleton space
 is split^T . blockdiag(S_j) . split.  Every reduction A_bi A_ii^{-1} A_ib is
 one recursive static condensation over nested dissection (George 1973,
-``_reduction``).  An interior of at most LEAF dofs is a leaf: its rows are
-made dense once, a copy of A_ii is factorized in place, X overwrites a copy
-of A_ib and X^T X is one SYRK (``_inverse_form``).  A larger interior is cut
+``_reduction``).  An interior of at most LEAF dofs is a leaf: its rows (the
+whole block, when the block's own interior is a leaf) are made dense once, a
+copy of A_ii is factorized in place, X overwrites a copy of A_ib and X^T X
+is one SYRK (``_inverse_form``).  A larger interior is cut
 at the cell-face plane nearest its middle on each axis at least two cells
 wide, read off ``BoxMesh.dof_positions``: its dofs on a cut form the
 separator G, the rest at most eight octants that share no matrix entry.
@@ -29,11 +30,15 @@ coefficients, one block for every subdomain of a uniform partition).
 per block, after checking that ``group_of`` covers the transfer's
 subdomains and that every member has the block's size and boundary size.
 The interior factors are dropped once S_u is formed, and S_u is stored at
-once by its member count (``SchurSystem.stored``, as are the inverses): a
-lone member's lower triangle packed by columns, since its apply is one
-memory-bound SPMV, and several members' square array, shared by one GEMM
-over all their tuple slices (``SchurSystem.grouped_apply``).  A packed
-triangle is unpacked exactly, keeping no index (``SchurSystem.dense``).
+once by its member count (``SchurSystem.stored``): a lone member's lower
+triangle packed by columns, since its apply is one memory-bound SPMV, and
+several members' square array, shared by one GEMM over all their tuple
+slices (``SchurSystem.grouped_apply``).  A packed triangle is unpacked
+exactly, keeping no index (``SchurSystem.dense``).  Neumann-Neumann's
+inverse DtN maps are kept the same way by member count, but a lone member
+keeps the packed upper Cholesky factor of S_u, which ``grouped_apply``
+applies as one packed solve (``factored``), and a group of several the
+square inverse from ``SpdFactor.inverse``.
 """
 
 from __future__ import annotations
@@ -64,34 +69,38 @@ DENSE_BYTES_LIMIT = 2**30
 
 class SpdFactor:
     """Factorize once, solve many: an in-place dense Cholesky of an array or
-    a sparse matrix; ``lower`` holds L, ``inverse()`` packs the inverse."""
+    a sparse matrix; ``lower`` holds L, ``inverse()`` forms the inverse."""
 
     def __init__(self, matrix: np.ndarray | sp.spmatrix, label: str):
         self.label = label
         # A fresh F-ordered copy is factorized in place, so the caller keeps
         # its matrix; LAPACK itself rejects a NaN pivot.
         dense = matrix.toarray(order="F") if sp.issparse(matrix) else np.array(matrix, order="F")
-        try:
-            self.lower, _ = sla.cho_factor(dense, lower=True, overwrite_a=True, check_finite=False)
-        except sla.LinAlgError as err:
-            raise SingularOperatorError(f"{label}: not positive definite") from err
+        self.lower, info = sla.lapack.dpotrf(dense, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise SingularOperatorError(f"{label}: not positive definite")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # A non-finite b gives a non-finite x, which is rejected here.
-        x = sla.cho_solve((self.lower, True), b, check_finite=False)
-        if not np.all(np.isfinite(x)):
+        x, info = sla.lapack.dpotrs(self.lower, b, lower=1)
+        if info != 0 or not np.all(np.isfinite(x)):
             raise SingularOperatorError(f"{self.label}: non-finite solve result")
         return x
 
     def inverse(self) -> np.ndarray:
-        """Explicit inverse from the factor, its lower triangle packed by columns."""
+        """Explicit inverse from the factor, as a bitwise-symmetric square array."""
         inv, info = sla.lapack.dpotri(self.lower, lower=True)
         # dpotri fills the lower triangle.  Every entry gets +0.0 added, as a
         # sum of the two triangles would, so a -0.0 reads +0.0.
-        packed = sla.lapack.dtrttp(inv, uplo="L")[0] + 0.0
-        if info != 0 or not np.all(np.isfinite(packed)):
+        square = _mirror_lower(inv) + 0.0
+        if info != 0 or not np.all(np.isfinite(square)):
             raise SingularOperatorError(f"{self.label}: inverse failed")
-        return packed
+        return square
+
+
+def _mirror_lower(matrix: np.ndarray) -> np.ndarray:
+    """A C-ordered square array of ``matrix``'s lower triangle and its mirror."""
+    return np.where(np.tri(matrix.shape[0], dtype=bool), matrix, matrix.T)
 
 
 def check_dense(n: int, label: str) -> None:
@@ -177,13 +186,18 @@ def _schur_complement(
     are the doubled lattice positions of its dofs."""
     n_i = n_interior
     check_dense(block.shape[0] - n_i, label)
-    reduction = 0.0
-    if n_i:
+    if n_i > LEAF:
         # Every dense interior copy is gone before A_bb is made dense.
         reduction = _reduction(block[:n_i], positions, f"{label} (interior)")
-    schur = block[n_i:, n_i:].toarray()
-    schur -= reduction
-    return schur
+        schur = block[n_i:, n_i:].toarray()
+        schur -= reduction
+        return schur
+    # A leaf: the whole block is made dense once and sliced.
+    dense = block.toarray()
+    if not n_i:
+        return dense
+    reduction = _inverse_form(dense[:n_i, :n_i], dense[:n_i, n_i:], f"{label} (interior)")
+    return np.subtract(dense[n_i:, n_i:], reduction, out=reduction)
 
 
 class SchurSystem:
@@ -200,12 +214,18 @@ class SchurSystem:
         self.tuple_dim = transfer.skeleton_split.size
         self.group_of = group_of
         self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
-        # Tuple positions of each group as a (boundary size, members) array.
+        # Per group, the shape of its stored matrices and its tuple positions:
+        # a lone member's slice, else a (boundary size, members) index array.
         offsets = transfer.boundary_offsets
         sizes = np.diff(offsets)
-        self._group_rows = [
-            offsets[js][None, :] + np.arange(sizes[js[0]])[:, None] for _, js in self.groups
-        ]
+        self._group_rows = []
+        for _, js in self.groups:
+            n, lo = int(sizes[js[0]]), int(offsets[js[0]])
+            if js.size == 1:
+                self._group_rows.append(((n * (n + 1) // 2,), slice(lo, lo + n)))
+            else:
+                rows = offsets[js][None, :] + np.arange(n)[:, None]
+                self._group_rows.append(((n, n), rows))
 
     @staticmethod
     def dense(matrix: np.ndarray) -> np.ndarray:
@@ -213,38 +233,46 @@ class SchurSystem:
         packed: its lower triangle laid out, selected against its transpose."""
         if matrix.ndim == 2:
             return matrix
-        lower = sla.lapack.dtpttr(isqrt(2 * matrix.size), matrix, uplo="L")[0]
-        return np.where(np.tri(lower.shape[0], dtype=bool), lower, lower.T)
+        return _mirror_lower(sla.lapack.dtpttr(isqrt(2 * matrix.size), matrix, uplo="L")[0])
 
     @staticmethod
     def stored(matrix: np.ndarray, n_members: int) -> np.ndarray:
-        """A symmetric matrix, packed or square, as a group of ``n_members``
-        keeps it: packed for one, whose apply is memory-bound, and square
-        for several, which share one GEMM."""
-        if n_members > 1:
-            return SchurSystem.dense(matrix)
-        return matrix if matrix.ndim == 1 else sla.lapack.dtrttp(matrix, uplo="L")[0]
+        """A bitwise-symmetric square array as a group of ``n_members`` keeps
+        it: packed for one, whose apply is memory-bound, from the F-ordered
+        view (the same triangle, uncopied), and square for several, which
+        share one GEMM."""
+        return matrix if n_members > 1 else sla.lapack.dtrttp(matrix.T, uplo="L")[0]
 
-    def grouped_apply(self, matrices: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    def grouped_apply(
+        self, matrices: list[np.ndarray], x: np.ndarray, factored: bool = False
+    ) -> np.ndarray:
         """Per group u, ``matrices[u]``, stored as u stores S_u and sized to
-        u's tuple slices (else :class:`ValueError`), times the slice of each
-        member: one packed SPMV for a lone member, one GEMM over several."""
+        u's tuple slices (else :class:`ValueError`), applied to the slice of
+        each member: one GEMM over several members; for a lone member, one
+        packed SPMV, or with ``factored`` one packed Cholesky solve
+        (``dpptrs``) with the upper factor U (S_u = U^T U) that it holds."""
         if x.shape != (self.tuple_dim,):
             raise ValueError(
                 f"expected boundary-tuple vector of length {self.tuple_dim}, "
                 f"got shape {x.shape}"
             )
-        sizes = [rows.shape for rows in self._group_rows]
-        shapes = [(n * (n + 1) // 2,) if m == 1 else (n, n) for n, m in sizes]
+        shapes = [shape for shape, _ in self._group_rows]
         if [matrix.shape for matrix in matrices] != shapes:
             raise ValueError(f"expected one matrix per group, of shapes {shapes}")
-        out = np.empty(x.shape)
-        for matrix, rows in zip(matrices, self._group_rows):
-            if matrix.ndim == 1:
-                n, lo = rows.shape[0], rows[0, 0]
-                out[lo : lo + n] = sla.blas.dspmv(n, 1.0, matrix, x[lo : lo + n], lower=1)
-            else:
+        # A packed solve overwrites its right-hand side; an SPMV gets zeros,
+        # so no BLAS reads an unset entry, whatever it does with beta = 0.
+        out = np.array(x, dtype=float) if factored else np.zeros(x.shape)
+        # Both calls write into ``out`` and take positional arguments: f2py's
+        # keyword parsing is a large share of a call on blocks this small.
+        spmv, pptrs = sla.blas.dspmv, sla.lapack.dpptrs
+        for matrix, (_, rows) in zip(matrices, self._group_rows):
+            if matrix.ndim == 2:
                 out[rows] = matrix @ x[rows]
+            elif factored:  # (n, U, b, lower, overwrite_b)
+                pptrs(rows.stop - rows.start, matrix, out[rows], 0, 1)
+            else:  # (n, alpha, S, x, incx, offx, beta, y, incy, offy, lower, overwrite_y)
+                lo = rows.start
+                spmv(rows.stop - lo, 1.0, matrix, x, 1, lo, 0.0, out, 1, lo, 1, 1)
         return out
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:

@@ -212,6 +212,18 @@ def tril_inverse():
 
 
 @pytest.fixture(scope="session")
+def packed_cholesky():
+    """Make the upper Cholesky factor U of an SPD array (A = U^T U), packed
+    by columns."""
+
+    def build(matrix) -> np.ndarray:
+        factor, _ = sla.cho_factor(np.array(matrix, order="F"), lower=False, check_finite=False)
+        return sla.lapack.dtrttp(factor, uplo="U")[0]
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def looped_coarse_product():
     """Make S Z subdomain by subdomain, by scipy slicing: each subdomain's
     group S_u times its boundary rows of Z in the coarse columns they touch,

@@ -4,10 +4,13 @@ and exact commutation with the skeleton traces."""
 import numpy as np
 import pytest
 
+import schurhx.discrete_ops as discrete_ops_mod
+from schurhx.assemble import Coefficients
 from schurhx.discrete_ops import build_gradient, build_nodal_interp
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError
 from schurhx.mesh import build_box_mesh
+from schurhx.precond import setup_maxwell
 
 
 def test_gradient_kills_constants(mesh422_j211):
@@ -154,3 +157,31 @@ def test_transfers_of_another_mesh_raise(mesh444_j8, scalar_grid, edge_grid, mat
         build_gradient(mesh444_j8, transfers)
     with pytest.raises(AssemblyError, match=match):
         build_nodal_interp(mesh444_j8, 0, transfers)
+
+
+def test_skeleton_endpoints_once_per_transfer_pair(mesh444_j8, monkeypatch):
+    """``setup_maxwell`` computes the skeleton edges' endpoints once for its
+    four HX maps; another transfer pair, or the volume maps, are not served
+    the kept endpoints, and the maps equal those built afresh."""
+    calls = []
+    original = discrete_ops_mod._skeleton_endpoints
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(discrete_ops_mod, "_skeleton_endpoints", counting)
+    mw = setup_maxwell(mesh444_j8, Coefficients())
+    assert len(calls) == 1
+    mesh, scalar, edge = calls[0]
+    assert mesh is mesh444_j8 and edge is mw.schur.transfer and scalar is mw.scalar.schur.transfer
+    again = (build_transfer(mesh444_j8, "scalar"), build_transfer(mesh444_j8, "edge"))
+    interps = [build_nodal_interp(mesh444_j8, d, again) for d in range(3)]
+    assert len(calls) == 2
+    fresh = [build_gradient(mesh444_j8, again), *interps]
+    for built, kept in zip(fresh, [mw.qhx.gradient, *mw.qhx.interps], strict=True):
+        for a, b in ((built.data, kept.data), (built.indices, kept.indices)):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(built.indptr, kept.indptr)
+    assert build_gradient(mesh444_j8).shape == (mesh444_j8.n_edges, mesh444_j8.n_vertices)
+    assert len(calls) == 2

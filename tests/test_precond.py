@@ -8,6 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from conftest import jump_grids
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schurhx.precond as precond_mod
 import schurhx.schur as schur_mod
@@ -102,6 +103,19 @@ def test_nn_rejects_indefinite_schur_complement(mesh222_j8):
     s_u = prob.schur.groups[0][0]
     s_u *= -1.0
     with pytest.raises(SingularOperatorError, match="not positive definite"):
+        NeumannNeumann(prob.schur, prob.qnn.rho)
+
+
+def test_nn_rejects_indefinite_lone_schur_complement(mesh444_j8):
+    """A lone member's S_u is factorized in place by Neumann-Neumann's own
+    Cholesky: a non-SPD one raises the labelled typed error."""
+    alpha = (1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain]
+    prob = setup_scalar(mesh444_j8, Coefficients(alpha=alpha))
+    s_u, members = prob.schur.groups[3]
+    assert members.tolist() == [3] and s_u.ndim == 1
+    s_u *= -1.0
+    match = r"^scalar subdomain 3 \(Schur\): not positive definite$"
+    with pytest.raises(SingularOperatorError, match=match):
         NeumannNeumann(prob.schur, prob.qnn.rho)
 
 
@@ -633,11 +647,13 @@ def _is_canonical_csr(matrix) -> bool:
     return sp.isspmatrix_csr(matrix) and bool(np.all(np.diff(keys) > 0))
 
 
-def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, tril_inverse, looped):
-    """Every S_u of the scalar, plug-in and edge systems, and every inverse
-    DtN map, as square arrays, and S Z and the coarse matrix of both
+def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, inverses, looped):
+    """Every S_u of the scalar, plug-in and edge systems, as square arrays,
+    every inverse DtN map (a shared group's square inverse, a lone member's
+    packed Cholesky factor), and S Z and the coarse matrix of both
     Neumann-Neumanns, bit for bit the sliced and looped references; S Z is
     canonical CSR holding no zero."""
+    tril_inverse, packed_cholesky = inverses
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.7, gamma=1.9)
     scalar = setup_scalar(mesh, coeffs)
     maxwell = setup_maxwell(mesh, coeffs)
@@ -655,9 +671,11 @@ def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, tril_inverse, 
             boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
             assert _same_bits(SchurSystem.dense(s_u), sliced_schur(block, boundary))
     for qnn in (scalar.qnn, maxwell.scalar.qnn):
-        for inverse, (s_u, _) in zip(qnn.inverse_dtn, qnn.schur.groups, strict=True):
-            want = tril_inverse(SchurSystem.dense(s_u))
-            assert _same_bits(SchurSystem.dense(inverse), want)
+        for inverse, (s_u, members) in zip(qnn.inverse_dtn, qnn.schur.groups, strict=True):
+            if members.size == 1:
+                assert _same_bits(inverse, packed_cholesky(SchurSystem.dense(s_u)))
+            else:
+                assert _same_bits(inverse, tril_inverse(s_u))
         s_coarse = looped(qnn.schur, qnn.coarse_basis)
         assert _is_canonical_csr(qnn.s_coarse) and np.all(qnn.s_coarse.data != 0)
         assert _same_bits(qnn.s_coarse.toarray(), s_coarse)
@@ -683,7 +701,7 @@ BITWISE_GRIDS = [
     + ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in BITWISE_GRIDS],
 )
 def test_setup_bitwise_equals_sliced_references(
-    grid, mesh422_two_shapes, sliced_schur, tril_inverse, looped_coarse_product
+    grid, mesh422_two_shapes, sliced_schur, tril_inverse, packed_cholesky, looped_coarse_product
 ):
     """The one-split Schur complements, the inverses and the dense S Z
     reproduce the sliced, per-subdomain computations exactly,
@@ -692,25 +710,53 @@ def test_setup_bitwise_equals_sliced_references(
     rng = np.random.default_rng(3)
     alpha_j = np.exp(rng.uniform(np.log(0.1), np.log(10.0), mesh.n_subdomains))
     _assert_setup_matches_references(
-        mesh, alpha_j, sliced_schur, tril_inverse, looped_coarse_product
+        mesh, alpha_j, sliced_schur, (tril_inverse, packed_cholesky), looped_coarse_product
     )
 
 
 @settings(max_examples=15, deadline=None)
 @given(grid=jump_grids())
 def test_setup_bitwise_equals_sliced_references_on_jump_grids(
-    sliced_schur, tril_inverse, looped_coarse_product, grid
+    sliced_schur, tril_inverse, packed_cholesky, looped_coarse_product, grid
 ):
-    _assert_setup_matches_references(*grid, sliced_schur, tril_inverse, looped_coarse_product)
+    _assert_setup_matches_references(
+        *grid, sliced_schur, (tril_inverse, packed_cholesky), looped_coarse_product
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(grid=st.one_of(st.just("one subdomain"), jump_grids()))
+def test_lone_members_keep_packed_cholesky_factors(tril_inverse, packed_cholesky, grid):
+    """A lone member's inverse DtN map is bitwise the packed upper Cholesky
+    factor of its S_u and applies S_u^{-1} to 1e-12 relative; a group of
+    several members keeps its square ``dpotri`` inverse bitwise."""
+    if grid == "one subdomain":
+        grid = build_box_mesh((4, 3, 2)), np.array([2.0])
+    mesh, alpha_j = grid
+    prob = setup_scalar(mesh, Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.5))
+    schur, qnn = prob.schur, prob.qnn
+    offsets = schur.transfer.boundary_offsets
+    g = np.random.default_rng(0).uniform(-1, 1, schur.tuple_dim)
+    got = qnn.apply_dtn_inv(g)
+    for (s_u, members), inverse in zip(schur.groups, qnn.inverse_dtn, strict=True):
+        dense = SchurSystem.dense(s_u)
+        if members.size == 1:
+            assert _same_bits(inverse, packed_cholesky(dense))
+        else:
+            assert _same_bits(inverse, tril_inverse(dense))
+        for j in members:
+            lo, hi = offsets[j : j + 2]
+            want = np.linalg.solve(dense, g[lo:hi])
+            assert np.linalg.norm(got[lo:hi] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @settings(max_examples=10, deadline=None)
 @given(grid=jump_grids())
 def test_nn_setup_unpacks_each_packed_matrix_once(grid):
     """Neumann-Neumann set-up unpacks each packed matrix once: a lone
-    member's S_u, which both S Z and its Cholesky read, and the inverse of a
-    group of several members, stored square.  The unpacked matrix is the
-    packed triangle mirrored, bitwise, C-ordered."""
+    member's S_u, which both S Z and its Cholesky read; the inverse of a
+    group of several members is formed square and never packed.  The
+    unpacked matrix is the packed triangle mirrored, bitwise, C-ordered."""
     mesh, alpha_j = grid
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.5)
     transfer = build_transfer(mesh, "scalar")
@@ -732,7 +778,7 @@ def test_nn_setup_unpacks_each_packed_matrix_once(grid):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SchurSystem, "dense", staticmethod(counting))
         qnn = NeumannNeumann(schur, np.ones(schur.tuple_dim))
-    assert len(unpacked) == len(schur.groups)
     lone = [s_u for s_u, js in schur.groups if js.size == 1]
+    assert len(unpacked) == len(lone)
     assert sum(any(m is s_u for s_u in lone) for m in unpacked) == len(lone)
     assert len(qnn.inverse_dtn) == len(schur.groups)

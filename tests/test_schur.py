@@ -156,8 +156,8 @@ def test_tuple_dimension_checked(scalar444_j8):
 
 def test_spd_factor_modes_and_consistency(rng, tril_inverse):
     """``SpdFactor`` is one dense Cholesky, of a sparse matrix or an array,
-    whose inverse is the packed lower triangle of ``dpotri``'s; ``_inverse_form``'s
-    B^T A^{-1} B is bitwise symmetric."""
+    whose inverse is ``dpotri``'s lower triangle mirrored, C-ordered;
+    ``_inverse_form``'s B^T A^{-1} B is bitwise symmetric."""
     w = rng.uniform(-1, 1, (40, 40))
     a = sp.csr_matrix(w @ w.T + 40 * np.eye(40))
     b = rng.uniform(-1, 1, 40)
@@ -169,9 +169,8 @@ def test_spd_factor_modes_and_consistency(rng, tril_inverse):
     assert np.array_equal(array, a.toarray())
     assert np.array_equal(from_array.solve(b), SpdFactor(a, "test").solve(b))
     assert np.abs(array @ from_array.solve(b) - b).max() <= 1e-12
-    packed = from_array.inverse()
-    assert packed.shape == (40 * 41 // 2,)
-    inverse = SchurSystem.dense(packed)
+    inverse = from_array.inverse()
+    assert inverse.shape == (40, 40) and inverse.flags.c_contiguous
     assert inverse.tobytes() == tril_inverse(array).tobytes()
     assert np.abs(inverse @ array - np.eye(40)).max() <= 1e-12
 
@@ -335,16 +334,20 @@ def test_one_member_groups_keep_packed_triangles(grid):
             schur.grouped_apply(wrong, g)
 
 
-def _per_member_apply(schur, matrices, x):
+def _per_member_apply(schur, matrices, x, factored=False):
     """Each member's tuple slice x_j gathered, multiplied and scattered one
     member at a time.  A group's products S_u x_j are the columns of one
     GEMM, since BLAS rounds a GEMM column and a lone S_u @ x_j (a GEMV)
-    differently; a packed S_u of a lone member is applied by SPMV."""
+    differently; a packed S_u of a lone member is applied by SPMV, and a
+    packed Cholesky factor (``factored``) by a packed solve."""
     offsets = schur.transfer.boundary_offsets
     out = np.full(x.shape, np.nan)
     for matrix, (_, members) in zip(matrices, schur.groups, strict=True):
         slices = [x[offsets[j] : offsets[j + 1]] for j in members]
-        if matrix.ndim == 1:
+        if matrix.ndim == 1 and factored:
+            (x_j,) = slices
+            columns = sla.lapack.dpptrs(x_j.size, matrix, x_j[:, None].copy(), lower=0)[0]
+        elif matrix.ndim == 1:
             (x_j,) = slices
             columns = sla.blas.dspmv(x_j.size, 1.0, matrix, x_j, lower=1)[:, None]
         else:
@@ -361,7 +364,8 @@ def test_grouped_apply_equals_per_member_products(
     """Every group's members (one group of eight, eight groups of one,
     members 0-4, 6, 7 around subdomain 5, the checkerboard's two groups of
     four) get bitwise the per-member products of the S_u and of the inverse
-    DtN maps, and the dense S_u @ x_j to rounding."""
+    DtN maps (a lone member's by a packed Cholesky solve), and the dense
+    S_u @ x_j or S_u^{-1} x_j to rounding."""
     if case == "uniform":
         prob, sizes = maxwell444_j8.scalar, [8]
     elif case == "one_member":
@@ -372,20 +376,27 @@ def test_grouped_apply_equals_per_member_products(
         prob, sizes = scalar444_j8_one_tet, [7, 1]
     else:
         prob, sizes = scalar444_j8_jump, [4, 4]
-    schurs = [s_u for s_u, _ in prob.schur.groups]
-    checks = [(prob.schur, schurs), (prob.schur, prob.qnn.inverse_dtn)]
+    schurs = [SchurSystem.dense(s_u) for s_u, _ in prob.schur.groups]
+    inverses = [
+        np.linalg.inv(s_u) if inverse.ndim == 1 else inverse
+        for s_u, inverse in zip(schurs, prob.qnn.inverse_dtn)
+    ]
+    checks = [
+        (prob.schur, [s_u for s_u, _ in prob.schur.groups], False, schurs),
+        (prob.schur, prob.qnn.inverse_dtn, True, inverses),
+    ]
     if case == "uniform":
         edge = maxwell444_j8.schur
-        checks.append((edge, [s_u for s_u, _ in edge.groups]))
-    for schur, matrices in checks:
+        checks.append((edge, [s_u for s_u, _ in edge.groups], False, [s for s, _ in edge.groups]))
+    for schur, matrices, factored, dense in checks:
         assert [members.size for _, members in schur.groups] == sizes
         x = rng.uniform(-1, 1, schur.tuple_dim)
-        got = schur.grouped_apply(matrices, x)
-        assert np.array_equal(got, _per_member_apply(schur, matrices, x))
+        got = schur.grouped_apply(matrices, x, factored=factored)
+        assert np.array_equal(got, _per_member_apply(schur, matrices, x, factored))
         offsets = schur.transfer.boundary_offsets
         for j, u in enumerate(schur.group_of):
             lo, hi = offsets[j : j + 2]
-            want = SchurSystem.dense(matrices[u]) @ x[lo:hi]
+            want = dense[u] @ x[lo:hi]
             assert np.abs(got[lo:hi] - want).max() <= 1e-13 * np.abs(want).max()
 
 
