@@ -2,7 +2,7 @@
 
 from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .dofspaces import build_transfer
-from .discrete_ops import build_gradient, build_nodal_interp
+from .discrete_ops import build_aux_maps
 from .krylov import pcg
 from .mesh import build_box_mesh
 from .precond import (
@@ -22,9 +22,8 @@ __all__ = [
     "NeumannNeumann",
     "assemble_edge",
     "assemble_scalar",
+    "build_aux_maps",
     "build_box_mesh",
-    "build_gradient",
-    "build_nodal_interp",
     "build_schur_system",
     "build_transfer",
     "estimate_condition",

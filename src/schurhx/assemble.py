@@ -67,10 +67,11 @@ class Coefficients:
 
     ``alpha`` (diffusion) and ``beta`` (reaction) may be scalars or per-tet
     arrays; ``gamma`` (the zeroth-order Maxwell weight) is a scalar whose
-    square must be finite.  Assembly multiplies alpha and beta by tet volumes
-    (at most 1/6), so gamma^2 is the only product that can overflow.  The
-    Hiptmair-Xu gradient channel is weighted by 1/gamma^2, so that must be
-    finite too.
+    square must be finite.  The Hiptmair-Xu gradient channel is weighted by
+    1/gamma^2, so that must be finite too.  Assembly multiplies alpha and
+    beta by tet volumes (at most 1/6), so the matrices stay finite, but an
+    operator applied to a vector can still overflow near the largest double
+    (``cli.run_experiment`` refuses such a right-hand side).
     """
 
     alpha: float | np.ndarray = 1.0
@@ -156,12 +157,6 @@ def _p1_matrices(vols, gg, alpha, beta):
     stiff = (alpha * vols)[:, None, None] * gg
     mass = (beta * vols / 20.0)[:, None, None] * (np.ones((4, 4)) + np.eye(4))
     return stiff, mass
-
-
-def scalar_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray, alpha, beta):
-    """Per-tet (stiffness, mass) pairs, each (T, 4, 4) and bitwise symmetric."""
-    stiff, mass = _p1_matrices(*_p1_geometry(mesh, tet_ids), alpha, beta)
-    return _mirror_upper(stiff), _mirror_upper(mass)
 
 
 def edge_element_matrices(mesh: BoxMesh, tet_ids: np.ndarray):

@@ -227,6 +227,10 @@ def run_experiment(config: ExperimentConfig) -> SolveReport:
     rng = np.random.default_rng(config.seed)
     exact = rng.uniform(-1.0, 1.0, problem.dim_skeleton)
     rhs = apply_op(exact)
+    if not np.all(np.isfinite(rhs)):
+        read = ("gamma",) if config.problem == "maxwell" else ("alpha", "beta")
+        named = ", ".join(f"{name}={getattr(config, name)!r}" for name in read)
+        raise ConfigurationError(f"coefficients {named}: the right-hand side overflows")
     report = pcg(apply_op, apply_prec, rhs, tol=config.tol, max_iter=config.max_iter)
     rel_error = float(
         np.linalg.norm(report.solution - exact) / np.linalg.norm(exact)

@@ -12,44 +12,26 @@ vertices to skeleton edges (their ``skeleton_trace`` ids); without them, from
 all vertices to all edges.  Both use the same coordinate
 arithmetic on the same vertices, so trace-then-map equals map-then-trace with
 a literally zero residual; tests and the verification suite rely on that
-exactness.  The skeleton edges' endpoint columns are computed once per
-transfer pair: the last pair's are kept, the mesh and transfers weakly held.
+exactness.  ``build_aux_maps`` builds all four maps from one computation of
+the edges' endpoint columns and keeps nothing once it returns.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
 from .dofspaces import TransferOps
-from .mesh import BoxMesh, _freeze
+from .mesh import BoxMesh
 
-__all__ = ["build_gradient", "build_nodal_interp"]
-
-
-# The last skeleton call's mesh and transfers, weakly held, and its result:
-# set-up builds all four HX maps from one pair, so it computes them once.
-_last_endpoints: list = [(), None]
-
-
-def _edge_endpoints(mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | None):
-    """Rows (edges, as vertex ids), their two columns each, and the column count."""
-    if transfers is None:
-        return mesh.edges, mesh.edges, mesh.n_vertices
-    refs, endpoints = _last_endpoints
-    if len(refs) == 3 and all(ref() is obj for ref, obj in zip(refs, (mesh, *transfers))):
-        return endpoints
-    endpoints = _skeleton_endpoints(mesh, *transfers)
-    _last_endpoints[:] = [tuple(weakref.ref(obj) for obj in (mesh, *transfers)), endpoints]
-    return endpoints
+__all__ = ["build_aux_maps"]
 
 
 def _skeleton_endpoints(mesh: BoxMesh, scalar: TransferOps, edge: TransferOps):
-    """``_edge_endpoints`` on the skeleton, read-only, after checking that the
-    transfers belong to the mesh and to one partition of it."""
+    """The skeleton edges (as vertex ids), their two columns each and the
+    column count, after checking that the transfers belong to the mesh and
+    to one partition of it."""
     if (scalar.n_volume, edge.n_volume) != (mesh.n_vertices, mesh.n_edges):
         raise AssemblyError("transfer of another mesh: its volume sizes differ")
     vertices = scalar.skeleton_trace
@@ -61,32 +43,30 @@ def _skeleton_endpoints(mesh: BoxMesh, scalar: TransferOps, edge: TransferOps):
         raise AssemblyError("skeleton edge with endpoint off the skeleton")
     if np.bincount(cols.ravel(), minlength=vertices.size).min() == 0:
         raise AssemblyError("skeleton vertex on no skeleton edge")
-    return _freeze(edges), _freeze(cols), vertices.size
+    return edges, cols, vertices.size
 
 
-def _edge_map(cols: np.ndarray, n_cols: int, data: np.ndarray) -> sp.csr_matrix:
-    """Edges x vertices CSR with ``data`` at each edge's two (ascending) endpoint columns."""
+def build_aux_maps(
+    mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | None = None
+) -> tuple[sp.csr_matrix, list[sp.csr_matrix]]:
+    """The signed incidence (gradient) map from nodal dofs to edge dofs, and
+    the edge interpolation of a nodal field times each Cartesian unit vector.
+    Each is edges x vertices CSR with an edge's two (ascending) endpoint columns."""
+    if transfers is None:
+        edges, cols, n_cols = mesh.edges, mesh.edges, mesh.n_vertices
+    else:
+        edges, cols, n_cols = _skeleton_endpoints(mesh, *transfers)
     n_e = cols.shape[0]
     indptr = np.arange(0, 2 * n_e + 1, 2)
-    return sp.csr_matrix((data, cols.ravel(), indptr), shape=(n_e, n_cols))
 
+    def edge_map(data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, cols.ravel(), indptr), shape=(n_e, n_cols))
 
-def build_gradient(
-    mesh: BoxMesh, transfers: tuple[TransferOps, TransferOps] | None = None
-) -> sp.csr_matrix:
-    """Signed incidence map from nodal dofs to edge dofs."""
-    _, cols, n_cols = _edge_endpoints(mesh, transfers)
-    return _edge_map(cols, n_cols, np.tile(np.array([-1.0, 1.0]), cols.shape[0]))
-
-
-def build_nodal_interp(
-    mesh: BoxMesh, direction: int, transfers: tuple[TransferOps, TransferOps] | None = None
-) -> sp.csr_matrix:
-    """Edge interpolation of a nodal field times the Cartesian unit vector."""
-    if direction not in (0, 1, 2):
-        raise ValueError(f"direction must be 0, 1 or 2, got {direction}")
-    edges, cols, n_cols = _edge_endpoints(mesh, transfers)
-    # Same expression with and without transfers, so the entries agree bitwise.
-    coords = mesh.vertex_coords[:, direction]
-    half_tangent = (coords.take(edges[:, 1]) - coords.take(edges[:, 0])) / 2.0
-    return _edge_map(cols, n_cols, np.repeat(half_tangent, 2))
+    gradient = edge_map(np.tile(np.array([-1.0, 1.0]), n_e))
+    interps = []
+    for d in range(3):
+        # Same expression with and without transfers, so the entries agree bitwise.
+        coords = mesh.vertex_coords[:, d]
+        half_tangent = (coords.take(edges[:, 1]) - coords.take(edges[:, 0])) / 2.0
+        interps.append(edge_map(np.repeat(half_tangent, 2)))
+    return gradient, interps

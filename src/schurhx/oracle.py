@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assemble import Coefficients, assemble_edge, assemble_scalar
-from .discrete_ops import build_gradient, build_nodal_interp
+from .discrete_ops import build_aux_maps
 from .dofspaces import TransferOps
 from .errors import ConfigurationError, SingularOperatorError
 from .mesh import BoxMesh
@@ -293,8 +293,8 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
     maxwell = setup_maxwell(mesh, coeffs)
     scalar_ops, edge_ops = scalar.schur.transfer, maxwell.schur.transfer
 
-    grad_vol = build_gradient(mesh)
-    grad_skel = build_gradient(mesh, (scalar_ops, edge_ops))
+    grad_vol, interps_vol = build_aux_maps(mesh)
+    grad_skel, interps_skel = build_aux_maps(mesh, (scalar_ops, edge_ops))
 
     # Commutation lattice: trace/split squares and the differential maps,
     # all exact in floating point (0/1 selection matrices and identical
@@ -318,9 +318,7 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
         _max_abs(trace_e @ grad_vol - grad_skel @ trace_v),
         0.0,
     )
-    for d in range(3):
-        pv = build_nodal_interp(mesh, d)
-        ps = build_nodal_interp(mesh, d, (scalar_ops, edge_ops))
+    for d, (pv, ps) in enumerate(zip(interps_vol, interps_skel)):
         report.add_residual(
             f"interp-trace-commutation-dir{d}",
             ctx,
@@ -446,13 +444,14 @@ def _spectral_checks(report, ctx, scalar, maxwell, l_dense, m_dense, mesh, tr):
     qhx_mat = materialize(maxwell.qhx, maxwell.qhx.dim)
     cond_hx = dense_condition(se_mat, qhx_mat)
 
-    grad_vol = build_gradient(mesh).toarray()
+    gradient, interps = build_aux_maps(mesh)
+    grad_vol = gradient.toarray()
     jac_edge_inv = np.diag(1.0 / np.diag(m_dense))
     aux = jac_edge_inv + maxwell.qhx.gradient_weight * (
         grad_vol @ sla.solve(l_aux, grad_vol.T, assume_a="pos")
     )
-    for d in range(3):
-        pv = build_nodal_interp(mesh, d).toarray()
+    for interp in interps:
+        pv = interp.toarray()
         aux = aux + pv @ sla.solve(l_aux, pv.T, assume_a="pos")
     cond_aux = dense_condition(m_dense, aux)
     report.add_residual(

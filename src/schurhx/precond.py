@@ -21,9 +21,10 @@ whole-block Neumann factorization is needed: a lone member keeps its upper
 factor U (S_u = U^T U) packed by columns, as large as its packed S_u, and
 applies S_u^{-1} = U^{-1} U^{-T} as one packed solve; a group of several
 members keeps the explicit inverse from ``SpdFactor.inverse``, square,
-shared by one GEMM over all its members.  M is balanced with a coarse space
-of one basis function per subdomain (Mandel's balancing domain
-decomposition):
+shared by one GEMM over all its members.  ``NeumannNeumann.apply_dtn_inv``
+applies these maps itself, over the group spans that ``SchurSystem``
+computes once.  M is balanced with a coarse space of one basis function per
+subdomain (Mandel's balancing domain decomposition):
 
     Q f = Q0 f + (I - Q0 S) M (I - S Q0) f,    Q0 = Z (Z^T S Z)^{-1} Z^T,
 
@@ -41,8 +42,9 @@ and three nodal-interpolation pullbacks of the scalar preconditioner:
     Q_hx f = f / jac + grad . Q(grad^T f) / gamma^2 + sum_d interp_d . Q(interp_d^T f)
 
 so one application costs exactly four scalar applies (one per auxiliary-space
-channel); an ``n_applies`` counter on Q makes that checkable.  The edge
-operator curl curl + gamma^2 reads neither alpha nor beta, so its auxiliary
+channel); an ``n_applies`` counter on Q makes that checkable, and
+``setup_maxwell`` builds the four maps with one ``build_aux_maps`` call.  The
+edge operator curl curl + gamma^2 reads neither alpha nor beta, so its auxiliary
 problems come from its own coefficients (Hiptmair & Xu 2007): Q is the
 Neumann-Neumann of Delta + gamma^2 (alpha = 1, beta = gamma^2, so rho = 1),
 which serves the three nodal channels, and the gradient channel, whose
@@ -60,7 +62,7 @@ import scipy.sparse as sp
 
 from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .dofspaces import TransferOps, build_transfer
-from .discrete_ops import build_gradient, build_nodal_interp
+from .discrete_ops import build_aux_maps
 from .errors import AssemblyError, ConfigurationError, SingularOperatorError
 from .krylov import CondEstimate, pcg
 from .mesh import BoxMesh
@@ -162,7 +164,7 @@ class NeumannNeumann:
     times the few coarse columns its members touch, summed in ascending
     subdomain order), then factorizes the dense J x J coarse matrix S0 = Z^T S Z with
     one more ``SpdFactor``; ``cond_coarse`` reports its condition number.
-    One application makes one call to the average M (one grouped inverse-DtN
+    One application makes one call to the average M (one blockwise inverse-DtN
     apply, counted by ``n_applies``) and two coarse solves, using
 
         Q f = m + Z S0^{-1} (Z^T f - (S Z)^T m),   m = M (f - S Z S0^{-1} Z^T f).
@@ -212,8 +214,20 @@ class NeumannNeumann:
         return float(evs[-1] / evs[0]) if evs[0] > 0 else float("inf")
 
     def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
-        """Blockwise inverse DtN on a boundary-tuple vector."""
-        return self.schur.grouped_apply(self.inverse_dtn, g, factored=True)
+        """Blockwise inverse DtN on a boundary-tuple vector: per group, one GEMM
+        with its square inverse over its members' tuple slices, or a lone
+        member's packed Cholesky solve (``dpptrs``) with its upper factor U."""
+        self.schur.check_tuple(g)
+        # The packed solve overwrites its right-hand side, a slice of ``out``,
+        # and takes positional arguments, as the SPMV of ``apply_dtn`` does.
+        out = np.array(g, dtype=float)
+        pptrs = sla.lapack.dpptrs
+        for inverse, rows in zip(self.inverse_dtn, self.schur.spans):
+            if inverse.ndim == 2:
+                out[rows] = inverse @ g[rows]
+            else:  # (n, U, b, lower, overwrite_b)
+                pptrs(rows.stop - rows.start, inverse, out[rows], 0, 1)
+        return out
 
     def _average(self, f: np.ndarray) -> np.ndarray:
         w = self.apply_dtn_inv((f[self.split] * self.rho) / self._split_degree)
@@ -349,9 +363,7 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
         broken_diagonal[transfer.boundary_trace],
         minlength=schur.dim,
     )
-    transfers = (scalar.schur.transfer, transfer)
-    gradient = build_gradient(mesh, transfers)
-    interps = [build_nodal_interp(mesh, d, transfers) for d in range(3)]
+    gradient, interps = build_aux_maps(mesh, (scalar.schur.transfer, transfer))
     qhx = HiptmairXu(jac, gradient, interps, scalar.qnn, gradient_weight=1.0 / gamma2)
     return MaxwellProblem(schur, scalar, qhx, mesh.n_edges)
 

@@ -33,12 +33,11 @@ The interior factors are dropped once S_u is formed, and S_u is stored at
 once by its member count (``SchurSystem.stored``): a lone member's lower
 triangle packed by columns, since its apply is one memory-bound SPMV, and
 several members' square array, shared by one GEMM over all their tuple
-slices (``SchurSystem.grouped_apply``).  A packed triangle is unpacked
-exactly, keeping no index (``SchurSystem.dense``).  Neumann-Neumann's
-inverse DtN maps are kept the same way by member count, but a lone member
-keeps the packed upper Cholesky factor of S_u, which ``grouped_apply``
-applies as one packed solve (``factored``), and a group of several the
-square inverse from ``SpdFactor.inverse``.
+slices (``SchurSystem.apply_dtn``).  A packed triangle is unpacked
+exactly, keeping no index (``SchurSystem.dense``).  Each group's tuple
+span, a slice for a lone member and an index array for several, is computed
+once (``SchurSystem.spans``); Neumann-Neumann applies its own inverse DtN
+maps over the same spans.
 """
 
 from __future__ import annotations
@@ -68,14 +67,14 @@ DENSE_BYTES_LIMIT = 2**30
 
 
 class SpdFactor:
-    """Factorize once, solve many: an in-place dense Cholesky of an array or
-    a sparse matrix; ``lower`` holds L, ``inverse()`` forms the inverse."""
+    """Factorize once, solve many: an in-place dense Cholesky of an array;
+    ``lower`` holds L, ``inverse()`` forms the inverse."""
 
-    def __init__(self, matrix: np.ndarray | sp.spmatrix, label: str):
+    def __init__(self, matrix: np.ndarray, label: str):
         self.label = label
         # A fresh F-ordered copy is factorized in place, so the caller keeps
         # its matrix; LAPACK itself rejects a NaN pivot.
-        dense = matrix.toarray(order="F") if sp.issparse(matrix) else np.array(matrix, order="F")
+        dense = np.array(matrix, order="F")
         self.lower, info = sla.lapack.dpotrf(dense, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             raise SingularOperatorError(f"{label}: not positive definite")
@@ -205,7 +204,8 @@ class SchurSystem:
 
     ``groups[u]`` pairs the Schur complement S_u of distinct block u, its
     lower triangle packed by columns if u has one member, with its member
-    subdomains, and ``group_of[j]`` is subdomain j's group.
+    subdomains, ``spans[u]`` holds its members' tuple positions, and
+    ``group_of[j]`` is subdomain j's group.
     """
 
     def __init__(self, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray):
@@ -214,18 +214,17 @@ class SchurSystem:
         self.tuple_dim = transfer.skeleton_split.size
         self.group_of = group_of
         self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
-        # Per group, the shape of its stored matrices and its tuple positions:
-        # a lone member's slice, else a (boundary size, members) index array.
+        # Per group, its tuple positions: a lone member's slice, else a
+        # (boundary size, members) index array.
         offsets = transfer.boundary_offsets
         sizes = np.diff(offsets)
-        self._group_rows = []
+        self.spans = []
         for _, js in self.groups:
             n, lo = int(sizes[js[0]]), int(offsets[js[0]])
             if js.size == 1:
-                self._group_rows.append(((n * (n + 1) // 2,), slice(lo, lo + n)))
+                self.spans.append(slice(lo, lo + n))
             else:
-                rows = offsets[js][None, :] + np.arange(n)[:, None]
-                self._group_rows.append(((n, n), rows))
+                self.spans.append(offsets[js][None, :] + np.arange(n)[:, None])
 
     @staticmethod
     def dense(matrix: np.ndarray) -> np.ndarray:
@@ -243,41 +242,31 @@ class SchurSystem:
         share one GEMM."""
         return matrix if n_members > 1 else sla.lapack.dtrttp(matrix.T, uplo="L")[0]
 
-    def grouped_apply(
-        self, matrices: list[np.ndarray], x: np.ndarray, factored: bool = False
-    ) -> np.ndarray:
-        """Per group u, ``matrices[u]``, stored as u stores S_u and sized to
-        u's tuple slices (else :class:`ValueError`), applied to the slice of
-        each member: one GEMM over several members; for a lone member, one
-        packed SPMV, or with ``factored`` one packed Cholesky solve
-        (``dpptrs``) with the upper factor U (S_u = U^T U) that it holds."""
+    def check_tuple(self, x: np.ndarray) -> None:
+        """Refuse a vector that is not on the boundary tuples."""
         if x.shape != (self.tuple_dim,):
             raise ValueError(
                 f"expected boundary-tuple vector of length {self.tuple_dim}, "
                 f"got shape {x.shape}"
             )
-        shapes = [shape for shape, _ in self._group_rows]
-        if [matrix.shape for matrix in matrices] != shapes:
-            raise ValueError(f"expected one matrix per group, of shapes {shapes}")
-        # A packed solve overwrites its right-hand side; an SPMV gets zeros,
-        # so no BLAS reads an unset entry, whatever it does with beta = 0.
-        out = np.array(x, dtype=float) if factored else np.zeros(x.shape)
-        # Both calls write into ``out`` and take positional arguments: f2py's
-        # keyword parsing is a large share of a call on blocks this small.
-        spmv, pptrs = sla.blas.dspmv, sla.lapack.dpptrs
-        for matrix, (_, rows) in zip(matrices, self._group_rows):
-            if matrix.ndim == 2:
-                out[rows] = matrix @ x[rows]
-            elif factored:  # (n, U, b, lower, overwrite_b)
-                pptrs(rows.stop - rows.start, matrix, out[rows], 0, 1)
-            else:  # (n, alpha, S, x, incx, offx, beta, y, incy, offy, lower, overwrite_y)
-                lo = rows.start
-                spmv(rows.stop - lo, 1.0, matrix, x, 1, lo, 0.0, out, 1, lo, 1, 1)
-        return out
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:
-        """Blockwise Schur complement on a boundary-tuple vector."""
-        return self.grouped_apply([s_u for s_u, _ in self.groups], p)
+        """Blockwise Schur complement on a boundary-tuple vector: per group,
+        one GEMM over its members' tuple slices, or a lone member's packed SPMV."""
+        self.check_tuple(p)
+        # The SPMV gets zeros, so no BLAS reads an unset entry, whatever it
+        # does with beta = 0.  It writes into ``out`` and takes positional
+        # arguments: f2py's keyword parsing is a large share of a call on
+        # blocks this small.
+        out = np.zeros(p.shape)
+        spmv = sla.blas.dspmv
+        for (s_u, _), rows in zip(self.groups, self.spans):
+            if s_u.ndim == 2:
+                out[rows] = s_u @ p[rows]
+            else:  # (n, alpha, S, x, incx, offx, beta, y, incy, offy, lower, overwrite_y)
+                lo = rows.start
+                spmv(rows.stop - lo, 1.0, s_u, p, 1, lo, 0.0, out, 1, lo, 1, 1)
+        return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The assembled skeleton operator: split, block DtN, glue back."""

@@ -267,16 +267,16 @@ def full_key_shapes():
 def corrupt_gradient(monkeypatch):
     """Flip the sign of the first entry of every skeleton gradient the
     verifier builds, so its failure path can be exercised."""
-    original = oracle_mod.build_gradient
+    original = oracle_mod.build_aux_maps
 
     def corrupted(mesh, transfers=None):
-        grad = original(mesh, transfers)
+        grad, interps = original(mesh, transfers)
         if transfers is not None:
             grad = grad.copy()
             grad.data[0] = -grad.data[0]
-        return grad
+        return grad, interps
 
-    monkeypatch.setattr(oracle_mod, "build_gradient", corrupted)
+    monkeypatch.setattr(oracle_mod, "build_aux_maps", corrupted)
 
 
 @pytest.fixture(scope="session")

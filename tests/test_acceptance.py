@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.cli import ExperimentConfig, run_experiment, run_table
-from schurhx.discrete_ops import build_gradient, build_nodal_interp
+from schurhx.discrete_ops import build_aux_maps
 from schurhx.dofspaces import build_transfer
 from schurhx.krylov import pcg
 from schurhx.mesh import build_box_mesh
@@ -149,12 +149,10 @@ def test_criterion_05_commutation_lattice_exact(selection):
             worst = max(worst, _max_abs(lhs - rhs))
         tr_v = selection(scalar_ops, "skeleton_trace")
         tr_e = selection(edge_ops, "skeleton_trace")
-        g_vol = build_gradient(mesh)
-        g_skel = build_gradient(mesh, (scalar_ops, edge_ops))
+        g_vol, ps_vol = build_aux_maps(mesh)
+        g_skel, ps_skel = build_aux_maps(mesh, (scalar_ops, edge_ops))
         worst = max(worst, _max_abs(tr_e @ g_vol - g_skel @ tr_v))
-        for d in range(3):
-            pv = build_nodal_interp(mesh, d)
-            ps = build_nodal_interp(mesh, d, (scalar_ops, edge_ops))
+        for pv, ps in zip(ps_vol, ps_skel, strict=True):
             worst = max(worst, _max_abs(tr_e @ pv - ps @ tr_v))
     ok = worst == 0.0
     _report(5, ok, f"max residual {worst!r} over {len(TEST_MESHES)} meshes (must be exactly 0)")
@@ -206,10 +204,10 @@ def test_criterion_08_spectral_inequalities(selection):
     cond_nn = dense_condition(s_l, q_nn)
 
     aux = np.diag(1.0 / np.diag(m_dense))
-    grad = build_gradient(mesh).toarray()
+    gradient, interps = build_aux_maps(mesh)
+    grad = gradient.toarray()
     aux = aux + grad @ sla.solve(l_dense, grad.T, assume_a="pos")
-    for d in range(3):
-        interp = build_nodal_interp(mesh, d).toarray()
+    for interp in (p.toarray() for p in interps):
         aux = aux + interp @ sla.solve(l_dense, interp.T, assume_a="pos")
     cond_aux = dense_condition(m_dense, aux)
 

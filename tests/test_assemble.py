@@ -16,13 +16,15 @@ from hypothesis.extra.numpy import arrays
 from schurhx import assemble as assemble_module
 from schurhx.assemble import (
     Coefficients,
+    _mirror_upper,
+    _p1_geometry,
+    _p1_matrices,
     assemble_edge,
     assemble_scalar,
     edge_element_matrices,
-    scalar_element_matrices,
     tet_geometry,
 )
-from schurhx.discrete_ops import build_gradient, build_nodal_interp
+from schurhx.discrete_ops import build_aux_maps
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError, ConfigurationError
 from schurhx.mesh import LOCAL_EDGES, BoxMesh, build_box_mesh
@@ -76,9 +78,7 @@ def transfers444(mesh444_j8):
 def test_p1_mass_matches_quadrature(mesh444_j8):
     t = 17
     vols, _ = tet_geometry(mesh444_j8, np.array([t]))
-    _, mass = scalar_element_matrices(
-        mesh444_j8, np.array([t]), np.array([0.0]), np.array([1.0])
-    )
+    _, mass = _p1_matrices(*_p1_geometry(mesh444_j8, np.array([t])), 0.0, 1.0)
     oracle = np.zeros((4, 4))
     for lam in QUAD_BARY:
         oracle += 0.25 * vols[0] * np.outer(lam, lam)
@@ -86,9 +86,7 @@ def test_p1_mass_matches_quadrature(mesh444_j8):
 
 
 def test_p1_mass_closed_form(mesh111):
-    _, mass = scalar_element_matrices(
-        mesh111, np.arange(6), np.zeros(6), np.ones(6)
-    )
+    _, mass = _p1_matrices(*_p1_geometry(mesh111, np.arange(6)), 0.0, 1.0)
     vols, _ = tet_geometry(mesh111, np.arange(6))
     expected = vols[:, None, None] / 20.0 * (np.ones((4, 4)) + np.eye(4))
     assert np.array_equal(mass, expected)
@@ -97,9 +95,7 @@ def test_p1_mass_closed_form(mesh111):
 def test_p1_stiffness_matches_quadrature(mesh444_j8):
     t = 41
     vols, grads = tet_geometry(mesh444_j8, np.array([t]))
-    stiff, _ = scalar_element_matrices(
-        mesh444_j8, np.array([t]), np.array([1.0]), np.array([0.0])
-    )
+    stiff, _ = _p1_matrices(*_p1_geometry(mesh444_j8, np.array([t])), 1.0, 0.0)
     # Gradients are constant, so one-point evaluation is already exact; the
     # 4-point rule just reuses the same machinery.
     oracle = np.zeros((4, 4))
@@ -176,7 +172,7 @@ def test_constant_vector_field_energy(mesh222_j1):
     )
     # Edge dofs of the constant field e_0; its curl vanishes, so the energy
     # is gamma^2 * integral of |e_0|^2 = gamma^2.
-    u = build_nodal_interp(mesh222_j1, 0) @ np.ones(mesh222_j1.n_vertices)
+    u = build_aux_maps(mesh222_j1)[1][0] @ np.ones(mesh222_j1.n_vertices)
     assert abs(u @ (dense @ u) - gamma * gamma) <= 1e-12
 
 
@@ -186,14 +182,9 @@ def test_gradient_field_energy_matches_scalar_stiffness(mesh222_j8, rng):
     edge_dense = volume_matrix(
         transfer, *assemble_edge(mesh222_j8, Coefficients(gamma=gamma))
     )
-    grad = build_gradient(mesh222_j8)
+    grad, _ = build_aux_maps(mesh222_j8)
 
-    stiff, _ = scalar_element_matrices(
-        mesh222_j8,
-        np.arange(mesh222_j8.n_tets),
-        np.ones(mesh222_j8.n_tets),
-        np.zeros(mesh222_j8.n_tets),
-    )
+    stiff, _ = _p1_matrices(*_p1_geometry(mesh222_j8, np.arange(mesh222_j8.n_tets)), 1.0, 0.0)
     k_dense = np.zeros((mesh222_j8.n_vertices,) * 2)
     for t in range(mesh222_j8.n_tets):
         idx = mesh222_j8.tets[t]
@@ -215,7 +206,7 @@ def test_curl_part_annihilates_gradients(mesh222_j8, rng):
     for t in range(mesh222_j8.n_tets):
         idx = mesh222_j8.tet_edges[t]
         curl_dense[np.ix_(idx, idx)] += curl[t]
-    gv = build_gradient(mesh222_j8) @ rng.uniform(
+    gv = build_aux_maps(mesh222_j8)[0] @ rng.uniform(
         -1, 1, mesh222_j8.n_vertices
     )
     assert abs(gv @ (curl_dense @ gv)) <= 1e-12
@@ -229,12 +220,7 @@ def test_coercivity_bounded_below_by_mass(mesh222_j8):
         transfers["scalar"],
         *assemble_scalar(mesh222_j8, Coefficients(1.0, beta)),
     )
-    _, sm = scalar_element_matrices(
-        mesh222_j8,
-        np.arange(mesh222_j8.n_tets),
-        np.zeros(mesh222_j8.n_tets),
-        np.ones(mesh222_j8.n_tets),
-    )
+    _, sm = _p1_matrices(*_p1_geometry(mesh222_j8, np.arange(mesh222_j8.n_tets)), 0.0, 1.0)
     mass_s = np.zeros_like(scal)
     for t in range(mesh222_j8.n_tets):
         idx = mesh222_j8.tets[t]
@@ -393,10 +379,10 @@ def _reference_blocks(mesh, coeffs, field, subdomain_dofs):
     for j in range(mesh.n_subdomains):
         tet_ids = mesh.tets_of_subdomain(j)
         if field == "scalar":
-            stiff, mass = scalar_element_matrices(
-                mesh, tet_ids, alpha[tet_ids], beta[tet_ids]
+            stiff, mass = _p1_matrices(
+                *_p1_geometry(mesh, tet_ids), alpha[tet_ids], beta[tet_ids]
             )
-            local = stiff + mass
+            local = _mirror_upper(stiff) + _mirror_upper(mass)
         else:
             curl, mass = edge_element_matrices(mesh, tet_ids)
             local = curl + g2 * mass

@@ -305,6 +305,16 @@ def test_failed_solve_exits_1_without_traceback(capsys, grid, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("table", [[], ["--table"]], ids=["single", "table"])
+def test_overflowing_right_hand_side_exits_2(capsys, table):
+    """alpha = beta = 1e308 give a finite operator whose product with the
+    manufactured solution overflows: one ``error:`` line naming the
+    coefficients and exit 2, as for an overflowing gamma^2."""
+    assert main(["--alpha", "1e308", "--beta", "1e308", *table]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: coefficients alpha=1e+308, beta=1e+308: the right-hand side overflows\n"
+
+
 def test_true_residual_survives_large_reaction(capsys):
     """The squared norms of a beta = 1e160 residual overflow; nrm2 does not."""
     cfg = ExperimentConfig(problem="scalar", beta=1e160)

@@ -1,12 +1,15 @@
 """Gradient and nodal-interpolation maps: exactness on linears, kernels,
 and exact commutation with the skeleton traces."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import schurhx.discrete_ops as discrete_ops_mod
 from schurhx.assemble import Coefficients
-from schurhx.discrete_ops import build_gradient, build_nodal_interp
+from schurhx.discrete_ops import build_aux_maps
 from schurhx.dofspaces import build_transfer
 from schurhx.errors import AssemblyError
 from schurhx.mesh import build_box_mesh
@@ -14,13 +17,13 @@ from schurhx.precond import setup_maxwell
 
 
 def test_gradient_kills_constants(mesh422_j211):
-    g = build_gradient(mesh422_j211)
+    g, _ = build_aux_maps(mesh422_j211)
     out = g @ np.ones(mesh422_j211.n_vertices)
     assert np.all(out == 0.0)
 
 
 def test_gradient_of_coordinate_is_tangent(mesh222_j8):
-    g = build_gradient(mesh222_j8)
+    g, _ = build_aux_maps(mesh222_j8)
     for d in range(3):
         u = mesh222_j8.vertex_coords[:, d]
         expected = (
@@ -31,7 +34,7 @@ def test_gradient_of_coordinate_is_tangent(mesh222_j8):
 
 
 def test_gradient_rows_are_incidence(mesh111):
-    g = build_gradient(mesh111)
+    g, _ = build_aux_maps(mesh111)
     for e, (a, b) in enumerate(mesh111.edges):
         row = g.getrow(e).toarray().ravel()
         assert row[a] == -1.0 and row[b] == 1.0
@@ -41,8 +44,7 @@ def test_gradient_rows_are_incidence(mesh111):
 def test_interp_of_ones_is_tangent_component(mesh222_j8):
     # Interpolating u = 1 against direction d gives the edge dofs of the
     # constant field e_d itself.
-    for d in range(3):
-        p = build_nodal_interp(mesh222_j8, d)
+    for d, p in enumerate(build_aux_maps(mesh222_j8)[1]):
         expected = (
             mesh222_j8.vertex_coords[mesh222_j8.edges[:, 1], d]
             - mesh222_j8.vertex_coords[mesh222_j8.edges[:, 0], d]
@@ -51,7 +53,7 @@ def test_interp_of_ones_is_tangent_component(mesh222_j8):
 
 
 def test_interp_orthogonal_edges_have_zero_rows(mesh222_j8):
-    p = build_nodal_interp(mesh222_j8, 0)
+    p = build_aux_maps(mesh222_j8)[1][0]
     coords = mesh222_j8.vertex_coords
     along_y = (
         coords[mesh222_j8.edges[:, 1], 0] == coords[mesh222_j8.edges[:, 0], 0]
@@ -72,9 +74,10 @@ def test_regular_decomposition_exactness(mesh422_j211, rng):
     v = rng.uniform(-1, 1, mesh.n_vertices)
     us = [rng.uniform(-1, 1, mesh.n_vertices) for _ in range(3)]
 
-    via_maps = build_gradient(mesh) @ v
-    for d in range(3):
-        via_maps = via_maps + build_nodal_interp(mesh, d) @ us[d]
+    gradient, interps = build_aux_maps(mesh)
+    via_maps = gradient @ v
+    for interp, u in zip(interps, us, strict=True):
+        via_maps = via_maps + interp @ u
 
     a, b = mesh.edges[:, 0], mesh.edges[:, 1]
     direct = v[b] - v[a]
@@ -89,8 +92,8 @@ def test_gradient_trace_commutation_exact(cells, grid, selection):
     mesh = build_box_mesh(cells, grid)
     transfers = build_transfer(mesh, "scalar"), build_transfer(mesh, "edge")
     tr_v, tr_e = (selection(ops, "skeleton_trace") for ops in transfers)
-    g_vol = build_gradient(mesh)
-    g_skel = build_gradient(mesh, transfers)
+    g_vol, _ = build_aux_maps(mesh)
+    g_skel, _ = build_aux_maps(mesh, transfers)
     diff = tr_e @ g_vol - g_skel @ tr_v
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -98,15 +101,15 @@ def test_gradient_trace_commutation_exact(cells, grid, selection):
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_interp_trace_commutation_exact(mesh222_j8, transfers222_j8, d, selection):
     tr_v, tr_e = (selection(ops, "skeleton_trace") for ops in transfers222_j8)
-    p_vol = build_nodal_interp(mesh222_j8, d)
-    p_skel = build_nodal_interp(mesh222_j8, d, transfers222_j8)
+    p_vol = build_aux_maps(mesh222_j8)[1][d]
+    p_skel = build_aux_maps(mesh222_j8, transfers222_j8)[1][d]
     diff = tr_e @ p_vol - p_skel @ tr_v
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 def test_skeleton_maps_index_skeleton_vertices(mesh222_j8, transfers222_j8):
     scalar, edge = transfers222_j8
-    g = build_gradient(mesh222_j8, transfers222_j8)
+    g, _ = build_aux_maps(mesh222_j8, transfers222_j8)
     assert g.shape == (90, 27)
     endpoints = mesh222_j8.edges[edge.skeleton_trace]
     expected_cols = np.searchsorted(scalar.skeleton_trace, endpoints)
@@ -115,13 +118,6 @@ def test_skeleton_maps_index_skeleton_vertices(mesh222_j8, transfers222_j8):
     for r, c, val in zip(coo.row, coo.col, coo.data):
         got[r, 0 if val < 0 else 1] = c
     assert np.array_equal(got, expected_cols)
-
-
-def test_variant_and_direction_validation(mesh111):
-    with pytest.raises(ValueError):
-        build_nodal_interp(mesh111, 3)
-    with pytest.raises(ValueError):
-        build_nodal_interp(mesh111, -1)
 
 
 @pytest.mark.parametrize(
@@ -154,15 +150,34 @@ def test_transfers_of_another_mesh_raise(mesh444_j8, scalar_grid, edge_grid, mat
         build_transfer(build_box_mesh(*edge_grid), "edge"),
     )
     with pytest.raises(AssemblyError, match=match):
-        build_gradient(mesh444_j8, transfers)
-    with pytest.raises(AssemblyError, match=match):
-        build_nodal_interp(mesh444_j8, 0, transfers)
+        build_aux_maps(mesh444_j8, transfers)
 
 
-def test_skeleton_endpoints_once_per_transfer_pair(mesh444_j8, monkeypatch):
-    """``setup_maxwell`` computes the skeleton edges' endpoints once for its
-    four HX maps; another transfer pair, or the volume maps, are not served
-    the kept endpoints, and the maps equal those built afresh."""
+def _arrays_in_module_globals(module) -> list:
+    """The ndarrays reachable from a module's globals through containers and
+    weak references."""
+    stack, seen, arrays = list(vars(module).values()), set(), []
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, weakref.ref):
+            stack.append(value())
+    return arrays
+
+
+def test_aux_maps_compute_endpoints_once_and_keep_nothing(mesh444_j8, monkeypatch):
+    """One ``_skeleton_endpoints`` call serves the four HX maps of a
+    ``setup_maxwell``; they equal the maps built afresh from another transfer
+    pair of the mesh, and once the problem is freed no array of it stays
+    reachable from the module's globals."""
     calls = []
     original = discrete_ops_mod._skeleton_endpoints
 
@@ -173,15 +188,17 @@ def test_skeleton_endpoints_once_per_transfer_pair(mesh444_j8, monkeypatch):
     monkeypatch.setattr(discrete_ops_mod, "_skeleton_endpoints", counting)
     mw = setup_maxwell(mesh444_j8, Coefficients())
     assert len(calls) == 1
-    mesh, scalar, edge = calls[0]
+    mesh, scalar, edge = calls.pop()
     assert mesh is mesh444_j8 and edge is mw.schur.transfer and scalar is mw.scalar.schur.transfer
+    del mesh, scalar, edge
     again = (build_transfer(mesh444_j8, "scalar"), build_transfer(mesh444_j8, "edge"))
-    interps = [build_nodal_interp(mesh444_j8, d, again) for d in range(3)]
-    assert len(calls) == 2
-    fresh = [build_gradient(mesh444_j8, again), *interps]
-    for built, kept in zip(fresh, [mw.qhx.gradient, *mw.qhx.interps], strict=True):
+    gradient, interps = build_aux_maps(mesh444_j8, again)
+    assert len(calls) == 1
+    calls.clear()
+    for built, kept in zip([gradient, *interps], [mw.qhx.gradient, *mw.qhx.interps], strict=True):
         for a, b in ((built.data, kept.data), (built.indices, kept.indices)):
             assert a.tobytes() == b.tobytes()
         assert np.array_equal(built.indptr, kept.indptr)
-    assert build_gradient(mesh444_j8).shape == (mesh444_j8.n_edges, mesh444_j8.n_vertices)
-    assert len(calls) == 2
+    del mw, again, gradient, interps, built, kept
+    gc.collect()
+    assert _arrays_in_module_globals(discrete_ops_mod) == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import schurhx.precond as precond_mod
 import schurhx.schur as schur_mod
 from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
-from schurhx.discrete_ops import build_gradient, build_nodal_interp
+from schurhx.discrete_ops import build_aux_maps
 from schurhx.errors import (
     AssemblyError,
     ConfigurationError,
@@ -332,9 +332,8 @@ def test_preconditioners_linear(maxwell444_j8, rng, which):
 
 def test_hx_validates_inputs(mesh222_j8, transfers222_j8, maxwell222_j8, scalar222_j8):
     mesh = mesh222_j8
-    vol_grad = build_gradient(mesh)
-    skel_grad = build_gradient(mesh, transfers222_j8)
-    interps = [build_nodal_interp(mesh, d, transfers222_j8) for d in range(3)]
+    vol_grad, _ = build_aux_maps(mesh)
+    skel_grad, interps = build_aux_maps(mesh, transfers222_j8)
     jac = 1.0 / maxwell222_j8.qhx.jacobi_inv
     with pytest.raises(ValueError, match="skeleton"):
         HiptmairXu(jac, vol_grad, interps, scalar222_j8.qnn, 1.0)
@@ -374,10 +373,10 @@ def test_hx_with_exact_scalar_inverse_is_pushed_down_volume_form(
     l_dense = volume_matrix(scalar_ops, *assemble_scalar(mesh, coeffs))
     m_dense = volume_matrix(edge_ops, *assemble_edge(mesh, coeffs))
     aux = np.diag(1.0 / np.diag(m_dense))
-    g = build_gradient(mesh).toarray()
+    gradient, interps = build_aux_maps(mesh)
+    g = gradient.toarray()
     aux = aux + g @ sla.solve(l_dense, g.T, assume_a="pos")
-    for d in range(3):
-        p = build_nodal_interp(mesh, d).toarray()
+    for p in (interp.toarray() for interp in interps):
         aux = aux + p @ sla.solve(l_dense, p.T, assume_a="pos")
     tr = selection(mw.schur.transfer, "skeleton_trace").toarray()
     rhs = tr @ aux @ tr.T
@@ -528,7 +527,7 @@ def test_solvers_keep_only_what_applies_read(maxwell444_j8):
     # its members' tuple slices.
     for schur in (maxwell444_j8.schur, maxwell444_j8.scalar.schur):
         assert set(vars(schur)) == {
-            "transfer", "dim", "tuple_dim", "group_of", "groups", "_group_rows"
+            "transfer", "dim", "tuple_dim", "group_of", "groups", "spans"
         }
         sizes = np.diff(schur.transfer.boundary_offsets)
         for s_u, members in schur.groups:

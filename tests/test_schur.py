@@ -155,19 +155,18 @@ def test_tuple_dimension_checked(scalar444_j8):
 
 
 def test_spd_factor_modes_and_consistency(rng, tril_inverse):
-    """``SpdFactor`` is one dense Cholesky, of a sparse matrix or an array,
-    whose inverse is ``dpotri``'s lower triangle mirrored, C-ordered;
-    ``_inverse_form``'s B^T A^{-1} B is bitwise symmetric."""
+    """``SpdFactor`` is one dense Cholesky of an array, whose inverse is
+    ``dpotri``'s lower triangle mirrored, C-ordered; ``_inverse_form``'s
+    B^T A^{-1} B is bitwise symmetric."""
     w = rng.uniform(-1, 1, (40, 40))
-    a = sp.csr_matrix(w @ w.T + 40 * np.eye(40))
+    array = w @ w.T + 40 * np.eye(40)
     b = rng.uniform(-1, 1, 40)
     coupling = sp.random(40, 25, density=0.2, format="csr", random_state=1)
 
     # An array is factorized on a copy, so the caller keeps its matrix.
-    array = a.toarray()
+    kept = array.copy()
     from_array = SpdFactor(array, "test")
-    assert np.array_equal(array, a.toarray())
-    assert np.array_equal(from_array.solve(b), SpdFactor(a, "test").solve(b))
+    assert np.array_equal(array, kept)
     assert np.abs(array @ from_array.solve(b) - b).max() <= 1e-12
     inverse = from_array.inverse()
     assert inverse.shape == (40, 40) and inverse.flags.c_contiguous
@@ -181,14 +180,14 @@ def test_spd_factor_modes_and_consistency(rng, tril_inverse):
 
 
 def test_spd_factor_rejects_indefinite():
-    singular = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
+    singular = np.diag([1.0, 0.0, 2.0])
     with pytest.raises(SingularOperatorError):
         SpdFactor(singular, "singular block")
-    indefinite = sp.csr_matrix(np.diag([1.0, -1.0]))
+    indefinite = np.diag([1.0, -1.0])
     with pytest.raises(SingularOperatorError):
         SpdFactor(indefinite, "indefinite block")
     # Off-diagonal indefiniteness, too, fails at the in-place dense factor.
-    saddle = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
+    saddle = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
     with pytest.raises(SingularOperatorError, match="not positive definite"):
         SpdFactor(saddle, "saddle block")
 
@@ -292,29 +291,11 @@ def test_group_of_must_use_every_block(mesh444_j8):
         build_schur_system(blocks, np.where(np.arange(8) == 3, 1, group_of), scalar, mesh444_j8)
 
 
-def test_grouped_apply_needs_one_fitting_matrix_per_group(mesh444_j8, rng):
-    """With eight jump groups of one member, a matrix list one short, a
-    packed matrix of another size or a square one raises instead of leaving
-    tuple rows unwritten."""
-    alpha = (1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain]
-    schur = setup_scalar(mesh444_j8, Coefficients(alpha=alpha)).schur
-    matrices = [s_u for s_u, _ in schur.groups]
-    assert len(matrices) == 8
-    x = rng.uniform(-1, 1, schur.tuple_dim)
-    with pytest.raises(ValueError, match="one matrix per group"):
-        schur.grouped_apply(matrices[:-1], x)
-    for wrong in (matrices[3][:-1], schur.dense(matrices[3])):
-        with pytest.raises(ValueError, match="one matrix per group"):
-            schur.grouped_apply(matrices[:3] + [wrong] + matrices[4:], x)
-    assert np.array_equal(schur.grouped_apply(matrices, x), schur.apply_dtn(x))
-
-
 @settings(max_examples=15, deadline=None)
 @given(grid=jump_grids())
 def test_one_member_groups_keep_packed_triangles(grid):
     """A group of one member keeps S_u and S_u^{-1} as n_b(n_b+1)/2 floats,
-    any other group as n_b^2; the stored maps invert each other, and a
-    packed matrix of another size is refused in any group."""
+    any other group as n_b^2; the stored maps invert each other."""
     mesh, alpha_j = grid
     prob = setup_scalar(mesh, Coefficients(alpha=alpha_j[mesh.tet_subdomain]))
     schur, qnn = prob.schur, prob.qnn
@@ -326,25 +307,19 @@ def test_one_member_groups_keep_packed_triangles(grid):
     g = np.random.default_rng(0).uniform(-1, 1, schur.tuple_dim)
     back = schur.apply_dtn(qnn.apply_dtn_inv(g))
     assert np.abs(back - g).max() <= 1e-10 * np.abs(g).max()
-    matrices = [s_u for s_u, _ in schur.groups]
-    for u, (_, members) in enumerate(schur.groups):
-        n = sizes[members[0]]
-        wrong = matrices[:u] + [np.zeros(n * (n - 1) // 2)] + matrices[u + 1 :]
-        with pytest.raises(ValueError, match="one matrix per group"):
-            schur.grouped_apply(wrong, g)
 
 
-def _per_member_apply(schur, matrices, x, factored=False):
+def _per_member_apply(schur, matrices, x, solve=False):
     """Each member's tuple slice x_j gathered, multiplied and scattered one
     member at a time.  A group's products S_u x_j are the columns of one
     GEMM, since BLAS rounds a GEMM column and a lone S_u @ x_j (a GEMV)
     differently; a packed S_u of a lone member is applied by SPMV, and a
-    packed Cholesky factor (``factored``) by a packed solve."""
+    packed Cholesky factor (``solve``) by a packed solve."""
     offsets = schur.transfer.boundary_offsets
     out = np.full(x.shape, np.nan)
     for matrix, (_, members) in zip(matrices, schur.groups, strict=True):
         slices = [x[offsets[j] : offsets[j + 1]] for j in members]
-        if matrix.ndim == 1 and factored:
+        if matrix.ndim == 1 and solve:
             (x_j,) = slices
             columns = sla.lapack.dpptrs(x_j.size, matrix, x_j[:, None].copy(), lower=0)[0]
         elif matrix.ndim == 1:
@@ -363,9 +338,10 @@ def test_grouped_apply_equals_per_member_products(
 ):
     """Every group's members (one group of eight, eight groups of one,
     members 0-4, 6, 7 around subdomain 5, the checkerboard's two groups of
-    four) get bitwise the per-member products of the S_u and of the inverse
-    DtN maps (a lone member's by a packed Cholesky solve), and the dense
-    S_u @ x_j or S_u^{-1} x_j to rounding."""
+    four) get bitwise the per-member products of the S_u from ``apply_dtn``
+    and of the inverse DtN maps from ``apply_dtn_inv`` (a lone member's by a
+    packed Cholesky solve), and the dense S_u @ x_j or S_u^{-1} x_j to
+    rounding."""
     if case == "uniform":
         prob, sizes = maxwell444_j8.scalar, [8]
     elif case == "one_member":
@@ -382,17 +358,18 @@ def test_grouped_apply_equals_per_member_products(
         for s_u, inverse in zip(schurs, prob.qnn.inverse_dtn)
     ]
     checks = [
-        (prob.schur, [s_u for s_u, _ in prob.schur.groups], False, schurs),
-        (prob.schur, prob.qnn.inverse_dtn, True, inverses),
+        (prob.schur, prob.schur.apply_dtn, [s_u for s_u, _ in prob.schur.groups], False, schurs),
+        (prob.schur, prob.qnn.apply_dtn_inv, prob.qnn.inverse_dtn, True, inverses),
     ]
     if case == "uniform":
         edge = maxwell444_j8.schur
-        checks.append((edge, [s_u for s_u, _ in edge.groups], False, [s for s, _ in edge.groups]))
-    for schur, matrices, factored, dense in checks:
+        stored = [s_u for s_u, _ in edge.groups]
+        checks.append((edge, edge.apply_dtn, stored, False, stored))
+    for schur, apply, matrices, solve, dense in checks:
         assert [members.size for _, members in schur.groups] == sizes
         x = rng.uniform(-1, 1, schur.tuple_dim)
-        got = schur.grouped_apply(matrices, x, factored=factored)
-        assert np.array_equal(got, _per_member_apply(schur, matrices, x, factored))
+        got = apply(x)
+        assert np.array_equal(got, _per_member_apply(schur, matrices, x, solve))
         offsets = schur.transfer.boundary_offsets
         for j, u in enumerate(schur.group_of):
             lo, hi = offsets[j : j + 2]
