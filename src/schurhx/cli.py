@@ -5,7 +5,8 @@ and a value from a flag or a config file is parsed by ``_coerce`` from its
 field's default and checked by ``ExperimentConfig``, so it exits 2 if bad.
 So does a setting the run does not read, unless it keeps its default: verify
 takes no mesh, solver, table or VTK setting, maxwell no alpha or beta, scalar
-no gamma, and the table no cells.
+no gamma, and the table no cells.  A maxwell gamma for which PCG's inner
+products would overflow exits 2 too.
 
 Outputs are deterministic for a fixed configuration: the convergence CSV and
 the summary CSV are byte-identical across reruns (timings go to stdout only).
@@ -84,6 +85,21 @@ class ExperimentConfig:
             for name in names:
                 if getattr(self, name) != getattr(ExperimentConfig, name):
                     raise ConfigurationError(f"{run} and takes no {name}")
+        # For large gamma the edge operator is gamma^2 times the edge mass
+        # matrix, whose absolute row sums stay below 1 on the unit cube, so
+        # PCG's first inner products <z0, r0> and <p0, S p0> stay under
+        # gamma^2 per edge (<p0, S p0> is 38 gamma^2 at 3^3 cells, 68 gamma^2
+        # at 12^3).  A lattice vertex starts at most 7 edges: 3 axis edges,
+        # 3 face diagonals and 1 body diagonal.
+        if self.problem == "maxwell":
+            cells = (max(TABLE_CELLS),) * 3 if self.table else self.cells
+            edges = 7.0 * float(np.prod(np.add(cells, 1)))
+            gamma = float(self.gamma)  # squared as Coefficients checks it, without raising
+            if not gamma * gamma * edges < sys.float_info.max:
+                raise ConfigurationError(
+                    f"gamma={self.gamma!r}: PCG's inner products overflow "
+                    f"(gamma^2 times {edges:.0f} edges)"
+                )
 
     def coefficients(self) -> Coefficients:
         return Coefficients(self.alpha, self.beta, self.gamma)

@@ -17,14 +17,15 @@ Neumann solve,
 
 which ``test_schur_inverse_is_resolvent_boundary_block`` checks; it is
 applied from one Cholesky factorization of each distinct block's S_u, so no
-whole-block Neumann factorization is needed: a lone member keeps its upper
-factor U (S_u = U^T U) packed by columns, as large as its packed S_u, and
-applies S_u^{-1} = U^{-1} U^{-T} as one packed solve; a group of several
-members keeps the explicit inverse from ``SpdFactor.inverse``, square,
-shared by one GEMM over all its members.  ``NeumannNeumann.apply_dtn_inv``
-applies these maps itself, over the group spans that ``SchurSystem``
-computes once.  M is balanced with a coarse space of one basis function per
-subdomain (Mandel's balancing domain decomposition):
+whole-block Neumann factorization is needed.  A lone member's S_u is kept
+by ``SchurSystem`` only as its packed upper factor U (S_u = U^T U), and
+Neumann-Neumann solves with that same array, S_u^{-1} = U^{-1} U^{-T}; a
+group of several members keeps the explicit inverse from
+``SpdFactor.inverse``, square, shared by one GEMM over all its members.
+``NeumannNeumann.apply_dtn_inv`` applies these maps itself, over the group
+spans that ``SchurSystem`` computes once.  M is balanced with a coarse space
+of one basis function per subdomain (Mandel's balancing domain
+decomposition):
 
     Q f = Q0 f + (I - Q0 S) M (I - S Q0) f,    Q0 = Z (Z^T S Z)^{-1} Z^T,
 
@@ -63,7 +64,7 @@ import scipy.sparse as sp
 from .assemble import Coefficients, assemble_edge, assemble_scalar
 from .dofspaces import TransferOps, build_transfer
 from .discrete_ops import build_aux_maps
-from .errors import AssemblyError, ConfigurationError, SingularOperatorError
+from .errors import AssemblyError, ConfigurationError
 from .krylov import CondEstimate, pcg
 from .mesh import BoxMesh
 from .schur import SchurSystem, SpdFactor, build_schur_system, check_dense
@@ -80,14 +81,15 @@ __all__ = [
 
 
 def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> tuple:
-    """S Z as canonical CSR, and each group's inverse DtN map stored as S_u is, from S_u
-    unpacked once.  S Z comes from each subdomain j's dense Z_j: its boundary rows of Z in
-    the columns of the subdomains it shares a skeleton dof with (8, 12, 18 or 27 on a box
-    partition).  Each Z_j is overwritten by S_u Z_j, one GEMM at its exact width (padding to
-    another width changes the bits).  The products are the rows of a (boundary tuple, J) CSR
-    matrix V, and S Z = glue V, the glue being the split's transpose: scipy sums each entry
-    over ascending tuple slots, so in ascending subdomain order, which fixes each entry's
-    summation order."""
+    """S Z as canonical CSR, and each group's inverse DtN map: a lone member's packed U
+    itself, a shared S_u's square inverse.  S Z comes from each subdomain j's dense Z_j: its
+    boundary rows of Z in the columns of the subdomains it shares a skeleton dof with (8,
+    12, 18 or 27 on a box partition).  Each Z_j is overwritten by S_u Z_j, one GEMM at its
+    exact width (padding to another width changes the bits), or for a lone member by
+    U^T (U Z_j), two TRMMs with U unpacked once.  The products are the rows of a (boundary
+    tuple, J) CSR matrix V, and S Z = glue V, the glue being the split's transpose: scipy
+    sums each entry over ascending tuple slots, so in ascending subdomain order, which fixes
+    each entry's summation order."""
     split, offsets = schur.transfer.skeleton_split, schur.transfer.boundary_offsets
     n_sub, sizes = offsets.size - 1, np.diff(offsets)
     entries = basis[split].tocoo()  # Z's rows of every boundary copy
@@ -106,20 +108,25 @@ def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> tuple:
     indices = np.empty(indptr[-1], dtype=np.int32)
     del entries, sub, pair_of, rank  # before the inverses' arrays
     inverses = []
+    trmm = sla.blas.dtrmm
     for s_u, js in schur.groups:
-        s_u = schur.dense(s_u)
+        lone = js.size == 1
+        if lone:  # U, unpacked once
+            upper = sla.lapack.dtpttr(sizes[js[0]], s_u, uplo="U")[0]
         for j in js:
             lo, hi = indptr[offsets[j]], indptr[offsets[j + 1]]
             z_j = values[lo:hi].reshape(sizes[j], width[j])
-            z_j[:] = s_u @ z_j
+            if lone:
+                # Z_j^T U^T U in place, on the F-ordered Z_j^T: (alpha, A, B,
+                # side, lower, trans_a, diag, overwrite_b).
+                trmm(1.0, upper, trmm(1.0, upper, z_j.T, 1, 0, 1, 0, 1), 1, 0, 0, 0, 1)
+            else:
+                z_j[:] = s_u @ z_j
             indices[lo:hi].reshape(sizes[j], width[j])[:] = cols[first[j] : first[j + 1]]
-        label = f"scalar subdomain {js[0]} (Schur)"
-        if js.size == 1:
-            inverses.append(_packed_factor(s_u, label))
+        if lone:  # U serves the packed solve too
+            inverses.append(s_u)
         else:
-            factor = SpdFactor(s_u, label)
-            del s_u  # before the inverse: the factor holds its own copy
-            inverses.append(factor.inverse())
+            inverses.append(SpdFactor(s_u, f"scalar subdomain {js[0]} (Schur)").inverse())
     products = sp.csr_matrix((values, indices, indptr), shape=(split.size, n_sub))
     glue = sp.csc_matrix(
         (np.ones(split.size), split, np.arange(split.size + 1)), shape=(schur.dim, split.size)
@@ -127,22 +134,6 @@ def _schur_times_basis(schur: SchurSystem, basis: sp.csr_matrix) -> tuple:
     product = glue @ products
     product.sort_indices()
     return product, inverses
-
-
-def _packed_factor(s_u: np.ndarray, label: str) -> np.ndarray:
-    """The upper Cholesky factor U of a lone member's S_u (S_u = U^T U),
-    packed by columns.  S_u, unpacked for this set-up alone, is factorized in
-    place through its F-ordered view, which holds the same matrix since S_u
-    is bitwise symmetric.  Upper rather than lower: OpenBLAS's packed solve
-    with U took 0.96 ms against 1.27 ms with L for 64 blocks of 218 dofs
-    (one BLAS thread on a 2-vCPU Xeon)."""
-    upper, info = sla.lapack.dpotrf(s_u.T, lower=0, clean=0, overwrite_a=1)
-    if info != 0:
-        raise SingularOperatorError(f"{label}: not positive definite")
-    packed, info = sla.lapack.dtrttp(upper, uplo="U")
-    if info != 0 or not np.all(np.isfinite(packed)):
-        raise SingularOperatorError(f"{label}: factor failed")
-    return packed
 
 
 class NeumannNeumann:
@@ -155,15 +146,14 @@ class NeumannNeumann:
     degree.  Only ratios of rho matter, so it is scaled to a largest value of
     1: constant rho gives exactly the counting weights 1/degree.
 
-    It is the only user of the inverse DtN map, so set-up factorizes the
-    Schur complement S_u of each distinct subdomain block here, once: a lone
-    member's S_u, unpacked for this set-up alone, in place, its upper factor
-    packed by columns (applied by ``dpptrs``); a shared S_u with one
-    ``SpdFactor``, whose square inverse its members share.
-    Set-up computes S Z as CSR in the same pass (each S_u, unpacked once,
-    times the few coarse columns its members touch, summed in ascending
-    subdomain order), then factorizes the dense J x J coarse matrix S0 = Z^T S Z with
-    one more ``SpdFactor``; ``cond_coarse`` reports its condition number.
+    A lone member's inverse DtN map is the packed upper Cholesky factor U
+    that ``SchurSystem`` keeps (``inverse_dtn[u] is schur.groups[u][0]``),
+    applied by ``dpptrs``; a shared S_u is factorized here with one
+    ``SpdFactor``, whose square inverse its members share.  Set-up computes
+    S Z as CSR in the same pass (each S_u times the few coarse columns its
+    members touch, summed in ascending subdomain order), then factorizes the
+    dense J x J coarse matrix S0 = Z^T S Z with one more ``SpdFactor``;
+    ``cond_coarse`` reports its condition number.
     One application makes one call to the average M (one blockwise inverse-DtN
     apply, counted by ``n_applies``) and two coarse solves, using
 
@@ -219,7 +209,7 @@ class NeumannNeumann:
         member's packed Cholesky solve (``dpptrs``) with its upper factor U."""
         self.schur.check_tuple(g)
         # The packed solve overwrites its right-hand side, a slice of ``out``,
-        # and takes positional arguments, as the SPMV of ``apply_dtn`` does.
+        # and takes positional arguments, as ``apply_dtn``'s products do.
         out = np.array(g, dtype=float)
         pptrs = sla.lapack.dpptrs
         for inverse, rows in zip(self.inverse_dtn, self.schur.spans):

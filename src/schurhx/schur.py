@@ -29,20 +29,16 @@ coefficients, one block for every subdomain of a uniform partition).
 ``build_schur_system`` is where blocks meet a transfer: it forms one S_u
 per block, after checking that ``group_of`` covers the transfer's
 subdomains and that every member has the block's size and boundary size.
-The interior factors are dropped once S_u is formed, and S_u is stored at
-once by its member count (``SchurSystem.stored``): a lone member's lower
-triangle packed by columns, since its apply is one memory-bound SPMV, and
-several members' square array, shared by one GEMM over all their tuple
-slices (``SchurSystem.apply_dtn``).  A packed triangle is unpacked
-exactly, keeping no index (``SchurSystem.dense``).  Each group's tuple
-span, a slice for a lone member and an index array for several, is computed
-once (``SchurSystem.spans``); Neumann-Neumann applies its own inverse DtN
-maps over the same spans.
+The interior factors are dropped once S_u is formed.  A group of several
+members keeps S_u square, shared by one GEMM over all their tuple slices.
+A lone member's S_u is factorized at once, S_u = U^T U, and only U is kept,
+packed by columns: ``SchurSystem.apply_dtn`` applies it as U^T (U x), and
+Neumann-Neumann solves with the same array.  Each group's tuple span, a
+slice for a lone member and an index array for several, is computed once
+(``SchurSystem.spans``).
 """
 
 from __future__ import annotations
-
-from math import isqrt
 
 import numpy as np
 import scipy.linalg as sla
@@ -202,10 +198,10 @@ def _schur_complement(
 class SchurSystem:
     """Interface operator of one field: block DtN maps glued on the skeleton.
 
-    ``groups[u]`` pairs the Schur complement S_u of distinct block u, its
-    lower triangle packed by columns if u has one member, with its member
-    subdomains, ``spans[u]`` holds its members' tuple positions, and
-    ``group_of[j]`` is subdomain j's group.
+    ``groups[u]`` pairs distinct block u's Schur complement S_u, square, or
+    for a lone member its upper Cholesky factor U (S_u = U^T U) packed by
+    columns, with its member subdomains; ``spans[u]`` holds its members'
+    tuple positions, and ``group_of[j]`` is subdomain j's group.
     """
 
     def __init__(self, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray):
@@ -226,22 +222,6 @@ class SchurSystem:
             else:
                 self.spans.append(offsets[js][None, :] + np.arange(n)[:, None])
 
-    @staticmethod
-    def dense(matrix: np.ndarray) -> np.ndarray:
-        """A group's symmetric matrix as a square array, unpacked exactly if
-        packed: its lower triangle laid out, selected against its transpose."""
-        if matrix.ndim == 2:
-            return matrix
-        return _mirror_lower(sla.lapack.dtpttr(isqrt(2 * matrix.size), matrix, uplo="L")[0])
-
-    @staticmethod
-    def stored(matrix: np.ndarray, n_members: int) -> np.ndarray:
-        """A bitwise-symmetric square array as a group of ``n_members`` keeps
-        it: packed for one, whose apply is memory-bound, from the F-ordered
-        view (the same triangle, uncopied), and square for several, which
-        share one GEMM."""
-        return matrix if n_members > 1 else sla.lapack.dtrttp(matrix.T, uplo="L")[0]
-
     def check_tuple(self, x: np.ndarray) -> None:
         """Refuse a vector that is not on the boundary tuples."""
         if x.shape != (self.tuple_dim,):
@@ -252,20 +232,20 @@ class SchurSystem:
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:
         """Blockwise Schur complement on a boundary-tuple vector: per group,
-        one GEMM over its members' tuple slices, or a lone member's packed SPMV."""
+        one GEMM over its members' tuple slices, or U^T (U x) for a lone
+        member, two packed triangular products in place on its slice."""
         self.check_tuple(p)
-        # The SPMV gets zeros, so no BLAS reads an unset entry, whatever it
-        # does with beta = 0.  It writes into ``out`` and takes positional
-        # arguments: f2py's keyword parsing is a large share of a call on
-        # blocks this small.
-        out = np.zeros(p.shape)
-        spmv = sla.blas.dspmv
+        # Positional arguments: f2py's keyword parsing is a large share of a
+        # call on blocks this small.
+        out = np.array(p, dtype=float)
+        tpmv = sla.blas.dtpmv
         for (s_u, _), rows in zip(self.groups, self.spans):
             if s_u.ndim == 2:
                 out[rows] = s_u @ p[rows]
-            else:  # (n, alpha, S, x, incx, offx, beta, y, incy, offy, lower, overwrite_y)
-                lo = rows.start
-                spmv(rows.stop - lo, 1.0, s_u, p, 1, lo, 0.0, out, 1, lo, 1, 1)
+            else:  # (n, U, x, incx, offx, lower, trans, diag, overwrite_x)
+                n, lo = rows.stop - rows.start, rows.start
+                tpmv(n, s_u, out, 1, lo, 0, 0, 0, 1)
+                tpmv(n, s_u, out, 1, lo, 0, 1, 0, 1)
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -290,7 +270,8 @@ def build_schur_system(
     Raises :class:`AssemblyError` unless ``group_of`` has one entry per
     subdomain of ``transfer`` and uses every block, and all members of a
     block have its size and boundary size: blocks of another partition or
-    field are refused here.
+    field are refused here.  Raises :class:`SingularOperatorError` if a lone
+    member's S_u is not positive definite.
     """
     field = transfer.field
     sizes = np.diff(transfer.broken_offsets)
@@ -308,7 +289,19 @@ def build_schur_system(
         lo, hi = transfer.broken_offsets[j : j + 2]
         positions = mesh.dof_positions(field, transfer.volume_split[lo:hi])
         n_i = sizes[j] - dims[j, 1]
-        # Stored as soon as formed, so no two dense S_u of lone members coexist.
-        s_u = _schur_complement(block, n_i, positions, f"{field} subdomain {j}")
-        schurs.append(SchurSystem.stored(s_u, members.size))
+        label = f"{field} subdomain {j}"
+        s_u = _schur_complement(block, n_i, positions, label)
+        if members.size == 1:
+            # Factorized as soon as formed, in place through the F-ordered
+            # view (the same matrix, S_u being bitwise symmetric), so no two
+            # dense S_u of lone members coexist.  Upper rather than lower:
+            # OpenBLAS's packed solve took 0.96 ms with U against 1.27 ms with
+            # L for 64 blocks of 218 dofs (one BLAS thread, 2-vCPU Xeon).
+            upper, info = sla.lapack.dpotrf(s_u.T, lower=0, clean=0, overwrite_a=1)
+            if info != 0:
+                raise SingularOperatorError(f"{label} (Schur): not positive definite")
+            s_u, info = sla.lapack.dtrttp(upper, uplo="U")
+            if info != 0 or not np.all(np.isfinite(s_u)):
+                raise SingularOperatorError(f"{label} (Schur): factor failed")
+        schurs.append(s_u)
     return SchurSystem(transfer, schurs, group_of)

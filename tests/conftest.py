@@ -226,8 +226,10 @@ def packed_cholesky():
 @pytest.fixture(scope="session")
 def looped_coarse_product():
     """Make S Z subdomain by subdomain, by scipy slicing: each subdomain's
-    group S_u times its boundary rows of Z in the coarse columns they touch,
-    added into S Z in ascending subdomain order."""
+    boundary rows of Z in the coarse columns they touch, times its group's
+    S_u, added into S Z in ascending subdomain order.  A shared S_u
+    multiplies them by one GEMM; a lone member's packed factor U gives
+    U^T (U Z_j) as two right-side TRMMs on a copy of Z_j^T, U unpacked."""
 
     def build(schur, basis) -> np.ndarray:
         split, offsets = schur.transfer.skeleton_split, schur.transfer.boundary_offsets
@@ -237,8 +239,15 @@ def looped_coarse_product():
             lo, hi = int(offsets[j]), int(offsets[j + 1])
             local = split_basis[lo:hi]
             cols = np.unique(local.indices)
-            s_u = schur.dense(schur.groups[u][0])
-            out[np.ix_(split[lo:hi], cols)] += s_u @ local[:, cols].toarray()
+            z_j = local[:, cols].toarray()
+            s_u = schur.groups[u][0]
+            if s_u.ndim == 2:
+                product = s_u @ z_j
+            else:
+                upper = sla.lapack.dtpttr(hi - lo, s_u, uplo="U")[0]
+                z_t = sla.blas.dtrmm(1.0, upper, np.asfortranarray(z_j.T), side=1, trans_a=1)
+                product = sla.blas.dtrmm(1.0, upper, z_t, side=1).T
+            out[np.ix_(split[lo:hi], cols)] += product
         return out
 
     return build

@@ -315,6 +315,31 @@ def test_overflowing_right_hand_side_exits_2(capsys, table):
     assert err == "error: coefficients alpha=1e+308, beta=1e+308: the right-hand side overflows\n"
 
 
+@pytest.mark.parametrize(
+    "argv, edges",
+    [([], 448), (["--table"], 15379)],
+    ids=["single", "table"],
+)
+def test_overflowing_gamma_exits_2_before_setup(capsys, argv, edges):
+    """gamma = 1e154 passes the gamma^2 check, but PCG's first inner
+    products, about gamma^2 per edge of the largest mesh, would overflow:
+    one ``error:`` line naming gamma and exit 2 before any set-up.  The
+    limit comes from the edge bound, not from that value: just under it
+    (on 3^3 cells, 448 edges by the bound) the solve runs with every
+    warning an error and converges."""
+    assert main(["--problem", "maxwell", "--gamma", "1e154", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: gamma=1e+154: PCG's inner products overflow (gamma^2 times {edges} edges)\n"
+    )
+    assert "effective configuration" not in captured.out
+    limit = (np.finfo(float).max / 448) ** 0.5
+    with pytest.raises(ConfigurationError, match="gamma=.*overflow"):
+        ExperimentConfig(problem="maxwell", gamma=limit * 1.01)
+    report = run_experiment(ExperimentConfig(problem="maxwell", gamma=limit * 0.99))
+    assert report.metadata["converged"] and report.metadata["relative_error"] <= 1e-8
+
+
 def test_true_residual_survives_large_reaction(capsys):
     """The squared norms of a beta = 1e160 residual overflow; nrm2 does not."""
     cfg = ExperimentConfig(problem="scalar", beta=1e160)

@@ -1,6 +1,7 @@
 """Neumann-Neumann and the edge preconditioner built on top of it."""
 
 import copy
+import types
 
 import numpy as np
 import pytest
@@ -106,17 +107,45 @@ def test_nn_rejects_indefinite_schur_complement(mesh222_j8):
         NeumannNeumann(prob.schur, prob.qnn.rho)
 
 
+def _shifted_boundary_block(blocks, group_of, transfer, j):
+    """``blocks`` with subdomain j's block less c on its boundary diagonal, c
+    above the block's largest absolute row sum: A_ii is untouched, and
+    S_u - c I is negative definite."""
+    block = blocks[group_of[j]]
+    n_b = transfer.boundary_offsets[j + 1] - transfer.boundary_offsets[j]
+    c = 2.0 * abs(block).sum(axis=1).max()
+    shift = np.r_[np.zeros(block.shape[0] - n_b), np.full(n_b, c)]
+    return [b - sp.diags(shift) if u == group_of[j] else b for u, b in enumerate(blocks)]
+
+
 def test_nn_rejects_indefinite_lone_schur_complement(mesh444_j8):
-    """A lone member's S_u is factorized in place by Neumann-Neumann's own
-    Cholesky: a non-SPD one raises the labelled typed error."""
+    """A lone member's S_u is factorized once, as soon as
+    ``build_schur_system`` forms it, so the scalar set-up behind
+    Neumann-Neumann refuses a non-SPD one with the labelled typed error."""
     alpha = (1.0 + np.arange(8.0))[mesh444_j8.tet_subdomain]
-    prob = setup_scalar(mesh444_j8, Coefficients(alpha=alpha))
-    s_u, members = prob.schur.groups[3]
-    assert members.tolist() == [3] and s_u.ndim == 1
-    s_u *= -1.0
+    blocks, group_of = assemble_scalar(mesh444_j8, Coefficients(alpha=alpha))
+    assert group_of.tolist() == list(range(8))
+    transfer = build_transfer(mesh444_j8, "scalar")
+    blocks = _shifted_boundary_block(blocks, group_of, transfer, 3)
     match = r"^scalar subdomain 3 \(Schur\): not positive definite$"
     with pytest.raises(SingularOperatorError, match=match):
-        NeumannNeumann(prob.schur, prob.qnn.rho)
+        build_schur_system(blocks, group_of, transfer, mesh444_j8)
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh222_j1", "mesh422_two_shapes"])
+def test_edge_lone_member_rejects_indefinite_schur_complement(mesh_name, request):
+    """An edge lone member (one subdomain, or two subdomains of different
+    shapes) is factorized in ``build_schur_system`` too, under the same
+    typed error."""
+    mesh = request.getfixturevalue(mesh_name)
+    blocks, group_of = assemble_edge(mesh, Coefficients())
+    assert len(blocks) == mesh.n_subdomains
+    transfer = build_transfer(mesh, "edge")
+    j = mesh.n_subdomains - 1
+    blocks = _shifted_boundary_block(blocks, group_of, transfer, j)
+    match = rf"^edge subdomain {j} \(Schur\): not positive definite$"
+    with pytest.raises(SingularOperatorError, match=match):
+        build_schur_system(blocks, group_of, transfer, mesh)
 
 
 def test_nn_rejects_edge_system(maxwell222_j8):
@@ -646,12 +675,26 @@ def _is_canonical_csr(matrix) -> bool:
     return sp.isspmatrix_csr(matrix) and bool(np.all(np.diff(keys) > 0))
 
 
+def _sliced_group_schurs(prob, assemble, mesh, coeffs, sliced_schur):
+    """Each group's S_u from the sliced reference, square, from its block
+    assembled again on its first member's boundary."""
+    transfer = prob.schur.transfer
+    blocks, _ = assemble(mesh, coeffs)
+    out = []
+    for block, (_, members) in zip(blocks, prob.schur.groups, strict=True):
+        j = members[0]
+        lo, hi = transfer.boundary_offsets[j : j + 2]
+        out.append(sliced_schur(block, transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]))
+    return out
+
+
 def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, inverses, looped):
-    """Every S_u of the scalar, plug-in and edge systems, as square arrays,
+    """Every stored S_u of the scalar, plug-in and edge systems (a shared
+    group's square array, a lone member's packed upper Cholesky factor),
     every inverse DtN map (a shared group's square inverse, a lone member's
-    packed Cholesky factor), and S Z and the coarse matrix of both
-    Neumann-Neumanns, bit for bit the sliced and looped references; S Z is
-    canonical CSR holding no zero."""
+    very factor), and S Z and the coarse matrix of both Neumann-Neumanns,
+    bit for bit the sliced and looped references; S Z is canonical CSR
+    holding no zero."""
     tril_inverse, packed_cholesky = inverses
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.7, gamma=1.9)
     scalar = setup_scalar(mesh, coeffs)
@@ -662,17 +705,13 @@ def _assert_setup_matches_references(mesh, alpha_j, sliced_schur, inverses, loop
         (maxwell, assemble_edge, coeffs),
     ]
     for prob, assemble, co in systems:
-        transfer = prob.schur.transfer
-        blocks, _ = assemble(mesh, co)
-        for block, (s_u, members) in zip(blocks, prob.schur.groups, strict=True):
-            j = members[0]
-            lo, hi = transfer.boundary_offsets[j : j + 2]
-            boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
-            assert _same_bits(SchurSystem.dense(s_u), sliced_schur(block, boundary))
+        sliced = _sliced_group_schurs(prob, assemble, mesh, co, sliced_schur)
+        for want, (s_u, members) in zip(sliced, prob.schur.groups, strict=True):
+            assert _same_bits(s_u, packed_cholesky(want) if members.size == 1 else want)
     for qnn in (scalar.qnn, maxwell.scalar.qnn):
         for inverse, (s_u, members) in zip(qnn.inverse_dtn, qnn.schur.groups, strict=True):
             if members.size == 1:
-                assert _same_bits(inverse, packed_cholesky(SchurSystem.dense(s_u)))
+                assert inverse is s_u
             else:
                 assert _same_bits(inverse, tril_inverse(s_u))
         s_coarse = looped(qnn.schur, qnn.coarse_basis)
@@ -725,59 +764,119 @@ def test_setup_bitwise_equals_sliced_references_on_jump_grids(
 
 @settings(max_examples=15, deadline=None)
 @given(grid=st.one_of(st.just("one subdomain"), jump_grids()))
-def test_lone_members_keep_packed_cholesky_factors(tril_inverse, packed_cholesky, grid):
-    """A lone member's inverse DtN map is bitwise the packed upper Cholesky
-    factor of its S_u and applies S_u^{-1} to 1e-12 relative; a group of
-    several members keeps its square ``dpotri`` inverse bitwise."""
+def test_lone_members_keep_packed_cholesky_factors(
+    sliced_schur, tril_inverse, packed_cholesky, grid
+):
+    """A lone member keeps one array, bitwise the packed upper Cholesky
+    factor of its sliced S_u, that is both its Schur complement and its
+    inverse DtN map: ``apply_dtn`` applies S_u and ``apply_dtn_inv`` S_u^{-1}
+    to 1e-12 relative of the sliced S_u.  A group of several members keeps
+    its square S_u and ``dpotri`` inverse bitwise."""
     if grid == "one subdomain":
         grid = build_box_mesh((4, 3, 2)), np.array([2.0])
     mesh, alpha_j = grid
-    prob = setup_scalar(mesh, Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.5))
+    coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.5)
+    prob = setup_scalar(mesh, coeffs)
     schur, qnn = prob.schur, prob.qnn
+    sliced = _sliced_group_schurs(prob, assemble_scalar, mesh, coeffs, sliced_schur)
     offsets = schur.transfer.boundary_offsets
     g = np.random.default_rng(0).uniform(-1, 1, schur.tuple_dim)
-    got = qnn.apply_dtn_inv(g)
-    for (s_u, members), inverse in zip(schur.groups, qnn.inverse_dtn, strict=True):
-        dense = SchurSystem.dense(s_u)
+    applied, solved = schur.apply_dtn(g), qnn.apply_dtn_inv(g)
+    groups = zip(sliced, schur.groups, qnn.inverse_dtn, strict=True)
+    for dense, (s_u, members), inverse in groups:
         if members.size == 1:
-            assert _same_bits(inverse, packed_cholesky(dense))
+            assert inverse is s_u and _same_bits(s_u, packed_cholesky(dense))
         else:
-            assert _same_bits(inverse, tril_inverse(dense))
+            assert _same_bits(s_u, dense) and _same_bits(inverse, tril_inverse(dense))
         for j in members:
             lo, hi = offsets[j : j + 2]
-            want = np.linalg.solve(dense, g[lo:hi])
-            assert np.linalg.norm(got[lo:hi] - want) <= 1e-12 * np.linalg.norm(want)
+            want = dense @ g[lo:hi], np.linalg.solve(dense, g[lo:hi])
+            for got, w in zip((applied[lo:hi], solved[lo:hi]), want):
+                assert np.linalg.norm(got - w) <= 1e-12 * np.linalg.norm(w)
 
 
 @settings(max_examples=10, deadline=None)
 @given(grid=jump_grids())
 def test_nn_setup_unpacks_each_packed_matrix_once(grid):
-    """Neumann-Neumann set-up unpacks each packed matrix once: a lone
-    member's S_u, which both S Z and its Cholesky read; the inverse of a
-    group of several members is formed square and never packed.  The
-    unpacked matrix is the packed triangle mirrored, bitwise, C-ordered."""
+    """Neumann-Neumann set-up unpacks each lone member's packed factor U
+    once, the very array ``SchurSystem`` keeps, and packs and factorizes
+    nothing of its own but a shared group's S_u and the coarse matrix.  The
+    unpacked upper triangle is the packed one, bitwise."""
     mesh, alpha_j = grid
     coeffs = Coefficients(alpha=alpha_j[mesh.tet_subdomain], beta=0.5)
     transfer = build_transfer(mesh, "scalar")
     schur = build_schur_system(*assemble_scalar(mesh, coeffs), transfer, mesh)
-    unpacked = []
-    dense = SchurSystem.dense
+    unpacked, labels = [], []
+    unpack = sla.lapack.dtpttr
 
-    def counting(matrix):
-        out = dense(matrix)
-        if matrix.ndim == 1:
-            unpacked.append(matrix)
-            n = out.shape[0]
-            rows, cols = np.tril_indices(n)
-            order = np.lexsort((rows, cols))  # packed by columns
-            assert out.flags.c_contiguous and np.array_equal(out, out.T)
-            assert out[rows[order], cols[order]].tobytes() == matrix.tobytes()
+    def counting(n, packed, uplo):
+        out = unpack(n, packed, uplo=uplo)
+        unpacked.append(packed)
+        rows, cols = np.triu_indices(n)
+        order = np.lexsort((rows, cols))  # packed by columns
+        assert uplo == "U" and out[0][rows[order], cols[order]].tobytes() == packed.tobytes()
         return out
 
+    class Recording(SpdFactor):
+        def __init__(self, matrix, label):
+            labels.append(label)
+            super().__init__(matrix, label)
+
+    def no_pack(*args, **kwargs):
+        raise AssertionError("Neumann-Neumann set-up packs a matrix")
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SchurSystem, "dense", staticmethod(counting))
+        patch.setattr(sla.lapack, "dtpttr", counting)
+        patch.setattr(sla.lapack, "dtrttp", no_pack)
+        patch.setattr(precond_mod, "SpdFactor", Recording)
         qnn = NeumannNeumann(schur, np.ones(schur.tuple_dim))
     lone = [s_u for s_u, js in schur.groups if js.size == 1]
     assert len(unpacked) == len(lone)
-    assert sum(any(m is s_u for s_u in lone) for m in unpacked) == len(lone)
+    assert all(m is s_u for m, s_u in zip(unpacked, lone, strict=True))
+    shared = [f"scalar subdomain {js[0]} (Schur)" for _, js in schur.groups if js.size > 1]
+    assert labels == shared + ["balancing coarse problem"]
     assert len(qnn.inverse_dtn) == len(schur.groups)
+
+
+def _owned_arrays(root) -> list:
+    """Every ndarray reachable from ``root`` through instance attributes,
+    containers and views' bases, as the arrays that own the data."""
+    owners, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return list(owners.values())
+
+
+def test_lone_members_keep_one_packed_triangle(mesh666_j27):
+    """On a jump grid of 27 lone members (log-uniform alpha on [0.1, 10]),
+    the set-up problem keeps exactly one n_b(n_b+1)/2-float array per lone
+    member, shared by identity between ``SchurSystem`` and Neumann-Neumann,
+    and no n_b x n_b one."""
+    mesh = mesh666_j27
+    alpha_j = np.exp(np.random.default_rng(5).uniform(np.log(0.1), np.log(10.0), 27))
+    prob = setup_scalar(mesh, Coefficients(alpha=alpha_j[mesh.tet_subdomain]))
+    schur, qnn = prob.schur, prob.qnn
+    assert all(js.size == 1 for _, js in schur.groups)
+    sizes = np.diff(schur.transfer.boundary_offsets)
+    arrays = _owned_arrays(prob)
+    for (s_u, (j,)), inverse in zip(schur.groups, qnn.inverse_dtn, strict=True):
+        n_b = int(sizes[j])
+        assert inverse is s_u and s_u.shape == (n_b * (n_b + 1) // 2,)
+    for n_b in np.unique(sizes):
+        triangles = [a for a in arrays if a.shape == (n_b * (n_b + 1) // 2,)]
+        lone = [s_u for s_u, js in schur.groups if sizes[js[0]] == n_b]
+        assert len(triangles) == len(lone) and all(any(a is s for a in triangles) for s in lone)
+        assert not any(a.shape == (n_b, n_b) for a in arrays)

@@ -15,7 +15,7 @@ from schurhx.errors import AssemblyError, ConfigurationError, SingularOperatorEr
 from schurhx.mesh import build_box_mesh
 from schurhx.oracle import materialize, pseudoinverse_surjective, volume_matrix
 from schurhx.precond import setup_maxwell, setup_scalar
-from schurhx.schur import SchurSystem, SpdFactor, build_schur_system
+from schurhx.schur import SpdFactor, build_schur_system
 
 
 def _blocks(mesh, prob):
@@ -106,14 +106,19 @@ def test_global_schur_matches_dense_elimination(mesh222_j2, scalar222_j2):
     assert np.abs(s - dense).max() <= 1e-10 * np.abs(dense).max()
 
 
-def test_single_subdomain_interface_is_dtn(scalar222_j1, rng):
+def test_single_subdomain_interface_is_dtn(mesh222_j1, scalar222_j1, sliced_schur, rng):
     # J=1: the skeleton split is the identity, so the assembled operator is
-    # the one local Schur complement, a packed triangle applied by SPMV,
-    # reproduced bitwise.
+    # the one local Schur complement, kept as its packed upper Cholesky
+    # factor U: bitwise U^T (U u) by two packed triangular products, and
+    # the sliced S_u to rounding.
     schur = scalar222_j1.schur
     u = rng.uniform(-1, 1, schur.dim)
-    direct = sla.blas.dspmv(schur.dim, 1.0, schur.groups[0][0], u, lower=1)
+    upper = schur.groups[0][0]
+    direct = sla.blas.dtpmv(schur.dim, upper, sla.blas.dtpmv(schur.dim, upper, u), trans=1)
     assert np.array_equal(schur.apply(u), direct)
+    _, boundary = _subdomain_schur(scalar222_j1, 0)
+    want = sliced_schur(_blocks(mesh222_j1, scalar222_j1)[0], boundary) @ u
+    assert np.linalg.norm(direct - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_interface_operator_spd(scalar444_j8, rng):
@@ -313,8 +318,8 @@ def _per_member_apply(schur, matrices, x, solve=False):
     """Each member's tuple slice x_j gathered, multiplied and scattered one
     member at a time.  A group's products S_u x_j are the columns of one
     GEMM, since BLAS rounds a GEMM column and a lone S_u @ x_j (a GEMV)
-    differently; a packed S_u of a lone member is applied by SPMV, and a
-    packed Cholesky factor (``solve``) by a packed solve."""
+    differently; a lone member's packed factor U is applied as U^T (U x_j)
+    by two packed triangular products, or (``solve``) by a packed solve."""
     offsets = schur.transfer.boundary_offsets
     out = np.full(x.shape, np.nan)
     for matrix, (_, members) in zip(matrices, schur.groups, strict=True):
@@ -324,7 +329,8 @@ def _per_member_apply(schur, matrices, x, solve=False):
             columns = sla.lapack.dpptrs(x_j.size, matrix, x_j[:, None].copy(), lower=0)[0]
         elif matrix.ndim == 1:
             (x_j,) = slices
-            columns = sla.blas.dspmv(x_j.size, 1.0, matrix, x_j, lower=1)[:, None]
+            u_x = sla.blas.dtpmv(x_j.size, matrix, x_j)
+            columns = sla.blas.dtpmv(x_j.size, matrix, u_x, trans=1)[:, None]
         else:
             columns = matrix @ np.column_stack(slices)
         for k, j in enumerate(members):
@@ -334,13 +340,14 @@ def _per_member_apply(schur, matrices, x, solve=False):
 
 @pytest.mark.parametrize("case", ["uniform", "one_member", "interleaved", "checkerboard"])
 def test_grouped_apply_equals_per_member_products(
-    case, mesh444_j8, maxwell444_j8, scalar444_j8_one_tet, scalar444_j8_jump, rng
+    case, mesh444_j8, maxwell444_j8, scalar444_j8_one_tet, scalar444_j8_jump, sliced_schur, rng
 ):
     """Every group's members (one group of eight, eight groups of one,
     members 0-4, 6, 7 around subdomain 5, the checkerboard's two groups of
-    four) get bitwise the per-member products of the S_u from ``apply_dtn``
-    and of the inverse DtN maps from ``apply_dtn_inv`` (a lone member's by a
-    packed Cholesky solve), and the dense S_u @ x_j or S_u^{-1} x_j to
+    four) get bitwise the per-member products of the stored maps from
+    ``apply_dtn`` and ``apply_dtn_inv`` (a lone member's U by two packed
+    triangular products and by a packed Cholesky solve), and the dense
+    S_u @ x_j or S_u^{-1} x_j (a lone member's from the sliced S_u) to
     rounding."""
     if case == "uniform":
         prob, sizes = maxwell444_j8.scalar, [8]
@@ -352,9 +359,15 @@ def test_grouped_apply_equals_per_member_products(
         prob, sizes = scalar444_j8_one_tet, [7, 1]
     else:
         prob, sizes = scalar444_j8_jump, [4, 4]
-    schurs = [SchurSystem.dense(s_u) for s_u, _ in prob.schur.groups]
+    # A shared group's stored S_u and inverse are square; a lone member's
+    # S_u is the sliced reference.
+    blocks, _ = assemble_scalar(mesh444_j8, prob.coeffs)
+    schurs = [
+        s_u if s_u.ndim == 2 else sliced_schur(block, _subdomain_schur(prob, members[0])[1])
+        for block, (s_u, members) in zip(blocks, prob.schur.groups, strict=True)
+    ]
     inverses = [
-        np.linalg.inv(s_u) if inverse.ndim == 1 else inverse
+        inverse if inverse.ndim == 2 else np.linalg.inv(s_u)
         for s_u, inverse in zip(schurs, prob.qnn.inverse_dtn)
     ]
     checks = [
