@@ -24,19 +24,18 @@ orientation, so no sign bookkeeping is needed anywhere downstream.
 
 Blocks are assembled per subdomain from tet classes: a class is a tet's lattice
 edge offsets plus, for the edge field, its six edge orientations (a box mesh
-has six).  Subdomains of one shape (``BoxMesh.shapes``) share the coalesce
-plan (stable sort order, group starts, CSR indices and indptr) built from its
-``BoxMesh.numbering``, so a block's rows run in that order, boundary dofs
-last, as ``dofspaces.build_transfer`` numbers them.  They also share the
-per-tet data, gathered once per shape from class data computed on one
-representative tet per class of the shape's first subdomain.  Each block
-applies its own per-tet coefficients to it in the per-tet operation order, so
-the values are bitwise per-tet ones, and a block's data is one
-``np.add.reduceat``.  Subdomains of one shape with bitwise-equal per-tet
-coefficients (alpha and beta for the scalar field; gamma is global) share a
-block; assembly alone decides this.  Assembly reads only the mesh and the
-coefficients; ``build_schur_system``, where blocks meet a transfer, refuses
-blocks of another partition or field.
+has six).  Every subdomain is subdomain 0 translated (``schurhx.mesh``), so all
+share one coalesce plan (stable sort order, group starts, CSR indices and
+indptr) built from ``BoxMesh.numbering``, and a block's rows run in that
+order, boundary dofs last, as ``dofspaces.build_transfer`` numbers them.  They
+also share the per-tet data, gathered once from class data computed on one
+representative tet per class of subdomain 0.  Each block applies its own
+per-tet coefficients to it in the per-tet operation order, so the values are
+bitwise per-tet ones, and a block's data is one ``np.add.reduceat``.
+Subdomains with bitwise-equal per-tet coefficients (alpha and beta for the
+scalar field; gamma is global) share a block; assembly alone decides this.
+Assembly reads only the mesh and the coefficients; ``build_schur_system``,
+where blocks meet a transfer, refuses blocks of another partition or field.
 It returns ``(blocks, group_of)``: one CSR block per distinct block, in order
 of first appearance, with read-only ``data``, ``indices`` and ``indptr``, and
 the read-only int64 ``group_of[j]``, subdomain j's block.  No global matrix
@@ -234,26 +233,21 @@ def _assemble(
     # tracer routes assembly spans by it; it goes together with that routing.
     if scope != "blocks":
         raise ValueError(f"unknown scope {scope!r}: only 'blocks' is assembled")
-    shape_of, first = mesh.shapes
-    numbering = mesh.numbering(field)
-    sizes = [positions.size for positions, _, _ in numbering]
-    structures = []  # per shape: coalesce plan and per-tet data
-    for j, (_, local, _), size in zip(first, numbering, sizes):
-        plan = _coalesce_plan(local, size)  # before the per-tet data: a lower peak
-        per_tet = _per_tet(mesh, mesh.tets_of_subdomain(j), field == "edge", compute)
-        structures.append((plan, per_tet))
-    shared = {}  # (shape, per-tet coefficients) -> block number
+    first, local, _ = mesh.numbering(field)
+    n = first.size
+    order, starts, indices, indptr = _coalesce_plan(local, n)  # before per-tet data: a lower peak
+    per_tet = _per_tet(mesh, mesh.tets_of_subdomain(0), field == "edge", compute)
+    shared = {}  # per-tet coefficients -> block number
     blocks = []
-    group_of = np.empty(len(shape_of), dtype=np.int64)
-    for j, s in enumerate(shape_of):
-        (order, starts, indices, indptr), per_tet = structures[s]
+    group_of = np.empty(mesh.n_subdomains, dtype=np.int64)
+    for j in range(mesh.n_subdomains):
         local_coeffs = [c[mesh.tets_of_subdomain(j)] for c in coefficients]
-        value = (s, *(c.tobytes() for c in local_coeffs))
+        value = tuple(c.tobytes() for c in local_coeffs)
         if value not in shared:
             shared[value] = len(blocks)
-            local = element(*per_tet, *local_coeffs)
-            data = _freeze(np.add.reduceat(local.ravel()[order], starts))
-            blocks.append(sp.csr_matrix((data, indices, indptr), shape=(sizes[s],) * 2, copy=False))
+            matrices = element(*per_tet, *local_coeffs)
+            data = _freeze(np.add.reduceat(matrices.ravel()[order], starts))
+            blocks.append(sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False))
         group_of[j] = shared[value]
     return blocks, _freeze(group_of)
 

@@ -5,8 +5,9 @@ and a value from a flag or a config file is parsed by ``_coerce`` from its
 field's default and checked by ``ExperimentConfig``, so it exits 2 if bad.
 So does a setting the run does not read, unless it keeps its default: verify
 takes no mesh, solver, table or VTK setting, maxwell no alpha or beta, scalar
-no gamma, and the table no cells.  A maxwell gamma for which PCG's inner
-products would overflow exits 2 too.
+no gamma, and the table no cells.  Coefficients for which PCG's inner
+products would overflow exit 2 too: gamma before set-up, alpha and beta
+before PCG.
 
 Outputs are deterministic for a fixed configuration: the convergence CSV and
 the summary CSV are byte-identical across reruns (timings go to stdout only).
@@ -243,10 +244,17 @@ def run_experiment(config: ExperimentConfig) -> SolveReport:
     rng = np.random.default_rng(config.seed)
     exact = rng.uniform(-1.0, 1.0, problem.dim_skeleton)
     rhs = apply_op(exact)
+    read = ("gamma",) if config.problem == "maxwell" else ("alpha", "beta")
+    named = ", ".join(f"{name}={getattr(config, name)!r}" for name in read)
     if not np.all(np.isfinite(rhs)):
-        read = ("gamma",) if config.problem == "maxwell" else ("alpha", "beta")
-        named = ", ".join(f"{name}={getattr(config, name)!r}" for name in read)
         raise ConfigurationError(f"coefficients {named}: the right-hand side overflows")
+    # PCG's inner products stay under a quarter of sum |A_ij| = 4 alpha (nx^2 +
+    # ny^2 + nz^2) + beta on the table's meshes; the sum bounds x^T A x for x in
+    # [-1, 1]: the Freudenthal stiffness matrix has zero row sums, no positive
+    # entry off its diagonal and trace 2 sum n^2; the mass matrix sums to 1.
+    energy = 4.0 * float(config.alpha) * sum(n * n for n in config.cells) + float(config.beta)
+    if config.problem == "scalar" and not energy < sys.float_info.max:
+        raise ConfigurationError(f"coefficients {named}: PCG's inner products overflow")
     report = pcg(apply_op, apply_prec, rhs, tol=config.tol, max_iter=config.max_iter)
     rel_error = float(
         np.linalg.norm(report.solution - exact) / np.linalg.norm(exact)

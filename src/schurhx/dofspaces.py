@@ -14,7 +14,7 @@ skeleton -> boundary tuple) commutes entry for entry in exact arithmetic;
 tests assert a literally zero residual.
 
 A field's four maps come from one call, ``build_transfer(mesh, field)``,
-which reads every member's dofs of a shape at once, boundary last
+which reads every subdomain's dofs at once, boundary last
 (``BoxMesh.member_dofs``), so ``boundary_trace`` is read off the offsets and no
 transfer can hold a boundary that is not trailing.  The skeleton is the union
 of the boundaries, so every skeleton dof lies on some boundary by construction.
@@ -68,25 +68,16 @@ class TransferOps:
         return _freeze(np.arange(self.boundary_offsets[-1]) + np.repeat(shift, n_b))
 
 
-def _offsets(sizes) -> np.ndarray:
-    """Block offsets of a product space of blocks of these sizes."""
-    return _freeze(np.cumsum([0, *sizes], dtype=np.int64))
-
-
 def build_transfer(mesh: BoxMesh, field: str) -> TransferOps:
     """Build the four transfer maps of ``field`` in {"scalar", "edge"}."""
     if field not in ("scalar", "edge"):
         raise ValueError(f"unknown field {field!r}")
-    shape_of, numbering = mesh.shapes[0], mesh.numbering(field)
-    sizes = np.array([numbering[s][0].size for s in shape_of])
-    broken, boundary = _offsets(sizes), _offsets(sizes - [numbering[s][2] for s in shape_of])
-    volume_split = np.empty(broken[-1], dtype=np.int64)
-    boundary_dofs = np.empty(boundary[-1], dtype=np.int64)
-    for s, (first, _, n_interior) in enumerate(numbering):
-        dofs, members = mesh.member_dofs(field, s), shape_of == s
-        volume_split[broken[:-1][members, None] + np.arange(first.size)] = dofs
-        at = boundary[:-1][members, None] + np.arange(first.size - n_interior)
-        boundary_dofs[at] = dofs[:, n_interior:]
+    n_interior = mesh.numbering(field)[2]
+    dofs = mesh.member_dofs(field)  # a row per subdomain, boundary last
+    n_sub, size = dofs.shape
+    broken = np.arange(n_sub + 1) * size
+    boundary = np.arange(n_sub + 1) * (size - n_interior)
+    boundary_dofs = dofs[:, n_interior:].ravel()
     # The skeleton is the union of the boundaries, in ascending order.
     n_volume = mesh.n_vertices if field == "scalar" else mesh.n_edges
     on_skeleton = np.bincount(boundary_dofs, minlength=n_volume) > 0
@@ -94,9 +85,9 @@ def build_transfer(mesh: BoxMesh, field: str) -> TransferOps:
     return TransferOps(
         field,
         n_volume,
-        broken,
-        boundary,
+        _freeze(broken),
+        _freeze(boundary),
         _freeze(np.flatnonzero(on_skeleton)),
-        _freeze(volume_split),
+        _freeze(dofs.ravel()),
         _freeze(skeleton_of[boundary_dofs]),
     )

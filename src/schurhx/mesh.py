@@ -11,6 +11,13 @@ Subdomains are boxes of whole cells: axis ``a`` is divided into ``j_a`` equal
 slabs, which requires ``j_a`` to divide the cell count on that axis.  The
 skeleton is the union of the (closed) subdomain boundaries, including the
 outer boundary of the box.
+
+So every subdomain is subdomain 0 translated, the one rule the solver builds
+on: subdomain j's tets, in order, are subdomain 0's plus one vertex-id offset
+(``BoxMesh.translations``), and their vertices sit at one lattice offset from
+subdomain 0's.  Subdomain 0's dof numbering, boundary and element data thus
+serve every subdomain.  A hand-built mesh that breaks the rule is refused
+with :class:`ConfigurationError` before any numbering or edge is derived.
 """
 
 from __future__ import annotations
@@ -58,9 +65,9 @@ class BoxMesh:
     from ``tets``: ``edges`` holds vertex pairs ``(a, b)`` with ``a < b``,
     sorted lexicographically; that global orientation (low index to high
     index) is the tangent convention used everywhere.  They, the per-subdomain
-    tet index, the vertex lattice, the subdomain shapes and their local dof
-    numbering and boundary are computed once, on first use, so per-subdomain
-    loops never rescan whole-mesh arrays.
+    tet index, the vertex lattice, the translations and subdomain 0's local
+    dof numbering and boundary are computed once, on first use, so
+    per-subdomain loops never rescan whole-mesh arrays.
     """
 
     cells: tuple[int, int, int]
@@ -98,11 +105,10 @@ class BoxMesh:
     def _edge_numbering(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge (a, b), a < b, sits in slot 7a + k, where b - a is the k-th
         ascending corner offset of a cell; the used slots, in order, are the
-        edges, so they come out sorted: each shape's slots translated to its
-        members.  Returns the edges and each used slot's edge id."""
+        edges, so they come out sorted: subdomain 0's slots translated to
+        every subdomain.  Returns the edges and each used slot's edge id."""
         used = np.zeros(7 * self.n_vertices, dtype=bool)
-        for s, slots in enumerate(self._boundary_faces[2]):
-            used[np.unique(slots) + 7 * self._translations(s)] = True
+        used[np.unique(self._boundary_faces[2]) + 7 * self.translations[:, None]] = True
         edge_of_slot = np.cumsum(used, dtype=np.int64) - 1
         start, k = np.nonzero(used.reshape(-1, 7))
         edges = np.column_stack([start, start + _corner_offsets(self.cells)[1:][k]])
@@ -144,59 +150,47 @@ class BoxMesh:
         raise ValueError(f"unknown field {field!r}")
 
     @cached_property
-    def shapes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Shape number of each subdomain, in order of first appearance, and
-        the first subdomain of each shape.  Subdomains share a shape when their
-        tets, in order, differ by one vertex-id and one lattice offset; that
-        keeps the order of vertex ids and edge ids and the boundary faces, so
-        a shape's ``numbering`` sits at the same positions of every member's
-        tet rows.  A subdomain is keyed by its vertex-id offsets and by the
-        lattice offsets of only its distinct vertices.  An empty subdomain
-        raises :class:`ConfigurationError`."""
-        distinct: dict = {}  # id offsets -> distinct vertex-id offsets, of their first subdomain
-        keys: dict = {}
-        shape_of = np.empty(self.n_subdomains, dtype=np.int64)
-        for j in range(self.n_subdomains):
-            tets_j = self.tets.take(self.tets_of_subdomain(j), axis=0)  # quicker than tets[ids]
-            if tets_j.size == 0:
-                raise ConfigurationError(f"subdomain {j} contains no tets")
-            origin = tets_j[0, 0]
-            ids = (tets_j - origin).tobytes()
-            if ids not in distinct:
-                distinct[ids] = np.unique(tets_j) - origin
-            lattice = self.vertex_lattice.take(origin + distinct[ids], axis=0)
-            lattice -= self.vertex_lattice[origin]
-            shape_of[j] = keys.setdefault((ids, lattice.tobytes()), len(keys))
-        return _freeze(shape_of), _freeze(np.unique(shape_of, return_index=True)[1])
-
-    def _translations(self, shape: int) -> np.ndarray:
-        """Vertex-id offset (a column) of each member of ``shape`` from its first."""
+    def translations(self) -> np.ndarray:
+        """Vertex-id offset of each subdomain from subdomain 0, read-only.
+        Every subdomain must be subdomain 0 translated (see the module
+        docstring); an empty one, or one whose tets or lattice offsets are not
+        subdomain 0's translated, raises :class:`ConfigurationError`."""
         order, offsets = self._tets_by_subdomain
-        origin = self.tets[order[offsets[:-1][self.shapes[0] == shape]], 0]
-        return (origin - origin[0])[:, None]
+        sizes = np.diff(offsets)
+        if not sizes.all():
+            raise ConfigurationError(f"subdomain {np.argmin(sizes)} contains no tets")
+        origin = self.tets[order[offsets[:-1]], 0]
+        delta = origin - origin[0]
+        tets = self.tets.take(self.tets_of_subdomain(0), axis=0)  # quicker than tets[ids]
+        for j in range(1, delta.size):
+            tets_j = self.tets.take(self.tets_of_subdomain(j), axis=0)
+            if not np.array_equal(tets_j - delta[j], tets):
+                raise ConfigurationError(f"subdomain {j} is not subdomain 0 translated")
+        lattice = self.vertex_lattice.take(np.unique(tets) + delta[:, None], axis=0)
+        moved = np.any(lattice - lattice[:, :1] != lattice[0] - lattice[0, 0], axis=(1, 2))
+        if moved.any():
+            raise ConfigurationError(f"subdomain {np.argmax(moved)} is not subdomain 0 translated")
+        return _freeze(delta)
 
-    def member_dofs(self, field: str, shape: int) -> np.ndarray:
-        """Each member's dofs of ``field`` in ``numbering`` order, a row per member
-        (ascending): its first member's vertex ids or edge slots, translated."""
-        first, delta = self.numbering(field)[shape][0], self._translations(shape)
+    def member_dofs(self, field: str) -> np.ndarray:
+        """Every subdomain's dofs of ``field`` in ``numbering`` order, a row per
+        subdomain: subdomain 0's vertex ids or edge slots, translated."""
+        first, delta = self.numbering(field)[0], self.translations[:, None]
         if field == "scalar":
-            rows = self.tets.take(self.tets_of_subdomain(self.shapes[1][shape]), axis=0)
-            return rows.ravel()[first] + delta
-        slots = self._boundary_faces[2][shape].ravel()[first]
-        return self._edge_numbering[1].take(slots + 7 * delta)
+            return self.tets.take(self.tets_of_subdomain(0), axis=0).ravel()[first] + delta
+        return self._edge_numbering[1].take(self._boundary_faces[2].ravel()[first] + 7 * delta)
 
-    def numbering(self, field: str) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """Per shape of ``field`` ("scalar" numbers ``tets``, "edge"
-        ``tet_edges``), on its first subdomain, ``(first, local, n_interior)``:
-        the flat positions of its dofs in its tet rows, the local id (T, k) of
-        each tet slot, and its interior count.  Interior dofs come first and
-        boundary dofs (those on a face that exactly one of its tets touches)
-        last, each in ascending global order, so local ids ``n_interior`` and
-        up are the boundary; member j's dofs are
-        ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.  A field is numbered
-        on its first request, and both share one face count per shape, so a
-        scalar-only set-up never derives the edges.  A face of more than two
-        tets of a subdomain raises :class:`AssemblyError`, another field
+    def numbering(self, field: str) -> tuple[np.ndarray, np.ndarray, int]:
+        """Subdomain 0's ``(first, local, n_interior)`` for ``field`` ("scalar"
+        numbers ``tets``, "edge" ``tet_edges``): the flat positions of its dofs
+        in its tet rows, the local id (T, k) of each tet slot, and its interior
+        count.  Interior dofs come first and boundary dofs (those on a face
+        that exactly one of its tets touches) last, each in ascending global
+        order, so local ids ``n_interior`` and up are the boundary; subdomain
+        j's dofs are ``tet_dofs[tets_of_subdomain(j)].ravel()[first]``.  A
+        field is numbered on its first request, and both share one face count,
+        so a scalar-only set-up never derives the edges.  A face of more than
+        two tets of a subdomain raises :class:`AssemblyError`, another field
         :class:`ValueError`."""
         if field == "scalar":
             return self._boundary_faces[0]
@@ -205,45 +199,39 @@ class BoxMesh:
         raise ValueError(f"unknown field {field!r}")
 
     @cached_property
-    def _boundary_faces(self) -> tuple[list[tuple[np.ndarray, np.ndarray, int]], list, list]:
-        """Per shape, its vertex numbering and the (tet, face) slots of its boundary
-        faces, from one count of its faces, and its (T, 6) edge slots."""
+    def _boundary_faces(self) -> tuple[tuple[np.ndarray, np.ndarray, int], np.ndarray, np.ndarray]:
+        """Subdomain 0's vertex numbering and the (tet, face) slots of its
+        boundary faces, from one count of its faces, and its (T, 6) edge
+        slots, once ``translations`` has checked the mesh."""
         _check_face_keys(self.n_vertices)  # again: a mesh may be built by hand
-        numbering, boundary_slots, edge_slots = [], [], []
-        for j in self.shapes[1]:
-            tets = self.tets.take(self.tets_of_subdomain(j), axis=0)
-            edge_slots.append(_edge_slots(self.cells, tets))  # checked once: members are translates
-            _, first, local = np.unique(tets, return_index=True, return_inverse=True)
-            local = local.reshape(tets.shape)
-            # Per (tet, face) slot, the face's sorted local vertex ids and its
-            # key; a boundary face is the only slot of its key.
-            faces = np.sort(local[:, LOCAL_FACES], axis=2).reshape(-1, 3)
-            n = first.size
-            keys = faces @ [n * n, n, 1]
-            _, slots, counts = np.unique(keys, return_index=True, return_counts=True)
-            if counts.max() > 2:
-                raise AssemblyError(f"subdomain {j}: a face is shared by {counts.max()} tets")
-            slots = slots[counts == 1]
-            numbering.append(_boundary_last(first, local, faces[slots]))
-            boundary_slots.append(slots)
-        return numbering, boundary_slots, edge_slots
+        self.translations  # refuses a mesh whose subdomains are not translates
+        tets = self.tets.take(self.tets_of_subdomain(0), axis=0)
+        _, first, local = np.unique(tets, return_index=True, return_inverse=True)
+        local = local.reshape(tets.shape)
+        # Per (tet, face) slot, the face's sorted local vertex ids and its
+        # key; a boundary face is the only slot of its key.
+        faces = np.sort(local[:, LOCAL_FACES], axis=2).reshape(-1, 3)
+        n = first.size
+        _, slots, counts = np.unique(faces @ [n * n, n, 1], return_index=True, return_counts=True)
+        if counts.max() > 2:
+            raise AssemblyError(f"subdomain 0: a face is shared by {counts.max()} tets")
+        slots = slots[counts == 1]
+        return _boundary_last(first, local, faces[slots]), slots, _edge_slots(self.cells, tets)
 
     @cached_property
-    def _edge_dofs(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """Per shape, its edge numbering, on the boundary faces of ``_boundary_faces``."""
-        out = []
-        for faces, slots in zip(*self._boundary_faces[1:]):
-            # Edge ids ascend with slots, so the slots number them alike.
-            _, first, local = np.unique(slots, return_index=True, return_inverse=True)
-            local = local.reshape(slots.shape)
-            out.append(_boundary_last(first, local, local[:, FACE_EDGES].reshape(-1, 3)[faces]))
-        return out
+    def _edge_dofs(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Subdomain 0's edge numbering, on the boundary faces of ``_boundary_faces``."""
+        _, faces, slots = self._boundary_faces
+        # Edge ids ascend with slots, so the slots number them alike.
+        _, first, local = np.unique(slots, return_index=True, return_inverse=True)
+        local = local.reshape(slots.shape)
+        return _boundary_last(first, local, local[:, FACE_EDGES].reshape(-1, 3)[faces])
 
 
 def _boundary_last(
     first: np.ndarray, local: np.ndarray, boundary: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Renumber a shape's dofs, sorted by global id, interior first and
+    """Renumber subdomain 0's dofs, sorted by global id, interior first and
     boundary last, each part keeping its order: the new ``first`` and
     ``local``, read-only, and the interior count.  ``boundary`` holds the
     boundary dofs' local ids in the sorted numbering, repeats allowed."""

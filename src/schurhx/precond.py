@@ -22,8 +22,8 @@ by ``SchurSystem`` only as its packed upper factor U (S_u = U^T U), and
 Neumann-Neumann solves with that same array, S_u^{-1} = U^{-1} U^{-T}; a
 group of several members keeps the explicit inverse from
 ``SpdFactor.inverse``, square, shared by one GEMM over all its members.
-``NeumannNeumann.apply_dtn_inv`` applies these maps itself, over the group
-spans that ``SchurSystem`` computes once.  M is balanced with a coarse space
+``NeumannNeumann.apply_dtn_inv`` applies these maps itself, on the rows of
+the (J, n_b) boundary tuple.  M is balanced with a coarse space
 of one basis function per subdomain (Mandel's balancing domain
 decomposition):
 
@@ -205,18 +205,19 @@ class NeumannNeumann:
 
     def apply_dtn_inv(self, g: np.ndarray) -> np.ndarray:
         """Blockwise inverse DtN on a boundary-tuple vector: per group, one GEMM
-        with its square inverse over its members' tuple slices, or a lone
-        member's packed Cholesky solve (``dpptrs``) with its upper factor U."""
+        with its square inverse over its members' rows, or a lone member's
+        packed Cholesky solve (``dpptrs``) with its upper factor U."""
         self.schur.check_tuple(g)
-        # The packed solve overwrites its right-hand side, a slice of ``out``,
+        # The packed solve overwrites its right-hand side, a row of ``out``,
         # and takes positional arguments, as ``apply_dtn``'s products do.
         out = np.array(g, dtype=float)
+        rows = out.reshape(self.schur.group_of.size, -1)
         pptrs = sla.lapack.dpptrs
-        for inverse, rows in zip(self.inverse_dtn, self.schur.spans):
+        for inverse, (_, js) in zip(self.inverse_dtn, self.schur.groups):
             if inverse.ndim == 2:
-                out[rows] = inverse @ g[rows]
+                rows[js] = (inverse @ rows[js].T.copy()).T
             else:  # (n, U, b, lower, overwrite_b)
-                pptrs(rows.stop - rows.start, inverse, out[rows], 0, 1)
+                pptrs(rows.shape[1], inverse, rows[js[0]], 0, 1)
         return out
 
     def _average(self, f: np.ndarray) -> np.ndarray:
@@ -313,11 +314,10 @@ def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, transfer: TransferOps) -> np.
         return np.full(transfer.boundary_offsets[-1], float(coeffs.alpha))
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
     offsets = transfer.broken_offsets
+    local = mesh.numbering("scalar")[1].ravel()
     peak = np.zeros(offsets[-1])
-    for j, s in enumerate(mesh.shapes[0]):
-        tet_ids = mesh.tets_of_subdomain(j)
-        local = mesh.numbering("scalar")[s][1]
-        np.maximum.at(peak, offsets[j] + local.ravel(), np.repeat(alpha[tet_ids], 4))
+    for j in range(mesh.n_subdomains):
+        np.maximum.at(peak, offsets[j] + local, np.repeat(alpha[mesh.tets_of_subdomain(j)], 4))
     return peak[transfer.boundary_trace]
 
 
@@ -334,8 +334,8 @@ def setup_maxwell(mesh: BoxMesh, coeffs: Coefficients) -> MaxwellProblem:
     """The edge interface solve; it reads only gamma of ``coeffs``."""
     gamma2 = float(coeffs.gamma) ** 2
     # An edge S_u too large to form is refused before the auxiliary set-up.
-    for j, (first, _, n_interior) in zip(mesh.shapes[1], mesh.numbering("edge")):
-        check_dense(first.size - n_interior, f"edge subdomain {j}")
+    first, _, n_interior = mesh.numbering("edge")
+    check_dense(first.size - n_interior, "edge subdomain 0")
     # HX's auxiliary problem Delta + gamma^2 (constant alpha, so rho = 1).
     scalar = setup_scalar(mesh, Coefficients(alpha=1.0, beta=gamma2))
 

@@ -25,17 +25,15 @@ before it is allocated.
 
 Assembly alone decides which subdomains share a block: it returns each
 distinct block once and ``group_of[j]``, subdomain j's block (under constant
-coefficients, one block for every subdomain of a uniform partition).
-``build_schur_system`` is where blocks meet a transfer: it forms one S_u
-per block, after checking that ``group_of`` covers the transfer's
-subdomains and that every member has the block's size and boundary size.
-The interior factors are dropped once S_u is formed.  A group of several
-members keeps S_u square, shared by one GEMM over all their tuple slices.
-A lone member's S_u is factorized at once, S_u = U^T U, and only U is kept,
-packed by columns: ``SchurSystem.apply_dtn`` applies it as U^T (U x), and
-Neumann-Neumann solves with the same array.  Each group's tuple span, a
-slice for a lone member and an index array for several, is computed once
-(``SchurSystem.spans``).
+coefficients, one block for every subdomain).  ``build_schur_system`` is
+where blocks meet a transfer: it forms one S_u per block, after checking that
+``group_of`` covers the transfer's subdomains and that every block has their
+size.  The interior factors are dropped once S_u is formed.  Every boundary
+has one size n_b, so a boundary-tuple vector is a (J, n_b) array, a row per
+subdomain.  A group of several members keeps S_u square, shared by one GEMM
+over its members' rows.  A lone member's S_u is factorized at once,
+S_u = U^T U, and only U is kept, packed by columns: ``SchurSystem.apply_dtn``
+applies it as U^T (U x), and Neumann-Neumann solves with the same array.
 """
 
 from __future__ import annotations
@@ -200,8 +198,7 @@ class SchurSystem:
 
     ``groups[u]`` pairs distinct block u's Schur complement S_u, square, or
     for a lone member its upper Cholesky factor U (S_u = U^T U) packed by
-    columns, with its member subdomains; ``spans[u]`` holds its members'
-    tuple positions, and ``group_of[j]`` is subdomain j's group.
+    columns, with its members; ``group_of[j]`` is subdomain j's group.
     """
 
     def __init__(self, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray):
@@ -210,17 +207,6 @@ class SchurSystem:
         self.tuple_dim = transfer.skeleton_split.size
         self.group_of = group_of
         self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
-        # Per group, its tuple positions: a lone member's slice, else a
-        # (boundary size, members) index array.
-        offsets = transfer.boundary_offsets
-        sizes = np.diff(offsets)
-        self.spans = []
-        for _, js in self.groups:
-            n, lo = int(sizes[js[0]]), int(offsets[js[0]])
-            if js.size == 1:
-                self.spans.append(slice(lo, lo + n))
-            else:
-                self.spans.append(offsets[js][None, :] + np.arange(n)[:, None])
 
     def check_tuple(self, x: np.ndarray) -> None:
         """Refuse a vector that is not on the boundary tuples."""
@@ -232,18 +218,21 @@ class SchurSystem:
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:
         """Blockwise Schur complement on a boundary-tuple vector: per group,
-        one GEMM over its members' tuple slices, or U^T (U x) for a lone
-        member, two packed triangular products in place on its slice."""
+        one GEMM over its members' rows, or U^T (U x) for a lone member, two
+        packed triangular products in place on its row."""
         self.check_tuple(p)
         # Positional arguments: f2py's keyword parsing is a large share of a
         # call on blocks this small.
         out = np.array(p, dtype=float)
+        rows = out.reshape(self.group_of.size, -1)
+        n = rows.shape[1]
         tpmv = sla.blas.dtpmv
-        for (s_u, _), rows in zip(self.groups, self.spans):
+        for s_u, js in self.groups:
             if s_u.ndim == 2:
-                out[rows] = s_u @ p[rows]
+                # The C-ordered (n, members) operand: other layouts change the bits.
+                rows[js] = (s_u @ rows[js].T.copy()).T
             else:  # (n, U, x, incx, offx, lower, trans, diag, overwrite_x)
-                n, lo = rows.stop - rows.start, rows.start
+                lo = int(js[0]) * n
                 tpmv(n, s_u, out, 1, lo, 0, 0, 0, 1)
                 tpmv(n, s_u, out, 1, lo, 0, 1, 0, 1)
         return out
@@ -268,27 +257,26 @@ def build_schur_system(
     ``transfer`` (``BoxMesh.dof_positions``).
 
     Raises :class:`AssemblyError` unless ``group_of`` has one entry per
-    subdomain of ``transfer`` and uses every block, and all members of a
-    block have its size and boundary size: blocks of another partition or
-    field are refused here.  Raises :class:`SingularOperatorError` if a lone
-    member's S_u is not positive definite.
+    subdomain of ``transfer`` and uses every block, and every block has the
+    transfer's block size: blocks of another partition or field are refused
+    here.  Raises :class:`SingularOperatorError` if a lone member's S_u is
+    not positive definite.
     """
     field = transfer.field
-    sizes = np.diff(transfer.broken_offsets)
-    dims = np.column_stack([sizes, np.diff(transfer.boundary_offsets)])  # volume, boundary
-    if len(group_of) != sizes.size:
-        raise AssemblyError(f"{field}: {len(group_of)} group_of entries, {sizes.size} subdomains")
+    offsets = transfer.broken_offsets
+    n, n_sub = offsets[1], offsets.size - 1  # every subdomain's block size
+    if len(group_of) != n_sub:
+        raise AssemblyError(f"{field}: {len(group_of)} group_of entries, {n_sub} subdomains")
     if not np.array_equal(np.unique(group_of), np.arange(len(blocks))):
         raise AssemblyError(f"group_of does not use each of the {len(blocks)} blocks once or more")
     schurs = []
     for u, block in enumerate(blocks):
         members = np.flatnonzero(group_of == u)
         j = members[0]
-        if block.shape != (sizes[j],) * 2 or np.any(dims[members] != dims[j]):
-            raise AssemblyError(f"{field} block {u}: shape {block.shape}, members of other sizes")
-        lo, hi = transfer.broken_offsets[j : j + 2]
-        positions = mesh.dof_positions(field, transfer.volume_split[lo:hi])
-        n_i = sizes[j] - dims[j, 1]
+        if block.shape != (n, n):
+            raise AssemblyError(f"{field} block {u}: shape {block.shape}, not the transfer's {n}")
+        positions = mesh.dof_positions(field, transfer.volume_split[offsets[j] : offsets[j + 1]])
+        n_i = n - transfer.boundary_offsets[1]
         label = f"{field} subdomain {j}"
         s_u = _schur_complement(block, n_i, positions, label)
         if members.size == 1:

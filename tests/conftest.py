@@ -13,9 +13,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+import schurhx.assemble as assemble_mod
 import schurhx.oracle as oracle_mod
-from schurhx.assemble import Coefficients
+from schurhx.assemble import Coefficients, assemble_edge, assemble_scalar
 from schurhx.dofspaces import build_transfer
+from schurhx.errors import ConfigurationError
 from schurhx.mesh import LOCAL_EDGES, LOCAL_FACES, build_box_mesh
 from schurhx.precond import setup_maxwell, setup_scalar
 
@@ -256,8 +258,9 @@ def looped_coarse_product():
 @pytest.fixture(scope="session")
 def full_key_shapes():
     """Make each subdomain's shape number by keying it on all its tet rows,
-    apart from ``BoxMesh.shapes``: its vertex ids and their lattice
-    positions, each less those of its first tet's first vertex."""
+    apart from ``BoxMesh.translations``: its vertex ids and their lattice
+    positions, each less those of its first tet's first vertex.  A mesh
+    whose shape numbers are all 0 is translates of subdomain 0."""
 
     def build(mesh) -> np.ndarray:
         keys: dict = {}
@@ -270,6 +273,39 @@ def full_key_shapes():
         return np.array(out)
 
     return build
+
+
+@pytest.fixture
+def assert_refused(monkeypatch):
+    """Make a check that a hand-built mesh is refused with a
+    ``ConfigurationError`` matching ``message`` by every read that numbers,
+    transfers, assembles or sets up its subdomains, each on fresh caches and
+    before any block is assembled."""
+
+    def no_assembly(*args):
+        raise AssertionError("a block was assembled")
+
+    monkeypatch.setattr(assemble_mod, "_coalesce_plan", no_assembly)
+    reads = (
+        lambda m: m.translations,
+        lambda m: m.edges,
+        lambda m: m.numbering("scalar"),
+        lambda m: m.numbering("edge"),
+        lambda m: m.member_dofs("scalar"),
+        lambda m: build_transfer(m, "scalar"),
+        lambda m: build_transfer(m, "edge"),
+        lambda m: assemble_scalar(m, Coefficients()),
+        lambda m: assemble_edge(m, Coefficients()),
+        lambda m: setup_scalar(m, Coefficients()),
+        lambda m: setup_maxwell(m, Coefficients()),
+    )
+
+    def check(mesh, message: str) -> None:
+        for read in reads:
+            with pytest.raises(ConfigurationError, match=message):
+                read(replace(mesh))
+
+    return check
 
 
 @pytest.fixture
@@ -332,7 +368,7 @@ def mesh422_j211():
 def mesh422_two_shapes(mesh422_j211):
     """``mesh422_j211`` with the six tets of cell 2, the first cell of
     subdomain 1, moved to subdomain 0: its two subdomains are no longer
-    translates of each other."""
+    translates of each other, so its set-up is refused."""
     tet_subdomain = mesh422_j211.tet_subdomain.copy()
     assert np.all(tet_subdomain[12:18] == 1)
     tet_subdomain[12:18] = 0

@@ -438,80 +438,35 @@ def _assert_blocks_equal(assembled, reference):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_two_shapes_match_per_subdomain_references(mesh422_two_shapes, field, subdomain_dofs):
-    """With one cell moved between subdomains, each subdomain's transfer
-    slices equal a reference of its interior dofs, then its dofs on the
-    boundary faces counted over the whole mesh, and each block equals the
-    per-tet reference."""
-    mesh = mesh422_two_shapes
-    assert mesh.shapes[1].tolist() == [0, 1]
-    transfer = build_transfer(mesh, field)
-    interior, bnd = zip(*subdomain_dofs(mesh, field))
-    skel_dofs = np.unique(np.concatenate(bnd))
-    assert np.array_equal(transfer.skeleton_trace, skel_dofs)
-    sub_dofs = [np.r_[i, b] for i, b in zip(interior, bnd)]
-    offsets = np.cumsum([0] + [d.size for d in sub_dofs])
-    assert np.array_equal(transfer.broken_offsets, offsets)
-    assert np.array_equal(transfer.volume_split, np.concatenate(sub_dofs))
-    assert np.array_equal(
-        transfer.boundary_trace,
-        np.concatenate([offsets[j] + interior[j].size + np.arange(bnd[j].size) for j in range(2)]),
-    )
-    assert np.array_equal(
-        transfer.skeleton_split, np.concatenate([np.searchsorted(skel_dofs, b) for b in bnd])
-    )
-    rng = np.random.default_rng(5)
-    coeffs = Coefficients(rng.uniform(0.5, 2.0, mesh.n_tets), 0.3, 1.7)
-    assemble = assemble_scalar if field == "scalar" else assemble_edge
-    _assert_blocks_equal(
-        assemble(mesh, coeffs), _reference_blocks(mesh, coeffs, field, subdomain_dofs)
-    )
-
-
-@pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_translated_ids_with_other_geometry_share_nothing(field, subdomain_dofs):
+def test_translated_ids_with_other_geometry_are_refused(assert_refused):
     """Subdomains whose tets are translates in vertex ids but not on the
-    lattice (the last vertex plane moved out by one cell) get their own
-    blocks, bitwise the per-tet reference."""
+    lattice (the last vertex plane moved out by one cell) are refused before
+    any block is assembled: the lattice offsets are checked too."""
     mesh = build_box_mesh((4, 1, 1), (2, 1, 1))
     coords = mesh.vertex_coords.copy()
     coords[coords[:, 0] == 1.0, 0] = 1.25
+    assert mesh.translations.tolist() == [0, 2]
     stretched = replace(mesh, vertex_coords=coords)
-    assert mesh.shapes[0].tolist() == [0, 0] and stretched.shapes[0].tolist() == [0, 1]
-    assemble = assemble_scalar if field == "scalar" else assemble_edge
-    blocks, group_of = assemble(stretched, Coefficients())
-    assert len(blocks) == 2 and group_of.tolist() == [0, 1]
-    reference = _reference_blocks(stretched, Coefficients(), field, subdomain_dofs)
-    _assert_blocks_equal((blocks, group_of), reference)
+    assert_refused(stretched, "^subdomain 1 is not subdomain 0 translated$")
 
 
-def test_empty_subdomain_rejected(mesh222_j2):
+def test_empty_subdomain_rejected(mesh222_j2, assert_refused):
     """A subdomain without tets is refused by every layer that indexes
-    subdomains, with the same typed error."""
+    subdomains, with the same typed error, before any block is assembled."""
     empty = replace(mesh222_j2, tet_subdomain=np.zeros(mesh222_j2.n_tets, dtype=np.int64))
-    calls = [
-        lambda: build_transfer(empty, "scalar"),
-        lambda: build_transfer(empty, "edge"),
-        lambda: assemble_scalar(empty, Coefficients()),
-        lambda: assemble_edge(empty, Coefficients()),
-    ]
-    for call in calls:
-        with pytest.raises(ConfigurationError, match="^subdomain 1 contains no tets$"):
-            call()
+    assert_refused(empty, "^subdomain 1 contains no tets$")
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_element_matrices_once_per_class(field, monkeypatch, mesh422_two_shapes):
+def test_element_matrices_once_per_class(field, monkeypatch):
     """A box mesh has six tet classes, oriented or not; each is computed once
-    per shape and assembly call, and gathered to the tets once per shape,
-    however many subdomains or distinct blocks share it."""
+    per assembly call, on subdomain 0, and gathered to the tets once, however
+    many subdomains or distinct blocks share it."""
     mesh = build_box_mesh((6, 6, 6), (3, 3, 3))
     alpha_j = 1.0 + np.arange(mesh.n_subdomains) / 8.0
     cases = [  # mesh, coefficients, distinct blocks per field
         (mesh, Coefficients(1.3, 0.7, 1.9), {"scalar": 1, "edge": 1}),
         (mesh, Coefficients(alpha_j[mesh.tet_subdomain], 0.7, 1.9), {"scalar": 27, "edge": 1}),
-        (mesh422_two_shapes, Coefficients(1.3, 0.7, 1.9), {"scalar": 2, "edge": 2}),
     ]
     # Per call: the number of tets for the element functions, else 1.
     names = ("tet_geometry", "edge_element_matrices", "_per_tet", "_coalesce_plan")
@@ -532,16 +487,15 @@ def test_element_matrices_once_per_class(field, monkeypatch, mesh422_two_shapes)
     for case_mesh, coeffs, n_blocks in cases:
         for calls in received.values():
             calls.clear()
-        n_shapes = case_mesh.shapes[1].size
         blocks, group_of = assemble(case_mesh, coeffs)
         assert len(blocks) == n_blocks[field] and len(group_of) == case_mesh.n_subdomains
-        assert len(received["_per_tet"]) == n_shapes
-        # Every subdomain of a shape has the same dof pattern.
-        assert len(received["_coalesce_plan"]) == n_shapes
-        assert 0 < sum(received["tet_geometry"]) <= 6 * n_shapes
-        assert sum(received["edge_element_matrices"]) <= 6 * n_shapes
+        assert len(received["_per_tet"]) == 1
+        # Every subdomain has subdomain 0's dof pattern.
+        assert len(received["_coalesce_plan"]) == 1
+        assert 0 < sum(received["tet_geometry"]) <= 6
+        assert sum(received["edge_element_matrices"]) <= 6
         if field == "edge":
-            assert len(received["edge_element_matrices"]) == n_shapes
+            assert len(received["edge_element_matrices"]) == 1
 
 
 @pytest.mark.parametrize("field", ["scalar", "edge"])
@@ -611,9 +565,11 @@ def test_transfer_of_other_field_rejected(mesh222_j8):
     transfers = _transfers(mesh222_j8)
     scalar_blocks = assemble_scalar(mesh222_j8, Coefficients())
     edge_blocks = assemble_edge(mesh222_j8, Coefficients())
-    with pytest.raises(AssemblyError, match=r"^edge block 0: shape \(8, 8\), members of other"):
+    match = r"^edge block 0: shape \(8, 8\), not the transfer's 19$"
+    with pytest.raises(AssemblyError, match=match):
         build_schur_system(*scalar_blocks, transfers["edge"], mesh222_j8)
-    with pytest.raises(AssemblyError, match=r"^scalar block 0: shape \(19, 19\), members of other"):
+    match = r"^scalar block 0: shape \(19, 19\), not the transfer's 8$"
+    with pytest.raises(AssemblyError, match=match):
         build_schur_system(*edge_blocks, transfers["scalar"], mesh222_j8)
 
 

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import schurhx.cli as cli_mod
 from schurhx.cli import (
     ExperimentConfig,
     build_config,
@@ -338,6 +339,33 @@ def test_overflowing_gamma_exits_2_before_setup(capsys, argv, edges):
         ExperimentConfig(problem="maxwell", gamma=limit * 1.01)
     report = run_experiment(ExperimentConfig(problem="maxwell", gamma=limit * 0.99))
     assert report.metadata["converged"] and report.metadata["relative_error"] <= 1e-8
+
+
+def test_overflowing_scalar_inner_products_exit_2_before_pcg(capsys, monkeypatch):
+    """alpha = beta = 1e307 leave the right-hand side finite, but PCG's inner
+    products, bounded by sum |A_ij| = 4 alpha (nx^2 + ny^2 + nz^2) + beta,
+    would overflow: one ``error:`` line naming both coefficients and exit 2
+    before PCG starts.  The limit comes from that bound, not from the value:
+    just under it (109 alpha on 3^3 cells), and at 1e305, the solve runs with
+    every warning an error and converges."""
+
+    def no_pcg(*args, **kwargs):
+        raise AssertionError("PCG started")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_mod, "pcg", no_pcg)
+        assert main(["--alpha", "1e307", "--beta", "1e307"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: coefficients alpha=1e+307, beta=1e+307: PCG's inner products overflow\n"
+        )
+        limit = float(np.finfo(float).max) / 109
+        with pytest.raises(ConfigurationError, match="^coefficients alpha=.*overflow$"):
+            run_experiment(ExperimentConfig(alpha=limit * 1.01, beta=limit * 1.01))
+    for value in (limit * 0.99, 1e305):
+        report = run_experiment(ExperimentConfig(alpha=value, beta=value))
+        assert report.metadata["converged"] and report.metadata["relative_error"] <= 1e-8
+    assert report.metadata["iterations"] == 8
 
 
 def test_true_residual_survives_large_reaction(capsys):

@@ -95,11 +95,6 @@ def test_boundary_trace_is_face_count_boundary(mesh, field, subdomain_dofs):
     _assert_boundary_is_face_count(mesh, field, subdomain_dofs)
 
 
-@pytest.mark.parametrize("field", ["scalar", "edge"])
-def test_boundary_trace_of_two_shapes(mesh422_two_shapes, field, subdomain_dofs):
-    _assert_boundary_is_face_count(mesh422_two_shapes, field, subdomain_dofs)
-
-
 def test_split_maps_have_no_zero_columns(maxwell444_j8):
     # Injectivity of the two split maps: every volume dof lands in some
     # subdomain, every skeleton dof on some subdomain boundary.

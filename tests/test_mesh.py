@@ -136,22 +136,27 @@ def test_derived_edges_match_reference(edge_numbering, nx, ny, nz):
 
 
 def test_derived_edges_of_hand_built_meshes(mesh422_two_shapes, edge_numbering):
-    """Meshes made by replacing fields of a generated one: a cell moved to the
-    other subdomain, and the last vertex plane moved out by one cell."""
-    mesh = build_box_mesh((4, 1, 1), (2, 1, 1))
+    """Meshes made by replacing fields of a generated one: with the tet order
+    reversed, every subdomain is still subdomain 0 translated and the derived
+    edges are the reference's; with a cell moved to the other subdomain, or
+    the last vertex plane moved out by one cell, subdomain 1 is no translate
+    and reading the edges is refused."""
+    mesh = build_box_mesh((4, 2, 2), (2, 1, 1))
+    reversed_tets = replace(mesh, tets=mesh.tets[::-1], tet_subdomain=mesh.tet_subdomain[::-1])
+    _assert_derived_edges(reversed_tets, edge_numbering)
     coords = mesh.vertex_coords.copy()
     coords[coords[:, 0] == 1.0, 0] = 1.25
     for hand_built in (mesh422_two_shapes, replace(mesh, vertex_coords=coords)):
-        _assert_derived_edges(hand_built, edge_numbering)
+        with pytest.raises(ConfigurationError, match="^subdomain 1 is not subdomain 0 translated$"):
+            hand_built.edges
 
 
 @pytest.mark.parametrize(
-    "mesh_name", ["mesh422_j211", "mesh222_j8", "mesh234_j132", "mesh422_two_shapes"]
+    "mesh_name", ["mesh422_j211", "mesh222_j8", "mesh234_j132"]
 )
 def test_key_unique_matches_row_unique(request, mesh_name, boundary_faces, boundary_dofs):
     """Edges and boundary sets found through int64 keys are exactly what
-    np.unique(axis=0) on the vertex rows gives, also when the subdomains
-    have different shapes."""
+    np.unique(axis=0) on the vertex rows gives."""
     if mesh_name == "mesh234_j132":
         mesh = build_box_mesh((2, 3, 4), (1, 3, 2))
     else:
@@ -213,27 +218,32 @@ SUITE_GRIDS = [
     ids=["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in SUITE_GRIDS],
 )
 def test_box_mesh_subdomains_share_one_shape(cells, subdomains):
-    """Every subdomain of a box partition is a translate of subdomain 0."""
+    """Every subdomain of a box partition is subdomain 0 translated, by its
+    lower-corner vertex id less subdomain 0's (which is 0), read-only."""
     mesh = build_box_mesh(cells, subdomains)
-    shape_of, first = mesh.shapes
-    assert np.array_equal(shape_of, np.zeros(mesh.n_subdomains))
-    assert first.tolist() == [0]
-    assert not shape_of.flags.writeable and not first.flags.writeable
+    # Lattice corners of the subdomains, x fastest, as subdomains are numbered.
+    corners = np.indices(subdomains[::-1]).reshape(3, -1)[::-1].T * (np.array(cells) // subdomains)
+    nx, ny, _ = cells
+    want = corners @ [1, nx + 1, (nx + 1) * (ny + 1)]
+    assert mesh.translations.dtype == np.int64 and np.array_equal(mesh.translations, want)
+    assert not mesh.translations.flags.writeable
 
 
-def test_moved_cell_makes_two_shapes(mesh422_two_shapes):
-    shape_of, first = mesh422_two_shapes.shapes
-    assert shape_of.tolist() == [0, 1] and first.tolist() == [0, 1]
+def test_moved_cell_makes_two_shapes(mesh422_two_shapes, assert_refused):
+    """A cell moved to the other subdomain leaves subdomain 1 no translate of
+    subdomain 0, so every set-up refuses the mesh, naming subdomain 1."""
+    assert_refused(mesh422_two_shapes, "^subdomain 1 is not subdomain 0 translated$")
 
 
 @settings(max_examples=25, deadline=None)
 @given(grid=jump_grids(), moved=st.integers(0, 63))
 def test_shapes_match_full_key_reference(full_key_shapes, grid, moved):
-    """Keying subdomains by vertex-id offsets and checking the lattice on
-    their distinct vertices gives the shapes of keying them by all their tet
-    rows and lattice rows: on box partitions, with one cell's tets moved to
-    another subdomain, and with the last vertex plane moved off the lattice
-    step (translated ids, other geometry)."""
+    """Checking every tet's vertex-id offset and the lattice offsets of only
+    subdomain 0's distinct vertices accepts exactly the meshes whose
+    subdomains, keyed by all their tet rows and lattice rows, are one shape:
+    box partitions, but not one cell's tets moved to another subdomain or the
+    last vertex plane moved off the lattice step (translated ids, other
+    geometry) unless every subdomain keeps its translate."""
     mesh = grid[0]
     meshes = [mesh]
     cell = moved % (mesh.n_tets // 6)
@@ -246,9 +256,13 @@ def test_shapes_match_full_key_reference(full_key_shapes, grid, moved):
     coords[coords[:, 0] == 1.0, 0] = (nx + 1) / nx
     meshes.append(replace(mesh, vertex_coords=coords))
     for m in meshes:
-        shape_of, first = m.shapes
-        assert np.array_equal(shape_of, full_key_shapes(m))
-        assert np.array_equal(first, np.unique(shape_of, return_index=True)[1])
+        shape_of = full_key_shapes(m)
+        if np.any(shape_of):
+            with pytest.raises(ConfigurationError, match="is not subdomain 0 translated$"):
+                m.translations
+        else:
+            first_vertex = [m.tets[m.tet_subdomain == j][0, 0] for j in range(m.n_subdomains)]
+            assert np.array_equal(m.translations, np.subtract(first_vertex, first_vertex[0]))
 
 
 @pytest.mark.parametrize("setup", [setup_scalar, setup_maxwell])
@@ -277,27 +291,20 @@ NUMBERING_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "grid",
-    ["two_shapes"] + NUMBERING_GRIDS,
-    ids=["422/two_shapes"]
-    + ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in NUMBERING_GRIDS],
-)
-def test_numbering_holds_on_every_member(grid, mesh422_two_shapes, subdomain_dofs):
-    """A shape's numbering, taken on its first subdomain, numbers every member:
-    its positions pick each member's interior dofs in strictly ascending
-    order, then its boundary dofs in strictly ascending order, those of the
-    face-count reference, and its local ids give back the member's tet
-    rows."""
-    mesh = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
+GRID_IDS = ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in NUMBERING_GRIDS]
+
+
+@pytest.mark.parametrize("grid", NUMBERING_GRIDS, ids=GRID_IDS)
+def test_numbering_holds_on_every_member(grid, subdomain_dofs):
+    """Subdomain 0's numbering numbers every subdomain: its positions pick
+    each subdomain's interior dofs in strictly ascending order, then its
+    boundary dofs in strictly ascending order, those of the face-count
+    reference, and its local ids give back the subdomain's tet rows."""
+    mesh = build_box_mesh(*grid)
     for field, tet_dofs in (("scalar", mesh.tets), ("edge", mesh.tet_edges)):
-        numbering = mesh.numbering(field)
-        assert len(numbering) == mesh.shapes[1].size
-        for j, (s, (interior, boundary)) in enumerate(
-            zip(mesh.shapes[0], subdomain_dofs(mesh, field), strict=True)
-        ):
-            first, local, n_interior = numbering[s]
-            assert not any(a.flags.writeable for a in (first, local))
+        first, local, n_interior = mesh.numbering(field)
+        assert not any(a.flags.writeable for a in (first, local))
+        for j, (interior, boundary) in enumerate(subdomain_dofs(mesh, field)):
             rows = tet_dofs[mesh.tets_of_subdomain(j)]
             dofs = rows.ravel()[first]
             assert np.array_equal(dofs[:n_interior], interior)
@@ -305,47 +312,39 @@ def test_numbering_holds_on_every_member(grid, mesh422_two_shapes, subdomain_dof
             assert np.array_equal(dofs[local], rows)
 
 
-@pytest.mark.parametrize(
-    "grid",
-    ["two_shapes"] + NUMBERING_GRIDS,
-    ids=["422/two_shapes"]
-    + ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in NUMBERING_GRIDS],
-)
-def test_translated_numbering_equals_whole_mesh_reference(grid, mesh422_two_shapes):
+@pytest.mark.parametrize("grid", NUMBERING_GRIDS, ids=GRID_IDS)
+def test_translated_numbering_equals_whole_mesh_reference(grid):
     """Edges, ``tet_edges``, the edge numbering and every array of both
-    transfers, reached through each shape's slots translated to its members,
-    are bitwise what whole-mesh code builds: one ``_edge_slots`` over all
-    tets, and a gather of every subdomain's tet rows of the dof ids."""
-    base = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
+    transfers, reached through subdomain 0's slots translated to every
+    subdomain, are bitwise what whole-mesh code builds: one ``_edge_slots``
+    over all tets, and a gather of every subdomain's tet rows of the dof ids."""
+    base = build_box_mesh(*grid)
     mesh, ref = replace(base), replace(base)  # fresh caches each
     slots = _edge_slots(ref.cells, ref.tets)
     used = np.bincount(slots.ravel(), minlength=7 * ref.n_vertices) > 0
     start, k = np.divmod(np.flatnonzero(used), 7)
     edges = np.column_stack([start, start + _corner_offsets(ref.cells)[1:][k]])
     tet_edges = (np.cumsum(used, dtype=np.int64) - 1)[slots]
-    edge_numbering = []
-    for j, faces in zip(ref.shapes[1], ref._boundary_faces[1]):
-        rows = tet_edges[ref.tets_of_subdomain(j)]
-        _, first, local = np.unique(rows, return_index=True, return_inverse=True)
-        local = local.reshape(rows.shape)
-        boundary = local[:, FACE_EDGES].reshape(-1, 3)[faces]
-        edge_numbering.append(_boundary_last(first, local, boundary))
+    rows = tet_edges[ref.tets_of_subdomain(0)]
+    _, first, local = np.unique(rows, return_index=True, return_inverse=True)
+    local = local.reshape(rows.shape)
+    boundary = local[:, FACE_EDGES].reshape(-1, 3)[ref._boundary_faces[1]]
+    edge_numbering = _boundary_last(first, local, boundary)
     for got, want in ((mesh.edges, edges), (mesh.tet_edges, tet_edges)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    for got, want in zip(mesh.numbering("edge"), edge_numbering, strict=True):
-        assert got[2] == want[2]
-        assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got[:2], want))
+    got = mesh.numbering("edge")
+    assert got[2] == edge_numbering[2]
+    for g, w in zip(got[:2], edge_numbering[:2]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     cases = (("scalar", ref.tets, ref.numbering("scalar")), ("edge", tet_edges, edge_numbering))
-    for field, tet_dofs, numbering in cases:
-        per_subdomain = [numbering[s] for s in ref.shapes[0]]
+    for field, tet_dofs, (first, _, n_i) in cases:
         sub_dofs = [
-            tet_dofs[ref.tets_of_subdomain(j)].ravel()[first]
-            for j, (first, _, _) in enumerate(per_subdomain)
+            tet_dofs[ref.tets_of_subdomain(j)].ravel()[first] for j in range(ref.n_subdomains)
         ]
-        boundary = np.concatenate([d[n_i:] for d, (_, _, n_i) in zip(sub_dofs, per_subdomain)])
+        boundary = np.concatenate([d[n_i:] for d in sub_dofs])
         skeleton = np.flatnonzero(np.bincount(boundary, minlength=tet_dofs.max() + 1))
         sizes = [d.size for d in sub_dofs]
-        n_boundary = [d.size - n_i for d, (_, _, n_i) in zip(sub_dofs, per_subdomain)]
+        n_boundary = [d.size - n_i for d in sub_dofs]
         ops = build_transfer(mesh, field)
         assert ops.n_volume == tet_dofs.max() + 1
         want = {
@@ -479,23 +478,18 @@ def test_skeleton_union_matches_per_subdomain(transfers222_j8, boundary_dofs):
         ((2, 2, 2), (2, 1, 1)),
         ((2, 2, 2), (2, 2, 2)),
         ((2, 2, 2), (1, 1, 1)),
-        pytest.param("two_shapes", None, id="422/two_shapes"),
     ],
 )
-def test_skeleton_edges_bruteforce(request, cells, grid, boundary_faces, boundary_dofs):
+def test_skeleton_edges_bruteforce(cells, grid, boundary_faces, boundary_dofs):
     """Each subdomain's boundary vertices and edges are exactly those of its
     boundary faces, and skeleton edges are exactly the edges lying on some
     boundary face.
 
-    Brute-force characterization on meshes of at most 96 tets, one of them
-    with two subdomain shapes: an edge is on the skeleton iff, for some
-    subdomain j, both endpoints are on the boundary of j AND the edge is an
-    edge of one of j's boundary faces.
+    Brute-force characterization on meshes of at most 48 tets: an edge is on
+    the skeleton iff, for some subdomain j, both endpoints are on the
+    boundary of j AND the edge is an edge of one of j's boundary faces.
     """
-    if cells == "two_shapes":
-        mesh = request.getfixturevalue("mesh422_two_shapes")
-    else:
-        mesh = build_box_mesh(cells, grid)
+    mesh = build_box_mesh(cells, grid)
     scalar, edge = build_transfer(mesh, "scalar"), build_transfer(mesh, "edge")
     boundary_vertices, boundary_edges = boundary_dofs(scalar), boundary_dofs(edge)
     expected = set()
@@ -569,18 +563,19 @@ def test_broken_mesh_rejected_by_skeleton(mesh111):
 def test_tet_edge_off_the_cell_corners_is_refused():
     """A hand-built tet edge that joins no two corners of a cell raises
     :class:`AssemblyError` on every read that numbers edges, whether the tet
-    sits in a shape's first subdomain or in a subdomain of its own shape
-    (edge slots are checked once per shape, on its first subdomain)."""
+    sits in the one subdomain or in subdomain 0 and its translate (edge slots
+    are checked once, on subdomain 0)."""
     # One subdomain: vertex ids 0 and 2 are two cells apart along x.
     one = build_box_mesh((2, 1, 1))
     tets = one.tets.copy()
     tets[0] = (0, 2, 3, 6)
-    # Two subdomains: tet 13 of subdomain 1 gets the two-cell edge (2, 4).
+    # Two subdomains: tet 1 gets the two-cell edge (0, 2), and its translate,
+    # tet 13 of subdomain 1, the edge (2, 4).
     two = build_box_mesh((4, 1, 1), (2, 1, 1))
     tets_two = two.tets.copy()
-    tets_two[13] = (2, 4, 7, 17)
+    tets_two[1], tets_two[13] = (0, 2, 5, 15), (2, 4, 7, 17)
     bad_meshes = (replace(one, tets=tets), replace(two, tets=tets_two))
-    assert bad_meshes[1].shapes[0].tolist() == [0, 1]
+    assert bad_meshes[1].translations.tolist() == [0, 2]
     reads = (
         lambda m: m.edges,
         lambda m: m.tet_edges,

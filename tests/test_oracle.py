@@ -122,11 +122,11 @@ def test_verify_identities_passes(request, mesh_name):
     assert "edge-final-cond-estimate" in names
 
 
-@pytest.mark.parametrize("mesh_name", ["mesh365_j125", "mesh422_two_shapes"])
+@pytest.mark.parametrize("mesh_name", ["mesh365_j125", "mesh444_j8"])
 def test_oracle_rho_equals_setup_rho(request, monkeypatch, mesh_name):
     """The oracle's tet-by-tet rho is bitwise the rho setup_scalar hands to
-    Neumann-Neumann, with per-tet alpha, on an anisotropic mesh and on one
-    whose two subdomains have different shapes."""
+    Neumann-Neumann, with per-tet alpha, on an anisotropic mesh and on a
+    cubic one."""
     if mesh_name == "mesh365_j125":
         mesh = build_box_mesh((3, 6, 5), (1, 2, 5))
     else:

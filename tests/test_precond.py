@@ -132,11 +132,10 @@ def test_nn_rejects_indefinite_lone_schur_complement(mesh444_j8):
         build_schur_system(blocks, group_of, transfer, mesh444_j8)
 
 
-@pytest.mark.parametrize("mesh_name", ["mesh222_j1", "mesh422_two_shapes"])
+@pytest.mark.parametrize("mesh_name", ["mesh222_j1", "mesh111"])
 def test_edge_lone_member_rejects_indefinite_schur_complement(mesh_name, request):
-    """An edge lone member (one subdomain, or two subdomains of different
-    shapes) is factorized in ``build_schur_system`` too, under the same
-    typed error."""
+    """An edge lone member (one subdomain, with an interior or without) is
+    factorized in ``build_schur_system`` too, under the same typed error."""
     mesh = request.getfixturevalue(mesh_name)
     blocks, group_of = assemble_edge(mesh, Coefficients())
     assert len(blocks) == mesh.n_subdomains
@@ -553,11 +552,9 @@ def test_solvers_keep_only_what_applies_read(maxwell444_j8):
     assert set(vars(maxwell444_j8.scalar)) == {"coeffs", "schur", "qnn", "dim_volume"}
     # The interior factor and the A_ib/A_bb blocks serve only to form S_u:
     # each distinct block keeps one dense, bitwise-symmetric S_u sized to
-    # its members' tuple slices.
+    # its members' rows of the boundary tuple.
     for schur in (maxwell444_j8.schur, maxwell444_j8.scalar.schur):
-        assert set(vars(schur)) == {
-            "transfer", "dim", "tuple_dim", "group_of", "groups", "spans"
-        }
+        assert set(vars(schur)) == {"transfer", "dim", "tuple_dim", "group_of", "groups"}
         sizes = np.diff(schur.transfer.boundary_offsets)
         for s_u, members in schur.groups:
             assert type(s_u) is np.ndarray and np.array_equal(s_u, s_u.T)
@@ -734,17 +731,16 @@ BITWISE_GRIDS = [
 
 @pytest.mark.parametrize(
     "grid",
-    ["two_shapes"] + BITWISE_GRIDS,
-    ids=["422/two_shapes"]
-    + ["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in BITWISE_GRIDS],
+    BITWISE_GRIDS,
+    ids=["x".join(map(str, c)) + "/" + "x".join(map(str, j)) for c, j in BITWISE_GRIDS],
 )
 def test_setup_bitwise_equals_sliced_references(
-    grid, mesh422_two_shapes, sliced_schur, tril_inverse, packed_cholesky, looped_coarse_product
+    grid, sliced_schur, tril_inverse, packed_cholesky, looped_coarse_product
 ):
     """The one-split Schur complements, the inverses and the dense S Z
     reproduce the sliced, per-subdomain computations exactly,
     under log-uniform per-subdomain alpha on [0.1, 10]."""
-    mesh = mesh422_two_shapes if grid == "two_shapes" else build_box_mesh(*grid)
+    mesh = build_box_mesh(*grid)
     rng = np.random.default_rng(3)
     alpha_j = np.exp(rng.uniform(np.log(0.1), np.log(10.0), mesh.n_subdomains))
     _assert_setup_matches_references(

@@ -214,18 +214,16 @@ def _block(mesh, field, j=0):
         ((12, 12, 12), (2, 2, 2), 600),  # maxwell-24's 6^3-cell block, 1,206 interior
         ((5, 5, 5), (1, 1, 1), 600),  # an odd cell count: uneven cuts, 665 interior
         ((12, 6, 6), (1, 1, 1), 600),  # two levels of cuts, 2,508 interior
-        ("two_shapes", None, 0),  # subdomains that are no boxes, cut to single dofs
+        ((4, 4, 4), (2, 1, 1), 0),  # both fields, cut down to single dofs
     ],
-    ids=["edge-12^3/2^3", "edge-5^3", "edge-12x6x6", "422/two_shapes"],
+    ids=["edge-12^3/2^3", "edge-5^3", "edge-12x6x6", "4x4x4/2x1x1-leaf0"],
 )
-def test_nested_schur_matches_leaf(monkeypatch, mesh422_two_shapes, cells, subdomains, leaf):
+def test_nested_schur_matches_leaf(monkeypatch, cells, subdomains, leaf):
     """Nested dissection inside a block gives S_u to 1e-13 relative of the
     leaf elimination of the whole interior, bitwise symmetric."""
     assert schur_mod.LEAF == 600
-    two_shapes = cells == "two_shapes"
-    mesh = mesh422_two_shapes if two_shapes else build_box_mesh(cells, subdomains)
-    # Subdomain 1 of two_shapes, whose corner cell moved, has no scalar interior.
-    cases = [("scalar", 0), ("edge", 0), ("edge", 1)] if two_shapes else [("edge", 0)]
+    mesh = build_box_mesh(cells, subdomains)
+    cases = [("scalar", 1), ("edge", 0), ("edge", 1)] if leaf == 0 else [("edge", 0)]
     for field, j in cases:
         block, n_interior, positions = _block(mesh, field, j)
         assert n_interior > leaf
