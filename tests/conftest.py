@@ -286,24 +286,27 @@ def assert_refused(monkeypatch):
         raise AssertionError("a block was assembled")
 
     monkeypatch.setattr(assemble_mod, "_coalesce_plan", no_assembly)
-    reads = (
-        lambda m: m.translations,
-        lambda m: m.edges,
-        lambda m: m.numbering("scalar"),
-        lambda m: m.numbering("edge"),
-        lambda m: m.member_dofs("scalar"),
-        lambda m: build_transfer(m, "scalar"),
-        lambda m: build_transfer(m, "edge"),
-        lambda m: assemble_scalar(m, Coefficients()),
-        lambda m: assemble_edge(m, Coefficients()),
-        lambda m: setup_scalar(m, Coefficients()),
-        lambda m: setup_maxwell(m, Coefficients()),
+    reads = (  # (field the read is of, or None for both; read)
+        (None, lambda m: m.translations),
+        (None, lambda m: m.edges),
+        ("scalar", lambda m: m.numbering("scalar")),
+        ("edge", lambda m: m.numbering("edge")),
+        ("scalar", lambda m: m.member_dofs("scalar")),
+        ("scalar", lambda m: build_transfer(m, "scalar")),
+        ("edge", lambda m: build_transfer(m, "edge")),
+        ("scalar", lambda m: assemble_scalar(m, Coefficients())),
+        ("edge", lambda m: assemble_edge(m, Coefficients())),
+        ("scalar", lambda m: setup_scalar(m, Coefficients())),
+        ("edge", lambda m: setup_maxwell(m, Coefficients())),
     )
 
-    def check(mesh, message: str) -> None:
-        for read in reads:
-            with pytest.raises(ConfigurationError, match=message):
-                read(replace(mesh))
+    def check(mesh, message: str, field: str | None = None) -> None:
+        """Check every read, or with ``field`` the reads of that field and
+        those of both."""
+        for of, read in reads:
+            if field is None or of in (None, field):
+                with pytest.raises(ConfigurationError, match=message):
+                    read(replace(mesh))
 
     return check
 

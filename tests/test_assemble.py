@@ -438,16 +438,18 @@ def _assert_blocks_equal(assembled, reference):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_translated_ids_with_other_geometry_are_refused(assert_refused):
+@pytest.mark.parametrize("field", ["scalar", "edge"])
+def test_translated_ids_with_other_geometry_share_nothing(field, assert_refused):
     """Subdomains whose tets are translates in vertex ids but not on the
-    lattice (the last vertex plane moved out by one cell) are refused before
-    any block is assembled: the lattice offsets are checked too."""
+    lattice (the last vertex plane moved out by one cell) share no block with
+    subdomain 0: every read of the field refuses them before any block is
+    assembled, as the lattice offsets are checked too."""
     mesh = build_box_mesh((4, 1, 1), (2, 1, 1))
     coords = mesh.vertex_coords.copy()
     coords[coords[:, 0] == 1.0, 0] = 1.25
     assert mesh.translations.tolist() == [0, 2]
     stretched = replace(mesh, vertex_coords=coords)
-    assert_refused(stretched, "^subdomain 1 is not subdomain 0 translated$")
+    assert_refused(stretched, "^subdomain 1 is not subdomain 0 translated$", field)
 
 
 def test_empty_subdomain_rejected(mesh222_j2, assert_refused):
