@@ -13,17 +13,18 @@ The square of maps (volume -> broken -> boundary tuple) and (volume ->
 skeleton -> boundary tuple) commutes entry for entry in exact arithmetic;
 tests assert a literally zero residual.
 
-A field's four maps come from one call, ``build_transfer(mesh, field)``,
-which reads every subdomain's dofs at once, boundary last
-(``BoxMesh.member_dofs``), so ``boundary_trace`` is read off the offsets and no
-transfer can hold a boundary that is not trailing.  The skeleton is the union
-of the boundaries, so every skeleton dof lies on some boundary by construction.
+A field's three index arrays come from one call, ``build_transfer(mesh,
+field)``.  Two are tables with a row per subdomain: ``volume_split`` is
+``BoxMesh.member_dofs``, each row boundary last, and ``skeleton_split`` is
+(J, n_b).  So the broken -> boundary-tuple map is each row's last n_b columns,
+stored nowhere, and no transfer can hold a boundary that is not trailing.  The
+skeleton is the union of the boundaries, so every skeleton dof lies on some
+boundary by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,57 +38,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferOps:
-    """The four transfer maps of one element family (scalar or edge).
+    """The transfer maps of one element family (scalar or edge).
 
     Each map is a read-only index array ``idx`` with ``target = source[idx]``;
-    its transpose is ``np.bincount(idx, w, minlength=len(source))``.
+    its transpose is ``np.bincount(idx.ravel(), w.ravel(), minlength=len(source))``.
+    Every subdomain is subdomain 0 translated, so every block has one size n
+    and every boundary one size n_b, and a product space is a (J, .) table,
+    a row per subdomain.
 
     skeleton_trace : volume -> skeleton (select skeleton dofs)
-    volume_split   : volume -> broken   (copy into every subdomain)
-    boundary_trace : broken -> boundary tuple (each subdomain's trailing
-                     dofs, its boundary; derived from the offsets)
-    skeleton_split : skeleton -> boundary tuple (copy onto every boundary)
-
-    A space's size is the length of the map into it, except the volume's,
-    ``n_volume``; the product spaces keep their block offsets.
+    volume_split   : volume -> broken, a (J, n) table (copy into every
+                     subdomain), each row's boundary in its last n_b columns
+    skeleton_split : skeleton -> boundary tuple, a (J, n_b) table (copy onto
+                     every boundary)
     """
 
     field: str
     n_volume: int
-    broken_offsets: np.ndarray  # len n_subdomains + 1
-    boundary_offsets: np.ndarray  # len n_subdomains + 1
     skeleton_trace: np.ndarray
-    volume_split: np.ndarray
-    skeleton_split: np.ndarray
+    volume_split: np.ndarray  # (J, n)
+    skeleton_split: np.ndarray  # (J, n_b)
 
-    @cached_property
-    def boundary_trace(self) -> np.ndarray:
-        # Tuple slot boundary_offsets[j] + k is broken slot broken_offsets[j + 1] - n_b + k.
-        shift = self.broken_offsets[1:] - self.boundary_offsets[1:]
-        n_b = np.diff(self.boundary_offsets)
-        return _freeze(np.arange(self.boundary_offsets[-1]) + np.repeat(shift, n_b))
+    @property
+    def n_interior(self) -> int:
+        return self.volume_split.shape[1] - self.skeleton_split.shape[1]
 
 
 def build_transfer(mesh: BoxMesh, field: str) -> TransferOps:
-    """Build the four transfer maps of ``field`` in {"scalar", "edge"}."""
+    """Build the transfer maps of ``field`` in {"scalar", "edge"}."""
     if field not in ("scalar", "edge"):
         raise ValueError(f"unknown field {field!r}")
     n_interior = mesh.numbering(field)[2]
     dofs = mesh.member_dofs(field)  # a row per subdomain, boundary last
-    n_sub, size = dofs.shape
-    broken = np.arange(n_sub + 1) * size
-    boundary = np.arange(n_sub + 1) * (size - n_interior)
-    boundary_dofs = dofs[:, n_interior:].ravel()
+    boundary_dofs = dofs[:, n_interior:]
     # The skeleton is the union of the boundaries, in ascending order.
     n_volume = mesh.n_vertices if field == "scalar" else mesh.n_edges
-    on_skeleton = np.bincount(boundary_dofs, minlength=n_volume) > 0
+    on_skeleton = np.bincount(boundary_dofs.ravel(), minlength=n_volume) > 0
     skeleton_of = np.cumsum(on_skeleton) - 1  # a skeleton dof's place on the skeleton
     return TransferOps(
         field,
         n_volume,
-        _freeze(broken),
-        _freeze(boundary),
         _freeze(np.flatnonzero(on_skeleton)),
-        _freeze(dofs.ravel()),
+        _freeze(dofs),
         _freeze(skeleton_of[boundary_dofs]),
     )

@@ -226,17 +226,25 @@ def _max_abs(matrix: np.ndarray) -> float:
 
 
 def _selection(idx: np.ndarray, n_source: int) -> np.ndarray:
-    """Dense 0/1 matrix of the index map ``target = source[idx]``."""
-    return np.eye(n_source)[idx]
+    """Dense 0/1 matrix of the index map ``target = source[idx]``, a table's
+    entries taken row by row."""
+    return np.eye(n_source)[np.ravel(idx)]
+
+
+def _boundary_selection(transfer: TransferOps) -> np.ndarray:
+    """Dense 0/1 matrix of broken -> boundary tuple, built from the table
+    shapes alone: the last n_b of each subdomain's n broken slots."""
+    (n_sub, n), n_b = transfer.volume_split.shape, transfer.skeleton_split.shape[1]
+    slots = np.arange(n_sub * n).reshape(n_sub, n)[:, n - n_b :]
+    return _selection(slots, n_sub * n)
 
 
 def volume_matrix(transfer: TransferOps, blocks: list, group_of: np.ndarray) -> np.ndarray:
     """Dense volume matrix of a field: subdomain j's block ``blocks[group_of[j]]``
-    added at its slice of ``volume_split``, in ascending j."""
-    n, offsets = transfer.n_volume, transfer.broken_offsets
+    added at its row of ``volume_split``, in ascending j."""
+    n = transfer.n_volume
     dense = np.zeros((n, n))
-    for j, u in enumerate(group_of):
-        dofs = transfer.volume_split[offsets[j] : offsets[j + 1]]
+    for dofs, u in zip(transfer.volume_split, group_of):
         dense[np.ix_(dofs, dofs)] += blocks[u].toarray()
     return dense
 
@@ -248,7 +256,7 @@ def probe_interface_inverse(schur, blocks: list, group_of: np.ndarray) -> float:
     SuperLU, apart from the elimination under test (``schur.apply``)."""
     transfer, n = schur.transfer, schur.transfer.n_volume
     coo = sp.block_diag([blocks[u] for u in group_of], format="coo")
-    dofs, trace = transfer.volume_split, transfer.skeleton_trace
+    dofs, trace = transfer.volume_split.ravel(), transfer.skeleton_trace
     volume = sp.csc_matrix((coo.data, (dofs[coo.row], dofs[coo.col])), shape=(n, n))
     lu = spla.splu(volume, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     worst, lifted = 0.0, np.zeros(n)
@@ -261,12 +269,12 @@ def probe_interface_inverse(schur, blocks: list, group_of: np.ndarray) -> float:
 
 def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, transfer: TransferOps) -> np.ndarray:
     """Per boundary-tuple copy of the scalar ``transfer``, the largest alpha
-    among the subdomain's tets that touch the vertex, tet by tet."""
+    among the subdomain's tets that touch the vertex, tet by tet, as a
+    (J, n_b) table."""
     alpha = coeffs.per_tet("alpha", mesh.n_tets)
-    copies = transfer.volume_split[transfer.boundary_trace]
     rho = []
-    for j in range(mesh.n_subdomains):
-        boundary = copies[transfer.boundary_offsets[j] : transfer.boundary_offsets[j + 1]]
+    for j, dofs in enumerate(transfer.volume_split):
+        boundary = dofs[transfer.n_interior :]
         peak = dict.fromkeys(boundary.tolist(), 0.0)
         for t in range(mesh.n_tets):
             if mesh.tet_subdomain[t] != j:
@@ -274,7 +282,7 @@ def _copy_rho(mesh: BoxMesh, coeffs: Coefficients, transfer: TransferOps) -> np.
             for v in mesh.tets[t].tolist():
                 if v in peak:
                     peak[v] = max(peak[v], float(alpha[t]))
-        rho += [peak[v] for v in boundary.tolist()]
+        rho.append([peak[v] for v in boundary.tolist()])
     return np.array(rho)
 
 
@@ -300,9 +308,7 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
     # all exact in floating point (0/1 selection matrices and identical
     # coordinate arithmetic on both paths).
     for field_name, ops in (("scalar", scalar_ops), ("edge", edge_ops)):
-        lhs = _selection(ops.boundary_trace, ops.volume_split.size) @ _selection(
-            ops.volume_split, ops.n_volume
-        )
+        lhs = _boundary_selection(ops) @ _selection(ops.volume_split, ops.n_volume)
         rhs = _selection(ops.skeleton_split, ops.skeleton_trace.size) @ _selection(
             ops.skeleton_trace, ops.n_volume
         )
@@ -351,9 +357,7 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
     l_blocks = sla.block_diag(*(blocks[u].toarray() for u in group_of))
     split = _selection(scalar_ops.skeleton_split, scalar_ops.skeleton_trace.size)
     lift_vol = pseudoinverse_surjective(trace_v, l_dense)
-    lift_blk = pseudoinverse_surjective(
-        _selection(scalar_ops.boundary_trace, scalar_ops.volume_split.size), l_blocks
-    )
+    lift_blk = pseudoinverse_surjective(_boundary_selection(scalar_ops), l_blocks)
     report.add_residual(
         "pseudoinverse-commutation",
         ctx,
@@ -370,7 +374,7 @@ def verify_identities(mesh: BoxMesh, coeffs: Coefficients | None = None) -> Iden
     # skeleton split, scaled by the rho-weighted degree, is its pseudo-inverse
     # for the weight diag(rho).  rho is scaled to a largest value of 1, as in
     # Neumann-Neumann, so under constant alpha this is the degree average.
-    rho = _copy_rho(mesh, coeffs, scalar_ops)
+    rho = _copy_rho(mesh, coeffs, scalar_ops).ravel()
     rho = rho / rho.max()
     report.add_residual(
         "degree-average-pseudoinverse",

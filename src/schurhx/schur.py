@@ -29,11 +29,12 @@ coefficients, one block for every subdomain).  ``build_schur_system`` is
 where blocks meet a transfer: it forms one S_u per block, after checking that
 ``group_of`` covers the transfer's subdomains and that every block has their
 size.  The interior factors are dropped once S_u is formed.  Every boundary
-has one size n_b, so a boundary-tuple vector is a (J, n_b) array, a row per
-subdomain.  A group of several members keeps S_u square, shared by one GEMM
-over its members' rows.  A lone member's S_u is factorized at once,
-S_u = U^T U, and only U is kept, packed by columns: ``SchurSystem.apply_dtn``
-applies it as U^T (U x), and Neumann-Neumann solves with the same array.
+has one size n_b, so a boundary tuple is a (J, n_b) array, a row per
+subdomain, never a flat vector.  A group of several members keeps S_u square,
+shared by one GEMM over its members' rows.  A lone member's S_u is factorized
+at once, S_u = U^T U, and only U is kept, packed by columns:
+``SchurSystem.apply_dtn`` applies it as U^T (U x) on the member's row, and
+Neumann-Neumann solves with the same array.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ def _schur_complement(
 ) -> np.ndarray:
     """Dense S = A_bb - A_ib^T A_ii^{-1} A_ib of a block whose first
     ``n_interior`` dofs are its interior, bitwise symmetric; ``positions``
-    are the doubled lattice positions of its dofs."""
+    are the doubled lattice positions of its dofs, or of a translate's: the cut
+    planes move with them, so the cuts stay the same."""
     n_i = n_interior
     check_dense(block.shape[0] - n_i, label)
     if n_i > LEAF:
@@ -204,27 +206,23 @@ class SchurSystem:
     def __init__(self, transfer: TransferOps, schurs: list[np.ndarray], group_of: np.ndarray):
         self.transfer = transfer
         self.dim = transfer.skeleton_trace.size
-        self.tuple_dim = transfer.skeleton_split.size
         self.group_of = group_of
         self.groups = [(s_u, np.flatnonzero(group_of == u)) for u, s_u in enumerate(schurs)]
 
     def check_tuple(self, x: np.ndarray) -> None:
-        """Refuse a vector that is not on the boundary tuples."""
-        if x.shape != (self.tuple_dim,):
-            raise ValueError(
-                f"expected boundary-tuple vector of length {self.tuple_dim}, "
-                f"got shape {x.shape}"
-            )
+        """Refuse an array that is not a (J, n_b) boundary tuple."""
+        shape = self.transfer.skeleton_split.shape
+        if x.shape != shape:
+            raise ValueError(f"expected a boundary-tuple array {shape}, got shape {x.shape}")
 
     def apply_dtn(self, p: np.ndarray) -> np.ndarray:
-        """Blockwise Schur complement on a boundary-tuple vector: per group,
-        one GEMM over its members' rows, or U^T (U x) for a lone member, two
-        packed triangular products in place on its row."""
+        """Blockwise Schur complement on a boundary tuple: per group, one GEMM
+        over its members' rows, or U^T (U x) for a lone member, two packed
+        triangular products in place on its row."""
         self.check_tuple(p)
         # Positional arguments: f2py's keyword parsing is a large share of a
         # call on blocks this small.
-        out = np.array(p, dtype=float)
-        rows = out.reshape(self.group_of.size, -1)
+        rows = np.array(p, dtype=float)
         n = rows.shape[1]
         tpmv = sla.blas.dtpmv
         for s_u, js in self.groups:
@@ -232,17 +230,16 @@ class SchurSystem:
                 # The C-ordered (n, members) operand: other layouts change the bits.
                 rows[js] = (s_u @ rows[js].T.copy()).T
             else:  # (n, U, x, incx, offx, lower, trans, diag, overwrite_x)
-                lo = int(js[0]) * n
-                tpmv(n, s_u, out, 1, lo, 0, 0, 0, 1)
-                tpmv(n, s_u, out, 1, lo, 0, 1, 0, 1)
-        return out
+                tpmv(n, s_u, rows[js[0]], 1, 0, 0, 0, 0, 1)
+                tpmv(n, s_u, rows[js[0]], 1, 0, 0, 1, 0, 1)
+        return rows
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The assembled skeleton operator: split, block DtN, glue back."""
         if u.shape != (self.dim,):
             raise ValueError(f"expected skeleton vector of length {self.dim}")
         split = self.transfer.skeleton_split
-        return np.bincount(split, self.apply_dtn(u[split]), minlength=self.dim)
+        return np.bincount(split.ravel(), self.apply_dtn(u[split]).ravel(), minlength=self.dim)
 
 
 def build_schur_system(
@@ -250,11 +247,12 @@ def build_schur_system(
 ) -> SchurSystem:
     """One Schur complement S_u per distinct block u of assembly, the
     block of every subdomain j with ``group_of[j] == u``, glued into the
-    interface operator.  Each subdomain's boundary is the trailing range of
-    its broken slice (``TransferOps.boundary_trace``), so tuple slices line
-    up unpermuted.  The elimination cuts each block at the doubled lattice
-    positions of its first member's dofs in ``mesh``, the mesh of
-    ``transfer`` (``BoxMesh.dof_positions``).
+    interface operator.  Each subdomain's boundary is the last n_b columns of
+    its row of ``transfer.volume_split``, so tuple rows line up unpermuted.
+    Every subdomain is subdomain 0 translated, and so is each cut of the
+    elimination, so every block is cut at the doubled lattice positions of
+    subdomain 0's dofs in ``mesh``, the mesh of ``transfer``
+    (``BoxMesh.dof_positions``), read once.
 
     Raises :class:`AssemblyError` unless ``group_of`` has one entry per
     subdomain of ``transfer`` and uses every block, and every block has the
@@ -263,22 +261,20 @@ def build_schur_system(
     not positive definite.
     """
     field = transfer.field
-    offsets = transfer.broken_offsets
-    n, n_sub = offsets[1], offsets.size - 1  # every subdomain's block size
+    n_sub, n = transfer.volume_split.shape  # every subdomain's block size
     if len(group_of) != n_sub:
         raise AssemblyError(f"{field}: {len(group_of)} group_of entries, {n_sub} subdomains")
     if not np.array_equal(np.unique(group_of), np.arange(len(blocks))):
         raise AssemblyError(f"group_of does not use each of the {len(blocks)} blocks once or more")
+    positions = mesh.dof_positions(field, transfer.volume_split[0])
     schurs = []
     for u, block in enumerate(blocks):
         members = np.flatnonzero(group_of == u)
         j = members[0]
         if block.shape != (n, n):
             raise AssemblyError(f"{field} block {u}: shape {block.shape}, not the transfer's {n}")
-        positions = mesh.dof_positions(field, transfer.volume_split[offsets[j] : offsets[j + 1]])
-        n_i = n - transfer.boundary_offsets[1]
         label = f"{field} subdomain {j}"
-        s_u = _schur_complement(block, n_i, positions, label)
+        s_u = _schur_complement(block, transfer.n_interior, positions, label)
         if members.size == 1:
             # Factorized as soon as formed, in place through the F-ordered
             # view (the same matrix, S_u being bitwise symmetric), so no two

@@ -27,13 +27,21 @@ def rng():
     return np.random.default_rng(0)
 
 
-# Source dimension of each transfer map: the volume size, or the length of
-# the map into the source space.
-MAP_SOURCE = {
-    "skeleton_trace": lambda ops: ops.n_volume,
-    "volume_split": lambda ops: ops.n_volume,
-    "boundary_trace": lambda ops: ops.volume_split.size,
-    "skeleton_split": lambda ops: ops.skeleton_trace.size,
+def trailing_slots(ops) -> np.ndarray:
+    """The broken -> boundary-tuple map as flat broken slots, from the table
+    shapes: the last n_b of each subdomain's n slots, row by row."""
+    (n_sub, n), n_b = ops.volume_split.shape, ops.skeleton_split.shape[1]
+    return np.arange(n_sub * n).reshape(n_sub, n)[:, n - n_b :].ravel()
+
+
+# Each transfer map, flat, and its source dimension: the volume size, or the
+# size of the table or array that maps into the source space.  The broken ->
+# boundary-tuple map, "boundary_trace", is stored nowhere; it is built here.
+MAPS = {
+    "skeleton_trace": (lambda ops: ops.skeleton_trace, lambda ops: ops.n_volume),
+    "volume_split": (lambda ops: ops.volume_split.ravel(), lambda ops: ops.n_volume),
+    "boundary_trace": (trailing_slots, lambda ops: ops.volume_split.size),
+    "skeleton_split": (lambda ops: ops.skeleton_split.ravel(), lambda ops: ops.skeleton_trace.size),
 }
 
 
@@ -43,8 +51,9 @@ def selection():
     single 1 in column ``idx[i]``, so ``matrix @ u == u[idx]``."""
 
     def build(ops, name: str) -> sp.csr_matrix:
-        idx = getattr(ops, name)
-        shape = (idx.size, MAP_SOURCE[name](ops))
+        index, source = MAPS[name]
+        idx = index(ops)
+        shape = (idx.size, source(ops))
         m = sp.csr_matrix((np.ones(idx.size), (np.arange(idx.size), idx)), shape=shape)
         m.sort_indices()
         return m
@@ -115,10 +124,10 @@ def edge_numbering():
 @pytest.fixture(scope="session")
 def boundary_dofs():
     """Make each subdomain's boundary dofs read off a transfer, ascending
-    global ids: its slice of ``volume_split[boundary_trace]``."""
+    global ids: the last n_b columns of its row of ``volume_split``."""
 
     def build(ops) -> list[np.ndarray]:
-        return np.split(ops.volume_split[ops.boundary_trace], ops.boundary_offsets[1:-1])
+        return list(ops.volume_split[:, ops.n_interior :])
 
     return build
 
@@ -166,9 +175,8 @@ def content_partition():
     def build(blocks, transfer) -> np.ndarray:
         labels: dict = {}
         out = []
-        for j, block in enumerate(blocks):
-            lo, hi = transfer.boundary_offsets[j : j + 2]
-            boundary = transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]
+        boundary = np.arange(transfer.n_interior, transfer.volume_split.shape[1])
+        for block in blocks:
             arrays = (block.data, block.indices, block.indptr, boundary)
             out.append(labels.setdefault(tuple(a.tobytes() for a in arrays), len(labels)))
         return np.array(out)
@@ -234,22 +242,22 @@ def looped_coarse_product():
     U^T (U Z_j) as two right-side TRMMs on a copy of Z_j^T, U unpacked."""
 
     def build(schur, basis) -> np.ndarray:
-        split, offsets = schur.transfer.skeleton_split, schur.transfer.boundary_offsets
-        split_basis = basis[split]
+        split = schur.transfer.skeleton_split
+        n_b = split.shape[1]
+        split_basis = basis[split.ravel()]
         out = np.zeros(basis.shape)
         for j, u in enumerate(schur.group_of):
-            lo, hi = int(offsets[j]), int(offsets[j + 1])
-            local = split_basis[lo:hi]
+            local = split_basis[j * n_b : (j + 1) * n_b]
             cols = np.unique(local.indices)
             z_j = local[:, cols].toarray()
             s_u = schur.groups[u][0]
             if s_u.ndim == 2:
                 product = s_u @ z_j
             else:
-                upper = sla.lapack.dtpttr(hi - lo, s_u, uplo="U")[0]
+                upper = sla.lapack.dtpttr(n_b, s_u, uplo="U")[0]
                 z_t = sla.blas.dtrmm(1.0, upper, np.asfortranarray(z_j.T), side=1, trans_a=1)
                 product = sla.blas.dtrmm(1.0, upper, z_t, side=1).T
-            out[np.ix_(split[lo:hi], cols)] += product
+            out[np.ix_(split[j], cols)] += product
         return out
 
     return build

@@ -112,7 +112,7 @@ def _shifted_boundary_block(blocks, group_of, transfer, j):
     above the block's largest absolute row sum: A_ii is untouched, and
     S_u - c I is negative definite."""
     block = blocks[group_of[j]]
-    n_b = transfer.boundary_offsets[j + 1] - transfer.boundary_offsets[j]
+    n_b = transfer.skeleton_split.shape[1]
     c = 2.0 * abs(block).sum(axis=1).max()
     shift = np.r_[np.zeros(block.shape[0] - n_b), np.full(n_b, c)]
     return [b - sp.diags(shift) if u == group_of[j] else b for u, b in enumerate(blocks)]
@@ -148,17 +148,20 @@ def test_edge_lone_member_rejects_indefinite_schur_complement(mesh_name, request
 
 
 def test_nn_rejects_edge_system(maxwell222_j8):
+    schur = maxwell222_j8.schur
     with pytest.raises(ValueError, match="scalar"):
-        NeumannNeumann(maxwell222_j8.schur, np.ones(maxwell222_j8.schur.tuple_dim))
+        NeumannNeumann(schur, np.ones(schur.transfer.skeleton_split.shape))
 
 
 def test_nn_validates_rho(scalar222_j8):
     schur = scalar222_j8.schur
-    with pytest.raises(ValueError, match="length"):
-        NeumannNeumann(schur, np.ones(schur.tuple_dim + 1))
+    n_sub, n_b = schur.transfer.skeleton_split.shape
+    for shape in ((n_sub, n_b + 1), (n_sub * n_b,)):
+        with pytest.raises(ValueError, match="length"):
+            NeumannNeumann(schur, np.ones(shape))
     for bad in (0.0, -1.0, np.nan, np.inf):
-        rho = np.ones(schur.tuple_dim)
-        rho[3] = bad
+        rho = np.ones((n_sub, n_b))
+        rho[1, 3] = bad
         with pytest.raises(ConfigurationError, match="positive and finite"):
             NeumannNeumann(schur, rho)
 
@@ -167,11 +170,11 @@ def test_nn_constant_rho_is_counting_average(mesh222_j8, scalar222_j8, vertex_de
     """Only ratios of rho count: any constant rho gives bitwise the counting
     weights, with ``degree`` the number of copies of each skeleton vertex."""
     prob = scalar222_j8
-    counting = np.bincount(prob.qnn.split, minlength=prob.qnn.dim).astype(float)
+    counting = np.bincount(prob.qnn.split.ravel(), minlength=prob.qnn.dim).astype(float)
     assert np.array_equal(prob.qnn.degree, counting)
     degree = vertex_degree(mesh222_j8)
     assert np.array_equal(counting, degree[degree > 0])
-    scaled = NeumannNeumann(prob.schur, np.full(prob.schur.tuple_dim, 2.7))
+    scaled = NeumannNeumann(prob.schur, np.full(prob.schur.transfer.skeleton_split.shape, 2.7))
     assert np.array_equal(scaled.rho, prob.qnn.rho)
     assert np.array_equal(scaled.degree, counting)
     assert (scaled.coarse_basis != prob.qnn.coarse_basis).nnz == 0
@@ -179,19 +182,19 @@ def test_nn_constant_rho_is_counting_average(mesh222_j8, scalar222_j8, vertex_de
 
 def test_coarse_basis_from_index_arrays(scalar444_j8, scalar444_j8_jump, selection):
     """Z holds one entry rho_c / degree per copy c, at (its skeleton vertex,
-    its subdomain), each row's columns ascending; ``Z[split]`` is bitwise the
-    product of the 0/1 split matrix with Z."""
+    its subdomain, the copy's row of the split table), each row's columns
+    ascending; ``Z[split]`` is bitwise the product of the 0/1 split matrix
+    with Z."""
     for prob in (scalar444_j8, scalar444_j8_jump):
         q = prob.qnn
         z = q.coarse_basis
         assert z.has_canonical_format and z.has_sorted_indices
         assert z.nnz == q.split.size
-        offsets = prob.schur.transfer.boundary_offsets
-        block_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-        values = np.asarray(z[q.split, block_of]).ravel()
-        assert np.array_equal(values, q.rho * (1.0 / q.degree)[q.split])
+        block_of = np.indices(q.split.shape)[0]
+        values = np.asarray(z[q.split.ravel(), block_of.ravel()]).ravel()
+        assert np.array_equal(values, (q.rho * (1.0 / q.degree)[q.split]).ravel())
         product = selection(prob.schur.transfer, "skeleton_split") @ z
-        assert np.array_equal(z[q.split].toarray(), product.toarray())
+        assert np.array_equal(z[q.split.ravel()].toarray(), product.toarray())
 
 
 def test_nn_records_coarse_condition(scalar444_j8_jump):
@@ -312,7 +315,8 @@ def test_ideal_weighted_average_is_exact_inverse(scalar222_j8, selection):
     of the skeleton split turns the average into the exact inverse."""
     prob = scalar222_j8
     split = selection(prob.schur.transfer, "skeleton_split").toarray()
-    t_dense = materialize(prob.schur.apply_dtn, prob.schur.tuple_dim)
+    shape = prob.schur.transfer.skeleton_split.shape
+    t_dense = materialize(lambda x: prob.schur.apply_dtn(x.reshape(shape)).ravel(), split.shape[0])
     pinj = pseudoinverse_injective(split, t_dense)
     q_ideal = pinj @ sla.solve(t_dense, pinj.T, assume_a="pos")
     s_dense = materialize(prob.schur.apply, prob.schur.dim)
@@ -554,11 +558,10 @@ def test_solvers_keep_only_what_applies_read(maxwell444_j8):
     # each distinct block keeps one dense, bitwise-symmetric S_u sized to
     # its members' rows of the boundary tuple.
     for schur in (maxwell444_j8.schur, maxwell444_j8.scalar.schur):
-        assert set(vars(schur)) == {"transfer", "dim", "tuple_dim", "group_of", "groups"}
-        sizes = np.diff(schur.transfer.boundary_offsets)
+        assert set(vars(schur)) == {"transfer", "dim", "group_of", "groups"}
         for s_u, members in schur.groups:
             assert type(s_u) is np.ndarray and np.array_equal(s_u, s_u.T)
-            assert np.all(sizes[members] == s_u.shape[0])
+            assert s_u.shape[0] == schur.transfer.skeleton_split.shape[1]
 
 
 def test_one_factorization_per_distinct_block(mesh444_j8, monkeypatch):
@@ -678,10 +681,9 @@ def _sliced_group_schurs(prob, assemble, mesh, coeffs, sliced_schur):
     transfer = prob.schur.transfer
     blocks, _ = assemble(mesh, coeffs)
     out = []
-    for block, (_, members) in zip(blocks, prob.schur.groups, strict=True):
-        j = members[0]
-        lo, hi = transfer.boundary_offsets[j : j + 2]
-        out.append(sliced_schur(block, transfer.boundary_trace[lo:hi] - transfer.broken_offsets[j]))
+    boundary = np.arange(transfer.n_interior, transfer.volume_split.shape[1])
+    for block, _ in zip(blocks, prob.schur.groups, strict=True):
+        out.append(sliced_schur(block, boundary))
     return out
 
 
@@ -775,8 +777,7 @@ def test_lone_members_keep_packed_cholesky_factors(
     prob = setup_scalar(mesh, coeffs)
     schur, qnn = prob.schur, prob.qnn
     sliced = _sliced_group_schurs(prob, assemble_scalar, mesh, coeffs, sliced_schur)
-    offsets = schur.transfer.boundary_offsets
-    g = np.random.default_rng(0).uniform(-1, 1, schur.tuple_dim)
+    g = np.random.default_rng(0).uniform(-1, 1, schur.transfer.skeleton_split.shape)
     applied, solved = schur.apply_dtn(g), qnn.apply_dtn_inv(g)
     groups = zip(sliced, schur.groups, qnn.inverse_dtn, strict=True)
     for dense, (s_u, members), inverse in groups:
@@ -785,9 +786,8 @@ def test_lone_members_keep_packed_cholesky_factors(
         else:
             assert _same_bits(s_u, dense) and _same_bits(inverse, tril_inverse(dense))
         for j in members:
-            lo, hi = offsets[j : j + 2]
-            want = dense @ g[lo:hi], np.linalg.solve(dense, g[lo:hi])
-            for got, w in zip((applied[lo:hi], solved[lo:hi]), want):
+            want = dense @ g[j], np.linalg.solve(dense, g[j])
+            for got, w in zip((applied[j], solved[j]), want):
                 assert np.linalg.norm(got - w) <= 1e-12 * np.linalg.norm(w)
 
 
@@ -825,7 +825,7 @@ def test_nn_setup_unpacks_each_packed_matrix_once(grid):
         patch.setattr(sla.lapack, "dtpttr", counting)
         patch.setattr(sla.lapack, "dtrttp", no_pack)
         patch.setattr(precond_mod, "SpdFactor", Recording)
-        qnn = NeumannNeumann(schur, np.ones(schur.tuple_dim))
+        qnn = NeumannNeumann(schur, np.ones(schur.transfer.skeleton_split.shape))
     lone = [s_u for s_u, js in schur.groups if js.size == 1]
     assert len(unpacked) == len(lone)
     assert all(m is s_u for m, s_u in zip(unpacked, lone, strict=True))
@@ -866,13 +866,11 @@ def test_lone_members_keep_one_packed_triangle(mesh666_j27):
     prob = setup_scalar(mesh, Coefficients(alpha=alpha_j[mesh.tet_subdomain]))
     schur, qnn = prob.schur, prob.qnn
     assert all(js.size == 1 for _, js in schur.groups)
-    sizes = np.diff(schur.transfer.boundary_offsets)
+    n_b = schur.transfer.skeleton_split.shape[1]
     arrays = _owned_arrays(prob)
-    for (s_u, (j,)), inverse in zip(schur.groups, qnn.inverse_dtn, strict=True):
-        n_b = int(sizes[j])
+    for (s_u, _), inverse in zip(schur.groups, qnn.inverse_dtn, strict=True):
         assert inverse is s_u and s_u.shape == (n_b * (n_b + 1) // 2,)
-    for n_b in np.unique(sizes):
-        triangles = [a for a in arrays if a.shape == (n_b * (n_b + 1) // 2,)]
-        lone = [s_u for s_u, js in schur.groups if sizes[js[0]] == n_b]
-        assert len(triangles) == len(lone) and all(any(a is s for a in triangles) for s in lone)
-        assert not any(a.shape == (n_b, n_b) for a in arrays)
+    triangles = [a for a in arrays if a.shape == (n_b * (n_b + 1) // 2,)]
+    lone = [s_u for s_u, _ in schur.groups]
+    assert len(triangles) == len(lone) and all(any(a is s for a in triangles) for s in lone)
+    assert not any(a.shape == (n_b, n_b) for a in arrays)

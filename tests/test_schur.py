@@ -28,8 +28,7 @@ def _subdomain_schur(prob, j):
     """Subdomain j's dense Schur complement and its local boundary positions."""
     sys = prob.schur
     ops = sys.transfer
-    lo, hi = ops.boundary_offsets[j : j + 2]
-    boundary = ops.boundary_trace[lo:hi] - ops.broken_offsets[j]
+    boundary = np.arange(ops.n_interior, ops.volume_split.shape[1])
     return sys.groups[sys.group_of[j]][0], boundary
 
 
@@ -62,12 +61,11 @@ def test_schur_inverse_is_resolvent_boundary_block(mesh444_j8, scalar444_j8):
     j = 5
     _, bb = _subdomain_schur(scalar444_j8, j)
     a_inv = sla.inv(_blocks(mesh444_j8, scalar444_j8)[j].toarray())
-    lo = int(sys.transfer.boundary_offsets[j])
 
     def block_inv(g):
-        tup = np.zeros(sys.tuple_dim)
-        tup[lo : lo + g.size] = g
-        return qnn.apply_dtn_inv(tup)[lo : lo + g.size]
+        tup = np.zeros(sys.transfer.skeleton_split.shape)
+        tup[j] = g
+        return qnn.apply_dtn_inv(tup)[j]
 
     t_inv = materialize(block_inv, bb.size)
     assert np.abs(t_inv - a_inv[np.ix_(bb, bb)]).max() <= 1e-10
@@ -75,17 +73,17 @@ def test_schur_inverse_is_resolvent_boundary_block(mesh444_j8, scalar444_j8):
 
 def test_dtn_roundtrip(scalar444_j8, rng):
     sys, qnn = scalar444_j8.schur, scalar444_j8.qnn
-    g = rng.uniform(-1, 1, sys.tuple_dim)
+    g = rng.uniform(-1, 1, sys.transfer.skeleton_split.shape)
     back = sys.apply_dtn(qnn.apply_dtn_inv(g))
     assert np.abs(back - g).max() <= 1e-10 * np.abs(g).max()
 
 
 def test_dtn_inverse_symmetric(scalar444_j8, rng):
     sys, qnn = scalar444_j8.schur, scalar444_j8.qnn
-    g = rng.uniform(-1, 1, sys.tuple_dim)
-    h = rng.uniform(-1, 1, sys.tuple_dim)
-    left = h @ qnn.apply_dtn_inv(g)
-    right = g @ qnn.apply_dtn_inv(h)
+    g = rng.uniform(-1, 1, sys.transfer.skeleton_split.shape)
+    h = rng.uniform(-1, 1, sys.transfer.skeleton_split.shape)
+    left = np.vdot(h, qnn.apply_dtn_inv(g))
+    right = np.vdot(g, qnn.apply_dtn_inv(h))
     assert abs(left - right) <= 1e-12 * max(abs(left), 1.0)
 
 
@@ -128,17 +126,15 @@ def test_interface_operator_spd(scalar444_j8, rng):
 
 
 def test_dtn_block_locality(scalar444_j8, rng):
-    """Data supported in one subdomain's slot never leaks into another."""
+    """Data supported in one subdomain's row never leaks into another."""
     sys = scalar444_j8.schur
-    offsets = sys.transfer.boundary_offsets
     j = 3
-    vec = np.zeros(sys.tuple_dim)
-    lo, hi = int(offsets[j]), int(offsets[j + 1])
-    vec[lo:hi] = rng.uniform(-1, 1, hi - lo)
+    vec = np.zeros(sys.transfer.skeleton_split.shape)
+    vec[j] = rng.uniform(-1, 1, vec.shape[1])
     for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
         out = method(vec)
-        touched = np.flatnonzero(out != 0.0)
-        assert touched.min() >= lo and touched.max() < hi
+        touched = np.flatnonzero(np.any(out != 0.0, axis=1))
+        assert touched.min() >= j and touched.max() < j + 1
 
 
 def test_blockwise_projector_algebra(mesh222_j8, scalar222_j8, selection):
@@ -153,10 +149,14 @@ def test_blockwise_projector_algebra(mesh222_j8, scalar222_j8, selection):
 
 
 def test_tuple_dimension_checked(scalar444_j8):
+    """A boundary tuple is a (J, n_b) array: a longer row, or a flat vector
+    of the right length, is refused."""
     sys = scalar444_j8.schur
+    n_sub, n_b = sys.transfer.skeleton_split.shape
     for method in (sys.apply_dtn, scalar444_j8.qnn.apply_dtn_inv):
-        with pytest.raises(ValueError, match="boundary-tuple"):
-            method(np.zeros(sys.tuple_dim + 1))
+        for shape in ((n_sub, n_b + 1), (n_sub * n_b,)):
+            with pytest.raises(ValueError, match="boundary-tuple"):
+                method(np.zeros(shape))
 
 
 def test_spd_factor_modes_and_consistency(rng, tril_inverse):
@@ -203,9 +203,8 @@ def _block(mesh, field, j=0):
     assemble = assemble_scalar if field == "scalar" else assemble_edge
     blocks, group_of = assemble(mesh, Coefficients())
     block = blocks[group_of[j]]
-    lo, hi = transfer.broken_offsets[j : j + 2]
-    n_interior = block.shape[0] - int(np.diff(transfer.boundary_offsets)[j])
-    return block, n_interior, mesh.dof_positions(field, transfer.volume_split[lo:hi])
+    n_interior = block.shape[0] - transfer.skeleton_split.shape[1]
+    return block, n_interior, mesh.dof_positions(field, transfer.volume_split[j])
 
 
 @pytest.mark.parametrize(
@@ -215,24 +214,46 @@ def _block(mesh, field, j=0):
         ((5, 5, 5), (1, 1, 1), 600),  # an odd cell count: uneven cuts, 665 interior
         ((12, 6, 6), (1, 1, 1), 600),  # two levels of cuts, 2,508 interior
         ((4, 4, 4), (2, 1, 1), 0),  # both fields, cut down to single dofs
+        ((20, 20, 10), (2, 2, 1), 600),  # scalar, 729 interior, four distinct blocks
     ],
-    ids=["edge-12^3/2^3", "edge-5^3", "edge-12x6x6", "4x4x4/2x1x1-leaf0"],
+    ids=["edge-12^3/2^3", "edge-5^3", "edge-12x6x6", "4x4x4/2x1x1-leaf0", "scalar-20x20x10/2x2x1"],
 )
-def test_nested_schur_matches_leaf(monkeypatch, cells, subdomains, leaf):
+def test_nested_schur_matches_leaf(monkeypatch, packed_cholesky, cells, subdomains, leaf):
     """Nested dissection inside a block gives S_u to 1e-13 relative of the
-    leaf elimination of the whole interior, bitwise symmetric."""
+    leaf elimination of the whole interior, bitwise symmetric.  The cuts move
+    with a translate, so cutting at subdomain 0's positions, as
+    ``build_schur_system`` does for every block, gives the same bits: under
+    per-subdomain alpha on (20, 20, 10)/(2, 2, 1), the four distinct blocks,
+    first members 0-3, keep bitwise the factors of their own members' cuts."""
     assert schur_mod.LEAF == 600
     mesh = build_box_mesh(cells, subdomains)
     cases = [("scalar", 1), ("edge", 0), ("edge", 1)] if leaf == 0 else [("edge", 0)]
+    if mesh.n_subdomains == 4:
+        cases = [("scalar", 3)]
     for field, j in cases:
         block, n_interior, positions = _block(mesh, field, j)
         assert n_interior > leaf
         monkeypatch.setattr(schur_mod, "LEAF", leaf)
         nested = schur_mod._schur_complement(block, n_interior, positions, field)
+        translate = _block(mesh, field)[2]
+        assert nested.tobytes() == (
+            schur_mod._schur_complement(block, n_interior, translate, field).tobytes()
+        )
         monkeypatch.setattr(schur_mod, "LEAF", n_interior)
         whole = schur_mod._schur_complement(block, n_interior, positions, field)
         assert np.array_equal(nested, nested.T) and np.array_equal(whole, whole.T)
         assert np.abs(nested - whole).max() <= 1e-13 * np.abs(whole).max()
+    if mesh.n_subdomains == 4:
+        monkeypatch.undo()
+        transfer = build_transfer(mesh, "scalar")
+        alpha = np.array([0.5, 2.0, 3.0, 7.0])[mesh.tet_subdomain]
+        blocks, group_of = assemble_scalar(mesh, Coefficients(alpha=alpha))
+        system = build_schur_system(blocks, group_of, transfer, mesh)
+        for block, (upper, members) in zip(blocks, system.groups, strict=True):
+            positions = mesh.dof_positions("scalar", transfer.volume_split[members[0]])
+            want = schur_mod._schur_complement(block, transfer.n_interior, positions, "scalar")
+            assert upper.tobytes() == packed_cholesky(want).tobytes()
+        assert [members[0] for _, members in system.groups] == [0, 1, 2, 3]
 
 
 def test_octants_that_share_an_entry_are_refused():
@@ -302,26 +323,24 @@ def test_one_member_groups_keep_packed_triangles(grid):
     mesh, alpha_j = grid
     prob = setup_scalar(mesh, Coefficients(alpha=alpha_j[mesh.tet_subdomain]))
     schur, qnn = prob.schur, prob.qnn
-    sizes = np.diff(schur.transfer.boundary_offsets)
+    n = schur.transfer.skeleton_split.shape[1]
     for (s_u, members), inverse in zip(schur.groups, qnn.inverse_dtn, strict=True):
-        n = sizes[members[0]]
         shape = (n * (n + 1) // 2,) if members.size == 1 else (n, n)
         assert s_u.shape == inverse.shape == shape
-    g = np.random.default_rng(0).uniform(-1, 1, schur.tuple_dim)
+    g = np.random.default_rng(0).uniform(-1, 1, schur.transfer.skeleton_split.shape)
     back = schur.apply_dtn(qnn.apply_dtn_inv(g))
     assert np.abs(back - g).max() <= 1e-10 * np.abs(g).max()
 
 
 def _per_member_apply(schur, matrices, x, solve=False):
-    """Each member's tuple slice x_j gathered, multiplied and scattered one
+    """Each member's tuple row x_j gathered, multiplied and scattered one
     member at a time.  A group's products S_u x_j are the columns of one
     GEMM, since BLAS rounds a GEMM column and a lone S_u @ x_j (a GEMV)
     differently; a lone member's packed factor U is applied as U^T (U x_j)
     by two packed triangular products, or (``solve``) by a packed solve."""
-    offsets = schur.transfer.boundary_offsets
     out = np.full(x.shape, np.nan)
     for matrix, (_, members) in zip(matrices, schur.groups, strict=True):
-        slices = [x[offsets[j] : offsets[j + 1]] for j in members]
+        slices = [x[j] for j in members]
         if matrix.ndim == 1 and solve:
             (x_j,) = slices
             columns = sla.lapack.dpptrs(x_j.size, matrix, x_j[:, None].copy(), lower=0)[0]
@@ -332,7 +351,7 @@ def _per_member_apply(schur, matrices, x, solve=False):
         else:
             columns = matrix @ np.column_stack(slices)
         for k, j in enumerate(members):
-            out[offsets[j] : offsets[j + 1]] = columns[:, k]
+            out[j] = columns[:, k]
     return out
 
 
@@ -378,14 +397,12 @@ def test_grouped_apply_equals_per_member_products(
         checks.append((edge, edge.apply_dtn, stored, False, stored))
     for schur, apply, matrices, solve, dense in checks:
         assert [members.size for _, members in schur.groups] == sizes
-        x = rng.uniform(-1, 1, schur.tuple_dim)
+        x = rng.uniform(-1, 1, schur.transfer.skeleton_split.shape)
         got = apply(x)
         assert np.array_equal(got, _per_member_apply(schur, matrices, x, solve))
-        offsets = schur.transfer.boundary_offsets
         for j, u in enumerate(schur.group_of):
-            lo, hi = offsets[j : j + 2]
-            want = dense[u] @ x[lo:hi]
-            assert np.abs(got[lo:hi] - want).max() <= 1e-13 * np.abs(want).max()
+            want = dense[u] @ x[j]
+            assert np.abs(got[j] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_split_of_non_canonical_block_matches_toarray(mesh444_j8, sliced_schur):
@@ -395,8 +412,7 @@ def test_split_of_non_canonical_block_matches_toarray(mesh444_j8, sliced_schur):
     reference."""
     transfer = build_transfer(mesh444_j8, "scalar")
     canonical = assemble_scalar(mesh444_j8, Coefficients(alpha=1.3))[0][0]
-    lo, hi = transfer.boundary_offsets[:2]
-    n_interior = canonical.shape[0] - (hi - lo)
+    n_interior = canonical.shape[0] - transfer.skeleton_split.shape[1]
     rng = np.random.default_rng(4)
     n = canonical.shape[0]
     rows, cols, data = [], [], []
@@ -414,7 +430,7 @@ def test_split_of_non_canonical_block_matches_toarray(mesh444_j8, sliced_schur):
     dense = block.toarray()
     assert np.array_equal(dense, canonical.toarray())
 
-    positions = mesh444_j8.dof_positions("scalar", transfer.volume_split[:n])
+    positions = mesh444_j8.dof_positions("scalar", transfer.volume_split[0])
     s_u = schur_mod._schur_complement(block, n_interior, positions, "scalar")
     want = schur_mod._schur_complement(canonical, n_interior, positions, "scalar")
     assert s_u.tobytes() == want.tobytes()
